@@ -22,13 +22,13 @@ from .errors import (
     NoPowerSeriesBranch,
     SizeTooLarge,
 )
-from .kernel import SeriesPoly, newton_solve
+from .kernel import SeriesPoly, newton_solve, tree_root
+from .levels import label_spectra, level_rows
 from .marker import MarkerSeries
 from .series import Q, Series, as_fraction, rational_sqrt
 
 _ZERO = Q(0)
 _NEG_INF = -(10**9)
-_POS_INF = 10**9
 
 
 @dataclass(frozen=True)
@@ -63,16 +63,7 @@ class BinaryWeights:
 
 def binary_T(w: BinaryWeights, order: int) -> Series:
     """Root series T = 1 + z*linear*T + z*quadratic*T^2."""
-    lin, quad = w.linear, w.quadratic
-    if quad == 0:
-        one = Series.one(order)
-        return one / (one - Series.z(order) * lin)
-    g = order + 2
-    z = Series.z(g)
-    one = Series.one(g)
-    rad = (one - z * lin) ** 2 - z * (4 * quad)
-    num = one - z * lin - rad.sqrt()
-    return (num / (z * (2 * quad))).truncate(order)
+    return tree_root({1: w.linear, 2: w.quadratic}, order)
 
 
 def binary_X(w: BinaryWeights, order: int) -> Series:
@@ -117,46 +108,11 @@ def binary_Tj_recurrence(
 ) -> dict[int, Series]:
     """Rows T_-1..T_j_max of the level system, computed coefficientwise.
 
-    Rows at or above j_max + order are indistinguishable from T below
-    z^order (a size-n tree moves labels by at most n), which seeds the
-    fixed point from above; the boundary row T_-1 is pinned to 0 or 1.
+    The boundary row T_-1 is pinned to 0 or 1; see ``levels.level_rows``.
     """
     if boundary not in (0, 1):
         raise ValueError("boundary must be 0 or 1")
-    top = j_max + order  # rows above this index behave like T
-    t_coeffs = binary_T(w, order).coeffs
-    rows: list[list[Fraction]] = []
-    bnd = [Q(boundary)] + [_ZERO] * (order - 1)
-    rows.append(bnd)  # j = -1
-    for _ in range(0, top + 1):
-        rows.append([Q(1)] + [_ZERO] * (order - 1))
-    v1, v2, w1, w2, w3 = w.v1, w.v2, w.w1, w.w2, w.w3
-
-    def conv(a: list[Fraction], b: list[Fraction], m: int) -> Fraction:
-        return sum((a[k] * b[m - k] for k in range(m + 1)), _ZERO)
-
-    for n in range(1, order):
-        m = n - 1
-        new_vals = []
-        for j in range(0, top + 1):
-            mid = rows[j + 1]
-            left = rows[j]
-            right = rows[j + 2] if j + 1 <= top else t_coeffs
-            acc = _ZERO
-            if v1:
-                acc += v1 * (left[m] + right[m])
-            if v2:
-                acc += v2 * mid[m]
-            if w1:
-                acc += w1 * conv(left, right, m)
-            if w2:
-                acc += w2 * conv(mid, mid, m)
-            if w3:
-                acc += w3 * (conv(mid, left, m) + conv(mid, right, m))
-            new_vals.append(acc)
-        for j, val in zip(range(0, top + 1), new_vals):
-            rows[j + 1][n] = val
-    return {j: Series(rows[j + 1]) for j in range(-1, j_max + 1)}
+    return level_rows(_node_kinds(w), binary_T(w, order), boundary, j_max, order)
 
 
 # ---------------------------------------------------------------------------
@@ -431,16 +387,7 @@ def adapt_lambda(w: BinaryWeights, boundary_value: int, order: int) -> Series:
     qa = s1 * X
     qb = -(s1 * (one + X)) - T * c_num
     qc = s1
-    lam = Series.zero(1)
-    prec = 1
-    while prec < g:
-        prec = min(2 * prec, g)
-        lam_p = Series(lam.coeffs, prec)
-        a_p, b_p, c_p = (s.truncate(prec) for s in (qa, qb, qc))
-        f_val = (a_p * lam_p + b_p) * lam_p + c_p
-        f_der = a_p * lam_p * 2 + b_p
-        lam_p = lam_p - f_val / f_der
-        lam = lam_p
+    lam = newton_solve(SeriesPoly.make([qc, qb, qa]), 0)
     check = binary_Tj_closed(w, lam, -1, order)
     if not check.matches(Series.constant(boundary_value, order)):
         raise NoPowerSeriesBranch(
@@ -547,13 +494,7 @@ def conjecture_check(
 
 def height_T(v1, v2, order: int) -> Series:
     """T = 1 + z(v1+v2)T + zT^2."""
-    v1, v2 = as_fraction(v1), as_fraction(v2)
-    g = order + 2
-    z = Series.z(g)
-    one = Series.one(g)
-    rad = (one - z * (v1 + v2)) ** 2 - z * 4
-    num = one - z * (v1 + v2) - rad.sqrt()
-    return (num / (z * 2)).truncate(order)
+    return tree_root({1: as_fraction(v1) + as_fraction(v2), 2: 1}, order)
 
 
 def height_X(v1, v2, order: int) -> Series:
@@ -624,13 +565,7 @@ def height_alpha(v1, v2, mode: str, n_max: int, order: int) -> AlphaTable:
 
 def ternary_T(v1, v2, order: int) -> Series:
     """T = 1 + z(2 v1 + v2) T + z T^3."""
-    v1, v2 = as_fraction(v1), as_fraction(v2)
-    z = Series.z(order)
-    one = Series.one(order)
-    eq = SeriesPoly.make(
-        [one, z * (2 * v1 + v2) - one, Series.zero(order), z]
-    )
-    return newton_solve(eq, 1)
+    return tree_root({1: 2 * as_fraction(v1) + as_fraction(v2), 3: 1}, order)
 
 
 def ternary_X(v1, v2, order: int) -> Series:
@@ -728,50 +663,8 @@ def _node_kinds(w: BinaryWeights) -> list[tuple[Fraction, tuple[int, ...]]]:
 def _extreme_spectra(
     w: BinaryWeights, n_max: int, mode: str
 ) -> list[dict[int, Fraction]]:
-    """spectra[n][m]: weight of size-n trees whose extreme label is m.
-
-    mode "max": m is the maximum over internal-node labels relative to the
-    root; the empty tree scores -infinity (empty slots are unconstrained).
-    mode "min": m is the minimum over every occupied position including
-    empty-subtree slots; the empty tree scores 0.
-    """
-    if mode == "max":
-        empty_score = _NEG_INF
-
-        def combine(scores):
-            return max([0] + [s for s in scores if s != _NEG_INF])
-
-        def shift(score, off):
-            return score if score == _NEG_INF else score + off
-
-    else:
-        empty_score = 0
-
-        def combine(scores):
-            return min([0] + list(scores))
-
-        def shift(score, off):
-            return score + off
-
-    kinds = _node_kinds(w)
-    spectra: list[dict[int, Fraction]] = [{empty_score: Q(1)}]
-    for n in range(1, n_max + 1):
-        spec: dict[int, Fraction] = {}
-        for weight, offsets in kinds:
-            if len(offsets) == 1:
-                for m_c, cnt in spectra[n - 1].items():
-                    key = combine([shift(m_c, offsets[0])])
-                    spec[key] = spec.get(key, _ZERO) + weight * cnt
-            else:
-                for a in range(n):
-                    b = n - 1 - a
-                    for m_a, ca in spectra[a].items():
-                        sa = shift(m_a, offsets[0])
-                        for m_b, cb in spectra[b].items():
-                            key = combine([sa, shift(m_b, offsets[1])])
-                            spec[key] = spec.get(key, _ZERO) + weight * ca * cb
-        spectra.append(spec)
-    return spectra
+    """spectra[n][m]: weight of size-n trees whose extreme label is m; see ``label_spectra``."""
+    return label_spectra(_node_kinds(w), n_max, mode)
 
 
 def brute_force_embedded_binary(

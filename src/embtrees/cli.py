@@ -10,11 +10,14 @@ as integer-pair strings, never floats.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+from . import __version__
 from . import binary as B
 from . import dary as D
 from . import paths as P
@@ -26,32 +29,30 @@ from .series import Series
 from .steps import parse_step_set
 
 
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    return int(raw) if raw else fallback
+class _EnvDefault:
+    """Option default read from the environment each time arguments are parsed."""
 
+    def __init__(self, name: str, fallback, convert=str):
+        self.name, self.fallback, self.convert = name, fallback, convert
 
-def _env_str(name: str, fallback: str) -> str:
-    return os.environ.get(name) or fallback
+    def resolve(self):
+        raw = os.environ.get(self.name)
+        return self.convert(raw) if raw else self.fallback
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--order", type=int, default=_env_int("EMBTREES_ORDER", 30),
+        "--order", type=int, default=_EnvDefault("EMBTREES_ORDER", 30, int),
         help="truncation order (default 30, env EMBTREES_ORDER)",
     )
     parser.add_argument(
         "--format", choices=("json", "csv"),
-        default=_env_str("EMBTREES_FORMAT", "json"),
+        default=_EnvDefault("EMBTREES_FORMAT", "json"),
         help="output format (env EMBTREES_FORMAT)",
     )
     parser.add_argument(
-        "--cache-dir", default=os.environ.get("EMBTREES_CACHE_DIR"),
+        "--cache-dir", default=_EnvDefault("EMBTREES_CACHE_DIR", None),
         help="directory for the advisory series cache (env EMBTREES_CACHE_DIR)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0,
-        help="accepted for interface stability; everything is deterministic",
     )
 
 
@@ -63,7 +64,7 @@ def _cached(args, key_parts, compute) -> Series:
     if not args.cache_dir:
         return compute()
     cache = SeriesCache(args.cache_dir)
-    key = cache_key(*key_parts, args.order)
+    key = cache_key(__version__, *key_parts, args.order)
     hit = cache.get(key)
     if hit is not None:
         return hit
@@ -134,15 +135,15 @@ def _cmd_walkers(args) -> int:
     if args.oracle:
         model = W.WalkerModel(
             mode, args.steps, args.boundary,
-            None if args.u is None else __import__("fractions").Fraction(args.u),
-            None if args.w is None else __import__("fractions").Fraction(args.w),
+            None if args.u is None else Fraction(args.u),
+            None if args.w is None else Fraction(args.w),
         )
         counts = W.walker_dp(model, args.i, args.j, args.order)
         _emit_series(Series(counts), args)
         return 0
     if mode == "lock_step":
         if args.boundary == "refined":
-            star = W.lockstep_refined(args.u or "0", args.w or "0", args.i, args.j, args.order)
+            star = W.lockstep_refined(args.u, args.w, args.i, args.j, args.order)
         else:
             star = W.lockstep_star(args.boundary, args.i, args.j, args.order)
     else:
@@ -162,6 +163,10 @@ def _cmd_verify(args) -> int:
     order = args.order if args.order is not None else config.order
     jobs = args.jobs if args.jobs is not None else config.jobs
     report = run_campaign(CampaignConfig(suites=suites, order=order, jobs=jobs))
+    if not report.results:
+        print(f"embtrees verify: error: no check matches suites {', '.join(suites)}",
+              file=sys.stderr)
+        return 2
     print(report.summary())
     return 0 if report.ok else 1
 
@@ -234,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", action="append", default=None,
                           help=f"suite filter, may repeat; available: {', '.join(available_suites())}")
     p_verify.add_argument("--order", type=int, default=None)
-    p_verify.add_argument("--jobs", type=int, default=_env_int("EMBTREES_JOBS", 1))
+    p_verify.add_argument("--jobs", type=int, default=_EnvDefault("EMBTREES_JOBS", 1, int))
     p_verify.add_argument("--config", default=None, help="key=value campaign file")
     p_verify.set_defaults(fn=_cmd_verify)
 
@@ -249,8 +254,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    for name, value in vars(args).items():
+        if isinstance(value, _EnvDefault):
+            setattr(args, name, value.resolve())
+    if args.command == "walkers" and args.boundary == "refined" and (
+        args.u is None or args.w is None
+    ):
+        parser.error("--boundary refined needs both --u and --w")
     return args.fn(args)
 
 

@@ -16,20 +16,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import SizeTooLarge
-from .kernel import (
-    SeriesPoly,
-    SmallFactor,
-    characteristic_poly,
-    newton_solve,
-    small_factor_from_poly,
-)
+from .kernel import SmallFactor, characteristic_poly, small_factor_from_poly, tree_root
+from .levels import label_spectra, level_rows
 from .multipoly import MultiPoly, RationalFunction
 from .series import Q, Series
 from .splitting import SAElement, SplitAlgebra
 from .steps import StepSet
 
 _ZERO = Q(0)
-_NEG_INF = -(10**9)
 
 
 @dataclass(frozen=True)
@@ -73,55 +67,15 @@ class DaryFamily:
 
 def dary_T(fam: DaryFamily, order: int) -> Series:
     """Root series of T = 1 + z T^arity."""
-    z = Series.z(order)
-    one = Series.one(order)
-    coeffs = [one, -one] + [Series.zero(order)] * (fam.arity - 2) + [z]
-    return newton_solve(SeriesPoly.make(coeffs), 1)
+    return tree_root({fam.arity: 1}, order)
 
 
 def dary_Tj_recurrence(fam: DaryFamily, j_max: int, order: int) -> dict[int, Series]:
     """Rows T_-depth..T_j_max of the label-bound system.
 
-    Row j at order n only feels rows up to j + n*d_max, so rows at and
-    above j_max + order*d_max are seeded with the unconstrained T.
+    The boundary rows are pinned to 1; see ``levels.level_rows``.
     """
-    offsets = fam.offsets
-    d_max = max(offsets)
-    depth = fam.boundary_depth
-    top = j_max + order * d_max
-    t_coeffs = dary_T(fam, order).coeffs
-    rows: list[list[Fraction]] = []
-    for _ in range(depth):
-        rows.append([Q(1)] + [_ZERO] * (order - 1))  # boundary rows
-    for _ in range(0, top + 1):
-        rows.append([Q(1)] + [_ZERO] * (order - 1))
-    # rows[idx] is level j = idx - depth
-
-    def row(j: int):
-        return rows[j + depth] if j <= top else t_coeffs
-
-    for n in range(1, order):
-        m = n - 1
-        new_vals = []
-        for j in range(0, top + 1):
-            # [z^m] of the product of T_{j+o} over offsets
-            acc = [Q(1)] + [_ZERO] * m
-            for o in offsets:
-                nxt = [_ZERO] * (m + 1)
-                src = row(j + o)
-                for a in range(m + 1):
-                    ca = acc[a]
-                    if ca == 0:
-                        continue
-                    for b in range(m + 1 - a):
-                        cb = src[b]
-                        if cb != 0:
-                            nxt[a + b] += ca * cb
-                acc = nxt
-            new_vals.append(acc[m])
-        for j, val in zip(range(0, top + 1), new_vals):
-            rows[j + depth][n] = val
-    return {j: Series(rows[j + depth]) for j in range(-depth, j_max + 1)}
+    return level_rows([(Q(1), fam.offsets)], dary_T(fam, order), 1, j_max, order)
 
 
 # ---------------------------------------------------------------------------
@@ -592,26 +546,7 @@ def brute_force_dary(fam: DaryFamily, j: int, n_max: int) -> list[Fraction]:
     """
     if n_max > 8:
         raise SizeTooLarge("d-ary structural enumeration is capped at size 8")
-    offsets = fam.offsets
-    spectra: list[dict[int, Fraction]] = [{_NEG_INF: Q(1)}]
-    for n in range(1, n_max + 1):
-        # forests[k][(size, m)]: first k children combined
-        forest: dict[tuple[int, int], Fraction] = {(0, _NEG_INF): Q(1)}
-        for off in offsets:
-            nxt: dict[tuple[int, int], Fraction] = {}
-            for (sz, m_f), cf in forest.items():
-                for sz_c in range(0, n - sz):
-                    for m_c, cc in spectra[sz_c].items():
-                        shifted = m_c + off if m_c != _NEG_INF else _NEG_INF
-                        key = (sz + sz_c, max(m_f, shifted))
-                        nxt[key] = nxt.get(key, _ZERO) + cf * cc
-            forest = nxt
-        spec: dict[int, Fraction] = {}
-        for (sz, m_f), cf in forest.items():
-            if sz == n - 1:
-                m_root = max(0, m_f) if m_f != _NEG_INF else 0
-                spec[m_root] = spec.get(m_root, _ZERO) + cf
-        spectra.append(spec)
+    spectra = label_spectra([(Q(1), fam.offsets)], n_max, "max")
     return [
         sum((cnt for m, cnt in spec.items() if m <= j), _ZERO) for spec in spectra
     ]

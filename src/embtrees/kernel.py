@@ -98,6 +98,30 @@ def newton_solve(equation: SeriesPoly, t0) -> Series:
     return current
 
 
+def tree_root(weights: dict[int, Fraction | int], order: int) -> Series:
+    """Series root of T = 1 + z * sum_k c_k T^k, given as {k: c_k} with k >= 1.
+
+    Degree at most 2 takes the closed quadratic root; higher degrees go
+    through ``newton_solve``.
+    """
+    degree = max((k for k, c in weights.items() if c), default=0)
+    if degree > 2:
+        z = Series.z(order)
+        coeffs = [Series.one(order)] + [z * weights.get(k, 0) for k in range(1, degree + 1)]
+        coeffs[1] = coeffs[1] - 1
+        return newton_solve(SeriesPoly.make(coeffs), 1)
+    c1, c2 = weights.get(1, 0), weights.get(2, 0)
+    if c2 == 0:
+        one = Series.one(order)
+        return one / (one - Series.z(order) * c1)
+    g = order + 2
+    z = Series.z(g)
+    one = Series.one(g)
+    rad = (one - z * c1) ** 2 - z * (4 * c2)
+    num = one - z * c1 - rad.sqrt()
+    return (num / (z * (2 * c2))).truncate(order)
+
+
 def fixed_point_solve(step, t0, order: int, sweeps: int | None = None) -> Series:
     """Iterate ``t <- step(t)`` from the constant t0; low-order cross-check."""
     t = Series.constant(t0, order)

@@ -1,0 +1,107 @@
+"""The level system shared by every label-bounded tree family.
+
+A family is a list of node kinds, each a weight and the label offsets of
+the node's children: T_j = 1 + z * sum over kinds of w * prod over the
+offsets o of T_{j+o}.  The binary and d-ary families differ only in
+their kind lists and in the value pinned on the rows below level 0.
+``level_rows`` solves that system coefficientwise; ``label_spectra``
+counts the same trees by shape and extreme label, the oracle the rows
+are checked against.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from operator import mul
+
+from .series import Q, Series
+
+Kinds = list[tuple[Fraction, tuple[int, ...]]]
+
+_ZERO = Q(0)
+_ONE = Q(1)
+_NEG_INF = -(10**9)
+
+
+def _product_coeff(factors, m: int) -> Fraction:
+    """[z^m] of the product of the coefficient lists ``factors``.
+
+    Every factor but the last is multiplied out to degree m; the last
+    enters through one dot product.
+    """
+    *head, last = factors
+    if not head:
+        return last[m]
+    prefix = head[0][: m + 1]
+    for f in head[1:]:
+        prefix = [sum(map(mul, prefix[: k + 1], f[k::-1])) for k in range(m + 1)]
+    return sum(map(mul, prefix, last[m::-1]))
+
+
+def level_rows(
+    kinds: Kinds, root: Series, pin: int, j_max: int, order: int
+) -> dict[int, Series]:
+    """Rows T_-depth..T_j_max of the level system, computed coefficientwise.
+
+    The rows below level 0, down to the deepest downward offset (at least
+    one row), are pinned to the constant ``pin``.  Row j at order n only
+    feels rows up to j + n * (highest upward offset), so the rows above
+    j_max + order * (highest upward offset) equal the unconstrained
+    ``root`` below z^order and seed the fixed point from above.
+    """
+    offsets = [o for _, offs in kinds for o in offs]
+    depth = max([1] + [-o for o in offsets])
+    top = j_max + order * max([0] + offsets)
+    rows = [[Q(pin)] + [_ZERO] * (order - 1) for _ in range(depth)]
+    rows += [[_ONE] + [_ZERO] * (order - 1) for _ in range(top + 1)]
+
+    def row(j: int):
+        return rows[j + depth] if j <= top else root.coeffs
+
+    # coefficient n reads only coefficients below n, so rows update in place
+    for n in range(1, order):
+        for j in range(top + 1):
+            rows[j + depth][n] = sum(
+                w * _product_coeff([row(j + o) for o in offs], n - 1)
+                for w, offs in kinds
+            )
+    return {j: Series(rows[j + depth]) for j in range(-depth, j_max + 1)}
+
+
+def label_spectra(kinds: Kinds, n_max: int, mode: str) -> list[dict[int, Fraction]]:
+    """spectra[n][m]: total weight of the size-n trees whose extreme label is m.
+
+    Labels are relative to the root at 0.  Mode "max": m is the largest
+    internal-node label, and the empty tree scores -infinity (empty slots
+    are unconstrained).  Mode "min": m is the smallest position over the
+    internal nodes and the empty-subtree slots, and the empty tree scores
+    0.  The recursion runs over tree shapes, never over levels, so it is
+    independent of ``level_rows``.
+    """
+    if mode == "max":
+        empty, pick = _NEG_INF, max
+    elif mode == "min":
+        empty, pick = 0, min
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    spectra: list[dict[int, Fraction]] = [{empty: _ONE}]
+    for n in range(1, n_max + 1):
+        spec: dict[int, Fraction] = {}
+        for weight, offsets in kinds:
+            # forest[(used, m)]: the children folded so far hold `used`
+            # nodes, and m is their extreme label together with the root's
+            forest = {(0, 0): weight}
+            for i, off in enumerate(offsets):
+                nxt: dict[tuple[int, int], Fraction] = {}
+                for (used, m_f), cf in forest.items():
+                    left = n - 1 - used
+                    sizes = range(left + 1) if i < len(offsets) - 1 else (left,)
+                    for size in sizes:
+                        for m_c, cc in spectra[size].items():
+                            key = (used + size, pick(m_f, m_c + off))
+                            nxt[key] = nxt.get(key, _ZERO) + cf * cc
+                forest = nxt
+            for (_, m), c in forest.items():
+                spec[m] = spec.get(m, _ZERO) + c
+        spectra.append(spec)
+    return spectra

@@ -88,12 +88,6 @@ class MarkerSeries:
             raise ValueError("cannot extend precision by truncation")
         return MarkerSeries(self.coeffs[:order])
 
-    def marker_truncate(self, lo: int, hi: int) -> MarkerSeries:
-        """Drop marker exponents outside [lo, hi]."""
-        return MarkerSeries(
-            [{p: c for p, c in d.items() if lo <= p <= hi} for d in self.coeffs]
-        )
-
     def matches(self, other: MarkerSeries) -> bool:
         n = min(len(self.coeffs), len(other.coeffs))
         return self.coeffs[:n] == other.coeffs[:n]

@@ -59,9 +59,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -194,10 +191,6 @@ class RationalFunction:
             raise ZeroDivisionError("rational function with zero denominator")
         self.num = num
         self.den = den
-
-    @classmethod
-    def from_poly(cls, p: MultiPoly) -> RationalFunction:
-        return cls(p)
 
     @property
     def variables(self) -> tuple[str, ...]:

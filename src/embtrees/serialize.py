@@ -10,6 +10,8 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
+import tempfile
 from pathlib import Path
 
 from .series import Q, Series
@@ -62,9 +64,17 @@ class SeriesCache:
         return self.directory / f"{key}.json"
 
     def put(self, key: str, series: Series) -> Path:
+        """Write to a temporary file and rename it, so no reader sees a torn entry."""
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self._path(key)
-        path.write_text(export_series(series, "json"))
+        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=f".{key}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(export_series(series, "json"))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
         return path
 
     def get(self, key: str) -> Series | None:

@@ -48,9 +48,6 @@ class StepSet:
         """P(1)."""
         return sum((w for _, w in self.steps), Q(0))
 
-    def as_dict(self) -> dict[int, Fraction]:
-        return dict(self.steps)
-
 
 def parse_step_set(text: str) -> StepSet:
     """Parse "b:w,b:w,..." with exact rational weights like "2" or "3/7"."""

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embtrees.campaign import CampaignConfig, parse_config, run_campaign
+from embtrees import cli
 from embtrees.cli import main
 from embtrees.errors import ConfigParse
 from embtrees.serialize import SeriesCache, cache_key, export_series, import_series
@@ -178,3 +179,49 @@ def test_cli_verify_with_config_file(tmp_path, capsys):
     assert main(["verify", "--config", str(cfg), "--suite", "kernel"]) == 0
     out = capsys.readouterr().out
     assert "kernel/fuss-catalan" in out and "exact-arith" not in out
+
+
+def test_cache_put_leaves_only_the_entry(tmp_path):
+    cache = SeriesCache(tmp_path)
+    key = cache_key("trees", 1, 12)
+    cache.put(key, Series([1, 1, 2], 3))
+    cache.put(key, Series([1, 1, 2, 5], 4))  # overwrite in place
+    assert [p.name for p in tmp_path.iterdir()] == [f"{key}.json"]
+    assert cache.get(key) == Series([1, 1, 2, 5], 4)
+
+
+def test_cache_entry_from_another_version_misses(tmp_path, capsys, monkeypatch):
+    argv = ["trees", "--w1", "1", "--order", "6", "--cache-dir", str(tmp_path)]
+    monkeypatch.setattr(cli, "__version__", "0.0.0")
+    main(argv)
+    capsys.readouterr()
+    (stale,) = tmp_path.glob("*.json")
+    stale.write_text(export_series(Series([7] * 6, 6), "json"))
+    monkeypatch.undo()
+    main(argv)
+    assert json.loads(capsys.readouterr().out)["coeffs"] == ["1", "1", "2", "5", "14", "42"]
+    assert len(list(tmp_path.glob("*.json"))) == 2
+
+
+def test_env_order_change_between_calls_is_honoured(capsys, monkeypatch):
+    for order in (4, 5):
+        monkeypatch.setenv("EMBTREES_ORDER", str(order))
+        main(["trees", "--w1", "1"])
+        assert json.loads(capsys.readouterr().out)["order"] == order
+
+
+def test_verify_unknown_suite_is_an_error(capsys):
+    assert main(["verify", "--suite", "nosuch"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "nosuch" in captured.err
+
+
+@pytest.mark.parametrize("marks", [[], ["--u", "1/2"], ["--w", "1/3"]])
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]])
+def test_refined_walkers_need_both_marks(marks, oracle, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["walkers", "--boundary", "refined", "--i", "1", "--j", "1", "--order", "5"]
+             + marks + oracle)
+    assert exc.value.code == 2
+    assert "--u and --w" in capsys.readouterr().err
