@@ -112,7 +112,7 @@ def binary_Tj_recurrence(
     """
     if boundary not in (0, 1):
         raise ValueError("boundary must be 0 or 1")
-    return level_rows(_node_kinds(w), binary_T(w, order), boundary, j_max, order)
+    return level_rows(_node_kinds(w), boundary, j_max, order)
 
 
 # ---------------------------------------------------------------------------

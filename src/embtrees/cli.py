@@ -23,35 +23,72 @@ from . import dary as D
 from . import paths as P
 from . import walkers as W
 from .campaign import CampaignConfig, available_suites, parse_config, run_campaign
+from .errors import EmbtreesError
 from .oeis import FIXTURES, format_b_file, oeis_fetch, oeis_match
-from .serialize import SeriesCache, cache_key, export_series, fraction_str, import_series
+from .serialize import SeriesCache, cache_key, export_series, import_series, ratio_str
 from .series import Series
 from .steps import parse_step_set
 
 
 class _EnvDefault:
-    """Option default read from the environment each time arguments are parsed."""
+    """Option default read from the environment each time arguments are parsed.
 
-    def __init__(self, name: str, fallback, convert=str):
-        self.name, self.fallback, self.convert = name, fallback, convert
+    A value from the environment goes through the option's own ``type``
+    and ``choices`` checks, so it is validated exactly like the flag.
+    """
+
+    def __init__(self, name: str, fallback, action: argparse.Action):
+        self.name, self.fallback, self.action = name, fallback, action
 
     def resolve(self):
         raw = os.environ.get(self.name)
-        return self.convert(raw) if raw else self.fallback
+        if not raw:
+            return self.fallback
+        action = self.action
+        try:
+            value = action.type(raw) if action.type else raw
+        except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+            raise argparse.ArgumentError(action, f"invalid value {raw!r} in {self.name}: {exc}")
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice {raw!r} in {self.name} (choose from {choices})"
+            )
+        return value
+
+
+def _env_option(parser: argparse.ArgumentParser, flag: str, env: str, fallback, **kwargs) -> None:
+    """Add an option whose default comes from the environment variable ``env``."""
+    action = parser.add_argument(flag, **kwargs)
+    action.default = _EnvDefault(env, fallback, action)
+
+
+def _bounded_int(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below the minimum {low}")
+        return value
+    convert.__name__ = "int"
+    return convert
+
+
+_positive = _bounded_int(1)
+_non_negative = _bounded_int(0)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--order", type=int, default=_EnvDefault("EMBTREES_ORDER", 30, int),
+    _env_option(
+        parser, "--order", "EMBTREES_ORDER", 30, type=_positive,
         help="truncation order (default 30, env EMBTREES_ORDER)",
     )
-    parser.add_argument(
-        "--format", choices=("json", "csv"),
-        default=_EnvDefault("EMBTREES_FORMAT", "json"),
+    _env_option(
+        parser, "--format", "EMBTREES_FORMAT", "json", choices=("json", "csv"),
         help="output format (env EMBTREES_FORMAT)",
     )
-    parser.add_argument(
-        "--cache-dir", default=_EnvDefault("EMBTREES_CACHE_DIR", None),
+    _env_option(
+        parser, "--cache-dir", "EMBTREES_CACHE_DIR", None,
         help="directory for the advisory series cache (env EMBTREES_CACHE_DIR)",
     )
 
@@ -73,6 +110,12 @@ def _cached(args, key_parts, compute) -> Series:
     return series
 
 
+def _row(rows: dict[int, Series], level: int) -> Series:
+    if level not in rows:
+        raise ValueError(f"level {level} is below the lowest row {min(rows)}")
+    return rows[level]
+
+
 def _cmd_trees(args) -> int:
     w = B.BinaryWeights.make(args.v1, args.v2, args.w1, args.w2, args.w3)
     key = ("trees", args.v1, args.v2, args.w1, args.w2, args.w3,
@@ -89,7 +132,7 @@ def _cmd_trees(args) -> int:
             rows = B.binary_Tj_recurrence(
                 w, 1 if args.boundary == "one" else 0, max(args.level, 0), args.order
             )
-            return rows[args.level]
+            return _row(rows, args.level)
         series = _cached(args, key, compute)
     _emit_series(series, args)
     return 0
@@ -103,7 +146,7 @@ def _cmd_dary(args) -> int:
     else:
         def compute():
             rows = D.dary_Tj_recurrence(fam, max(args.level, 0), args.order)
-            return rows[args.level]
+            return _row(rows, args.level)
         series = _cached(args, key, compute)
     _emit_series(series, args)
     return 0
@@ -118,7 +161,7 @@ def _cmd_paths(args) -> int:
         for level in range(0, top + 1):
             slice_series = gf.marked.extract(level)
             if not slice_series.is_zero():
-                rows[str(level)] = [fraction_str(c) for c in slice_series.coeffs]
+                rows[str(level)] = [ratio_str(p, q) for p, q in slice_series.ratios()]
         print(json.dumps({"order": args.order, "start": args.level, "rows": rows}))
         return 0
     key = ("paths", args.steps, args.level, args.excursions)
@@ -197,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_trees = sub.add_parser("trees", help="binary family level series")
     for name in ("v1", "v2", "w1", "w2", "w3"):
         p_trees.add_argument(f"--{name}", default="0", help=f"weight {name} (rational)")
-    p_trees.add_argument("--level", type=int, default=None, help="label bound j; omit for the free family")
+    p_trees.add_argument("--level", type=_bounded_int(-1), default=None,
+                         help="label bound j >= -1; omit for the free family")
     p_trees.add_argument("--boundary", choices=("one", "zero"), default="one")
     p_trees.add_argument("--method", choices=("recurrence", "closed"), default="recurrence")
     _add_common(p_trees)
@@ -216,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
         help='step set "b:w,b:w" with rational weights; use --steps="-1:1,1:1" '
         "for sets with negative jumps",
     )
-    p_paths.add_argument("--level", type=int, default=0, help="start level")
+    p_paths.add_argument("--level", type=_non_negative, default=0, help="start level")
     p_paths.add_argument("--excursions", action="store_true", help="return-to-start series")
     p_paths.add_argument("--mark-endpoint", action="store_true", help="emit all endpoint slices")
     _add_common(p_paths)
@@ -227,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_walk.add_argument("--steps", choices=("dyck", "motzkin"), default="dyck")
     p_walk.add_argument("--boundary", choices=("vicious", "osculating", "updown", "refined"),
                         default="vicious")
-    p_walk.add_argument("--i", type=int, default=0)
-    p_walk.add_argument("--j", type=int, default=0)
+    p_walk.add_argument("--i", type=_non_negative, default=0)
+    p_walk.add_argument("--j", type=_non_negative, default=0)
     p_walk.add_argument("--u", default=None, help="co-location mark (refined)")
     p_walk.add_argument("--w", default=None, help="shared-edge mark (refined)")
     p_walk.add_argument("--oracle", action="store_true", help="emit the dynamic-program counts")
@@ -238,8 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the verification campaign")
     p_verify.add_argument("--suite", action="append", default=None,
                           help=f"suite filter, may repeat; available: {', '.join(available_suites())}")
-    p_verify.add_argument("--order", type=int, default=None)
-    p_verify.add_argument("--jobs", type=int, default=_EnvDefault("EMBTREES_JOBS", 1, int))
+    p_verify.add_argument("--order", type=_positive, default=None)
+    _env_option(p_verify, "--jobs", "EMBTREES_JOBS", 1, type=_positive,
+                help="worker threads (env EMBTREES_JOBS)")
     p_verify.add_argument("--config", default=None, help="key=value campaign file")
     p_verify.set_defaults(fn=_cmd_verify)
 
@@ -248,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oeis.add_argument("--fetch", default=None, help="sequence id to fetch")
     p_oeis.add_argument("--network", action="store_true",
                         help="allow remote fetches (default fully offline)")
-    p_oeis.add_argument("--min-terms", type=int, default=8)
+    p_oeis.add_argument("--min-terms", type=_positive, default=8)
     p_oeis.set_defaults(fn=_cmd_oeis)
 
     return parser
@@ -260,16 +305,27 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; exit 0 on success, 1 on a failed verification, 2 on bad input."""
     parser = _parser()
     args = parser.parse_args(argv)
-    for name, value in vars(args).items():
-        if isinstance(value, _EnvDefault):
-            setattr(args, name, value.resolve())
+    try:
+        for name, value in vars(args).items():
+            if isinstance(value, _EnvDefault):
+                setattr(args, name, value.resolve())
+    except argparse.ArgumentError as exc:
+        parser.error(str(exc))
     if args.command == "walkers" and args.boundary == "refined" and (
         args.u is None or args.w is None
     ):
         parser.error("--boundary refined needs both --u and --w")
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (EmbtreesError, ValueError, KeyError, ZeroDivisionError) as exc:
+        message = " ".join(str(exc).split())
+        if not isinstance(exc, (EmbtreesError, ValueError)):
+            message = f"{type(exc).__name__}: {message}"
+        print(f"embtrees {args.command}: error: {message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -75,7 +75,7 @@ def dary_Tj_recurrence(fam: DaryFamily, j_max: int, order: int) -> dict[int, Ser
 
     The boundary rows are pinned to 1; see ``levels.level_rows``.
     """
-    return level_rows([(Q(1), fam.offsets)], dary_T(fam, order), 1, j_max, order)
+    return level_rows([(Q(1), fam.offsets)], 1, j_max, order)
 
 
 # ---------------------------------------------------------------------------

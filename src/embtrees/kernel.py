@@ -91,7 +91,7 @@ def newton_solve(equation: SeriesPoly, t0) -> Series:
     prec = 1
     while prec < order:
         prec = min(2 * prec, order)
-        t = Series(current.coeffs, prec)
+        t = current.with_order(prec)
         eq = equation.truncate(prec)
         de = deriv.truncate(prec)
         current = t - eq(t) / de(t)

@@ -38,31 +38,27 @@ def _product_coeff(factors, m: int) -> Fraction:
     return sum(map(mul, prefix, last[m::-1]))
 
 
-def level_rows(
-    kinds: Kinds, root: Series, pin: int, j_max: int, order: int
-) -> dict[int, Series]:
+def level_rows(kinds: Kinds, pin: int, j_max: int, order: int) -> dict[int, Series]:
     """Rows T_-depth..T_j_max of the level system, computed coefficientwise.
 
     The rows below level 0, down to the deepest downward offset (at least
-    one row), are pinned to the constant ``pin``.  Row j at order n only
-    feels rows up to j + n * (highest upward offset), so the rows above
-    j_max + order * (highest upward offset) equal the unconstrained
-    ``root`` below z^order and seed the fixed point from above.
+    one row), are pinned to the constant ``pin``.  Coefficient n of row j
+    reads coefficients below n of rows up to j + (highest upward offset),
+    so rows up to j_max are exact below z^order once coefficient n is
+    filled for the rows j <= j_max + (order - 1 - n) * (highest offset);
+    nothing above that cone is computed.
     """
     offsets = [o for _, offs in kinds for o in offs]
     depth = max([1] + [-o for o in offsets])
-    top = j_max + order * max([0] + offsets)
+    up = max([0] + offsets)
+    top = j_max + (order - 1) * up
     rows = [[Q(pin)] + [_ZERO] * (order - 1) for _ in range(depth)]
     rows += [[_ONE] + [_ZERO] * (order - 1) for _ in range(top + 1)]
-
-    def row(j: int):
-        return rows[j + depth] if j <= top else root.coeffs
-
     # coefficient n reads only coefficients below n, so rows update in place
     for n in range(1, order):
-        for j in range(top + 1):
+        for j in range(j_max + (order - 1 - n) * up + 1):
             rows[j + depth][n] = sum(
-                w * _product_coeff([row(j + o) for o in offs], n - 1)
+                w * _product_coeff([rows[j + o + depth] for o in offs], n - 1)
                 for w, offs in kinds
             )
     return {j: Series(rows[j + depth]) for j in range(-depth, j_max + 1)}

@@ -9,7 +9,6 @@ opt-in, so the default operation never touches the network.
 
 from __future__ import annotations
 
-import urllib.request
 from dataclasses import dataclass
 
 from .errors import MalformedBFile, NetworkDisabled, NonIntegerCoefficients
@@ -111,6 +110,9 @@ def oeis_fetch(seq_id: str, allow_network: bool = False, timeout: float = 30.0) 
         raise NetworkDisabled(
             f"{seq_id} is not bundled and network fetch was not enabled"
         )
+    # the network stack (http, ssl) is loaded only for an opted-in fetch
+    import urllib.request
+
     number = seq_id.lstrip("A")
     url = f"https://oeis.org/{seq_id}/b{number}.txt"
     with urllib.request.urlopen(url, timeout=timeout) as response:

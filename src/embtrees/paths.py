@@ -72,7 +72,8 @@ def meander_gf(steps: StepSet, level: int, order: int) -> MeanderGF:
         factor = factor + MarkerSeries.series_times_marker(
             e if k % 2 == 0 else -e, -k
         )
-    marked = _marked_free_walks(steps, order) * marked_h * factor
+    # the two narrow factors first: the free-walk series is the wide one
+    marked = _marked_free_walks(steps, order) * (marked_h * factor)
     # shift from displacement marking to absolute endpoint level
     shifted = [
         {p + level: c for p, c in d.items()} for d in marked.coeffs

@@ -17,20 +17,40 @@ from pathlib import Path
 from .series import Q, Series
 
 
-def fraction_str(q) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def ratio_str(p: int, q: int) -> str:
+    return str(p) if q == 1 else f"{p}/{q}"
+
+
+def _ratio(p: int, q: int) -> tuple[int, int]:
+    """p/q as a pair with a positive denominator."""
+    if q == 0:
+        raise ZeroDivisionError(f"zero denominator in {p}/{q}")
+    return (-p, -q) if q < 0 else (p, q)
+
+
+def _parse_ratio(value) -> tuple[int, int]:
+    """(p, q), q > 0, of a "p" or "p/q" string, or of any rational Fraction accepts."""
+    if isinstance(value, str):
+        num, slash, den = value.partition("/")
+        try:
+            return _ratio(int(num), int(den) if slash else 1)
+        except ValueError:
+            pass
+    f = Q(value)
+    return f.numerator, f.denominator
 
 
 def export_series(series: Series, fmt: str = "json") -> str:
     if fmt == "json":
         return json.dumps(
-            {"order": series.order, "coeffs": [fraction_str(c) for c in series.coeffs]}
+            {"order": series.order,
+             "coeffs": [ratio_str(p, q) for p, q in series.ratios()]}
         )
     if fmt == "csv":
         buf = io.StringIO()
         buf.write("n,numerator,denominator\n")
-        for n, c in enumerate(series.coeffs):
-            buf.write(f"{n},{c.numerator},{c.denominator}\n")
+        for n, (p, q) in enumerate(series.ratios()):
+            buf.write(f"{n},{p},{q}\n")
         return buf.getvalue()
     raise ValueError(f"unknown format {fmt!r}")
 
@@ -38,14 +58,14 @@ def export_series(series: Series, fmt: str = "json") -> str:
 def import_series(text: str, fmt: str = "json") -> Series:
     if fmt == "json":
         data = json.loads(text)
-        return Series([Q(c) for c in data["coeffs"]], data["order"])
+        return Series.from_ratios([_parse_ratio(c) for c in data["coeffs"]], data["order"])
     if fmt == "csv":
         rows = text.strip().splitlines()
-        coeffs = []
+        pairs = []
         for row in rows[1:]:
             _, num, den = row.split(",")
-            coeffs.append(Q(int(num), int(den)))
-        return Series(coeffs)
+            pairs.append(_ratio(int(num), int(den)))
+        return Series.from_ratios(pairs)
     raise ValueError(f"unknown format {fmt!r}")
 
 

@@ -38,6 +38,7 @@ class SplitAlgebra:
         self._caps = tuple(self.c - 1 - g for g in range(self.c))
         self._mono_cache: dict[tuple[int, ...], dict[tuple[int, ...], Series]] = {}
         self._gen_power_cache: dict[tuple[int, int], SAElement] = {}
+        self._monomials: dict[tuple[int, ...], SAElement] = {}
         self._rules: list[dict[tuple[int, ...], Series]] = []
         self._build_rules()
 
@@ -155,19 +156,32 @@ class SplitAlgebra:
 
     def monomial(self, exps) -> SAElement:
         """X_1^exps[0] * ... with arbitrary integer exponents."""
-        acc = self.one()
-        for g, k in enumerate(exps):
-            if k:
-                acc = acc * self.gen_power(g, k)
+        key = tuple(exps)
+        acc = self._monomials.get(key)
+        if acc is None:
+            acc = self.one()
+            for g, k in enumerate(key):
+                if k:
+                    acc = acc * self.gen_power(g, k)
+            self._monomials[key] = acc
         return acc
 
     def invert_one_plus(self, u: SAElement) -> SAElement:
-        """(1 + u)^-1 for u with positive z-adic size, by Newton doubling."""
+        """(1 + u)^-1 for u with positive z-adic size, by Newton doubling.
+
+        y = 1 is the inverse modulo z; each step y <- y(2 - ay) doubles the
+        precision, so the stored order doubles from step to step up to the
+        full order, and a full-order residual confirms the result.
+        """
         a = self.one() + u
+        precs = [self.order]
+        while precs[-1] > 1:
+            precs.append((precs[-1] + 1) // 2)
         y = self.one()
-        steps = max(4, (self.order + 2).bit_length() + 2)
-        for _ in range(steps):
-            y = y * (self.from_series(Series.constant(2, self.order)) - a * y)
+        for prec in reversed(precs[:-1]):
+            y = y.with_order(prec)
+            a_prec = a.with_order(min(prec, a.stored_order))
+            y = y * (self.from_series(Series.constant(2, prec)) - a_prec * y)
         residual = a * y - self.one()
         if not residual.is_zero():
             raise ArithmeticError("inversion did not converge; element not a unit")
@@ -206,6 +220,12 @@ class SAElement:
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def with_order(self, order: int) -> SAElement:
+        """Every coordinate truncated, or zero-padded, to the stored order ``order``."""
+        return SAElement(
+            self.alg, {e: c.with_order(order) for e, c in self.coeffs.items()}, self.shift
+        )
 
     @property
     def stored_order(self) -> int:

@@ -225,3 +225,53 @@ def test_refined_walkers_need_both_marks(marks, oracle, capsys):
              + marks + oracle)
     assert exc.value.code == 2
     assert "--u and --w" in capsys.readouterr().err
+
+
+# Invalid input, whether from a flag or an EMBTREES_* default, is an
+# argparse error: exit 2, nothing on stdout, the reason on the last line.
+CLI_INPUT_ERRORS = [
+    ({"EMBTREES_FORMAT": "xml"}, ["trees", "--w1", "1"], "EMBTREES_FORMAT"),
+    ({"EMBTREES_ORDER": "abc"}, ["trees", "--w1", "1"], "EMBTREES_ORDER"),
+    ({}, ["trees", "--w1", "1", "--level", "-2"], "--level"),
+    ({}, ["trees", "--w1", "1", "--order", "0"], "--order"),
+    ({}, ["walkers", "--i", "-1"], "--i"),
+]
+
+
+@pytest.mark.parametrize("env,argv,fragment", CLI_INPUT_ERRORS)
+def test_invalid_input_is_an_argparse_error(env, argv, fragment, capsys, monkeypatch):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert fragment in captured.err.splitlines()[-1]
+
+
+# Errors a command raises on input argparse cannot judge: exit 2 and one line.
+CLI_COMMAND_ERRORS = [
+    (["dary", "--kind", "odd", "--d", "1", "--level", "-3"], "level -3"),
+    (["dary", "--kind", "odd", "--d", "0"], "d must be positive"),
+    (["paths", "--steps=1:1"], "positive jump"),
+    (["trees", "--w1", "1/0"], "ZeroDivisionError"),
+]
+
+
+@pytest.mark.parametrize("argv,fragment", CLI_COMMAND_ERRORS)
+def test_command_errors_exit_2_with_one_line(argv, fragment, capsys):
+    assert main(argv + ["--order", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and fragment in captured.err
+
+
+def test_failed_verification_exits_1(capsys, monkeypatch):
+    from embtrees import campaign
+
+    claim, _ = campaign._CHECKS["kernel/fuss-catalan"]
+    monkeypatch.setitem(campaign._CHECKS, "kernel/fuss-catalan",
+                        (claim, lambda order: (False, "forced failure")))
+    assert main(["verify", "--suite", "kernel/fuss-catalan"]) == 1
+    assert "forced failure" in capsys.readouterr().out

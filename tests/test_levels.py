@@ -3,7 +3,6 @@ from fractions import Fraction as Q
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embtrees.kernel import tree_root
 from embtrees.levels import label_spectra, level_rows
 
 N_MAX = 6
@@ -30,14 +29,10 @@ def close_under_negation(kinds):
 def test_level_rows_equal_label_spectra(kinds):
     # kinds that neither the binary nor the d-ary family produces: arities
     # 1-3 mixed in one list, offsets up to 2, rational weights
-    root_weights = {}
-    for weight, offsets in kinds:
-        root_weights[len(offsets)] = root_weights.get(len(offsets), 0) + weight
-    root = tree_root(root_weights, N_MAX + 1)
     highest = label_spectra(kinds, N_MAX, "max")
     lowest = label_spectra(kinds, N_MAX, "min")
-    rows_one = level_rows(kinds, root, 1, J_MAX, N_MAX + 1)
-    rows_zero = level_rows(kinds, root, 0, J_MAX, N_MAX + 1)
+    rows_one = level_rows(kinds, 1, J_MAX, N_MAX + 1)
+    rows_zero = level_rows(kinds, 0, J_MAX, N_MAX + 1)
     for j in range(J_MAX + 1):
         assert list(rows_one[j].coeffs) == [
             sum((c for m, c in spec.items() if m <= j), Q(0)) for spec in highest
