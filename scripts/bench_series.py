@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Microbenchmark of the series ring: the integer core against Fractions.
+"""Microbenchmark of the exact rings: the integer cores against Fractions.
 
 Times series multiplication, division and square root at orders 30, 100
 and 200 on fixed-seed inputs, once with ``embtrees.series.Series`` and
@@ -7,8 +7,14 @@ once with the plain-Fraction reference kept in
 ``tests/test_series_core.py`` (schoolbook products, the division and
 square-root recurrences), and checks that both give the same
 coefficients.  It also times the Fraction boundary of the core: building
-a series from Fractions and reading ``coeffs`` back.  Results go to a
-JSON file:
+a series from Fractions and reading ``coeffs`` back.
+
+The same comparison covers the other integer cores, against the
+references in ``tests/test_marker_multipoly_core.py``: marker-series
+products (orders 10, 20 and 40), univariate and three-variable
+``MultiPoly`` products, and the three walker dynamic programs (lock-step
+and random-turn tables, quarter-plane counts) at orders 10 and 20, each
+including its Fraction boundary.  Results go to a JSON file:
 
     PYTHONPATH=src python scripts/bench_series.py --out BENCH_series.json
 
@@ -18,6 +24,7 @@ Each figure is the median of ``--repeats`` timed runs, in microseconds.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import platform
 import random
@@ -30,7 +37,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
 
+from embtrees.marker import MarkerSeries  # noqa: E402
+from embtrees.multipoly import MultiPoly  # noqa: E402
 from embtrees.series import Series  # noqa: E402
+from embtrees.walkers import lockstep_dp_table, quarterplane_dp, randomturn_dp_table  # noqa: E402
+from test_marker_multipoly_core import (  # noqa: E402
+    ref_lockstep_table,
+    ref_marker_mul,
+    ref_poly_mul,
+    ref_quarterplane,
+    ref_randomturn_table,
+)
 from test_series_core import ref_div, ref_mul, ref_sqrt  # noqa: E402
 
 ORDERS = (30, 100, 200)
@@ -62,23 +79,93 @@ def bench(repeats: int, seed: int) -> list[dict]:
         for order in ORDERS:
             a, b = inputs(order, kind, rng)
             sa, sb = Series(a), Series(b)
-            cases = {
-                "mul": (lambda: sa * sb, lambda: ref_mul(a, b)),
-                "div": (lambda: sa / sb, lambda: ref_div(a, b)),
-                "sqrt": (lambda: sa.sqrt(), lambda: ref_sqrt(a)),
-            }
-            for op, (core, ref) in cases.items():
-                if list(core().coeffs) != ref():
-                    raise AssertionError(f"{op} at order {order} ({kind}) disagrees")
-                core_us = timed_us(core, repeats)
-                ref_us = timed_us(ref, max(1, repeats // 10))
-                rows.append({"op": op, "order": order, "coeffs": kind,
-                             "core_us": round(core_us, 1), "fraction_us": round(ref_us, 1),
-                             "speedup": round(ref_us / core_us, 1)})
+            compare(rows, "mul", order, kind, lambda: sa * sb, lambda: ref_mul(a, b),
+                    repeats, read=coeff_list)
+            compare(rows, "div", order, kind, lambda: sa / sb, lambda: ref_div(a, b),
+                    repeats, read=coeff_list)
+            compare(rows, "sqrt", order, kind, lambda: sa.sqrt(), lambda: ref_sqrt(a),
+                    repeats, read=coeff_list)
             rows.append({"op": "from_fractions", "order": order, "coeffs": kind,
                          "core_us": round(timed_us(lambda: Series(a), repeats), 1)})
             rows.append({"op": "to_fractions", "order": order, "coeffs": kind,
                          "core_us": round(timed_us(lambda: Series(a).coeffs, repeats), 1)})
+    return rows
+
+
+def coeff_list(result) -> list:
+    return list(result.coeffs)
+
+
+def terms(result) -> dict:
+    return result.terms
+
+
+def compare(rows: list[dict], op: str, size, kind: str, core, ref, repeats: int,
+            read=None) -> None:
+    """Time core() against ref() after checking that read(core()) == ref().
+
+    Only core() is timed: reading its result back as Fractions is the
+    boundary cost, timed in rows of its own.
+    """
+    result = core()
+    if (result if read is None else read(result)) != ref():
+        raise AssertionError(f"{op} at {size} ({kind}) disagrees")
+    core_us = timed_us(core, repeats)
+    ref_us = timed_us(ref, max(1, repeats // 10))
+    rows.append({"op": op, "order": size, "coeffs": kind,
+                 "core_us": round(core_us, 1), "fraction_us": round(ref_us, 1),
+                 "speedup": round(ref_us / core_us, 1)})
+
+
+def bench_layers(repeats: int, seed: int) -> list[dict]:
+    """Marker and multipoly products and the walker DPs, Fraction boundary included."""
+    rng = random.Random(seed)
+    rows: list[dict] = []
+
+    def rational() -> Q:
+        return Q(rng.randint(-50, 50), rng.randint(1, 12))
+
+    for order in (10, 20, 40):
+        # marker exponents -4..4 in every slice, as in the parameter families
+        a, b = ([{p: rational() for p in range(-4, 5)} for _ in range(order)]
+                for _ in range(2))
+        ma, mb = MarkerSeries(a), MarkerSeries(b)
+        compare(rows, "marker_mul", order, "rational", lambda: ma * mb,
+                lambda: ref_marker_mul(a, b), repeats, read=coeff_list)
+    for degree in (30, 100):
+        a, b = ({(k,): Q(rng.randint(-2**20, 2**20)) for k in range(degree + 1)}
+                for _ in range(2))
+        pa, pb = MultiPoly(("X",), a), MultiPoly(("X",), b)
+        compare(rows, "multipoly_mul_1var", degree, "int20", lambda: pa * pb,
+                lambda: ref_poly_mul(a, b), repeats, read=terms)
+    # three variables, on both sides of the cut between the packed product
+    # (box of exponents no larger than the number of term pairs) and the
+    # pair-by-pair one: random sparse terms with X up to 40 and the other
+    # two up to 4 (box 6,561 cells, 3,600 pairs); the shape of the d-ary
+    # one-parameter residuals, lam = Y on every term, 720 terms times 4
+    # (box 52,038 cells, 2,880 pairs); and a full box with every exponent
+    # up to 4 (729 cells, 15,625 pairs)
+    sparse = [{(rng.randint(0, 40), rng.randint(0, 4), rng.randint(0, 4)): rational()
+               for _ in range(60)} for _ in range(2)]
+    diagonal = [{(x, k, k): rational() for x in range(115) for k in range(13) if k <= x // 10},
+                {(k, 3 * k, 3 * k): rational() for k in range(4)}]
+    full = [{e: rational() for e in itertools.product(range(5), repeat=3)} for _ in range(2)]
+    variables = ("X", "lam", "Y")
+    for kind, (a, b) in (("sparse", sparse), ("one-param shape", diagonal), ("full box", full)):
+        pa, pb = MultiPoly(variables, a), MultiPoly(variables, b)
+        compare(rows, "multipoly_mul_3var", max(e[0] for e in a), kind, lambda: pa * pb,
+                lambda: ref_poly_mul(a, b), repeats, read=terms)
+    marks = (Q(1, 2), Q(1, 3))
+    for order in (10, 20):
+        compare(rows, "lockstep_dp_table", order, "marks 1/2,1/3",
+                lambda: lockstep_dp_table(*marks, order),
+                lambda: ref_lockstep_table(*marks, order), repeats)
+        compare(rows, "randomturn_dp_table", order, "motzkin osculating",
+                lambda: randomturn_dp_table("motzkin", "osculating", order),
+                lambda: ref_randomturn_table("motzkin", "osculating", order), repeats)
+        compare(rows, "quarterplane_dp", order, "S2 at (2, 2)",
+                lambda: quarterplane_dp("S2", 2, 2, order),
+                lambda: ref_quarterplane("S2", 2, 2, order), repeats)
     return rows
 
 
@@ -89,9 +176,9 @@ def main() -> int:
     parser.add_argument("--repeats", type=int, default=30)
     parser.add_argument("--seed", type=int, default=4)
     args = parser.parse_args()
-    rows = bench(args.repeats, args.seed)
+    rows = bench(args.repeats, args.seed) + bench_layers(args.repeats, args.seed)
     report = {
-        "benchmark": "series ring microbenchmark (scripts/bench_series.py)",
+        "benchmark": "exact-ring microbenchmark (scripts/bench_series.py)",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "seed": args.seed,
@@ -102,7 +189,7 @@ def main() -> int:
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     for row in rows:
         ref = f"{row['fraction_us']:>12.1f} us  x{row['speedup']}" if "speedup" in row else ""
-        print(f"{row['op']:<15} {row['coeffs']:<9} {row['order']:>4} "
+        print(f"{row['op']:<20} {row['coeffs']:<19} {row['order']:>4} "
               f"{row['core_us']:>10.1f} us {ref}")
     return 0
 

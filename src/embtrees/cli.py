@@ -283,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", action="append", default=None,
                           help=f"suite filter, may repeat; available: {', '.join(available_suites())}")
     p_verify.add_argument("--order", type=_positive, default=None)
-    _env_option(p_verify, "--jobs", "EMBTREES_JOBS", 1, type=_positive,
-                help="worker threads (env EMBTREES_JOBS)")
+    _env_option(p_verify, "--jobs", "EMBTREES_JOBS", None, type=_positive,
+                help="worker threads (env EMBTREES_JOBS, then the config file, then 1)")
     p_verify.add_argument("--config", default=None, help="key=value campaign file")
     p_verify.set_defaults(fn=_cmd_verify)
 

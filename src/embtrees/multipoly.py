@@ -3,20 +3,34 @@
 Equality of rational functions is decided by cross-multiplication
 (a/b = c/d iff a*d - c*b = 0), which is an exact identity proof over the
 rationals; no gcd normalization is ever attempted.
+
+Representation.  A :class:`MultiPoly` holds one positive common
+denominator ``d`` and a dict from exponent vectors to nonzero integer
+numerators, normalised so that gcd(numerators, d) = 1; ``==`` and
+``hash`` are structural.  A product packs each operand into one integer
+polynomial by mixed-radix exponent packing: with lo_v the smaller
+exponent of variable v in each operand, the digit of v is e_v - lo_v and
+its radix is the sum of the two operands' exponent ranges plus one, so
+no digit of the product carries.  The series core's ``_mul_ints``
+multiplies the packed polynomials (schoolbook or Kronecker); sparse
+multivariate products, whose box of exponents has more cells than the
+operands have pairs of terms, are multiplied pair by pair on the packed
+exponents instead.  ``terms`` still gives the dict {exponent vector:
+Fraction}, built on first use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, count
+from math import gcd, lcm
 
 from .errors import DivisionByNonUnit, VariableMismatch
-from .series import Q, Series, as_fraction
-
-_ZERO = Q(0)
+from .series import Q, Series, _mul_ints, as_fraction
 
 
 class MultiPoly:
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "_num", "_den", "_terms")
 
     def __init__(self, variables, terms: dict | None = None):
         self.variables = tuple(variables)
@@ -30,7 +44,44 @@ class MultiPoly:
             q = as_fraction(c)
             if q != 0:
                 clean[tuple(exps)] = q
-        self.terms = clean
+        # the lcm of reduced denominators is already coprime to the numerators
+        den = lcm(*[q.denominator for q in clean.values()])
+        self._num = {e: q.numerator * (den // q.denominator) for e, q in clean.items()}
+        self._den = den
+        self._terms = None
+
+    @classmethod
+    def _raw(cls, variables: tuple, nums: dict, den: int) -> MultiPoly:
+        """Wrap nonzero integer numerators and a denominator already normalised."""
+        p = object.__new__(cls)
+        p.variables = variables
+        p._num = nums
+        p._den = den
+        p._terms = None
+        return p
+
+    @classmethod
+    def _normed(cls, variables: tuple, nums: dict, den: int) -> MultiPoly:
+        """Drop zero numerators and reduce by the gcd with a nonzero denominator."""
+        nums = {e: c for e, c in nums.items() if c}
+        if not nums:
+            return cls._raw(variables, nums, 1)
+        if den < 0:
+            nums, den = {e: -c for e, c in nums.items()}, -den
+        if den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                nums, den = {e: c // g for e, c in nums.items()}, den // g
+        return cls._raw(variables, nums, den)
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        """The coefficients as a dict {exponent vector: Fraction}."""
+        fr = self._terms
+        if fr is None:
+            d = self._den
+            fr = self._terms = {e: Fraction(c, d) for e, c in self._num.items()}
+        return fr
 
     # -- constructors -------------------------------------------------
 
@@ -57,18 +108,19 @@ class MultiPoly:
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
+        return (self.variables == other.variables and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self) -> int:
-        return hash((self.variables, tuple(sorted(self.terms.items()))))
+        return hash((self.variables, frozenset(self._num.items()), self._den))
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self._num:
             return "MultiPoly(0)"
         bits = []
         for exps, c in sorted(self.terms.items()):
@@ -91,47 +143,54 @@ class MultiPoly:
             return MultiPoly.const(self.variables, other)
         return None
 
+    def _combine(self, rhs: MultiPoly, sign: int) -> MultiPoly:
+        """self + sign * rhs over the lcm of the two denominators."""
+        da, db = self._den, rhs._den
+        den = da // gcd(da, db) * db
+        fa, fb = den // da, sign * (den // db)
+        out = dict(self._num) if fa == 1 else {e: c * fa for e, c in self._num.items()}
+        for e, c in rhs._num.items():
+            out[e] = out.get(e, 0) + c * fb
+        return MultiPoly._normed(self.variables, out, den)
+
     def __add__(self, other) -> MultiPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        out = dict(self.terms)
-        for exps, c in rhs.terms.items():
-            out[exps] = out.get(exps, _ZERO) + c
-        return MultiPoly(self.variables, out)
+        return self._combine(rhs, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> MultiPoly:
-        return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._raw(self.variables, {e: -c for e, c in self._num.items()}, self._den)
 
     def __sub__(self, other) -> MultiPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self + (-rhs)
+        return self._combine(rhs, -1)
 
     def __rsub__(self, other) -> MultiPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return rhs + (-self)
+        return rhs._combine(self, -1)
 
     def __mul__(self, other) -> MultiPoly:
         if isinstance(other, (int, Fraction)):
             q = as_fraction(other)
-            return MultiPoly(
-                self.variables, {e: c * q for e, c in self.terms.items()}
+            return MultiPoly._normed(
+                self.variables, {e: c * q.numerator for e, c in self._num.items()},
+                self._den * q.denominator,
             )
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        out: dict[tuple[int, ...], Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in rhs.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                out[key] = out.get(key, _ZERO) + ca * cb
-        return MultiPoly(self.variables, out)
+        if not self._num or not rhs._num:
+            return MultiPoly._raw(self.variables, {}, 1)
+        return MultiPoly._normed(
+            self.variables, _mul_packed(self._num, rhs._num), self._den * rhs._den
+        )
 
     __rmul__ = __mul__
 
@@ -177,6 +236,75 @@ class MultiPoly:
         return acc
 
 
+def _mul_packed(a: dict, b: dict) -> dict:
+    """Product of nonzero integer polynomials {exponent vector: int}.
+
+    Each operand becomes one integer polynomial whose exponent is its
+    exponent vector in mixed radix: digit e_v - lo_v with lo_v the
+    operand's smallest exponent of variable v, and radix r_v the sum of
+    the two operands' exponent ranges of v plus one, so that the digits of
+    the product's exponents never carry.  When the product's box of
+    exponents holds more cells than there are pairs of terms, the packed
+    terms are multiplied pair by pair into a dict instead.
+    """
+    ea, eb = list(a), list(b)
+    lo_a, hi_a = [min(col) for col in zip(*ea)], [max(col) for col in zip(*ea)]
+    lo_b, hi_b = [min(col) for col in zip(*eb)], [max(col) for col in zip(*eb)]
+    radices = [ha - la + hb - lb + 1 for la, ha, lb, hb in zip(lo_a, hi_a, lo_b, hi_b)]
+    lo = [la + lb for la, lb in zip(lo_a, lo_b)]
+    if len(radices) == 1:
+        (la,), (lb,) = lo_a, lo_b
+        fa = [0] * (hi_a[0] - la + 1)
+        for (e,), c in a.items():
+            fa[e - la] = c
+        fb = [0] * (hi_b[0] - lb + 1)
+        for (e,), c in b.items():
+            fb[e - lb] = c
+        prod = _mul_ints(fa, fb, len(fa) + len(fb) - 1)
+        base = lo[0]
+        return {(base + i,): c for i, c in zip(compress(count(), prod), filter(None, prod))}
+    places = []
+    place = 1
+    for r in radices:
+        places.append(place)
+        place *= r
+
+    def pack(terms: dict, low: list) -> dict[int, int]:
+        return {sum((x - l) * p for x, l, p in zip(e, low, places)): c
+                for e, c in terms.items()}
+
+    pa, pb = pack(a, lo_a), pack(b, lo_b)
+    if place > len(a) * len(b):
+        # the product's box has more digits than there are term products,
+        # so most of a dense packing would be zeros: multiply term by term
+        acc: dict[int, int] = {}
+        get = acc.get
+        for ia, ca in pa.items():
+            for ib, cb in pb.items():
+                k = ia + ib
+                acc[k] = get(k, 0) + ca * cb
+        items = acc.items()
+    else:
+        fa = [0] * (max(pa) + 1)
+        for k, c in pa.items():
+            fa[k] = c
+        fb = [0] * (max(pb) + 1)
+        for k, c in pb.items():
+            fb[k] = c
+        prod = _mul_ints(fa, fb, len(fa) + len(fb) - 1)
+        items = zip(compress(count(), prod), filter(None, prod))
+    out = {}
+    for idx, c in items:
+        if not c:
+            continue
+        exps = []
+        for r, base in zip(radices, lo):
+            idx, digit = divmod(idx, r)
+            exps.append(base + digit)
+        out[tuple(exps)] = c
+    return out
+
+
 class RationalFunction:
     """Quotient pair of polynomials over a shared variable list."""
 
@@ -198,7 +326,7 @@ class RationalFunction:
 
     def equals(self, other: RationalFunction) -> bool:
         """Exact identity test by cross-multiplication."""
-        return (self.num * other.den - other.num * self.den).is_zero()
+        return self.num * other.den == other.num * self.den
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

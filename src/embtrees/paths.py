@@ -13,13 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .kernel import complete_homogeneous, hensel_small_factor
 from .marker import MarkerSeries
-from .series import Q, Series
+from .series import Series, _mul_ints
 from .steps import StepSet
-
-_ZERO = Q(0)
 
 
 def walks_total(steps: StepSet, order: int) -> Series:
@@ -35,19 +34,40 @@ class MeanderGF:
     marked: MarkerSeries
 
 
+def _scaled_steps(steps: StepSet) -> tuple[int, list[int], int]:
+    """(lowest jump, integer weights L*w by jump from it upward, L).
+
+    L is the lcm of the weights' denominators, so n steps weigh an
+    integer over L^n.
+    """
+    low = min(b for b, _ in steps.steps)
+    scale = lcm(*[w.denominator for _, w in steps.steps])
+    weights = [0] * (max(b for b, _ in steps.steps) - low + 1)
+    for b, w in steps.steps:
+        weights[b - low] = w.numerator * (scale // w.denominator)
+    return low, weights, scale
+
+
 def _marked_free_walks(steps: StepSet, order: int) -> MarkerSeries:
-    """1/(1 - z P(v)) with v marking the displacement per step."""
-    p_of_v = dict(steps.steps)
-    coeffs: list[dict[int, Fraction]] = [{0: Q(1)}]
-    for _ in range(1, order):
-        prev = coeffs[-1]
-        nxt: dict[int, Fraction] = {}
-        for lvl, cnt in prev.items():
-            for b, w in p_of_v.items():
-                key = lvl + b
-                nxt[key] = nxt.get(key, _ZERO) + cnt * w
-        coeffs.append(nxt)
-    return MarkerSeries(coeffs)
+    """1/(1 - z P(v)) with v marking the displacement per step.
+
+    Slice n is (L P(v))^n / L^n, which spans displacements n*low to
+    n*high; all slices sit on the window of the last one (and 0).
+    """
+    low, weights, scale = _scaled_steps(steps)
+    high = low + len(weights) - 1
+    lo = min(0, (order - 1) * low)
+    width = max(0, (order - 1) * high) - lo + 1
+    nums = [0] * (order * width)
+    row = [1]
+    factor = scale ** (order - 1)
+    for n in range(order):
+        if n:
+            row = _mul_ints(row, weights, len(row) + len(weights) - 1)
+            factor //= scale
+        start = n * width + n * low - lo
+        nums[start:start + len(row)] = [c * factor for c in row]
+    return MarkerSeries._normed(order, lo, width, nums, scale ** (order - 1))
 
 
 def meander_gf(steps: StepSet, level: int, order: int) -> MeanderGF:
@@ -75,10 +95,7 @@ def meander_gf(steps: StepSet, level: int, order: int) -> MeanderGF:
     # the two narrow factors first: the free-walk series is the wide one
     marked = _marked_free_walks(steps, order) * (marked_h * factor)
     # shift from displacement marking to absolute endpoint level
-    shifted = [
-        {p + level: c for p, c in d.items()} for d in marked.coeffs
-    ]
-    return MeanderGF(level, plain, MarkerSeries(shifted))
+    return MeanderGF(level, plain, marked.shift_marker(level))
 
 
 def excursion_gf(steps: StepSet, level: int, order: int) -> Series:
@@ -94,21 +111,24 @@ def meander_dp(
 
     Returns (totals, table) where table[n][k] is the weight of n-step
     paths from the start level to level k staying non-negative, and
-    totals[n] sums over k.
+    totals[n] sums over k.  The count runs on integers: with the weights
+    scaled by L, the row of n-step values is L^n times the true one.
     """
     if level < 0:
         raise ValueError("meanders start at a non-negative level")
-    table: list[dict[int, Fraction]] = [{level: Q(1)}]
-    for _ in range(1, order):
-        prev = table[-1]
-        nxt: dict[int, Fraction] = {}
-        for lvl, cnt in prev.items():
-            for b, w in steps.steps:
-                dest = lvl + b
-                if dest >= 0:
-                    nxt[dest] = nxt.get(dest, _ZERO) + cnt * w
-        table.append(nxt)
-    totals = [sum(d.values(), _ZERO) for d in table]
+    low, weights, scale = _scaled_steps(steps)
+    row = [0] * level + [1]  # row[k]: scaled weight of paths ending at level k
+    totals: list[Fraction] = []
+    table: list[dict[int, Fraction]] = []
+    den = 1
+    for n in range(max(order, 1)):
+        if n:
+            # level k + b comes from level k by jump b; levels below 0 are cut
+            full = _mul_ints(row, weights, len(row) + len(weights) - 1)
+            row = full[-low:] if low < 0 else [0] * low + full
+            den *= scale
+        table.append({k: Fraction(v, den) for k, v in enumerate(row) if v})
+        totals.append(Fraction(sum(row), den))
     return totals, table
 
 

@@ -35,7 +35,6 @@ package stays exact.  ``ratios`` gives reduced integer pairs and
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, isqrt, lcm
 from operator import add, mul, sub
 
@@ -398,12 +397,12 @@ def _mul_ints(a: tuple, b: tuple, n: int) -> list[int]:
     b = _trim(b[vb:vb + m])
     if len(a) > len(b):
         a, b = b, a
-    head = [0] * (va + vb)
     if (len(a) - a.count(0)) * len(b) <= _SCHOOLBOOK_MAX:
         body = _mul_schoolbook(a, b, m)
     else:
         body = _mul_kronecker(a, b, min(m, len(a) + len(b) - 1))
-    return head + body + [0] * (m - len(body))
+    body += [0] * (m - len(body))
+    return [0] * (va + vb) + body if va + vb else body
 
 
 def _trim(cs: tuple) -> tuple:
@@ -411,7 +410,7 @@ def _trim(cs: tuple) -> tuple:
     end = len(cs)
     while end > 1 and not cs[end - 1]:
         end -= 1
-    return cs[:end]
+    return cs[:end] if end < len(cs) else cs
 
 
 def _mul_schoolbook(a, b, m: int) -> list[int]:
@@ -423,7 +422,6 @@ def _mul_schoolbook(a, b, m: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=256)
 def _offset(width: int, n: int) -> int:
     """The integer whose n digits of ``width`` bytes are each 2^(8*width - 1)."""
     return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")

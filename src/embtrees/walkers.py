@@ -10,13 +10,24 @@ Random-turn walkers move one at a time; the quarter-plane families count
 two-dimensional paths and coincide with random-turn osculating walkers
 for the six-step set.  Every closed form is checked against the gap
 dynamic program.
+
+The dynamic programs run on integers.  Gap states are indexed once and
+each step maps one integer vector to the next.  The lock-step marks are
+scaled by L, the lcm of the denominators of every transition weight, so
+the n-step vector is exactly L^n times the true values.  The quarter-plane
+count fills only the cone of points that the start cell can still read.
+Tables and count lists still hold Fractions, built from the integer
+vectors at the end.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add, mul
 
 from .errors import BoundaryCheckFailed
 from .kernel import SeriesPoly, newton_solve
@@ -191,40 +202,84 @@ def randomturn_gf(steps: str, boundary: str, i: int, j: int, order: int) -> Star
 # ---------------------------------------------------------------------------
 
 
-def _lockstep_transitions(u: Fraction, w: Fraction):
-    """All legal (delta_a, delta_b, weight-factory) lock-step moves.
+@functools.cache
+def _lockstep_moves(a_touch: bool, b_touch: bool) -> tuple[tuple[int, int, int], ...]:
+    """Legal lock-step moves (delta_a, delta_b, shared edges) from a state
+    whose gaps a, b are zero exactly where ``a_touch``, ``b_touch`` say.
 
-    Returns a function mapping a state (a, b) to a list of
-    (a', b', step_weight); the co-location factor for the NEW state is
-    applied by the caller so that each (pair, time) touch counts once.
+    The co-location factor for the NEW state is applied by the caller so
+    that each (pair, time) touch counts once.
     """
-    moves = list(itertools.product((-1, 1), repeat=3))
+    out = []
+    for m1, m2, m3 in itertools.product((-1, 1), repeat=3):
+        shared = 0
+        ok = True
+        for touch, lo, hi, share_dir in ((a_touch, m1, m2, -1), (b_touch, m2, m3, 1)):
+            if touch:
+                if (lo, hi) == (-1, 1):
+                    pass  # departure
+                elif lo == hi == share_dir:
+                    shared += 1  # legal shared edge
+                else:
+                    ok = False  # crossing or illegal share
+                    break
+        if ok:
+            out.append(((m2 - m1) // 2, (m3 - m2) // 2, shared))
+    return tuple(out)
 
-    def legal(state):
-        a, b = state
-        out = []
-        for m1, m2, m3 in moves:
-            weight = Q(1)
-            ok = True
-            for gap, lo, hi, share_dir in ((a, m1, m2, -1), (b, m2, m3, 1)):
-                if gap == 0:
-                    if (lo, hi) == (-1, 1):
-                        pass  # departure
-                    elif lo == hi == share_dir:
-                        weight *= w  # legal shared edge
-                    else:
-                        ok = False  # crossing or illegal share
-                        break
-            if not ok:
-                continue
-            na = a + (m2 - m1) // 2
-            nb = b + (m3 - m2) // 2
-            if na < 0 or nb < 0:
-                continue
-            out.append((na, nb, weight))
-        return out
 
-    return legal
+def _value_rows(moves, order: int):
+    """Integer value iteration over indexed states, one row at a time:
+    V_0 = 1 and V_n[s] = sum of weight * V_(n-1)[dest] over the moves
+    (dests, weights) of s; ``weights`` None means every weight is 1."""
+    row = [1] * len(moves)
+    for n in range(max(order, 1)):
+        if n:
+            get = row.__getitem__
+            row = [
+                sum(map(get, dests)) if weights is None
+                else sum(map(mul, weights, map(get, dests)))
+                for dests, weights in moves
+            ]
+        yield row
+
+
+def _fraction_table(states, rows, scale: int) -> list[dict[tuple[int, int], Fraction]]:
+    """table[n][state] = rows[n][index of state] / scale^n."""
+    table = []
+    den = 1
+    for row in rows:
+        if den == 1:
+            table.append(dict(zip(states, map(Fraction, row))))
+        else:
+            table.append({s: Fraction(v, den) for s, v in zip(states, row)})
+        den *= scale
+    return table
+
+
+def _lockstep_rows(u: Fraction, w: Fraction, order: int):
+    """States, integer value rows and scale L of the lock-step gap DP.
+
+    A move weighs w^(shared edges) * u^(zero gaps after it).  Every such
+    weight is multiplied by L, the lcm of their denominators, so row n
+    holds the n-step values times L^n.
+    """
+    band = order + 2
+    weights = {(s, t): w**s * u**t for s in range(3) for t in range(3)}
+    scale = lcm(*[q.denominator for q in weights.values()])
+    scaled = {k: q.numerator * (scale // q.denominator) for k, q in weights.items()}
+    states = [(a, b) for a in range(band + 1) for b in range(band + 1)]
+    moves = []
+    for a, b in states:
+        dests, ws = [], []
+        for da, db, shared in _lockstep_moves(a == 0, b == 0):
+            na, nb = a + da, b + db
+            weight = scaled[shared, (na == 0) + (nb == 0)]
+            if na >= 0 and nb >= 0 and weight:
+                dests.append(min(na, band) * (band + 1) + min(nb, band))
+                ws.append(weight)
+        moves.append((tuple(dests), tuple(ws)))
+    return states, _value_rows(moves, order), scale
 
 
 def lockstep_dp_table(u, w, order: int) -> list[dict[tuple[int, int], Fraction]]:
@@ -234,26 +289,8 @@ def lockstep_dp_table(u, w, order: int) -> list[dict[tuple[int, int], Fraction]]
     serves every star cell.  Gaps beyond order+2 saturate (they cannot
     influence coefficients below the order).
     """
-    u, w = as_fraction(u), as_fraction(w)
-    band = order + 2
-    legal = _lockstep_transitions(u, w)
-    states = [(a, b) for a in range(band + 1) for b in range(band + 1)]
-    moves = {}
-    for state in states:
-        moves[state] = [
-            (min(na, band), min(nb, band), sw * u ** ((na == 0) + (nb == 0)))
-            for na, nb, sw in legal(state)
-        ]
-    table = [{s: Q(1) for s in states}]
-    for _ in range(1, order):
-        prev = table[-1]
-        table.append(
-            {
-                s: sum((sw * prev[(na, nb)] for na, nb, sw in moves[s]), _ZERO)
-                for s in states
-            }
-        )
-    return table
+    states, rows, scale = _lockstep_rows(as_fraction(u), as_fraction(w), order)
+    return _fraction_table(states, rows, scale)
 
 
 def lockstep_dp(u, w, i: int, j: int, order: int) -> list[Fraction]:
@@ -263,26 +300,26 @@ def lockstep_dp(u, w, i: int, j: int, order: int) -> list[Fraction]:
     start included) * w^(number of shared edges).
     """
     u = as_fraction(u)
-    table = lockstep_dp_table(u, w, order)
+    states, rows, scale = _lockstep_rows(u, as_fraction(w), order)
     start_factor = u ** ((i == 0) + (j == 0))
     band = order + 2
-    key = (min(i, band), min(j, band))
-    return [start_factor * table[n][key] for n in range(order)]
+    key = min(i, band) * (band + 1) + min(j, band)
+    return [start_factor * Fraction(row[key], scale**n)
+            for n, row in enumerate(itertools.islice(rows, order))]
 
 
-def randomturn_dp_table(
-    steps: str, boundary: str, order: int
-) -> list[dict[tuple[int, int], Fraction]]:
-    """table[n][(a, b)]: n-step random-turn continuations from gaps (a, b)."""
+def _randomturn_rows(steps: str, boundary: str, order: int):
+    """States and integer value rows of the random-turn gap DP."""
     step_choices = (1, -1) if steps == "dyck" else (1, 0, -1)
     floor = 1 if boundary == "vicious" else 0
     band = order + 2
+    side = band + 1 - floor
     states = [
         (a, b)
         for a in range(floor, band + 1)
         for b in range(floor, band + 1)
     ]
-    moves: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    moves = []
     for a, b in states:
         dest = []
         for walker in (1, 2, 3):
@@ -294,15 +331,17 @@ def randomturn_dp_table(
                 else:
                     na, nb = a, b + s
                 if na >= floor and nb >= floor:
-                    dest.append((min(na, band), min(nb, band)))
-        moves[(a, b)] = dest
-    table = [{s: Q(1) for s in states}]
-    for _ in range(1, order):
-        prev = table[-1]
-        table.append(
-            {s: sum((prev[d] for d in moves[s]), _ZERO) for s in states}
-        )
-    return table
+                    dest.append((min(na, band) - floor) * side + min(nb, band) - floor)
+        moves.append((tuple(dest), None))
+    return states, _value_rows(moves, order)
+
+
+def randomturn_dp_table(
+    steps: str, boundary: str, order: int
+) -> list[dict[tuple[int, int], Fraction]]:
+    """table[n][(a, b)]: n-step random-turn continuations from gaps (a, b)."""
+    states, rows = _randomturn_rows(steps, boundary, order)
+    return _fraction_table(states, rows, 1)
 
 
 def randomturn_dp(
@@ -311,10 +350,9 @@ def randomturn_dp(
     """Random-turn star counts: one walker moves per time step."""
     if boundary == "vicious" and (i < 1 or j < 1):
         return [_ZERO] * order
-    table = randomturn_dp_table(steps, boundary, order)
-    band = order + 2
-    key = (min(i, band), min(j, band))
-    return [table[n][key] for n in range(order)]
+    states, rows = _randomturn_rows(steps, boundary, order)
+    key = states.index((min(i, order + 2), min(j, order + 2)))
+    return [Fraction(row[key]) for row in itertools.islice(rows, order)]
 
 
 def walker_dp(model: WalkerModel, i: int, j: int, order: int) -> list[Fraction]:
@@ -356,24 +394,35 @@ def quarterplane_gf(model: str, i: int, j: int, order: int) -> Series:
 
 
 def quarterplane_dp(model: str, i: int, j: int, order: int) -> list[Fraction]:
-    """Direct 2-D walk count from (i, j) staying in the quarter plane."""
+    """Direct 2-D walk count from (i, j) staying in the quarter plane.
+
+    Every step moves each coordinate by at most 1, so the count after n
+    more steps at (i, j) reads values at most n away: with k steps taken,
+    only the box of radius order - 1 - k around (i, j) is filled.
+    """
     steps = QUARTER_PLANE_STEPS[model]
-    values: dict[tuple[int, int], Fraction] = {}
-    bound_x = i + order + 1
-    bound_y = j + order + 1
-    for x in range(bound_x + 1):
-        for y in range(bound_y + 1):
-            values[(x, y)] = Q(1)
-    out = [Q(1)]
-    for _ in range(1, order):
-        nxt: dict[tuple[int, int], Fraction] = {}
-        for (x, y) in values:
-            acc = _ZERO
+
+    def box(r: int) -> tuple[int, int, int, int]:
+        return max(0, i - r), i + r, max(0, j - r), j + r
+
+    x0, x1, y0, y1 = box(order - 1)
+    grid = [[1] * (y1 - y0 + 1) for _ in range(x1 - x0 + 1)]
+    out = [1]
+    for r in range(order - 2, -1, -1):
+        nx0, nx1, ny0, ny1 = box(r)
+        width = ny1 - ny0 + 1
+        new = []
+        for x in range(nx0, nx1 + 1):
+            acc = [0] * width
             for dx, dy in steps:
-                nx, ny = x + dx, y + dy
-                if nx >= 0 and ny >= 0 and (nx, ny) in values:
-                    acc += values[(nx, ny)]
-            nxt[(x, y)] = acc
-        values = nxt
-        out.append(values[(i, j)])
-    return out
+                if x + dx < 0:
+                    continue
+                row = grid[x + dx - x0]
+                first = ny0 + dy  # source column of the box's first column
+                skip = 1 if first < 0 else 0  # column -1 lies outside the plane
+                src = row[first + skip - y0:first - y0 + width]
+                acc[skip:] = map(add, acc[skip:], src)
+            new.append(acc)
+        grid, x0, y0 = new, nx0, ny0
+        out.append(grid[i - x0][j - y0])
+    return [Fraction(v) for v in out]

@@ -71,6 +71,14 @@ def test_parse_config_errors():
         parse_config("colour=blue\n")
 
 
+@pytest.mark.parametrize("key", ["order", "jobs"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_parse_config_rejects_values_below_one(key, value):
+    with pytest.raises(ConfigParse) as info:
+        parse_config(f"{key} = {value}\n")
+    assert info.value.field == key and info.value.line == 1
+
+
 def test_campaign_suite_filter_runs_only_requested():
     report = run_campaign(CampaignConfig(suites=("exact-arith",), order=20))
     assert report.results
@@ -179,6 +187,45 @@ def test_cli_verify_with_config_file(tmp_path, capsys):
     assert main(["verify", "--config", str(cfg), "--suite", "kernel"]) == 0
     out = capsys.readouterr().out
     assert "kernel/fuss-catalan" in out and "exact-arith" not in out
+
+
+@pytest.mark.parametrize("env,flag,expected", [
+    (None, [], 2),  # the file's jobs
+    ("3", [], 3),  # the environment over the file
+    ("3", ["--jobs", "4"], 4),  # the flag over both
+])
+def test_cli_verify_jobs_precedence(env, flag, expected, tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "campaign.cfg"
+    cfg.write_text("suites = exact-arith/ring-laws\norder = 8\njobs = 2\n")
+    if env is None:
+        monkeypatch.delenv("EMBTREES_JOBS", raising=False)
+    else:
+        monkeypatch.setenv("EMBTREES_JOBS", env)
+    seen = []
+    real = cli.run_campaign
+    monkeypatch.setattr(cli, "run_campaign", lambda config: seen.append(config) or real(config))
+    assert main(["verify", "--config", str(cfg)] + flag) == 0
+    assert [(c.jobs, c.order) for c in seen] == [(expected, 8)]
+    capsys.readouterr()
+
+
+def test_cli_verify_without_config_runs_one_job(capsys, monkeypatch):
+    monkeypatch.delenv("EMBTREES_JOBS", raising=False)
+    seen = []
+    real = cli.run_campaign
+    monkeypatch.setattr(cli, "run_campaign", lambda config: seen.append(config) or real(config))
+    assert main(["verify", "--suite", "exact-arith/ring-laws", "--order", "8"]) == 0
+    assert [c.jobs for c in seen] == [1]
+    capsys.readouterr()
+
+
+def test_cli_verify_config_below_one_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "campaign.cfg"
+    cfg.write_text("jobs = 0\n")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "jobs" in captured.err
 
 
 def test_cache_put_leaves_only_the_entry(tmp_path):

@@ -1,6 +1,8 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from embtrees.paths import (
     excursion_gf,
@@ -119,3 +121,22 @@ def test_monotone_in_start_level():
         if prev is not None:
             assert all(plain[n] >= prev[n] for n in range(10))
         prev = plain
+
+
+@st.composite
+def step_sets(draw):
+    """Two-sided step sets: jumps in [-3, 3], positive rational weights."""
+    down = draw(st.integers(-3, -1))
+    up = draw(st.integers(1, 3))
+    jumps = {down, up} | set(draw(st.lists(st.integers(-3, 3), max_size=3)))
+    weight = st.fractions(min_value=Q(1, 5), max_value=3, max_denominator=5)
+    return StepSet.make([(b, draw(weight)) for b in sorted(jumps)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(step_sets(), st.integers(0, 3), st.integers(1, 12))
+def test_meander_closed_form_matches_dp_on_random_step_sets(steps, level, order):
+    gf = meander_gf(steps, level, order)
+    totals, table = meander_dp(steps, level, order)
+    assert list(gf.plain.coeffs) == totals
+    assert list(gf.marked.coeffs) == table

@@ -1,6 +1,8 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from embtrees.series import Series
 from embtrees.walkers import (
@@ -119,6 +121,20 @@ def test_refined_equals_dp_at_sampled_marks(marks):
             closed = lockstep_refined(u, w, i, j, order).series
             start = u ** ((i == 0) + (j == 0))
             assert list(closed.coeffs) == [start * table[n][(i, j)] for n in range(order)]
+
+
+marks = st.fractions(min_value=0, max_value=3, max_denominator=5)
+cells = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda c: c != (0, 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(marks, marks, cells, st.integers(1, 10))
+def test_refined_closed_form_matches_dp_at_random_marks(u, w, cell, order):
+    # the triple point (0, 0) is the documented defect of the adapted form
+    i, j = cell
+    assert list(lockstep_refined(u, w, i, j, order).series.coeffs) == lockstep_dp(
+        u, w, i, j, order
+    )
 
 
 def test_refined_corners_reproduce_boundary_models():
