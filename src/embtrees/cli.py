@@ -305,7 +305,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; exit 0 on success, 1 on a failed verification, 2 on bad input."""
+    """Run one command; exit 0 on success, 1 on a failed verification, 2 on bad input or I/O."""
     parser = _parser()
     args = parser.parse_args(argv)
     try:
@@ -320,7 +320,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--boundary refined needs both --u and --w")
     try:
         return args.fn(args)
-    except (EmbtreesError, ValueError, KeyError, ZeroDivisionError) as exc:
+    except (EmbtreesError, ValueError, KeyError, ZeroDivisionError, OSError) as exc:
         message = " ".join(str(exc).split())
         if not isinstance(exc, (EmbtreesError, ValueError)):
             message = f"{type(exc).__name__}: {message}"

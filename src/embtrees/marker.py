@@ -20,21 +20,21 @@ Products flatten both operands into one integer polynomial each, mapping
 widths added, less one), so no marker exponent carries into the next
 z-slice; the integer product is the series core's ``_mul_ints``, whose
 schoolbook/Kronecker switch serves this ring too.  Sums, scalars and
-inversion also run on the integers.  ``coeffs`` still gives a tuple of
-dicts {marker exponent: Fraction}, built on first use and kept.
+inversion also run on the integers, and ``+``, ``-``, ``**`` come from
+``ExactRing``.  ``coeffs`` still gives a tuple of dicts {marker
+exponent: Fraction}, built on first use and kept.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from operator import add, sub
 
 from .errors import DivisionByNonUnit
-from .series import Series, _mul_ints, _trim, as_fraction
+from .series import (ExactRing, Series, _fit, _mul_ints, _trim, as_fraction, common_den,
+                     over_lcm, reduced)
 
 
-class MarkerSeries:
+class MarkerSeries(ExactRing):
     __slots__ = ("_order", "_lo", "_width", "_num", "_den", "_fractions")
 
     def __init__(self, coeffs, order: int | None = None):
@@ -43,25 +43,18 @@ class MarkerSeries:
              for p, c in dict(d).items() if c != 0}
             for d in coeffs
         ]
-        if order is not None:
-            if len(rows) < order:
-                rows.extend({} for _ in range(order - len(rows)))
-            else:
-                rows = rows[:order]
-        if not rows:
-            raise ValueError("marker series needs positive order")
+        rows = _fit(rows, order, {})
         keys = [p for d in rows for p in d]
         if not keys:
             self._set(len(rows), 0, 0, (), 1)
             return
         lo = min(keys)
         width = max(keys) - lo + 1
-        den = lcm(*[c.denominator for d in rows for c in d.values()])
+        lifted, den = over_lcm([c.as_integer_ratio() for d in rows for c in d.values()])
         nums = [0] * (len(rows) * width)
-        for n, d in enumerate(rows):
-            base = n * width - lo
-            for p, c in d.items():
-                nums[base + p] = c.numerator * (den // c.denominator)
+        cells = (n * width - lo + p for n, d in enumerate(rows) for p in d)
+        for cell, c in zip(cells, lifted):
+            nums[cell] = c
         self._set(len(rows), lo, width, tuple(nums), den)
 
     def _set(self, order: int, lo: int, width: int, nums: tuple, den: int) -> None:
@@ -90,12 +83,7 @@ class MarkerSeries:
             nums = [c for s in range(0, order * width, width)
                     for c in nums[s + first:s + last + 1]]
             lo, width = lo + first, last - first + 1
-        if den < 0:
-            nums, den = [-c for c in nums], -den
-        if den != 1:
-            g = gcd(den, *nums)
-            if g != 1:
-                nums, den = [c // g for c in nums], den // g
+        nums, den = reduced(nums, den)
         return cls._raw(order, lo, width, tuple(nums), den)
 
     def _grid(self, lo: int, width: int, n: int) -> list[int]:
@@ -240,38 +228,17 @@ class MarkerSeries:
             return MarkerSeries._raw(n, 0, 0, (), 1)
         lo = min(a for a, _ in spans)
         width = max(b for _, b in spans) - lo
-        da, db = self._den, rhs._den
-        den = da // gcd(da, db) * db
+        den, fa, fb = common_den(self._den, rhs._den)
         a, b = self._grid(lo, width, n), rhs._grid(lo, width, n)
-        if den != da:
-            a = [c * (den // da) for c in a]
-        if den != db:
-            b = [c * (den // db) for c in b]
+        if fa != 1:
+            a = [c * fa for c in a]
+        if fb != 1:
+            b = [c * fb for c in b]
         return MarkerSeries._normed(n, lo, width, list(map(op, a, b)), den)
-
-    def __add__(self, other) -> MarkerSeries:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self._combine(rhs, add)
-
-    __radd__ = __add__
 
     def __neg__(self) -> MarkerSeries:
         return MarkerSeries._raw(self._order, self._lo, self._width,
                                  tuple([-c for c in self._num]), self._den)
-
-    def __sub__(self, other) -> MarkerSeries:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self._combine(rhs, sub)
-
-    def __rsub__(self, other) -> MarkerSeries:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs._combine(self, sub)
 
     def __mul__(self, other) -> MarkerSeries:
         if isinstance(other, (int, Fraction)):
@@ -344,4 +311,6 @@ class MarkerSeries:
             out[start:start + len(r[m])] = [x * scale for x in r[m]]
             scale *= c
         return MarkerSeries._normed(n, (n - 1) * off - p0, width, out, c ** n)
+
+    _reciprocal = inverse_unit
 

@@ -16,20 +16,20 @@ multiplies the packed polynomials (schoolbook or Kronecker); sparse
 multivariate products, whose box of exponents has more cells than the
 operands have pairs of terms, are multiplied pair by pair on the packed
 exponents instead.  ``terms`` still gives the dict {exponent vector:
-Fraction}, built on first use.
+Fraction}, built on first use.  Both classes take ``+``, ``-``, ``**`` from
+``ExactRing``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress, count
-from math import gcd, lcm
 
 from .errors import DivisionByNonUnit, VariableMismatch
-from .series import Q, Series, _mul_ints, as_fraction
+from .series import ExactRing, Q, Series, _mul_ints, as_fraction, common_den, over_lcm, reduced
 
 
-class MultiPoly:
+class MultiPoly(ExactRing):
     __slots__ = ("variables", "_num", "_den", "_terms")
 
     def __init__(self, variables, terms: dict | None = None):
@@ -45,9 +45,8 @@ class MultiPoly:
             if q != 0:
                 clean[tuple(exps)] = q
         # the lcm of reduced denominators is already coprime to the numerators
-        den = lcm(*[q.denominator for q in clean.values()])
-        self._num = {e: q.numerator * (den // q.denominator) for e, q in clean.items()}
-        self._den = den
+        nums, self._den = over_lcm([q.as_integer_ratio() for q in clean.values()])
+        self._num = dict(zip(clean, nums))
         self._terms = None
 
     @classmethod
@@ -66,13 +65,8 @@ class MultiPoly:
         nums = {e: c for e, c in nums.items() if c}
         if not nums:
             return cls._raw(variables, nums, 1)
-        if den < 0:
-            nums, den = {e: -c for e, c in nums.items()}, -den
-        if den != 1:
-            g = gcd(den, *nums.values())
-            if g != 1:
-                nums, den = {e: c // g for e, c in nums.items()}, den // g
-        return cls._raw(variables, nums, den)
+        lifted, den = reduced(list(nums.values()), den)
+        return cls._raw(variables, dict(zip(nums, lifted)), den)
 
     @property
     def terms(self) -> dict[tuple[int, ...], Fraction]:
@@ -143,38 +137,16 @@ class MultiPoly:
             return MultiPoly.const(self.variables, other)
         return None
 
-    def _combine(self, rhs: MultiPoly, sign: int) -> MultiPoly:
-        """self + sign * rhs over the lcm of the two denominators."""
-        da, db = self._den, rhs._den
-        den = da // gcd(da, db) * db
-        fa, fb = den // da, sign * (den // db)
+    def _combine(self, rhs: MultiPoly, op) -> MultiPoly:
+        """self op rhs for op in (add, sub), over the lcm of the two denominators."""
+        den, fa, fb = common_den(self._den, rhs._den)
         out = dict(self._num) if fa == 1 else {e: c * fa for e, c in self._num.items()}
         for e, c in rhs._num.items():
-            out[e] = out.get(e, 0) + c * fb
+            out[e] = op(out.get(e, 0), c * fb)
         return MultiPoly._normed(self.variables, out, den)
-
-    def __add__(self, other) -> MultiPoly:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self._combine(rhs, 1)
-
-    __radd__ = __add__
 
     def __neg__(self) -> MultiPoly:
         return MultiPoly._raw(self.variables, {e: -c for e, c in self._num.items()}, self._den)
-
-    def __sub__(self, other) -> MultiPoly:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self._combine(rhs, -1)
-
-    def __rsub__(self, other) -> MultiPoly:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs._combine(self, -1)
 
     def __mul__(self, other) -> MultiPoly:
         if isinstance(other, (int, Fraction)):
@@ -194,17 +166,8 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> MultiPoly:
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("polynomial powers must be non-negative integers")
-        result = MultiPoly.const(self.variables, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+    def _reciprocal(self) -> MultiPoly:
+        raise ValueError("polynomial powers must be non-negative integers")
 
     # -- evaluation -------------------------------------------------------
 
@@ -305,7 +268,7 @@ def _mul_packed(a: dict, b: dict) -> dict:
     return out
 
 
-class RationalFunction:
+class RationalFunction(ExactRing):
     """Quotient pair of polynomials over a shared variable list."""
 
     __slots__ = ("num", "den")
@@ -340,30 +303,12 @@ class RationalFunction:
             return RationalFunction(MultiPoly.const(self.variables, other))
         return None
 
-    def __add__(self, other) -> RationalFunction:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return RationalFunction(
-            self.num * rhs.den + rhs.num * self.den, self.den * rhs.den
-        )
-
-    __radd__ = __add__
+    def _combine(self, rhs: RationalFunction, op) -> RationalFunction:
+        """self op rhs for op in (add, sub), over the product of the denominators."""
+        return RationalFunction(op(self.num * rhs.den, rhs.num * self.den), self.den * rhs.den)
 
     def __neg__(self) -> RationalFunction:
         return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other) -> RationalFunction:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other) -> RationalFunction:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
 
     def __mul__(self, other) -> RationalFunction:
         rhs = self._coerce(other)
@@ -377,14 +322,10 @@ class RationalFunction:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        if rhs.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * rhs.den, self.den * rhs.num)
+        return self * rhs._reciprocal()
 
-    def __pow__(self, k: int) -> RationalFunction:
-        if k < 0:
-            return RationalFunction(self.den, self.num) ** (-k)
-        return RationalFunction(self.num**k, self.den**k)
+    def _reciprocal(self) -> RationalFunction:
+        return RationalFunction(self.den, self.num)
 
     def eval_series(self, assignments: dict[str, Series]) -> Series:
         """Substitute series for the variables, then divide."""

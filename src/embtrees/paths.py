@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .kernel import complete_homogeneous, hensel_small_factor
 from .marker import MarkerSeries
-from .series import Series, _mul_ints
+from .series import Series, _mul_ints, over_lcm
 from .steps import StepSet
 
 
@@ -41,10 +40,10 @@ def _scaled_steps(steps: StepSet) -> tuple[int, list[int], int]:
     integer over L^n.
     """
     low = min(b for b, _ in steps.steps)
-    scale = lcm(*[w.denominator for _, w in steps.steps])
+    lifted, scale = over_lcm([w.as_integer_ratio() for _, w in steps.steps])
     weights = [0] * (max(b for b, _ in steps.steps) - low + 1)
-    for b, w in steps.steps:
-        weights[b - low] = w.numerator * (scale // w.denominator)
+    for (b, _), c in zip(steps.steps, lifted):
+        weights[b - low] = c
     return low, weights, scale
 
 

@@ -30,6 +30,11 @@ At the boundary the series still speaks :class:`fractions.Fraction`:
 Fractions (built on first use and kept), so every computation in the
 package stays exact.  ``ratios`` gives reduced integer pairs and
 ``from_ratios`` takes integer pairs, without building Fractions.
+
+:class:`ExactRing` defines ``+``, ``-`` and ``**`` once for every exact
+ring of the package, over each ring's coercion and layout-specific sum;
+``over_lcm``, ``reduced`` and ``common_den`` are the integer steps those
+rings share.
 """
 
 from __future__ import annotations
@@ -72,29 +77,100 @@ def rational_sqrt(q: Fraction) -> Fraction:
     return Q(rn, rd)
 
 
-class Series:
+def _fit(terms: list, order: int | None, fill) -> list:
+    """``terms`` cut to ``order``, or padded with ``fill`` up to it; never empty."""
+    if order is not None:
+        if order < 1:
+            raise ValueError("series order must be positive")
+        terms = terms[:order] + [fill] * (order - len(terms))
+    if not terms:
+        raise ValueError("series needs at least one coefficient")
+    return terms
+
+
+def over_lcm(pairs) -> tuple[list[int], int]:
+    """The pairs' numerators lifted over L, the lcm of their denominators, and L."""
+    den = lcm(*[q for _, q in pairs])
+    if den == 1:
+        return [p for p, _ in pairs], 1
+    return [p * (den // q) for p, q in pairs], den
+
+
+def reduced(nums, den: int) -> tuple:
+    """Integer numerators over a nonzero denominator, made positive and coprime to them."""
+    if den < 0:
+        nums, den = [-c for c in nums], -den
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums, den = [c // g for c in nums], den // g
+    return nums, den
+
+
+def common_den(da: int, db: int) -> tuple[int, int, int]:
+    """(L, L/da, L/db) with L the lcm of two positive denominators."""
+    if da == db:
+        return da, 1, 1
+    den = da // gcd(da, db) * db
+    return den, den // da, den // db
+
+
+class ExactRing:
+    """``+``, ``-`` and ``**`` for the package's exact rings.
+
+    A ring supplies ``_coerce`` (an operand as one of its elements, or
+    None), ``_combine(rhs, op)`` for op in (add, sub) on its own layout,
+    and ``_reciprocal`` for negative powers.
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        return self._combine(rhs, add)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        return self._combine(rhs, sub)
+
+    def __rsub__(self, other):
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        return rhs._combine(self, sub)
+
+    def __pow__(self, k: int):
+        """Square and multiply; a negative k powers the reciprocal."""
+        if not isinstance(k, int):
+            return NotImplemented
+        if k < 0:
+            return self._reciprocal() ** (-k)
+        result = self._coerce(1)
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base if k > 1 else base
+            k >>= 1
+        return result
+
+
+class Series(ExactRing):
     """Formal power series known modulo z^order."""
 
     __slots__ = ("_num", "_den", "_fractions")
 
     def __init__(self, coeffs, order: int | None = None):
         cs = [c if isinstance(c, (int, Fraction)) else as_fraction(c) for c in coeffs]
-        if order is not None:
-            if order < 1:
-                raise ValueError("series order must be positive")
-            if len(cs) < order:
-                cs.extend([0] * (order - len(cs)))
-            else:
-                cs = cs[:order]
-        if not cs:
-            raise ValueError("series needs at least one coefficient")
         # the lcm of reduced denominators is already coprime to the numerators
-        den = lcm(*[c.denominator for c in cs])
-        if den == 1:
-            self._num = tuple([c.numerator for c in cs])
-        else:
-            self._num = tuple([c.numerator * (den // c.denominator) for c in cs])
-        self._den = den
+        nums, self._den = over_lcm([c.as_integer_ratio() for c in _fit(cs, order, 0)])
+        self._num = tuple(nums)
         self._fractions = None
 
     @classmethod
@@ -109,12 +185,8 @@ class Series:
     @classmethod
     def _normed(cls, nums, den: int) -> Series:
         """Normalise integer numerators over a nonzero denominator."""
-        if den < 0:
-            nums, den = [-c for c in nums], -den
         if den != 1:
-            g = gcd(den, *nums)
-            if g != 1:
-                nums, den = [c // g for c in nums], den // g
+            nums, den = reduced(nums, den)
         return cls._raw(tuple(nums), den)
 
     # -- constructors -------------------------------------------------
@@ -139,17 +211,8 @@ class Series:
     @classmethod
     def from_ratios(cls, pairs, order: int | None = None) -> Series:
         """Series from (numerator, denominator) integer pairs, denominators positive."""
-        pairs = list(pairs)
-        if order is not None:
-            if order < 1:
-                raise ValueError("series order must be positive")
-            pairs = pairs[:order] + [(0, 1)] * (order - len(pairs))
-        if not pairs:
-            raise ValueError("series needs at least one coefficient")
-        den = lcm(*[q for _, q in pairs])
-        if den == 1:
-            return cls._raw(tuple([p for p, _ in pairs]), 1)
-        return cls._normed([p * (den // q) for p, q in pairs], den)
+        nums, den = over_lcm(_fit(list(pairs), order, (0, 1)))
+        return cls._normed(nums, den)
 
     # -- basic accessors ----------------------------------------------
 
@@ -205,8 +268,6 @@ class Series:
             raise ValueError("cannot extend precision by truncation")
         if order < 1:
             raise ValueError("series needs at least one coefficient")
-        if self._den == 1:
-            return Series._raw(self._num[:order], 1)
         return Series._normed(self._num[:order], self._den)
 
     def with_order(self, order: int) -> Series:
@@ -254,46 +315,20 @@ class Series:
     def _combine(self, rhs: Series, op) -> Series:
         """self op rhs for op in (add, sub), coefficientwise."""
         n = min(len(self._num), len(rhs._num))
-        da, db = self._den, rhs._den
-        if da == db:
+        den, fa, fb = common_den(self._den, rhs._den)
+        if fa == fb == 1:
             nums = list(map(op, self._num[:n], rhs._num[:n]))
-            if da == 1:
-                return Series._raw(tuple(nums), 1)
-            return Series._normed(nums, da)
-        den = da // gcd(da, db) * db
-        fa, fb = den // da, den // db
-        nums = [op(x * fa, y * fb) for x, y in zip(self._num[:n], rhs._num[:n])]
+        else:
+            nums = [op(x * fa, y * fb) for x, y in zip(self._num[:n], rhs._num[:n])]
         return Series._normed(nums, den)
-
-    def __add__(self, other) -> Series:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self._combine(rhs, add)
-
-    __radd__ = __add__
 
     def __neg__(self) -> Series:
         return Series._raw(tuple([-c for c in self._num]), self._den)
-
-    def __sub__(self, other) -> Series:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self._combine(rhs, sub)
-
-    def __rsub__(self, other) -> Series:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs - self
 
     def _scale(self, q) -> Series:
         """Multiply by the rational scalar q."""
         p, d = q.numerator, q.denominator
         nums = [c * p for c in self._num]
-        if d == 1 and self._den == 1:
-            return Series._raw(tuple(nums), 1)
         return Series._normed(nums, self._den * d)
 
     def __mul__(self, other) -> Series:
@@ -303,10 +338,7 @@ class Series:
             return NotImplemented
         n = min(len(self._num), len(other._num))
         nums = _mul_ints(self._num, other._num, n)
-        den = self._den * other._den
-        if den == 1:
-            return Series._raw(tuple(nums), 1)
-        return Series._normed(nums, den)
+        return Series._normed(nums, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -322,19 +354,8 @@ class Series:
             return NotImplemented
         return _divide(lhs, self)
 
-    def __pow__(self, k: int) -> Series:
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return _divide(Series.one(len(self._num)), self) ** (-k)
-        result = Series.one(len(self._num))
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+    def _reciprocal(self) -> Series:
+        return _divide(Series.one(len(self._num)), self)
 
     # -- z-power shifts ------------------------------------------------
 

@@ -20,9 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .kernel import SmallFactor
-from .series import Q, Series
-
-_ZERO = Q(0)
+from .series import Series
 
 
 class SplitAlgebra:
@@ -169,20 +167,26 @@ class SplitAlgebra:
     def invert_one_plus(self, u: SAElement) -> SAElement:
         """(1 + u)^-1 for u with positive z-adic size, by Newton doubling.
 
-        y = 1 is the inverse modulo z; each step y <- y(2 - ay) doubles the
-        precision, so the stored order doubles from step to step up to the
-        full order, and a full-order residual confirms the result.
+        y = 1 is the inverse modulo the smallest positive power of z that u
+        can hold, and each step y <- y(2 - ay) doubles the precision.  The
+        roots have z-valuation 1/c (e_c has valuation 1), so u may hold
+        z^(1/c) and precision doubles in those units: the schedule runs
+        over c * order of them, each step working at the stored order that
+        covers its precision, plus one order to spare.  A full-order
+        residual confirms the result.
         """
         a = self.one() + u
-        precs = [self.order]
+        precs = [self.c * self.order]
         while precs[-1] > 1:
             precs.append((precs[-1] + 1) // 2)
         y = self.one()
-        for prec in reversed(precs[:-1]):
+        for p in reversed(precs[:-1]):
+            prec = min(self.order, -(-p // self.c) + 1)
             y = y.with_order(prec)
             a_prec = a.with_order(min(prec, a.stored_order))
             y = y * (self.from_series(Series.constant(2, prec)) - a_prec * y)
-        residual = a * y - self.one()
+        # padded, so that a schedule ending short of the order cannot pass
+        residual = a * y.with_order(self.order) - self.one()
         if not residual.is_zero():
             raise ArithmeticError("inversion did not converge; element not a unit")
         return y

@@ -26,12 +26,11 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import add, mul
 
 from .errors import BoundaryCheckFailed
 from .kernel import SeriesPoly, newton_solve
-from .series import Q, Series, as_fraction
+from .series import Q, Series, as_fraction, over_lcm
 
 _ZERO = Q(0)
 _BOUNDARIES = ("vicious", "osculating", "updown")
@@ -266,8 +265,8 @@ def _lockstep_rows(u: Fraction, w: Fraction, order: int):
     """
     band = order + 2
     weights = {(s, t): w**s * u**t for s in range(3) for t in range(3)}
-    scale = lcm(*[q.denominator for q in weights.values()])
-    scaled = {k: q.numerator * (scale // q.denominator) for k, q in weights.items()}
+    lifted, scale = over_lcm([q.as_integer_ratio() for q in weights.values()])
+    scaled = dict(zip(weights, lifted))
     states = [(a, b) for a in range(band + 1) for b in range(band + 1)]
     moves = []
     for a, b in states:

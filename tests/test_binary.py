@@ -2,6 +2,8 @@ import collections
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from embtrees.binary import (
     BinaryWeights,
@@ -32,7 +34,7 @@ from embtrees.binary import (
     _extreme_spectra,
 )
 from embtrees.dary import DaryFamily, dary_alpha_one_param_closed, dary_char_factor
-from embtrees.errors import DegenerateCharacteristic, DegenerateWeights
+from embtrees.errors import DegenerateCharacteristic, DegenerateWeights, EmbtreesError
 from embtrees.series import Series
 
 W_BINARY = BinaryWeights.make(0, 0, 1, 0, 0)
@@ -218,6 +220,22 @@ class TestClosedFamily:
         w = BinaryWeights.make(*vec)
         for j in range(-1, 7):
             assert closed_family_residual(w, j, 16).is_zero()
+
+    @settings(max_examples=60, deadline=None)
+    @given(*[st.sampled_from([Q(0), Q(1, 2), Q(1), Q(2), Q(3, 5)])] * 4, st.sampled_from([0, 1]))
+    def test_closed_equals_recurrence_over_random_weights(self, v1, v2, w1, w23, b):
+        w = BinaryWeights.make(v1, v2, w1, w23, w23)
+        if w1 == w23 == 0:
+            # degenerate weights: refused, never answered with a series
+            with pytest.raises(EmbtreesError):
+                adapt_lambda(w, b, 16)
+            with pytest.raises(EmbtreesError):
+                binary_Tj_closed(w, Series.z(16), 0, 10)
+            return
+        lam = adapt_lambda(w, b, 16)
+        rows = binary_Tj_recurrence(w, b, 4, 10)
+        assert [binary_Tj_closed(w, lam, j, 10) for j in range(-1, 5)] == [
+            rows[j] for j in range(-1, 5)]
 
     def test_symbolic_parameter_matches_numeric(self):
         sym = binary_Tj_closed_symbolic(W_BINARY, 2, 16, lam_degree=8)

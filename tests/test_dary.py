@@ -20,10 +20,12 @@ from embtrees.dary import (
 from embtrees.kernel import characteristic_poly, fuss_catalan, hensel_factor_pair
 from embtrees.multipoly import MultiPoly, RationalFunction
 from embtrees.series import Series
+from embtrees.splitting import SplitAlgebra
 from embtrees.steps import StepSet
 
 ODD1 = DaryFamily("odd", 1)
 ODD2 = DaryFamily("odd", 2)
+ODD3 = DaryFamily("odd", 3)
 EVEN1 = DaryFamily("even", 1)
 EVEN2 = DaryFamily("even", 2)
 EVEN3 = DaryFamily("even", 3)
@@ -229,6 +231,22 @@ class TestMainEquation:
     def test_two_and_three_branches(self, fam):
         report = verify_main_equation(fam, 3, 15)
         assert report.ok, report
+
+    @pytest.mark.parametrize("fam", [ODD1, ODD2, ODD3, EVEN1, EVEN2], ids=str)
+    def test_bound_two(self, fam):
+        report = verify_main_equation(fam, 2, 12)
+        assert report.ok, report
+
+    @pytest.mark.parametrize("fam", [ODD2, ODD3, EVEN2], ids=str)
+    def test_inverts_one_plus_a_root(self, fam):
+        # a root has z-valuation 1/c, the smallest an element can have, so
+        # Newton's precision doubles in units of z^(1/c)
+        alg = SplitAlgebra(dary_char_factor(fam, 12))
+        for g in range(alg.c):
+            u = alg.generator(g)
+            y = alg.invert_one_plus(u)
+            assert y.stored_order == alg.order
+            assert ((alg.one() + u) * y - alg.one()).is_zero()
 
     def test_failure_is_reported_with_location(self):
         # tampered seeds of too-low valuation leave a nonzero residual tail

@@ -314,6 +314,16 @@ def test_command_errors_exit_2_with_one_line(argv, fragment, capsys):
     assert len(captured.err.splitlines()) == 1 and fragment in captured.err
 
 
+@pytest.mark.parametrize("command", [["verify", "--config"], ["oeis", "--match"]])
+def test_missing_file_exits_2_with_one_line(command, tmp_path, capsys):
+    missing = tmp_path / "missing.toml"
+    assert main(command + [str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "FileNotFoundError" in captured.err and str(missing) in captured.err
+
+
 def test_failed_verification_exits_1(capsys, monkeypatch):
     from embtrees import campaign
 

@@ -8,6 +8,7 @@ empty slices, mixed denominators, order 1 and zero marks.
 """
 
 import itertools
+import operator
 from fractions import Fraction as Q
 
 import pytest
@@ -292,6 +293,114 @@ def test_rational_function_equality_matches_cross_multiplication(data, nv):
     assert RationalFunction(pa, pb).equals(RationalFunction(pc, pb)) == (clean(a) == clean(c))
     assert RationalFunction(pa, pb).equals(RationalFunction(pc, pb)) == (
         ref_poly_mul(a, b) == ref_poly_mul(c, b))
+
+
+# -- the operators every ring shares -------------------------------------------
+
+scalars = st.one_of(st.integers(-5, 5), small)
+POINTS = (Q(-1, 3), Q(1, 2), Q(3), Q(5, 7), Q(-9, 4))
+
+
+def ref_eval(terms, x):
+    return sum((c * x ** e for (e,), c in terms.items()), Q(0))
+
+
+def ref_poly_plus(terms, q):
+    out = dict(terms)
+    out[(0,)] = out.get((0,), Q(0)) + q
+    return clean(out)
+
+
+def ref_powers(mul, one, base, k):
+    out = one
+    for _ in range(k):
+        out = mul(out, base)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(marker_lists(), st.lists(coeff, min_size=1, max_size=9), scalars)
+def test_sums_with_scalars_and_series_on_either_side(a, cs, q):
+    ma, s = MarkerSeries(a), Series(cs)
+    const = [clean({0: Q(q)})] + [{}] * (len(a) - 1)
+    lifted = [clean({0: c}) for c in cs]
+    cases = [
+        (ma + q, a, const, 1), (q + ma, a, const, 1), (ma - q, a, const, -1), (q - ma, const, a, -1),
+        (ma + s, a, lifted, 1), (s + ma, a, lifted, 1), (ma - s, a, lifted, -1), (s - ma, lifted, a, -1),
+    ]
+    for got, x, y, sign in cases:
+        assert isinstance(got, MarkerSeries)
+        assert list(got.coeffs) == ref_marker_combine(x, y, sign)
+    head = [q] + [0] * (len(cs) - 1)
+    assert list((s + q).coeffs) == list((q + s).coeffs) == [c + h for c, h in zip(cs, head)]
+    assert list((s - q).coeffs) == [c - h for c, h in zip(cs, head)]
+    assert list((q - s).coeffs) == [h - c for c, h in zip(cs, head)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(poly_terms(1, max_exp=5, max_size=4), poly_terms(1, max_exp=5, max_size=4).filter(bool),
+       scalars)
+def test_poly_and_rational_function_operators(a, b, q):
+    pa, pb = MultiPoly(("X",), a), MultiPoly(("X",), b)
+    negated = {e: -c for e, c in a.items()}
+    assert (pa + q).terms == (q + pa).terms == ref_poly_plus(a, q)
+    assert (pa - q).terms == ref_poly_plus(a, -q)
+    assert (q - pa).terms == ref_poly_plus(negated, q)
+    rf = RationalFunction(pa, pb)
+    for x in POINTS:
+        va, vb = ref_eval(a, x), ref_eval(b, x)
+        if vb == 0:
+            continue
+        r = va / vb
+        cases = [(pa + rf, va + r), (rf + pa, r + va), (pa - rf, va - r), (rf - pa, r - va),
+                 (rf + q, r + q), (q + rf, q + r), (rf - q, r - q), (q - rf, q - r)]
+        for got, want in cases:
+            assert isinstance(got, RationalFunction)
+            assert ref_eval(got.num.terms, x) == want * ref_eval(got.den.terms, x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(marker_lists(max_size=6), st.integers(-3, 3), small.filter(bool), st.integers(-3, 4))
+def test_powers_on_every_ring(a, p0, c0, k):
+    a = unit_head(a, p0, c0)
+    ma = MarkerSeries(a)
+    one = [{0: Q(1)}] + [{}] * (len(a) - 1)
+    base = ref_marker_inverse(a) if k < 0 else a
+    assert list((ma ** k).coeffs) == ref_powers(ref_marker_mul, one, base, abs(k))
+    # a series is a marker series on marker exponent 0
+    s = Series([c0] + [d.get(0, Q(0)) for d in a[1:]])
+    assert MarkerSeries.from_series(s ** k) == MarkerSeries.from_series(s) ** k
+    terms = {(e,): c for e, c in enumerate(s.coeffs) if c}
+    poly = MultiPoly(("X",), terms)
+    if k < 0:
+        with pytest.raises(ValueError):
+            poly ** k
+    else:
+        assert (poly ** k).terms == ref_powers(ref_poly_mul, {(0,): Q(1)}, terms, k)
+    got = RationalFunction(poly, MultiPoly.var(("X",), "X") + 2) ** k
+    for x in POINTS:
+        v = ref_eval(terms, x)
+        if v or k >= 0:
+            assert ref_eval(got.num.terms, x) == (v / (x + 2)) ** k * ref_eval(got.den.terms, x)
+
+
+X_POLY = MultiPoly.var(("X",), "X")
+SERIES, MARKER = Series([1, 2], 3), MarkerSeries([{1: Q(1)}, {-1: Q(2)}])
+
+
+@pytest.mark.parametrize("x,other", [
+    (SERIES, X_POLY), (MARKER, RationalFunction(X_POLY)), (X_POLY, SERIES),
+    (RationalFunction(X_POLY), MARKER),
+], ids=["series", "marker", "multipoly", "rational-function"])
+def test_foreign_operands_raise_type_error(x, other):
+    for foreign in (object(), 1.5, "1/2", other):
+        for op in (operator.add, operator.sub):
+            with pytest.raises(TypeError):
+                op(x, foreign)
+            with pytest.raises(TypeError):
+                op(foreign, x)
+        with pytest.raises(TypeError):
+            x ** foreign
 
 
 # -- walker dynamic programs ---------------------------------------------------

@@ -1,6 +1,11 @@
+import io
+import urllib.error
+import urllib.request
+
 import pytest
 
 from embtrees.binary import BinaryWeights, binary_T
+from embtrees.cli import main
 from embtrees.errors import MalformedBFile, NetworkDisabled, NonIntegerCoefficients
 from embtrees.oeis import (
     FIXTURES,
@@ -71,3 +76,34 @@ def test_fetch_is_offline_by_default():
     assert record.source == "bundled_fixture"
     with pytest.raises(NetworkDisabled):
         oeis_fetch("A000045")  # not bundled, network not enabled
+
+
+def test_fetch_reads_a_b_file_from_the_network(monkeypatch):
+    requests = []
+    body = b"# A000045\n0 0\n1 1\n2 1\n3 2\n"
+
+    def fake_urlopen(url, timeout):
+        requests.append((url, timeout))
+        return io.BytesIO(body)
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    record = oeis_fetch("A000045", allow_network=True, timeout=5.0)
+    assert requests == [("https://oeis.org/A000045/b000045.txt", 5.0)]
+    assert record.terms == (0, 1, 1, 2) and record.source == "fetched"
+    body = b"0 0\n1 x\n"
+    with pytest.raises(MalformedBFile):
+        oeis_fetch("A000045", allow_network=True)
+
+
+def test_cli_fetch_prints_the_b_file_or_one_error_line(monkeypatch, capsys):
+    monkeypatch.setattr(urllib.request, "urlopen", lambda url, timeout: io.BytesIO(b"0 3\n1 4\n"))
+    assert main(["oeis", "--fetch", "A000045", "--network"]) == 0
+    assert capsys.readouterr().out == format_b_file("A000045", [3, 4])
+
+    def offline(url, timeout):
+        raise urllib.error.URLError("no route to host")
+
+    monkeypatch.setattr(urllib.request, "urlopen", offline)
+    assert main(["oeis", "--fetch", "A000045", "--network"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
