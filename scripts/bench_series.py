@@ -14,7 +14,19 @@ references in ``tests/test_marker_multipoly_core.py``: marker-series
 products (orders 10, 20 and 40), univariate and three-variable
 ``MultiPoly`` products, and the three walker dynamic programs (lock-step
 and random-turn tables, quarter-plane counts) at orders 10 and 20, each
-including its Fraction boundary.  Results go to a JSON file:
+including its Fraction boundary.
+
+The graded-recurrence layers are timed against the first-written forms
+kept in the test files: split-algebra products of an expansion-table
+entry and a sum of two root monomials (the algebras of c = 2 and c = 3,
+at stored order 28 and 31) against the per-pair reduction and ``invert_one_plus`` against full-order Newton steps on it
+(``tests/test_splitting.py``); ``hensel_factor_pair`` for the step set
+{-2, -1, 1, 3} at order 40 against the Fraction lift
+(``tests/test_kernel.py``); ``dary_alpha_one_param_recurrence`` against
+one product per composition (``tests/test_dary.py``); and ``level_rows``
+against the ``label_spectra`` sums it is tested with
+(``tests/test_levels.py``).  For every row, ``fraction_us`` is the time
+of its reference.  Results go to a JSON file:
 
     PYTHONPATH=src python scripts/bench_series.py --out BENCH_series.json
 
@@ -37,10 +49,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
 
+from embtrees.dary import (  # noqa: E402
+    DaryFamily,
+    dary_alpha_general,
+    dary_alpha_one_param_recurrence,
+)
+from embtrees.kernel import characteristic_poly, hensel_factor_pair  # noqa: E402
+from embtrees.levels import label_spectra, level_rows  # noqa: E402
 from embtrees.marker import MarkerSeries  # noqa: E402
 from embtrees.multipoly import MultiPoly  # noqa: E402
 from embtrees.series import Series  # noqa: E402
+from embtrees.steps import parse_step_set  # noqa: E402
 from embtrees.walkers import lockstep_dp_table, quarterplane_dp, randomturn_dp_table  # noqa: E402
+from test_dary import ref_one_param_recurrence  # noqa: E402
+from test_kernel import ref_hensel  # noqa: E402
 from test_marker_multipoly_core import (  # noqa: E402
     ref_lockstep_table,
     ref_marker_mul,
@@ -49,6 +71,7 @@ from test_marker_multipoly_core import (  # noqa: E402
     ref_randomturn_table,
 )
 from test_series_core import ref_div, ref_mul, ref_sqrt  # noqa: E402
+from test_splitting import ref_invert_one_plus, ref_mul as ref_sa_mul  # noqa: E402
 
 ORDERS = (30, 100, 200)
 
@@ -114,7 +137,7 @@ def compare(rows: list[dict], op: str, size, kind: str, core, ref, repeats: int,
     ref_us = timed_us(ref, max(1, repeats // 10))
     rows.append({"op": op, "order": size, "coeffs": kind,
                  "core_us": round(core_us, 1), "fraction_us": round(ref_us, 1),
-                 "speedup": round(ref_us / core_us, 1)})
+                 "speedup": round(ref_us / core_us, 2)})
 
 
 def bench_layers(repeats: int, seed: int) -> list[dict]:
@@ -169,6 +192,53 @@ def bench_layers(repeats: int, seed: int) -> list[dict]:
     return rows
 
 
+def sa_value(e) -> tuple:
+    return e.coeffs, e.shift, e.stored_order
+
+
+def rf_pairs(alphas) -> list:
+    return [(a.num, a.den) for a in alphas]
+
+
+def bench_recurrences(repeats: int) -> list[dict]:
+    """Split algebra, Hensel lift and the two graded recurrences, against the old forms."""
+    rows: list[dict] = []
+    for fam, index, monos in ((DaryFamily("odd", 2), (2, 0), ((2, 0), (0, -1))),
+                              (DaryFamily("even", 2), (0, 2, 0), ((2, -1, 0), (0, 1, -1)))):
+        # an entry of the table verify_main_equation checks at bound 3,
+        # order 15, times a sum of root monomials, as the table makes them
+        seeds = [Series.z(19) ** 4 for _ in range(fam.branch_count)]
+        table = dary_alpha_general(fam, 3, seeds, 15)
+        alg = table.algebra
+        a = table.entry(index)
+        b = alg.monomial(monos[0]) + alg.monomial(monos[1])
+        size = min(a.stored_order, b.stored_order)
+        kind = f"c={alg.c}, {len(a.coeffs)}x{len(b.coeffs)} coords"
+        compare(rows, "split_mul", size, kind, lambda: a * b,
+                lambda: sa_value(ref_sa_mul(a, b)), repeats, read=sa_value)
+        u = alg.generator(0) + alg.generator(alg.c - 1) * Q(2, 3)
+        compare(rows, "split_invert_one_plus", alg.order, f"c={alg.c}, 1 + X_1 + 2/3 X_c",
+                lambda: alg.invert_one_plus(u), lambda: sa_value(ref_invert_one_plus(u)),
+                max(1, repeats // 5), read=sa_value)
+    steps = parse_step_set("-2:1,-1:1,1:1,3:1")
+    f = characteristic_poly(steps, Series.z(40))
+    compare(rows, "hensel_factor_pair", 40, "steps -2,-1,1,3",
+            lambda: hensel_factor_pair(f, 2), lambda: ref_hensel(f, 2), repeats)
+    for fam in (DaryFamily("odd", 2), DaryFamily("even", 2)):
+        compare(rows, "one_param_recurrence", 10, f"{fam.kind} d={fam.d}",
+                lambda: dary_alpha_one_param_recurrence(fam, 10),
+                lambda: rf_pairs(ref_one_param_recurrence(fam, 10)),
+                max(1, repeats // 5), read=rf_pairs)
+    kinds = [(Q(1), DaryFamily("even", 2).offsets)]
+    spectra = label_spectra(kinds, 7, "max")
+    compare(rows, "level_rows", 8, "even d=2, j <= 3",
+            lambda: [list(r.coeffs) for j, r in sorted(level_rows(kinds, 1, 3, 8).items())
+                     if j >= 0],
+            lambda: [[sum((c for m, c in spec.items() if m <= j), Q(0)) for spec in spectra]
+                     for j in range(4)], repeats)
+    return rows
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -176,7 +246,8 @@ def main() -> int:
     parser.add_argument("--repeats", type=int, default=30)
     parser.add_argument("--seed", type=int, default=4)
     args = parser.parse_args()
-    rows = bench(args.repeats, args.seed) + bench_layers(args.repeats, args.seed)
+    rows = (bench(args.repeats, args.seed) + bench_layers(args.repeats, args.seed)
+            + bench_recurrences(args.repeats))
     report = {
         "benchmark": "exact-ring microbenchmark (scripts/bench_series.py)",
         "python": platform.python_version(),

@@ -1,0 +1,163 @@
+#!/usr/bin/env python3
+"""One sha256 over the package's exact outputs, to show two trees agree.
+
+A change that claims bit-identical outputs runs this on both trees and
+compares the printed digests.  The digest covers:
+
+* ``closed_family_residual`` (6 weight vectors x 4 levels) and
+  ``binary_Tj_closed_symbolic`` for the same vectors and levels;
+* ``meander_gf`` (plain and marked) and ``meander_dp`` (totals and
+  table) for 5 step sets x 6 levels at order 25;
+* small factors: ``hensel_small_factor`` for those step sets and
+  ``dary_char_factor`` for five d-ary families;
+* both single-branch d-ary alpha lists (closed and recurrence),
+  ``one_param_residual`` and ``dary_rational_parametrization``;
+* the full ``dary_alpha_general`` tables (every coordinate, shift and
+  stored order) and the ``rho_series`` levels that
+  ``verify_main_equation`` reads, for the odd and even families with
+  d = 1, 2 (bound 3, order 15) and odd d = 3 (bound 2, order 12);
+* the lock-step, random-turn and quarter-plane DP tables.
+
+Run from a checkout:
+
+    PYTHONPATH=src python scripts/output_digest.py [--sections]
+
+``--sections`` also prints one digest per section, to find where two
+trees part.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+from fractions import Fraction as Q
+
+from embtrees import binary as B
+from embtrees import dary as D
+from embtrees import paths as P
+from embtrees import walkers as W
+from embtrees.errors import EmbtreesError
+from embtrees.kernel import hensel_small_factor
+from embtrees.series import Series
+from embtrees.steps import StepSet
+
+WEIGHTS = ((0, 0, 1, 0, 0), (0, 0, 0, 1, 1), (1, 0, 1, 0, 0),
+           (2, 1, 1, 1, 1), (1, 1, 1, 0, 0), (0, 1, 2, 1, 1))
+STEP_SETS = (((-1, 1), (1, 1)), ((-1, 1), (0, 1), (1, 1)),
+             ((-2, 1), (-1, 2), (1, 1), (3, 1)), ((-1, 2), (1, 3)),
+             ((-3, 1), (2, Q(1, 2))))
+FAMILIES = (D.DaryFamily("odd", 1), D.DaryFamily("odd", 2), D.DaryFamily("even", 1),
+            D.DaryFamily("even", 2), D.DaryFamily("even", 3))
+TABLES = ((D.DaryFamily("odd", 1), 3, 15), (D.DaryFamily("even", 1), 3, 15),
+          (D.DaryFamily("odd", 2), 3, 15), (D.DaryFamily("even", 2), 3, 15),
+          (D.DaryFamily("odd", 3), 2, 12))
+
+
+def canon(x):
+    """A canonical nested structure of strings for any output value."""
+    if hasattr(x, "ratios"):  # Series
+        return ("S", [f"{p}/{q}" for p, q in x.ratios()])
+    if hasattr(x, "extract"):  # MarkerSeries
+        return ("M", [sorted((k, str(v)) for k, v in s.items()) for s in x.coeffs])
+    if hasattr(x, "terms") and hasattr(x, "variables"):  # MultiPoly
+        return ("P", x.variables, sorted((e, str(c)) for e, c in x.terms.items()))
+    if hasattr(x, "num") and hasattr(x, "den"):  # RationalFunction
+        return ("R", canon(x.num), canon(x.den))
+    if isinstance(x, dict):
+        return ("D", sorted((repr(k), canon(v)) for k, v in x.items()))
+    if isinstance(x, (list, tuple)):
+        return ("L", [canon(v) for v in x])
+    return ("V", str(x))
+
+
+def guarded(fn):
+    try:
+        return fn()
+    except EmbtreesError as exc:
+        return f"error {type(exc).__name__}"
+
+
+def binary_section():
+    out = []
+    for vec in WEIGHTS:
+        w = B.BinaryWeights.make(*vec)
+        for j in range(4):
+            out.append(B.closed_family_residual(w, j, 12))
+            out.append(guarded(lambda: B.binary_Tj_closed_symbolic(w, j, 12, 3)))
+    return out
+
+
+def paths_section():
+    out = []
+    for pairs in STEP_SETS:
+        steps = StepSet.make(pairs)
+        for level in range(6):
+            gf = P.meander_gf(steps, level, 25)
+            out += [gf.start_level, gf.plain, gf.marked, P.meander_dp(steps, level, 25)]
+    return out
+
+
+def factor_section():
+    out = [hensel_small_factor(StepSet.make(pairs), 30).elementary for pairs in STEP_SETS]
+    out += [D.dary_char_factor(fam, 20).elementary for fam in FAMILIES]
+    return out
+
+
+def alpha_section():
+    out = []
+    for fam in FAMILIES:
+        out += [D.dary_alpha_one_param_closed(fam, 10), D.one_param_residual(fam),
+                D.dary_rational_parametrization(fam)]
+        if fam.d < 3:
+            out.append(D.dary_alpha_one_param_recurrence(fam, 10))
+    return out
+
+
+def table_section():
+    out = []
+    for fam, bound, order in TABLES:
+        # the seeds and levels of verify_main_equation's defaults
+        s_val = order // (bound + 1) + 1
+        seeds = [Series.z(order + 4) ** s_val for _ in range(fam.branch_count)]
+        table = D.dary_alpha_general(fam, bound, seeds, order)
+        for index, entry in sorted(table.entries.items()):
+            out.append((index, entry.shift, entry.stored_order, entry.coeffs))
+        c_down = -min(fam.offsets)
+        for j in range(0, c_down + 1 + max(fam.offsets) + 1):
+            out.append(D.rho_series(table, j, order))
+    return out
+
+
+def dp_section():
+    out = [W.lockstep_dp_table(Q(1, 2), Q(1, 3), 12), W.lockstep_dp_table(1, 0, 10)]
+    for steps in ("dyck", "motzkin"):
+        for boundary in ("vicious", "osculating"):
+            out.append(W.randomturn_dp_table(steps, boundary, 10))
+    for model in ("S1", "S2"):
+        out += [W.quarterplane_dp(model, i, j, 12) for i in range(3) for j in range(3)]
+    return out
+
+
+SECTIONS = (("binary", binary_section), ("paths", paths_section),
+            ("factors", factor_section), ("alphas", alpha_section),
+            ("tables", table_section), ("dp", dp_section))
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--sections", action="store_true", help="print one digest per section")
+    args = parser.parse_args()
+    total = hashlib.sha256()
+    for name, build in SECTIONS:
+        text = repr(canon(build())).encode()
+        total.update(text)
+        if args.sections:
+            print(f"{name:<8} {hashlib.sha256(text).hexdigest()}")
+    print(total.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

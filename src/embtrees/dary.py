@@ -287,6 +287,20 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+def _terms_by_multiset(offsets, max_size: int, splits):
+    """Every term of a graded sum, keyed by the multiset of its parts.
+
+    Yields (key, combo, parts) for each subset ``combo`` of 2..max_size
+    offsets and each ordered split ``parts`` from ``splits(len(combo))``;
+    ``key`` is the sorted tuple of the parts, the one thing the product of
+    a term's lower coefficients depends on.
+    """
+    for size in range(2, max_size + 1):
+        for combo in itertools.combinations(offsets, size):
+            for parts in splits(size):
+                yield tuple(sorted(parts)), combo, parts
+
+
 def dary_alpha_one_param_recurrence(
     fam: DaryFamily, n_max: int
 ) -> list[RationalFunction]:
@@ -294,7 +308,10 @@ def dary_alpha_one_param_recurrence(
 
     Uses the already-verified lower closed values on the right-hand side
     and accumulates every subset/composition term over one explicit common
-    denominator, so polynomial degrees stay linear in n.
+    denominator, so polynomial degrees stay linear in n.  A term's
+    numerator depends only on the multiset of its composition's parts, so
+    the terms are grouped by that multiset: each group counts its
+    X-powers, and makes one product of its numerator with their sum.
     """
     offsets = fam.offsets
     c_down = -min(offsets)
@@ -324,20 +341,20 @@ def dary_alpha_one_param_recurrence(
     for n in range(2, n_max + 1):
         l_cap = min(n, len(offsets))
         # common denominator: first^l_cap * pair^n * X^(c_down n)
+        groups: dict[tuple[int, ...], dict[int, int]] = {}
+        terms = _terms_by_multiset(offsets, l_cap, lambda size: _compositions(n, size))
+        for key, combo, parts in terms:
+            counts = groups.setdefault(key, {})
+            k = sum(o * g for o, g in zip(combo, parts)) + c_down * n
+            counts[k] = counts.get(k, 0) + 1
         acc = MultiPoly.zero(("X",))
-        for size in range(2, l_cap + 1):
-            sign = 1 if size % 2 == 0 else -1
-            cofactor = first_pows[l_cap - size] * pair_pows[size]
-            for parts in _compositions(n, size):
-                num = cofactor
-                for g in parts:
-                    num = num * closed_num[g - 1]
-                mono_sum = MultiPoly.zero(("X",))
-                for combo in itertools.combinations(offsets, size):
-                    term_pow = sum(o * g for o, g in zip(combo, parts))
-                    mono_sum = mono_sum + _uni_x(term_pow + c_down * n)
-                term = num * mono_sum
-                acc = acc + (term if sign > 0 else -term)
+        for key, counts in groups.items():
+            size = len(key)
+            num = first_pows[l_cap - size] * pair_pows[size]
+            for g in key:
+                num = num * closed_num[g - 1]
+            term = num * _uni(counts)
+            acc = acc + (term if size % 2 == 0 else -term)
         rhs = RationalFunction(
             acc, first_pows[l_cap] * pair_pows[n] * _uni_x(c_down * n)
         )
@@ -410,7 +427,10 @@ def dary_alpha_general(
     Each non-seed entry is the graded piece of the exact level equation:
     the subset sums over offset choices multiply the lower-order entries,
     and the divisor is inverted through the geometric device that makes
-    it a unit times -z T^(arity-1).
+    it a unit times -z T^(arity-1).  The product of a term's entries
+    depends only on the multiset of its parts, so the root monomials of
+    the terms are summed per multiset first, and each multiset makes one
+    product of its (cached) entry product with that sum.
     """
     c = fam.branch_count
     if len(seeds) != c:
@@ -435,8 +455,8 @@ def dary_alpha_general(
         table.entries[vec] = alg.from_series(Series(seeds[g].coeffs, work))
     prod_cache: dict[tuple, SAElement] = {}
 
-    def alpha_product(parts: tuple[tuple[int, ...], ...]) -> SAElement:
-        key = tuple(sorted(parts))
+    def alpha_product(key: tuple[tuple[int, ...], ...]) -> SAElement:
+        """The product of the entries at a sorted tuple of parts."""
         got = prod_cache.get(key)
         if got is None:
             got = table.entries[key[0]]
@@ -448,17 +468,19 @@ def dary_alpha_general(
     for index in _multi_indices(c, bound):
         if index in table.entries:
             continue
+        groups: dict[tuple, SAElement] = {}
+        terms = _terms_by_multiset(
+            offsets, min(sum(index), len(offsets)), lambda size: _splits(index, size)
+        )
+        for key, combo, parts in terms:
+            exps = tuple(sum(o * g[k] for o, g in zip(combo, parts)) for k in range(c))
+            mono = alg.monomial(exps)
+            cur = groups.get(key)
+            groups[key] = mono if cur is None else cur + mono
         rhs = alg.zero()
-        for size in range(2, min(sum(index), len(offsets)) + 1):
-            sign = 1 if size % 2 == 0 else -1
-            for combo in itertools.combinations(offsets, size):
-                for parts in _splits(index, size):
-                    exps = tuple(
-                        sum(o * g[k] for o, g in zip(combo, parts))
-                        for k in range(c)
-                    )
-                    term = alpha_product(parts) * alg.monomial(exps)
-                    rhs = rhs + (term if sign > 0 else -term)
+        for key, monos in groups.items():
+            term = alpha_product(key) * monos
+            rhs = rhs + (term if len(key) % 2 == 0 else -term)
         # divisor: -1/(z T^q) + sum over offsets of X^(o.n); multiply by
         # -zT^q and clear X^(c_down n) to expose the unit 1 + u.
         lead = alg.monomial(tuple(c_down * k for k in index))

@@ -22,13 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import DegenerateStepSet, NoRootAtOrigin, SingularRoot
 from .series import Q, Series
 from .steps import StepSet
-
-_ZERO = Q(0)
-_ONE = Q(1)
 
 
 @dataclass(frozen=True)
@@ -204,41 +202,48 @@ def hensel_factor_pair(
     into a low part (degree < c, absorbed by A) and a high part (divisible
     by X^c, absorbed by B).  Each order is exact, so A*B = F holds to the
     full truncation order.
+
+    The lift runs on integers.  With D the lcm of the coefficient
+    denominators, F(X, D z) has integer coefficients, and so do its
+    factors, since no order divides.  Coefficient n of A(X, z) is then
+    the integer one of A(X, D z) over D^n, which over the common
+    denominator D^(order-1) is D^(order-1-n) times that integer.
     """
     order = min(s.order for s in f)
     deg = len(f) - 1
     d = deg - c
     for k, s in enumerate(f):
-        expected = _ONE if k == c else _ZERO
-        if s[0] != expected:
+        if s._num[0] != (s._den if k == c else 0):
             raise ValueError("polynomial does not reduce to X^c at z=0")
-    # a[n][k]: z^n coefficient of the X^k coefficient of A; same for b.
-    a = [[_ZERO] * c for _ in range(order)]
-    b = [[_ZERO] * (d + 1) for _ in range(order)]
-    b[0][0] = _ONE
+    den = math.lcm(*[s._den for s in f])
+    powers = [1]
+    for _ in range(order - 1):
+        powers.append(powers[-1] * den)
+    # F(X, D z): the z^n coefficient numerator times D^n / (its denominator)
+    scaled = [[x * p // s._den for x, p in zip(s._num, powers)] for s in f]
+    # a[k][n]: z^n coefficient of the X^k coefficient of A(X, D z); same for b
+    a = [[0] for _ in range(c)]
+    b = [[1]] + [[0] for _ in range(d)]
     for n in range(1, order):
-        # r[k] = [z^n] F_k  minus the cross terms of orders 1..n-1.
-        r = [f[k][n] for k in range(deg + 1)]
-        for i in range(1, n):
-            ai = a[i]
-            bj = b[n - i]
-            for ka in range(c):
-                ca = ai[ka]
-                if ca == 0:
-                    continue
-                for kb in range(d + 1):
-                    cb = bj[kb]
-                    if cb != 0:
-                        r[ka + kb] -= ca * cb
-        # A_0 = X^c and B_0 = 1 contribute A_n + X^c * B_n at order n.
+        # [z^n] F_m minus the cross terms A_i B_(n-i) of orders 1..n-1
+        r = [col[n] for col in scaled]
+        for ka, ac in enumerate(a):
+            head = ac[1:n]
+            for kb, bc in enumerate(b):
+                r[ka + kb] -= sum(map(mul, head, bc[n - 1:0:-1]))
+        # A_0 = X^c and B_0 = 1 contribute A_n + X^c * B_n at order n
         for k in range(c):
-            a[n][k] = r[k]
+            a[k].append(r[k])
         for k in range(d + 1):
-            b[n][k] = r[c + k]
-    a_series = [Series([a[n][k] for n in range(order)]) for k in range(c)]
+            b[k].append(r[c + k])
+    top = powers[-1]
+
+    def unscaled(col: list[int]) -> Series:
+        return Series._normed([x * p for x, p in zip(col, reversed(powers))], top)
+
+    a_series = [unscaled(col) for col in a]
     a_series.append(Series.one(order))
-    b_series = [Series([b[n][k] for n in range(order)]) for k in range(d + 1)]
-    return a_series, b_series
+    return a_series, [unscaled(col) for col in b]
 
 
 def characteristic_poly(steps: StepSet, z_factor: Series) -> list[Series]:

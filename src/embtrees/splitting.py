@@ -9,6 +9,12 @@ polynomials obtained by synthetic division, so no individual root (which
 may live in a fractional-power extension) is ever materialized: any
 symmetric expression reduces to an honest power series.
 
+A product first sums the series products of its coordinate pairs per
+combined exponent.  Each exponent outside the basis is then reduced once,
+through its canonical coordinates (computed once per algebra and
+cached); a basis exponent needs no product at all.  Canonical monomials
+are built by the same two steps, from one relation and a lower monomial.
+
 Negative root powers are supported through division by the resultant-like
 bottom coefficient e_c = (+-) A(0), which has z-valuation exactly 1; the
 resulting global z^-shift is tracked per element and compressed away as
@@ -18,6 +24,7 @@ soon as coefficients allow.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .kernel import SmallFactor
 from .series import Series
@@ -78,36 +85,46 @@ class SplitAlgebra:
 
     # -- canonical monomials ---------------------------------------------
 
+    def _is_basis(self, exps: tuple[int, ...]) -> bool:
+        return all(e <= cap for e, cap in zip(exps, self._caps))
+
     def _canon_monomial(self, exps: tuple[int, ...]) -> dict[tuple[int, ...], Series]:
         """Canonical coordinates of a non-negative monomial."""
         cached = self._mono_cache.get(exps)
         if cached is not None:
             return cached
-        over = None
-        for g, cap in enumerate(self._caps):
-            if exps[g] > cap:
-                over = g
-                break
+        over = next((g for g, cap in enumerate(self._caps) if exps[g] > cap), None)
         if over is None:
             result = {exps: Series.one(self.order)}
         else:
-            step = self._caps[over] + 1
+            # X_over^(cap+1) by its rule, times the canonical rest
             rest = list(exps)
-            rest[over] -= step
-            rest_t = tuple(rest)
-            result = {}
-            rest_canon = self._canon_monomial(rest_t)
-            for e1, s1 in self._rules[over].items():
-                for e2, s2 in rest_canon.items():
-                    combined = tuple(x + y for x, y in zip(e1, e2))
-                    prod = s1 * s2
-                    for e3, s3 in self._canon_monomial(combined).items():
-                        cur = result.get(e3)
-                        term = prod * s3
-                        result[e3] = term if cur is None else cur + term
-            result = {k: v for k, v in result.items() if not v.is_zero()}
+            rest[over] -= self._caps[over] + 1
+            rest_canon = self._canon_monomial(tuple(rest))
+            result = self._reduce(_pair_products(self._rules[over].items(), rest_canon.items()))
         self._mono_cache[exps] = result
         return result
+
+    def _reduce(self, terms: dict[tuple[int, ...], Series]) -> dict[tuple[int, ...], Series]:
+        """Canonical coordinates of sum(s * X^e): one reduction per exponent.
+
+        A basis exponent keeps its series, cut to the algebra's order as
+        the product with its canonical coordinate 1 would; any other is
+        multiplied into its canonical coordinates.
+        """
+        out: dict[tuple[int, ...], Series] = {}
+        order = self.order
+        for e, s in terms.items():
+            if self._is_basis(e):
+                term = s if s.order <= order else s.truncate(order)
+                cur = out.get(e)
+                out[e] = term if cur is None else cur + term
+                continue
+            for em, sm in self._canon_monomial(e).items():
+                term = s * sm
+                cur = out.get(em)
+                out[em] = term if cur is None else cur + term
+        return {k: v for k, v in out.items() if not v.is_zero()}
 
     # -- element constructors ---------------------------------------------
 
@@ -135,6 +152,8 @@ class SplitAlgebra:
             return cached
         if k == 0:
             result = self.one()
+        elif k == 1:
+            result = self.generator(g)
         elif k > 0:
             result = self.gen_power(g, k - 1) * self.generator(g)
         else:
@@ -145,22 +164,25 @@ class SplitAlgebra:
 
     def _gen_inverse(self, g: int) -> SAElement:
         """X_g^-1 = (product of the other roots) / e_c."""
-        others = self.one()
-        for h in range(self.c):
-            if h != g:
-                others = others * self.generator(h)
+        others = self._product([self.generator(h) for h in range(self.c) if h != g])
         lifted = {e: s * self._ec_unit_inv for e, s in others.coeffs.items()}
         return SAElement(self, lifted, others.shift + 1)
+
+    def _product(self, factors: list[SAElement]) -> SAElement:
+        """The product of the factors, starting from the first; 1 for none."""
+        if not factors:
+            return self.one()
+        acc = factors[0]
+        for f in factors[1:]:
+            acc = acc * f
+        return acc
 
     def monomial(self, exps) -> SAElement:
         """X_1^exps[0] * ... with arbitrary integer exponents."""
         key = tuple(exps)
         acc = self._monomials.get(key)
         if acc is None:
-            acc = self.one()
-            for g, k in enumerate(key):
-                if k:
-                    acc = acc * self.gen_power(g, k)
+            acc = self._product([self.gen_power(g, k) for g, k in enumerate(key) if k])
             self._monomials[key] = acc
         return acc
 
@@ -198,16 +220,8 @@ class SAElement:
     __slots__ = ("alg", "coeffs", "shift")
 
     def __init__(self, alg: SplitAlgebra, coeffs: dict, shift: int):
-        if any(
-            e[g] > alg._caps[g] for e in coeffs for g in range(alg.c)
-        ):
-            reduced: dict[tuple[int, ...], Series] = {}
-            for e, s in coeffs.items():
-                for em, sm in alg._canon_monomial(e).items():
-                    term = s * sm
-                    cur = reduced.get(em)
-                    reduced[em] = term if cur is None else cur + term
-            coeffs = reduced
+        if not all(map(alg._is_basis, coeffs)):
+            coeffs = alg._reduce(coeffs)
         clean = {e: s for e, s in coeffs.items() if not s.is_zero()}
         if clean:
             order = min(s.order for s in clean.values())
@@ -279,15 +293,7 @@ class SAElement:
                 self.shift,
             )
         alg = self.alg
-        out: dict[tuple[int, ...], Series] = {}
-        for ea, ca in self.coeffs.items():
-            for eb, cb in other.coeffs.items():
-                prod = ca * cb
-                combined = tuple(x + y for x, y in zip(ea, eb))
-                for em, sm in alg._canon_monomial(combined).items():
-                    term = prod * sm
-                    cur = out.get(em)
-                    out[em] = term if cur is None else cur + term
+        out = alg._reduce(_pair_products(self.coeffs.items(), other.coeffs.items()))
         return SAElement(alg, out, self.shift + other.shift)
 
     __rmul__ = __mul__
@@ -311,3 +317,15 @@ class SAElement:
         if order is not None:
             result = result.truncate(order)
         return result
+
+
+def _pair_products(a, b) -> dict[tuple[int, ...], Series]:
+    """sum(ca * cb * X^(ea + eb)) over (exponent, series) items, one sum per exponent."""
+    out: dict[tuple[int, ...], Series] = {}
+    for ea, ca in a:
+        for eb, cb in b:
+            e = tuple(map(add, ea, eb))
+            term = ca * cb
+            cur = out.get(e)
+            out[e] = term if cur is None else cur + term
+    return out

@@ -1,8 +1,14 @@
+import itertools
+from fractions import Fraction as Q
+
 import pytest
 
 from embtrees.binary import BinaryWeights, binary_Tj_recurrence
 from embtrees.dary import (
     DaryFamily,
+    _compositions,
+    _splits,
+    _terms_by_multiset,
     brute_force_dary,
     dary_alpha_general,
     dary_alpha_one_param_closed,
@@ -29,6 +35,50 @@ ODD3 = DaryFamily("odd", 3)
 EVEN1 = DaryFamily("even", 1)
 EVEN2 = DaryFamily("even", 2)
 EVEN3 = DaryFamily("even", 3)
+
+
+def _uni(terms):
+    return MultiPoly(("X",), {(k,): v for k, v in terms.items()})
+
+
+def ref_one_param_recurrence(fam, n_max):
+    """The graded recurrence with one numerator product per composition."""
+    offsets = fam.offsets
+    c_down = -min(offsets)
+    one = _uni({0: Q(1)})
+    d = fam.d
+    if fam.kind == "odd":
+        step, xpow, lead = d, 1, d + 1
+        base_lo = one - _uni({1: 1})
+    else:
+        step, xpow, lead = 2 * d - 1, 2, 2 * d + 1
+        base_lo = one - _uni({2: 1})
+    first = one - _uni({step: 1})
+    pair = base_lo * (one - _uni({lead: 1}))
+    closed_num = [_uni({xpow * (g - 1): 1}) * (one - _uni({g * step: 1}))
+                  for g in range(1, n_max + 1)]
+    alphas = [RationalFunction(one)]
+    for n in range(2, n_max + 1):
+        l_cap = min(n, len(offsets))
+        acc = MultiPoly.zero(("X",))
+        for size in range(2, l_cap + 1):
+            cofactor = first ** (l_cap - size) * pair**size
+            for parts in _compositions(n, size):
+                num = cofactor
+                for g in parts:
+                    num = num * closed_num[g - 1]
+                mono_sum = MultiPoly.zero(("X",))
+                for combo in itertools.combinations(offsets, size):
+                    power = sum(o * g for o, g in zip(combo, parts)) + c_down * n
+                    mono_sum = mono_sum + _uni({power: 1})
+                term = num * mono_sum
+                acc = acc + (term if size % 2 == 0 else -term)
+        rhs = RationalFunction(acc, first**l_cap * pair**n * _uni({c_down * n: 1}))
+        div_num = MultiPoly.zero(("X",))
+        for o in offsets:
+            div_num = div_num + _uni({(o + c_down) * n: 1}) - _uni({o + c_down * n: 1})
+        alphas.append(rhs / RationalFunction(div_num, _uni({c_down * n: 1})))
+    return alphas
 
 
 def char_poly(fam, order):
@@ -196,6 +246,47 @@ class TestExpansionCoefficients:
         for n in range(2, 11):
             assert closed[n - 1].equals(rec[n - 1])
 
+    @pytest.mark.parametrize("fam", [ODD1, ODD2, ODD3, EVEN1, EVEN2, EVEN3], ids=str)
+    def test_recurrence_matches_ungrouped_reference(self, fam):
+        got = dary_alpha_one_param_recurrence(fam, 8)
+        ref = ref_one_param_recurrence(fam, 8)
+        assert [(a.num, a.den) for a in got] == [(a.num, a.den) for a in ref]
+
+    @pytest.mark.parametrize("splits", [
+        lambda size: _compositions(7, size),
+        lambda size: _splits((2, 1, 2), size),
+    ], ids=["compositions", "splits"])
+    def test_terms_are_keyed_by_their_multiset(self, splits):
+        terms = list(_terms_by_multiset(EVEN2.offsets, 4, splits))
+        assert terms
+        for key, combo, parts in terms:
+            assert key == tuple(sorted(parts)) and len(combo) == len(parts)
+        # every reordering of a term's parts is a term with the same key
+        keys = {parts: key for key, _, parts in terms}
+        for parts, key in keys.items():
+            for perm in itertools.permutations(parts):
+                assert keys[perm] == key
+
+    def test_recurrence_makes_few_products_per_multiset(self, monkeypatch):
+        # a numerator of len(key) + 1 products and one product with the
+        # summed X-powers per multiset of parts; grouping by ordered
+        # compositions (154 of them, against 44 multisets) would need more
+        calls = []
+        original = MultiPoly.__mul__
+
+        def counting(x, y):
+            calls.append(1)
+            return original(x, y)
+
+        monkeypatch.setattr(MultiPoly, "__mul__", counting)
+        dary_alpha_one_param_recurrence(EVEN2, 8)
+        monkeypatch.undo()
+        per_multiset = sum(len(key) + 2 for n in range(2, 9)
+                           for key in {tuple(sorted(p)) for size in range(2, min(n, 4) + 1)
+                                       for p in _compositions(n, size)})
+        setup = 8 + 1 + 2 * 9  # closed numerators, pair, powers
+        assert len(calls) <= setup + per_multiset + 4 * 7  # 4 per level: rhs and division
+
     def test_first_is_seed(self):
         closed = dary_alpha_one_param_closed(ODD2, 3)
         assert closed[0].equals(RationalFunction(MultiPoly.const(("X",), 1)))
@@ -230,6 +321,10 @@ class TestMainEquation:
     @pytest.mark.parametrize("fam", [ODD2, EVEN2], ids=str)
     def test_two_and_three_branches(self, fam):
         report = verify_main_equation(fam, 3, 15)
+        assert report.ok, report
+
+    def test_odd_three_at_bound_three(self):
+        report = verify_main_equation(ODD3, 3, 15)
         assert report.ok, report
 
     @pytest.mark.parametrize("fam", [ODD1, ODD2, ODD3, EVEN1, EVEN2], ids=str)

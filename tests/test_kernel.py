@@ -1,6 +1,8 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from embtrees.errors import DegenerateStepSet, NoRootAtOrigin, SingularRoot
 from embtrees.kernel import (
@@ -105,6 +107,64 @@ def test_two_branch_factor_reconstructs():
     assert all((prod[k] - f[k]).is_zero() for k in range(len(f)))
     small = hensel_small_factor(steps, 30)
     assert all(e[0] == 0 for e in small.elementary)
+
+
+def ref_hensel(f, c):
+    """The factor pair lifted one z-order at a time in Fractions."""
+    order = min(s.order for s in f)
+    d = len(f) - 1 - c
+    a = [[Q(0)] * c for _ in range(order)]
+    b = [[Q(0)] * (d + 1) for _ in range(order)]
+    b[0][0] = Q(1)
+    for n in range(1, order):
+        r = [fk[n] for fk in f]
+        for i in range(1, n):
+            for ka in range(c):
+                for kb in range(d + 1):
+                    r[ka + kb] -= a[i][ka] * b[n - i][kb]
+        a[n] = r[:c]
+        b[n] = r[c:]
+    a_series = [Series([a[n][k] for n in range(order)]) for k in range(c)]
+    return a_series + [Series.one(order)], [Series([b[n][k] for n in range(order)])
+                                            for k in range(d + 1)]
+
+
+weights = st.builds(Q, st.integers(1, 40),
+                    st.one_of(st.sampled_from([1, 2, 3, 2**61 - 1]), st.integers(1, 2**61 - 1)))
+
+
+@st.composite
+def two_sided_steps(draw):
+    downs = draw(st.lists(st.integers(-3, -1), min_size=1, max_size=3, unique=True))
+    ups = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True).filter(
+        lambda u: any(u)))
+    return StepSet.make([(s, draw(weights)) for s in downs + ups])
+
+
+@settings(max_examples=40, deadline=None)
+@given(two_sided_steps(), st.integers(1, 24))
+def test_hensel_matches_fraction_lift(steps, order):
+    f = characteristic_poly(steps, Series.z(order))
+    assert hensel_factor_pair(f, steps.max_down) == ref_hensel(f, steps.max_down)
+
+
+def test_hensel_on_a_non_trivial_z_factor():
+    # z(1 + z/7 + ...)^2 as the z factor, as the tree families pass it
+    order = 16
+    zf = Series.z(order) * Series([1, Q(1, 7), Q(-2, 3)], order) ** 2
+    f = characteristic_poly(parse_step_set("-2:1,-1:2/5,1:1,3:1/9"), zf)
+    assert hensel_factor_pair(f, 2) == ref_hensel(f, 2)
+
+
+@pytest.mark.parametrize("bad", ["head", "constant"])
+def test_hensel_rejects_polynomial_not_reducing_to_x_power(bad):
+    f = characteristic_poly(parse_step_set("-1:1,1:1"), Series.z(6))
+    if bad == "head":
+        f[1] = f[1] * 2  # X^c with constant coefficient 2
+    else:
+        f[0] = f[0] + 1  # a constant term at z = 0
+    with pytest.raises(ValueError, match="does not reduce to X"):
+        hensel_factor_pair(f, 1)
 
 
 def test_degenerate_step_set():

@@ -1,0 +1,161 @@
+"""Split-algebra products against the per-pair reduction they replace.
+
+``ref_mul`` is the product as it was first written: every pair of
+coordinates makes its own series product, which is then reduced through
+the canonical coordinates of its combined exponent, multiplying even a
+basis exponent by its coordinate 1.  ``ref_canon`` rebuilds the canonical
+monomials the same way, from the algebra's relation tower alone.
+"""
+
+from fractions import Fraction as Q
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from embtrees.dary import DaryFamily, dary_char_factor
+from embtrees.series import Series
+from embtrees.splitting import SAElement, SplitAlgebra
+
+ORDER = 8
+ALGEBRAS = {
+    2: SplitAlgebra(dary_char_factor(DaryFamily("odd", 2), ORDER)),
+    3: SplitAlgebra(dary_char_factor(DaryFamily("even", 2), ORDER)),
+}
+
+
+def basis(alg):
+    out = [()]
+    for cap in alg._caps:
+        out = [e + (k,) for e in out for k in range(cap + 1)]
+    return out
+
+
+def ref_canon(alg, exps, cache):
+    got = cache.get(exps)
+    if got is not None:
+        return got
+    over = next((g for g, cap in enumerate(alg._caps) if exps[g] > cap), None)
+    if over is None:
+        result = {exps: Series.one(alg.order)}
+    else:
+        rest = list(exps)
+        rest[over] -= alg._caps[over] + 1
+        result = {}
+        for e1, s1 in alg._rules[over].items():
+            for e2, s2 in ref_canon(alg, tuple(rest), cache).items():
+                prod = s1 * s2
+                combined = tuple(x + y for x, y in zip(e1, e2))
+                for e3, s3 in ref_canon(alg, combined, cache).items():
+                    term = prod * s3
+                    result[e3] = term if e3 not in result else result[e3] + term
+        result = {k: v for k, v in result.items() if not v.is_zero()}
+    cache[exps] = result
+    return result
+
+
+def ref_mul(a, b):
+    alg, cache = a.alg, {}
+    out = {}
+    for ea, ca in a.coeffs.items():
+        for eb, cb in b.coeffs.items():
+            prod = ca * cb
+            combined = tuple(x + y for x, y in zip(ea, eb))
+            for em, sm in ref_canon(alg, combined, cache).items():
+                term = prod * sm
+                out[em] = term if em not in out else out[em] + term
+    return SAElement(alg, out, a.shift + b.shift)
+
+
+def ref_invert_one_plus(u):
+    """(1 + u)^-1 by Newton steps at the full order, on the reference product."""
+    alg = u.alg
+    a = alg.one() + u
+    two = alg.from_series(Series.constant(2, alg.order))
+    y = alg.one()
+    # each step doubles the precision, counted in units of z^(1/c)
+    for _ in range((alg.c * alg.order).bit_length() + 1):
+        y = ref_mul(y, two - ref_mul(a, y))
+    return y
+
+
+rationals = st.builds(Q, st.integers(-30, 30), st.sampled_from([1, 1, 2, 3, 7, 2**61 - 1]))
+
+
+@st.composite
+def elements(draw, c):
+    """An element with rational coordinates on some basis monomials and shift 0-2.
+
+    Stored orders reach two past the algebra's, as sums of shifted
+    elements do.
+    """
+    alg = ALGEBRAS[c]
+    order = draw(st.integers(2, ORDER + 2))
+    monos = draw(st.lists(st.sampled_from(basis(alg)), min_size=1, max_size=4, unique=True))
+    coeffs = {e: Series(draw(st.lists(rationals, min_size=order, max_size=order)))
+              for e in monos}
+    return SAElement(alg, coeffs, draw(st.integers(0, 2)))
+
+
+def same(x, y):
+    return (x.coeffs == y.coeffs and x.shift == y.shift
+            and x.stored_order == y.stored_order)
+
+
+@pytest.mark.parametrize("c", [2, 3])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_product_matches_per_pair_reference(c, data):
+    a = data.draw(elements(c))
+    b = data.draw(elements(c))
+    assert same(a * b, ref_mul(a, b))
+
+
+@pytest.mark.parametrize("c", [2, 3])
+def test_canonical_monomials_match_reference(c):
+    alg = ALGEBRAS[c]
+    cache = {}
+    for exps in [(3, 0, 0)[:c], (1, 2, 1)[:c], (2,) * c, (0, 3, 2)[:c]]:
+        assert alg._canon_monomial(exps) == ref_canon(alg, exps, cache)
+
+
+@pytest.mark.parametrize("c", [2, 3])
+def test_monomials_and_powers_match_products_from_one(c):
+    alg = ALGEBRAS[c]
+    for g in range(c):
+        assert same(alg.gen_power(g, 1), ref_mul(alg.one(), alg.generator(g)))
+        inverse = alg.gen_power(g, -1)
+        assert (ref_mul(inverse, alg.generator(g)) - alg.one()).is_zero()
+    exps = (2, -1, 1)[:c]
+    acc = alg.one()
+    for g, k in enumerate(exps):
+        acc = ref_mul(acc, alg.gen_power(g, k))
+    assert same(alg.monomial(exps), acc)
+
+
+def test_basis_exponents_take_no_product(monkeypatch):
+    # a series times an element lands on basis exponents only, so the
+    # product makes one series product per coordinate and no reduction
+    alg = ALGEBRAS[3]
+    a = alg.from_series(Series([0, 1, Q(1, 2)], ORDER))
+    b = SAElement(alg, {e: Series([1, Q(k + 1, 3)], ORDER) for k, e in enumerate(basis(alg))}, 0)
+    calls = []
+    original = Series.__mul__
+
+    def counting(x, y):
+        calls.append(1)
+        return original(x, y)
+
+    monkeypatch.setattr(Series, "__mul__", counting)
+    product = a * b
+    monkeypatch.undo()
+    assert len(calls) == len(b.coeffs)
+    assert same(product, ref_mul(a, b))
+
+
+@pytest.mark.parametrize("c", [2, 3])
+def test_inversion_matches_full_order_newton(c):
+    alg = ALGEBRAS[c]
+    u = alg.generator(0) + alg.generator(c - 1) * Q(2, 3) + alg.monomial((1,) * c)
+    got, ref = alg.invert_one_plus(u), ref_invert_one_plus(u)
+    assert (got - ref).is_zero() and got.stored_order == alg.order
