@@ -1,11 +1,11 @@
 """Verification-campaign runner.
 
 Every module's cross-checks are registered here as named checks grouped
-into suites.  A campaign runs a filtered selection on a worker pool and
-emits a report whose content is independent of the parallelism width
-(results are keyed and sorted by check id; runtimes are informational
-only).  Conjectural statements can never report better than
-"conjecture-consistent".
+into suites; each check is the one definition of its claim, and the
+acceptance suite runs the same functions at its own sizes.  A campaign
+runs a filtered selection in check-id order and emits a report whose
+runtimes are informational only.  Conjectural statements can never
+report better than "conjecture-consistent".
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .kernel import (
 from .marker import MarkerSeries
 from .multipoly import MultiPoly, RationalFunction
 from .series import Q, Series
-from .steps import StepSet
+from .steps import StepSet, parse_step_set
 
 
 @dataclass(frozen=True)
@@ -67,23 +67,17 @@ class VerificationReport:
         tally = ", ".join(f"{v} {k}" for k, v in sorted(counts.items()))
         return "\n".join(lines + [f"-- {tally}"])
 
-    def comparable(self) -> tuple:
-        """Schedule-independent projection (drops runtimes)."""
-        return tuple((r.id, r.claim, r.status, r.detail) for r in self.results)
-
 
 @dataclass(frozen=True)
 class CampaignConfig:
     suites: tuple[str, ...] | None = None  # None = all
     order: int = 30
-    jobs: int = 1
 
 
 def parse_config(text: str) -> CampaignConfig:
     """Plain key=value configuration; '#' starts a comment."""
     suites = None
     order = 30
-    jobs = 1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -93,26 +87,24 @@ def parse_config(text: str) -> CampaignConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key == "suites":
             suites = tuple(s.strip() for s in value.split(",") if s.strip()) or None
-        elif key in ("order", "jobs"):
+        elif key == "order":
             try:
-                number = int(value)
+                order = int(value)
             except ValueError:
-                raise ConfigParse(f"{key} must be an integer, got {value!r}",
+                raise ConfigParse(f"order must be an integer, got {value!r}",
                                   line=lineno, field=key) from None
-            if number < 1:
-                raise ConfigParse(f"{key} must be at least 1, got {number}",
+            if order < 1:
+                raise ConfigParse(f"order must be at least 1, got {order}",
                                   line=lineno, field=key)
-            if key == "order":
-                order = number
-            else:
-                jobs = number
         else:
             raise ConfigParse(f"unknown key {key!r}", line=lineno, field=key)
-    return CampaignConfig(suites=suites, order=order, jobs=jobs)
+    return CampaignConfig(suites=suites, order=order)
 
 
 # ---------------------------------------------------------------------------
 # Check implementations.  Each returns (ok, detail) or a status string.
+# Keyword inputs let the acceptance criteria run a check at other sizes;
+# their defaults are the campaign's inputs.
 # ---------------------------------------------------------------------------
 
 
@@ -197,11 +189,7 @@ def _check_fuss_catalan(order: int):
 
 def _check_hensel(order: int):
     for spec, c in [("-1:1,1:1", 1), ("-2:1,1:1", 2), ("-2:1,-1:2,1:1,3:1", 2), ("-3:1,2:1", 3)]:
-        steps = StepSet.make(
-            [tuple(map(Q, pair.split(":"))) for pair in spec.split(",")]
-        )
-        steps = StepSet.make([(int(b), w) for b, w in steps.steps])
-        small = hensel_small_factor(steps, order)
+        small = hensel_small_factor(parse_step_set(spec), order)
         if small.c != c:
             return False, f"{spec}: wrong factor degree"
         for e in small.elementary:
@@ -312,7 +300,7 @@ def _check_height(order: int):
     for j in range(6):
         gf = B.height_plane_trees(j, 9)
         oracle = [sum(c for h, c in counts[n].items() if h <= j) for n in range(9)]
-        if [int(c) for c in gf.coeffs] != oracle:
+        if list(gf.coeffs) != oracle:
             return False, f"height bound {j}"
     for v1, v2 in ((0, 0), (1, 0), (2, 3)):
         clo = B.height_alpha(v1, v2, "closed", 8, 20)
@@ -401,21 +389,15 @@ def _check_main_equation_d2(order: int):
     return True, ""
 
 
-_PATH_SPECS = (
-    (((-1, 1), (1, 1)), "dyck"),
-    (((-1, 1), (0, 1), (1, 1)), "motzkin"),
-    (((-2, 1), (-1, 2), (1, 1), (3, 1)), "mixed"),
-    (((-1, 2), (1, 3)), "weighted"),
-    (((-3, 1), (2, Q(1, 2))), "deep"),
-)
-
-
-def _check_meanders(order: int):
-    for pairs, name in _PATH_SPECS:
-        steps = StepSet.make(pairs)
-        result = P.verify_meander_closed_form(steps, 5, min(order, 25))
+def _check_meanders(
+    order: int,
+    step_sets=("-1:1,1:1", "-1:1,0:1,1:1", "-2:1,-1:2,1:1,3:1", "-1:2,1:3", "-3:1,2:1/2"),
+    max_order: int = 25,
+):
+    for spec in step_sets:
+        result = P.verify_meander_closed_form(parse_step_set(spec), 5, min(order, max_order))
         if not result.ok:
-            return False, f"{name}: first mismatch {result.first_mismatch}"
+            return False, f"{spec}: first mismatch {result.first_mismatch}"
     return True, ""
 
 
@@ -467,9 +449,11 @@ def _check_walkers_lockstep(order: int):
     return True, ""
 
 
-def _check_walkers_refined(order: int):
-    n = min(order, 16)
-    for u, w in ((Q(1, 2), Q(1, 3)), (Q(2), Q(1))):
+def _check_walkers_refined(
+    order: int, marks=((Q(1, 2), Q(1, 3)), (Q(2), Q(1))), max_order: int = 16
+):
+    n = min(order, max_order)
+    for u, w in marks:
         table = W.lockstep_dp_table(u, w, n)
         for i in range(5):
             for j in range(5):
@@ -517,20 +501,21 @@ def _check_walkers_randomturn(order: int):
     return True, ""
 
 
-def _check_quarterplane(order: int):
+def _check_quarterplane(order: int, grid: int = 3, doubled_cells=((1, 2),)):
     n = min(order, 20)
     for model in ("S1", "S2"):
-        for i in range(3):
-            for j in range(3):
+        for i in range(grid):
+            for j in range(grid):
                 closed = W.quarterplane_gf(model, i, j, n)
                 if list(closed.coeffs) != W.quarterplane_dp(model, i, j, n):
                     return False, f"{model} at {(i, j)}"
-    s1 = W.quarterplane_gf("S1", 1, 2, n)
-    s2 = W.quarterplane_gf("S2", 1, 2, n)
-    if list(s2.coeffs) != [c * 2**k for k, c in enumerate(s1.coeffs)]:
-        return False, "S2 != S1 at doubled variable"
-    for i in range(3):
-        for j in range(3):
+    for i, j in doubled_cells:
+        s1 = W.quarterplane_gf("S1", i, j, n)
+        s2 = W.quarterplane_gf("S2", i, j, n)
+        if list(s2.coeffs) != [c * 2**k for k, c in enumerate(s1.coeffs)]:
+            return False, f"S2 != S1 at doubled variable at {(i, j)}"
+    for i in range(grid):
+        for j in range(grid):
             if not W.quarterplane_gf("S2", i, j, 12).matches(
                 W.randomturn_gf("dyck", "osculating", i, j, 12).series
             ):
@@ -570,87 +555,61 @@ def _check_fixtures(order: int):
     return True, ""
 
 
-_SUITES: dict[str, list[tuple[str, str]]] = {}
-_CHECKS: dict[str, tuple] = {}
-
-
-def _register(check_id: str, claim: str, fn) -> None:
-    suite = check_id.split("/", 1)[0]
-    _SUITES.setdefault(suite, []).append((check_id, claim))
-    _CHECKS[check_id] = (claim, fn)
-
-
-_register("exact-arith/ring-laws", "series ring laws on random rational inputs", _check_series_ring_laws)
-_register("exact-arith/div-sqrt-roundtrip", "division and square-root round trips", _check_div_roundtrip)
-_register("exact-arith/marker-convolution", "marker extraction respects products", _check_marker_convolution)
-_register("exact-arith/rational-identity", "cross-multiplication identity checking", _check_rf_equal)
-_register("kernel/fuss-catalan", "tree equation coefficients are the binomial family", _check_fuss_catalan)
-_register("kernel/small-factor", "factorization reconstructs and h/e identity holds", _check_hensel)
-_register("binary/oracle", "level rows equal structural enumeration", _check_binary_oracle)
-_register("binary/residuals", "tree and characteristic equation residuals vanish", _check_binary_residuals)
-_register("binary/alpha-closed-forms", "decay coefficients match their closed forms", _check_binary_alpha)
-_register("binary/one-param-family", "closed family satisfies the level recurrence", _check_closed_family)
-_register("binary/t-of-x", "root series is recovered from the decay-rate form", _check_t_of_x)
-_register("binary/stabilization", "row coefficients stabilize once the bound clears size", _check_monotone_limit)
-_register("binary/conjectured-form", "conjectured polynomial form agrees with the recurrence", _check_conjecture)
-_register("height/plane-trees", "height-bounded generating functions match enumeration", _check_height)
-_register("ternary/cross-check", "ternary coefficients match the single-branch route", _check_ternary)
-_register("dary/one-param-identity", "closed family identity in the function field", _check_dary_one_param)
-_register("dary/alpha-agreement", "single-branch closed form equals the graded recurrence", _check_dary_alpha)
-_register("dary/oracle", "level rows equal structural enumeration", _check_dary_oracle)
-_register("dary/small-factor-valuation", "small-factor coefficients vanish at z=0", _check_dary_small_factor)
-_register("props/main-equation-arity-3-and-2", "expansion tables solve the exact level equation", _check_main_equation_small)
-_register("props/main-equation-d2", "multi-branch tables solve the exact level equation", _check_main_equation_d2)
-_register("paths/meander-closed-form", "meander closed forms equal the step dynamic program", _check_meanders)
-_register("paths/excursions", "excursion extraction gives the classical families", _check_excursions)
-_register("paths/monotonicity", "meander counts grow with the start level", _check_path_monotone)
-_register("walkers/lock-step", "boundary families equal the gap dynamic program", _check_walkers_lockstep)
-_register("walkers/refined", "marked counting matches at sampled marks and corners", _check_walkers_refined)
-_register("walkers/random-turn", "one-at-a-time families equal their dynamic program", _check_walkers_randomturn)
-_register("walkers/quarter-plane", "quadrant families equal the 2-D dynamic program", _check_quarterplane)
-_register("walkers/symmetry", "star series are symmetric in the two gaps", _check_walker_symmetry)
-_register("harness/fixtures-and-roundtrip", "bundled sequences match and serialization round-trips", _check_fixtures)
+# Check id -> (claim, function); run_campaign reads it at call time.
+_CHECKS: dict[str, tuple] = {
+    "exact-arith/ring-laws": ("series ring laws on random rational inputs", _check_series_ring_laws),
+    "exact-arith/div-sqrt-roundtrip": ("division and square-root round trips", _check_div_roundtrip),
+    "exact-arith/marker-convolution": ("marker extraction respects products", _check_marker_convolution),
+    "exact-arith/rational-identity": ("cross-multiplication identity checking", _check_rf_equal),
+    "kernel/fuss-catalan": ("tree equation coefficients are the binomial family", _check_fuss_catalan),
+    "kernel/small-factor": ("factorization reconstructs and h/e identity holds", _check_hensel),
+    "binary/oracle": ("level rows equal structural enumeration", _check_binary_oracle),
+    "binary/residuals": ("tree and characteristic equation residuals vanish", _check_binary_residuals),
+    "binary/alpha-closed-forms": ("decay coefficients match their closed forms", _check_binary_alpha),
+    "binary/one-param-family": ("closed family satisfies the level recurrence", _check_closed_family),
+    "binary/t-of-x": ("root series is recovered from the decay-rate form", _check_t_of_x),
+    "binary/stabilization": ("row coefficients stabilize once the bound clears size", _check_monotone_limit),
+    "binary/conjectured-form": ("conjectured polynomial form agrees with the recurrence", _check_conjecture),
+    "height/plane-trees": ("height-bounded generating functions match enumeration", _check_height),
+    "ternary/cross-check": ("ternary coefficients match the single-branch route", _check_ternary),
+    "dary/one-param-identity": ("closed family identity in the function field", _check_dary_one_param),
+    "dary/alpha-agreement": ("single-branch closed form equals the graded recurrence", _check_dary_alpha),
+    "dary/oracle": ("level rows equal structural enumeration", _check_dary_oracle),
+    "dary/small-factor-valuation": ("small-factor coefficients vanish at z=0", _check_dary_small_factor),
+    "props/main-equation-arity-3-and-2": ("expansion tables solve the exact level equation", _check_main_equation_small),
+    "props/main-equation-d2": ("multi-branch tables solve the exact level equation", _check_main_equation_d2),
+    "paths/meander-closed-form": ("meander closed forms equal the step dynamic program", _check_meanders),
+    "paths/excursions": ("excursion extraction gives the classical families", _check_excursions),
+    "paths/monotonicity": ("meander counts grow with the start level", _check_path_monotone),
+    "walkers/lock-step": ("boundary families equal the gap dynamic program", _check_walkers_lockstep),
+    "walkers/refined": ("marked counting matches at sampled marks and corners", _check_walkers_refined),
+    "walkers/random-turn": ("one-at-a-time families equal their dynamic program", _check_walkers_randomturn),
+    "walkers/quarter-plane": ("quadrant families equal the 2-D dynamic program", _check_quarterplane),
+    "walkers/symmetry": ("star series are symmetric in the two gaps", _check_walker_symmetry),
+    "harness/fixtures-and-roundtrip": ("bundled sequences match and serialization round-trips", _check_fixtures),
+}
 
 
 def available_suites() -> list[str]:
-    return sorted(_SUITES)
+    return sorted({check_id.split("/", 1)[0] for check_id in _CHECKS})
+
+
+def run_check(check_id: str, order: int, **inputs) -> CheckResult:
+    """Run one registered check; a crashed check is a failed check."""
+    claim, fn = _CHECKS[check_id]
+    started = time.perf_counter()
+    try:
+        verdict, detail = fn(order, **inputs)
+    except Exception as exc:
+        verdict, detail = False, f"exception: {exc}"
+    elapsed = int((time.perf_counter() - started) * 1000)
+    status = "pass" if verdict is True else "fail" if verdict is False else str(verdict)
+    return CheckResult(check_id, claim, status, detail, elapsed)
 
 
 def run_campaign(config: CampaignConfig) -> VerificationReport:
-    selected = []
-    for check_id in sorted(_CHECKS):
-        suite = check_id.split("/", 1)[0]
-        if config.suites is None or any(
-            suite == s or check_id.startswith(s) for s in config.suites
-        ):
-            selected.append(check_id)
-
-    def run_one(check_id: str) -> CheckResult:
-        claim, fn = _CHECKS[check_id]
-        started = time.perf_counter()
-        try:
-            outcome = fn(config.order)
-        except Exception as exc:  # a crashed check is a failed check
-            elapsed = int((time.perf_counter() - started) * 1000)
-            return CheckResult(check_id, claim, "fail", f"exception: {exc}", elapsed)
-        elapsed = int((time.perf_counter() - started) * 1000)
-        verdict, detail = outcome
-        if verdict is True:
-            status = "pass"
-        elif verdict is False:
-            status = "fail"
-        else:
-            status = str(verdict)
-        return CheckResult(check_id, claim, status, detail, elapsed)
-
-    if config.jobs > 1:
-        # imported only for a pool: with logging, it costs every process
-        # that loads the campaign about 0.6 MB of resident memory
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(run_one, selected))
-    else:
-        results = [run_one(cid) for cid in selected]
-    results.sort(key=lambda r: r.id)
-    return VerificationReport(tuple(results))
+    return VerificationReport(tuple(
+        run_check(check_id, config.order)
+        for check_id in sorted(_CHECKS)
+        if config.suites is None or any(check_id.startswith(s) for s in config.suites)
+    ))

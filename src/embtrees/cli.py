@@ -2,9 +2,9 @@
 
 Subcommands: trees, dary, paths, walkers, verify, oeis.  Every numeric
 option accepts exact rationals ("3", "2/7").  Environment variables
-EMBTREES_ORDER, EMBTREES_FORMAT, EMBTREES_CACHE_DIR and EMBTREES_JOBS
-supply defaults; explicit flags win.  All output is exact: series go out
-as integer-pair strings, never floats.
+EMBTREES_ORDER, EMBTREES_FORMAT and EMBTREES_CACHE_DIR supply defaults;
+explicit flags win.  All output is exact: series go out as integer-pair
+strings, never floats.
 """
 
 from __future__ import annotations
@@ -204,8 +204,7 @@ def _cmd_verify(args) -> int:
     if args.suite:
         suites = tuple(s for chunk in args.suite for s in chunk.split(",") if s)
     order = args.order if args.order is not None else config.order
-    jobs = args.jobs if args.jobs is not None else config.jobs
-    report = run_campaign(CampaignConfig(suites=suites, order=order, jobs=jobs))
+    report = run_campaign(CampaignConfig(suites=suites, order=order))
     if not report.results:
         print(f"embtrees verify: error: no check matches suites {', '.join(suites)}",
               file=sys.stderr)
@@ -283,8 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", action="append", default=None,
                           help=f"suite filter, may repeat; available: {', '.join(available_suites())}")
     p_verify.add_argument("--order", type=_positive, default=None)
-    _env_option(p_verify, "--jobs", "EMBTREES_JOBS", None, type=_positive,
-                help="worker threads (env EMBTREES_JOBS, then the config file, then 1)")
     p_verify.add_argument("--config", default=None, help="key=value campaign file")
     p_verify.set_defaults(fn=_cmd_verify)
 

@@ -1,85 +1,34 @@
-"""Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
+"""Acceptance suite: one table row per criterion, each printing a PASS/FAIL line.
 
-Every check is exact (rational arithmetic, no tolerances); the stated
-time budgets are asserted as well.  Run with `pytest -s` to see the
-per-criterion lines as they complete.
+A criterion runs registered campaign checks (`embtrees.campaign._CHECKS`)
+at its own sizes, so each claim has one definition, shared with
+`embtrees verify`.  The three claims with no campaign check stay as
+explicit assertions.  Every check is exact (rational arithmetic, no
+tolerances); the stated time budgets are asserted as well.  Run with
+`pytest -s` to see the per-criterion lines as they complete.
 """
 
 import time
 from fractions import Fraction as Q
+from itertools import product
 
+import pytest
+
+from embtrees import campaign
 from embtrees.binary import (
     BinaryWeights,
     adapt_lambda,
-    binary_alpha,
     binary_T,
     binary_Tj_closed,
-    binary_Tj_recurrence,
     binary_X,
-    brute_force_embedded_binary,
-    conjecture_check,
     conjecture_polynomials,
-    height_plane_trees,
-    plane_tree_height_counts,
 )
-from embtrees.dary import DaryFamily, verify_main_equation, verify_one_param
-from embtrees.kernel import SeriesPoly, fuss_catalan, newton_solve
-from embtrees.oeis import FIXTURES, FIXTURE_WEIGHTS, oeis_match, series_integers
-from embtrees.paths import excursion_gf, verify_meander_closed_form
+from embtrees.oeis import series_integers
 from embtrees.series import Series
-from embtrees.steps import StepSet
-from embtrees.walkers import (
-    lockstep_dp_table,
-    lockstep_refined,
-    lockstep_star,
-    quarterplane_dp,
-    quarterplane_gf,
-    randomturn_dp_table,
-    randomturn_gf,
-)
+from embtrees.walkers import quarterplane_gf
 
 
-def _report(number: int, label: str, ok: bool, elapsed: float, budget: float) -> None:
-    status = "PASS" if ok else "FAIL"
-    print(f"criterion {number:02d} {status} ({elapsed:6.2f}s / {budget:.0f}s budget): {label}")
-
-
-def run_criterion(number, label, budget):
-    """Decorator: time the check, print the line, enforce budget."""
-
-    def wrap(fn):
-        def runner():
-            started = time.perf_counter()
-            try:
-                fn()
-                ok = True
-            except BaseException:
-                _report(number, label, False, time.perf_counter() - started, budget)
-                raise
-            elapsed = time.perf_counter() - started
-            _report(number, label, ok, elapsed, budget)
-            assert elapsed < budget, f"criterion {number} exceeded its {budget}s budget"
-
-        runner.__name__ = fn.__name__
-        return runner
-
-    return wrap
-
-
-@run_criterion(1, "tree-equation coefficients are the binomial family to n=200", 10.0)
-def test_criterion_01_fuss_catalan():
-    order = 201
-    z = Series.z(order)
-    one = Series.one(order)
-    for d in (2, 3, 4, 5):
-        coeffs = [one, -one] + [Series.zero(order)] * (d - 2) + [z]
-        T = newton_solve(SeriesPoly.make(coeffs), 1)
-        for n in range(order):
-            assert T[n] == fuss_catalan(n, d), (d, n)
-
-
-@run_criterion(2, "adapted closed family reproduces both displayed level ratios", 5.0)
-def test_criterion_02_adapted_families():
+def _adapted_families():
     order = 40
     for weights, boundary, (e1, e2, e3, e4) in (
         ((0, 0, 1, 0, 0), 1, (2, 7, 4, 5)),
@@ -101,164 +50,88 @@ def test_criterion_02_adapted_families():
             assert got.matches(ref), (weights, j)
 
 
-@run_criterion(3, "level rows equal structural enumeration (four weight vectors)", 60.0)
-def test_criterion_03_binary_oracle():
-    vectors = ((0, 0, 1, 0, 0), (0, 0, 0, 1, 1), (0, 0, 0, 0, 1), (1, 0, 1, 0, 0))
-    for vec in vectors:
-        w = BinaryWeights.make(*vec)
-        for boundary in (1, 0):
-            rows = binary_Tj_recurrence(w, boundary, 4, 9)
-            for j in range(-1, 5):
-                oracle = brute_force_embedded_binary(w, j, 8, boundary)
-                assert list(rows[j].coeffs) == oracle, (vec, boundary, j)
-
-
-@run_criterion(4, "closed decay coefficients equal the recurrence to n=12", 10.0)
-def test_criterion_04_alpha_closed_forms():
-    order = 30
-    for vec in ((0, 0, 1, 0, 0), (0, 0, 0, 1, 1), (1, 0, 1, 0, 0), (2, 1, 1, 1, 1)):
-        w = BinaryWeights.make(*vec)
-        rec = binary_alpha(w, "recurrence", 12, order)
-        clo = binary_alpha(w, "matched_closed", 12, order)
-        for n in range(1, 13):
-            assert rec.value(n).matches(clo.value(n)), (vec, n)
-    for vec in ((0, 0, 0, 0, 1), (1, 0, 0, 0, 1)):
-        w = BinaryWeights.make(*vec)
-        rec = binary_alpha(w, "recurrence", 12, order)
-        clo = binary_alpha(w, "w3_closed", 12, order)
-        for n in range(1, 13):
-            assert rec.value(n).matches(clo.value(n)), (vec, n)
-
-
-@run_criterion(5, "conjectured polynomial form: initial values and n<=10 agreement", 30.0)
-def test_criterion_05_conjecture():
+def _initial_polynomials():
     polys = conjecture_polynomials(3)
     assert polys[0] == {0: Q(1)}
     assert polys[1] == {0: Q(1)}
     assert polys[2] == {4: Q(1), 3: Q(2), 1: Q(2), 0: Q(1)}
-    report = conjecture_check(10, 40)
-    assert report.status == "conjecture-consistent"
-    assert all(ok for _, ok in report.agreements)
 
 
-@run_criterion(6, "height-bounded plane trees match enumeration (n<=8, j<=5)", 10.0)
-def test_criterion_06_height():
-    counts = plane_tree_height_counts(8)
-    for j in range(6):
-        gf = height_plane_trees(j, 9)
-        for n in range(9):
-            want = sum(c for h, c in counts[n].items() if h <= j)
-            assert gf[n] == want, (j, n)
+def _s1_prefix():
+    s1 = quarterplane_gf("S1", 0, 0, 20)
+    assert series_integers(s1.truncate(6)) == [1, 1, 2, 4, 9, 21]
 
 
-@run_criterion(7, "one-parameter family identities in the function field", 30.0)
-def test_criterion_07_one_param_identities():
-    for fam in (
-        DaryFamily("odd", 1),
-        DaryFamily("odd", 2),
-        DaryFamily("even", 1),
-        DaryFamily("even", 2),
-        DaryFamily("even", 3),
-    ):
-        assert verify_one_param(fam), fam
+_STEP_SETS = ("-1:1,1:1", "-1:1,0:1,1:1", "-2:1,1:1", "-1:2,1:3",
+              "-2:1,-1:2,1:1,3:1", "-3:1,2:1/2", "-3:2,3:1")
+_GRID_5 = tuple(product(range(5), repeat=2))
 
-
-@run_criterion(8, "expansion tables solve the exact level equation (d=2)", 60.0)
-def test_criterion_08_main_equation():
-    for fam in (DaryFamily("odd", 2), DaryFamily("even", 2)):
-        report = verify_main_equation(fam, 3, 15)
-        assert report.ok, (fam, report)
-
-
-@run_criterion(9, "meander closed forms equal the step DP; classical excursions", 60.0)
-def test_criterion_09_meanders():
-    step_specs = (
-        ((-1, 1), (1, 1)),
-        ((-1, 1), (0, 1), (1, 1)),
-        ((-2, 1), (1, 1)),
-        ((-1, 2), (1, 3)),
-        ((-2, 1), (-1, 2), (1, 1), (3, 1)),
-        ((-3, 1), (2, Q(1, 2))),
-        ((-3, 2), (3, 1)),
-    )
-    for pairs in step_specs:
-        steps = StepSet.make(pairs)
-        result = verify_meander_closed_form(steps, 5, 40)
-        assert result.ok, (pairs, result.first_mismatch)
-    dyck = StepSet.make([(-1, 1), (1, 1)])
-    exc = excursion_gf(dyck, 0, 40)
-    for n in range(40):
-        want = fuss_catalan(n // 2, 2) if n % 2 == 0 else Q(0)
-        assert exc[n] == want, n
-    motzkin = StepSet.make([(-1, 1), (0, 1), (1, 1)])
-    assert series_integers(excursion_gf(motzkin, 0, 7)) == [1, 1, 2, 4, 9, 21, 51]
-
-
-@run_criterion(10, "walker star families equal the gap DP (i,j<=4, n<=20)", 120.0)
-def test_criterion_10_lockstep():
-    order = 20
+# (number, label, budget in seconds, [(check id, inputs)]); an input left
+# out takes the campaign's value.
+CRITERIA = [
+    (1, "tree-equation coefficients are the binomial family to n=200", 10.0,
+     [("kernel/fuss-catalan", {"order": 201})]),
+    (2, "adapted closed family reproduces both displayed level ratios", 5.0, []),
+    (3, "level rows equal structural enumeration (four weight vectors)", 60.0,
+     [("binary/oracle", {})]),
+    (4, "closed decay coefficients equal the recurrence to n=12", 10.0,
+     [("binary/alpha-closed-forms", {"order": 30})]),
+    (5, "conjectured polynomial form: initial values and n<=10 agreement", 30.0,
+     [("binary/conjectured-form", {"order": 40})]),
+    (6, "height-bounded plane trees match enumeration (n<=8, j<=5)", 10.0,
+     [("height/plane-trees", {})]),
+    (7, "one-parameter family identities in the function field", 30.0,
+     [("dary/one-param-identity", {})]),
+    (8, "expansion tables solve the exact level equation (d=2)", 60.0,
+     [("props/main-equation-d2", {})]),
+    (9, "meander closed forms equal the step DP; classical excursions", 60.0,
+     [("paths/meander-closed-form", {"order": 40, "step_sets": _STEP_SETS, "max_order": 40}),
+      ("paths/excursions", {"order": 40})]),
     # The osculating and refined closed forms are checked away from the
     # triple-point cell (0,0): the closed family extrapolates to an
     # alternating non-counting series there (no legal move exists from a
-    # triple point), which contradicts the non-negativity every star
-    # series must satisfy.  The cell is pinned in test_walkers instead.
-    cases = [
-        ("vicious", (Q(0), Q(0)), False),
-        ("osculating", (Q(1), Q(0)), True),
-        ("updown", (Q(1), Q(1)), False),
-        ("refined", (Q(1, 2), Q(1, 3)), True),
-        ("refined", (Q(2), Q(5, 7)), True),
-    ]
-    for boundary, (u, w), skip_origin in cases:
-        table = lockstep_dp_table(u, w, order)
-        for i in range(5):
-            for j in range(5):
-                if skip_origin and (i, j) == (0, 0):
-                    continue
-                if boundary == "refined":
-                    closed = lockstep_refined(u, w, i, j, order).series
-                else:
-                    closed = lockstep_star(boundary, i, j, order).series
-                start = u ** ((i == 0) + (j == 0))
-                dp = [start * table[n][(i, j)] for n in range(order)]
-                assert list(closed.coeffs) == dp, (boundary, u, w, i, j)
+    # triple point).  The cell is pinned in test_walkers instead.
+    (10, "walker star families equal the gap DP (i,j<=4, n<=20)", 120.0,
+     [("walkers/lock-step", {"order": 20}),
+      ("walkers/refined", {"order": 20, "max_order": 20,
+                           "marks": ((Q(1, 2), Q(1, 3)), (Q(2), Q(5, 7)))})]),
+    (11, "random-turn radical, quadrant families and their DPs", 60.0,
+     [("walkers/random-turn", {"order": 20}),
+      ("walkers/quarter-plane", {"order": 20, "grid": 5, "doubled_cells": _GRID_5})]),
+    (12, "bundled sequence prefixes match the computed series, offline", 10.0,
+     [("harness/fixtures-and-roundtrip", {})]),
+]
+
+# Claims no campaign check makes, asserted directly.
+_EXPLICIT = {2: _adapted_families, 5: _initial_polynomials, 11: _s1_prefix}
 
 
-@run_criterion(11, "random-turn radical, quadrant families and their DPs", 60.0)
-def test_criterion_11_randomturn_quarterplane():
-    order = 20
-    z = Series.z(order)
-    one = Series.one(order)
-    rt = randomturn_gf("dyck", "osculating", 0, 0, order).series
-    ref = (one - z * 2 - ((one + z * 2) * (one - z * 6)).sqrt()) / (z * z * 8)
-    assert rt.matches(ref)
-    s1 = quarterplane_gf("S1", 0, 0, order)
-    assert series_integers(s1.truncate(6)) == [1, 1, 2, 4, 9, 21]
-    for i in range(5):
-        for j in range(5):
-            g1 = quarterplane_gf("S1", i, j, order)
-            g2 = quarterplane_gf("S2", i, j, order)
-            assert list(g2.coeffs) == [c * 2**n for n, c in enumerate(g1.coeffs)], (i, j)
-            assert list(g1.coeffs) == quarterplane_dp("S1", i, j, order), (i, j)
-            assert list(g2.coeffs) == quarterplane_dp("S2", i, j, order), (i, j)
-    for steps in ("dyck", "motzkin"):
-        for boundary in ("vicious", "osculating"):
-            table = randomturn_dp_table(steps, boundary, order)
-            for i in range(5):
-                for j in range(5):
-                    closed = randomturn_gf(steps, boundary, i, j, order).series
-                    if boundary == "vicious" and (i < 1 or j < 1):
-                        assert closed.is_zero(), (steps, i, j)
-                    else:
-                        dp = [table[n][(i, j)] for n in range(order)]
-                        assert list(closed.coeffs) == dp, (steps, boundary, i, j)
+@pytest.mark.parametrize("number,label,budget,checks", CRITERIA,
+                         ids=[f"{row[0]:02d}" for row in CRITERIA])
+def test_criterion(number, label, budget, checks):
+    started = time.perf_counter()
+    status = "FAIL"
+    try:
+        for check_id, inputs in checks:
+            inputs = {"order": campaign.CampaignConfig.order, **inputs}
+            result = campaign.run_check(check_id, **inputs)
+            assert result.status != "fail", f"{check_id}: {result.detail}"
+        _EXPLICIT.get(number, lambda: None)()
+        status = "PASS"
+    finally:
+        elapsed = time.perf_counter() - started
+        print(f"criterion {number:02d} {status} ({elapsed:6.2f}s / {budget:.0f}s budget): {label}")
+    assert elapsed < budget, f"criterion {number} exceeded its {budget}s budget"
 
 
-@run_criterion(12, "bundled sequence prefixes match the computed series, offline", 10.0)
-def test_criterion_12_oeis_fixtures():
-    for seq_id, weights in sorted(FIXTURE_WEIGHTS.items()):
-        series = binary_T(BinaryWeights.make(*weights), 14)
-        ints = series_integers(series)
-        assert len(ints) >= 12
-        assert ints == FIXTURES[seq_id][:14], seq_id
-        assert seq_id in oeis_match(series, min_terms=12), seq_id
+def test_criteria_name_registered_checks():
+    named = {check_id for *_, checks in CRITERIA for check_id, _ in checks}
+    assert named <= set(campaign._CHECKS)
+
+
+def test_criterion_fails_with_its_check(monkeypatch):
+    claim, _ = campaign._CHECKS["kernel/fuss-catalan"]
+    monkeypatch.setitem(campaign._CHECKS, "kernel/fuss-catalan",
+                        (claim, lambda order: (False, "forced failure")))
+    with pytest.raises(AssertionError, match="forced failure"):
+        test_criterion(*CRITERIA[0])

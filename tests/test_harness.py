@@ -54,9 +54,9 @@ def test_cache_keys_are_canonical():
 
 
 def test_parse_config():
-    cfg = parse_config("# comment\nsuites = walkers, paths\norder=22\njobs = 3\n")
+    cfg = parse_config("# comment\nsuites = walkers, paths\norder=22\n")
     assert cfg.suites == ("walkers", "paths")
-    assert cfg.order == 22 and cfg.jobs == 3
+    assert cfg.order == 22
     assert parse_config("").suites is None
 
 
@@ -69,9 +69,11 @@ def test_parse_config_errors():
     assert info.value.field == "order"
     with pytest.raises(ConfigParse):
         parse_config("colour=blue\n")
+    with pytest.raises(ConfigParse, match="unknown key 'jobs'"):
+        parse_config("jobs = 2\n")
 
 
-@pytest.mark.parametrize("key", ["order", "jobs"])
+@pytest.mark.parametrize("key", ["order"])
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_parse_config_rejects_values_below_one(key, value):
     with pytest.raises(ConfigParse) as info:
@@ -91,12 +93,6 @@ def test_campaign_conjecture_status_policy():
     statuses = {r.id: r.status for r in report.results}
     assert statuses == {"binary/conjectured-form": "conjecture-consistent"}
     assert report.ok  # conjecture-consistent does not fail the campaign
-
-
-def test_campaign_determinism_across_parallelism():
-    one = run_campaign(CampaignConfig(suites=("exact-arith", "kernel"), order=20, jobs=1))
-    four = run_campaign(CampaignConfig(suites=("exact-arith", "kernel"), order=20, jobs=4))
-    assert one.comparable() == four.comparable()
 
 
 class TestCli:
@@ -179,7 +175,7 @@ class TestCli:
 
 def test_cli_verify_with_config_file(tmp_path, capsys):
     cfg = tmp_path / "campaign.cfg"
-    cfg.write_text("suites = exact-arith\norder = 18\njobs = 2\n")
+    cfg.write_text("suites = exact-arith\norder = 18\n")
     assert main(["verify", "--config", str(cfg)]) == 0
     out = capsys.readouterr().out
     assert "exact-arith/ring-laws" in out and "PASS" in out
@@ -189,43 +185,13 @@ def test_cli_verify_with_config_file(tmp_path, capsys):
     assert "kernel/fuss-catalan" in out and "exact-arith" not in out
 
 
-@pytest.mark.parametrize("env,flag,expected", [
-    (None, [], 2),  # the file's jobs
-    ("3", [], 3),  # the environment over the file
-    ("3", ["--jobs", "4"], 4),  # the flag over both
-])
-def test_cli_verify_jobs_precedence(env, flag, expected, tmp_path, capsys, monkeypatch):
-    cfg = tmp_path / "campaign.cfg"
-    cfg.write_text("suites = exact-arith/ring-laws\norder = 8\njobs = 2\n")
-    if env is None:
-        monkeypatch.delenv("EMBTREES_JOBS", raising=False)
-    else:
-        monkeypatch.setenv("EMBTREES_JOBS", env)
-    seen = []
-    real = cli.run_campaign
-    monkeypatch.setattr(cli, "run_campaign", lambda config: seen.append(config) or real(config))
-    assert main(["verify", "--config", str(cfg)] + flag) == 0
-    assert [(c.jobs, c.order) for c in seen] == [(expected, 8)]
-    capsys.readouterr()
-
-
-def test_cli_verify_without_config_runs_one_job(capsys, monkeypatch):
-    monkeypatch.delenv("EMBTREES_JOBS", raising=False)
-    seen = []
-    real = cli.run_campaign
-    monkeypatch.setattr(cli, "run_campaign", lambda config: seen.append(config) or real(config))
-    assert main(["verify", "--suite", "exact-arith/ring-laws", "--order", "8"]) == 0
-    assert [c.jobs for c in seen] == [1]
-    capsys.readouterr()
-
-
 def test_cli_verify_config_below_one_exits_2(tmp_path, capsys):
     cfg = tmp_path / "campaign.cfg"
-    cfg.write_text("jobs = 0\n")
+    cfg.write_text("order = 0\n")
     assert main(["verify", "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert len(captured.err.splitlines()) == 1 and "jobs" in captured.err
+    assert len(captured.err.splitlines()) == 1 and "order" in captured.err
 
 
 def test_cache_put_leaves_only_the_entry(tmp_path):
