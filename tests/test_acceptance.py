@@ -129,9 +129,18 @@ def test_criteria_name_registered_checks():
     assert named <= set(campaign._CHECKS)
 
 
-def test_criterion_fails_with_its_check(monkeypatch):
-    claim, _ = campaign._CHECKS["kernel/fuss-catalan"]
-    monkeypatch.setitem(campaign._CHECKS, "kernel/fuss-catalan",
-                        (claim, lambda order: (False, "forced failure")))
-    with pytest.raises(AssertionError, match="forced failure"):
-        test_criterion(*CRITERIA[0])
+# Every (criterion, check) pair: the check forced to fail, the others of the
+# row forced to pass, fails the criterion, so each row runs the registry.
+_NAMED = [(row, check_id) for row in CRITERIA for check_id, _ in row[3]]
+
+
+@pytest.mark.parametrize("row,forced", _NAMED,
+                         ids=[f"{row[0]:02d}-{check_id}" for row, check_id in _NAMED])
+def test_criterion_fails_with_its_check(row, forced, monkeypatch):
+    for check_id, _ in row[3]:
+        claim, _ = campaign._CHECKS[check_id]
+        verdict = (False, "forced failure") if check_id == forced else (True, "")
+        monkeypatch.setitem(campaign._CHECKS, check_id,
+                            (claim, lambda order, verdict=verdict, **_: verdict))
+    with pytest.raises(AssertionError, match=f"{forced}: forced failure"):
+        test_criterion(*row)

@@ -194,6 +194,31 @@ def test_cli_verify_config_below_one_exits_2(tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1 and "order" in captured.err
 
 
+def test_cli_verify_config_with_jobs_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "campaign.cfg"
+    cfg.write_text("jobs = 2\n")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "unknown key 'jobs'" in captured.err
+
+
+def test_available_suites_are_the_check_prefixes():
+    from embtrees import campaign
+
+    suites = campaign.available_suites()
+    assert suites == sorted(set(suites))
+    assert {check_id.split("/", 1)[0] for check_id in campaign._CHECKS} == set(suites)
+
+
+def test_campaign_results_come_in_check_id_order():
+    from embtrees import campaign
+
+    report = run_campaign(CampaignConfig(suites=("kernel", "exact-arith"), order=12))
+    ids = [r.id for r in report.results]
+    assert ids == sorted(c for c in campaign._CHECKS if c.startswith(("kernel/", "exact-arith/")))
+
+
 def test_cache_put_leaves_only_the_entry(tmp_path):
     cache = SeriesCache(tmp_path)
     key = cache_key("trees", 1, 12)
@@ -248,6 +273,7 @@ CLI_INPUT_ERRORS = [
     ({}, ["trees", "--w1", "1", "--level", "-2"], "--level"),
     ({}, ["trees", "--w1", "1", "--order", "0"], "--order"),
     ({}, ["walkers", "--i", "-1"], "--i"),
+    ({}, ["verify", "--jobs", "2"], "--jobs"),
 ]
 
 
