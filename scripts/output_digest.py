@@ -18,6 +18,14 @@ compares the printed digests.  The digest covers:
   d = 1, 2 (bound 3, order 15) and odd d = 3 (bound 2, order 12);
 * the lock-step, random-turn and quarter-plane DP tables.
 
+A second line hashes the walker closed forms, each built cell by cell
+through its public function: ``lockstep_star`` for the three boundaries
+and ``lockstep_refined`` at the campaign's marks (orders 16 and 12), at
+every cell with i, j <= 4; ``randomturn_gf`` for both step sets and
+boundaries on the same cells; ``quarterplane_gf`` for S1 and S2 with
+i, j <= 2.  It has a line of its own so that the first line compares
+with trees older than that section.
+
 Run from a checkout:
 
     PYTHONPATH=src python scripts/output_digest.py [--sections]
@@ -139,9 +147,24 @@ def dp_section():
     return out
 
 
+def walkers_section():
+    cells = [(i, j) for i in range(5) for j in range(5)]
+    out = [W.lockstep_star(boundary, i, j, 20).series
+           for boundary in ("vicious", "osculating", "updown") for i, j in cells]
+    marks = ((Q(1, 2), Q(1, 3)), (Q(2), Q(1)), (0, 0), (1, 0), (1, 1))
+    out += [W.lockstep_refined(u, w, i, j, order).series
+            for order in (16, 12) for u, w in marks for i, j in cells]
+    out += [W.randomturn_gf(steps, boundary, i, j, 20).series for steps in ("dyck", "motzkin")
+            for boundary in ("vicious", "osculating") for i, j in cells]
+    out += [W.quarterplane_gf(model, i, j, 20)
+            for model in ("S1", "S2") for i in range(3) for j in range(3)]
+    return out
+
+
 SECTIONS = (("binary", binary_section), ("paths", paths_section),
             ("factors", factor_section), ("alphas", alpha_section),
             ("tables", table_section), ("dp", dp_section))
+CLOSED_SECTIONS = (("walkers", walkers_section),)
 
 
 def main() -> int:
@@ -156,6 +179,8 @@ def main() -> int:
         if args.sections:
             print(f"{name:<8} {hashlib.sha256(text).hexdigest()}")
     print(total.hexdigest())
+    for name, build in CLOSED_SECTIONS:
+        print(f"{name:<8} {hashlib.sha256(repr(canon(build())).encode()).hexdigest()}")
     return 0
 
 

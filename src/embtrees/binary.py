@@ -314,7 +314,13 @@ def binary_Tj_closed_symbolic(
     return out.truncate(order)
 
 
-def closed_family_residual(w: BinaryWeights, j: int, order: int) -> MarkerSeries:
+def _closed_family_parts(w: BinaryWeights, j_max: int, order: int):
+    """``parts`` of ``closed_family_residual`` at levels up to j_max."""
+    T, X, shell, c_num = _closed_parts(w, order + 12)
+    return T, X, shell, c_num, _x_powers(X, max(j_max + 8, 8) + 2)
+
+
+def closed_family_residual(w: BinaryWeights, j: int, order: int, *, parts=None) -> MarkerSeries:
     """Level-recurrence residual of the closed solution, cleared of denominators.
 
     The closed T_i are rational in the free parameter; multiplying the
@@ -325,12 +331,10 @@ def closed_family_residual(w: BinaryWeights, j: int, order: int) -> MarkerSeries
     """
     w.require_matched_weights()
     g = order + 12
-    T, X, shell, c_num = _closed_parts(w, g)
+    T, X, shell, c_num, xp = parts or _closed_family_parts(w, j, order)
     z = Series.z(g)
     levels = [j, j + 1, j + 2, j + 3]
     m_of = {k: max(0, -k) for k in levels}
-    max_pow = max(k + m_of[k] for k in levels)
-    xp = _x_powers(X, max(max_pow, j + 8, 8) + 2)
     cleared = {
         k: MarkerSeries.from_series(xp[m_of[k]])
         - MarkerSeries.series_times_marker(xp[k + m_of[k]], 1)
@@ -668,7 +672,7 @@ def _extreme_spectra(
 
 
 def brute_force_embedded_binary(
-    w: BinaryWeights, j: int, n_max: int, boundary: int = 1
+    w: BinaryWeights, j: int, n_max: int, boundary: int = 1, *, spectra=None
 ) -> list[Fraction]:
     """Label-bounded tree counts by structural enumeration, sizes 0..n_max.
 
@@ -680,17 +684,13 @@ def brute_force_embedded_binary(
     """
     if n_max > 10:
         raise SizeTooLarge("structural enumeration is capped at size 10")
-    if boundary == 1:
-        spectra = _extreme_spectra(w, n_max, "max")
-        return [
-            sum((c for m, c in spec.items() if m <= j), _ZERO) for spec in spectra
-        ]
-    if boundary == 0:
-        spectra = _extreme_spectra(w, n_max, "min")
-        return [
-            sum((c for m, c in spec.items() if m >= -j), _ZERO) for spec in spectra
-        ]
-    raise ValueError("boundary must be 0 or 1")
+    if boundary not in (0, 1):
+        raise ValueError("boundary must be 0 or 1")
+    spectra = spectra or _extreme_spectra(w, n_max, "max" if boundary else "min")
+    return [
+        sum((c for m, c in spec.items() if (m <= j if boundary else m >= -j)), _ZERO)
+        for spec in spectra
+    ]
 
 
 def enumerate_embedded_binary(

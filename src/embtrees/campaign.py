@@ -219,8 +219,9 @@ def _check_binary_oracle(order: int):
         w = B.BinaryWeights.make(*vec)
         for boundary in (1, 0):
             rows = B.binary_Tj_recurrence(w, boundary, 4, 9)
+            spectra = B._extreme_spectra(w, 8, "max" if boundary else "min")
             for j in range(-1, 5):
-                oracle = B.brute_force_embedded_binary(w, j, 8, boundary)
+                oracle = B.brute_force_embedded_binary(w, j, 8, boundary, spectra=spectra)
                 got = list(rows[j].coeffs[:9])
                 if got != oracle:
                     return False, f"weights {vec} boundary {boundary} level {j}"
@@ -263,8 +264,9 @@ def _check_binary_alpha(order: int):
 def _check_closed_family(order: int):
     for vec in ((0, 0, 1, 0, 0), (0, 0, 0, 1, 1), (1, 0, 1, 0, 0)):
         w = B.BinaryWeights.make(*vec)
+        parts = B._closed_family_parts(w, 6, min(order, 18))
         for j in range(-1, 7):
-            if not B.closed_family_residual(w, j, min(order, 18)).is_zero():
+            if not B.closed_family_residual(w, j, min(order, 18), parts=parts).is_zero():
                 return False, f"weights {vec}, level {j}"
     return True, ""
 
@@ -356,8 +358,9 @@ def _check_dary_oracle(order: int):
     for fam, n_max in ((D.DaryFamily("odd", 1), 7), (D.DaryFamily("even", 1), 7),
                        (D.DaryFamily("odd", 2), 5), (D.DaryFamily("even", 2), 5)):
         rows = D.dary_Tj_recurrence(fam, 3, n_max + 1)
+        spectra = D._oracle_spectra(fam, n_max)
         for j in range(0, 4):
-            oracle = D.brute_force_dary(fam, j, n_max)
+            oracle = D.brute_force_dary(fam, j, n_max, spectra=spectra)
             if list(rows[j].coeffs[: n_max + 1]) != oracle:
                 return False, f"{fam.kind} d={fam.d} level {j}"
     return True, ""
@@ -419,9 +422,10 @@ def _check_excursions(order: int):
 def _check_path_monotone(order: int):
     dyck = StepSet.make([(-1, 1), (1, 1)])
     total = P.walks_total(dyck, 12)
+    parts = P._meander_parts(dyck, 12)
     prev = None
     for j in range(13):
-        plain = P.meander_gf(dyck, j, 12).plain
+        plain = P.meander_gf(dyck, j, 12, parts=parts).plain
         if prev is not None:
             for n in range(12):
                 if plain[n] < prev[n]:
@@ -435,13 +439,15 @@ def _check_path_monotone(order: int):
 
 def _check_walkers_lockstep(order: int):
     n = min(order, 20)
+    base = W._lockstep_base(2, n)
     for boundary, (u, w) in (("vicious", (0, 0)), ("osculating", (1, 0)), ("updown", (1, 1))):
         table = W.lockstep_dp_table(u, w, n)
+        parts = W._star_parts(boundary, n, base)
         for i in range(5):
             for j in range(5):
                 if boundary == "osculating" and (i, j) == (0, 0):
                     continue
-                closed = W.lockstep_star(boundary, i, j, n).series
+                closed = W.lockstep_star(boundary, i, j, n, parts=parts).series
                 start = Q(u) ** ((i == 0) + (j == 0))
                 dp = [start * table[k][(i, j)] for k in range(n)]
                 if list(closed.coeffs) != dp:
@@ -453,22 +459,26 @@ def _check_walkers_refined(
     order: int, marks=((Q(1, 2), Q(1, 3)), (Q(2), Q(1))), max_order: int = 16
 ):
     n = min(order, max_order)
+    base = W._lockstep_base(2, n)
     for u, w in marks:
         table = W.lockstep_dp_table(u, w, n)
+        parts = W._refined_parts(u, w, n, base)
         for i in range(5):
             for j in range(5):
                 if (i, j) == (0, 0):
                     continue
-                closed = W.lockstep_refined(u, w, i, j, n).series
+                closed = W.lockstep_refined(u, w, i, j, n, parts=parts).series
                 start = u ** ((i == 0) + (j == 0))
                 dp = [start * table[k][(i, j)] for k in range(n)]
                 if list(closed.coeffs) != dp:
                     return False, f"marks {(str(u), str(w))} at {(i, j)}"
+    base = W._lockstep_base(2, 12)
     for (u, w), boundary in (((0, 0), "vicious"), ((1, 0), "osculating"), ((1, 1), "updown")):
+        refined, star = W._refined_parts(u, w, 12, base), W._star_parts(boundary, 12, base)
         for i in range(4):
             for j in range(4):
-                a = W.lockstep_refined(u, w, i, j, 12).series
-                b = W.lockstep_star(boundary, i, j, 12).series
+                a = W.lockstep_refined(u, w, i, j, 12, parts=refined).series
+                b = W.lockstep_star(boundary, i, j, 12, parts=star).series
                 if a != b:
                     return False, f"corner {(u, w)} != {boundary} at {(i, j)}"
     return True, ""
@@ -476,12 +486,13 @@ def _check_walkers_refined(
 
 def _check_walkers_randomturn(order: int):
     n = min(order, 20)
+    parts = {steps: W._randomturn_parts(steps, n) for steps in ("dyck", "motzkin")}
     for steps in ("dyck", "motzkin"):
         for boundary in ("vicious", "osculating"):
             table = W.randomturn_dp_table(steps, boundary, n)
             for i in range(5):
                 for j in range(5):
-                    closed = W.randomturn_gf(steps, boundary, i, j, n).series
+                    closed = W.randomturn_gf(steps, boundary, i, j, n, parts=parts[steps]).series
                     if boundary == "vicious" and (i < 1 or j < 1):
                         dp = [Q(0)] * n
                     else:
@@ -490,11 +501,11 @@ def _check_walkers_randomturn(order: int):
                         return False, f"{steps} {boundary} at {(i, j)}"
     z = Series.z(n)
     one = Series.one(n)
-    rt = W.randomturn_gf("dyck", "osculating", 0, 0, n).series
+    rt = W.randomturn_gf("dyck", "osculating", 0, 0, n, parts=parts["dyck"]).series
     ref = (one - z * 2 - ((one + z * 2) * (one - z * 6)).sqrt()) / (z * z * 8)
     if not rt.matches(ref):
         return False, "dyck radical form"
-    rtm = W.randomturn_gf("motzkin", "osculating", 0, 0, n).series
+    rtm = W.randomturn_gf("motzkin", "osculating", 0, 0, n, parts=parts["motzkin"]).series
     refm = (one - z * 5 - ((one - z) * (one - z * 9)).sqrt()) / (z * z * 8)
     if not rtm.matches(refm):
         return False, "motzkin radical form"
@@ -503,33 +514,36 @@ def _check_walkers_randomturn(order: int):
 
 def _check_quarterplane(order: int, grid: int = 3, doubled_cells=((1, 2),)):
     n = min(order, 20)
-    for model in ("S1", "S2"):
-        for i in range(grid):
-            for j in range(grid):
-                closed = W.quarterplane_gf(model, i, j, n)
-                if list(closed.coeffs) != W.quarterplane_dp(model, i, j, n):
-                    return False, f"{model} at {(i, j)}"
-    for i, j in doubled_cells:
-        s1 = W.quarterplane_gf("S1", i, j, n)
-        s2 = W.quarterplane_gf("S2", i, j, n)
+    parts = {model: W._quarterplane_parts(model, n) for model in ("S1", "S2")}
+    closed = {(model, i, j): W.quarterplane_gf(model, i, j, n, parts=parts[model])
+              for model in ("S1", "S2") for i in range(grid) for j in range(grid)}
+    for (model, i, j), series in closed.items():
+        if list(series.coeffs) != W.quarterplane_dp(model, i, j, n):
+            return False, f"{model} at {(i, j)}"
+    for i, j in doubled_cells:  # the grid's series, or the cell's own outside it
+        s1, s2 = (closed.get((model, i, j)) or W.quarterplane_gf(model, i, j, n, parts=parts[model])
+                  for model in ("S1", "S2"))
         if list(s2.coeffs) != [c * 2**k for k, c in enumerate(s1.coeffs)]:
             return False, f"S2 != S1 at doubled variable at {(i, j)}"
+    qp, rt = W._quarterplane_parts("S2", 12), W._randomturn_parts("dyck", 12)
     for i in range(grid):
         for j in range(grid):
-            if not W.quarterplane_gf("S2", i, j, 12).matches(
-                W.randomturn_gf("dyck", "osculating", i, j, 12).series
+            if not W.quarterplane_gf("S2", i, j, 12, parts=qp).matches(
+                W.randomturn_gf("dyck", "osculating", i, j, 12, parts=rt).series
             ):
                 return False, f"S2 != random-turn osculating at {(i, j)}"
     return True, ""
 
 
 def _check_walker_symmetry(order: int):
+    star, rt = W._star_parts("updown", 10), W._randomturn_parts("motzkin", 10)
     for i in range(4):
         for j in range(4):
-            if W.lockstep_star("updown", i, j, 10).series != W.lockstep_star("updown", j, i, 10).series:
+            if (W.lockstep_star("updown", i, j, 10, parts=star).series
+                    != W.lockstep_star("updown", j, i, 10, parts=star).series):
                 return False, f"updown asymmetry at {(i, j)}"
-            if W.randomturn_gf("motzkin", "vicious", i, j, 10).series != W.randomturn_gf(
-                "motzkin", "vicious", j, i, 10
+            if W.randomturn_gf("motzkin", "vicious", i, j, 10, parts=rt).series != W.randomturn_gf(
+                "motzkin", "vicious", j, i, 10, parts=rt
             ).series:
                 return False, f"random-turn asymmetry at {(i, j)}"
     return True, ""

@@ -560,7 +560,12 @@ def verify_main_equation(
 # ---------------------------------------------------------------------------
 
 
-def brute_force_dary(fam: DaryFamily, j: int, n_max: int) -> list[Fraction]:
+def _oracle_spectra(fam: DaryFamily, n_max: int) -> list[dict[int, Fraction]]:
+    """``spectra`` of ``brute_force_dary``: the same for every level."""
+    return label_spectra([(Q(1), fam.offsets)], n_max, "max")
+
+
+def brute_force_dary(fam: DaryFamily, j: int, n_max: int, *, spectra=None) -> list[Fraction]:
     """Label-bounded counts by structural enumeration over tree shapes.
 
     Counts trees with root label 0 and every internal label at most j
@@ -568,7 +573,7 @@ def brute_force_dary(fam: DaryFamily, j: int, n_max: int) -> list[Fraction]:
     """
     if n_max > 8:
         raise SizeTooLarge("d-ary structural enumeration is capped at size 8")
-    spectra = label_spectra([(Q(1), fam.offsets)], n_max, "max")
+    spectra = spectra or _oracle_spectra(fam, n_max)
     return [
         sum((cnt for m, cnt in spec.items() if m <= j), _ZERO) for spec in spectra
     ]

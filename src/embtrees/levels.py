@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .series import Q, Series
+from .series import Q, Series, over_lcm
 
 Kinds = list[tuple[Fraction, tuple[int, ...]]]
 
@@ -23,7 +23,7 @@ _ONE = Q(1)
 _NEG_INF = -(10**9)
 
 
-def _product_coeff(factors, m: int) -> Fraction:
+def _product_coeff(factors, m: int) -> int:
     """[z^m] of the product of the coefficient lists ``factors``.
 
     Every factor but the last is multiplied out to degree m; the last
@@ -46,22 +46,26 @@ def level_rows(kinds: Kinds, pin: int, j_max: int, order: int) -> dict[int, Seri
     reads coefficients below n of rows up to j + (highest upward offset),
     so rows up to j_max are exact below z^order once coefficient n is
     filled for the rows j <= j_max + (order - 1 - n) * (highest offset);
-    nothing above that cone is computed.
+    nothing above that cone is computed.  With the weights scaled by L, the
+    lcm of their denominators, coefficient n is an integer over L^n.
     """
     offsets = [o for _, offs in kinds for o in offs]
     depth = max([1] + [-o for o in offsets])
     up = max([0] + offsets)
     top = j_max + (order - 1) * up
-    rows = [[Q(pin)] + [_ZERO] * (order - 1) for _ in range(depth)]
-    rows += [[_ONE] + [_ZERO] * (order - 1) for _ in range(top + 1)]
+    lifted, scale = over_lcm([w.as_integer_ratio() for w, _ in kinds])
+    rows = [[pin] + [0] * (order - 1) for _ in range(depth)]
+    rows += [[1] + [0] * (order - 1) for _ in range(top + 1)]
     # coefficient n reads only coefficients below n, so rows update in place
     for n in range(1, order):
         for j in range(j_max + (order - 1 - n) * up + 1):
             rows[j + depth][n] = sum(
                 w * _product_coeff([rows[j + o + depth] for o in offs], n - 1)
-                for w, offs in kinds
+                for w, (_, offs) in zip(lifted, kinds)
             )
-    return {j: Series(rows[j + depth]) for j in range(-depth, j_max + 1)}
+    powers = [scale**k for k in range(order - 1, -1, -1)]  # coefficient n over L^(order-1)
+    return {j: Series._normed(list(map(mul, rows[j + depth], powers)), powers[0])
+            for j in range(-depth, j_max + 1)}
 
 
 def label_spectra(kinds: Kinds, n_max: int, mode: str) -> list[dict[int, Fraction]]:

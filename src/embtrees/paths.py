@@ -5,8 +5,10 @@ level-j meander series is the free-walk series times the partial sum of
 complete homogeneous symmetric functions of the small branches, weighted
 by the product of (1 - branch).  The endpoint-marked refinement divides
 each branch by the marker and swaps the free-walk prefactor for its
-marked version.  A direct dynamic-programming count over (steps, level)
-serves as the independent oracle.
+marked version.  Only the complete homogeneous sum depends on the level;
+the small factor and both prefactors are built once per step set.  A
+direct dynamic-programming count over (steps, level) serves as the
+independent oracle.
 """
 
 from __future__ import annotations
@@ -69,32 +71,30 @@ def _marked_free_walks(steps: StepSet, order: int) -> MarkerSeries:
     return MarkerSeries._normed(order, lo, width, nums, scale ** (order - 1))
 
 
-def meander_gf(steps: StepSet, level: int, order: int) -> MeanderGF:
+def _meander_parts(steps: StepSet, order: int):
+    """``parts`` of ``meander_gf``: the small factor and the plain and marked prefactors."""
+    small = hensel_small_factor(steps, order)
+    # marked version: every branch is divided by the marker, so the factor
+    # product becomes sum (-1)^k e_k v^-k (and h_f gains marker exponent -f).
+    factor = MarkerSeries.one(order)
+    for k, e in enumerate(small.elementary, start=1):
+        factor = factor + MarkerSeries.series_times_marker(e if k % 2 == 0 else -e, -k)
+    plain = walks_total(steps, order) * small.at_one()
+    return small, plain, _marked_free_walks(steps, order) * factor
+
+
+def meander_gf(steps: StepSet, level: int, order: int, *, parts=None) -> MeanderGF:
     """Meanders starting at the given level, plain and endpoint-marked."""
     steps.require_two_sided()
     if level < 0:
         raise ValueError("meanders start at a non-negative level")
-    small = hensel_small_factor(steps, order)
+    small, plain, marked = parts or _meander_parts(steps, order)
     h = complete_homogeneous(small, level)
-    h_sum = Series.zero(order)
-    for hf in h:
-        h_sum = h_sum + hf
-    plain = walks_total(steps, order) * h_sum * small.at_one()
-    # marked version: every branch is divided by the marker, so h_f gains
-    # marker exponent -f and the factor product becomes sum (-1)^k e_k v^-k.
-    marked_h = MarkerSeries.zero(order)
-    for f, hf in enumerate(h):
-        marked_h = marked_h + MarkerSeries.series_times_marker(hf, -f)
-    factor = MarkerSeries.one(order)
-    for k in range(1, small.c + 1):
-        e = small.elementary[k - 1]
-        factor = factor + MarkerSeries.series_times_marker(
-            e if k % 2 == 0 else -e, -k
-        )
-    # the two narrow factors first: the free-walk series is the wide one
-    marked = _marked_free_walks(steps, order) * (marked_h * factor)
+    h_sum = sum(h, Series.zero(order))
+    marked_h = sum((MarkerSeries.series_times_marker(hf, -f) for f, hf in enumerate(h)),
+                   MarkerSeries.zero(order))
     # shift from displacement marking to absolute endpoint level
-    return MeanderGF(level, plain, marked.shift_marker(level))
+    return MeanderGF(level, plain * h_sum, (marked * marked_h).shift_marker(level))
 
 
 def excursion_gf(steps: StepSet, level: int, order: int) -> Series:
@@ -143,8 +143,9 @@ def verify_meander_closed_form(steps: StepSet, j_max: int, order: int) -> Meande
     Checks the plain series, the marker specialized at 1, and every
     endpoint slice of the marked series against the DP table.
     """
+    parts = _meander_parts(steps, order)
     for level in range(j_max + 1):
-        gf = meander_gf(steps, level, order)
+        gf = meander_gf(steps, level, order, parts=parts)
         totals, table = meander_dp(steps, level, order)
         plain_dp = Series(totals)
         if not gf.plain.matches(plain_dp):

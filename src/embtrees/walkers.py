@@ -9,7 +9,9 @@ The boundary families are the corners (u,w) = (0,0) never-touching,
 Random-turn walkers move one at a time; the quarter-plane families count
 two-dimensional paths and coincide with random-turn osculating walkers
 for the six-step set.  Every closed form is checked against the gap
-dynamic program.
+dynamic program.  The pieces no cell changes (the root X, the series T
+and the adapted coefficients) are built once per family and passed to
+the per-cell functions through their ``parts`` argument.
 
 The dynamic programs run on integers.  Gap states are indexed once and
 each step maps one integer vector to the next.  The lock-step marks are
@@ -86,12 +88,17 @@ def lockstep_T(diag_weight, order: int) -> Series:
     return one / (one - Series.z(order) * (dw + 6))
 
 
+def _lockstep_base(diag_weight, order: int) -> tuple[Series, Series]:
+    """X and T at one diagonal weight: the pieces every cell and boundary share."""
+    return lockstep_x(diag_weight, order), lockstep_T(diag_weight, order)
+
+
 def lockstep_general(
-    diag_weight, i: int, j: int, alpha: Series, beta: Series, gamma: Series, order: int
+    diag_weight, i: int, j: int, alpha: Series, beta: Series, gamma: Series, order: int,
+    *, base=None,
 ) -> StarGF:
-    """T * (1 - alpha X^i - beta X^j - gamma X^(i+j))."""
-    X = lockstep_x(diag_weight, order)
-    T = lockstep_T(diag_weight, order)
+    """T * (1 - alpha X^i - beta X^j - gamma X^(i+j)); ``base`` is (X, T)."""
+    X, T = base or _lockstep_base(diag_weight, order)
     one = Series.one(order)
     series = T * (
         one
@@ -102,17 +109,16 @@ def lockstep_general(
     return StarGF(i, j, series)
 
 
-def lockstep_adapt(boundary: str, order: int) -> tuple[Series, Series, Series]:
+def lockstep_adapt(boundary: str, order: int, *, base=None) -> tuple[Series, Series, Series]:
     """Adapted (alpha, beta, gamma) at diagonal weight 2, verified.
 
     vicious: (1, 1, -1); osculating: (3X/(1+2X), same, -3X/(2+X));
-    up-down: (2X/(1+X), same, -X).  The corresponding boundary equations
-    are re-checked as series identities before returning.
+    up-down: (2X/(1+X), same, -X).  The corresponding boundary equations,
+    in the (X, T) of ``base``, are re-checked as series identities.
     """
-    X = lockstep_x(2, order)
+    X, T = base or _lockstep_base(2, order)
     one = Series.one(order)
     z = Series.z(order)
-    T = lockstep_T(2, order)
     if boundary == "vicious":
         alpha = beta = one
         gamma = -one
@@ -145,23 +151,35 @@ def lockstep_adapt(boundary: str, order: int) -> tuple[Series, Series, Series]:
     return alpha, beta, gamma
 
 
-def lockstep_star(boundary: str, i: int, j: int, order: int) -> StarGF:
+def _star_parts(boundary: str, order: int, base=None):
+    """``parts`` of ``lockstep_star``: (X, T) and the adapted (alpha, beta, gamma)."""
+    base = base or _lockstep_base(2, order)
+    return base, lockstep_adapt(boundary, order, base=base)
+
+
+def lockstep_star(boundary: str, i: int, j: int, order: int, *, parts=None) -> StarGF:
     """Closed star series for the three lock-step boundary models (w=2)."""
-    alpha, beta, gamma = lockstep_adapt(boundary, order)
-    return lockstep_general(2, i, j, alpha, beta, gamma, order)
+    base, adapted = parts or _star_parts(boundary, order)
+    return lockstep_general(2, i, j, *adapted, order, base=base)
 
 
-def lockstep_refined(u, w, i: int, j: int, order: int) -> StarGF:
-    """Refined star series with co-location mark u and shared-edge mark w."""
+def _refined_parts(u, w, order: int, base=None):
+    """``parts`` of ``lockstep_refined``: (X, T) and the adapted (alpha, alpha, gamma)."""
     u, w = as_fraction(u), as_fraction(w)
-    X = lockstep_x(2, order)
+    X, T = base = base or _lockstep_base(2, order)
     one = Series.one(order)
     sq = (one + X) ** 2
     alpha = (sq - (one - X + X * X + X * w) * u) / (sq - X * (X + w) * u)
     ratio_num = (one + X) * 2 - (one + X * w) * u
     ratio_den = (one + X) * 2 - X * (1 + w) * u
     gamma = -(alpha * ratio_num / ratio_den)
-    return lockstep_general(2, i, j, alpha, alpha, gamma, order)
+    return base, (alpha, alpha, gamma)
+
+
+def lockstep_refined(u, w, i: int, j: int, order: int, *, parts=None) -> StarGF:
+    """Refined star series with co-location mark u and shared-edge mark w."""
+    base, adapted = parts or _refined_parts(u, w, order)
+    return lockstep_general(2, i, j, *adapted, order, base=base)
 
 
 # ---------------------------------------------------------------------------
@@ -182,17 +200,22 @@ def randomturn_x(steps: str, order: int) -> Series:
     return newton_solve(eq, 0)
 
 
-def randomturn_gf(steps: str, boundary: str, i: int, j: int, order: int) -> StarGF:
+def _randomturn_parts(steps: str, order: int) -> tuple[Series, Series]:
+    """``parts`` of ``randomturn_gf``: X and T of one step set."""
+    one = Series.one(order)
+    total = 6 if steps == "dyck" else 9
+    return randomturn_x(steps, order), one / (one - Series.z(order) * total)
+
+
+def randomturn_gf(steps: str, boundary: str, i: int, j: int, order: int, *, parts=None) -> StarGF:
     """Vicious stars (1-X^i)(1-X^j) T; osculating stars shift both gaps by 1."""
     if boundary == "osculating":
-        inner = randomturn_gf(steps, "vicious", i + 1, j + 1, order)
+        inner = randomturn_gf(steps, "vicious", i + 1, j + 1, order, parts=parts)
         return StarGF(i, j, inner.series)
     if boundary != "vicious":
         raise ValueError("random-turn boundaries are vicious or osculating")
-    X = randomturn_x(steps, order)
+    X, T = parts or _randomturn_parts(steps, order)
     one = Series.one(order)
-    total = 6 if steps == "dyck" else 9
-    T = one / (one - Series.z(order) * total)
     return StarGF(i, j, T * (one - X**i) * (one - X**j))
 
 
@@ -376,19 +399,21 @@ QUARTER_PLANE_STEPS = {
 }
 
 
-def quarterplane_gf(model: str, i: int, j: int, order: int) -> Series:
-    """(1 - X^(i+1))(1 - X^(j+1)) / (1 - kz) with X = kz(1+X+X^2)."""
-    if model == "S1":
-        scale = 1
-    elif model == "S2":
-        scale = 2
-    else:
+def _quarterplane_parts(model: str, order: int) -> tuple[Series, Series]:
+    """``parts`` of ``quarterplane_gf``: X = kz(1+X+X^2) and T = 1/(1 - 3kz)."""
+    if model not in QUARTER_PLANE_STEPS:
         raise ValueError("model must be S1 or S2")
+    scale = 1 if model == "S1" else 2
     z = Series.z(order)
     one = Series.one(order)
     eq = SeriesPoly.make([z * scale, z * scale - one, z * scale])
-    X = newton_solve(eq, 0)
-    T = one / (one - z * (3 * scale))
+    return newton_solve(eq, 0), one / (one - z * (3 * scale))
+
+
+def quarterplane_gf(model: str, i: int, j: int, order: int, *, parts=None) -> Series:
+    """(1 - X^(i+1))(1 - X^(j+1)) T with the X and T of ``parts``."""
+    X, T = parts or _quarterplane_parts(model, order)
+    one = Series.one(order)
     return T * (one - X ** (i + 1)) * (one - X ** (j + 1))
 
 
