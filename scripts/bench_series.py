@@ -25,8 +25,13 @@ at stored order 28 and 31) against the per-pair reduction and ``invert_one_plus`
 (``tests/test_kernel.py``); ``dary_alpha_one_param_recurrence`` against
 one product per composition (``tests/test_dary.py``); and ``level_rows``
 against the ``label_spectra`` sums it is tested with
-(``tests/test_levels.py``).  For every row, ``fraction_us`` is the time
-of its reference.  Results go to a JSON file:
+(``tests/test_levels.py``).  The expansion-table rows time
+``dary_alpha_general`` (even d = 2, bound 3, order 15) against the
+table loop it replaced, comparing every coordinate cut to the table's
+order, and ``rho_series`` at the levels ``verify_main_equation`` reads
+against the full-precision level sum (both references in
+``tests/test_dary.py``).  For every row, ``fraction_us`` is the time of
+its reference.  Results go to a JSON file:
 
     PYTHONPATH=src python scripts/bench_series.py --out BENCH_series.json
 
@@ -53,6 +58,7 @@ from embtrees.dary import (  # noqa: E402
     DaryFamily,
     dary_alpha_general,
     dary_alpha_one_param_recurrence,
+    rho_series,
 )
 from embtrees.kernel import characteristic_poly, hensel_factor_pair  # noqa: E402
 from embtrees.levels import label_spectra, level_rows  # noqa: E402
@@ -61,7 +67,13 @@ from embtrees.multipoly import MultiPoly  # noqa: E402
 from embtrees.series import Series  # noqa: E402
 from embtrees.steps import parse_step_set  # noqa: E402
 from embtrees.walkers import lockstep_dp_table, quarterplane_dp, randomturn_dp_table  # noqa: E402
-from test_dary import ref_one_param_recurrence  # noqa: E402
+from test_dary import (  # noqa: E402
+    main_equation_seeds,
+    ref_alpha_general,
+    ref_one_param_recurrence,
+    ref_rho_series,
+    rho_levels,
+)
 from test_kernel import ref_hensel  # noqa: E402
 from test_marker_multipoly_core import (  # noqa: E402
     ref_lockstep_table,
@@ -239,6 +251,29 @@ def bench_recurrences(repeats: int) -> list[dict]:
     return rows
 
 
+def cut_entries(entries: dict, order: int) -> dict:
+    """Each entry's shift and coordinates, cut to the table's order."""
+    return {index: (e.shift, {m: s.truncate(order) for m, s in e.coeffs.items()})
+            for index, e in entries.items()}
+
+
+def bench_tables(repeats: int) -> list[dict]:
+    """The d-ary expansion table and its level sums, against the first-written loops."""
+    rows: list[dict] = []
+    fam, bound, order = DaryFamily("even", 2), 3, 15
+    seeds = main_equation_seeds(fam, bound, order)
+    compare(rows, "dary_alpha_general", order, "even d=2, bound 3",
+            lambda: dary_alpha_general(fam, bound, seeds, order),
+            lambda: cut_entries(ref_alpha_general(fam, bound, seeds, order), order),
+            max(1, repeats // 5), read=lambda table: cut_entries(table.entries, order))
+    table = dary_alpha_general(fam, bound, seeds, order)
+    levels = rho_levels(fam)
+    compare(rows, "rho_series", order, f"even d=2, levels {levels[0]}-{levels[-1]}",
+            lambda: [rho_series(table, j, order) for j in levels],
+            lambda: [ref_rho_series(table, j, order) for j in levels], repeats)
+    return rows
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -247,7 +282,7 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=4)
     args = parser.parse_args()
     rows = (bench(args.repeats, args.seed) + bench_layers(args.repeats, args.seed)
-            + bench_recurrences(args.repeats))
+            + bench_recurrences(args.repeats) + bench_tables(args.repeats))
     report = {
         "benchmark": "exact-ring microbenchmark (scripts/bench_series.py)",
         "python": platform.python_version(),

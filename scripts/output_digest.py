@@ -12,10 +12,13 @@ compares the printed digests.  The digest covers:
   ``dary_char_factor`` for five d-ary families;
 * both single-branch d-ary alpha lists (closed and recurrence),
   ``one_param_residual`` and ``dary_rational_parametrization``;
-* the full ``dary_alpha_general`` tables (every coordinate, shift and
-  stored order) and the ``rho_series`` levels that
-  ``verify_main_equation`` reads, for the odd and even families with
-  d = 1, 2 (bound 3, order 15) and odd d = 3 (bound 2, order 12);
+* the ``dary_alpha_general`` tables for the odd and even families with
+  d = 1, 2 (bound 3, order 15) and odd d = 3 (bound 2, order 12), in
+  three sections: ``tables``, every entry in full (each coordinate,
+  shift and stored order); ``tables@order``, each coordinate cut to the
+  table's order argument, which holds however many orders a table
+  stores beyond it; and ``rho``, the ``rho_series`` levels that
+  ``verify_main_equation`` reads;
 * the lock-step, random-turn and quarter-plane DP tables.
 
 A second line hashes the walker closed forms, each built cell by cell
@@ -37,6 +40,7 @@ trees part.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 from fractions import Fraction as Q
@@ -122,19 +126,32 @@ def alpha_section():
     return out
 
 
-def table_section():
+@functools.cache
+def built_tables():
+    """Each table with its order, at verify_main_equation's default seeds."""
     out = []
     for fam, bound, order in TABLES:
-        # the seeds and levels of verify_main_equation's defaults
         s_val = order // (bound + 1) + 1
         seeds = [Series.z(order + 4) ** s_val for _ in range(fam.branch_count)]
-        table = D.dary_alpha_general(fam, bound, seeds, order)
-        for index, entry in sorted(table.entries.items()):
-            out.append((index, entry.shift, entry.stored_order, entry.coeffs))
-        c_down = -min(fam.offsets)
-        for j in range(0, c_down + 1 + max(fam.offsets) + 1):
-            out.append(D.rho_series(table, j, order))
+        out.append((fam, order, D.dary_alpha_general(fam, bound, seeds, order)))
     return out
+
+
+def table_section():
+    return [(index, entry.shift, entry.stored_order, entry.coeffs)
+            for _, _, table in built_tables() for index, entry in sorted(table.entries.items())]
+
+
+def table_at_order_section():
+    return [(index, entry.shift, {e: s.truncate(order) for e, s in entry.coeffs.items()})
+            for _, order, table in built_tables()
+            for index, entry in sorted(table.entries.items())]
+
+
+def rho_section():
+    # the levels verify_main_equation reads at its default levels
+    return [D.rho_series(table, j, order) for fam, order, table in built_tables()
+            for j in range(0, -min(fam.offsets) + 1 + max(fam.offsets) + 1)]
 
 
 def dp_section():
@@ -163,7 +180,8 @@ def walkers_section():
 
 SECTIONS = (("binary", binary_section), ("paths", paths_section),
             ("factors", factor_section), ("alphas", alpha_section),
-            ("tables", table_section), ("dp", dp_section))
+            ("tables", table_section), ("tables@order", table_at_order_section),
+            ("rho", rho_section), ("dp", dp_section))
 CLOSED_SECTIONS = (("walkers", walkers_section),)
 
 
@@ -177,10 +195,10 @@ def main() -> int:
         text = repr(canon(build())).encode()
         total.update(text)
         if args.sections:
-            print(f"{name:<8} {hashlib.sha256(text).hexdigest()}")
+            print(f"{name:<12} {hashlib.sha256(text).hexdigest()}")
     print(total.hexdigest())
     for name, build in CLOSED_SECTIONS:
-        print(f"{name:<8} {hashlib.sha256(repr(canon(build())).encode()).hexdigest()}")
+        print(f"{name:<12} {hashlib.sha256(repr(canon(build())).encode()).hexdigest()}")
     return 0
 
 

@@ -419,6 +419,11 @@ def _splits(index: tuple[int, ...], parts: int):
             yield (head,) + tail
 
 
+def _relative_order(x: SAElement) -> int:
+    """The stored order below which a product with x reads its other factor."""
+    return x.stored_order - min((s.valuation() for s in x.coeffs.values()), default=0)
+
+
 def dary_alpha_general(
     fam: DaryFamily, bound: int, seeds: list[Series], order: int
 ) -> MultiAlphaTable:
@@ -430,14 +435,17 @@ def dary_alpha_general(
     it a unit times -z T^(arity-1).  The product of a term's entries
     depends only on the multiset of its parts, so the root monomials of
     the terms are summed per multiset first, and each multiset makes one
-    product of its (cached) entry product with that sum.
+    product of its (cached) entry product with that sum.  The divisor's
+    clearing factor X^(c_down n) is folded into those monomials, so no
+    root power is negative, and each monomial sum and inverse is built
+    only to the precision its product reads.
     """
     c = fam.branch_count
     if len(seeds) != c:
         raise ValueError(f"need {c} seed series")
-    # negative offset powers in the subset sums cost at most c_down*bound
-    # z-orders before compression wins them back; the unit division behind
-    # each table level costs one more order per weight level
+    # sized for negative offset powers, which no longer arise, and a unit
+    # division that no longer costs stored orders; kept on purpose, so that
+    # the algebra, seeds and verified levels are those the claim was checked at
     work = order + (-min(fam.offsets) + 1) * bound + 4
     T = dary_T(fam, work)
     zT = Series.z(work) * T ** (fam.arity - 1)
@@ -468,34 +476,41 @@ def dary_alpha_general(
     for index in _multi_indices(c, bound):
         if index in table.entries:
             continue
-        groups: dict[tuple, SAElement] = {}
+        groups: dict[tuple, list[tuple[int, ...]]] = {}
         terms = _terms_by_multiset(
             offsets, min(sum(index), len(offsets)), lambda size: _splits(index, size)
         )
         for key, combo, parts in terms:
-            exps = tuple(sum(o * g[k] for o, g in zip(combo, parts)) for k in range(c))
-            mono = alg.monomial(exps)
-            cur = groups.get(key)
-            groups[key] = mono if cur is None else cur + mono
+            # the parts sum to index, so X^(c_down n) adds c_down to each offset
+            exps = tuple(sum((o + c_down) * g[k] for o, g in zip(combo, parts))
+                         for k in range(c))
+            groups.setdefault(key, []).append(exps)
         rhs = alg.zero()
-        for key, monos in groups.items():
-            term = alpha_product(key) * monos
+        for key, group in groups.items():
+            product = alpha_product(key)
+            short = _relative_order(product)
+            monos = sum((alg.monomial(exps, short) for exps in group), alg.zero())
+            # zero-padded: the padding meets only coefficients of product
+            # below its valuation, which are zero
+            term = product * monos.with_order(product.stored_order)
             rhs = rhs + (term if len(key) % 2 == 0 else -term)
+        # the entry rhs * inv reads inv only below need, rhs's relative order
+        need = _relative_order(rhs)
         # divisor: -1/(z T^q) + sum over offsets of X^(o.n); multiply by
-        # -zT^q and clear X^(c_down n) to expose the unit 1 + u.
-        lead = alg.monomial(tuple(c_down * k for k in index))
+        # -zT^q and clear X^(c_down n) to expose the unit 1 + u, built to
+        # the order the inverse needs (dividing by zT costs lead one order)
+        lead = alg.monomial(tuple(c_down * k for k in index), need + 1)
         u = alg.zero()
         for o in offsets:
             if o == -c_down:
                 continue
-            u = u + alg.monomial(tuple((o + c_down) * k for k in index))
-        u = u - SAElement(
-            alg,
-            {e: s / zT for e, s in lead.coeffs.items()},
-            lead.shift,
-        )
-        inv = alg.invert_one_plus(u)
-        table.entries[index] = lead * rhs * inv
+            u = u + alg.monomial(tuple((o + c_down) * k for k in index), need)
+        u = u - SAElement(alg, {e: s / zT for e, s in lead.coeffs.items()}, lead.shift)
+        inv = alg.invert_one_plus(u, need)
+        # zero-padded back to rhs's stored order: the padding meets only the
+        # zero coefficients of rhs below its valuation, so none is read
+        kept = min(rhs.stored_order, inv.stored_order + rhs.stored_order - need)
+        table.entries[index] = rhs * inv.with_order(kept)
     return table
 
 
@@ -506,7 +521,10 @@ def rho_series(table: MultiAlphaTable, j: int, order: int) -> Series:
     alg = table.algebra
     acc = alg.zero()
     for index, alpha in table.entries.items():
-        acc = acc + alpha * alg.monomial(tuple(j * k for k in index))
+        # read below order + shift; a non-negative monomial has no shift
+        cut = order + alpha.shift
+        acc = acc + alpha.with_order(min(cut, alpha.stored_order)) * alg.monomial(
+            tuple(j * k for k in index), cut)
     return acc.as_series(order)
 
 

@@ -43,7 +43,7 @@ class SplitAlgebra:
         self._caps = tuple(self.c - 1 - g for g in range(self.c))
         self._mono_cache: dict[tuple[int, ...], dict[tuple[int, ...], Series]] = {}
         self._gen_power_cache: dict[tuple[int, int], SAElement] = {}
-        self._monomials: dict[tuple[int, ...], SAElement] = {}
+        self._monomials: dict[tuple[int, ...], tuple[int, SAElement]] = {}
         self._rules: list[dict[tuple[int, ...], Series]] = []
         self._build_rules()
 
@@ -177,16 +177,26 @@ class SplitAlgebra:
             acc = acc * f
         return acc
 
-    def monomial(self, exps) -> SAElement:
-        """X_1^exps[0] * ... with arbitrary integer exponents."""
-        key = tuple(exps)
-        acc = self._monomials.get(key)
-        if acc is None:
-            acc = self._product([self.gen_power(g, k) for g, k in enumerate(key) if k])
-            self._monomials[key] = acc
-        return acc
+    def monomial(self, exps, order: int | None = None) -> SAElement:
+        """X_1^exps[0] * ... with arbitrary integer exponents.
 
-    def invert_one_plus(self, u: SAElement) -> SAElement:
+        With ``order``: the full monomial cut to that stored order, from
+        generator powers cut to it plus their z^-shifts, which products strip.
+        The cache keeps each monomial at the longest order built, and cuts it
+        for shorter requests.
+        """
+        order = self.order if order is None else min(order, self.order)
+        key = tuple(exps)
+        built, acc = self._monomials.get(key, (0, None))
+        if built < order:
+            factors = [self.gen_power(g, k) for g, k in enumerate(key) if k]
+            keep = order + sum(f.shift for f in factors)
+            acc = self._product([f if f.stored_order <= keep else f.with_order(keep)
+                                 for f in factors])
+            built, acc = self._monomials[key] = (order, acc.with_order(min(order, acc.stored_order)))
+        return acc if built == order else acc.with_order(min(order, acc.stored_order))
+
+    def invert_one_plus(self, u: SAElement, order: int | None = None) -> SAElement:
         """(1 + u)^-1 for u with positive z-adic size, by Newton doubling.
 
         y = 1 is the inverse modulo the smallest positive power of z that u
@@ -194,21 +204,22 @@ class SplitAlgebra:
         roots have z-valuation 1/c (e_c has valuation 1), so u may hold
         z^(1/c) and precision doubles in those units: the schedule runs
         over c * order of them, each step working at the stored order that
-        covers its precision, plus one order to spare.  A full-order
-        residual confirms the result.
+        covers its precision, plus one order to spare.  A residual at the
+        stored order ``order`` (the algebra's by default) confirms the result.
         """
+        order = self.order if order is None else min(order, self.order)
         a = self.one() + u
-        precs = [self.c * self.order]
+        precs = [self.c * order]
         while precs[-1] > 1:
             precs.append((precs[-1] + 1) // 2)
         y = self.one()
         for p in reversed(precs[:-1]):
-            prec = min(self.order, -(-p // self.c) + 1)
+            prec = min(order, -(-p // self.c) + 1)
             y = y.with_order(prec)
             a_prec = a.with_order(min(prec, a.stored_order))
             y = y * (self.from_series(Series.constant(2, prec)) - a_prec * y)
         # padded, so that a schedule ending short of the order cannot pass
-        residual = a * y.with_order(self.order) - self.one()
+        residual = a * y.with_order(order) - self.one()
         if not residual.is_zero():
             raise ArithmeticError("inversion did not converge; element not a unit")
         return y

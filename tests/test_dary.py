@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction as Q
 
@@ -7,6 +8,7 @@ from embtrees.binary import BinaryWeights, binary_Tj_recurrence
 from embtrees.dary import (
     DaryFamily,
     _compositions,
+    _multi_indices,
     _splits,
     _terms_by_multiset,
     brute_force_dary,
@@ -26,7 +28,7 @@ from embtrees.dary import (
 from embtrees.kernel import characteristic_poly, fuss_catalan, hensel_factor_pair
 from embtrees.multipoly import MultiPoly, RationalFunction
 from embtrees.series import Series
-from embtrees.splitting import SplitAlgebra
+from embtrees.splitting import SAElement, SplitAlgebra
 from embtrees.steps import StepSet
 
 ODD1 = DaryFamily("odd", 1)
@@ -79,6 +81,86 @@ def ref_one_param_recurrence(fam, n_max):
             div_num = div_num + _uni({(o + c_down) * n: 1}) - _uni({o + c_down * n: 1})
         alphas.append(rhs / RationalFunction(div_num, _uni({c_down * n: 1})))
     return alphas
+
+
+def ref_alpha_general(fam, bound, seeds, order):
+    """The expansion table as the grouped loop first built it: lead * rhs * inv.
+
+    Monomials carry negative root powers and are built at the full order,
+    the divisor's clearing power lead = X^(c_down n) multiplies each entry,
+    and the inverse is taken to the algebra's order.
+    """
+    c = fam.branch_count
+    work = order + (-min(fam.offsets) + 1) * bound + 4
+    zT = Series.z(work) * dary_T(fam, work) ** (fam.arity - 1)
+    alg = SplitAlgebra(dary_char_factor(fam, work))
+    offsets, c_down = fam.offsets, -min(fam.offsets)
+    entries = {}
+    for g in range(c):
+        entries[tuple(int(k == g) for k in range(c))] = alg.from_series(
+            Series(seeds[g].coeffs, work))
+    for index in _multi_indices(c, bound):
+        if index in entries:
+            continue
+        groups = {}
+        terms = _terms_by_multiset(
+            offsets, min(sum(index), len(offsets)), lambda size: _splits(index, size))
+        for key, combo, parts in terms:
+            mono = alg.monomial(tuple(sum(o * g[k] for o, g in zip(combo, parts))
+                                      for k in range(c)))
+            groups[key] = mono if key not in groups else groups[key] + mono
+        rhs = alg.zero()
+        for key, monos in groups.items():
+            product = entries[key[0]]
+            for p in key[1:]:
+                product = product * entries[p]
+            term = product * monos
+            rhs = rhs + (term if len(key) % 2 == 0 else -term)
+        lead = alg.monomial(tuple(c_down * k for k in index))
+        u = alg.zero()
+        for o in offsets:
+            if o != -c_down:
+                u = u + alg.monomial(tuple((o + c_down) * k for k in index))
+        u = u - SAElement(alg, {e: s / zT for e, s in lead.coeffs.items()}, lead.shift)
+        entries[index] = lead * rhs * alg.invert_one_plus(u)
+    return entries
+
+
+def ref_rho_series(table, j, order):
+    """The level-j sum at the table's full precision, cut only at the end."""
+    alg = table.algebra
+    full = alg.zero()
+    for index, alpha in table.entries.items():
+        full = full + alpha * alg.monomial(tuple(j * k for k in index))
+    return full.as_series(order)
+
+
+def rho_levels(fam):
+    """The levels verify_main_equation reads at its default levels."""
+    return range(0, -min(fam.offsets) + 1 + max(fam.offsets) + 1)
+
+
+def main_equation_seeds(fam, bound, order):
+    s_val = order // (bound + 1) + 1
+    return [Series.z(order + 4) ** s_val for _ in range(fam.branch_count)]
+
+
+@functools.lru_cache(maxsize=None)
+def table_of(fam, bound, order):
+    """The table verify_main_equation checks, with its default seeds."""
+    return dary_alpha_general(fam, bound, main_equation_seeds(fam, bound, order), order)
+
+
+def coordinates_agree(x, y):
+    """Equal shifts, and equal coordinates wherever both hold a coefficient."""
+    if x.shift != y.shift:
+        return False
+    for e in set(x.coeffs) | set(y.coeffs):
+        a = x.coeffs.get(e, Series.zero(x.stored_order))
+        b = y.coeffs.get(e, Series.zero(y.stored_order))
+        if not a.matches(b):
+            return False
+    return True
 
 
 def char_poly(fam, order):
@@ -304,6 +386,33 @@ class TestExpansionCoefficients:
         for n in range(1, 7):
             got = table.entry((n,)).as_series(20)
             assert got.matches(closed[n - 1].eval_series({"X": branch}))
+
+    @pytest.mark.parametrize("fam,bound,order", [
+        (ODD1, 3, 15), (EVEN1, 3, 15), (ODD2, 3, 15), (EVEN2, 2, 12)], ids=str)
+    def test_table_matches_first_written_loop(self, fam, bound, order):
+        table = table_of(fam, bound, order)
+        ref = ref_alpha_general(fam, bound, main_equation_seeds(fam, bound, order), order)
+        assert ref.keys() == table.entries.keys()
+        for index, entry in table.entries.items():
+            assert coordinates_agree(entry, ref[index]), index
+            assert entry.stored_order >= ref[index].stored_order
+
+    @pytest.mark.parametrize("fam,bound", [(ODD2, 3), (EVEN2, 2)], ids=str)
+    def test_entries_hold_every_stored_coefficient(self, fam, bound):
+        # every entry keeps the algebra's order, and a table three orders
+        # longer agrees on all of it: no coefficient is a padded guess
+        seeds = [Series.z(40) ** 4] * fam.branch_count
+        table = dary_alpha_general(fam, bound, seeds, 12)
+        longer = dary_alpha_general(fam, bound, seeds, 15)
+        for index, entry in table.entries.items():
+            assert entry.stored_order == table.algebra.order
+            assert coordinates_agree(entry, longer.entries[index]), index
+
+    @pytest.mark.parametrize("fam,bound,order", [(ODD2, 3, 15), (EVEN2, 2, 12)], ids=str)
+    def test_rho_equals_full_precision_level_sum(self, fam, bound, order):
+        table = table_of(fam, bound, order)
+        for j in rho_levels(fam):
+            assert rho_series(table, j, order) == ref_rho_series(table, j, order), j
 
     def test_rho_is_symmetric_series(self):
         seeds = [Series.z(20) ** 2 for _ in range(2)]

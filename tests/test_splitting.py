@@ -18,10 +18,11 @@ from embtrees.series import Series
 from embtrees.splitting import SAElement, SplitAlgebra
 
 ORDER = 8
-ALGEBRAS = {
-    2: SplitAlgebra(dary_char_factor(DaryFamily("odd", 2), ORDER)),
-    3: SplitAlgebra(dary_char_factor(DaryFamily("even", 2), ORDER)),
+FACTORS = {
+    2: dary_char_factor(DaryFamily("odd", 2), ORDER),
+    3: dary_char_factor(DaryFamily("even", 2), ORDER),
 }
+ALGEBRAS = {c: SplitAlgebra(small) for c, small in FACTORS.items()}
 
 
 def basis(alg):
@@ -159,3 +160,37 @@ def test_inversion_matches_full_order_newton(c):
     u = alg.generator(0) + alg.generator(c - 1) * Q(2, 3) + alg.monomial((1,) * c)
     got, ref = alg.invert_one_plus(u), ref_invert_one_plus(u)
     assert (got - ref).is_zero() and got.stored_order == alg.order
+
+
+@pytest.mark.parametrize("c", [2, 3])
+def test_short_inversion_is_the_full_inverse_cut(c):
+    alg = ALGEBRAS[c]
+    u = alg.generator(0) + alg.generator(c - 1) * Q(2, 3) + alg.monomial((1,) * c)
+    full = alg.invert_one_plus(u)
+    for k in range(1, ORDER):
+        assert same(alg.invert_one_plus(u, k), full.with_order(k)), k
+
+
+@pytest.mark.parametrize("c", [2, 3])
+def test_short_inversion_still_rejects_a_non_unit(c):
+    # 1 + u = X_1 has z-valuation 1/c: no inverse at any order
+    alg = ALGEBRAS[c]
+    u = alg.generator(0) - alg.one()
+    for k in (2, ORDER // 2):
+        with pytest.raises(ArithmeticError):
+            alg.invert_one_plus(u, k)
+
+
+@pytest.mark.parametrize("c", [2, 3])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_short_monomial_is_the_full_monomial_cut(c, data):
+    # a fresh algebra builds the first order drawn and cuts the second from
+    # it when that one is shorter; the full monomial comes last
+    alg = SplitAlgebra(FACTORS[c])
+    exps = data.draw(st.tuples(*[st.integers(-3, 4)] * c))
+    orders = data.draw(st.lists(st.integers(1, ORDER + 2), min_size=2, max_size=2))
+    short = [alg.monomial(exps, k) for k in orders]
+    full = ALGEBRAS[c].monomial(exps)
+    for k, got in zip(orders, short):
+        assert same(got, full.with_order(min(k, full.stored_order)))
