@@ -29,6 +29,13 @@ boundaries on the same cells; ``quarterplane_gf`` for S1 and S2 with
 i, j <= 2.  It has a line of its own so that the first line compares
 with trees older than that section.
 
+A third line hashes the series expansion coefficients: ``binary_alpha``
+in each of its three modes (an invalid mode hashes as its error) at
+``WEIGHTS`` and the campaign's weight vectors, n_max 12 and order 30;
+``height_alpha`` in both modes at the campaign's and the tests' inputs;
+``ternary_alpha`` and ``ternary_level_residual`` at the campaign's and
+the tests' inputs.
+
 Run from a checkout:
 
     PYTHONPATH=src python scripts/output_digest.py [--sections]
@@ -178,11 +185,25 @@ def walkers_section():
     return out
 
 
+def series_alphas_section():
+    vectors = WEIGHTS + ((0, 0, 0, 0, 1), (1, 0, 0, 0, 1))
+    out = [guarded(lambda: B.binary_alpha(B.BinaryWeights.make(*vec), mode, 12, 30).values)
+           for vec in vectors for mode in ("recurrence", "matched_closed", "w3_closed")]
+    out += [B.height_alpha(v1, v2, mode, n_max, order).values
+            for v1, v2 in ((0, 0), (1, 0), (2, 3)) for n_max, order in ((8, 20), (10, 24))
+            for mode in ("closed", "recurrence")]
+    out += [B.ternary_alpha(0, 0, 8, 30).values]
+    for v1, v2, n_max, alpha_order, order in ((1, 2, 6, 20, 12), (1, 0, 8, 24, 17)):
+        alphas = B.ternary_alpha(v1, v2, n_max, alpha_order)
+        out += [alphas.values, B.ternary_level_residual(v1, v2, alphas, 2, order)]
+    return out
+
+
 SECTIONS = (("binary", binary_section), ("paths", paths_section),
             ("factors", factor_section), ("alphas", alpha_section),
             ("tables", table_section), ("tables@order", table_at_order_section),
             ("rho", rho_section), ("dp", dp_section))
-CLOSED_SECTIONS = (("walkers", walkers_section),)
+CLOSED_SECTIONS = (("walkers", walkers_section), ("series-alphas", series_alphas_section))
 
 
 def main() -> int:
