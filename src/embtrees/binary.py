@@ -6,14 +6,20 @@ the two children at offsets (-1,+1) with weight w1, (0,0) with weight w2,
 and (0,-1) / (0,+1) with weight w3.  T_j is the generating function of
 trees whose labels respect a bound at level j; the module computes it by
 the level recurrence, by the one-parameter closed-form family, and by
-independent enumeration oracles, together with the expansion-coefficient
-recurrences and their known closed forms.
+independent enumeration oracles.  The expansion coefficients of the
+binary, height and ternary families come from the one unit-divisor
+recurrence ``levels.alpha_recurrence``, given each family's kind list
+(``_node_kinds``, ``_height_kinds``, ``_ternary_kinds``); this module
+keeps their known closed forms.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 from .errors import (
     DegenerateCharacteristic,
@@ -23,12 +29,11 @@ from .errors import (
     SizeTooLarge,
 )
 from .kernel import SeriesPoly, newton_solve, tree_root
-from .levels import label_spectra, level_rows
+from .levels import _NEG_INF, _x_powers, alpha_recurrence, label_spectra, level_residual, level_rows
 from .marker import MarkerSeries
 from .series import Q, Series, as_fraction, rational_sqrt
 
 _ZERO = Q(0)
-_NEG_INF = -(10**9)
 
 
 @dataclass(frozen=True)
@@ -138,13 +143,6 @@ class AlphaTable:
         return base * a1**n
 
 
-def _x_powers(X: Series, k_max: int) -> list[Series]:
-    xp = [Series.one(X.order)]
-    for _ in range(k_max):
-        xp.append(xp[-1] * X)
-    return xp
-
-
 def binary_alpha(w: BinaryWeights, mode: str, n_max: int, order: int) -> AlphaTable:
     """Decay coefficients by recurrence or by the known closed forms.
 
@@ -155,63 +153,28 @@ def binary_alpha(w: BinaryWeights, mode: str, n_max: int, order: int) -> AlphaTa
         raise DegenerateWeights("need at least one binary node kind")
     T = binary_T(w, order)
     X = binary_X(w, order)
-    one = Series.one(order)
-    xp = _x_powers(X, 2 * n_max + 3)
-    inv_T = one / T
-
     if mode == "recurrence":
-        fac = inv_T * w.v1 + (w.w1 + w.w3)
-        alphas = [one]
-        for n in range(1, n_max):
-            rhs = Series.zero(order)
-            for i in range(1, n + 1):
-                weight_poly = Series.zero(order)
-                if w.w1:
-                    weight_poly = weight_poly + xp[2 * (n + 1 - i)] * w.w1
-                if w.w2:
-                    weight_poly = weight_poly + xp[n + 1] * w.w2
-                if w.w3:
-                    weight_poly = weight_poly + (xp[n + 1 - i] + xp[n + 1 + i]) * w.w3
-                rhs = rhs + alphas[i - 1] * alphas[n - i] * weight_poly
-            alphas.append(rhs / (fac * (one - xp[n]) * (one - xp[n + 2])))
-        return AlphaTable("recurrence", tuple(alphas))
-
+        return AlphaTable(mode, tuple(alpha_recurrence(_node_kinds(w), X, T, n_max)))
+    one = Series.one(order)
+    xp = _x_powers(X, 2 * n_max)
+    # alpha_n = ratio^(n-1) head_n
     if mode == "matched_closed":
         w.require_matched_weights()
-        fac = inv_T * w.v1 + (w.w1 + w.w2)
+        fac = one / T * w.v1 + (w.w1 + w.w2)
         shell = X * w.w1 + (one + X + xp[2]) * w.w2
-        base = shell * X
-        denom_base = fac * (one - X) ** 2 * (one + X + xp[2]) * (one + X)
-        alphas = []
-        num = one
-        den = one
-        for n in range(1, n_max + 1):
-            # alpha_n = X^(n-1) shell^(n-1) (1 - X^n) / (fac^(n-1) (1-X)^(2n-1) ...)
-            value = num * (one - xp[n]) / (den * (one - X))
-            alphas.append(value)
-            num = num * base
-            den = den * denom_base
-        return AlphaTable("matched_closed", tuple(alphas))
-
-    if mode == "w3_closed":
+        ratio = shell * X / (fac * (one - X) ** 2 * (one + X + xp[2]) * (one + X))
+        heads = [(one - xp[n]) / (one - X) for n in range(1, n_max + 1)]
+    elif mode == "w3_closed":
         if w.w1 != 0 or w.w2 != 0:
             raise DegenerateWeights("this closed form needs w1 = w2 = 0")
         if w.w3 == 0:
             raise DegenerateWeights("this closed form needs w3 > 0")
-        fac = inv_T * w.v1 + w.w3
-        base = X * w.w3
-        denom_base = fac * (one - X) ** 2 * (one + X + xp[2])
-        alphas = []
-        num = one
-        den = one
-        for n in range(1, n_max + 1):
-            value = num * (one - xp[2 * n]) / (den * (one - X) * (one + X))
-            alphas.append(value)
-            num = num * base
-            den = den * denom_base
-        return AlphaTable("w3_closed", tuple(alphas))
-
-    raise ValueError(f"unknown mode {mode!r}")
+        fac = one / T * w.v1 + w.w3
+        ratio = X * w.w3 / (fac * (one - X) ** 2 * (one + X + xp[2]))
+        heads = [(one - xp[2 * n]) / ((one - X) * (one + X)) for n in range(1, n_max + 1)]
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return AlphaTable(mode, tuple(map(mul, _x_powers(ratio, n_max - 1), heads)))
 
 
 def t_of_x_identity(w: BinaryWeights, order: int) -> bool:
@@ -471,9 +434,7 @@ def conjecture_check(
         xp = _x_powers(X, max(4, 2 * n_max))
         fac = one / T * v1 + 2
         for n in range(1, n_max + 1):
-            p_val = Series.zero(order)
-            for deg, coeff in polys[n - 1].items():
-                p_val = p_val + xp[deg] * coeff
+            p_val = sum(xp[deg] * coeff for deg, coeff in polys[n - 1].items())
             half = (n - 1) // 2
             den = fac ** (n - 1) * (one - X) ** (2 * n - 2)
             den = den * (one + X) ** (2 * half) * (one + xp[2]) ** half
@@ -539,26 +500,11 @@ def height_alpha(v1, v2, mode: str, n_max: int, order: int) -> AlphaTable:
     v1, v2 = as_fraction(v1), as_fraction(v2)
     T = height_T(v1, v2, order)
     X = height_X(v1, v2, order)
-    one = Series.one(order)
-    fac = one / T * v1 + 1
-    xp = _x_powers(X, n_max + 2)
-    if mode == "closed":
-        vals = []
-        num = one
-        den = one
-        for n in range(1, n_max + 1):
-            vals.append(num / den)
-            num = num * X
-            den = den * (fac * (one - X))
-        return AlphaTable("closed", tuple(vals))
+    if mode == "closed":  # alpha_n = (X / ((v1/T + 1)(1 - X)))^(n-1)
+        ratio = X / ((Series.one(order) / T * v1 + 1) * (Series.one(order) - X))
+        return AlphaTable(mode, tuple(_x_powers(ratio, n_max - 1)[:n_max]))
     if mode == "recurrence":
-        alphas = [one]
-        for n in range(1, n_max):
-            rhs = Series.zero(order)
-            for i in range(1, n + 1):
-                rhs = rhs + alphas[i - 1] * alphas[n - i] * xp[n + 1 - i]
-            alphas.append(rhs / (fac * (one - xp[n])))
-        return AlphaTable("recurrence", tuple(alphas))
+        return AlphaTable(mode, tuple(alpha_recurrence(_height_kinds(v1, v2), X, T, n_max)))
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -585,40 +531,15 @@ def ternary_X(v1, v2, order: int) -> Series:
 
 
 def ternary_alpha(v1, v2, n_max: int, order: int) -> AlphaTable:
-    """Decay coefficients of the ternary recurrence (no closed form known).
-
-    The quadratic block matches the symmetric pair couplings; the cubic
-    block subtracts the triple products coming from the three-child nodes.
-    """
+    """Decay coefficients of the ternary level system (no closed form known)."""
     v1, v2 = as_fraction(v1), as_fraction(v2)
-    T = ternary_T(v1, v2, order)
-    X = ternary_X(v1, v2, order)
-    one = Series.one(order)
-    fac = one / (T * T) * v1 + 1
-    xp = _x_powers(X, 2 * n_max + 3)
-    alphas = [one]
-    for n in range(1, n_max):
-        rhs = Series.zero(order)
-        for i in range(1, n + 1):
-            rhs = rhs + alphas[i - 1] * alphas[n - i] * (
-                xp[2 * (n + 1 - i)] + xp[n + 1 - i] + xp[n + 1 + i]
-            )
-        for i1 in range(1, n):
-            for i2 in range(1, n + 1 - i1):
-                i3 = n + 1 - i1 - i2
-                if i3 < 1:
-                    continue
-                rhs = rhs - alphas[i1 - 1] * alphas[i2 - 1] * alphas[i3 - 1] * xp[
-                    n + 1 + i1 - i3
-                ]
-        alphas.append(rhs / (fac * (one - xp[n]) * (one - xp[n + 2])))
+    alphas = alpha_recurrence(_ternary_kinds(v1, v2), ternary_X(v1, v2, order),
+                              ternary_T(v1, v2, order), n_max)
     return AlphaTable("recurrence", tuple(alphas))
 
 
-def ternary_level_residual(
-    v1, v2, alphas: AlphaTable, j: int, order: int
-) -> Series:
-    """Residual of the ternary level recurrence for the truncated expansion.
+def ternary_level_residual(v1, v2, alphas: AlphaTable, j: int, order: int) -> Series:
+    """Residual of the ternary level system for the truncated expansion.
 
     T_i is approximated by T(1 - sum_n alpha_n X^(i n)); the residual at
     level j vanishes up to the order where the dropped tail (n beyond the
@@ -626,21 +547,8 @@ def ternary_level_residual(
     least j*(n_max+1) - 1.
     """
     v1, v2 = as_fraction(v1), as_fraction(v2)
-    T = ternary_T(v1, v2, order)
-    X = ternary_X(v1, v2, order)
-    one = Series.one(order)
-    z = Series.z(order)
-    n_max = len(alphas.values)
-    xp = _x_powers(X, (j + 2) * n_max + 1)
-
-    def t_at(i: int) -> Series:
-        rho = Series.zero(order)
-        for n in range(1, n_max + 1):
-            rho = rho + alphas.value(n) * xp[i * n]
-        return T * (one - rho)
-
-    tm, t0, tp = t_at(j - 1), t_at(j), t_at(j + 1)
-    return t0 - one - z * ((tm + tp) * v1 + t0 * v2) - z * tm * t0 * tp
+    return level_residual(_ternary_kinds(v1, v2), alphas.values, ternary_X(v1, v2, order),
+                          ternary_T(v1, v2, order), j, order)
 
 
 # ---------------------------------------------------------------------------
@@ -662,6 +570,17 @@ def _node_kinds(w: BinaryWeights) -> list[tuple[Fraction, tuple[int, ...]]]:
         kinds.append((w.w3, (0, -1)))
         kinds.append((w.w3, (0, 1)))
     return kinds
+
+
+def _height_kinds(v1: Fraction, v2: Fraction) -> list[tuple[Fraction, tuple[int, ...]]]:
+    """T_j = 1 + z(v1 T_(j-1) + v2 T_j + T_(j-1) T_j)."""
+    return [(w, offs) for w, offs in ((v1, (-1,)), (v2, (0,)), (Q(1), (-1, 0))) if w]
+
+
+def _ternary_kinds(v1: Fraction, v2: Fraction) -> list[tuple[Fraction, tuple[int, ...]]]:
+    """T_j = 1 + z(v1 (T_(j-1) + T_(j+1)) + v2 T_j + T_(j-1) T_j T_(j+1))."""
+    return [(w, offs) for w, offs in ((v1, (-1,)), (v1, (1,)), (v2, (0,)), (Q(1), (-1, 0, 1)))
+            if w]
 
 
 def _extreme_spectra(
@@ -710,41 +629,23 @@ def enumerate_embedded_binary(
             yield (Q(1), _NEG_INF, 0)
             return
         for weight, offsets in kinds:
-            if len(offsets) == 1:
-                for wt, mx, mn in gen(size - 1):
-                    off = offsets[0]
-                    new_mx = max(0, mx + off) if mx != _NEG_INF else 0
-                    yield (weight * wt, new_mx, min(0, mn + off))
-            else:
-                for a in range(size):
-                    b = size - 1 - a
-                    for wt_a, mx_a, mn_a in gen(a):
-                        for wt_b, mx_b, mn_b in gen(b):
-                            vals_mx = [0]
-                            if mx_a != _NEG_INF:
-                                vals_mx.append(mx_a + offsets[0])
-                            if mx_b != _NEG_INF:
-                                vals_mx.append(mx_b + offsets[1])
-                            yield (
-                                weight * wt_a * wt_b,
-                                max(vals_mx),
-                                min(0, mn_a + offsets[0], mn_b + offsets[1]),
-                            )
+            for sizes in itertools.product(range(size), repeat=len(offsets)):
+                if sum(sizes) != size - 1:
+                    continue
+                for kids in itertools.product(*[list(gen(s)) for s in sizes]):
+                    yield (reduce(mul, [wt for wt, _, _ in kids], weight),
+                           max([0] + [mx + o for (_, mx, _), o in zip(kids, offsets)]),
+                           min([0] + [mn + o for (_, _, mn), o in zip(kids, offsets)]))
 
     return list(gen(n))
 
 
 def plane_tree_height_counts(n_max: int) -> list[dict[int, int]]:
-    """counts[n][h]: plane trees with n edges and height exactly h."""
-    counts: list[dict[int, int]] = [{0: 1}]
-    for n in range(1, n_max + 1):
-        spec: dict[int, int] = {}
-        # first-subtree decomposition: one edge to the first subtree, the
-        # rest of the root's children form a smaller tree at the same root.
-        for e in range(n):
-            for h1, c1 in counts[e].items():
-                for h2, c2 in counts[n - 1 - e].items():
-                    h = max(h1 + 1, h2)
-                    spec[h] = spec.get(h, 0) + c1 * c2
-        counts.append(spec)
-    return counts
+    """counts[n][h]: plane trees with n edges and height exactly h.
+
+    An edge is a node of kind (1, 0): its first child subtree hangs one
+    level deeper, its second continues the list of its parent's subtrees.
+    The height is the largest label plus 1, and 0 for the empty tree.
+    """
+    spectra = label_spectra([(Q(1), (1, 0))], n_max, "max")
+    return [{max(m + 1, 0): int(c) for m, c in spec.items()} for spec in spectra]

@@ -6,7 +6,9 @@ generating functions T_j are computed by the level recurrence with
 boundary rows pinned to 1, by a rational one-parameter closed family
 (verified as an exact rational-function identity valid for every level
 at once), and by the multi-branch expansion-coefficient tables of the
-general solution, checked against the exact level equation.
+general solution, checked against the exact level equation.  The
+single-branch coefficients are recomputed from the term table of the
+one unit-divisor recurrence in ``levels``, over rational functions.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from fractions import Fraction
 
 from .errors import SizeTooLarge
 from .kernel import SmallFactor, characteristic_poly, small_factor_from_poly, tree_root
-from .levels import label_spectra, level_rows
+from .levels import _compositions  # noqa: F401  (imported from here by callers)
+from .levels import _terms_by_multiset, _x_powers, alpha_terms, label_spectra, level_rows
 from .multipoly import MultiPoly, RationalFunction
 from .series import Q, Series
 from .splitting import SAElement, SplitAlgebra
@@ -252,6 +255,15 @@ def _uni_x(k: int) -> MultiPoly:
     return _uni({k: Q(1)})
 
 
+def _one_param_parts(fam: DaryFamily, n_max: int):
+    """first, pair and num_1..num_n_max with alpha_n = num_n / (first pair^(n-1))."""
+    one = _uni({0: Q(1)})
+    d = fam.d
+    step, xpow, lead = (d, 1, d + 1) if fam.kind == "odd" else (2 * d - 1, 2, 2 * d + 1)
+    nums = [_uni_x(xpow * (n - 1)) * (one - _uni_x(n * step)) for n in range(1, n_max + 1)]
+    return one - _uni_x(step), (one - _uni_x(xpow)) * (one - _uni_x(lead)), nums
+
+
 def dary_alpha_one_param_closed(fam: DaryFamily, n_max: int) -> list[RationalFunction]:
     """Closed single-branch coefficients alpha_1..alpha_n_max (alpha_1 = 1).
 
@@ -259,46 +271,8 @@ def dary_alpha_one_param_closed(fam: DaryFamily, n_max: int) -> list[RationalFun
     even: alpha_n = X^(2(n-1)) (1-X^(n(2d-1)))
                     / ((1-X^(2d-1))(1-X^2)^(n-1)(1-X^(2d+1))^(n-1))
     """
-    one = _uni({0: Q(1)})
-    d = fam.d
-    if fam.kind == "odd":
-        step, xpow, lead = d, 1, d + 1
-        base_lo = one - _uni_x(1)
-    else:
-        step, xpow, lead = 2 * d - 1, 2, 2 * d + 1
-        base_lo = one - _uni_x(2)
-    base_hi = one - _uni_x(lead)
-    first = one - _uni_x(step)
-    out = []
-    for n in range(1, n_max + 1):
-        num = _uni_x(xpow * (n - 1)) * (one - _uni_x(n * step))
-        den = first * base_lo ** (n - 1) * base_hi ** (n - 1)
-        out.append(RationalFunction(num, den))
-    return out
-
-
-def _compositions(total: int, parts: int):
-    """Ordered tuples of positive integers with the given sum."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _terms_by_multiset(offsets, max_size: int, splits):
-    """Every term of a graded sum, keyed by the multiset of its parts.
-
-    Yields (key, combo, parts) for each subset ``combo`` of 2..max_size
-    offsets and each ordered split ``parts`` from ``splits(len(combo))``;
-    ``key`` is the sorted tuple of the parts, the one thing the product of
-    a term's lower coefficients depends on.
-    """
-    for size in range(2, max_size + 1):
-        for combo in itertools.combinations(offsets, size):
-            for parts in splits(size):
-                yield tuple(sorted(parts)), combo, parts
+    first, pair, nums = _one_param_parts(fam, n_max)
+    return [RationalFunction(num, first * pair**n) for n, num in enumerate(nums)]
 
 
 def dary_alpha_one_param_recurrence(
@@ -306,64 +280,30 @@ def dary_alpha_one_param_recurrence(
 ) -> list[RationalFunction]:
     """Single-branch coefficients recomputed from the graded recurrence.
 
-    Uses the already-verified lower closed values on the right-hand side
-    and accumulates every subset/composition term over one explicit common
-    denominator, so polynomial degrees stay linear in n.  A term's
-    numerator depends only on the multiset of its composition's parts, so
-    the terms are grouped by that multiset: each group counts its
-    X-powers, and makes one product of its numerator with their sum.
+    The terms and the divisor are ``levels.alpha_terms``' table for the
+    family's one kind.  The right-hand side uses the already-verified
+    lower closed values and sums over one explicit common denominator,
+    so polynomial degrees stay linear in n; each multiset of parts makes
+    one product of its numerator with its X-polynomial.
     """
     offsets = fam.offsets
     c_down = -min(offsets)
-    one = _uni({0: Q(1)})
-    alphas: list[RationalFunction] = [RationalFunction(one)]
-    d = fam.d
-    if fam.kind == "odd":
-        step, xpow, lead = d, 1, d + 1
-        base_lo = one - _uni_x(1)
-    else:
-        step, xpow, lead = 2 * d - 1, 2, 2 * d + 1
-        base_lo = one - _uni_x(2)
-    base_hi = one - _uni_x(lead)
-    first = one - _uni_x(step)
-    closed_num = [
-        _uni_x(xpow * (g - 1)) * (one - _uni_x(g * step))
-        for g in range(1, n_max + 1)
-    ]
-    pair = base_lo * base_hi
-    size_cap = min(n_max, len(offsets))
-    first_pows = [MultiPoly.const(("X",), 1)]
-    pair_pows = [MultiPoly.const(("X",), 1)]
-    for _ in range(max(size_cap, n_max) + 1):
-        first_pows.append(first_pows[-1] * first)
-        pair_pows.append(pair_pows[-1] * pair)
+    alphas: list[RationalFunction] = [RationalFunction(_uni({0: Q(1)}))]
+    first, pair, closed_num = _one_param_parts(fam, n_max)
+    first_pows, pair_pows = _x_powers(first, n_max + 1), _x_powers(pair, n_max + 1)
 
     for n in range(2, n_max + 1):
         l_cap = min(n, len(offsets))
         # common denominator: first^l_cap * pair^n * X^(c_down n)
-        groups: dict[tuple[int, ...], dict[int, int]] = {}
-        terms = _terms_by_multiset(offsets, l_cap, lambda size: _compositions(n, size))
-        for key, combo, parts in terms:
-            counts = groups.setdefault(key, {})
-            k = sum(o * g for o, g in zip(combo, parts)) + c_down * n
-            counts[k] = counts.get(k, 0) + 1
+        divisor, numerators = alpha_terms([(Q(1), offsets)], n)
         acc = MultiPoly.zero(("X",))
-        for key, counts in groups.items():
-            size = len(key)
-            num = first_pows[l_cap - size] * pair_pows[size]
+        for (key, _), poly in numerators.items():
+            num = first_pows[l_cap - len(key)] * pair_pows[len(key)]
             for g in key:
                 num = num * closed_num[g - 1]
-            term = num * _uni(counts)
-            acc = acc + (term if size % 2 == 0 else -term)
-        rhs = RationalFunction(
-            acc, first_pows[l_cap] * pair_pows[n] * _uni_x(c_down * n)
-        )
-        # divisor: sum over offsets of (X^(o n) - X^o), cleared by X^(c_down n)
-        div_num = MultiPoly.zero(("X",))
-        for o in offsets:
-            div_num = div_num + _uni_x((o + c_down) * n) - _uni_x(o + c_down * n)
-        divisor = RationalFunction(div_num, _uni_x(c_down * n))
-        alphas.append(rhs / divisor)
+            acc = acc + num * _uni(poly)
+        rhs = RationalFunction(acc, first_pows[l_cap] * pair_pows[n] * _uni_x(c_down * n))
+        alphas.append(rhs / RationalFunction(_uni(divisor[fam.arity]), _uni_x(c_down * n)))
     return alphas
 
 

@@ -7,11 +7,23 @@ their kind lists and in the value pinned on the rows below level 0.
 ``level_rows`` solves that system coefficientwise; ``label_spectra``
 counts the same trees by shape and extreme label, the oracle the rows
 are checked against.
+
+The single-branch expansion T_j = T(1 - sum_n alpha_n X^(jn)) of the
+system has one coefficient recurrence, ``alpha_recurrence``.  With delta
+the deepest downward offset, and the characteristic equation substituted
+for T X^delta / z, its divisor is a unit:
+
+    alpha_n sum_k w_k T^|O_k| sum_(o in O_k) (X^((delta+o)n) - X^(delta n+o))
+      = sum_k w_k T^|O_k| sum_(S in O_k, |S| >= 2) (-1)^|S|
+          sum_(compositions m of n over S) prod alpha_m X^(sum (o+delta)m).
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from operator import mul
 
 from .series import Q, Series, over_lcm
@@ -38,6 +50,130 @@ def _product_coeff(factors, m: int) -> int:
     return sum(map(mul, prefix, last[m::-1]))
 
 
+def _compositions(total: int, parts: int):
+    """Ordered tuples of positive integers with the given sum."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _terms_by_multiset(offsets, max_size: int, splits):
+    """Every term of a graded sum, keyed by the multiset of its parts.
+
+    Yields (key, combo, parts) for each subset ``combo`` of 2..max_size
+    offsets and each ordered split ``parts`` from ``splits(len(combo))``;
+    ``key`` is the sorted tuple of the parts, the one thing the product of
+    a term's lower coefficients depends on.
+    """
+    for size in range(2, max_size + 1):
+        for combo in itertools.combinations(offsets, size):
+            for parts in splits(size):
+                yield tuple(sorted(parts)), combo, parts
+
+
+def _x_powers(X, k_max: int) -> list:
+    """1, X, ..., X^k_max in X's exact ring."""
+    xp = [X**0]
+    for _ in range(k_max):
+        xp.append(xp[-1] * X)
+    return xp
+
+
+def _span(kinds: Kinds) -> tuple[int, int]:
+    """The deepest downward offset (at least 1) and the highest upward one (at least 0)."""
+    offsets = [o for _, offs in kinds for o in offs]
+    return max([1] + [-o for o in offsets]), max([0] + offsets)
+
+
+def alpha_terms(kinds: Kinds, n: int):
+    """Degree n of the expansion recurrence, as integer X-polynomials {exponent: coefficient}.
+
+    Returns (divisor, numerators): divisor[a] multiplies T^a, and
+    numerators[(key, a)] multiplies T^a and the alphas over the multiset
+    ``key`` of parts.  Both sides carry the weights times the lcm of their
+    denominators.
+    """
+    delta, _ = _span(kinds)
+    divisor: dict[int, dict[int, int]] = {}
+    numerators: dict[tuple, dict[int, int]] = {}
+    lifted, _ = over_lcm([w.as_integer_ratio() for w, _ in kinds])
+    for w, (_, offs) in zip(lifted, kinds):
+        counts: Counter = Counter()  # signed, by (key, exponent); the divisor's key is ()
+        for o in offs:
+            counts[(), (delta + o) * n] += 1
+            counts[(), delta * n + o] -= 1
+        for key, combo, parts in _terms_by_multiset(
+                offs, min(n, len(offs)), lambda size: _compositions(n, size)):
+            counts[key, sum((o + delta) * m for o, m in zip(combo, parts))] += (-1) ** len(key)
+        for (key, e), c in counts.items():
+            poly = (numerators.setdefault((key, len(offs)), {}) if key
+                    else divisor.setdefault(len(offs), {}))
+            poly[e] = poly.get(e, 0) + w * c
+    return divisor, numerators
+
+
+def _x_poly(xp: list[Series], poly: dict[int, int]) -> Series:
+    """The sum of c X^e over the integer polynomial {e: c}, in one pass."""
+    es = [e for e, c in poly.items() if c]
+    scales, den = over_lcm([(poly[e], xp[e]._den) for e in es])
+    nums = [sum(map(mul, scales, column)) for column in zip(*(xp[e]._num for e in es))]
+    return Series._normed(nums, den) if es else Series.zero(xp[0].order)
+
+
+def alpha_recurrence(kinds: Kinds, X: Series, T: Series, n_max: int) -> list[Series]:
+    """alpha_1 = 1, ..., alpha_n_max of the single-branch expansion, in series.
+
+    X is the branch with X^delta solving the characteristic equation and
+    T the root; the table keeps their common order.  Both sides are
+    divided by T to the smallest arity, and each multiset of parts makes
+    one product of alphas.
+    """
+    order = min(X.order, T.order)
+    X, T = X.truncate(order), T.truncate(order)
+    xp = _x_powers(X, sum(_span(kinds)) * n_max)
+    low = min(len(offs) for _, offs in kinds)
+    t_pows = {len(offs): T ** (len(offs) - low) for _, offs in kinds}
+    one = Series.one(order)
+    alphas, products = [one], {(): one}
+
+    def product(key):
+        if key not in products:
+            products[key] = product(key[:-1]) * alphas[key[-1] - 1]
+        return products[key]
+
+    def in_t(parts: dict[int, Series]) -> Series:
+        return sum(s * t_pows[a] if a > low else s for a, s in parts.items())
+
+    for n in range(2, n_max + 1):
+        divisor, numerators = alpha_terms(kinds, n)
+        rhs: dict[int, Series] = {}
+        for (key, a), poly in numerators.items():  # alpha_1 = 1 enters no product
+            rhs[a] = rhs.get(a, 0) + _x_poly(xp, poly) * product(tuple(g for g in key if g > 1))
+        alphas.append(in_t(rhs) / in_t({a: _x_poly(xp, p) for a, p in divisor.items()}))
+        products[(n,)] = alphas[-1]
+    return alphas
+
+
+def level_residual(kinds: Kinds, alphas, X: Series, T: Series, j: int, order: int) -> Series:
+    """T_j - 1 - z sum_k w_k prod_(o in O_k) T_(j+o) for T_i = T(1 - sum_n alpha_n X^(in)).
+
+    With alpha_1..alpha_n_max given, the dropped tail enters through level
+    j - delta, so the residual vanishes below (j - delta)(n_max + 1) + 1.
+    """
+    delta, up = _span(kinds)
+    if j < delta:
+        raise ValueError(f"the expansion needs level j >= {delta}")
+    X, T = X.truncate(order), T.truncate(order)
+    xp = _x_powers(X, (j + up) * len(alphas))
+    rows = {i: T - T * sum(a * xp[i * n] for n, a in enumerate(alphas, 1))
+            for i in range(j - delta, j + up + 1)}
+    total = sum(reduce(mul, [rows[j + o] for o in offs]) * w for w, offs in kinds)
+    return rows[j] - 1 - Series.z(order) * total
+
+
 def level_rows(kinds: Kinds, pin: int, j_max: int, order: int) -> dict[int, Series]:
     """Rows T_-depth..T_j_max of the level system, computed coefficientwise.
 
@@ -49,9 +185,7 @@ def level_rows(kinds: Kinds, pin: int, j_max: int, order: int) -> dict[int, Seri
     nothing above that cone is computed.  With the weights scaled by L, the
     lcm of their denominators, coefficient n is an integer over L^n.
     """
-    offsets = [o for _, offs in kinds for o in offs]
-    depth = max([1] + [-o for o in offsets])
-    up = max([0] + offsets)
+    depth, up = _span(kinds)
     top = j_max + (order - 1) * up
     lifted, scale = over_lcm([w.as_integer_ratio() for w, _ in kinds])
     rows = [[pin] + [0] * (order - 1) for _ in range(depth)]

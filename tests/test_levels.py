@@ -1,9 +1,24 @@
 from fractions import Fraction as Q
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embtrees.levels import label_spectra, level_rows
+from embtrees.binary import (
+    BinaryWeights,
+    _height_kinds,
+    _node_kinds,
+    _ternary_kinds,
+    binary_T,
+    binary_X,
+    height_T,
+    height_X,
+    ternary_T,
+    ternary_X,
+)
+from embtrees.kernel import SeriesPoly, newton_solve, tree_root
+from embtrees.levels import _x_powers, alpha_recurrence, label_spectra, level_residual, level_rows
+from embtrees.series import Series
 
 N_MAX = 6
 J_MAX = 3
@@ -41,3 +56,141 @@ def test_level_rows_equal_label_spectra(kinds):
             sum((c for m, c in spec.items() if m >= -j), Q(0)) for spec in lowest
         ]
 
+
+
+# ---------------------------------------------------------------------------
+# The single-branch expansion recurrence
+# ---------------------------------------------------------------------------
+
+
+def ref_binary_alpha(w, n_max, order):
+    """The binary recurrence as first written, divisor fac (1 - X^n)(1 - X^(n+2))."""
+    T, X = binary_T(w, order), binary_X(w, order)
+    one = Series.one(order)
+    xp = _x_powers(X, 2 * n_max + 3)
+    fac = one / T * w.v1 + (w.w1 + w.w3)
+    alphas = [one]
+    for n in range(1, n_max):
+        rhs = Series.zero(order)
+        for i in range(1, n + 1):
+            weight_poly = Series.zero(order)
+            if w.w1:
+                weight_poly = weight_poly + xp[2 * (n + 1 - i)] * w.w1
+            if w.w2:
+                weight_poly = weight_poly + xp[n + 1] * w.w2
+            if w.w3:
+                weight_poly = weight_poly + (xp[n + 1 - i] + xp[n + 1 + i]) * w.w3
+            rhs = rhs + alphas[i - 1] * alphas[n - i] * weight_poly
+        alphas.append(rhs / (fac * (one - xp[n]) * (one - xp[n + 2])))
+    return alphas
+
+
+def ref_height_alpha(v1, v2, n_max, order):
+    """The height recurrence as first written, divisor fac (1 - X^n)."""
+    v1, v2 = Q(v1), Q(v2)
+    T, X = height_T(v1, v2, order), height_X(v1, v2, order)
+    one = Series.one(order)
+    fac = one / T * v1 + 1
+    xp = _x_powers(X, n_max + 2)
+    alphas = [one]
+    for n in range(1, n_max):
+        rhs = Series.zero(order)
+        for i in range(1, n + 1):
+            rhs = rhs + alphas[i - 1] * alphas[n - i] * xp[n + 1 - i]
+        alphas.append(rhs / (fac * (one - xp[n])))
+    return alphas
+
+
+def ref_ternary_alpha(v1, v2, n_max, order):
+    """The ternary recurrence as first written: pair block minus triple block."""
+    v1, v2 = Q(v1), Q(v2)
+    T, X = ternary_T(v1, v2, order), ternary_X(v1, v2, order)
+    one = Series.one(order)
+    fac = one / (T * T) * v1 + 1
+    xp = _x_powers(X, 2 * n_max + 3)
+    alphas = [one]
+    for n in range(1, n_max):
+        rhs = Series.zero(order)
+        for i in range(1, n + 1):
+            rhs = rhs + alphas[i - 1] * alphas[n - i] * (
+                xp[2 * (n + 1 - i)] + xp[n + 1 - i] + xp[n + 1 + i]
+            )
+        for i1 in range(1, n):
+            for i2 in range(1, n + 1 - i1):
+                i3 = n + 1 - i1 - i2
+                if i3 < 1:
+                    continue
+                rhs = rhs - alphas[i1 - 1] * alphas[i2 - 1] * alphas[i3 - 1] * xp[
+                    n + 1 + i1 - i3
+                ]
+        alphas.append(rhs / (fac * (one - xp[n]) * (one - xp[n + 2])))
+    return alphas
+
+
+# the campaign's binary vectors and the conjecture's (v1, v2, 1, 0, 1)
+@pytest.mark.parametrize("vec,n_max", [
+    ((0, 0, 1, 0, 0), 12), ((0, 0, 0, 1, 1), 12), ((1, 0, 1, 0, 0), 12), ((2, 1, 1, 1, 1), 12),
+    ((0, 0, 0, 0, 1), 12), ((1, 0, 0, 0, 1), 12),
+    ((0, 0, 1, 0, 1), 10), ((1, 0, 1, 0, 1), 10), ((1, 2, 1, 0, 1), 10)])
+def test_binary_recurrence_equals_reference(vec, n_max):
+    w = BinaryWeights.make(*vec)
+    got = alpha_recurrence(_node_kinds(w), binary_X(w, 30), binary_T(w, 30), n_max)
+    assert got == ref_binary_alpha(w, n_max, 30)
+
+
+@pytest.mark.parametrize("v1,v2", [(0, 0), (1, 0), (2, 3)])
+def test_height_recurrence_equals_reference(v1, v2):
+    kinds = _height_kinds(Q(v1), Q(v2))
+    got = alpha_recurrence(kinds, height_X(v1, v2, 20), height_T(v1, v2, 20), 8)
+    assert got == ref_height_alpha(v1, v2, 8, 20)
+
+
+@pytest.mark.parametrize("v1,v2,n_max,order", [(0, 0, 8, 30), (1, 2, 6, 20)])
+def test_ternary_recurrence_equals_reference(v1, v2, n_max, order):
+    kinds = _ternary_kinds(Q(v1), Q(v2))
+    got = alpha_recurrence(kinds, ternary_X(v1, v2, order), ternary_T(v1, v2, order), n_max)
+    assert got == ref_ternary_alpha(v1, v2, n_max, order)
+
+
+def characteristic_root(kinds, T):
+    """X with T X = z sum_k w_k T^|O_k| sum_(o in O_k) X^(o+1), offsets in {-1, 0, 1}."""
+    order = T.order
+    z = Series.z(order)
+    coeffs = [Series.zero(order) for _ in range(3)]
+    for w, offs in kinds:
+        for o in offs:
+            coeffs[o + 1] = coeffs[o + 1] + z * T ** len(offs) * w
+    coeffs[1] = coeffs[1] - T
+    return newton_solve(SeriesPoly.make(coeffs), 0)
+
+
+single_branch_kind = st.tuples(
+    st.sampled_from([Q(1, 3), Q(1, 2), Q(1), Q(2)]),
+    st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=3).map(tuple),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(single_branch_kind, min_size=0, max_size=2),
+       single_branch_kind.map(lambda kind: (kind[0], (-1,) + kind[1][1:])))
+def test_level_residual_vanishes_for_random_kinds(kinds, deep):
+    # the deepest offset is -1, so the dropped tail n > n_max enters the
+    # level-j residual through level j - 1, times z: below (j-1)(n_max+1)+1
+    kinds = kinds + [deep]
+    n_max, j = 5, 3
+    bound = (j - 1) * (n_max + 1) + 1
+    weights: dict[int, Q] = {}
+    for w, offs in kinds:
+        weights[len(offs)] = weights.get(len(offs), Q(0)) + w
+    T = tree_root(weights, bound)
+    X = characteristic_root(kinds, T)
+    alphas = alpha_recurrence(kinds, X, T, n_max)
+    assert alphas[0] == Series.one(bound)
+    assert level_residual(kinds, alphas, X, T, j, bound).is_zero()
+
+
+def test_level_residual_needs_non_negative_levels():
+    kinds = _ternary_kinds(Q(1), Q(0))
+    alphas = alpha_recurrence(kinds, ternary_X(1, 0, 10), ternary_T(1, 0, 10), 3)
+    with pytest.raises(ValueError):
+        level_residual(kinds, alphas, ternary_X(1, 0, 10), ternary_T(1, 0, 10), 0, 10)
