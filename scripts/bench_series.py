@@ -23,8 +23,11 @@ at stored order 28 and 31) against the per-pair reduction and ``invert_one_plus`
 (``tests/test_splitting.py``); ``hensel_factor_pair`` for the step set
 {-2, -1, 1, 3} at order 40 against the Fraction lift
 (``tests/test_kernel.py``); ``dary_alpha_one_param_recurrence`` against
-one product per composition (``tests/test_dary.py``); and ``level_rows``
-against the ``label_spectra`` sums it is tested with
+one product per composition (``tests/test_dary.py``); ``level_rows``
+against the ``label_spectra`` sums it is tested with; and
+``levels.alpha_recurrence``, root and rate included, against the binary
+recurrence at w = (2, 1, 1, 1, 1), n_max 12, order 30, and the ternary
+one at (v1, v2) = (1, 2), n_max 6, order 20, as first written
 (``tests/test_levels.py``).  The expansion-table rows time
 ``dary_alpha_general`` (even d = 2, bound 3, order 15) against the
 table loop it replaced, comparing every coordinate cut to the table's
@@ -54,6 +57,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
 
+from embtrees.binary import (  # noqa: E402
+    BinaryWeights,
+    _node_kinds,
+    _ternary_kinds,
+    binary_T,
+    binary_X,
+    ternary_T,
+    ternary_X,
+)
 from embtrees.dary import (  # noqa: E402
     DaryFamily,
     dary_alpha_general,
@@ -61,7 +73,7 @@ from embtrees.dary import (  # noqa: E402
     rho_series,
 )
 from embtrees.kernel import characteristic_poly, hensel_factor_pair  # noqa: E402
-from embtrees.levels import label_spectra, level_rows  # noqa: E402
+from embtrees.levels import alpha_recurrence, label_spectra, level_rows  # noqa: E402
 from embtrees.marker import MarkerSeries  # noqa: E402
 from embtrees.multipoly import MultiPoly  # noqa: E402
 from embtrees.series import Series  # noqa: E402
@@ -75,6 +87,7 @@ from test_dary import (  # noqa: E402
     rho_levels,
 )
 from test_kernel import ref_hensel  # noqa: E402
+from test_levels import ref_binary_alpha, ref_ternary_alpha  # noqa: E402
 from test_marker_multipoly_core import (  # noqa: E402
     ref_lockstep_table,
     ref_marker_mul,
@@ -248,6 +261,14 @@ def bench_recurrences(repeats: int) -> list[dict]:
                      if j >= 0],
             lambda: [[sum((c for m, c in spec.items() if m <= j), Q(0)) for spec in spectra]
                      for j in range(4)], repeats)
+    w = BinaryWeights.make(2, 1, 1, 1, 1)
+    compare(rows, "alpha_recurrence", 30, "binary (2,1,1,1,1), n<=12",
+            lambda: alpha_recurrence(_node_kinds(w), binary_X(w, 30), binary_T(w, 30), 12),
+            lambda: ref_binary_alpha(w, 12, 30), repeats)
+    compare(rows, "alpha_recurrence", 20, "ternary (1,2), n<=6",
+            lambda: alpha_recurrence(_ternary_kinds(Q(1), Q(2)), ternary_X(1, 2, 20),
+                                     ternary_T(1, 2, 20), 6),
+            lambda: ref_ternary_alpha(1, 2, 6, 20), repeats)
     return rows
 
 
