@@ -126,8 +126,8 @@ def _x_poly(xp: list[Series], poly: dict[int, int]) -> Series:
 def alpha_recurrence(kinds: Kinds, X: Series, T: Series, n_max: int) -> list[Series]:
     """alpha_1 = 1, ..., alpha_n_max of the single-branch expansion, in series.
 
-    X is the branch with X^delta solving the characteristic equation and
-    T the root; the table keeps their common order.  Both sides are
+    X is the small root of the characteristic equation (the degree-1
+    divisor) and T the root; the table keeps their order.  Both sides are
     divided by T to the smallest arity, and each multiset of parts makes
     one product of alphas.
     """
@@ -144,7 +144,7 @@ def alpha_recurrence(kinds: Kinds, X: Series, T: Series, n_max: int) -> list[Ser
             products[key] = product(key[:-1]) * alphas[key[-1] - 1]
         return products[key]
 
-    def in_t(parts: dict[int, Series]) -> Series:
+    def t_weighted(parts: dict[int, Series]) -> Series:  # sum of T^(a - low) parts[a]
         return sum(s * t_pows[a] if a > low else s for a, s in parts.items())
 
     for n in range(2, n_max + 1):
@@ -152,7 +152,7 @@ def alpha_recurrence(kinds: Kinds, X: Series, T: Series, n_max: int) -> list[Ser
         rhs: dict[int, Series] = {}
         for (key, a), poly in numerators.items():  # alpha_1 = 1 enters no product
             rhs[a] = rhs.get(a, 0) + _x_poly(xp, poly) * product(tuple(g for g in key if g > 1))
-        alphas.append(in_t(rhs) / in_t({a: _x_poly(xp, p) for a, p in divisor.items()}))
+        alphas.append(t_weighted(rhs) / t_weighted({a: _x_poly(xp, p) for a, p in divisor.items()}))
         products[(n,)] = alphas[-1]
     return alphas
 

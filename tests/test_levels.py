@@ -170,7 +170,7 @@ single_branch_kind = st.tuples(
 )
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(st.lists(single_branch_kind, min_size=0, max_size=2),
        single_branch_kind.map(lambda kind: (kind[0], (-1,) + kind[1][1:])))
 def test_level_residual_vanishes_for_random_kinds(kinds, deep):
