@@ -126,10 +126,10 @@ def _x_poly(xp: list[Series], poly: dict[int, int]) -> Series:
 def alpha_recurrence(kinds: Kinds, X: Series, T: Series, n_max: int) -> list[Series]:
     """alpha_1 = 1, ..., alpha_n_max of the single-branch expansion, in series.
 
-    X is the small root of the characteristic equation (the degree-1
-    divisor) and T the root; the table keeps their order.  Both sides are
-    divided by T to the smallest arity, and each multiset of parts makes
-    one product of alphas.
+    X is the small root of the characteristic equation, where the
+    degree-1 divisor vanishes, and T the root; the table keeps their
+    order.  Both sides are divided by T to the smallest arity, and each
+    multiset of parts makes one product of alphas.
     """
     order = min(X.order, T.order)
     X, T = X.truncate(order), T.truncate(order)

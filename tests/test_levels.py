@@ -57,7 +57,6 @@ def test_level_rows_equal_label_spectra(kinds):
         ]
 
 
-
 # ---------------------------------------------------------------------------
 # The single-branch expansion recurrence
 # ---------------------------------------------------------------------------
