@@ -218,7 +218,7 @@ def bench_layers(repeats: int, seed: int) -> list[dict]:
 
 
 def sa_value(e) -> tuple:
-    return e.coeffs, e.shift, e.stored_order
+    return e.coeffs, e.stored_order
 
 
 def rf_pairs(alphas) -> list:
@@ -228,8 +228,8 @@ def rf_pairs(alphas) -> list:
 def bench_recurrences(repeats: int) -> list[dict]:
     """Split algebra, Hensel lift and the two graded recurrences, against the old forms."""
     rows: list[dict] = []
-    for fam, index, monos in ((DaryFamily("odd", 2), (2, 0), ((2, 0), (0, -1))),
-                              (DaryFamily("even", 2), (0, 2, 0), ((2, -1, 0), (0, 1, -1)))):
+    for fam, index, monos in ((DaryFamily("odd", 2), (2, 0), ((4, 0), (2, 1))),
+                              (DaryFamily("even", 2), (0, 2, 0), ((4, 2, 0), (0, 2, 4)))):
         # an entry of the table verify_main_equation checks at bound 3,
         # order 15, times a sum of root monomials, as the table makes them
         seeds = [Series.z(19) ** 4 for _ in range(fam.branch_count)]
@@ -273,8 +273,8 @@ def bench_recurrences(repeats: int) -> list[dict]:
 
 
 def cut_entries(entries: dict, order: int) -> dict:
-    """Each entry's shift and coordinates, cut to the table's order."""
-    return {index: (e.shift, {m: s.truncate(order) for m, s in e.coeffs.items()})
+    """Each entry's coordinates, cut to the table's order."""
+    return {index: {m: s.truncate(order) for m, s in e.coeffs.items()}
             for index, e in entries.items()}
 
 

@@ -14,8 +14,9 @@ compares the printed digests.  The digest covers:
   ``one_param_residual`` and ``dary_rational_parametrization``;
 * the ``dary_alpha_general`` tables for the odd and even families with
   d = 1, 2 (bound 3, order 15) and odd d = 3 (bound 2, order 12), in
-  three sections: ``tables``, every entry in full (each coordinate,
-  shift and stored order); ``tables@order``, each coordinate cut to the
+  three sections: ``tables``, every entry in full (each coordinate
+  and the stored order, after a literal 0 where a z-shift was once
+  hashed); ``tables@order``, each coordinate cut to the
   table's order argument, which holds however many orders a table
   stores beyond it; and ``rho``, the ``rho_series`` levels that
   ``verify_main_equation`` reads;
@@ -145,12 +146,12 @@ def built_tables():
 
 
 def table_section():
-    return [(index, entry.shift, entry.stored_order, entry.coeffs)
+    return [(index, 0, entry.stored_order, entry.coeffs)
             for _, _, table in built_tables() for index, entry in sorted(table.entries.items())]
 
 
 def table_at_order_section():
-    return [(index, entry.shift, {e: s.truncate(order) for e, s in entry.coeffs.items()})
+    return [(index, 0, {e: s.truncate(order) for e, s in entry.coeffs.items()})
             for _, order, table in built_tables()
             for index, entry in sorted(table.entries.items())]
 
