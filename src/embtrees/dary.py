@@ -16,6 +16,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 from .errors import SizeTooLarge
 from .kernel import SmallFactor, characteristic_poly, small_factor_from_poly, tree_root
@@ -153,88 +155,35 @@ def one_param_solution(fam: DaryFamily) -> RationalFunction:
     return RationalFunction(num, den)
 
 
+def _at_level_offset(sol: RationalFunction, o: int) -> RationalFunction:
+    """sol with Y -> X^o Y, both sides times the X power that clears negative exponents."""
+    # (ex, el, ey) -> (ex + o ey, el, ey) is one-to-one, so no terms merge
+    parts = [{(ex + o * ey, el, ey): c for (ex, el, ey), c in p.terms.items()}
+             for p in (sol.num, sol.den)]
+    clear = max(0, -min(e[0] for terms in parts for e in terms))
+    num, den = (MultiPoly(sol.variables, {(ex + clear, el, ey): c
+                                          for (ex, el, ey), c in terms.items()})
+                for terms in parts)
+    return RationalFunction(num, den)
+
+
 def one_param_residual(fam: DaryFamily) -> MultiPoly:
     """Cleared residual of the level recurrence for the closed family.
 
-    Substituting the rational T(X), z(X) and the closed T_j (with Y
-    standing for X^j) into the level recurrence and clearing denominators
-    yields one polynomial in (X, lam, Y); it is identically zero iff the
+    With Y standing for X^j, T_j = T sol(Y), T = A/B and z T^(arity-1) =
+    (A-B)/A from ``dary_rational_parametrization``, the level recurrence
+    T_j = 1 + z prod over offsets of T_(j+o), times B, reads
+    A sol(Y) - B - (A-B) prod sol(X^o Y) = 0.  The numerator of its left
+    side is one polynomial in (X, lam, Y); it is identically zero iff the
     closed family solves the recurrence for every level and parameter.
     """
     variables = ("X", "lam", "Y")
-    one = MultiPoly.const(variables, 1)
-    d = fam.d
+    t_of_x = dary_rational_parametrization(fam)[0]
+    big_a, big_b = (MultiPoly(variables, {(k, 0, 0): c for (k,), c in p.terms.items()})
+                    for p in (t_of_x.num, t_of_x.den))
     sol = one_param_solution(fam)
-    if fam.kind == "odd":
-        p_a = one - MultiPoly.monomial(variables, (2 * d + 1, 0, 0))
-        front = MultiPoly.monomial(variables, (d, 0, 0)) * (
-            one - MultiPoly.var(variables, "X")
-        )
-        prod_offsets = fam.offsets  # includes 0
-        own_in_product = True
-    else:
-        p_a = one - MultiPoly.monomial(variables, (4 * d, 0, 0))
-        front = MultiPoly.monomial(variables, (2 * d - 1, 0, 0)) * (
-            one - MultiPoly.monomial(variables, (2, 0, 0))
-        )
-        prod_offsets = fam.offsets  # excludes 0
-        own_in_product = False
-    p_b = p_a - front
-
-    def shifted(poly: MultiPoly, o: int) -> tuple[MultiPoly, int]:
-        """Substitute Y -> X^o Y; negative X powers return a clearing shift."""
-        out: dict[tuple[int, ...], Fraction] = {}
-        shift = 0
-        terms = []
-        for (ex, el, ey), c in poly.terms.items():
-            new_x = ex + o * ey
-            terms.append(((new_x, el, ey), c))
-            shift = max(shift, -new_x)
-        for (ex, el, ey), c in terms:
-            key = (ex + shift, el, ey)
-            out[key] = out.get(key, _ZERO) + c
-        return MultiPoly(variables, out), shift
-
-    def x_power(k: int) -> MultiPoly:
-        return MultiPoly.monomial(variables, (k, 0, 0))
-
-    num_parts = []  # (polynomial, clearing shift) for the three terms
-    # term 1: the own-level denominator D(Y) cancels against T_j itself,
-    # so only the product-side denominators remain.
-    t1 = p_a * sol.num
-    s1 = 0
-    for o in prod_offsets:
-        if o == 0:
-            continue
-        den_o, sh = shifted(sol.den, o)
-        t1 = t1 * den_o
-        s1 += sh
-    num_parts.append((t1, s1))
-    # term 2: -1 * prod over all offsets of D(X^o Y) (even kind also D(Y))
-    t2 = p_b
-    s2 = 0
-    for o in prod_offsets:
-        den_o, sh = shifted(sol.den, o)
-        t2 = t2 * den_o
-        s2 += sh
-    if not own_in_product:
-        t2 = t2 * sol.den
-    num_parts.append((-t2, s2))
-    # term 3: - z T^arity-style front * prod of N(X^o Y) (times D(Y) if even)
-    t3 = front
-    s3 = 0
-    for o in prod_offsets:
-        num_o, sh = shifted(sol.num, o)
-        t3 = t3 * num_o
-        s3 += sh
-    if not own_in_product:
-        t3 = t3 * sol.den
-    num_parts.append((-t3, s3))
-    s_max = max(s for _, s in num_parts)
-    total = MultiPoly.zero(variables)
-    for poly, s in num_parts:
-        total = total + poly * x_power(s_max - s)
-    return total
+    product = reduce(mul, (_at_level_offset(sol, o) for o in fam.offsets))
+    return (sol * big_a - big_b - product * (big_a - big_b)).num
 
 
 def verify_one_param(fam: DaryFamily) -> bool:
@@ -445,7 +394,7 @@ def dary_alpha_general(
             if o == -c_down:
                 continue
             u = u + alg.monomial(tuple((o + c_down) * k for k in index), need)
-        u = u - SAElement(alg, {e: s / zT for e, s in lead.coeffs.items()}, lead.shift)
+        u = u - SAElement(alg, {e: s / zT for e, s in lead.coeffs.items()})
         inv = alg.invert_one_plus(u, need)
         # zero-padded back to rhs's stored order: the padding meets only the
         # zero coefficients of rhs below its valuation, so none is read
@@ -461,10 +410,8 @@ def rho_series(table: MultiAlphaTable, j: int, order: int) -> Series:
     alg = table.algebra
     acc = alg.zero()
     for index, alpha in table.entries.items():
-        # read below order + shift; a non-negative monomial has no shift
-        cut = order + alpha.shift
-        acc = acc + alpha.with_order(min(cut, alpha.stored_order)) * alg.monomial(
-            tuple(j * k for k in index), cut)
+        acc = acc + alpha.with_order(min(order, alpha.stored_order)) * alg.monomial(
+            tuple(j * k for k in index), order)
     return acc.as_series(order)
 
 

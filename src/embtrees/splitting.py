@@ -14,17 +14,14 @@ combined exponent.  Each exponent outside the basis is then reduced once,
 through its canonical coordinates (computed once per algebra and
 cached); a basis exponent needs no product at all.  Canonical monomials
 are built by the same two steps, from one relation and a lower monomial.
-
-Negative root powers are supported through division by the resultant-like
-bottom coefficient e_c = (+-) A(0), which has z-valuation exactly 1; the
-resulting global z^-shift is tracked per element and compressed away as
-soon as coefficients allow.
+Root powers are non-negative.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from functools import reduce
+from operator import add, mul
 
 from .kernel import SmallFactor
 from .series import Series
@@ -35,11 +32,9 @@ class SplitAlgebra:
         self.c = small.c
         self.order = small.order
         self.e = list(small.elementary)
-        ec = self.e[-1]
-        if self.c >= 1 and ec.valuation() != 1:
+        # the roots then have valuation 1/c, which invert_one_plus's schedule counts in
+        if self.c >= 1 and self.e[-1].valuation() != 1:
             raise ValueError("bottom elementary symmetric function must have valuation 1")
-        # Unit u with e_c = z * u, and its inverse, for negative root powers.
-        self._ec_unit_inv = Series.one(self.order - 1) / ec.shift_down(1)
         self._caps = tuple(self.c - 1 - g for g in range(self.c))
         self._mono_cache: dict[tuple[int, ...], dict[tuple[int, ...], Series]] = {}
         self._gen_power_cache: dict[tuple[int, int], SAElement] = {}
@@ -129,7 +124,7 @@ class SplitAlgebra:
     # -- element constructors ---------------------------------------------
 
     def zero(self) -> SAElement:
-        return SAElement(self, {}, 0)
+        return SAElement(self, {})
 
     def one(self) -> SAElement:
         return self.from_series(Series.one(self.order))
@@ -137,15 +132,17 @@ class SplitAlgebra:
     def from_series(self, s: Series) -> SAElement:
         if s.is_zero():
             return self.zero()
-        return SAElement(self, {(0,) * self.c: s}, 0)
+        return SAElement(self, {(0,) * self.c: s})
 
     def generator(self, g: int) -> SAElement:
         exps = [0] * self.c
         exps[g] = 1
-        return SAElement(self, dict(self._canon_monomial(tuple(exps))), 0)
+        return SAElement(self, dict(self._canon_monomial(tuple(exps))))
 
     def gen_power(self, g: int, k: int) -> SAElement:
-        """X_g^k for any integer k (negative powers via e_c division)."""
+        """X_g^k for k >= 0."""
+        if k < 0:
+            raise ValueError(f"negative root power X_{g}^{k}")
         key = (g, k)
         cached = self._gen_power_cache.get(key)
         if cached is not None:
@@ -154,45 +151,27 @@ class SplitAlgebra:
             result = self.one()
         elif k == 1:
             result = self.generator(g)
-        elif k > 0:
-            result = self.gen_power(g, k - 1) * self.generator(g)
         else:
-            inv = self._gen_inverse(g)
-            result = self.gen_power(g, k + 1) * inv
+            result = self.gen_power(g, k - 1) * self.generator(g)
         self._gen_power_cache[key] = result
         return result
 
-    def _gen_inverse(self, g: int) -> SAElement:
-        """X_g^-1 = (product of the other roots) / e_c."""
-        others = self._product([self.generator(h) for h in range(self.c) if h != g])
-        lifted = {e: s * self._ec_unit_inv for e, s in others.coeffs.items()}
-        return SAElement(self, lifted, others.shift + 1)
-
-    def _product(self, factors: list[SAElement]) -> SAElement:
-        """The product of the factors, starting from the first; 1 for none."""
-        if not factors:
-            return self.one()
-        acc = factors[0]
-        for f in factors[1:]:
-            acc = acc * f
-        return acc
-
     def monomial(self, exps, order: int | None = None) -> SAElement:
-        """X_1^exps[0] * ... with arbitrary integer exponents.
+        """X_1^exps[0] * ... with non-negative exponents.
 
         With ``order``: the full monomial cut to that stored order, from
-        generator powers cut to it plus their z^-shifts, which products strip.
-        The cache keeps each monomial at the longest order built, and cuts it
-        for shorter requests.
+        generator powers cut to it.  The cache keeps each monomial at the
+        longest order built, and cuts it for shorter requests.
         """
-        order = self.order if order is None else min(order, self.order)
         key = tuple(exps)
+        if any(k < 0 for k in key):
+            raise ValueError(f"negative root power in monomial {key}")
+        order = self.order if order is None else min(order, self.order)
         built, acc = self._monomials.get(key, (0, None))
         if built < order:
-            factors = [self.gen_power(g, k) for g, k in enumerate(key) if k]
-            keep = order + sum(f.shift for f in factors)
-            acc = self._product([f if f.stored_order <= keep else f.with_order(keep)
-                                 for f in factors])
+            factors = [f if f.stored_order <= order else f.with_order(order)
+                       for f in (self.gen_power(g, k) for g, k in enumerate(key) if k)]
+            acc = reduce(mul, factors) if factors else self.one()
             built, acc = self._monomials[key] = (order, acc.with_order(min(order, acc.stored_order)))
         return acc if built == order else acc.with_order(min(order, acc.stored_order))
 
@@ -226,35 +205,30 @@ class SplitAlgebra:
 
 
 class SAElement:
-    """dict of basis monomials -> series, with a global z^-shift factor."""
+    """Canonical coordinates: basis monomial -> nonzero series.
 
-    __slots__ = ("alg", "coeffs", "shift")
+    Every coordinate is cut to the least stored order among them, the
+    order to which the element is known.
+    """
 
-    def __init__(self, alg: SplitAlgebra, coeffs: dict, shift: int):
+    __slots__ = ("alg", "coeffs")
+
+    def __init__(self, alg: SplitAlgebra, coeffs: dict):
         if not all(map(alg._is_basis, coeffs)):
             coeffs = alg._reduce(coeffs)
         clean = {e: s for e, s in coeffs.items() if not s.is_zero()}
         if clean:
             order = min(s.order for s in clean.values())
-            clean = {e: s.truncate(order) for e, s in clean.items()}
-            strip = min(shift, min(s.valuation() for s in clean.values()))
-            if strip > 0:
-                clean = {e: s.shift_down(strip) for e, s in clean.items()}
-                shift -= strip
-        else:
-            shift = 0
+            clean = {e: s if s.order == order else s.truncate(order) for e, s in clean.items()}
         self.alg = alg
         self.coeffs = clean
-        self.shift = shift
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def with_order(self, order: int) -> SAElement:
         """Every coordinate truncated, or zero-padded, to the stored order ``order``."""
-        return SAElement(
-            self.alg, {e: c.with_order(order) for e, c in self.coeffs.items()}, self.shift
-        )
+        return SAElement(self.alg, {e: c.with_order(order) for e, c in self.coeffs.items()})
 
     @property
     def stored_order(self) -> int:
@@ -262,72 +236,38 @@ class SAElement:
             return self.alg.order
         return min(s.order for s in self.coeffs.values())
 
-    def _aligned(self, other: SAElement) -> tuple[dict, dict, int]:
-        s = max(self.shift, other.shift)
-        a = {
-            e: c.shift_up(s - self.shift) if s > self.shift else c
-            for e, c in self.coeffs.items()
-        }
-        b = {
-            e: c.shift_up(s - other.shift) if s > other.shift else c
-            for e, c in other.coeffs.items()
-        }
-        return a, b, s
-
     def __add__(self, other: SAElement) -> SAElement:
-        a, b, s = self._aligned(other)
-        out = dict(a)
-        for e, c in b.items():
+        out = dict(self.coeffs)
+        for e, c in other.coeffs.items():
             cur = out.get(e)
             out[e] = c if cur is None else cur + c
-        return SAElement(self.alg, out, s)
+        return SAElement(self.alg, out)
 
     def __neg__(self) -> SAElement:
-        return SAElement(
-            self.alg, {e: -c for e, c in self.coeffs.items()}, self.shift
-        )
+        return SAElement(self.alg, {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other: SAElement) -> SAElement:
         return self + (-other)
 
     def __mul__(self, other) -> SAElement:
-        if isinstance(other, (int, Fraction)):
-            return SAElement(
-                self.alg,
-                {e: c * other for e, c in self.coeffs.items()},
-                self.shift,
-            )
-        if isinstance(other, Series):
-            return SAElement(
-                self.alg,
-                {e: c * other for e, c in self.coeffs.items()},
-                self.shift,
-            )
+        if isinstance(other, (int, Fraction, Series)):
+            return SAElement(self.alg, {e: c * other for e, c in self.coeffs.items()})
         alg = self.alg
-        out = alg._reduce(_pair_products(self.coeffs.items(), other.coeffs.items()))
-        return SAElement(alg, out, self.shift + other.shift)
+        return SAElement(alg, alg._reduce(_pair_products(self.coeffs.items(),
+                                                         other.coeffs.items())))
 
     __rmul__ = __mul__
 
     def as_series(self, order: int | None = None) -> Series:
-        """Extract a symmetric element as a plain series.
-
-        Requires every non-trivial basis coordinate to vanish and the
-        basis-1 coordinate to absorb the pending z^-shift.
-        """
-        c = self.alg.c
-        unit = (0,) * c
-        for e, s in self.coeffs.items():
-            if e != unit and not s.is_zero():
+        """Extract a symmetric element, one with only the unit coordinate, as a plain series."""
+        unit = (0,) * self.alg.c
+        for e in self.coeffs:
+            if e != unit:
                 raise ArithmeticError(f"element is not symmetric: coordinate {e}")
-        s = self.coeffs.get(unit)
-        if s is None:
-            result = Series.zero(self.stored_order - self.shift)
-        else:
-            result = s.shift_down(self.shift)
-        if order is not None:
-            result = result.truncate(order)
-        return result
+        result = self.coeffs.get(unit)
+        if result is None:
+            result = Series.zero(self.stored_order)
+        return result if order is None else result.truncate(order)
 
 
 def _pair_products(a, b) -> dict[tuple[int, ...], Series]:

@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from embtrees import dary
 from embtrees.binary import BinaryWeights, binary_Tj_recurrence
 from embtrees.dary import (
     DaryFamily,
@@ -84,11 +85,12 @@ def ref_one_param_recurrence(fam, n_max):
 
 
 def ref_alpha_general(fam, bound, seeds, order):
-    """The expansion table as the grouped loop first built it: lead * rhs * inv.
+    """The expansion table as the grouped loop first built it, at full order.
 
-    Monomials carry negative root powers and are built at the full order,
-    the divisor's clearing power lead = X^(c_down n) multiplies each entry,
-    and the inverse is taken to the algebra's order.
+    The divisor's clearing power lead = X^(c_down n) is folded into the
+    monomials' exponents, (o + c_down) times each part; every monomial is
+    built at the full order, and the inverse is taken to the algebra's
+    order, with no precision trimmed anywhere.
     """
     c = fam.branch_count
     work = order + (-min(fam.offsets) + 1) * bound + 4
@@ -106,7 +108,7 @@ def ref_alpha_general(fam, bound, seeds, order):
         terms = _terms_by_multiset(
             offsets, min(sum(index), len(offsets)), lambda size: _splits(index, size))
         for key, combo, parts in terms:
-            mono = alg.monomial(tuple(sum(o * g[k] for o, g in zip(combo, parts))
+            mono = alg.monomial(tuple(sum((o + c_down) * g[k] for o, g in zip(combo, parts))
                                       for k in range(c)))
             groups[key] = mono if key not in groups else groups[key] + mono
         rhs = alg.zero()
@@ -121,8 +123,8 @@ def ref_alpha_general(fam, bound, seeds, order):
         for o in offsets:
             if o != -c_down:
                 u = u + alg.monomial(tuple((o + c_down) * k for k in index))
-        u = u - SAElement(alg, {e: s / zT for e, s in lead.coeffs.items()}, lead.shift)
-        entries[index] = lead * rhs * alg.invert_one_plus(u)
+        u = u - SAElement(alg, {e: s / zT for e, s in lead.coeffs.items()})
+        entries[index] = rhs * alg.invert_one_plus(u)
     return entries
 
 
@@ -152,9 +154,7 @@ def table_of(fam, bound, order):
 
 
 def coordinates_agree(x, y):
-    """Equal shifts, and equal coordinates wherever both hold a coefficient."""
-    if x.shift != y.shift:
-        return False
+    """Equal coordinates wherever both hold a coefficient."""
     for e in set(x.coeffs) | set(y.coeffs):
         a = x.coeffs.get(e, Series.zero(x.stored_order))
         b = y.coeffs.get(e, Series.zero(y.stored_order))
@@ -283,6 +283,18 @@ class TestOneParamFamily:
         # instead check the perturbed solution fails the cross-multiplied
         # equality with the genuine one
         assert not sol.equals(perturbed)
+
+    @pytest.mark.parametrize("fam", [ODD1, ODD2, EVEN1, EVEN3], ids=str)
+    def test_checker_rejects_a_perturbed_solution(self, fam, monkeypatch):
+        sol = one_param_solution(fam)
+        variables = sol.variables
+        X = MultiPoly.var(variables, "X")
+        shifted_pole = MultiPoly.const(variables, 1) - MultiPoly.monomial(variables, (1, 1, 1))
+        # a stray factor X, and an extra pole that keeps the lam = 0 limit 1
+        for perturbed in (RationalFunction(sol.num * X, sol.den),
+                          RationalFunction(sol.num, sol.den * shifted_pole)):
+            monkeypatch.setattr(dary, "one_param_solution", lambda f, p=perturbed: p)
+            assert not verify_one_param(fam)
 
     def test_even_one_matches_binary_ratio_pattern(self):
         sol = one_param_solution(EVEN1)
