@@ -130,8 +130,6 @@ class SplitAlgebra:
         return self.from_series(Series.one(self.order))
 
     def from_series(self, s: Series) -> SAElement:
-        if s.is_zero():
-            return self.zero()
         return SAElement(self, {(0,) * self.c: s})
 
     def generator(self, g: int) -> SAElement:
@@ -207,54 +205,60 @@ class SplitAlgebra:
 class SAElement:
     """Canonical coordinates: basis monomial -> nonzero series.
 
-    Every coordinate is cut to the least stored order among them, the
-    order to which the element is known.
+    ``stored_order`` is the order to which the element is known, kept
+    when every coordinate vanishes; each coordinate is cut to it.  By
+    default it is the least order among the given coordinates, zero
+    ones included.
     """
 
-    __slots__ = ("alg", "coeffs")
+    __slots__ = ("alg", "coeffs", "stored_order")
 
-    def __init__(self, alg: SplitAlgebra, coeffs: dict):
+    def __init__(self, alg: SplitAlgebra, coeffs: dict, order: int | None = None):
+        if order is None:
+            order = min((s.order for s in coeffs.values()), default=alg.order)
         if not all(map(alg._is_basis, coeffs)):
             coeffs = alg._reduce(coeffs)
-        clean = {e: s for e, s in coeffs.items() if not s.is_zero()}
-        if clean:
-            order = min(s.order for s in clean.values())
-            clean = {e: s if s.order == order else s.truncate(order) for e, s in clean.items()}
+            order = min(order, alg.order)
+        clean = {}
+        for e, s in coeffs.items():
+            if s.order != order:
+                s = s.truncate(order)
+            if not s.is_zero():
+                clean[e] = s
         self.alg = alg
         self.coeffs = clean
+        self.stored_order = order
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def with_order(self, order: int) -> SAElement:
         """Every coordinate truncated, or zero-padded, to the stored order ``order``."""
-        return SAElement(self.alg, {e: c.with_order(order) for e, c in self.coeffs.items()})
-
-    @property
-    def stored_order(self) -> int:
-        if not self.coeffs:
-            return self.alg.order
-        return min(s.order for s in self.coeffs.values())
+        return SAElement(self.alg, {e: c.with_order(order) for e, c in self.coeffs.items()},
+                         order)
 
     def __add__(self, other: SAElement) -> SAElement:
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             cur = out.get(e)
             out[e] = c if cur is None else cur + c
-        return SAElement(self.alg, out)
+        return SAElement(self.alg, out, min(self.stored_order, other.stored_order))
 
     def __neg__(self) -> SAElement:
-        return SAElement(self.alg, {e: -c for e, c in self.coeffs.items()})
+        return SAElement(self.alg, {e: -c for e, c in self.coeffs.items()}, self.stored_order)
 
     def __sub__(self, other: SAElement) -> SAElement:
         return self + (-other)
 
     def __mul__(self, other) -> SAElement:
         if isinstance(other, (int, Fraction, Series)):
-            return SAElement(self.alg, {e: c * other for e, c in self.coeffs.items()})
+            order = min(self.stored_order, other.order) if isinstance(other, Series) \
+                else self.stored_order
+            return SAElement(self.alg, {e: c * other for e, c in self.coeffs.items()}, order)
         alg = self.alg
+        order = min(self.stored_order, other.stored_order, alg.order)
         return SAElement(alg, alg._reduce(_pair_products(self.coeffs.items(),
-                                                         other.coeffs.items())))
+                                                         other.coeffs.items())), order)
 
     __rmul__ = __mul__
 

@@ -65,7 +65,7 @@ def ref_mul(a, b):
             for em, sm in ref_canon(alg, combined, cache).items():
                 term = prod * sm
                 out[em] = term if em not in out else out[em] + term
-    return SAElement(alg, out)
+    return SAElement(alg, out, min(a.stored_order, b.stored_order, alg.order))
 
 
 def ref_invert_one_plus(u):
@@ -139,6 +139,20 @@ def test_negative_root_powers_are_refused(c):
         alg.monomial((1, -1, 0)[:c])
     with pytest.raises(ValueError):
         alg.monomial((0, -2, 1)[:c], 3)
+
+
+def test_zero_elements_keep_their_order():
+    # z^2 vanishes to order 2, so the element is zero known to order 2,
+    # and so is whatever it meets
+    alg = ALGEBRAS[2]
+    zero = alg.from_series(Series.z(ORDER) ** 2).with_order(2)
+    assert zero.is_zero() and zero.stored_order == 2
+    short = alg.from_series(Series([1, 1], 2)) + alg.generator(0)
+    assert short.stored_order == 2
+    for got in (zero * short, zero * alg.one(), zero + alg.one(), -zero, zero * Q(3)):
+        assert got.stored_order == 2
+    assert (zero * Series.one(1)).stored_order == 1
+    assert zero.as_series() == Series.zero(2)
 
 
 def test_basis_exponents_take_no_product(monkeypatch):
