@@ -427,19 +427,22 @@ def conjecture_check(
     samples = tuple((as_fraction(a), as_fraction(b)) for a, b in v_samples)
     for v1, v2 in samples:
         w = BinaryWeights.make(v1, v2, 1, 0, 1)
-        rec = binary_alpha(w, "recurrence", n_max, order)
         T = binary_T(w, order)
         X = binary_X(w, order)
+        rec = alpha_recurrence(_node_kinds(w), X, T, n_max)
         one = Series.one(order)
         xp = _x_powers(X, max(4, 2 * n_max))
-        fac = one / T * v1 + 2
+        # den_n = fac^(n-1) (1-X)^(2n-2) (1+X)^(2h) (1+X^2)^h, h = (n-1)//2,
+        # as a running product: every n takes one step, every odd n > 1 a pair
+        step = (one / T * v1 + 2) * (one - X) ** 2
+        pair = (one + X) ** 2 * (one + xp[2])
+        den = one
         for n in range(1, n_max + 1):
+            if n > 1:
+                den = den * step if n % 2 == 0 else den * step * pair
             p_val = sum(xp[deg] * coeff for deg, coeff in polys[n - 1].items())
-            half = (n - 1) // 2
-            den = fac ** (n - 1) * (one - X) ** (2 * n - 2)
-            den = den * (one + X) ** (2 * half) * (one + xp[2]) ** half
             closed = xp[n - 1] * p_val / den
-            if not closed.matches(rec.value(n)):
+            if not closed.matches(rec[n - 1]):
                 agreements[n] = False
     ordered = tuple(sorted(agreements.items()))
     ok = all(v for _, v in ordered)
