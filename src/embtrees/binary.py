@@ -15,10 +15,8 @@ keeps their known closed forms.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from operator import mul
 
 from .errors import (
@@ -29,7 +27,7 @@ from .errors import (
     SizeTooLarge,
 )
 from .kernel import SeriesPoly, newton_solve, tree_root
-from .levels import _NEG_INF, _x_powers, alpha_recurrence, label_spectra, level_residual, level_rows
+from .levels import _x_powers, alpha_recurrence, label_spectra, level_residual, level_rows
 from .marker import MarkerSeries
 from .series import Q, Series, as_fraction, rational_sqrt
 
@@ -613,34 +611,6 @@ def brute_force_embedded_binary(
         sum((c for m, c in spec.items() if (m <= j if boundary else m >= -j)), _ZERO)
         for spec in spectra
     ]
-
-
-def enumerate_embedded_binary(
-    w: BinaryWeights, n: int
-) -> list[tuple[Fraction, int, int]]:
-    """Explicit tree-by-tree enumeration: (weight, max internal, min occupied).
-
-    Exponential; guarded at size 7.  Used to validate the aggregated
-    spectra on small sizes.
-    """
-    if n > 7:
-        raise SizeTooLarge("explicit enumeration is capped at size 7")
-    kinds = _node_kinds(w)
-
-    def gen(size: int):
-        if size == 0:
-            yield (Q(1), _NEG_INF, 0)
-            return
-        for weight, offsets in kinds:
-            for sizes in itertools.product(range(size), repeat=len(offsets)):
-                if sum(sizes) != size - 1:
-                    continue
-                for kids in itertools.product(*[list(gen(s)) for s in sizes]):
-                    yield (reduce(mul, [wt for wt, _, _ in kids], weight),
-                           max([0] + [mx + o for (_, mx, _), o in zip(kids, offsets)]),
-                           min([0] + [mn + o for (_, _, mn), o in zip(kids, offsets)]))
-
-    return list(gen(n))
 
 
 def plane_tree_height_counts(n_max: int) -> list[dict[int, int]]:

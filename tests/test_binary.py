@@ -1,5 +1,8 @@
 import collections
+import itertools
 from fractions import Fraction as Q
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +21,6 @@ from embtrees.binary import (
     brute_force_embedded_binary,
     conjecture_check,
     conjecture_polynomials,
-    enumerate_embedded_binary,
     height_alpha,
     height_plane_trees,
     height_T,
@@ -32,9 +34,16 @@ from embtrees.binary import (
     ternary_X,
     closed_family_residual,
     _extreme_spectra,
+    _node_kinds,
 )
 from embtrees.dary import DaryFamily, dary_alpha_one_param_closed, dary_char_factor
-from embtrees.errors import DegenerateCharacteristic, DegenerateWeights, EmbtreesError
+from embtrees.errors import (
+    DegenerateCharacteristic,
+    DegenerateWeights,
+    EmbtreesError,
+    SizeTooLarge,
+)
+from embtrees.levels import _NEG_INF
 from embtrees.series import Series
 
 W_BINARY = BinaryWeights.make(0, 0, 1, 0, 0)
@@ -42,6 +51,32 @@ W_PLANAR = BinaryWeights.make(0, 0, 0, 1, 1)
 W_SINGLE = BinaryWeights.make(0, 0, 0, 0, 1)
 W_MIXED = BinaryWeights.make(1, 0, 1, 0, 0)
 ORACLE_VECTORS = (W_BINARY, W_PLANAR, W_SINGLE, W_MIXED)
+
+
+def enumerate_embedded_binary(w, n):
+    """Explicit tree-by-tree enumeration: (weight, max internal, min occupied).
+
+    Exponential; guarded at size 7.  The tree-shape oracle of
+    ``_extreme_spectra`` is checked against it on small sizes.
+    """
+    if n > 7:
+        raise SizeTooLarge("explicit enumeration is capped at size 7")
+    kinds = _node_kinds(w)
+
+    def gen(size: int):
+        if size == 0:
+            yield (Q(1), _NEG_INF, 0)
+            return
+        for weight, offsets in kinds:
+            for sizes in itertools.product(range(size), repeat=len(offsets)):
+                if sum(sizes) != size - 1:
+                    continue
+                for kids in itertools.product(*[list(gen(s)) for s in sizes]):
+                    yield (reduce(mul, [wt for wt, _, _ in kids], weight),
+                           max([0] + [mx + o for (_, mx, _), o in zip(kids, offsets)]),
+                           min([0] + [mn + o for (_, _, mn), o in zip(kids, offsets)]))
+
+    return list(gen(n))
 
 
 def ints(series):
