@@ -156,7 +156,7 @@ def one_param_solution(fam: DaryFamily) -> RationalFunction:
 
 
 def _at_level_offset(sol: RationalFunction, o: int) -> RationalFunction:
-    """sol with Y -> X^o Y, both sides times the X power that clears negative exponents."""
+    """sol with Y -> X^o Y, numerator and denominator times the X power clearing negative ones."""
     # (ex, el, ey) -> (ex + o ey, el, ey) is one-to-one, so no terms merge
     parts = [{(ex + o * ey, el, ey): c for (ex, el, ey), c in p.terms.items()}
              for p in (sol.num, sol.den)]

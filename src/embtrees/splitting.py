@@ -252,8 +252,8 @@ class SAElement:
 
     def __mul__(self, other) -> SAElement:
         if isinstance(other, (int, Fraction, Series)):
-            order = min(self.stored_order, other.order) if isinstance(other, Series) \
-                else self.stored_order
+            order = (min(self.stored_order, other.order) if isinstance(other, Series)
+                     else self.stored_order)
             return SAElement(self.alg, {e: c * other for e, c in self.coeffs.items()}, order)
         alg = self.alg
         order = min(self.stored_order, other.stored_order, alg.order)
