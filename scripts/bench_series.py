@@ -273,9 +273,11 @@ def bench_recurrences(repeats: int) -> list[dict]:
 
 
 def cut_entries(entries: dict, order: int) -> dict:
-    """Each entry's coordinates, cut to the table's order."""
-    return {index: {m: s.truncate(order) for m, s in e.coeffs.items()}
-            for index, e in entries.items()}
+    """Each entry's coordinates, cut to the table's order, those that vanish there dropped."""
+    cut = {index: {m: s.truncate(order) for m, s in e.coeffs.items()}
+           for index, e in entries.items()}
+    return {index: {m: s for m, s in coords.items() if not s.is_zero()}
+            for index, coords in cut.items()}
 
 
 def bench_tables(repeats: int) -> list[dict]:

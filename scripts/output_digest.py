@@ -17,8 +17,8 @@ compares the printed digests.  The digest covers:
   three sections: ``tables``, every entry in full (each coordinate
   and the stored order, after a literal 0 where a z-shift was once
   hashed); ``tables@order``, each coordinate cut to the
-  table's order argument, which holds however many orders a table
-  stores beyond it; and ``rho``, the ``rho_series`` levels that
+  table's order argument, those that vanish there left out, which holds
+  however many orders a table stores beyond it; and ``rho``, the ``rho_series`` levels that
   ``verify_main_equation`` reads;
 * the lock-step, random-turn and quarter-plane DP tables.
 
@@ -150,8 +150,14 @@ def table_section():
             for _, _, table in built_tables() for index, entry in sorted(table.entries.items())]
 
 
+def cut_to_order(entry, order: int) -> dict:
+    """An entry's coordinates cut to ``order``, those that vanish there dropped."""
+    cut = {e: s.truncate(order) for e, s in entry.coeffs.items()}
+    return {e: s for e, s in cut.items() if not s.is_zero()}
+
+
 def table_at_order_section():
-    return [(index, 0, {e: s.truncate(order) for e, s in entry.coeffs.items()})
+    return [(index, 0, cut_to_order(entry, order))
             for _, order, table in built_tables()
             for index, entry in sorted(table.entries.items())]
 
