@@ -277,7 +277,7 @@ def binary_Tj_closed_symbolic(
 
 def _closed_family_parts(w: BinaryWeights, j_max: int, order: int):
     """``parts`` of ``closed_family_residual`` at levels up to j_max."""
-    T, X, shell, c_num = _closed_parts(w, order + 12)
+    T, X, shell, c_num = _closed_parts(w, order + 2)
     return T, X, shell, c_num, _x_powers(X, max(j_max + 8, 8) + 2)
 
 
@@ -289,9 +289,14 @@ def closed_family_residual(w: BinaryWeights, j: int, order: int, *, parts=None) 
     to j+3) turns the residual into a polynomial in the parameter with
     series coefficients.  The returned marker series is identically zero
     iff the closed family satisfies the recurrence at level j.
+
+    It is computed at order + 2: the one step that loses precision is the
+    division by X*shell, whose valuation is at most 2 (X has valuation 1,
+    shell = w1 X + w2 (1 + X + X^2) at most 1), and a shorter margin
+    raises when the result is cut to ``order``.
     """
     w.require_matched_weights()
-    g = order + 12
+    g = order + 2
     T, X, shell, c_num, xp = parts or _closed_family_parts(w, j, order)
     z = Series.z(g)
     levels = [j, j + 1, j + 2, j + 3]

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import mul
 
-from .errors import SizeTooLarge
+from .errors import InsufficientPrecision, SizeTooLarge
 from .kernel import SmallFactor, characteristic_poly, small_factor_from_poly, tree_root
 from .levels import _compositions  # noqa: F401  (imported from here by callers)
 from .levels import _terms_by_multiset, _x_powers, alpha_terms, label_spectra, level_rows
@@ -328,14 +328,22 @@ def dary_alpha_general(
     clearing factor X^(c_down n) is folded into those monomials, so no
     root power is negative, and each monomial sum and inverse is built
     only to the precision its product reads.
+
+    The table is built at ``order + 1`` stored orders, the one order that
+    dividing by z T^(arity-1) costs, from seeds cut to that many
+    coefficients; a seed known to fewer raises ``InsufficientPrecision``,
+    as does an entry whose stored order ends up below ``order``.
     """
     c = fam.branch_count
     if len(seeds) != c:
         raise ValueError(f"need {c} seed series")
-    # sized for negative offset powers, which no longer arise, and a unit
-    # division that no longer costs stored orders; kept on purpose, so that
-    # the algebra, seeds and verified levels are those the claim was checked at
-    work = order + (-min(fam.offsets) + 1) * bound + 4
+    # precision is tracked, not padded for: every element keeps the stored
+    # order it is known to, and an entry short of ``order`` raises below
+    work = order + 1
+    short_seeds = [g for g, s in enumerate(seeds) if s.order < work]
+    if short_seeds:
+        raise InsufficientPrecision(
+            f"seeds {short_seeds} carry fewer than the {work} coefficients the table needs")
     T = dary_T(fam, work)
     zT = Series.z(work) * T ** (fam.arity - 1)
     small = dary_char_factor(fam, work)
@@ -349,7 +357,7 @@ def dary_alpha_general(
         idx[g] = 1
         unit_vectors.append(tuple(idx))
     for g, vec in enumerate(unit_vectors):
-        table.entries[vec] = alg.from_series(Series(seeds[g].coeffs, work))
+        table.entries[vec] = alg.from_series(seeds[g].truncate(work))
     prod_cache: dict[tuple, SAElement] = {}
 
     def alpha_product(key: tuple[tuple[int, ...], ...]) -> SAElement:
@@ -400,6 +408,12 @@ def dary_alpha_general(
         # zero coefficients of rhs below its valuation, so none is read
         kept = min(rhs.stored_order, inv.stored_order + rhs.stored_order - need)
         table.entries[index] = rhs * inv.with_order(kept)
+    short = next((index for index, entry in table.entries.items()
+                  if entry.stored_order < order), None)
+    if short is not None:
+        raise InsufficientPrecision(
+            f"entry {short} is known to {table.entries[short].stored_order} orders, "
+            f"below {order}")
     return table
 
 
@@ -437,7 +451,7 @@ def verify_main_equation(
     c = fam.branch_count
     if seeds is None:
         s_val = order // (bound + 1) + 1
-        seeds = [Series.z(order + 4) ** s_val for _ in range(c)]
+        seeds = [Series.z(order + 1) ** s_val for _ in range(c)]
     table = dary_alpha_general(fam, bound, seeds, order)
     c_down = -min(fam.offsets)
     if levels is None:

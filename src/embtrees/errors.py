@@ -41,6 +41,10 @@ class NoPowerSeriesBranch(EmbtreesError):
     """Neither root of the boundary quadratic yields a power series."""
 
 
+class InsufficientPrecision(EmbtreesError):
+    """A series input, or a result built from it, is known to fewer orders than requested."""
+
+
 class SizeTooLarge(EmbtreesError):
     """Brute-force enumeration requested beyond its guard size."""
 

@@ -103,6 +103,25 @@ def excursion_gf(steps: StepSet, level: int, order: int) -> Series:
     return gf.marked.extract(level)
 
 
+def _meander_rows(steps: StepSet, level: int, order: int) -> tuple[list[list[int]], int]:
+    """Integer rows of the meander count, and the weight scale L.
+
+    Row n lists, by end level from 0, L^n times the weight of the n-step
+    paths from the start level that stay non-negative.
+    """
+    if level < 0:
+        raise ValueError("meanders start at a non-negative level")
+    low, weights, scale = _scaled_steps(steps)
+    row = [0] * level + [1]
+    rows = [row]
+    for _ in range(1, order):
+        # level k + b comes from level k by jump b; levels below 0 are cut
+        full = _mul_ints(row, weights, len(row) + len(weights) - 1)
+        row = full[-low:] if low < 0 else [0] * low + full
+        rows.append(row)
+    return rows, scale
+
+
 def meander_dp(
     steps: StepSet, level: int, order: int
 ) -> tuple[list[Fraction], list[dict[int, Fraction]]]:
@@ -113,22 +132,34 @@ def meander_dp(
     totals[n] sums over k.  The count runs on integers: with the weights
     scaled by L, the row of n-step values is L^n times the true one.
     """
-    if level < 0:
-        raise ValueError("meanders start at a non-negative level")
-    low, weights, scale = _scaled_steps(steps)
-    row = [0] * level + [1]  # row[k]: scaled weight of paths ending at level k
+    rows, scale = _meander_rows(steps, level, order)
     totals: list[Fraction] = []
     table: list[dict[int, Fraction]] = []
     den = 1
-    for n in range(max(order, 1)):
-        if n:
-            # level k + b comes from level k by jump b; levels below 0 are cut
-            full = _mul_ints(row, weights, len(row) + len(weights) - 1)
-            row = full[-low:] if low < 0 else [0] * low + full
-            den *= scale
+    for row in rows:
         table.append({k: Fraction(v, den) for k, v in enumerate(row) if v})
         totals.append(Fraction(sum(row), den))
+        den *= scale
     return totals, table
+
+
+def _meander_dp_series(steps: StepSet, level: int, order: int) -> tuple[Series, MarkerSeries]:
+    """The dynamic program's totals as a series and its table as a marker series.
+
+    Row n, times L^(order-1-n), sits over the common denominator
+    L^(order-1), as in ``_marked_free_walks``; the marker is the end level.
+    """
+    rows, scale = _meander_rows(steps, level, order)
+    width = max(map(len, rows))
+    nums = [0] * (order * width)
+    totals = []
+    factor = scale ** (order - 1)
+    for n, row in enumerate(rows):
+        nums[n * width:n * width + len(row)] = [c * factor for c in row]
+        totals.append(sum(row) * factor)
+        factor //= scale
+    den = scale ** (order - 1)
+    return Series._normed(totals, den), MarkerSeries._normed(order, 0, width, nums, den)
 
 
 @dataclass(frozen=True)
@@ -141,22 +172,18 @@ def verify_meander_closed_form(steps: StepSet, j_max: int, order: int) -> Meande
     """Closed form against the dynamic program, levels 0..j_max.
 
     Checks the plain series, the marker specialized at 1, and every
-    endpoint slice of the marked series against the DP table.
+    endpoint slice of the marked series against the DP table, all
+    compared on their integer grids.
     """
     parts = _meander_parts(steps, order)
     for level in range(j_max + 1):
         gf = meander_gf(steps, level, order, parts=parts)
-        totals, table = meander_dp(steps, level, order)
-        plain_dp = Series(totals)
-        if not gf.plain.matches(plain_dp):
-            diff = gf.plain - plain_dp
-            return MeanderCheck(False, (level, diff.valuation()))
-        if not gf.marked.at_one().matches(plain_dp):
-            diff = gf.marked.at_one() - plain_dp
-            return MeanderCheck(False, (level, diff.valuation()))
-        for n in range(order):
-            if gf.marked.coeffs[n] != {
-                k: v for k, v in table[n].items() if v != 0
-            }:
-                return MeanderCheck(False, (level, n))
+        plain_dp, marked_dp = _meander_dp_series(steps, level, order)
+        for plain in (gf.plain, gf.marked.at_one()):
+            if not plain.matches(plain_dp):
+                return MeanderCheck(False, (level, (plain - plain_dp).valuation()))
+        if not gf.marked.matches(marked_dp):
+            diff = gf.marked - marked_dp
+            return MeanderCheck(False, (level, next(n for n in range(diff.order)
+                                                    if diff.support(n) is not None)))
     return MeanderCheck(True, None)

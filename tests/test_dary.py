@@ -26,6 +26,7 @@ from embtrees.dary import (
     verify_main_equation,
     verify_one_param,
 )
+from embtrees.errors import InsufficientPrecision
 from embtrees.kernel import characteristic_poly, fuss_catalan, hensel_factor_pair
 from embtrees.multipoly import MultiPoly, RationalFunction
 from embtrees.series import Series
@@ -407,18 +408,42 @@ class TestExpansionCoefficients:
         assert ref.keys() == table.entries.keys()
         for index, entry in table.entries.items():
             assert coordinates_agree(entry, ref[index]), index
-            assert entry.stored_order >= ref[index].stored_order
+            assert entry.stored_order >= order
 
     @pytest.mark.parametrize("fam,bound", [(ODD2, 3), (EVEN2, 2)], ids=str)
     def test_entries_hold_every_stored_coefficient(self, fam, bound):
-        # every entry keeps the algebra's order, and a table three orders
-        # longer agrees on all of it: no coefficient is a padded guess
+        # every entry is known at least to the table's order, and a table
+        # three orders longer agrees on all it stores: no coefficient is a
+        # padded guess
         seeds = [Series.z(40) ** 4] * fam.branch_count
         table = dary_alpha_general(fam, bound, seeds, 12)
         longer = dary_alpha_general(fam, bound, seeds, 15)
         for index, entry in table.entries.items():
-            assert entry.stored_order == table.algebra.order
+            assert entry.stored_order >= 12
             assert coordinates_agree(entry, longer.entries[index]), index
+
+    def test_short_seed_is_refused_not_padded(self):
+        # z^2/(1-z) known to 5 terms, padded with zeros, gave 863 and 8184
+        # at z^6 and z^7 of the level-2 sum, and claimed order 8
+        geometric = [0, 0] + [1] * 18
+        with pytest.raises(InsufficientPrecision, match="seeds"):
+            dary_alpha_general(ODD2, 2, [Series(geometric[:5])] * 2, 8)
+        for known in (9, 20):
+            table = dary_alpha_general(ODD2, 2, [Series(geometric[:known])] * 2, 8)
+            assert rho_series(table, 2, 8).coeffs[6:] == (865, 8197)
+
+    def test_entry_short_of_the_order_raises(self, monkeypatch):
+        # an inverse known to two orders fewer leaves entries below the
+        # table's order: refused, not returned with the order claimed
+        original = SplitAlgebra.invert_one_plus
+
+        def lossy(alg, u, order=None):
+            y = original(alg, u, order)
+            return y.with_order(max(1, y.stored_order - 2))
+
+        monkeypatch.setattr(SplitAlgebra, "invert_one_plus", lossy)
+        with pytest.raises(InsufficientPrecision, match="entry"):
+            dary_alpha_general(ODD2, 2, main_equation_seeds(ODD2, 2, 12), 12)
 
     @pytest.mark.parametrize("fam,bound,order", [(ODD2, 3, 15), (EVEN2, 2, 12)], ids=str)
     def test_rho_equals_full_precision_level_sum(self, fam, bound, order):

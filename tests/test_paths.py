@@ -4,13 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from embtrees import paths
+from embtrees.marker import MarkerSeries
 from embtrees.paths import (
+    MeanderCheck,
+    MeanderGF,
     excursion_gf,
     meander_dp,
     meander_gf,
     verify_meander_closed_form,
     walks_total,
 )
+from embtrees.series import Series
 from embtrees.steps import StepSet, parse_step_set
 
 DYCK = StepSet.make([(-1, 1), (1, 1)])
@@ -91,6 +96,32 @@ def test_meander_closed_form_against_dp(spec):
     assert result.ok, result
 
 
+def _tampered_meanders(monkeypatch, plain=None, marked=None):
+    """meander_gf with ``plain`` and ``marked`` added at start level 2."""
+    original = paths.meander_gf
+
+    def tampered(steps, level, order, *, parts=None):
+        gf = original(steps, level, order, parts=parts)
+        if level != 2:
+            return gf
+        return MeanderGF(level, gf.plain + (plain or Series.zero(order)),
+                         gf.marked + (marked or MarkerSeries.zero(order)))
+
+    monkeypatch.setattr(paths, "meander_gf", tampered)
+
+
+def test_mismatch_in_an_endpoint_slice_is_located(monkeypatch):
+    # weight moved between two end levels at z^4: the plain series and the
+    # marker at 1 are unchanged, one endpoint slice is not
+    _tampered_meanders(monkeypatch, marked=MarkerSeries([{}] * 4 + [{1: 1, 3: -1}], 10))
+    assert verify_meander_closed_form(DYCK, 5, 10) == MeanderCheck(False, (2, 4))
+
+
+def test_mismatch_in_the_plain_series_is_located(monkeypatch):
+    _tampered_meanders(monkeypatch, plain=Series([0, 0, 0, Q(1, 2)], 10))
+    assert verify_meander_closed_form(DYCK, 5, 10) == MeanderCheck(False, (2, 3))
+
+
 def test_marked_specializes_to_plain():
     gf = meander_gf(MOTZKIN, 2, 15)
     assert gf.marked.at_one().matches(gf.plain)
@@ -140,3 +171,12 @@ def test_meander_closed_form_matches_dp_on_random_step_sets(steps, level, order)
     totals, table = meander_dp(steps, level, order)
     assert list(gf.plain.coeffs) == totals
     assert list(gf.marked.coeffs) == table
+
+
+@settings(max_examples=40, deadline=None)
+@given(step_sets(), st.integers(0, 3), st.integers(1, 12))
+def test_dp_grids_equal_the_fraction_view(steps, level, order):
+    totals, table = meander_dp(steps, level, order)
+    plain, marked = paths._meander_dp_series(steps, level, order)
+    assert plain == Series(totals)
+    assert marked == MarkerSeries(table, order)

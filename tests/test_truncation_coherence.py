@@ -1,0 +1,93 @@
+"""Truncation coherence: a result at order n is the result at order n + k cut to n.
+
+This is a metamorphic relation, so it needs no oracle: it holds for every
+input, not only those the campaign pins.  It catches a result that claims
+more precision than its inputs carry, such as coefficients read from
+zero-padding, since those change when the order grows.
+"""
+
+from fractions import Fraction as Q
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from embtrees.binary import BinaryWeights, closed_family_residual
+from embtrees.dary import DaryFamily, dary_alpha_general, rho_series
+from embtrees.errors import InsufficientPrecision
+from embtrees.series import Series
+
+FAMILIES = [DaryFamily(kind, d) for kind in ("odd", "even") for d in (1, 2)]
+
+
+def cut_coordinates(entry, order):
+    """An entry's coordinates cut to ``order``, those that vanish there dropped."""
+    cut = {e: s.truncate(order) for e, s in entry.coeffs.items()}
+    return {e: s for e, s in cut.items() if not s.is_zero()}
+
+
+@st.composite
+def polynomial_seeds(draw, count):
+    """``count`` polynomials of valuation at least 1, as coefficient lists.
+
+    Half the draws give every branch the same seed, which makes the
+    table symmetric, so that its level sums are plain series.
+    """
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    seeds = []
+    for _ in range(count):
+        valuation = draw(st.integers(1, 4))
+        body = draw(st.lists(coeff, min_size=1, max_size=3))
+        seeds.append([Q(0)] * valuation + body)
+    return [seeds[0]] * count if draw(st.booleans()) else seeds
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(FAMILIES), st.integers(1, 3), st.integers(3, 8), st.integers(1, 3),
+       st.data())
+def test_dary_table_and_rho_are_truncation_coherent(fam, bound, order, k, data):
+    seeds = data.draw(polynomial_seeds(fam.branch_count))
+    # polynomials are exact at any order: each seed is given to order + k + 1 terms
+    short, long = (dary_alpha_general(fam, bound, [Series(s, n + 1) for s in seeds], n)
+                   for n in (order, order + k))
+    assert short.entries.keys() == long.entries.keys()
+    for index, entry in short.entries.items():
+        assert entry.stored_order >= order
+        assert cut_coordinates(entry, order) == cut_coordinates(long.entries[index], order)
+    if any(s != seeds[0] for s in seeds):
+        return
+    for j in range(0, -min(fam.offsets) + 1 + max(fam.offsets) + 1):
+        assert rho_series(short, j, order) == rho_series(long, j, order + k).truncate(order), j
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(FAMILIES), st.integers(1, 3), st.integers(3, 8), st.integers(-3, 1),
+       st.integers(1, 3), st.data())
+def test_dary_table_reads_no_seed_coefficient_it_lacks(fam, bound, order, shift, k, data):
+    # seeds known to a few terms more or fewer than the table's order: the
+    # table either refuses them or agrees with one built from longer seeds
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    known = order + 1 + shift
+    seeds = [[Q(0)] + data.draw(st.lists(coeff, min_size=known + k, max_size=known + k))
+             for _ in range(fam.branch_count)]
+    try:
+        short = dary_alpha_general(fam, bound, [Series(s[:known]) for s in seeds], order)
+    except InsufficientPrecision:
+        return
+    longer = dary_alpha_general(fam, bound, [Series(s[:known + k]) for s in seeds], order)
+    for index, entry in short.entries.items():
+        assert cut_coordinates(entry, order) == cut_coordinates(longer.entries[index], order)
+
+
+weights = st.sampled_from([Q(0), Q(1, 2), Q(1), Q(2), Q(3, 5)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(weights, weights, weights, weights, st.integers(-1, 4), st.integers(2, 12),
+       st.integers(1, 4))
+def test_closed_family_residual_is_truncation_coherent(v1, v2, w1, w23, j, order, k):
+    if w1 == w23 == 0:
+        w1 = Q(1)  # the closed family excludes the all-zero binary weights
+    w = BinaryWeights.make(v1, v2, w1, w23, w23)
+    short = closed_family_residual(w, j, order)
+    assert short.order == order
+    assert short == closed_family_residual(w, j, order + k).truncate(order)
