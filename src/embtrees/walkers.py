@@ -11,7 +11,8 @@ two-dimensional paths and coincide with random-turn osculating walkers
 for the six-step set.  Every closed form is checked against the gap
 dynamic program.  The pieces no cell changes (the root X, the series T
 and the adapted coefficients) are built once per family and passed to
-the per-cell functions through their ``parts`` argument.
+the per-cell functions through their ``parts`` argument, with one list
+of the powers of X that grows as the cells ask for higher ones.
 
 The dynamic programs run on integers.  Gap states are indexed once and
 each step maps one integer vector to the next.  The lock-step marks are
@@ -88,23 +89,31 @@ def lockstep_T(diag_weight, order: int) -> Series:
     return one / (one - Series.z(order) * (dw + 6))
 
 
-def _lockstep_base(diag_weight, order: int) -> tuple[Series, Series]:
-    """X and T at one diagonal weight: the pieces every cell and boundary share."""
-    return lockstep_x(diag_weight, order), lockstep_T(diag_weight, order)
+def _x_power(powers: list[Series], k: int) -> Series:
+    """X^k from a ``parts`` list X^0, X^1, ..., extended by one product per missing power."""
+    while len(powers) <= k:
+        powers.append(powers[-1] * powers[1])
+    return powers[k]
+
+
+def _lockstep_base(diag_weight, order: int) -> tuple[Series, Series, list[Series]]:
+    """X, T and X's powers at one diagonal weight: the pieces every cell and boundary share."""
+    X = lockstep_x(diag_weight, order)
+    return X, lockstep_T(diag_weight, order), [Series.one(order), X]
 
 
 def lockstep_general(
     diag_weight, i: int, j: int, alpha: Series, beta: Series, gamma: Series, order: int,
     *, base=None,
 ) -> StarGF:
-    """T * (1 - alpha X^i - beta X^j - gamma X^(i+j)); ``base`` is (X, T)."""
-    X, T = base or _lockstep_base(diag_weight, order)
+    """T * (1 - alpha X^i - beta X^j - gamma X^(i+j)); ``base`` is (X, T, powers of X)."""
+    _, T, powers = base or _lockstep_base(diag_weight, order)
     one = Series.one(order)
     series = T * (
         one
-        - alpha.truncate(order) * X**i
-        - beta.truncate(order) * X**j
-        - gamma.truncate(order) * X ** (i + j)
+        - alpha.truncate(order) * _x_power(powers, i)
+        - beta.truncate(order) * _x_power(powers, j)
+        - gamma.truncate(order) * _x_power(powers, i + j)
     )
     return StarGF(i, j, series)
 
@@ -116,7 +125,7 @@ def lockstep_adapt(boundary: str, order: int, *, base=None) -> tuple[Series, Ser
     up-down: (2X/(1+X), same, -X).  The corresponding boundary equations,
     in the (X, T) of ``base``, are re-checked as series identities.
     """
-    X, T = base or _lockstep_base(2, order)
+    X, T, _ = base or _lockstep_base(2, order)
     one = Series.one(order)
     z = Series.z(order)
     if boundary == "vicious":
@@ -152,7 +161,7 @@ def lockstep_adapt(boundary: str, order: int, *, base=None) -> tuple[Series, Ser
 
 
 def _star_parts(boundary: str, order: int, base=None):
-    """``parts`` of ``lockstep_star``: (X, T) and the adapted (alpha, beta, gamma)."""
+    """``parts`` of ``lockstep_star``: (X, T, powers) and the adapted (alpha, beta, gamma)."""
     base = base or _lockstep_base(2, order)
     return base, lockstep_adapt(boundary, order, base=base)
 
@@ -164,9 +173,10 @@ def lockstep_star(boundary: str, i: int, j: int, order: int, *, parts=None) -> S
 
 
 def _refined_parts(u, w, order: int, base=None):
-    """``parts`` of ``lockstep_refined``: (X, T) and the adapted (alpha, alpha, gamma)."""
+    """``parts`` of ``lockstep_refined``: (X, T, powers) and the adapted (alpha, alpha, gamma)."""
     u, w = as_fraction(u), as_fraction(w)
-    X, T = base = base or _lockstep_base(2, order)
+    base = base or _lockstep_base(2, order)
+    X = base[0]
     one = Series.one(order)
     sq = (one + X) ** 2
     alpha = (sq - (one - X + X * X + X * w) * u) / (sq - X * (X + w) * u)
@@ -200,11 +210,12 @@ def randomturn_x(steps: str, order: int) -> Series:
     return newton_solve(eq, 0)
 
 
-def _randomturn_parts(steps: str, order: int) -> tuple[Series, Series]:
-    """``parts`` of ``randomturn_gf``: X and T of one step set."""
+def _randomturn_parts(steps: str, order: int) -> tuple[Series, Series, list[Series]]:
+    """``parts`` of ``randomturn_gf``: X, T and X's powers for one step set."""
     one = Series.one(order)
     total = 6 if steps == "dyck" else 9
-    return randomturn_x(steps, order), one / (one - Series.z(order) * total)
+    X = randomturn_x(steps, order)
+    return X, one / (one - Series.z(order) * total), [Series.one(order), X]
 
 
 def randomturn_gf(steps: str, boundary: str, i: int, j: int, order: int, *, parts=None) -> StarGF:
@@ -214,9 +225,9 @@ def randomturn_gf(steps: str, boundary: str, i: int, j: int, order: int, *, part
         return StarGF(i, j, inner.series)
     if boundary != "vicious":
         raise ValueError("random-turn boundaries are vicious or osculating")
-    X, T = parts or _randomturn_parts(steps, order)
+    _, T, powers = parts or _randomturn_parts(steps, order)
     one = Series.one(order)
-    return StarGF(i, j, T * (one - X**i) * (one - X**j))
+    return StarGF(i, j, T * (one - _x_power(powers, i)) * (one - _x_power(powers, j)))
 
 
 # ---------------------------------------------------------------------------
@@ -399,22 +410,23 @@ QUARTER_PLANE_STEPS = {
 }
 
 
-def _quarterplane_parts(model: str, order: int) -> tuple[Series, Series]:
-    """``parts`` of ``quarterplane_gf``: X = kz(1+X+X^2) and T = 1/(1 - 3kz)."""
+def _quarterplane_parts(model: str, order: int) -> tuple[Series, Series, list[Series]]:
+    """``parts`` of ``quarterplane_gf``: X = kz(1+X+X^2), T = 1/(1 - 3kz) and X's powers."""
     if model not in QUARTER_PLANE_STEPS:
         raise ValueError("model must be S1 or S2")
     scale = 1 if model == "S1" else 2
     z = Series.z(order)
     one = Series.one(order)
     eq = SeriesPoly.make([z * scale, z * scale - one, z * scale])
-    return newton_solve(eq, 0), one / (one - z * (3 * scale))
+    X = newton_solve(eq, 0)
+    return X, one / (one - z * (3 * scale)), [Series.one(order), X]
 
 
 def quarterplane_gf(model: str, i: int, j: int, order: int, *, parts=None) -> Series:
     """(1 - X^(i+1))(1 - X^(j+1)) T with the X and T of ``parts``."""
-    X, T = parts or _quarterplane_parts(model, order)
+    _, T, powers = parts or _quarterplane_parts(model, order)
     one = Series.one(order)
-    return T * (one - X ** (i + 1)) * (one - X ** (j + 1))
+    return T * (one - _x_power(powers, i + 1)) * (one - _x_power(powers, j + 1))
 
 
 def quarterplane_dp(model: str, i: int, j: int, order: int) -> list[Fraction]:

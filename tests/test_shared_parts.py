@@ -79,6 +79,23 @@ def test_star_parts_equal_default(boundary):
         assert W.lockstep_star(boundary, i, j, 12, parts=parts) == W.lockstep_star(boundary, i, j, 12)
 
 
+def test_x_powers_grow_to_the_highest_asked():
+    X, _, powers = W._lockstep_base(2, 12)
+    assert W._x_power(powers, 7) == X**7
+    assert len(powers) == 8
+    assert W._x_power(powers, 3) == X**3 and len(powers) == 8
+
+
+@pytest.mark.parametrize("steps", ["dyck", "motzkin"])
+def test_randomturn_and_quarterplane_parts_equal_default(steps):
+    rt, qp = W._randomturn_parts(steps, 12), W._quarterplane_parts("S2", 12)
+    for i, j in ((4, 3), (0, 2), (2, 1)):  # the highest powers first
+        for boundary in ("vicious", "osculating"):
+            assert (W.randomturn_gf(steps, boundary, i, j, 12, parts=rt)
+                    == W.randomturn_gf(steps, boundary, i, j, 12))
+        assert W.quarterplane_gf("S2", i, j, 12, parts=qp) == W.quarterplane_gf("S2", i, j, 12)
+
+
 @st.composite
 def step_sets(draw):
     """Two-sided step sets: jumps in [-3, 3], positive rational weights."""
