@@ -33,7 +33,10 @@ one at (v1, v2) = (1, 2), n_max 6, order 20, as first written
 table loop it replaced, comparing every coordinate cut to the table's
 order, and ``rho_series`` at the levels ``verify_main_equation`` reads
 against the full-precision level sum (both references in
-``tests/test_dary.py``).  For every row, ``fraction_us`` is the time of
+``tests/test_dary.py``).  The ``closed_family_residual`` row times the
+binary/one-param-family check's work, the closed-family residual at
+levels -1..6 and order 18 for its three weight vectors, with no
+reference.  For every row that has one, ``fraction_us`` is the time of
 its reference.  Results go to a JSON file:
 
     PYTHONPATH=src python scripts/bench_series.py --out BENCH_series.json
@@ -59,10 +62,12 @@ sys.path.insert(0, str(ROOT / "tests"))
 
 from embtrees.binary import (  # noqa: E402
     BinaryWeights,
+    _closed_family_parts,
     _node_kinds,
     _ternary_kinds,
     binary_T,
     binary_X,
+    closed_family_residual,
     ternary_T,
     ternary_X,
 )
@@ -280,8 +285,19 @@ def cut_entries(entries: dict, order: int) -> dict:
             for index, coords in cut.items()}
 
 
+def closed_family_check() -> list:
+    """The binary/one-param-family check's residuals: levels -1..6 at order 18."""
+    out = []
+    for vec in ((0, 0, 1, 0, 0), (0, 0, 0, 1, 1), (1, 0, 1, 0, 0)):
+        w = BinaryWeights.make(*vec)
+        parts = _closed_family_parts(w, 6, 18)
+        out += [closed_family_residual(w, j, 18, parts=parts) for j in range(-1, 7)]
+    return out
+
+
 def bench_tables(repeats: int) -> list[dict]:
-    """The d-ary expansion table and its level sums, against the first-written loops."""
+    """The d-ary expansion table and its level sums, against the first-written
+    loops, and the closed-family residuals."""
     rows: list[dict] = []
     fam, bound, order = DaryFamily("even", 2), 3, 15
     seeds = main_equation_seeds(fam, bound, order)
@@ -294,6 +310,11 @@ def bench_tables(repeats: int) -> list[dict]:
     compare(rows, "rho_series", order, f"even d=2, levels {levels[0]}-{levels[-1]}",
             lambda: [rho_series(table, j, order) for j in levels],
             lambda: [ref_rho_series(table, j, order) for j in levels], repeats)
+    if not all(r.is_zero() for r in closed_family_check()):
+        raise AssertionError("closed_family_residual is not zero")
+    rows.append({"op": "closed_family_residual", "order": 18,
+                 "coeffs": "3 campaign weights, levels -1..6",
+                 "core_us": round(timed_us(closed_family_check, repeats), 1)})
     return rows
 
 
