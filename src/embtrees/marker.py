@@ -193,9 +193,6 @@ class MarkerSeries(ExactRing):
         return MarkerSeries._raw(self._order, self._lo + k, self._width, self._num, self._den)
 
     def matches(self, other: MarkerSeries) -> bool:
-        """Equality at the minimum of the two orders (the comparable range)."""
-        if self._order == other._order:
-            return self == other
         n = min(self._order, other._order)
         return self.truncate(n) == other.truncate(n)
 

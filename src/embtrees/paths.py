@@ -103,53 +103,22 @@ def excursion_gf(steps: StepSet, level: int, order: int) -> Series:
     return gf.marked.extract(level)
 
 
-def _meander_rows(steps: StepSet, level: int, order: int) -> tuple[list[list[int]], int]:
-    """Integer rows of the meander count, and the weight scale L.
+def _meander_dp_series(steps: StepSet, level: int, order: int) -> tuple[Series, MarkerSeries]:
+    """The dynamic program's totals as a series and its table as a marker series.
 
     Row n lists, by end level from 0, L^n times the weight of the n-step
-    paths from the start level that stay non-negative.
+    paths from the start level that stay non-negative.  Times
+    L^(order-1-n), it sits over the common denominator L^(order-1), as in
+    ``_marked_free_walks``; the marker is the end level.
     """
     if level < 0:
         raise ValueError("meanders start at a non-negative level")
     low, weights, scale = _scaled_steps(steps)
-    row = [0] * level + [1]
-    rows = [row]
+    rows = [[0] * level + [1]]
     for _ in range(1, order):
         # level k + b comes from level k by jump b; levels below 0 are cut
-        full = _mul_ints(row, weights, len(row) + len(weights) - 1)
-        row = full[-low:] if low < 0 else [0] * low + full
-        rows.append(row)
-    return rows, scale
-
-
-def meander_dp(
-    steps: StepSet, level: int, order: int
-) -> tuple[list[Fraction], list[dict[int, Fraction]]]:
-    """Step-by-step count of meanders from the level; the oracle.
-
-    Returns (totals, table) where table[n][k] is the weight of n-step
-    paths from the start level to level k staying non-negative, and
-    totals[n] sums over k.  The count runs on integers: with the weights
-    scaled by L, the row of n-step values is L^n times the true one.
-    """
-    rows, scale = _meander_rows(steps, level, order)
-    totals: list[Fraction] = []
-    table: list[dict[int, Fraction]] = []
-    den = 1
-    for row in rows:
-        table.append({k: Fraction(v, den) for k, v in enumerate(row) if v})
-        totals.append(Fraction(sum(row), den))
-        den *= scale
-    return totals, table
-
-
-def _meander_dp_series(steps: StepSet, level: int, order: int) -> tuple[Series, MarkerSeries]:
-    """The dynamic program's totals as a series and its table as a marker series.
-
-    Row n, times L^(order-1-n), sits over the common denominator
-    L^(order-1), as in ``_marked_free_walks``; the marker is the end level.
-    """
-    rows, scale = _meander_rows(steps, level, order)
+        full = _mul_ints(rows[-1], weights, len(rows[-1]) + len(weights) - 1)
+        rows.append(full[-low:] if low < 0 else [0] * low + full)
     width = max(map(len, rows))
     nums = [0] * (order * width)
     totals = []
@@ -160,6 +129,20 @@ def _meander_dp_series(steps: StepSet, level: int, order: int) -> tuple[Series, 
         factor //= scale
     den = scale ** (order - 1)
     return Series._normed(totals, den), MarkerSeries._normed(order, 0, width, nums, den)
+
+
+def meander_dp(
+    steps: StepSet, level: int, order: int
+) -> tuple[list[Fraction], list[dict[int, Fraction]]]:
+    """Step-by-step count of meanders from the level; the oracle.
+
+    Returns (totals, table) where table[n][k] is the weight of n-step
+    paths from the start level to level k staying non-negative, and
+    totals[n] sums over k: the Fraction view of ``_meander_dp_series``,
+    with at least one row.
+    """
+    plain, marked = _meander_dp_series(steps, level, max(order, 1))
+    return list(plain.coeffs), list(marked.coeffs)
 
 
 @dataclass(frozen=True)
@@ -180,9 +163,9 @@ def verify_meander_closed_form(steps: StepSet, j_max: int, order: int) -> Meande
         gf = meander_gf(steps, level, order, parts=parts)
         plain_dp, marked_dp = _meander_dp_series(steps, level, order)
         for plain in (gf.plain, gf.marked.at_one()):
-            if not plain.matches(plain_dp):
+            if plain != plain_dp:
                 return MeanderCheck(False, (level, (plain - plain_dp).valuation()))
-        if not gf.marked.matches(marked_dp):
+        if gf.marked != marked_dp:
             diff = gf.marked - marked_dp
             return MeanderCheck(False, (level, next(n for n in range(diff.order)
                                                     if diff.support(n) is not None)))

@@ -176,7 +176,14 @@ def test_meander_closed_form_matches_dp_on_random_step_sets(steps, level, order)
 @settings(max_examples=40, deadline=None)
 @given(step_sets(), st.integers(0, 3), st.integers(1, 12))
 def test_dp_grids_equal_the_fraction_view(steps, level, order):
+    # the check compares grids structurally, so they must be the canonical
+    # ones that the Fraction constructors build
     totals, table = meander_dp(steps, level, order)
     plain, marked = paths._meander_dp_series(steps, level, order)
     assert plain == Series(totals)
     assert marked == MarkerSeries(table, order)
+
+
+@pytest.mark.parametrize("order", [0, -2])
+def test_dp_below_order_one_keeps_its_start_row(order):
+    assert meander_dp(MOTZKIN, 2, order) == ([Q(1)], [{2: Q(1)}])
