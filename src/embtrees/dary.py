@@ -330,9 +330,10 @@ def dary_alpha_general(
     only to the precision its product reads.
 
     The table is built at ``order + 1`` stored orders, the one order that
-    dividing by z T^(arity-1) costs, from seeds cut to that many
-    coefficients; a seed known to fewer raises ``InsufficientPrecision``,
-    as does an entry whose stored order ends up below ``order``.
+    dividing by z T^(arity-1) costs.  Seeds are cut to that many
+    coefficients and never padded: a seed known to fewer keeps its own
+    stored order, and a seed or entry whose stored order ends up below
+    ``order`` raises ``InsufficientPrecision``.
     """
     c = fam.branch_count
     if len(seeds) != c:
@@ -340,10 +341,6 @@ def dary_alpha_general(
     # precision is tracked, not padded for: every element keeps the stored
     # order it is known to, and an entry short of ``order`` raises below
     work = order + 1
-    short_seeds = [g for g, s in enumerate(seeds) if s.order < work]
-    if short_seeds:
-        raise InsufficientPrecision(
-            f"seeds {short_seeds} carry fewer than the {work} coefficients the table needs")
     T = dary_T(fam, work)
     zT = Series.z(work) * T ** (fam.arity - 1)
     small = dary_char_factor(fam, work)
@@ -357,7 +354,7 @@ def dary_alpha_general(
         idx[g] = 1
         unit_vectors.append(tuple(idx))
     for g, vec in enumerate(unit_vectors):
-        table.entries[vec] = alg.from_series(seeds[g].truncate(work))
+        table.entries[vec] = alg.from_series(seeds[g].truncate(min(work, seeds[g].order)))
     prod_cache: dict[tuple, SAElement] = {}
 
     def alpha_product(key: tuple[tuple[int, ...], ...]) -> SAElement:
@@ -411,9 +408,9 @@ def dary_alpha_general(
     short = next((index for index, entry in table.entries.items()
                   if entry.stored_order < order), None)
     if short is not None:
+        what = f"seed {unit_vectors.index(short)}" if short in unit_vectors else f"entry {short}"
         raise InsufficientPrecision(
-            f"entry {short} is known to {table.entries[short].stored_order} orders, "
-            f"below {order}")
+            f"{what} is known to {table.entries[short].stored_order} orders, below {order}")
     return table
 
 

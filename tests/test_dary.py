@@ -424,11 +424,13 @@ class TestExpansionCoefficients:
 
     def test_short_seed_is_refused_not_padded(self):
         # z^2/(1-z) known to 5 terms, padded with zeros, gave 863 and 8184
-        # at z^6 and z^7 of the level-2 sum, and claimed order 8
+        # at z^6 and z^7 of the level-2 sum, and claimed order 8; known to
+        # the table's order, it is enough
         geometric = [0, 0] + [1] * 18
-        with pytest.raises(InsufficientPrecision, match="seeds"):
-            dary_alpha_general(ODD2, 2, [Series(geometric[:5])] * 2, 8)
-        for known in (9, 20):
+        for known in (5, 7):
+            with pytest.raises(InsufficientPrecision, match=f"seed 0 is known to {known} orders"):
+                dary_alpha_general(ODD2, 2, [Series(geometric[:known])] * 2, 8)
+        for known in (8, 9, 20):
             table = dary_alpha_general(ODD2, 2, [Series(geometric[:known])] * 2, 8)
             assert rho_series(table, 2, 8).coeffs[6:] == (865, 8197)
 
