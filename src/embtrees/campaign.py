@@ -439,7 +439,7 @@ def _check_path_monotone(order: int):
 
 def _check_walkers_lockstep(order: int):
     n = min(order, 20)
-    base = W._lockstep_base(2, n)
+    base = W._lockstep_base(2, n, 8)
     for boundary, (u, w) in (("vicious", (0, 0)), ("osculating", (1, 0)), ("updown", (1, 1))):
         table = W.lockstep_dp_table(u, w, n)
         parts = W._star_parts(boundary, n, base)
@@ -459,7 +459,7 @@ def _check_walkers_refined(
     order: int, marks=((Q(1, 2), Q(1, 3)), (Q(2), Q(1))), max_order: int = 16
 ):
     n = min(order, max_order)
-    base = W._lockstep_base(2, n)
+    base = W._lockstep_base(2, n, 8)
     for u, w in marks:
         table = W.lockstep_dp_table(u, w, n)
         parts = W._refined_parts(u, w, n, base)
@@ -472,7 +472,7 @@ def _check_walkers_refined(
                 dp = [start * table[k][(i, j)] for k in range(n)]
                 if list(closed.coeffs) != dp:
                     return False, f"marks {(str(u), str(w))} at {(i, j)}"
-    base = W._lockstep_base(2, 12)
+    base = W._lockstep_base(2, 12, 6)
     for (u, w), boundary in (((0, 0), "vicious"), ((1, 0), "osculating"), ((1, 1), "updown")):
         refined, star = W._refined_parts(u, w, 12, base), W._star_parts(boundary, 12, base)
         for i in range(4):
@@ -486,7 +486,7 @@ def _check_walkers_refined(
 
 def _check_walkers_randomturn(order: int):
     n = min(order, 20)
-    parts = {steps: W._randomturn_parts(steps, n) for steps in ("dyck", "motzkin")}
+    parts = {steps: W._randomturn_parts(steps, n, 5) for steps in ("dyck", "motzkin")}
     for steps in ("dyck", "motzkin"):
         for boundary in ("vicious", "osculating"):
             table = W.randomturn_dp_table(steps, boundary, n)
@@ -514,7 +514,8 @@ def _check_walkers_randomturn(order: int):
 
 def _check_quarterplane(order: int, grid: int = 3, doubled_cells=((1, 2),)):
     n = min(order, 20)
-    parts = {model: W._quarterplane_parts(model, n) for model in ("S1", "S2")}
+    k_max = max([grid] + [max(cell) + 1 for cell in doubled_cells])
+    parts = {model: W._quarterplane_parts(model, n, k_max) for model in ("S1", "S2")}
     closed = {(model, i, j): W.quarterplane_gf(model, i, j, n, parts=parts[model])
               for model in ("S1", "S2") for i in range(grid) for j in range(grid)}
     for (model, i, j), series in closed.items():
@@ -525,7 +526,7 @@ def _check_quarterplane(order: int, grid: int = 3, doubled_cells=((1, 2),)):
                   for model in ("S1", "S2"))
         if list(s2.coeffs) != [c * 2**k for k, c in enumerate(s1.coeffs)]:
             return False, f"S2 != S1 at doubled variable at {(i, j)}"
-    qp, rt = W._quarterplane_parts("S2", 12), W._randomturn_parts("dyck", 12)
+    qp, rt = W._quarterplane_parts("S2", 12, grid), W._randomturn_parts("dyck", 12, grid)
     for i in range(grid):
         for j in range(grid):
             if not W.quarterplane_gf("S2", i, j, 12, parts=qp).matches(
@@ -536,7 +537,8 @@ def _check_quarterplane(order: int, grid: int = 3, doubled_cells=((1, 2),)):
 
 
 def _check_walker_symmetry(order: int):
-    star, rt = W._star_parts("updown", 10), W._randomturn_parts("motzkin", 10)
+    star = W._star_parts("updown", 10, W._lockstep_base(2, 10, 6))
+    rt = W._randomturn_parts("motzkin", 10, 3)
     for i in range(4):
         for j in range(4):
             if (W.lockstep_star("updown", i, j, 10, parts=star).series

@@ -11,8 +11,8 @@ two-dimensional paths and coincide with random-turn osculating walkers
 for the six-step set.  Every closed form is checked against the gap
 dynamic program.  The pieces no cell changes (the root X, the series T
 and the adapted coefficients) are built once per family and passed to
-the per-cell functions through their ``parts`` argument, with one list
-of the powers of X that grows as the cells ask for higher ones.
+the per-cell functions through their ``parts`` argument, with X's powers
+up to the highest one the cells read.
 
 The dynamic programs run on integers.  Gap states are indexed once and
 each step maps one integer vector to the next.  The lock-step marks are
@@ -33,6 +33,7 @@ from operator import add, mul
 
 from .errors import BoundaryCheckFailed
 from .kernel import SeriesPoly, newton_solve
+from .levels import _x_powers
 from .series import Q, Series, as_fraction, over_lcm
 
 _ZERO = Q(0)
@@ -89,17 +90,10 @@ def lockstep_T(diag_weight, order: int) -> Series:
     return one / (one - Series.z(order) * (dw + 6))
 
 
-def _x_power(powers: list[Series], k: int) -> Series:
-    """X^k from a ``parts`` list X^0, X^1, ..., extended by one product per missing power."""
-    while len(powers) <= k:
-        powers.append(powers[-1] * powers[1])
-    return powers[k]
-
-
-def _lockstep_base(diag_weight, order: int) -> tuple[Series, Series, list[Series]]:
-    """X, T and X's powers at one diagonal weight: the pieces every cell and boundary share."""
+def _lockstep_base(diag_weight, order: int, k_max: int) -> tuple[Series, Series, list[Series]]:
+    """X, T and X^0..X^k_max at one diagonal weight: the pieces every cell and boundary share."""
     X = lockstep_x(diag_weight, order)
-    return X, lockstep_T(diag_weight, order), [Series.one(order), X]
+    return X, lockstep_T(diag_weight, order), _x_powers(X, k_max)
 
 
 def lockstep_general(
@@ -107,13 +101,13 @@ def lockstep_general(
     *, base=None,
 ) -> StarGF:
     """T * (1 - alpha X^i - beta X^j - gamma X^(i+j)); ``base`` is (X, T, powers of X)."""
-    _, T, powers = base or _lockstep_base(diag_weight, order)
+    _, T, xp = base or _lockstep_base(diag_weight, order, i + j)
     one = Series.one(order)
     series = T * (
         one
-        - alpha.truncate(order) * _x_power(powers, i)
-        - beta.truncate(order) * _x_power(powers, j)
-        - gamma.truncate(order) * _x_power(powers, i + j)
+        - alpha.truncate(order) * xp[i]
+        - beta.truncate(order) * xp[j]
+        - gamma.truncate(order) * xp[i + j]
     )
     return StarGF(i, j, series)
 
@@ -125,7 +119,7 @@ def lockstep_adapt(boundary: str, order: int, *, base=None) -> tuple[Series, Ser
     up-down: (2X/(1+X), same, -X).  The corresponding boundary equations,
     in the (X, T) of ``base``, are re-checked as series identities.
     """
-    X, T, _ = base or _lockstep_base(2, order)
+    X, T, _ = base or _lockstep_base(2, order, 0)
     one = Series.one(order)
     z = Series.z(order)
     if boundary == "vicious":
@@ -160,22 +154,20 @@ def lockstep_adapt(boundary: str, order: int, *, base=None) -> tuple[Series, Ser
     return alpha, beta, gamma
 
 
-def _star_parts(boundary: str, order: int, base=None):
-    """``parts`` of ``lockstep_star``: (X, T, powers) and the adapted (alpha, beta, gamma)."""
-    base = base or _lockstep_base(2, order)
+def _star_parts(boundary: str, order: int, base):
+    """``parts`` of ``lockstep_star``: ``base`` and the adapted (alpha, beta, gamma)."""
     return base, lockstep_adapt(boundary, order, base=base)
 
 
 def lockstep_star(boundary: str, i: int, j: int, order: int, *, parts=None) -> StarGF:
     """Closed star series for the three lock-step boundary models (w=2)."""
-    base, adapted = parts or _star_parts(boundary, order)
+    base, adapted = parts or _star_parts(boundary, order, _lockstep_base(2, order, i + j))
     return lockstep_general(2, i, j, *adapted, order, base=base)
 
 
-def _refined_parts(u, w, order: int, base=None):
-    """``parts`` of ``lockstep_refined``: (X, T, powers) and the adapted (alpha, alpha, gamma)."""
+def _refined_parts(u, w, order: int, base):
+    """``parts`` of ``lockstep_refined``: ``base`` and the adapted (alpha, alpha, gamma)."""
     u, w = as_fraction(u), as_fraction(w)
-    base = base or _lockstep_base(2, order)
     X = base[0]
     one = Series.one(order)
     sq = (one + X) ** 2
@@ -188,7 +180,7 @@ def _refined_parts(u, w, order: int, base=None):
 
 def lockstep_refined(u, w, i: int, j: int, order: int, *, parts=None) -> StarGF:
     """Refined star series with co-location mark u and shared-edge mark w."""
-    base, adapted = parts or _refined_parts(u, w, order)
+    base, adapted = parts or _refined_parts(u, w, order, _lockstep_base(2, order, i + j))
     return lockstep_general(2, i, j, *adapted, order, base=base)
 
 
@@ -210,12 +202,12 @@ def randomturn_x(steps: str, order: int) -> Series:
     return newton_solve(eq, 0)
 
 
-def _randomturn_parts(steps: str, order: int) -> tuple[Series, Series, list[Series]]:
-    """``parts`` of ``randomturn_gf``: X, T and X's powers for one step set."""
+def _randomturn_parts(steps: str, order: int, k_max: int) -> tuple[Series, Series, list[Series]]:
+    """``parts`` of ``randomturn_gf``: X, T and X^0..X^k_max for one step set."""
     one = Series.one(order)
     total = 6 if steps == "dyck" else 9
     X = randomturn_x(steps, order)
-    return X, one / (one - Series.z(order) * total), [Series.one(order), X]
+    return X, one / (one - Series.z(order) * total), _x_powers(X, k_max)
 
 
 def randomturn_gf(steps: str, boundary: str, i: int, j: int, order: int, *, parts=None) -> StarGF:
@@ -225,9 +217,9 @@ def randomturn_gf(steps: str, boundary: str, i: int, j: int, order: int, *, part
         return StarGF(i, j, inner.series)
     if boundary != "vicious":
         raise ValueError("random-turn boundaries are vicious or osculating")
-    _, T, powers = parts or _randomturn_parts(steps, order)
+    _, T, xp = parts or _randomturn_parts(steps, order, max(i, j))
     one = Series.one(order)
-    return StarGF(i, j, T * (one - _x_power(powers, i)) * (one - _x_power(powers, j)))
+    return StarGF(i, j, T * (one - xp[i]) * (one - xp[j]))
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +402,8 @@ QUARTER_PLANE_STEPS = {
 }
 
 
-def _quarterplane_parts(model: str, order: int) -> tuple[Series, Series, list[Series]]:
-    """``parts`` of ``quarterplane_gf``: X = kz(1+X+X^2), T = 1/(1 - 3kz) and X's powers."""
+def _quarterplane_parts(model: str, order: int, k_max: int) -> tuple[Series, Series, list[Series]]:
+    """``parts`` of ``quarterplane_gf``: X = kz(1+X+X^2), T = 1/(1 - 3kz) and X^0..X^k_max."""
     if model not in QUARTER_PLANE_STEPS:
         raise ValueError("model must be S1 or S2")
     scale = 1 if model == "S1" else 2
@@ -419,14 +411,14 @@ def _quarterplane_parts(model: str, order: int) -> tuple[Series, Series, list[Se
     one = Series.one(order)
     eq = SeriesPoly.make([z * scale, z * scale - one, z * scale])
     X = newton_solve(eq, 0)
-    return X, one / (one - z * (3 * scale)), [Series.one(order), X]
+    return X, one / (one - z * (3 * scale)), _x_powers(X, k_max)
 
 
 def quarterplane_gf(model: str, i: int, j: int, order: int, *, parts=None) -> Series:
     """(1 - X^(i+1))(1 - X^(j+1)) T with the X and T of ``parts``."""
-    _, T, powers = parts or _quarterplane_parts(model, order)
+    _, T, xp = parts or _quarterplane_parts(model, order, max(i, j) + 1)
     one = Series.one(order)
-    return T * (one - _x_power(powers, i + 1)) * (one - _x_power(powers, j + 1))
+    return T * (one - xp[i + 1]) * (one - xp[j + 1])
 
 
 def quarterplane_dp(model: str, i: int, j: int, order: int) -> list[Fraction]:

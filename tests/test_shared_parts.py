@@ -67,29 +67,28 @@ marks = st.fractions(min_value=0, max_value=3, max_denominator=7)
 @given(marks, marks, st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4))
                               .filter(lambda c: c != (0, 0)), min_size=1, max_size=4))
 def test_refined_parts_equal_default(u, w, cells):
-    parts = W._refined_parts(u, w, 12)
+    parts = W._refined_parts(u, w, 12, W._lockstep_base(2, 12, 8))
     for i, j in cells:
         assert W.lockstep_refined(u, w, i, j, 12, parts=parts) == W.lockstep_refined(u, w, i, j, 12)
 
 
 @pytest.mark.parametrize("boundary", ["vicious", "osculating", "updown"])
 def test_star_parts_equal_default(boundary):
-    parts = W._star_parts(boundary, 12)
+    parts = W._star_parts(boundary, 12, W._lockstep_base(2, 12, 7))
     for i, j in ((0, 1), (2, 0), (3, 4)):
         assert W.lockstep_star(boundary, i, j, 12, parts=parts) == W.lockstep_star(boundary, i, j, 12)
 
 
-def test_x_powers_grow_to_the_highest_asked():
-    X, _, powers = W._lockstep_base(2, 12)
-    assert W._x_power(powers, 7) == X**7
-    assert len(powers) == 8
-    assert W._x_power(powers, 3) == X**3 and len(powers) == 8
+def test_parts_hold_x_powers_to_the_highest_asked():
+    for X, _, xp in (W._lockstep_base(2, 12, 7), W._randomturn_parts("motzkin", 12, 7),
+                     W._quarterplane_parts("S1", 12, 7)):
+        assert xp == [X**k for k in range(8)]
 
 
 @pytest.mark.parametrize("steps", ["dyck", "motzkin"])
 def test_randomturn_and_quarterplane_parts_equal_default(steps):
-    rt, qp = W._randomturn_parts(steps, 12), W._quarterplane_parts("S2", 12)
-    for i, j in ((4, 3), (0, 2), (2, 1)):  # the highest powers first
+    rt, qp = W._randomturn_parts(steps, 12, 5), W._quarterplane_parts("S2", 12, 5)
+    for i, j in ((4, 3), (0, 2), (2, 1)):
         for boundary in ("vicious", "osculating"):
             assert (W.randomturn_gf(steps, boundary, i, j, 12, parts=rt)
                     == W.randomturn_gf(steps, boundary, i, j, 12))
