@@ -14,7 +14,13 @@ references in ``tests/test_marker_multipoly_core.py``: marker-series
 products (orders 10, 20 and 40), univariate and three-variable
 ``MultiPoly`` products, and the three walker dynamic programs (lock-step
 and random-turn tables, quarter-plane counts) at orders 10 and 20, each
-including its Fraction boundary.
+including its Fraction boundary.  Two rows time the walker checks' DP
+work, the integer columns of the cells i, j <= 4 at order 20 (lock-step
+at marks (1/2, 1/3), random-turn Motzkin osculating), against those
+cells read from the reference tables.  The ``meander_terms`` row times
+the meander check's closed side, the terms of ``_meander_parts`` and the
+levels 0..5 summed from them at order 25 for the campaign's five step
+sets, against the Fraction DP of ``meander_dp`` at the same levels.
 
 The graded-recurrence layers are timed against the first-written forms
 kept in the test files: split-algebra products of an expansion-table
@@ -83,7 +89,14 @@ from embtrees.marker import MarkerSeries  # noqa: E402
 from embtrees.multipoly import MultiPoly  # noqa: E402
 from embtrees.series import Series  # noqa: E402
 from embtrees.steps import parse_step_set  # noqa: E402
-from embtrees.walkers import lockstep_dp_table, quarterplane_dp, randomturn_dp_table  # noqa: E402
+from embtrees.paths import _meander_parts, meander_dp, meander_gf  # noqa: E402
+from embtrees.walkers import (  # noqa: E402
+    _lockstep_columns,
+    _randomturn_columns,
+    lockstep_dp_table,
+    quarterplane_dp,
+    randomturn_dp_table,
+)
 from test_dary import (  # noqa: E402
     main_equation_seeds,
     ref_alpha_general,
@@ -219,7 +232,42 @@ def bench_layers(repeats: int, seed: int) -> list[dict]:
         compare(rows, "quarterplane_dp", order, "S2 at (2, 2)",
                 lambda: quarterplane_dp("S2", 2, 2, order),
                 lambda: ref_quarterplane("S2", 2, 2, order), repeats)
+    cells = [(i, j) for i in range(5) for j in range(5)]
+    compare(rows, "lockstep_columns", 20, "marks 1/2,1/3, i,j<=4",
+            lambda: _lockstep_columns(*marks, cells, 20),
+            lambda: table_cells(ref_lockstep_table(*marks, 20), cells, marks[0]), repeats,
+            read=column_lists)
+    compare(rows, "randomturn_columns", 20, "motzkin osculating, i,j<=4",
+            lambda: _randomturn_columns("motzkin", "osculating", cells, 20),
+            lambda: table_cells(ref_randomturn_table("motzkin", "osculating", 20), cells),
+            repeats, read=column_lists)
+    step_sets = [parse_step_set(spec) for spec in MEANDER_STEP_SETS]
+    compare(rows, "meander_terms", 25, "5 campaign step sets, j<=5",
+            lambda: [meander_levels(steps, 25, 5) for steps in step_sets],
+            lambda: [[meander_dp(steps, j, 25) for j in range(6)] for steps in step_sets],
+            max(1, repeats // 5),
+            read=lambda sets: [[(list(gf.plain.coeffs), list(gf.marked.coeffs)) for gf in gfs]
+                               for gfs in sets])
     return rows
+
+
+MEANDER_STEP_SETS = ("-1:1,1:1", "-1:1,0:1,1:1", "-2:1,-1:2,1:1,3:1", "-1:2,1:3", "-3:1,2:1/2")
+
+
+def table_cells(table, cells, u=1) -> dict:
+    """Each cell's column of a Fraction DP table, with u^(zero gaps of the cell)."""
+    return {(i, j): [u ** ((i == 0) + (j == 0)) * row[(i, j)] for row in table]
+            for i, j in cells}
+
+
+def column_lists(columns: dict) -> dict:
+    return {cell: list(s.coeffs) for cell, s in columns.items()}
+
+
+def meander_levels(steps, order: int, j_max: int) -> list:
+    """The meander check's closed side: the terms once, then every level 0..j_max."""
+    parts = _meander_parts(steps, order, j_max)
+    return [meander_gf(steps, j, order, parts=parts) for j in range(j_max + 1)]
 
 
 def sa_value(e) -> tuple:

@@ -422,7 +422,7 @@ def _check_excursions(order: int):
 def _check_path_monotone(order: int):
     dyck = StepSet.make([(-1, 1), (1, 1)])
     total = P.walks_total(dyck, 12)
-    parts = P._meander_parts(dyck, 12)
+    parts = P._meander_parts(dyck, 12, 12)
     prev = None
     for j in range(13):
         plain = P.meander_gf(dyck, j, 12, parts=parts).plain
@@ -437,21 +437,20 @@ def _check_path_monotone(order: int):
     return True, ""
 
 
+_STAR_CELLS = [(i, j) for i in range(5) for j in range(5)]
+
+
 def _check_walkers_lockstep(order: int):
     n = min(order, 20)
-    base = W._lockstep_base(2, n, 8)
+    base = W._lockstep_base(2, n)
     for boundary, (u, w) in (("vicious", (0, 0)), ("osculating", (1, 0)), ("updown", (1, 1))):
-        table = W.lockstep_dp_table(u, w, n)
-        parts = W._star_parts(boundary, n, base)
-        for i in range(5):
-            for j in range(5):
-                if boundary == "osculating" and (i, j) == (0, 0):
-                    continue
-                closed = W.lockstep_star(boundary, i, j, n, parts=parts).series
-                start = Q(u) ** ((i == 0) + (j == 0))
-                dp = [start * table[k][(i, j)] for k in range(n)]
-                if list(closed.coeffs) != dp:
-                    return False, f"{boundary} at {(i, j)}"
+        dp = W._lockstep_columns(u, w, _STAR_CELLS, n)
+        parts = W._star_parts(boundary, n, base, 4)
+        for i, j in _STAR_CELLS:
+            if boundary == "osculating" and (i, j) == (0, 0):
+                continue
+            if W.lockstep_star(boundary, i, j, n, parts=parts).series != dp[i, j]:
+                return False, f"{boundary} at {(i, j)}"
     return True, ""
 
 
@@ -459,22 +458,18 @@ def _check_walkers_refined(
     order: int, marks=((Q(1, 2), Q(1, 3)), (Q(2), Q(1))), max_order: int = 16
 ):
     n = min(order, max_order)
-    base = W._lockstep_base(2, n, 8)
+    base = W._lockstep_base(2, n)
     for u, w in marks:
-        table = W.lockstep_dp_table(u, w, n)
-        parts = W._refined_parts(u, w, n, base)
-        for i in range(5):
-            for j in range(5):
-                if (i, j) == (0, 0):
-                    continue
-                closed = W.lockstep_refined(u, w, i, j, n, parts=parts).series
-                start = u ** ((i == 0) + (j == 0))
-                dp = [start * table[k][(i, j)] for k in range(n)]
-                if list(closed.coeffs) != dp:
-                    return False, f"marks {(str(u), str(w))} at {(i, j)}"
-    base = W._lockstep_base(2, 12, 6)
+        dp = W._lockstep_columns(u, w, _STAR_CELLS, n)
+        parts = W._refined_parts(u, w, n, base, 4)
+        for i, j in _STAR_CELLS:
+            if (i, j) == (0, 0):
+                continue
+            if W.lockstep_refined(u, w, i, j, n, parts=parts).series != dp[i, j]:
+                return False, f"marks {(str(u), str(w))} at {(i, j)}"
+    base = W._lockstep_base(2, 12)
     for (u, w), boundary in (((0, 0), "vicious"), ((1, 0), "osculating"), ((1, 1), "updown")):
-        refined, star = W._refined_parts(u, w, 12, base), W._star_parts(boundary, 12, base)
+        refined, star = W._refined_parts(u, w, 12, base, 3), W._star_parts(boundary, 12, base, 3)
         for i in range(4):
             for j in range(4):
                 a = W.lockstep_refined(u, w, i, j, 12, parts=refined).series
@@ -486,19 +481,15 @@ def _check_walkers_refined(
 
 def _check_walkers_randomturn(order: int):
     n = min(order, 20)
-    parts = {steps: W._randomturn_parts(steps, n, 5) for steps in ("dyck", "motzkin")}
+    # the osculating stars read T X^k up to k = (4 + 1) + (4 + 1)
+    parts = {steps: W._randomturn_parts(steps, n, 10) for steps in ("dyck", "motzkin")}
     for steps in ("dyck", "motzkin"):
         for boundary in ("vicious", "osculating"):
-            table = W.randomturn_dp_table(steps, boundary, n)
-            for i in range(5):
-                for j in range(5):
-                    closed = W.randomturn_gf(steps, boundary, i, j, n, parts=parts[steps]).series
-                    if boundary == "vicious" and (i < 1 or j < 1):
-                        dp = [Q(0)] * n
-                    else:
-                        dp = [table[k][(i, j)] for k in range(n)]
-                    if list(closed.coeffs) != dp:
-                        return False, f"{steps} {boundary} at {(i, j)}"
+            dp = W._randomturn_columns(steps, boundary, _STAR_CELLS, n)
+            for i, j in _STAR_CELLS:
+                closed = W.randomturn_gf(steps, boundary, i, j, n, parts=parts[steps]).series
+                if closed != dp[i, j]:
+                    return False, f"{steps} {boundary} at {(i, j)}"
     z = Series.z(n)
     one = Series.one(n)
     rt = W.randomturn_gf("dyck", "osculating", 0, 0, n, parts=parts["dyck"]).series
@@ -514,31 +505,34 @@ def _check_walkers_randomturn(order: int):
 
 def _check_quarterplane(order: int, grid: int = 3, doubled_cells=((1, 2),)):
     n = min(order, 20)
-    k_max = max([grid] + [max(cell) + 1 for cell in doubled_cells])
+    cells = [(i, j) for i in range(grid) for j in range(grid)]
+    k_max = max(i + j + 2 for i, j in cells + list(doubled_cells))
     parts = {model: W._quarterplane_parts(model, n, k_max) for model in ("S1", "S2")}
     closed = {(model, i, j): W.quarterplane_gf(model, i, j, n, parts=parts[model])
-              for model in ("S1", "S2") for i in range(grid) for j in range(grid)}
-    for (model, i, j), series in closed.items():
-        if list(series.coeffs) != W.quarterplane_dp(model, i, j, n):
-            return False, f"{model} at {(i, j)}"
+              for model in ("S1", "S2") for i, j in cells}
+    for model in ("S1", "S2"):
+        dp = W._quarterplane_columns(model, cells, n)
+        for i, j in cells:
+            if closed[model, i, j] != dp[i, j]:
+                return False, f"{model} at {(i, j)}"
     for i, j in doubled_cells:  # the grid's series, or the cell's own outside it
         s1, s2 = (closed.get((model, i, j)) or W.quarterplane_gf(model, i, j, n, parts=parts[model])
                   for model in ("S1", "S2"))
         if list(s2.coeffs) != [c * 2**k for k, c in enumerate(s1.coeffs)]:
             return False, f"S2 != S1 at doubled variable at {(i, j)}"
-    qp, rt = W._quarterplane_parts("S2", 12, grid), W._randomturn_parts("dyck", 12, grid)
-    for i in range(grid):
-        for j in range(grid):
-            if not W.quarterplane_gf("S2", i, j, 12, parts=qp).matches(
-                W.randomturn_gf("dyck", "osculating", i, j, 12, parts=rt).series
-            ):
-                return False, f"S2 != random-turn osculating at {(i, j)}"
+    k_max = 2 * grid
+    qp, rt = W._quarterplane_parts("S2", 12, k_max), W._randomturn_parts("dyck", 12, k_max)
+    for i, j in cells:
+        if not W.quarterplane_gf("S2", i, j, 12, parts=qp).matches(
+            W.randomturn_gf("dyck", "osculating", i, j, 12, parts=rt).series
+        ):
+            return False, f"S2 != random-turn osculating at {(i, j)}"
     return True, ""
 
 
 def _check_walker_symmetry(order: int):
-    star = W._star_parts("updown", 10, W._lockstep_base(2, 10, 6))
-    rt = W._randomturn_parts("motzkin", 10, 3)
+    star = W._star_parts("updown", 10, W._lockstep_base(2, 10), 3)
+    rt = W._randomturn_parts("motzkin", 10, 6)
     for i in range(4):
         for j in range(4):
             if (W.lockstep_star("updown", i, j, 10, parts=star).series

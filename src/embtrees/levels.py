@@ -74,9 +74,9 @@ def _terms_by_multiset(offsets, max_size: int, splits):
                 yield tuple(sorted(parts)), combo, parts
 
 
-def _x_powers(X, k_max: int) -> list:
-    """1, X, ..., X^k_max in X's exact ring."""
-    xp = [X**0]
+def _x_powers(X, k_max: int, first=None) -> list:
+    """first, first X, ..., first X^k_max in X's exact ring; ``first`` is 1 by default."""
+    xp = [X**0 if first is None else first]
     for _ in range(k_max):
         xp.append(xp[-1] * X)
     return xp
@@ -139,9 +139,12 @@ def alpha_recurrence(kinds: Kinds, X: Series, T: Series, n_max: int) -> list[Ser
     one = Series.one(order)
     alphas, products = [one], {(): one}
 
-    def product(key):
-        if key not in products:
-            products[key] = product(key[:-1]) * alphas[key[-1] - 1]
+    def product(key):  # built from its longest known prefix; no recursion, so no cycle
+        known = len(key)
+        while key[:known] not in products:
+            known -= 1
+        for end in range(known + 1, len(key) + 1):
+            products[key[:end]] = products[key[:end - 1]] * alphas[key[end - 1] - 1]
         return products[key]
 
     def t_weighted(parts: dict[int, Series]) -> Series:  # sum of T^(a - low) parts[a]

@@ -248,6 +248,8 @@ class MarkerSeries(ExactRing):
             return MarkerSeries._normed(self._order, self._lo, self._width,
                                         [c * q.numerator for c in self._num],
                                         self._den * q.denominator)
+        if isinstance(other, Series):
+            return self._times_series(other)
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
@@ -261,6 +263,15 @@ class MarkerSeries(ExactRing):
                                     self._den * rhs._den)
 
     __rmul__ = __mul__
+
+    def _times_series(self, s: Series) -> MarkerSeries:
+        """The product with a z-series: one series product per marker column."""
+        n = min(self._order, len(s._num))
+        w = self._width
+        nums = [0] * (n * w)
+        for k in range(w):
+            nums[k::w] = _mul_ints(self._num[k:n * w:w], s._num, n)
+        return MarkerSeries._normed(n, self._lo, w, nums, self._den * s._den)
 
     def shift_up(self, k: int) -> MarkerSeries:
         """Multiply by z^k, genuinely extending the order by k."""

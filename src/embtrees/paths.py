@@ -5,16 +5,17 @@ level-j meander series is the free-walk series times the partial sum of
 complete homogeneous symmetric functions of the small branches, weighted
 by the product of (1 - branch).  The endpoint-marked refinement divides
 each branch by the marker and swaps the free-walk prefactor for its
-marked version.  Only the complete homogeneous sum depends on the level;
-the small factor and both prefactors are built once per step set.  A
-direct dynamic-programming count over (steps, level) serves as the
-independent oracle.
+marked version.  Only the complete homogeneous sum depends on the level,
+so each prefactor times each h_f is built once per step set and a level
+sums those terms.  A direct dynamic-programming count over (steps,
+level), built on integers, serves as the independent oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .kernel import complete_homogeneous, hensel_small_factor
 from .marker import MarkerSeries
@@ -71,16 +72,23 @@ def _marked_free_walks(steps: StepSet, order: int) -> MarkerSeries:
     return MarkerSeries._normed(order, lo, width, nums, scale ** (order - 1))
 
 
-def _meander_parts(steps: StepSet, order: int):
-    """``parts`` of ``meander_gf``: the small factor and the plain and marked prefactors."""
+def _meander_parts(steps: StepSet, order: int, j_max: int):
+    """``parts`` of ``meander_gf`` for start levels up to j_max.
+
+    With P and M the plain and marked prefactors, the level-j series are
+    the sums over f <= j of the terms P h_f and (M h_f) v^-f; the parts
+    are those sums, plain and marked, for j = 0..j_max.
+    """
     small = hensel_small_factor(steps, order)
     # marked version: every branch is divided by the marker, so the factor
     # product becomes sum (-1)^k e_k v^-k (and h_f gains marker exponent -f).
-    factor = MarkerSeries.one(order)
-    for k, e in enumerate(small.elementary, start=1):
-        factor = factor + MarkerSeries.series_times_marker(e if k % 2 == 0 else -e, -k)
+    free = _marked_free_walks(steps, order)
+    marked = sum(((free * (e if k % 2 == 0 else -e)).shift_marker(-k)
+                  for k, e in enumerate(small.elementary, start=1)), free)
     plain = walks_total(steps, order) * small.at_one()
-    return small, plain, _marked_free_walks(steps, order) * factor
+    h = complete_homogeneous(small, j_max)
+    return (list(accumulate(plain * hf for hf in h)),
+            list(accumulate((marked * hf).shift_marker(-f) for f, hf in enumerate(h))))
 
 
 def meander_gf(steps: StepSet, level: int, order: int, *, parts=None) -> MeanderGF:
@@ -88,13 +96,11 @@ def meander_gf(steps: StepSet, level: int, order: int, *, parts=None) -> Meander
     steps.require_two_sided()
     if level < 0:
         raise ValueError("meanders start at a non-negative level")
-    small, plain, marked = parts or _meander_parts(steps, order)
-    h = complete_homogeneous(small, level)
-    h_sum = sum(h, Series.zero(order))
-    marked_h = sum((MarkerSeries.series_times_marker(hf, -f) for f, hf in enumerate(h)),
-                   MarkerSeries.zero(order))
+    plain, marked = parts or _meander_parts(steps, order, level)
+    if level >= len(plain):
+        raise ValueError(f"the parts hold start levels up to {len(plain) - 1}, not {level}")
     # shift from displacement marking to absolute endpoint level
-    return MeanderGF(level, plain * h_sum, (marked * marked_h).shift_marker(level))
+    return MeanderGF(level, plain[level], marked[level].shift_marker(level))
 
 
 def excursion_gf(steps: StepSet, level: int, order: int) -> Series:
@@ -158,7 +164,7 @@ def verify_meander_closed_form(steps: StepSet, j_max: int, order: int) -> Meande
     endpoint slice of the marked series against the DP table, all
     compared on their integer grids.
     """
-    parts = _meander_parts(steps, order)
+    parts = _meander_parts(steps, order, j_max)
     for level in range(j_max + 1):
         gf = meander_gf(steps, level, order, parts=parts)
         plain_dp, marked_dp = _meander_dp_series(steps, level, order)

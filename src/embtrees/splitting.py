@@ -37,8 +37,10 @@ class SplitAlgebra:
             raise ValueError("bottom elementary symmetric function must have valuation 1")
         self._caps = tuple(self.c - 1 - g for g in range(self.c))
         self._mono_cache: dict[tuple[int, ...], dict[tuple[int, ...], Series]] = {}
-        self._gen_power_cache: dict[tuple[int, int], SAElement] = {}
-        self._monomials: dict[tuple[int, ...], tuple[int, SAElement]] = {}
+        # the caches keep (coordinates, stored order), not elements: an
+        # element refers to its algebra, so keeping one would make a cycle
+        self._gen_power_cache: dict[tuple[int, int], tuple[dict, int]] = {}
+        self._monomials: dict[tuple[int, ...], tuple[int, tuple[dict, int]]] = {}
         self._rules: list[dict[tuple[int, ...], Series]] = []
         self._build_rules()
 
@@ -144,14 +146,14 @@ class SplitAlgebra:
         key = (g, k)
         cached = self._gen_power_cache.get(key)
         if cached is not None:
-            return cached
+            return SAElement._raw(self, *cached)
         if k == 0:
             result = self.one()
         elif k == 1:
             result = self.generator(g)
         else:
             result = self.gen_power(g, k - 1) * self.generator(g)
-        self._gen_power_cache[key] = result
+        self._gen_power_cache[key] = result.coeffs, result.stored_order
         return result
 
     def monomial(self, exps, order: int | None = None) -> SAElement:
@@ -165,12 +167,15 @@ class SplitAlgebra:
         if any(k < 0 for k in key):
             raise ValueError(f"negative root power in monomial {key}")
         order = self.order if order is None else min(order, self.order)
-        built, acc = self._monomials.get(key, (0, None))
+        built, cached = self._monomials.get(key, (0, None))
         if built < order:
             factors = [f if f.stored_order <= order else f.with_order(order)
                        for f in (self.gen_power(g, k) for g, k in enumerate(key) if k)]
             acc = reduce(mul, factors) if factors else self.one()
-            built, acc = self._monomials[key] = (order, acc.with_order(min(order, acc.stored_order)))
+            acc = acc.with_order(min(order, acc.stored_order))
+            self._monomials[key] = order, (acc.coeffs, acc.stored_order)
+            return acc
+        acc = SAElement._raw(self, *cached)
         return acc if built == order else acc.with_order(min(order, acc.stored_order))
 
     def invert_one_plus(self, u: SAElement, order: int | None = None) -> SAElement:
@@ -228,6 +233,13 @@ class SAElement:
         self.alg = alg
         self.coeffs = clean
         self.stored_order = order
+
+    @classmethod
+    def _raw(cls, alg: SplitAlgebra, coeffs: dict, order: int) -> SAElement:
+        """Wrap canonical coordinates already cut to the stored order ``order``."""
+        el = object.__new__(cls)
+        el.alg, el.coeffs, el.stored_order = alg, coeffs, order
+        return el
 
     def is_zero(self) -> bool:
         return not self.coeffs

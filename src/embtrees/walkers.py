@@ -9,18 +9,19 @@ The boundary families are the corners (u,w) = (0,0) never-touching,
 Random-turn walkers move one at a time; the quarter-plane families count
 two-dimensional paths and coincide with random-turn osculating walkers
 for the six-step set.  Every closed form is checked against the gap
-dynamic program.  The pieces no cell changes (the root X, the series T
-and the adapted coefficients) are built once per family and passed to
-the per-cell functions through their ``parts`` argument, with X's powers
-up to the highest one the cells read.
+dynamic program.  The pieces no cell changes are built once per family
+and passed to the per-cell functions through their ``parts`` argument:
+each product of T, an adapted coefficient and a power of X, up to the
+highest power the cells read, so that a cell is a sum of four of them.
 
-The dynamic programs run on integers.  Gap states are indexed once and
-each step maps one integer vector to the next.  The lock-step marks are
-scaled by L, the lcm of the denominators of every transition weight, so
-the n-step vector is exactly L^n times the true values.  The quarter-plane
-count fills only the cone of points that the start cell can still read.
-Tables and count lists still hold Fractions, built from the integer
-vectors at the end.
+The dynamic programs run on integers.  Gap states are indexed shell by
+shell, by their larger gap, and each step maps one integer vector to the
+next.  The lock-step marks are scaled by L, the lcm of the denominators
+of every transition weight, so the n-step vector is exactly L^n times the
+true values.  Every move changes each gap by at most 1, so a check fills
+step n only on the cone of states that its cells can still read, and
+reads each cell's column as one series over L^(order-1).  The Fraction
+tables and count lists are views of the same rows.
 """
 
 from __future__ import annotations
@@ -29,14 +30,14 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
+from operator import mul
 
 from .errors import BoundaryCheckFailed
 from .kernel import SeriesPoly, newton_solve
 from .levels import _x_powers
 from .series import Q, Series, as_fraction, over_lcm
 
-_ZERO = Q(0)
+_ONE = Q(1)
 _BOUNDARIES = ("vicious", "osculating", "updown")
 
 
@@ -90,26 +91,34 @@ def lockstep_T(diag_weight, order: int) -> Series:
     return one / (one - Series.z(order) * (dw + 6))
 
 
-def _lockstep_base(diag_weight, order: int, k_max: int) -> tuple[Series, Series, list[Series]]:
-    """X, T and X^0..X^k_max at one diagonal weight: the pieces every cell and boundary share."""
-    X = lockstep_x(diag_weight, order)
-    return X, lockstep_T(diag_weight, order), _x_powers(X, k_max)
+def _lockstep_base(diag_weight, order: int) -> tuple[Series, Series]:
+    """X and T at one diagonal weight: the pieces every cell and boundary share."""
+    return lockstep_x(diag_weight, order), lockstep_T(diag_weight, order)
+
+
+def _star_terms(base, adapted, m: int):
+    """T, and the terms T alpha X^k, T beta X^k (k <= m) and T gamma X^k (k <= 2m).
+
+    A cell (i, j) with i, j <= m is then the sum T - A_i - B_j - G_(i+j).
+    """
+    X, T = base
+    alpha, beta, gamma = adapted
+    A = _x_powers(X, m, T * alpha)
+    B = A if beta is alpha else _x_powers(X, m, T * beta)
+    return T, A, B, _x_powers(X, 2 * m, T * gamma)
+
+
+def _star_cell(terms, i: int, j: int) -> StarGF:
+    T, A, B, G = terms
+    return StarGF(i, j, T - A[i] - B[j] - G[i + j])
 
 
 def lockstep_general(
-    diag_weight, i: int, j: int, alpha: Series, beta: Series, gamma: Series, order: int,
-    *, base=None,
+    diag_weight, i: int, j: int, alpha: Series, beta: Series, gamma: Series, order: int
 ) -> StarGF:
-    """T * (1 - alpha X^i - beta X^j - gamma X^(i+j)); ``base`` is (X, T, powers of X)."""
-    _, T, xp = base or _lockstep_base(diag_weight, order, i + j)
-    one = Series.one(order)
-    series = T * (
-        one
-        - alpha.truncate(order) * xp[i]
-        - beta.truncate(order) * xp[j]
-        - gamma.truncate(order) * xp[i + j]
-    )
-    return StarGF(i, j, series)
+    """T * (1 - alpha X^i - beta X^j - gamma X^(i+j))."""
+    adapted = [c.truncate(order) for c in (alpha, beta, gamma)]
+    return _star_cell(_star_terms(_lockstep_base(diag_weight, order), adapted, max(i, j)), i, j)
 
 
 def lockstep_adapt(boundary: str, order: int, *, base=None) -> tuple[Series, Series, Series]:
@@ -119,7 +128,7 @@ def lockstep_adapt(boundary: str, order: int, *, base=None) -> tuple[Series, Ser
     up-down: (2X/(1+X), same, -X).  The corresponding boundary equations,
     in the (X, T) of ``base``, are re-checked as series identities.
     """
-    X, T, _ = base or _lockstep_base(2, order, 0)
+    X, T = base or _lockstep_base(2, order)
     one = Series.one(order)
     z = Series.z(order)
     if boundary == "vicious":
@@ -154,19 +163,19 @@ def lockstep_adapt(boundary: str, order: int, *, base=None) -> tuple[Series, Ser
     return alpha, beta, gamma
 
 
-def _star_parts(boundary: str, order: int, base):
-    """``parts`` of ``lockstep_star``: ``base`` and the adapted (alpha, beta, gamma)."""
-    return base, lockstep_adapt(boundary, order, base=base)
+def _star_parts(boundary: str, order: int, base, m: int):
+    """``parts`` of ``lockstep_star`` for gaps up to m: the terms of the adapted form."""
+    return _star_terms(base, lockstep_adapt(boundary, order, base=base), m)
 
 
 def lockstep_star(boundary: str, i: int, j: int, order: int, *, parts=None) -> StarGF:
     """Closed star series for the three lock-step boundary models (w=2)."""
-    base, adapted = parts or _star_parts(boundary, order, _lockstep_base(2, order, i + j))
-    return lockstep_general(2, i, j, *adapted, order, base=base)
+    terms = parts or _star_parts(boundary, order, _lockstep_base(2, order), max(i, j))
+    return _star_cell(terms, i, j)
 
 
-def _refined_parts(u, w, order: int, base):
-    """``parts`` of ``lockstep_refined``: ``base`` and the adapted (alpha, alpha, gamma)."""
+def _refined_parts(u, w, order: int, base, m: int):
+    """``parts`` of ``lockstep_refined`` for gaps up to m: the terms of (alpha, alpha, gamma)."""
     u, w = as_fraction(u), as_fraction(w)
     X = base[0]
     one = Series.one(order)
@@ -175,13 +184,13 @@ def _refined_parts(u, w, order: int, base):
     ratio_num = (one + X) * 2 - (one + X * w) * u
     ratio_den = (one + X) * 2 - X * (1 + w) * u
     gamma = -(alpha * ratio_num / ratio_den)
-    return base, (alpha, alpha, gamma)
+    return _star_terms(base, (alpha, alpha, gamma), m)
 
 
 def lockstep_refined(u, w, i: int, j: int, order: int, *, parts=None) -> StarGF:
     """Refined star series with co-location mark u and shared-edge mark w."""
-    base, adapted = parts or _refined_parts(u, w, order, _lockstep_base(2, order, i + j))
-    return lockstep_general(2, i, j, *adapted, order, base=base)
+    terms = parts or _refined_parts(u, w, order, _lockstep_base(2, order), max(i, j))
+    return _star_cell(terms, i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -202,24 +211,26 @@ def randomturn_x(steps: str, order: int) -> Series:
     return newton_solve(eq, 0)
 
 
-def _randomturn_parts(steps: str, order: int, k_max: int) -> tuple[Series, Series, list[Series]]:
-    """``parts`` of ``randomturn_gf``: X, T and X^0..X^k_max for one step set."""
+def _randomturn_parts(steps: str, order: int, k_max: int) -> list[Series]:
+    """``parts`` of ``randomturn_gf``: T X^k for k <= k_max, for one step set."""
     one = Series.one(order)
     total = 6 if steps == "dyck" else 9
-    X = randomturn_x(steps, order)
-    return X, one / (one - Series.z(order) * total), _x_powers(X, k_max)
+    T = one / (one - Series.z(order) * total)
+    return _x_powers(randomturn_x(steps, order), k_max, T)
 
 
 def randomturn_gf(steps: str, boundary: str, i: int, j: int, order: int, *, parts=None) -> StarGF:
-    """Vicious stars (1-X^i)(1-X^j) T; osculating stars shift both gaps by 1."""
+    """Vicious stars (1-X^i)(1-X^j) T; osculating stars shift both gaps by 1.
+
+    With P_k = T X^k from ``parts``, a vicious star is P_0 - P_i - P_j + P_(i+j).
+    """
     if boundary == "osculating":
         inner = randomturn_gf(steps, "vicious", i + 1, j + 1, order, parts=parts)
         return StarGF(i, j, inner.series)
     if boundary != "vicious":
         raise ValueError("random-turn boundaries are vicious or osculating")
-    _, T, xp = parts or _randomturn_parts(steps, order, max(i, j))
-    one = Series.one(order)
-    return StarGF(i, j, T * (one - xp[i]) * (one - xp[j]))
+    P = parts or _randomturn_parts(steps, order, i + j)
+    return StarGF(i, j, P[0] - P[i] - P[j] + P[i + j])
 
 
 # ---------------------------------------------------------------------------
@@ -253,58 +264,110 @@ def _lockstep_moves(a_touch: bool, b_touch: bool) -> tuple[tuple[int, int, int],
     return tuple(out)
 
 
-def _value_rows(moves, order: int):
-    """Integer value iteration over indexed states, one row at a time:
-    V_0 = 1 and V_n[s] = sum of weight * V_(n-1)[dest] over the moves
-    (dests, weights) of s; ``weights`` None means every weight is 1."""
-    row = [1] * len(moves)
-    for n in range(max(order, 1)):
-        if n:
-            get = row.__getitem__
-            row = [
-                sum(map(get, dests)) if weights is None
-                else sum(map(mul, weights, map(get, dests)))
-                for dests, weights in moves
-            ]
+def _gap_rows(transitions, floor: int, radii):
+    """The state index and the integer value rows of a gap DP.
+
+    The states are the gap pairs (a, b) with floor <= a, b <= top =
+    radii[0], indexed shell by shell, so the states of radius max(a, b)
+    <= r come first.  ``transitions(a, b)`` yields (a', b', integer
+    weight); a gap below the floor drops the move, and one beyond ``top``
+    saturates there.  V_0 = 1 and V_n[s] is the sum of weight * V_(n-1)[s'],
+    filled on the states of radius <= radii[n].  Every move changes each
+    gap by at most 1, so radii that fall by one per row are the cone that
+    the last radius reads, and V_n is exact on it; a constant radius
+    fills every state.
+    """
+    top = radii[0]
+    states = sorted(itertools.product(range(floor, top + 1), repeat=2), key=max)
+    index = {s: k for k, s in enumerate(states)}
+    moves = []
+    for a, b in states:
+        dests, weights = [], []
+        for na, nb, weight in transitions(a, b):
+            if na >= floor and nb >= floor and weight:
+                dests.append(index[min(na, top), min(nb, top)])
+                weights.append(weight)
+        moves.append((dests, None if set(weights) <= {1} else weights))
+    return index, _value_rows(moves, [(r - floor + 1) ** 2 for r in radii])
+
+
+def _value_rows(moves, sizes):
+    """Row n on the first sizes[n] states; ``weights`` None means every weight is 1."""
+    row = [1] * sizes[0]
+    yield row
+    for size in sizes[1:]:
+        get = row.__getitem__
+        row = [
+            sum(map(get, dests)) if weights is None
+            else sum(map(mul, weights, map(get, dests)))
+            for dests, weights in itertools.islice(moves, size)
+        ]
         yield row
 
 
-def _fraction_table(states, rows, scale: int) -> list[dict[tuple[int, int], Fraction]]:
+def _cone(cells, order: int) -> list[int]:
+    """Row radii that read ``cells`` to ``order``: the largest gap read plus the steps left."""
+    m = max(max(cell) for cell in cells)
+    return [m + order - 1 - n for n in range(order)]
+
+
+def _dp_columns(index, rows, cells, order: int, scale: int = 1, u=_ONE) -> dict:
+    """Each cell's DP column as a Series, with u^(zero gaps of the cell).
+
+    Row n holds scale^n times the n-step values, so coefficient n is row
+    n over scale^n, put over scale^(order-1).  A cell below the floor is
+    no state, and its column is zero.
+    """
+    keys = {cell: index.get(cell) for cell in cells}
+    columns = {cell: [] for cell in cells}
+    for row in itertools.islice(rows, order):
+        for cell, key in keys.items():
+            columns[cell].append(0 if key is None else row[key])
+    powers = [scale**k for k in range(order - 1, -1, -1)]
+    out = {}
+    for (i, j), column in columns.items():
+        p, q = (u ** ((i == 0) + (j == 0))).as_integer_ratio()
+        out[i, j] = Series._normed([c * f * p for c, f in zip(column, powers)], powers[0] * q)
+    return out
+
+
+def _fraction_table(index, rows, scale: int) -> list[dict[tuple[int, int], Fraction]]:
     """table[n][state] = rows[n][index of state] / scale^n."""
     table = []
     den = 1
     for row in rows:
         if den == 1:
-            table.append(dict(zip(states, map(Fraction, row))))
+            table.append(dict(zip(index, map(Fraction, row))))
         else:
-            table.append({s: Fraction(v, den) for s, v in zip(states, row)})
+            table.append({s: Fraction(v, den) for s, v in zip(index, row)})
         den *= scale
     return table
 
 
-def _lockstep_rows(u: Fraction, w: Fraction, order: int):
-    """States, integer value rows and scale L of the lock-step gap DP.
+def _lockstep_rows(u: Fraction, w: Fraction, radii):
+    """State index, integer value rows and scale L of the lock-step gap DP.
 
     A move weighs w^(shared edges) * u^(zero gaps after it).  Every such
     weight is multiplied by L, the lcm of their denominators, so row n
     holds the n-step values times L^n.
     """
-    band = order + 2
     weights = {(s, t): w**s * u**t for s in range(3) for t in range(3)}
     lifted, scale = over_lcm([q.as_integer_ratio() for q in weights.values()])
     scaled = dict(zip(weights, lifted))
-    states = [(a, b) for a in range(band + 1) for b in range(band + 1)]
-    moves = []
-    for a, b in states:
-        dests, ws = [], []
+
+    def transitions(a, b):
         for da, db, shared in _lockstep_moves(a == 0, b == 0):
             na, nb = a + da, b + db
-            weight = scaled[shared, (na == 0) + (nb == 0)]
-            if na >= 0 and nb >= 0 and weight:
-                dests.append(min(na, band) * (band + 1) + min(nb, band))
-                ws.append(weight)
-        moves.append((tuple(dests), tuple(ws)))
-    return states, _value_rows(moves, order), scale
+            yield na, nb, scaled[shared, (na == 0) + (nb == 0)]
+
+    return (*_gap_rows(transitions, 0, radii), scale)
+
+
+def _lockstep_columns(u, w, cells, order: int) -> dict[tuple[int, int], Series]:
+    """Refined lock-step star counts at ``cells``, from the rows of their cone."""
+    u = as_fraction(u)
+    index, rows, scale = _lockstep_rows(u, as_fraction(w), _cone(cells, order))
+    return _dp_columns(index, rows, cells, order, scale, u)
 
 
 def lockstep_dp_table(u, w, order: int) -> list[dict[tuple[int, int], Fraction]]:
@@ -314,8 +377,8 @@ def lockstep_dp_table(u, w, order: int) -> list[dict[tuple[int, int], Fraction]]
     serves every star cell.  Gaps beyond order+2 saturate (they cannot
     influence coefficients below the order).
     """
-    states, rows, scale = _lockstep_rows(as_fraction(u), as_fraction(w), order)
-    return _fraction_table(states, rows, scale)
+    radii = [order + 2] * max(order, 1)
+    return _fraction_table(*_lockstep_rows(as_fraction(u), as_fraction(w), radii))
 
 
 def lockstep_dp(u, w, i: int, j: int, order: int) -> list[Fraction]:
@@ -324,60 +387,42 @@ def lockstep_dp(u, w, i: int, j: int, order: int) -> list[Fraction]:
     weight(configuration) = u^(number of (pair, time) co-locations,
     start included) * w^(number of shared edges).
     """
-    u = as_fraction(u)
-    states, rows, scale = _lockstep_rows(u, as_fraction(w), order)
-    start_factor = u ** ((i == 0) + (j == 0))
-    band = order + 2
-    key = min(i, band) * (band + 1) + min(j, band)
-    return [start_factor * Fraction(row[key], scale**n)
-            for n, row in enumerate(itertools.islice(rows, order))]
+    if order < 1:
+        return []
+    return list(_lockstep_columns(u, w, [(i, j)], order)[i, j].coeffs)
 
 
-def _randomturn_rows(steps: str, boundary: str, order: int):
-    """States and integer value rows of the random-turn gap DP."""
-    step_choices = (1, -1) if steps == "dyck" else (1, 0, -1)
-    floor = 1 if boundary == "vicious" else 0
-    band = order + 2
-    side = band + 1 - floor
-    states = [
-        (a, b)
-        for a in range(floor, band + 1)
-        for b in range(floor, band + 1)
-    ]
-    moves = []
-    for a, b in states:
-        dest = []
-        for walker in (1, 2, 3):
-            for s in step_choices:
-                if walker == 1:
-                    na, nb = a - s, b
-                elif walker == 2:
-                    na, nb = a + s, b - s
-                else:
-                    na, nb = a, b + s
-                if na >= floor and nb >= floor:
-                    dest.append((min(na, band) - floor) * side + min(nb, band) - floor)
-        moves.append((tuple(dest), None))
-    return states, _value_rows(moves, order)
+def _randomturn_rows(steps: str, boundary: str, radii):
+    """State index and integer value rows of the random-turn gap DP."""
+    choices = (1, -1) if steps == "dyck" else (1, 0, -1)
+
+    def transitions(a, b):
+        for s in choices:  # walker 1, 2 or 3 steps by s
+            for na, nb in ((a - s, b), (a + s, b - s), (a, b + s)):
+                yield na, nb, 1
+
+    return _gap_rows(transitions, 1 if boundary == "vicious" else 0, radii)
+
+
+def _randomturn_columns(steps: str, boundary: str, cells, order: int) -> dict:
+    """Random-turn star counts at ``cells``, from the rows of their cone."""
+    return _dp_columns(*_randomturn_rows(steps, boundary, _cone(cells, order)), cells, order)
 
 
 def randomturn_dp_table(
     steps: str, boundary: str, order: int
 ) -> list[dict[tuple[int, int], Fraction]]:
     """table[n][(a, b)]: n-step random-turn continuations from gaps (a, b)."""
-    states, rows = _randomturn_rows(steps, boundary, order)
-    return _fraction_table(states, rows, 1)
+    return _fraction_table(*_randomturn_rows(steps, boundary, [order + 2] * max(order, 1)), 1)
 
 
 def randomturn_dp(
     steps: str, boundary: str, i: int, j: int, order: int
 ) -> list[Fraction]:
     """Random-turn star counts: one walker moves per time step."""
-    if boundary == "vicious" and (i < 1 or j < 1):
-        return [_ZERO] * order
-    states, rows = _randomturn_rows(steps, boundary, order)
-    key = states.index((min(i, order + 2), min(j, order + 2)))
-    return [Fraction(row[key]) for row in itertools.islice(rows, order)]
+    if order < 1:
+        return []
+    return list(_randomturn_columns(steps, boundary, [(i, j)], order)[i, j].coeffs)
 
 
 def walker_dp(model: WalkerModel, i: int, j: int, order: int) -> list[Fraction]:
@@ -402,55 +447,35 @@ QUARTER_PLANE_STEPS = {
 }
 
 
-def _quarterplane_parts(model: str, order: int, k_max: int) -> tuple[Series, Series, list[Series]]:
-    """``parts`` of ``quarterplane_gf``: X = kz(1+X+X^2), T = 1/(1 - 3kz) and X^0..X^k_max."""
+def _quarterplane_parts(model: str, order: int, k_max: int) -> list[Series]:
+    """``parts`` of ``quarterplane_gf``: T X^k for k <= k_max, with X = kz(1+X+X^2) and T = 1/(1 - 3kz)."""
     if model not in QUARTER_PLANE_STEPS:
         raise ValueError("model must be S1 or S2")
     scale = 1 if model == "S1" else 2
     z = Series.z(order)
     one = Series.one(order)
     eq = SeriesPoly.make([z * scale, z * scale - one, z * scale])
-    X = newton_solve(eq, 0)
-    return X, one / (one - z * (3 * scale)), _x_powers(X, k_max)
+    return _x_powers(newton_solve(eq, 0), k_max, one / (one - z * (3 * scale)))
 
 
 def quarterplane_gf(model: str, i: int, j: int, order: int, *, parts=None) -> Series:
-    """(1 - X^(i+1))(1 - X^(j+1)) T with the X and T of ``parts``."""
-    _, T, xp = parts or _quarterplane_parts(model, order, max(i, j) + 1)
-    one = Series.one(order)
-    return T * (one - xp[i + 1]) * (one - xp[j + 1])
+    """(1 - X^(i+1))(1 - X^(j+1)) T, as P_0 - P_(i+1) - P_(j+1) + P_(i+j+2) with P_k = T X^k."""
+    P = parts or _quarterplane_parts(model, order, i + j + 2)
+    return P[0] - P[i + 1] - P[j + 1] + P[i + j + 2]
+
+
+def _quarterplane_columns(model: str, cells, order: int) -> dict[tuple[int, int], Series]:
+    """Direct 2-D walk counts from ``cells`` staying in the quarter plane.
+
+    The walk's position is a gap pair with floor 0, and every step moves
+    each coordinate by at most 1, so the rows of the cells' cone suffice.
+    """
+    steps = QUARTER_PLANE_STEPS[model]
+    index, rows = _gap_rows(lambda a, b: ((a + dx, b + dy, 1) for dx, dy in steps), 0,
+                            _cone(cells, order))
+    return _dp_columns(index, rows, cells, order)
 
 
 def quarterplane_dp(model: str, i: int, j: int, order: int) -> list[Fraction]:
-    """Direct 2-D walk count from (i, j) staying in the quarter plane.
-
-    Every step moves each coordinate by at most 1, so the count after n
-    more steps at (i, j) reads values at most n away: with k steps taken,
-    only the box of radius order - 1 - k around (i, j) is filled.
-    """
-    steps = QUARTER_PLANE_STEPS[model]
-
-    def box(r: int) -> tuple[int, int, int, int]:
-        return max(0, i - r), i + r, max(0, j - r), j + r
-
-    x0, x1, y0, y1 = box(order - 1)
-    grid = [[1] * (y1 - y0 + 1) for _ in range(x1 - x0 + 1)]
-    out = [1]
-    for r in range(order - 2, -1, -1):
-        nx0, nx1, ny0, ny1 = box(r)
-        width = ny1 - ny0 + 1
-        new = []
-        for x in range(nx0, nx1 + 1):
-            acc = [0] * width
-            for dx, dy in steps:
-                if x + dx < 0:
-                    continue
-                row = grid[x + dx - x0]
-                first = ny0 + dy  # source column of the box's first column
-                skip = 1 if first < 0 else 0  # column -1 lies outside the plane
-                src = row[first + skip - y0:first - y0 + width]
-                acc[skip:] = map(add, acc[skip:], src)
-            new.append(acc)
-        grid, x0, y0 = new, nx0, ny0
-        out.append(grid[i - x0][j - y0])
-    return [Fraction(v) for v in out]
+    """Direct 2-D walk count from (i, j) staying in the quarter plane, at least one term."""
+    return list(_quarterplane_columns(model, [(i, j)], max(order, 1))[i, j].coeffs)

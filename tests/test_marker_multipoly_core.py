@@ -213,6 +213,8 @@ def test_marker_series_bridges(a, cs, power):
     assert list(lifted.coeffs) == [clean({power: c}) for c in cs]
     assert list(MarkerSeries.from_series(s).coeffs) == [clean({0: c}) for c in cs]
     assert list((MarkerSeries(a) * s).coeffs) == ref_marker_mul(a, [clean({0: c}) for c in cs])
+    # a z-series multiplies column by column; the grid product gives the same canonical grid
+    assert MarkerSeries(a) * s == s * MarkerSeries(a) == MarkerSeries(a) * MarkerSeries.from_series(s)
     assert list(MarkerSeries(a).shift_marker(power).coeffs) == [
         {p + power: c for p, c in d.items()} for d in a
     ]

@@ -187,3 +187,10 @@ def test_dp_grids_equal_the_fraction_view(steps, level, order):
 @pytest.mark.parametrize("order", [0, -2])
 def test_dp_below_order_one_keeps_its_start_row(order):
     assert meander_dp(MOTZKIN, 2, order) == ([Q(1)], [{2: Q(1)}])
+
+
+def test_meander_gf_refuses_levels_beyond_its_parts():
+    parts = paths._meander_parts(MOTZKIN, 8, 3)
+    assert meander_gf(MOTZKIN, 3, 8, parts=parts) == meander_gf(MOTZKIN, 3, 8)
+    with pytest.raises(ValueError, match="up to 3"):
+        meander_gf(MOTZKIN, 4, 8, parts=parts)

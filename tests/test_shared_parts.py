@@ -7,6 +7,7 @@ itself; the campaign must build them once per check and keep nothing
 from one run to the next.
 """
 
+import gc
 import sys
 from fractions import Fraction as Q
 
@@ -20,6 +21,7 @@ from embtrees import dary as D
 from embtrees import kernel, levels
 from embtrees import paths as P
 from embtrees import walkers as W
+from embtrees.series import Series
 from embtrees.steps import StepSet
 
 
@@ -53,6 +55,19 @@ def test_campaign_rounds_repeat_the_same_work(monkeypatch):
     assert all(counts[0])
 
 
+def test_a_campaign_round_leaves_no_cyclic_garbage():
+    # every object a round makes is freed by reference counting: nothing
+    # waits for the cyclic collector, which would let memory grow between
+    # its runs
+    gc.collect()
+    gc.disable()
+    try:
+        assert campaign.run_campaign(campaign.CampaignConfig()).ok
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_lockstep_check_solves_once_per_weight_and_order(monkeypatch):
     calls = count_calls(monkeypatch, kernel, "newton_solve")
     assert campaign._check_walkers_lockstep(20) == (True, "")
@@ -67,27 +82,36 @@ marks = st.fractions(min_value=0, max_value=3, max_denominator=7)
 @given(marks, marks, st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4))
                               .filter(lambda c: c != (0, 0)), min_size=1, max_size=4))
 def test_refined_parts_equal_default(u, w, cells):
-    parts = W._refined_parts(u, w, 12, W._lockstep_base(2, 12, 8))
+    parts = W._refined_parts(u, w, 12, W._lockstep_base(2, 12), 4)
     for i, j in cells:
         assert W.lockstep_refined(u, w, i, j, 12, parts=parts) == W.lockstep_refined(u, w, i, j, 12)
 
 
 @pytest.mark.parametrize("boundary", ["vicious", "osculating", "updown"])
 def test_star_parts_equal_default(boundary):
-    parts = W._star_parts(boundary, 12, W._lockstep_base(2, 12, 7))
+    parts = W._star_parts(boundary, 12, W._lockstep_base(2, 12), 4)
     for i, j in ((0, 1), (2, 0), (3, 4)):
         assert W.lockstep_star(boundary, i, j, 12, parts=parts) == W.lockstep_star(boundary, i, j, 12)
 
 
-def test_parts_hold_x_powers_to_the_highest_asked():
-    for X, _, xp in (W._lockstep_base(2, 12, 7), W._randomturn_parts("motzkin", 12, 7),
-                     W._quarterplane_parts("S1", 12, 7)):
-        assert xp == [X**k for k in range(8)]
+def test_parts_hold_the_terms_to_the_highest_asked():
+    X, T = base = W._lockstep_base(2, 12)
+    alpha, beta, gamma = W.lockstep_adapt("osculating", 12, base=base)
+    T_, A, B, G = W._star_parts("osculating", 12, base, 3)
+    assert T_ == T and B is A  # beta is alpha: one list serves both gaps
+    assert A == [T * alpha * X**k for k in range(4)]
+    assert G == [T * gamma * X**k for k in range(7)]
+    one, z = Series.one(12), Series.z(12)
+    for P, total in ((W._randomturn_parts("motzkin", 12, 7), 9),
+                     (W._quarterplane_parts("S1", 12, 7), 3)):
+        X = P[1] / P[0]
+        assert P[0] == one / (one - z * total)
+        assert P == [P[0] * X**k for k in range(8)]
 
 
 @pytest.mark.parametrize("steps", ["dyck", "motzkin"])
 def test_randomturn_and_quarterplane_parts_equal_default(steps):
-    rt, qp = W._randomturn_parts(steps, 12, 5), W._quarterplane_parts("S2", 12, 5)
+    rt, qp = W._randomturn_parts(steps, 12, 9), W._quarterplane_parts("S2", 12, 9)
     for i, j in ((4, 3), (0, 2), (2, 1)):
         for boundary in ("vicious", "osculating"):
             assert (W.randomturn_gf(steps, boundary, i, j, 12, parts=rt)
@@ -107,7 +131,7 @@ def step_sets(draw):
 @settings(max_examples=10, deadline=None)
 @given(step_sets())
 def test_meander_parts_equal_default(steps):
-    parts = P._meander_parts(steps, 10)
+    parts = P._meander_parts(steps, 10, 5)
     for level in range(6):
         assert P.meander_gf(steps, level, 10, parts=parts) == P.meander_gf(steps, level, 10)
 

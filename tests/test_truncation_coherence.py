@@ -14,7 +14,10 @@ from hypothesis import strategies as st
 from embtrees.binary import BinaryWeights, closed_family_residual
 from embtrees.dary import DaryFamily, dary_alpha_general, rho_series
 from embtrees.errors import InsufficientPrecision
+from embtrees.paths import meander_gf
 from embtrees.series import Series
+from embtrees.steps import StepSet
+from embtrees.walkers import lockstep_refined, quarterplane_gf, randomturn_gf
 
 FAMILIES = [DaryFamily(kind, d) for kind in ("odd", "even") for d in (1, 2)]
 
@@ -91,3 +94,46 @@ def test_closed_family_residual_is_truncation_coherent(v1, v2, w1, w23, j, order
     short = closed_family_residual(w, j, order)
     assert short.order == order
     assert short == closed_family_residual(w, j, order + k).truncate(order)
+
+
+@st.composite
+def step_sets(draw):
+    """Two-sided step sets: jumps in [-3, 3], positive rational weights."""
+    jumps = {draw(st.integers(-3, -1)), draw(st.integers(1, 3))}
+    jumps |= set(draw(st.lists(st.integers(-3, 3), max_size=2)))
+    weight = st.fractions(min_value=Q(1, 5), max_value=3, max_denominator=5)
+    return StepSet.make([(b, draw(weight)) for b in sorted(jumps)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(step_sets(), st.integers(0, 4), st.integers(1, 12), st.integers(1, 4))
+def test_meanders_are_truncation_coherent(steps, level, order, k):
+    short, long = meander_gf(steps, level, order), meander_gf(steps, level, order + k)
+    assert short.plain.order == short.marked.order == order
+    assert short.plain == long.plain.truncate(order)
+    assert short.marked == long.marked.truncate(order)
+
+
+marks = st.fractions(min_value=-2, max_value=3, max_denominator=5)
+gaps = st.integers(0, 4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(marks, marks, gaps, gaps, st.integers(1, 12), st.integers(1, 4))
+def test_refined_stars_are_truncation_coherent(u, w, i, j, order, k):
+    short = lockstep_refined(u, w, i, j, order).series
+    assert short.order == order
+    assert short == lockstep_refined(u, w, i, j, order + k).series.truncate(order)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["dyck", "motzkin"]), st.sampled_from(["vicious", "osculating"]),
+       st.sampled_from(["S1", "S2"]), gaps, gaps, st.integers(1, 14), st.integers(1, 4))
+def test_random_turn_and_quarter_plane_stars_are_truncation_coherent(steps, boundary, model,
+                                                                      i, j, order, k):
+    short = randomturn_gf(steps, boundary, i, j, order).series
+    assert short.order == order
+    assert short == randomturn_gf(steps, boundary, i, j, order + k).series.truncate(order)
+    short = quarterplane_gf(model, i, j, order)
+    assert short.order == order
+    assert short == quarterplane_gf(model, i, j, order + k).truncate(order)

@@ -1,9 +1,11 @@
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from embtrees import campaign
+from embtrees import walkers as W
 from embtrees.series import Series
 from embtrees.walkers import (
     StarGF,
@@ -18,6 +20,7 @@ from embtrees.walkers import (
     lockstep_x,
     quarterplane_dp,
     quarterplane_gf,
+    randomturn_dp,
     randomturn_dp_table,
     randomturn_gf,
     randomturn_x,
@@ -230,3 +233,82 @@ def test_model_validation():
         WalkerModel("lock_step", "dyck", "refined")
     star = StarGF(1, 2, Series.one(3))
     assert (star.i, star.j) == (1, 2)
+
+
+# -- integer DP columns ------------------------------------------------------
+
+STAR_CELLS = [(i, j) for i in range(5) for j in range(5)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(marks, marks, st.integers(2, 12))
+@example(Q(0), Q(1, 3), 9)
+@example(Q(1), Q(0), 9)
+@example(Q(0), Q(0), 2)
+def test_lockstep_columns_equal_the_table_view(u, w, order):
+    # the columns fill only the cone of the cells; the table fills every
+    # state up to the band, so the two share nothing but the rules
+    columns = W._lockstep_columns(u, w, STAR_CELLS, order)
+    table = lockstep_dp_table(u, w, order)
+    for i, j in STAR_CELLS:
+        start = u ** ((i == 0) + (j == 0))
+        assert list(columns[i, j].coeffs) == [start * table[n][(i, j)] for n in range(order)]
+        assert list(columns[i, j].coeffs) == lockstep_dp(u, w, i, j, order)
+
+
+@pytest.mark.parametrize("steps", ["dyck", "motzkin"])
+@pytest.mark.parametrize("boundary", ["vicious", "osculating"])
+def test_randomturn_columns_equal_the_table_view(steps, boundary):
+    order = 11
+    columns = W._randomturn_columns(steps, boundary, STAR_CELLS, order)
+    table = randomturn_dp_table(steps, boundary, order)
+    for i, j in STAR_CELLS:
+        want = ([Q(0)] * order if boundary == "vicious" and min(i, j) < 1
+                else [table[n][(i, j)] for n in range(order)])
+        assert list(columns[i, j].coeffs) == want == randomturn_dp(steps, boundary, i, j, order)
+
+
+@pytest.mark.parametrize("rows", [
+    lambda radii: W._lockstep_rows(Q(2, 3), Q(1, 2), radii)[:2],
+    lambda radii: W._randomturn_rows("motzkin", "vicious", radii),
+    lambda radii: W._randomturn_rows("dyck", "osculating", radii),
+])
+def test_cone_rows_are_exact_where_filled(rows):
+    # row n of the cone, on every state it fills, equals the row of a DP on
+    # a band wide enough that saturation reaches no state read
+    order, m = 9, 3
+    radii = W._cone([(m, m)], order)
+    cone_index, cone_rows = rows(radii)
+    full_index, full_rows = rows([radii[0] + order] * order)
+    for n, (cone, full) in enumerate(zip(cone_rows, full_rows)):
+        assert len(cone) == len([s for s in cone_index if max(s) <= radii[n]])
+        for state, k in cone_index.items():
+            if max(state) <= radii[n]:
+                assert cone[k] == full[full_index[state]], (n, state)
+
+
+@pytest.mark.parametrize("check,detail", [
+    ("walkers/lock-step", "vicious at (1, 2)"),
+    ("walkers/refined", "marks ('1/2', '1/3') at (1, 2)"),
+    ("walkers/random-turn", "dyck vicious at (1, 2)"),
+    ("walkers/quarter-plane", "S1 at (1, 2)"),
+])
+def test_one_changed_dp_entry_fails_the_check(monkeypatch, check, detail):
+    original = W._gap_rows
+
+    def bumped(transitions, floor, radii):
+        index, rows = original(transitions, floor, radii)
+
+        def changed():
+            for n, row in enumerate(rows):
+                if n == 3:
+                    row = list(row)
+                    row[index[1, 2]] += 1
+                yield row
+
+        return index, changed()
+
+    assert campaign.run_check(check, 20).status == "pass"
+    monkeypatch.setattr(W, "_gap_rows", bumped)
+    result = campaign.run_check(check, 20)
+    assert (result.status, result.detail) == ("fail", detail)
