@@ -23,6 +23,7 @@ from .errors import (
     DegenerateCharacteristic,
     DegenerateWeights,
     DivisionByNonUnit,
+    InsufficientPrecision,
     NoPowerSeriesBranch,
     SizeTooLarge,
 )
@@ -232,7 +233,7 @@ def binary_Tj_closed(w: BinaryWeights, lam: Series, j: int, order: int) -> Serie
     if lam.is_zero():
         return binary_T(w, order)
     if lam.order < order + 2:
-        raise ValueError("parameter series carries too little precision")
+        raise InsufficientPrecision("parameter series carries too little precision")
     g = min(order + 6, lam.order)
     T, X, shell, c_num = _closed_parts(w, g)
     one = Series.one(g)
@@ -242,7 +243,7 @@ def binary_Tj_closed(w: BinaryWeights, lam: Series, j: int, order: int) -> Serie
     den = (X * shell) * (one - lam_g * xp[j + 1]) * (one - lam_g * xp[j + 2])
     rho = num / den
     if rho.order < order:
-        raise ValueError("parameter series carries too little precision")
+        raise InsufficientPrecision("parameter series carries too little precision")
     return (T.truncate(rho.order) * (Series.one(rho.order) - rho)).truncate(order)
 
 
@@ -478,9 +479,15 @@ def height_X(v1, v2, order: int) -> Series:
 
 
 def height_Tj(v1, v2, lam: Series, j: int, order: int) -> Series:
-    """Closed solution T(1 - (v1/T+1)(1-X) lam X^j / (1 - lam X^(j+1)))."""
+    """Closed solution T(1 - (v1/T+1)(1-X) lam X^j / (1 - lam X^(j+1))).
+
+    The parameter must carry at least ``order`` coefficients.
+    """
     if j < 0:
         raise ValueError("height levels start at 0")
+    if lam.order < order:
+        raise InsufficientPrecision(
+            f"parameter series carries {lam.order} coefficients, below the order {order}")
     v1, v2 = as_fraction(v1), as_fraction(v2)
     g = order + 2
     T = height_T(v1, v2, g)

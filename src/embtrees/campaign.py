@@ -3,14 +3,27 @@
 Every module's cross-checks are registered here as named checks grouped
 into suites; each check is the one definition of its claim, and the
 acceptance suite runs the same functions at its own sizes.  A campaign
-runs a filtered selection in check-id order and emits a report whose
-runtimes are informational only.  Conjectural statements can never
-report better than "conjecture-consistent".
+runs a filtered selection and reports it in check-id order; its runtimes
+are informational only.  Conjectural statements can never report better
+than "conjecture-consistent".
+
+No check reads another's result, so ``run_campaign`` runs them side by
+side: in one worker process per CPU this process may use, forked for the
+call and gone when it returns.  Each result carries its check's own time
+and work counts (``counts.COUNTS`` over the check), measured in the
+process that ran it.  With one CPU, one selected check, no ``fork``
+start method, or another thread running in this process (a fork copies
+only the calling thread), the checks run one after another in this
+process.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 import random
+import sys
+import threading
 import time
 from dataclasses import dataclass
 
@@ -19,6 +32,7 @@ from . import dary as D
 from . import oeis as O
 from . import paths as P
 from . import walkers as W
+from .counts import COUNTS, since
 from .errors import ConfigParse
 from .kernel import (
     SeriesPoly,
@@ -41,6 +55,7 @@ class CheckResult:
     status: str  # "pass" | "fail" | "conjecture-consistent"
     detail: str
     runtime_ms: int
+    counts: tuple[tuple[str, int], ...]  # (event, count) pairs, see counts.COUNTS
 
 
 @dataclass(frozen=True)
@@ -607,6 +622,7 @@ def available_suites() -> list[str]:
 def run_check(check_id: str, order: int, **inputs) -> CheckResult:
     """Run one registered check; a crashed check is a failed check."""
     claim, fn = _CHECKS[check_id]
+    before = dict(COUNTS)
     started = time.perf_counter()
     try:
         verdict, detail = fn(order, **inputs)
@@ -614,12 +630,47 @@ def run_check(check_id: str, order: int, **inputs) -> CheckResult:
         verdict, detail = False, f"exception: {exc}"
     elapsed = int((time.perf_counter() - started) * 1000)
     status = "pass" if verdict is True else "fail" if verdict is False else str(verdict)
-    return CheckResult(check_id, claim, status, detail, elapsed)
+    return CheckResult(check_id, claim, status, detail, elapsed, since(before))
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_campaign(config: CampaignConfig) -> VerificationReport:
-    return VerificationReport(tuple(
-        run_check(check_id, config.order)
-        for check_id in sorted(_CHECKS)
-        if config.suites is None or any(check_id.startswith(s) for s in config.suites)
-    ))
+    """Run the selected checks, in worker processes when more than one CPU is usable."""
+    check_ids = [check_id for check_id in sorted(_CHECKS)
+                 if config.suites is None or any(check_id.startswith(s) for s in config.suites)]
+    run = functools.partial(run_check, order=config.order)
+    workers = min(_usable_cpus(), len(check_ids))
+    # a fork copies only the calling thread, so a lock another thread holds
+    # would stay held in the workers
+    if workers > 1 and threading.active_count() == 1:
+        # imported here, not at module level, where every import of the package would pay
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            return VerificationReport(_run_in_workers(workers, run, check_ids))
+    return VerificationReport(tuple(map(run, check_ids)))
+
+
+def _run_in_workers(workers: int, run, check_ids: list[str]) -> tuple[CheckResult, ...]:
+    """``run`` over ``check_ids`` in forked worker processes, in order; no worker outlives it.
+
+    A worker that dies in a check raises ``BrokenProcessPool`` here, where
+    a ``multiprocessing.Pool`` would wait for the lost result forever.
+    """
+    import multiprocessing
+    import signal
+    from concurrent.futures import ProcessPoolExecutor
+
+    sys.stdout.flush()
+    sys.stderr.flush()
+    # workers ignore Ctrl-C: this process gets it, cancels the checks not
+    # yet started and waits for those running
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=signal.signal,
+                             initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
+        return tuple(pool.map(run, check_ids))

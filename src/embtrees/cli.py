@@ -14,6 +14,8 @@ import functools
 import json
 import os
 import sys
+import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -204,13 +206,31 @@ def _cmd_verify(args) -> int:
     if args.suite:
         suites = tuple(s for chunk in args.suite for s in chunk.split(",") if s)
     order = args.order if args.order is not None else config.order
+    started = time.perf_counter()
     report = run_campaign(CampaignConfig(suites=suites, order=order))
+    wall_ms = int((time.perf_counter() - started) * 1000)
     if not report.results:
         print(f"embtrees verify: error: no check matches suites {', '.join(suites)}",
               file=sys.stderr)
         return 2
-    print(report.summary())
+    if args.json:
+        _print_report_json(report, wall_ms)
+    else:
+        print(report.summary())
     return 0 if report.ok else 1
+
+
+def _print_report_json(report, wall_ms: int) -> None:
+    """One JSON object per line: each check in id order, then the totals."""
+    counts: Counter[str] = Counter()
+    for r in report.results:
+        print(json.dumps({"id": r.id, "status": r.status, "ms": r.runtime_ms,
+                          "detail": r.detail, "counts": dict(r.counts)}))
+        counts.update(dict(r.counts))
+    print(json.dumps({"totals": {
+        "checks": len(report.results), "statuses": Counter(r.status for r in report.results),
+        "ms": sum(r.runtime_ms for r in report.results), "wall_ms": wall_ms, "counts": counts,
+    }}))
 
 
 def _cmd_oeis(args) -> int:
@@ -283,6 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help=f"suite filter, may repeat; available: {', '.join(available_suites())}")
     p_verify.add_argument("--order", type=_positive, default=None)
     p_verify.add_argument("--config", default=None, help="key=value campaign file")
+    p_verify.add_argument("--json", action="store_true",
+                          help="one JSON object per check (id, status, ms, detail, counts), "
+                          "then the totals")
     p_verify.set_defaults(fn=_cmd_verify)
 
     p_oeis = sub.add_parser("oeis", help="sequence cross reference (offline by default)")

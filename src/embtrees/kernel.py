@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
+from .counts import COUNTS
 from .errors import DegenerateStepSet, NoRootAtOrigin, SingularRoot
 from .series import Q, Series
 from .steps import StepSet
@@ -76,6 +77,7 @@ def newton_solve(equation: SeriesPoly, t0) -> Series:
     Requires a simple root at z=0; converges quadratically, doubling the
     known order each step up to the equation's coefficient order.
     """
+    COUNTS["kernel.newton"] += 1
     order = equation.order
     t0 = Q(t0)
     deriv = equation.derivative()
@@ -209,6 +211,7 @@ def hensel_factor_pair(
     the integer one of A(X, D z) over D^n, which over the common
     denominator D^(order-1) is D^(order-1-n) times that integer.
     """
+    COUNTS["kernel.hensel"] += 1
     order = min(s.order for s in f)
     deg = len(f) - 1
     d = deg - c

@@ -26,6 +26,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import mul
 
+from .counts import COUNTS
 from .series import Q, Series, over_lcm
 
 Kinds = list[tuple[Fraction, tuple[int, ...]]]
@@ -215,6 +216,7 @@ def label_spectra(kinds: Kinds, n_max: int, mode: str) -> list[dict[int, Fractio
     0.  The recursion runs over tree shapes, never over levels, so it is
     independent of ``level_rows``.
     """
+    COUNTS["levels.label_spectra"] += 1
     if mode == "max":
         empty, pick = _NEG_INF, max
     elif mode == "min":

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .counts import COUNTS
 from .errors import DivisionByNonUnit
 from .series import (ExactRing, Series, _fit, _mul_ints, _trim, as_fraction, common_den,
                      over_lcm, reduced)
@@ -256,6 +257,9 @@ class MarkerSeries(ExactRing):
         n = min(self._order, rhs._order)
         if self._width == 0 or rhs._width == 0:
             return MarkerSeries._raw(n, 0, 0, (), 1)
+        COUNTS["marker.mul"] += 1
+        if min(self._width, rhs._width) <= 4:
+            COUNTS["marker.mul.narrow"] += 1
         span = self._width + rhs._width - 1
         nums = _mul_ints(self._grid(self._lo, span, n), rhs._grid(rhs._lo, span, n),
                          n * span)

@@ -25,6 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress, count
 
+from .counts import COUNTS
 from .errors import DivisionByNonUnit, VariableMismatch
 from .series import ExactRing, Q, Series, _mul_ints, as_fraction, common_den, over_lcm, reduced
 
@@ -158,6 +159,7 @@ class MultiPoly(ExactRing):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
+        COUNTS["multipoly.mul"] += 1
         if not self._num or not rhs._num:
             return MultiPoly._raw(self.variables, {}, 1)
         return MultiPoly._normed(

@@ -43,6 +43,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import add, mul, sub
 
+from .counts import COUNTS
 from .errors import DivisionByNonUnit, NonUnitConstantTerm
 
 Q = Fraction
@@ -336,6 +337,7 @@ class Series(ExactRing):
             return self._scale(other)
         if not isinstance(other, Series):
             return NotImplemented
+        COUNTS["series.mul"] += 1
         n = min(len(self._num), len(other._num))
         nums = _mul_ints(self._num, other._num, n)
         return Series._normed(nums, self._den * other._den)
@@ -419,8 +421,10 @@ def _mul_ints(a: tuple, b: tuple, n: int) -> list[int]:
     if len(a) > len(b):
         a, b = b, a
     if (len(a) - a.count(0)) * len(b) <= _SCHOOLBOOK_MAX:
+        COUNTS["mul_ints.schoolbook"] += 1
         body = _mul_schoolbook(a, b, m)
     else:
+        COUNTS["mul_ints.kronecker"] += 1
         body = _mul_kronecker(a, b, min(m, len(a) + len(b) - 1))
     body += [0] * (m - len(body))
     return [0] * (va + vb) + body if va + vb else body

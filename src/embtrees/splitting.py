@@ -23,6 +23,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import add, mul
 
+from .counts import COUNTS
 from .kernel import SmallFactor
 from .series import Series
 
@@ -267,6 +268,7 @@ class SAElement:
             order = (min(self.stored_order, other.order) if isinstance(other, Series)
                      else self.stored_order)
             return SAElement(self.alg, {e: c * other for e, c in self.coeffs.items()}, order)
+        COUNTS["splitting.mul"] += 1
         alg = self.alg
         order = min(self.stored_order, other.stored_order, alg.order)
         return SAElement(alg, alg._reduce(_pair_products(self.coeffs.items(),

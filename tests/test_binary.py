@@ -41,6 +41,7 @@ from embtrees.errors import (
     DegenerateCharacteristic,
     DegenerateWeights,
     EmbtreesError,
+    InsufficientPrecision,
     SizeTooLarge,
 )
 from embtrees.levels import _NEG_INF
@@ -272,6 +273,20 @@ class TestClosedFamily:
         assert [binary_Tj_closed(w, lam, j, 10) for j in range(-1, 5)] == [
             rows[j] for j in range(-1, 5)]
 
+    def test_short_parameter_is_refused(self, monkeypatch, capsys):
+        lam = adapt_lambda(W_BINARY, 1, 16)
+        with pytest.raises(InsufficientPrecision):
+            binary_Tj_closed(W_BINARY, lam.truncate(11), 0, 10)
+        # the CLI reports it as one error line with the input-error code
+        from embtrees import cli
+
+        monkeypatch.setattr(cli.B, "adapt_lambda", lambda w, b, order: lam.truncate(11))
+        argv = ["trees", "--w1", "1", "--level", "0", "--method", "closed", "--order", "10"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "embtrees trees: error: parameter series carries too little precision\n"
+
     def test_symbolic_parameter_matches_numeric(self):
         sym = binary_Tj_closed_symbolic(W_BINARY, 2, 16, lam_degree=8)
         lam = binary_X(W_BINARY, 30) ** 3
@@ -354,6 +369,12 @@ class TestHeightFamily:
         for j in (0, 1, 3):
             got = height_Tj(0, 0, X, j, 20)
             assert got.matches(height_plane_trees(j, 20))
+
+    def test_short_parameter_is_refused(self):
+        X = height_X(0, 0, 26)
+        assert height_Tj(0, 0, X.truncate(20), 1, 20).matches(height_plane_trees(1, 20))
+        with pytest.raises(InsufficientPrecision, match="19 coefficients, below the order 20"):
+            height_Tj(0, 0, X.truncate(19), 1, 20)
 
 
 class TestTernaryFamily:

@@ -8,10 +8,10 @@ zero-padding, since those change when the order grows.
 
 from fractions import Fraction as Q
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from embtrees.binary import BinaryWeights, closed_family_residual
+from embtrees.binary import BinaryWeights, binary_Tj_closed, closed_family_residual, height_Tj
 from embtrees.dary import DaryFamily, dary_alpha_general, rho_series
 from embtrees.errors import InsufficientPrecision
 from embtrees.paths import meander_gf
@@ -94,6 +94,73 @@ def test_closed_family_residual_is_truncation_coherent(v1, v2, w1, w23, j, order
     short = closed_family_residual(w, j, order)
     assert short.order == order
     assert short == closed_family_residual(w, j, order + k).truncate(order)
+
+
+coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def closed_weights(v1, v2, w1, w23):
+    if w1 == w23 == 0:
+        w1 = Q(1)  # the closed family excludes the all-zero binary weights
+    return BinaryWeights.make(v1, v2, w1, w23, w23)
+
+
+@settings(max_examples=25, deadline=None)
+@given(weights, weights, weights, weights, st.integers(-1, 4), st.integers(2, 12),
+       st.integers(1, 4), st.integers(2, 4), st.lists(coeffs, min_size=1, max_size=3))
+def test_closed_level_family_is_truncation_coherent(v1, v2, w1, w23, j, order, k, valuation,
+                                                    body):
+    # a polynomial parameter of valuation >= 2 is exact at any order, and
+    # keeps the numerator's valuation at or above the denominator's
+    w = closed_weights(v1, v2, w1, w23)
+    lam = Series([Q(0)] * valuation + body, order + k + 6)
+    short = binary_Tj_closed(w, lam, j, order)
+    assert short.order == order
+    assert short == binary_Tj_closed(w, lam, j, order + k).truncate(order)
+
+
+@settings(max_examples=25, deadline=None)
+@given(weights, weights, weights, weights, st.integers(-1, 4), st.integers(2, 12),
+       st.integers(-1, 6), st.integers(1, 4), st.data())
+def test_closed_level_family_reads_no_parameter_coefficient_it_lacks(v1, v2, w1, w23, j, order,
+                                                                     shift, k, data):
+    # a parameter known to a few terms more or fewer than the order: the
+    # closed form either refuses it or agrees with one read from more terms
+    w = closed_weights(v1, v2, w1, w23)
+    known = order + shift
+    lam = [Q(0), Q(0)] + data.draw(st.lists(coeffs, min_size=known + k, max_size=known + k))
+    assume(any(lam[:known]))  # a zero parameter is documented as exact at any order
+    try:
+        short = binary_Tj_closed(w, Series(lam[:known]), j, order)
+    except InsufficientPrecision:
+        assert shift < 2
+        return
+    assert short == binary_Tj_closed(w, Series(lam[:known + k]), j, order)
+
+
+@settings(max_examples=25, deadline=None)
+@given(weights, weights, st.integers(0, 4), st.integers(1, 12), st.integers(1, 4),
+       st.lists(coeffs, min_size=1, max_size=4))
+def test_height_level_family_is_truncation_coherent(v1, v2, j, order, k, lam):
+    lam = Series(lam, order + k)
+    short = height_Tj(v1, v2, lam, j, order)
+    assert short.order == order
+    assert short == height_Tj(v1, v2, lam, j, order + k).truncate(order)
+
+
+@settings(max_examples=25, deadline=None)
+@given(weights, weights, st.integers(0, 4), st.integers(1, 12), st.integers(-3, 3),
+       st.integers(1, 4), st.data())
+def test_height_level_family_reads_no_parameter_coefficient_it_lacks(v1, v2, j, order, shift, k,
+                                                                     data):
+    known = max(order + shift, 1)
+    lam = data.draw(st.lists(coeffs, min_size=known + k, max_size=known + k))
+    try:
+        short = height_Tj(v1, v2, Series(lam[:known]), j, order)
+    except InsufficientPrecision:
+        assert known < order
+        return
+    assert short == height_Tj(v1, v2, Series(lam[:known + k]), j, order)
 
 
 @st.composite
