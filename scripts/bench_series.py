@@ -28,7 +28,12 @@ entry and a sum of two root monomials (the algebras of c = 2 and c = 3,
 at stored order 28 and 31) against the per-pair reduction and ``invert_one_plus`` against full-order Newton steps on it
 (``tests/test_splitting.py``); ``hensel_factor_pair`` for the step set
 {-2, -1, 1, 3} at order 40 against the Fraction lift
-(``tests/test_kernel.py``); ``dary_alpha_one_param_recurrence`` against
+(``tests/test_kernel.py``); ``char_factor``, the one characteristic
+solver, for each family at orders 30 and 100, root series T included,
+against the forms it replaced: the binary square root and the height
+rational form (the campaign's claims), Newton on the ternary and
+lock-step quadratics, and ``hensel_factor_pair`` on the even d = 2
+polynomial built term by term in ``tests/test_dary.py``; ``dary_alpha_one_param_recurrence`` against
 one product per composition (``tests/test_dary.py``); ``level_rows``
 against the ``label_spectra`` sums it is tested with; and
 ``levels.alpha_recurrence``, root and rate included, against the binary
@@ -74,16 +79,19 @@ from embtrees.binary import (  # noqa: E402
     binary_T,
     binary_X,
     closed_family_residual,
+    height_X,
     ternary_T,
     ternary_X,
 )
+from embtrees.campaign import _binary_x_radical, _height_x_rational  # noqa: E402
 from embtrees.dary import (  # noqa: E402
     DaryFamily,
     dary_alpha_general,
     dary_alpha_one_param_recurrence,
+    dary_char_factor,
     rho_series,
 )
-from embtrees.kernel import characteristic_poly, hensel_factor_pair  # noqa: E402
+from embtrees.kernel import SeriesPoly, _char_poly, hensel_factor_pair, newton_solve  # noqa: E402
 from embtrees.levels import alpha_recurrence, label_spectra, level_rows  # noqa: E402
 from embtrees.marker import MarkerSeries  # noqa: E402
 from embtrees.multipoly import MultiPoly  # noqa: E402
@@ -94,10 +102,12 @@ from embtrees.walkers import (  # noqa: E402
     _lockstep_columns,
     _randomturn_columns,
     lockstep_dp_table,
+    lockstep_x,
     quarterplane_dp,
     randomturn_dp_table,
 )
 from test_dary import (  # noqa: E402
+    char_poly,
     main_equation_seeds,
     ref_alpha_general,
     ref_one_param_recurrence,
@@ -299,9 +309,10 @@ def bench_recurrences(repeats: int) -> list[dict]:
                 lambda: alg.invert_one_plus(u), lambda: sa_value(ref_invert_one_plus(u)),
                 max(1, repeats // 5), read=sa_value)
     steps = parse_step_set("-2:1,-1:1,1:1,3:1")
-    f = characteristic_poly(steps, Series.z(40))
+    f, _ = _char_poly([(w, (b,)) for b, w in steps.steps], Series.one(40), 40)
     compare(rows, "hensel_factor_pair", 40, "steps -2,-1,1,3",
             lambda: hensel_factor_pair(f, 2), lambda: ref_hensel(f, 2), repeats)
+    rows += bench_char_factor(repeats)
     for fam in (DaryFamily("odd", 2), DaryFamily("even", 2)):
         compare(rows, "one_param_recurrence", 10, f"{fam.kind} d={fam.d}",
                 lambda: dary_alpha_one_param_recurrence(fam, 10),
@@ -322,6 +333,45 @@ def bench_recurrences(repeats: int) -> list[dict]:
             lambda: alpha_recurrence(_ternary_kinds(Q(1), Q(2)), ternary_X(1, 2, 20),
                                      ternary_T(1, 2, 20), 6),
             lambda: ref_ternary_alpha(1, 2, 6, 20), repeats)
+    return rows
+
+
+def quadratic_root(c0: Series, c1: Series, c2: Series) -> Series:
+    """The root of c0 + c1 X + c2 X^2 vanishing at z=0, by Newton's method."""
+    return newton_solve(SeriesPoly.make([c0, c1, c2]), 0)
+
+
+def ternary_x_newton(order: int) -> Series:
+    """The ternary root at (v1, v2) = (1, 2) as it was solved before ``char_factor``."""
+    z, one = Series.z(order), Series.one(order)
+    t2 = ternary_T(1, 2, order) ** 2
+    return quadratic_root(z * (t2 + 1), z * (t2 + 2) - one, z * (t2 + 1))
+
+
+def lockstep_x_newton(order: int) -> Series:
+    z, one = Series.z(order), Series.one(order)
+    return quadratic_root(z * 2, z * 4 - one, z * 2)
+
+
+def bench_char_factor(repeats: int) -> list[dict]:
+    """``char_factor`` per family, through each family's public X, against the form it replaced."""
+    rows: list[dict] = []
+    w = BinaryWeights.make(2, 1, 1, 1, 1)
+    even2 = DaryFamily("even", 2)
+    for order in (30, 100):
+        compare(rows, "char_factor", order, "binary (2,1,1,1,1)", lambda: binary_X(w, order),
+                lambda: _binary_x_radical(w, order), repeats)
+        compare(rows, "char_factor", order, "height (1,2)", lambda: height_X(1, 2, order),
+                lambda: _height_x_rational(1, 2, order), repeats)
+        compare(rows, "char_factor", order, "ternary (1,2)", lambda: ternary_X(1, 2, order),
+                lambda: ternary_x_newton(order), repeats)
+        compare(rows, "char_factor", order, "lock-step X", lambda: lockstep_x(order),
+                lambda: lockstep_x_newton(order), repeats)
+        compare(rows, "char_factor", order, "even d=2 (c=3)",
+                lambda: dary_char_factor(even2, order),
+                lambda: hensel_factor_pair(*char_poly(even2, order))[0][:-1], repeats,
+                read=lambda sf: [e if k % 2 == 0 else -e
+                                 for k, e in enumerate(sf.elementary, 1)][::-1])
     return rows
 
 

@@ -40,6 +40,7 @@ from .dary import (
 from .kernel import (
     SeriesPoly,
     SmallFactor,
+    char_factor,
     complete_homogeneous,
     fuss_catalan,
     hensel_small_factor,

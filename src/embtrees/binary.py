@@ -10,7 +10,8 @@ independent enumeration oracles.  The expansion coefficients of the
 binary, height and ternary families come from the one unit-divisor
 recurrence ``levels.alpha_recurrence``, given each family's kind list
 (``_node_kinds``, ``_height_kinds``, ``_ternary_kinds``); this module
-keeps their known closed forms.
+keeps their known closed forms.  Each family's decay rate X is the small
+root that ``kernel.char_factor`` finds from the same kind list.
 """
 
 from __future__ import annotations
@@ -20,14 +21,13 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import (
-    DegenerateCharacteristic,
     DegenerateWeights,
     DivisionByNonUnit,
     InsufficientPrecision,
     NoPowerSeriesBranch,
     SizeTooLarge,
 )
-from .kernel import SeriesPoly, newton_solve, tree_root
+from .kernel import SeriesPoly, char_factor, newton_solve, tree_root
 from .levels import _x_powers, alpha_recurrence, label_spectra, level_residual, level_rows
 from .marker import MarkerSeries
 from .series import Q, Series, as_fraction, rational_sqrt
@@ -71,35 +71,9 @@ def binary_T(w: BinaryWeights, order: int) -> Series:
 
 
 def binary_X(w: BinaryWeights, order: int) -> Series:
-    """Decay-rate series of the linearized level recurrence.
-
-    Solves X = z*(r*(1+X^2) + s*X) with r = v1 + (w1+w3)T and
-    s = v2 + 2(w2+w3)T; X has zero constant term and non-negative
-    coefficients.
-    """
-    if w.v1 == 0 and w.w1 == 0 and w.w3 == 0:
-        raise DegenerateCharacteristic(
-            "no off-level couplings: the level recurrence does not decay in X"
-        )
-    g = order + 3
-    T = binary_T(w, g)
-    one = Series.one(g)
-    z = Series.z(g)
-    r = T * (w.w1 + w.w3) + w.v1
-    s = T * (2 * (w.w2 + w.w3)) + w.v2
-    rad = (one - z * s) ** 2 - (z * r) ** 2 * 4
-    num = one - z * s - rad.sqrt()
-    return (num / (z * r * 2)).truncate(order)
-
-
-def binary_char_residual(w: BinaryWeights, X: Series, T: Series) -> Series:
-    """X - z*(r*(1+X^2) + s*X); zero iff X solves the characteristic equation."""
-    order = min(X.order, T.order)
-    X, T = X.truncate(order), T.truncate(order)
-    z = Series.z(order)
-    r = T * (w.w1 + w.w3) + w.v1
-    s = T * (2 * (w.w2 + w.w3)) + w.v2
-    return X - z * (r * (Series.one(order) + X * X) + s * X)
+    """Decay-rate series of the linearized level recurrence: the small root
+    of X = z*(r*(1+X^2) + s*X), r = v1 + (w1+w3)T and s = v2 + 2(w2+w3)T."""
+    return char_factor(_node_kinds(w), binary_T(w, order), order).elementary[0]
 
 
 # ---------------------------------------------------------------------------
@@ -470,12 +444,9 @@ def height_T(v1, v2, order: int) -> Series:
 
 
 def height_X(v1, v2, order: int) -> Series:
-    """X = z(v1+T) / (1 - z(v2+T))."""
+    """The small root of X = z(v1 + v2 X + T(1 + X))."""
     v1, v2 = as_fraction(v1), as_fraction(v2)
-    T = height_T(v1, v2, order)
-    z = Series.z(order)
-    one = Series.one(order)
-    return z * (T + v1) / (one - z * (T + v2))
+    return char_factor(_height_kinds(v1, v2), height_T(v1, v2, order), order).elementary[0]
 
 
 def height_Tj(v1, v2, lam: Series, j: int, order: int) -> Series:
@@ -532,15 +503,9 @@ def ternary_T(v1, v2, order: int) -> Series:
 
 
 def ternary_X(v1, v2, order: int) -> Series:
-    """Characteristic root of the ternary level recurrence (zero at z=0)."""
+    """The small root of X = z(v1(1 + X^2) + v2 X + T^2(1 + X + X^2))."""
     v1, v2 = as_fraction(v1), as_fraction(v2)
-    T = ternary_T(v1, v2, order)
-    z = Series.z(order)
-    one = Series.one(order)
-    t2 = T * T
-    outer = z * (t2 + v1)
-    eq = SeriesPoly.make([outer, z * (t2 + v2) - one, outer])
-    return newton_solve(eq, 0)
+    return char_factor(_ternary_kinds(v1, v2), ternary_T(v1, v2, order), order).elementary[0]
 
 
 def ternary_alpha(v1, v2, n_max: int, order: int) -> AlphaTable:

@@ -179,9 +179,7 @@ def _check_rf_equal(order: int):
     if not RationalFunction(x, x * x).equals(RationalFunction(one, x)):
         return False, "X/X^2 != 1/X"
     # equality implies equal series at admissible assignments
-    motzkin = newton_solve(
-        SeriesPoly.make([Series.z(20), Series.z(20) - Series.one(20), Series.z(20)]), 0
-    )
+    motzkin = hensel_small_factor(parse_step_set("-1:1,0:1,1:1"), 20).elementary[0]
     if not a.eval_series({"X": motzkin}).matches(b.eval_series({"X": motzkin})):
         return False, "rf-equal pair disagrees after series evaluation"
     return True, ""
@@ -243,6 +241,18 @@ def _check_binary_oracle(order: int):
     return True, ""
 
 
+def _binary_x_radical(w: B.BinaryWeights, order: int) -> Series:
+    """The square-root form of the binary decay rate, with r and s as in ``binary_X``:
+    X = (1 - zs - sqrt((1 - zs)^2 - 4 z^2 r^2)) / (2 z r)."""
+    g = order + 3
+    T = B.binary_T(w, g)
+    one, z = Series.one(g), Series.z(g)
+    r = T * (w.w1 + w.w3) + w.v1
+    s = T * (2 * (w.w2 + w.w3)) + w.v2
+    rad = (one - z * s) ** 2 - (z * r) ** 2 * 4
+    return ((one - z * s - rad.sqrt()) / (z * r * 2)).truncate(order)
+
+
 def _check_binary_residuals(order: int):
     for vec in _BINARY_VECTORS + ((1, 1, 1, 0, 0),):
         w = B.BinaryWeights.make(*vec)
@@ -252,9 +262,8 @@ def _check_binary_residuals(order: int):
         resid = T - one - z * T * w.linear - z * T * T * w.quadratic
         if not resid.is_zero():
             return False, f"tree equation residual at {vec}"
-        X = B.binary_X(w, order)
-        if not B.binary_char_residual(w, X, T).is_zero():
-            return False, f"characteristic residual at {vec}"
+        if B.binary_X(w, order) != _binary_x_radical(w, order):
+            return False, f"characteristic root differs from its square-root form at {vec}"
     return True, ""
 
 
@@ -312,6 +321,13 @@ def _check_conjecture(order: int):
     return "conjecture-consistent", ""
 
 
+def _height_x_rational(v1, v2, order: int) -> Series:
+    """The rational form of the height decay rate: X = z(v1 + T) / (1 - z(v2 + T))."""
+    T = B.height_T(v1, v2, order)
+    z = Series.z(order)
+    return z * (T + v1) / (Series.one(order) - z * (T + v2))
+
+
 def _check_height(order: int):
     counts = B.plane_tree_height_counts(8)
     for j in range(6):
@@ -320,6 +336,8 @@ def _check_height(order: int):
         if list(gf.coeffs) != oracle:
             return False, f"height bound {j}"
     for v1, v2 in ((0, 0), (1, 0), (2, 3)):
+        if B.height_X(v1, v2, 20) != _height_x_rational(v1, v2, 20):
+            return False, f"couplings {(v1, v2)}: characteristic root differs from its rational form"
         clo = B.height_alpha(v1, v2, "closed", 8, 20)
         rec = B.height_alpha(v1, v2, "recurrence", 8, 20)
         for n in range(1, 9):
@@ -457,10 +475,10 @@ _STAR_CELLS = [(i, j) for i in range(5) for j in range(5)]
 
 def _check_walkers_lockstep(order: int):
     n = min(order, 20)
-    base = W._lockstep_base(2, n)
-    for boundary, (u, w) in (("vicious", (0, 0)), ("osculating", (1, 0)), ("updown", (1, 1))):
+    base = W._lockstep_base(n)
+    for boundary, (u, w) in W._CORNERS.items():
         dp = W._lockstep_columns(u, w, _STAR_CELLS, n)
-        parts = W._star_parts(boundary, n, base, 4)
+        parts = W._refined_parts(u, w, base, 4)
         for i, j in _STAR_CELLS:
             if boundary == "osculating" and (i, j) == (0, 0):
                 continue
@@ -473,24 +491,23 @@ def _check_walkers_refined(
     order: int, marks=((Q(1, 2), Q(1, 3)), (Q(2), Q(1))), max_order: int = 16
 ):
     n = min(order, max_order)
-    base = W._lockstep_base(2, n)
+    base = W._lockstep_base(n)
     for u, w in marks:
         dp = W._lockstep_columns(u, w, _STAR_CELLS, n)
-        parts = W._refined_parts(u, w, n, base, 4)
+        parts = W._refined_parts(u, w, base, 4)
         for i, j in _STAR_CELLS:
             if (i, j) == (0, 0):
                 continue
             if W.lockstep_refined(u, w, i, j, n, parts=parts).series != dp[i, j]:
                 return False, f"marks {(str(u), str(w))} at {(i, j)}"
-    base = W._lockstep_base(2, 12)
-    for (u, w), boundary in (((0, 0), "vicious"), ((1, 0), "osculating"), ((1, 1), "updown")):
-        refined, star = W._refined_parts(u, w, 12, base, 3), W._star_parts(boundary, 12, base, 3)
-        for i in range(4):
-            for j in range(4):
-                a = W.lockstep_refined(u, w, i, j, 12, parts=refined).series
-                b = W.lockstep_star(boundary, i, j, 12, parts=star).series
-                if a != b:
-                    return False, f"corner {(u, w)} != {boundary} at {(i, j)}"
+    # the boundary models' adapted (alpha, gamma), as the refined form gives them at its corners
+    X = W.lockstep_x(12)
+    one = Series.one(12)
+    for boundary, adapted in (("vicious", (one, -one)),
+                              ("osculating", (X * 3 / (one + X * 2), -(X * 3) / (one * 2 + X))),
+                              ("updown", (X * 2 / (one + X), -X))):
+        if W._refined_adapted(*W._CORNERS[boundary], X) != adapted:
+            return False, f"adapted coefficients at the {boundary} corner"
     return True, ""
 
 
@@ -546,7 +563,7 @@ def _check_quarterplane(order: int, grid: int = 3, doubled_cells=((1, 2),)):
 
 
 def _check_walker_symmetry(order: int):
-    star = W._star_parts("updown", 10, W._lockstep_base(2, 10), 3)
+    star = W._refined_parts(1, 1, W._lockstep_base(10), 3)
     rt = W._randomturn_parts("motzkin", 10, 6)
     for i in range(4):
         for j in range(4):
@@ -589,13 +606,13 @@ _CHECKS: dict[str, tuple] = {
     "kernel/fuss-catalan": ("tree equation coefficients are the binomial family", _check_fuss_catalan),
     "kernel/small-factor": ("factorization reconstructs and h/e identity holds", _check_hensel),
     "binary/oracle": ("level rows equal structural enumeration", _check_binary_oracle),
-    "binary/residuals": ("tree and characteristic equation residuals vanish", _check_binary_residuals),
+    "binary/residuals": ("tree equation residual vanishes; X is its square-root form", _check_binary_residuals),
     "binary/alpha-closed-forms": ("decay coefficients match their closed forms", _check_binary_alpha),
     "binary/one-param-family": ("closed family satisfies the level recurrence", _check_closed_family),
     "binary/t-of-x": ("root series is recovered from the decay-rate form", _check_t_of_x),
     "binary/stabilization": ("row coefficients stabilize once the bound clears size", _check_monotone_limit),
     "binary/conjectured-form": ("conjectured polynomial form agrees with the recurrence", _check_conjecture),
-    "height/plane-trees": ("height-bounded generating functions match enumeration", _check_height),
+    "height/plane-trees": ("height-bounded series match enumeration; X is its rational form", _check_height),
     "ternary/cross-check": ("ternary coefficients match the single-branch route", _check_ternary),
     "dary/one-param-identity": ("closed family identity in the function field", _check_dary_one_param),
     "dary/alpha-agreement": ("single-branch closed form equals the graded recurrence", _check_dary_alpha),
@@ -607,7 +624,7 @@ _CHECKS: dict[str, tuple] = {
     "paths/excursions": ("excursion extraction gives the classical families", _check_excursions),
     "paths/monotonicity": ("meander counts grow with the start level", _check_path_monotone),
     "walkers/lock-step": ("boundary families equal the gap dynamic program", _check_walkers_lockstep),
-    "walkers/refined": ("marked counting matches at sampled marks and corners", _check_walkers_refined),
+    "walkers/refined": ("marked counts match; corners give the models' adapted coefficients", _check_walkers_refined),
     "walkers/random-turn": ("one-at-a-time families equal their dynamic program", _check_walkers_randomturn),
     "walkers/quarter-plane": ("quadrant families equal the 2-D dynamic program", _check_quarterplane),
     "walkers/symmetry": ("star series are symmetric in the two gaps", _check_walker_symmetry),

@@ -20,13 +20,12 @@ from functools import reduce
 from operator import mul
 
 from .errors import InsufficientPrecision, SizeTooLarge
-from .kernel import SmallFactor, characteristic_poly, small_factor_from_poly, tree_root
+from .kernel import SmallFactor, char_factor, tree_root
 from .levels import _compositions  # noqa: F401  (imported from here by callers)
 from .levels import _terms_by_multiset, _x_powers, alpha_terms, label_spectra, level_rows
 from .multipoly import MultiPoly, RationalFunction
 from .series import Q, Series
 from .splitting import SAElement, SplitAlgebra
-from .steps import StepSet
 
 _ZERO = Q(0)
 
@@ -90,15 +89,7 @@ def dary_Tj_recurrence(fam: DaryFamily, j_max: int, order: int) -> dict[int, Ser
 
 def dary_char_factor(fam: DaryFamily, order: int) -> SmallFactor:
     """Small factor of 1 = z T^(arity-1) * sum over offsets of X^o."""
-    T = dary_T(fam, order)
-    z_factor = Series.z(order) * T ** (fam.arity - 1)
-    steps = StepSet.make([(o, 1) for o in fam.offsets if o != 0])
-    # the offset-0 term (odd kind) joins the characteristic polynomial too
-    f = characteristic_poly(steps, z_factor)
-    if 0 in fam.offsets:
-        c = steps.max_down
-        f[c] = f[c] - z_factor
-    return small_factor_from_poly(f, steps.max_down)
+    return char_factor([(Q(1), fam.offsets)], dary_T(fam, order), order)
 
 
 def dary_rational_parametrization(

@@ -34,7 +34,7 @@ class DegenerateWeights(EmbtreesError):
 
 
 class DegenerateCharacteristic(EmbtreesError):
-    """Characteristic equation degenerates (no marker dependence)."""
+    """Characteristic equation without a downward offset: X = 0 solves it."""
 
 
 class NoPowerSeriesBranch(EmbtreesError):
@@ -47,10 +47,6 @@ class InsufficientPrecision(EmbtreesError):
 
 class SizeTooLarge(EmbtreesError):
     """Brute-force enumeration requested beyond its guard size."""
-
-
-class BoundaryCheckFailed(EmbtreesError):
-    """Adapted walker parameters fail their boundary equations."""
 
 
 class ConfigParse(EmbtreesError):

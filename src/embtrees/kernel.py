@@ -5,9 +5,10 @@ Three layers live here:
 * Newton iteration with order doubling for series roots of polynomial
   equations (plus a plain fixed-point iterator kept as a low-order
   cross-check),
-* Hensel-style factorization of a characteristic polynomial into the
-  monic "small" factor (the factor that degenerates to X^c at z=0) and
-  its unit cofactor,
+* ``char_factor``, the one solver of every characteristic equation, built
+  from a kind list (lattice paths and walkers are kinds of one offset):
+  Hensel lifting splits it into the monic "small" factor (the factor
+  that degenerates to X^c at z=0) and its unit cofactor, c = 1 included,
 * symmetric-function plumbing for the small factor: elementary to
   complete homogeneous, and power sums.
 
@@ -25,7 +26,8 @@ from fractions import Fraction
 from operator import mul
 
 from .counts import COUNTS
-from .errors import DegenerateStepSet, NoRootAtOrigin, SingularRoot
+from .errors import DegenerateCharacteristic, NoRootAtOrigin, SingularRoot
+from .levels import Kinds, _span
 from .series import Q, Series
 from .steps import StepSet
 
@@ -161,14 +163,6 @@ class SmallFactor:
     def order(self) -> int:
         return self.elementary[0].order
 
-    def coefficient(self, k: int) -> Series:
-        """Coefficient of X^k in the monic factor, 0 <= k <= c."""
-        if k == self.c:
-            return Series.one(self.order)
-        j = self.c - k
-        e = self.elementary[j - 1]
-        return e if j % 2 == 0 else -e
-
     def at_one(self) -> Series:
         """The factor evaluated at X=1, i.e. the product of (1 - root)."""
         acc = Series.one(self.order)
@@ -249,33 +243,52 @@ def hensel_factor_pair(
     return a_series, [unscaled(col) for col in b]
 
 
-def characteristic_poly(steps: StepSet, z_factor: Series) -> list[Series]:
-    """Coefficients of X^c - z_factor * X^c * P(X) as a polynomial in X."""
-    c = steps.max_down
-    d = steps.max_up
-    order = z_factor.order
-    coeffs = [Series.zero(order) for _ in range(c + d + 1)]
-    coeffs[c] = Series.one(order)
-    for b, w in steps.steps:
-        coeffs[b + c] = coeffs[b + c] - z_factor * w
-    return coeffs
+def _char_poly(kinds: Kinds, T: Series, order: int) -> tuple[list[Series], int]:
+    """The coefficients, by power of X, of ``char_factor``'s polynomial, and its delta.
+
+    T enters only through kinds of two or more offsets.
+    """
+    kinds = [(w, offs) for w, offs in kinds if w]
+    if all(o >= 0 for _, offs in kinds for o in offs):
+        raise DegenerateCharacteristic("no downward offset: the level recurrence does not decay in X")
+    delta, up = _span(kinds)
+    weights: dict[int, dict[int, Fraction]] = {}  # power of T -> power of X -> summed weight
+    for w, offs in kinds:
+        row = weights.setdefault(len(offs) - 1, {})
+        for o in offs:
+            row[o + delta] = row.get(o + delta, 0) + w
+    f = [Series.zero(order)] * (delta + up + 1)
+    f[delta] = Series.one(order)
+    t_p = Series.one(order)  # T^p, for p = 0, 1, ... in turn
+    for p in range(max(weights) + 1):
+        if p:
+            t_p = t_p * T
+        z_t = t_p.shift_up(1).truncate(order)
+        for e, w in weights.get(p, {}).items():
+            f[e] = f[e] - z_t * w
+    return f, delta
 
 
-def small_factor_from_poly(f: list[Series], c: int) -> SmallFactor:
+def char_factor(kinds: Kinds, T: Series, order: int) -> SmallFactor:
+    """Small factor of a kind list's characteristic polynomial, mod z^order.
+
+    Linearizing the level system of ``levels`` at T_j = T(1 - X^j) gives
+    X^delta = z sum_k w_k T^(|O_k|-1) sum_(o in O_k) X^(o+delta), delta
+    the deepest downward offset.  Moved to one side it reduces to X^delta
+    at z=0, so ``hensel_factor_pair`` splits off the monic factor of
+    degree c = delta, whose roots are the small branches; at c = 1 the
+    root X is ``elementary[0]``.  A kind list with no downward offset,
+    where X = 0 solves the equation, raises ``DegenerateCharacteristic``.
+    """
+    f, c = _char_poly(kinds, T, order)
     a, _ = hensel_factor_pair(f, c)
-    elementary = []
-    for k in range(1, c + 1):
-        e = a[c - k]
-        elementary.append(e if k % 2 == 0 else -e)
-    return SmallFactor(c, tuple(elementary))
+    return SmallFactor(c, tuple(-a[c - k] if k % 2 else a[c - k] for k in range(1, c + 1)))
 
 
 def hensel_small_factor(steps: StepSet, order: int) -> SmallFactor:
-    """Small factor of the step-set characteristic polynomial, mod z^order."""
-    if steps.max_down == 0 or steps.max_up == 0:
-        raise DegenerateStepSet("factorization needs jumps on both sides of 0")
-    f = characteristic_poly(steps, Series.z(order))
-    return small_factor_from_poly(f, steps.max_down)
+    """Small factor of X^c (1 - z P(X)), mod z^order: each step a one-offset kind."""
+    steps.require_two_sided()
+    return char_factor([(w, (b,)) for b, w in steps.steps], Series.one(order), order)
 
 
 def complete_homogeneous(sf: SmallFactor, f_max: int) -> list[Series]:

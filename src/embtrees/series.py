@@ -367,16 +367,6 @@ class Series(ExactRing):
             raise ValueError("shift_up needs k >= 0")
         return Series._raw((0,) * k + self._num, self._den)
 
-    def shift_down(self, k: int) -> Series:
-        """Divide by z^k; requires valuation >= k.  Order shrinks by k."""
-        if k == 0:
-            return self
-        if any(self._num[:k]):
-            raise DivisionByNonUnit(f"valuation below {k}, cannot divide by z^{k}")
-        if len(self._num) <= k:
-            raise DivisionByNonUnit("no precision left after cancelling valuation")
-        return Series._raw(self._num[k:], self._den)
-
     # -- analytic-style operations ------------------------------------
 
     def sqrt(self) -> Series:

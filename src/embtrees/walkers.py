@@ -5,7 +5,11 @@ pair of half-gaps (a, b) between consecutive walkers.  The refined count
 weights every (pair, time) co-location by u and every legal shared edge
 by w: the leading pair may share down-steps, the trailing pair up-steps.
 The boundary families are the corners (u,w) = (0,0) never-touching,
-(1,0) touch-but-never-share, (1,1) touching with the legal shares free.
+(1,0) touch-but-never-share, (1,1) touching with the legal shares free,
+and their closed forms are the refined form at those corners.  Each
+system's decay rate X and free series T are those of the kind list of
+one-offset nodes its gap recurrence steps by, from ``kernel.char_factor``
+and ``kernel.tree_root``.
 Random-turn walkers move one at a time; the quarter-plane families count
 two-dimensional paths and coincide with random-turn osculating walkers
 for the six-step set.  Every closed form is checked against the gap
@@ -32,13 +36,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .errors import BoundaryCheckFailed
-from .kernel import SeriesPoly, newton_solve
+from .kernel import char_factor, tree_root
 from .levels import _x_powers
 from .series import Q, Series, as_fraction, over_lcm
 
 _ONE = Q(1)
-_BOUNDARIES = ("vicious", "osculating", "updown")
+# each boundary model's corner (u, w) of the refined marks
+_CORNERS = {"vicious": (0, 0), "osculating": (1, 0), "updown": (1, 1)}
 
 
 @dataclass(frozen=True)
@@ -54,8 +58,8 @@ class WalkerModel:
             raise ValueError("mode must be lock_step or random_turn")
         if self.steps not in ("dyck", "motzkin"):
             raise ValueError("steps must be dyck or motzkin")
-        if self.boundary not in _BOUNDARIES and self.boundary != "refined":
-            raise ValueError(f"boundary must be one of {_BOUNDARIES} or refined")
+        if self.boundary not in _CORNERS and self.boundary != "refined":
+            raise ValueError(f"boundary must be one of {tuple(_CORNERS)} or refined")
         if self.boundary == "updown" and self.mode != "lock_step":
             raise ValueError("up-down walkers are a lock-step model")
         if self.mode == "lock_step" and self.steps != "dyck":
@@ -76,121 +80,58 @@ class StarGF:
 # ---------------------------------------------------------------------------
 
 
-def lockstep_x(diag_weight, order: int) -> Series:
-    """X = z(2 + (2+w)X + 2X^2), the decay rate of the gap recurrence."""
-    dw = as_fraction(diag_weight)
-    z = Series.z(order)
-    one = Series.one(order)
-    eq = SeriesPoly.make([z * 2, z * (2 + dw) - one, z * 2])
-    return newton_solve(eq, 0)
+def _unary_base(weights: dict[int, int], order: int) -> tuple[Series, Series]:
+    """X and T of the one-offset kind list {offset: weight}: X = z sum_o w_o X^(o+1)
+    and the tree root T = 1/(1 - z sum_o w_o)."""
+    T = tree_root({1: sum(weights.values())}, order)
+    return char_factor([(w, (o,)) for o, w in weights.items()], T, order).elementary[0], T
 
 
-def lockstep_T(diag_weight, order: int) -> Series:
-    dw = as_fraction(diag_weight)
-    one = Series.one(order)
-    return one / (one - Series.z(order) * (dw + 6))
+def lockstep_x(order: int) -> Series:
+    """X = z(2 + 4X + 2X^2), the decay rate of the gap recurrence."""
+    return _lockstep_base(order)[0]
 
 
-def _lockstep_base(diag_weight, order: int) -> tuple[Series, Series]:
-    """X and T at one diagonal weight: the pieces every cell and boundary share."""
-    return lockstep_x(diag_weight, order), lockstep_T(diag_weight, order)
+def lockstep_T(order: int) -> Series:
+    return tree_root({1: 8}, order)
 
 
-def _star_terms(base, adapted, m: int):
-    """T, and the terms T alpha X^k, T beta X^k (k <= m) and T gamma X^k (k <= 2m).
-
-    A cell (i, j) with i, j <= m is then the sum T - A_i - B_j - G_(i+j).
-    """
-    X, T = base
-    alpha, beta, gamma = adapted
-    A = _x_powers(X, m, T * alpha)
-    B = A if beta is alpha else _x_powers(X, m, T * beta)
-    return T, A, B, _x_powers(X, 2 * m, T * gamma)
+def _lockstep_base(order: int) -> tuple[Series, Series]:
+    """X and T: the pieces every cell and every pair of marks share."""
+    return _unary_base({-1: 2, 0: 4, 1: 2}, order)
 
 
-def _star_cell(terms, i: int, j: int) -> StarGF:
-    T, A, B, G = terms
-    return StarGF(i, j, T - A[i] - B[j] - G[i + j])
-
-
-def lockstep_general(
-    diag_weight, i: int, j: int, alpha: Series, beta: Series, gamma: Series, order: int
-) -> StarGF:
-    """T * (1 - alpha X^i - beta X^j - gamma X^(i+j))."""
-    adapted = [c.truncate(order) for c in (alpha, beta, gamma)]
-    return _star_cell(_star_terms(_lockstep_base(diag_weight, order), adapted, max(i, j)), i, j)
-
-
-def lockstep_adapt(boundary: str, order: int, *, base=None) -> tuple[Series, Series, Series]:
-    """Adapted (alpha, beta, gamma) at diagonal weight 2, verified.
-
-    vicious: (1, 1, -1); osculating: (3X/(1+2X), same, -3X/(2+X));
-    up-down: (2X/(1+X), same, -X).  The corresponding boundary equations,
-    in the (X, T) of ``base``, are re-checked as series identities.
-    """
-    X, T = base or _lockstep_base(2, order)
-    one = Series.one(order)
-    z = Series.z(order)
-    if boundary == "vicious":
-        alpha = beta = one
-        gamma = -one
-        checks = [alpha - one, beta - one, alpha + gamma]
-    elif boundary == "osculating":
-        alpha = beta = X * 3 / (one + X * 2)
-        gamma = -(X * 3) / (one + X * Q(1, 2)) * Q(1, 2)
-        # j-free part: T(1-alpha) = 1 + 2zT(1 - alpha X)
-        checks = [
-            T * (one - alpha) - one - z * T * (one - alpha * X) * 2,
-            # X^j part, cleared by X: (alpha+gamma) X = z(alpha(X+1) + gamma(X+X^2))
-            (alpha + gamma) * X
-            - z * (alpha * (X + one) + gamma * (X + X * X)),
-        ]
-    elif boundary == "updown":
-        alpha = beta = X * 2 / (one + X)
-        gamma = -X
-        checks = [
-            T * (one - alpha) - one - z * T * (one * 2 - alpha - alpha * X) * 2,
-            (alpha + gamma) * X
-            - z * (alpha * (X * 2 + X * X + one) + gamma * (X + X * X) * 2),
-        ]
-    else:
-        raise ValueError(f"unknown boundary {boundary!r}")
-    for k, residual in enumerate(checks):
-        if not residual.is_zero():
-            raise BoundaryCheckFailed(
-                f"{boundary} boundary equation {k} has residual {residual!r}"
-            )
-    return alpha, beta, gamma
-
-
-def _star_parts(boundary: str, order: int, base, m: int):
-    """``parts`` of ``lockstep_star`` for gaps up to m: the terms of the adapted form."""
-    return _star_terms(base, lockstep_adapt(boundary, order, base=base), m)
-
-
-def lockstep_star(boundary: str, i: int, j: int, order: int, *, parts=None) -> StarGF:
-    """Closed star series for the three lock-step boundary models (w=2)."""
-    terms = parts or _star_parts(boundary, order, _lockstep_base(2, order), max(i, j))
-    return _star_cell(terms, i, j)
-
-
-def _refined_parts(u, w, order: int, base, m: int):
-    """``parts`` of ``lockstep_refined`` for gaps up to m: the terms of (alpha, alpha, gamma)."""
+def _refined_adapted(u, w, X: Series) -> tuple[Series, Series]:
+    """The adapted (alpha, gamma) of the refined form at marks (u, w); beta is alpha."""
     u, w = as_fraction(u), as_fraction(w)
-    X = base[0]
-    one = Series.one(order)
+    one = Series.one(X.order)
     sq = (one + X) ** 2
     alpha = (sq - (one - X + X * X + X * w) * u) / (sq - X * (X + w) * u)
     ratio_num = (one + X) * 2 - (one + X * w) * u
     ratio_den = (one + X) * 2 - X * (1 + w) * u
-    gamma = -(alpha * ratio_num / ratio_den)
-    return _star_terms(base, (alpha, alpha, gamma), m)
+    return alpha, -(alpha * ratio_num / ratio_den)
+
+
+def _refined_parts(u, w, base, m: int):
+    """``parts`` of ``lockstep_refined`` for gaps up to m: T, and the terms
+    T alpha X^k (k <= m) and T gamma X^k (k <= 2m), so that a cell (i, j)
+    is T - A_i - A_j - G_(i+j)."""
+    X, T = base
+    alpha, gamma = _refined_adapted(u, w, X)
+    return T, _x_powers(X, m, T * alpha), _x_powers(X, 2 * m, T * gamma)
 
 
 def lockstep_refined(u, w, i: int, j: int, order: int, *, parts=None) -> StarGF:
     """Refined star series with co-location mark u and shared-edge mark w."""
-    terms = parts or _refined_parts(u, w, order, _lockstep_base(2, order), max(i, j))
-    return _star_cell(terms, i, j)
+    T, A, G = parts or _refined_parts(u, w, _lockstep_base(order), max(i, j))
+    return StarGF(i, j, T - A[i] - A[j] - G[i + j])
+
+
+def lockstep_star(boundary: str, i: int, j: int, order: int, *, parts=None) -> StarGF:
+    """Star series of a lock-step boundary model: the refined form at its corner."""
+    if boundary not in _CORNERS:
+        raise ValueError(f"unknown boundary {boundary!r}")
+    return lockstep_refined(*_CORNERS[boundary], i, j, order, parts=parts)
 
 
 # ---------------------------------------------------------------------------
@@ -198,25 +139,22 @@ def lockstep_refined(u, w, i: int, j: int, order: int, *, parts=None) -> StarGF:
 # ---------------------------------------------------------------------------
 
 
+def _randomturn_base(steps: str, order: int) -> tuple[Series, Series]:
+    """X and T of one step set, as ``randomturn_x`` gives X."""
+    if steps not in ("dyck", "motzkin"):
+        raise ValueError("steps must be dyck or motzkin")
+    return _unary_base({-1: 2, 0: 2 if steps == "dyck" else 5, 1: 2}, order)
+
+
 def randomturn_x(steps: str, order: int) -> Series:
     """dyck: X = 2z(1+X+X^2); motzkin: X = z(2+5X+2X^2)."""
-    z = Series.z(order)
-    one = Series.one(order)
-    if steps == "dyck":
-        eq = SeriesPoly.make([z * 2, z * 2 - one, z * 2])
-    elif steps == "motzkin":
-        eq = SeriesPoly.make([z * 2, z * 5 - one, z * 2])
-    else:
-        raise ValueError("steps must be dyck or motzkin")
-    return newton_solve(eq, 0)
+    return _randomturn_base(steps, order)[0]
 
 
 def _randomturn_parts(steps: str, order: int, k_max: int) -> list[Series]:
     """``parts`` of ``randomturn_gf``: T X^k for k <= k_max, for one step set."""
-    one = Series.one(order)
-    total = 6 if steps == "dyck" else 9
-    T = one / (one - Series.z(order) * total)
-    return _x_powers(randomturn_x(steps, order), k_max, T)
+    X, T = _randomturn_base(steps, order)
+    return _x_powers(X, k_max, T)
 
 
 def randomturn_gf(steps: str, boundary: str, i: int, j: int, order: int, *, parts=None) -> StarGF:
@@ -428,12 +366,9 @@ def randomturn_dp(
 def walker_dp(model: WalkerModel, i: int, j: int, order: int) -> list[Fraction]:
     """Oracle counts for any walker model."""
     if model.mode == "lock_step":
-        corners = {"vicious": (0, 0), "osculating": (1, 0), "updown": (1, 1)}
         if model.boundary == "refined":
-            u, w = model.u, model.w
-        else:
-            u, w = corners[model.boundary]
-        return lockstep_dp(u, w, i, j, order)
+            return lockstep_dp(model.u, model.w, i, j, order)
+        return lockstep_dp(*_CORNERS[model.boundary], i, j, order)
     return randomturn_dp(model.steps, model.boundary, i, j, order)
 
 
@@ -451,11 +386,9 @@ def _quarterplane_parts(model: str, order: int, k_max: int) -> list[Series]:
     """``parts`` of ``quarterplane_gf``: T X^k for k <= k_max, with X = kz(1+X+X^2) and T = 1/(1 - 3kz)."""
     if model not in QUARTER_PLANE_STEPS:
         raise ValueError("model must be S1 or S2")
-    scale = 1 if model == "S1" else 2
-    z = Series.z(order)
-    one = Series.one(order)
-    eq = SeriesPoly.make([z * scale, z * scale - one, z * scale])
-    return _x_powers(newton_solve(eq, 0), k_max, one / (one - z * (3 * scale)))
+    k = 1 if model == "S1" else 2
+    X, T = _unary_base({-1: k, 0: k, 1: k}, order)
+    return _x_powers(X, k_max, T)
 
 
 def quarterplane_gf(model: str, i: int, j: int, order: int, *, parts=None) -> Series:

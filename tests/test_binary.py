@@ -12,7 +12,6 @@ from embtrees.binary import (
     BinaryWeights,
     adapt_lambda,
     binary_alpha,
-    binary_char_residual,
     binary_T,
     binary_Tj_closed,
     binary_Tj_closed_symbolic,
@@ -111,8 +110,11 @@ class TestDecayRate:
     @pytest.mark.parametrize("vec", [(0, 0, 1, 0, 0), (0, 0, 0, 1, 1), (1, 0, 1, 0, 0)])
     def test_characteristic_residual(self, vec):
         w = BinaryWeights.make(*vec)
-        X = binary_X(w, 40)
-        assert binary_char_residual(w, X, binary_T(w, 40)).is_zero()
+        X, T = binary_X(w, 40), binary_T(w, 40)
+        z, one = Series.z(40), Series.one(40)
+        r = T * (w.w1 + w.w3) + w.v1
+        s = T * (2 * (w.w2 + w.w3)) + w.v2
+        assert (X - z * (r * (one + X * X) + s * X)).is_zero()
 
     def test_non_negative_and_zero_constant(self, ):
         X = binary_X(W_PLANAR, 20)

@@ -27,11 +27,10 @@ from embtrees.dary import (
     verify_one_param,
 )
 from embtrees.errors import InsufficientPrecision
-from embtrees.kernel import characteristic_poly, fuss_catalan, hensel_factor_pair
+from embtrees.kernel import fuss_catalan, hensel_factor_pair
 from embtrees.multipoly import MultiPoly, RationalFunction
 from embtrees.series import Series
 from embtrees.splitting import SAElement, SplitAlgebra
-from embtrees.steps import StepSet
 
 ODD1 = DaryFamily("odd", 1)
 ODD2 = DaryFamily("odd", 2)
@@ -165,13 +164,14 @@ def coordinates_agree(x, y):
 
 
 def char_poly(fam, order):
-    T = dary_T(fam, order)
-    zf = Series.z(order) * T ** (fam.arity - 1)
-    steps = StepSet.make([(o, 1) for o in fam.offsets if o != 0])
-    f = characteristic_poly(steps, zf)
-    if 0 in fam.offsets:
-        f[steps.max_down] = f[steps.max_down] - zf
-    return f, steps.max_down
+    """X^c - z T^(arity-1) sum_o X^(o+c), c the branch count, by powers of X."""
+    c = fam.branch_count
+    zf = Series.z(order) * dary_T(fam, order) ** (fam.arity - 1)
+    f = [Series.zero(order) for _ in range(2 * c + 1)]
+    f[c] = Series.one(order)
+    for o in fam.offsets:
+        f[o + c] = f[o + c] - zf
+    return f, c
 
 
 def test_family_descriptors():

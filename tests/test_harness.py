@@ -295,6 +295,8 @@ CLI_COMMAND_ERRORS = [
     (["dary", "--kind", "odd", "--d", "0"], "d must be positive"),
     (["paths", "--steps=1:1"], "positive jump"),
     (["trees", "--w1", "1/0"], "ZeroDivisionError"),
+    (["paths", "--steps=-2:1,-1:3", "--excursions"], "positive jump"),
+    (["paths", "--steps=-1:1", "--mark-endpoint"], "positive jump"),
 ]
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from embtrees.errors import DegenerateStepSet, NoRootAtOrigin, SingularRoot
 from embtrees.kernel import (
     SeriesPoly,
-    characteristic_poly,
+    _char_poly,
     complete_homogeneous,
     fixed_point_solve,
     fuss_catalan,
@@ -96,9 +96,14 @@ def test_motzkin_small_branch():
     assert [int(c) for c in small.elementary[0].coeffs] == [0, 1, 1, 2, 4, 9]
 
 
+def step_poly(steps: StepSet, order: int) -> list[Series]:
+    """X^c (1 - z P(X)) by powers of X: each step a kind of one offset."""
+    return _char_poly([(w, (b,)) for b, w in steps.steps], Series.one(order), order)[0]
+
+
 def test_two_branch_factor_reconstructs():
     steps = StepSet.make([(-2, 1), (1, 1)])
-    f = characteristic_poly(steps, Series.z(30))
+    f = step_poly(steps, 30)
     a, b = hensel_factor_pair(f, 2)
     prod = [Series.zero(30) for _ in range(len(a) + len(b) - 1)]
     for i, ai in enumerate(a):
@@ -144,21 +149,22 @@ def two_sided_steps(draw):
 @settings(max_examples=40, deadline=None)
 @given(two_sided_steps(), st.integers(1, 24))
 def test_hensel_matches_fraction_lift(steps, order):
-    f = characteristic_poly(steps, Series.z(order))
+    f = step_poly(steps, order)
     assert hensel_factor_pair(f, steps.max_down) == ref_hensel(f, steps.max_down)
 
 
 def test_hensel_on_a_non_trivial_z_factor():
-    # z(1 + z/7 + ...)^2 as the z factor, as the tree families pass it
+    # T = 1 + z/7 + ... entering through kinds of two and three offsets, as trees pass it
     order = 16
-    zf = Series.z(order) * Series([1, Q(1, 7), Q(-2, 3)], order) ** 2
-    f = characteristic_poly(parse_step_set("-2:1,-1:2/5,1:1,3:1/9"), zf)
-    assert hensel_factor_pair(f, 2) == ref_hensel(f, 2)
+    T = Series([1, Q(1, 7), Q(-2, 3)], order)
+    kinds = [(Q(1), (-2, -1, 1)), (Q(2, 5), (3, 0)), (Q(1, 9), (-1,))]
+    f, c = _char_poly(kinds, T, order)
+    assert c == 2 and hensel_factor_pair(f, 2) == ref_hensel(f, 2)
 
 
 @pytest.mark.parametrize("bad", ["head", "constant"])
 def test_hensel_rejects_polynomial_not_reducing_to_x_power(bad):
-    f = characteristic_poly(parse_step_set("-1:1,1:1"), Series.z(6))
+    f = step_poly(parse_step_set("-1:1,1:1"), 6)
     if bad == "head":
         f[1] = f[1] * 2  # X^c with constant coefficient 2
     else:

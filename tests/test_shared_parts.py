@@ -8,7 +8,6 @@ from one run to the next.
 """
 
 import gc
-import sys
 from fractions import Fraction as Q
 
 import pytest
@@ -18,26 +17,10 @@ from hypothesis import strategies as st
 from embtrees import binary as B
 from embtrees import campaign
 from embtrees import dary as D
-from embtrees import kernel
 from embtrees import paths as P
 from embtrees import walkers as W
 from embtrees.series import Series
 from embtrees.steps import StepSet
-
-
-def count_calls(monkeypatch, module, name):
-    """Replace ``name`` in every embtrees module that bound it; return the call log."""
-    original = getattr(module, name)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.startswith("embtrees") and getattr(mod, name, None) is original:
-            monkeypatch.setattr(mod, name, counted)
-    return calls
 
 
 def test_campaign_rounds_repeat_the_same_work():
@@ -78,11 +61,11 @@ def test_every_check_in_process_leaves_no_cyclic_garbage():
         gc.enable()
 
 
-def test_lockstep_check_solves_once_per_weight_and_order(monkeypatch):
-    calls = count_calls(monkeypatch, kernel, "newton_solve")
-    assert campaign._check_walkers_lockstep(20) == (True, "")
-    equations = [args[0] for args in calls]
-    assert equations and len(equations) == len(set(equations))
+def test_lockstep_check_solves_once_per_weight_and_order():
+    # one order and one step weighting: one characteristic solve serves the three corners
+    result = campaign.run_check("walkers/lock-step", 20)
+    assert result.status == "pass"
+    assert dict(result.counts)["kernel.hensel"] == 1
 
 
 marks = st.fractions(min_value=0, max_value=3, max_denominator=7)
@@ -92,23 +75,23 @@ marks = st.fractions(min_value=0, max_value=3, max_denominator=7)
 @given(marks, marks, st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4))
                               .filter(lambda c: c != (0, 0)), min_size=1, max_size=4))
 def test_refined_parts_equal_default(u, w, cells):
-    parts = W._refined_parts(u, w, 12, W._lockstep_base(2, 12), 4)
+    parts = W._refined_parts(u, w, W._lockstep_base(12), 4)
     for i, j in cells:
         assert W.lockstep_refined(u, w, i, j, 12, parts=parts) == W.lockstep_refined(u, w, i, j, 12)
 
 
 @pytest.mark.parametrize("boundary", ["vicious", "osculating", "updown"])
 def test_star_parts_equal_default(boundary):
-    parts = W._star_parts(boundary, 12, W._lockstep_base(2, 12), 4)
+    parts = W._refined_parts(*W._CORNERS[boundary], W._lockstep_base(12), 4)
     for i, j in ((0, 1), (2, 0), (3, 4)):
         assert W.lockstep_star(boundary, i, j, 12, parts=parts) == W.lockstep_star(boundary, i, j, 12)
 
 
 def test_parts_hold_the_terms_to_the_highest_asked():
-    X, T = base = W._lockstep_base(2, 12)
-    alpha, beta, gamma = W.lockstep_adapt("osculating", 12, base=base)
-    T_, A, B, G = W._star_parts("osculating", 12, base, 3)
-    assert T_ == T and B is A  # beta is alpha: one list serves both gaps
+    X, T = base = W._lockstep_base(12)
+    alpha, gamma = W._refined_adapted(*W._CORNERS["osculating"], X)
+    T_, A, G = W._refined_parts(*W._CORNERS["osculating"], base, 3)
+    assert T_ == T  # beta is alpha: one list serves both gaps
     assert A == [T * alpha * X**k for k in range(4)]
     assert G == [T * gamma * X**k for k in range(7)]
     one, z = Series.one(12), Series.z(12)

@@ -10,10 +10,8 @@ from embtrees.series import Series
 from embtrees.walkers import (
     StarGF,
     WalkerModel,
-    lockstep_adapt,
     lockstep_dp,
     lockstep_dp_table,
-    lockstep_general,
     lockstep_refined,
     lockstep_star,
     lockstep_T,
@@ -33,12 +31,10 @@ def ints(series):
 
 
 def test_rate_equations():
-    for dw in (0, 2, 5):
-        X = lockstep_x(dw, 25)
-        z = Series.z(25)
-        one = Series.one(25)
-        assert (X - z * (2 + (2 + dw) * X + X * X * 2)).is_zero()
-        assert X[0] == 0
+    X = lockstep_x(25)
+    z = Series.z(25)
+    assert (X - z * (2 + 4 * X + X * X * 2)).is_zero()
+    assert X[0] == 0
     for steps, (a, b, c) in (("dyck", (2, 2, 2)), ("motzkin", (2, 5, 2))):
         X = randomturn_x(steps, 25)
         z = Series.z(25)
@@ -46,20 +42,21 @@ def test_rate_equations():
 
 
 def test_general_family_with_zero_parameters_is_free():
-    zero = Series.zero(10)
-    star = lockstep_general(2, 3, 1, zero, zero, zero, 10)
-    assert star.series == lockstep_T(2, 10)
+    # the star form T(1 - alpha X^i - alpha X^j - gamma X^(i+j)) with alpha = gamma = 0
+    T, zero = lockstep_T(10), Series.zero(10)
+    star = lockstep_refined(0, 0, 3, 1, 10, parts=(T, [zero] * 4, [zero] * 7))
+    assert star.series == T
 
 
 def test_adapt_solutions():
+    # the refined (alpha, gamma) at each boundary model's corner (u, w)
     one = Series.one(20)
-    X = lockstep_x(2, 20)
-    alpha, beta, gamma = lockstep_adapt("vicious", 20)
-    assert (alpha, beta) == (one, one) and gamma == -one
-    alpha, beta, gamma = lockstep_adapt("osculating", 20)
+    X = lockstep_x(20)
+    assert W._refined_adapted(0, 0, X) == (one, -one)
+    alpha, gamma = W._refined_adapted(1, 0, X)
     assert alpha.matches(X * 3 / (one + X * 2))
     assert gamma.matches(-(X * 3) / (one * 2 + X))
-    alpha, beta, gamma = lockstep_adapt("updown", 20)
+    alpha, gamma = W._refined_adapted(1, 1, X)
     assert alpha.matches(X * 2 / (one + X))
     assert gamma.matches(-X)
 
@@ -71,9 +68,9 @@ def test_vicious_vanishes_on_axes():
 
 
 def test_vicious_closed_form_is_product():
-    X = lockstep_x(2, 15)
+    X = lockstep_x(15)
     one = Series.one(15)
-    T = lockstep_T(2, 15)
+    T = lockstep_T(15)
     for i, j in ((1, 1), (2, 3)):
         got = lockstep_star("vicious", i, j, 15).series
         assert got.matches(T * (one - X**i) * (one - X**j))
@@ -141,13 +138,18 @@ def test_refined_closed_form_matches_dp_at_random_marks(u, w, cell, order):
 
 
 def test_refined_corners_reproduce_boundary_models():
-    for (u, w), boundary in (((0, 0), "vicious"), ((1, 0), "osculating"), ((1, 1), "updown")):
+    # each model's adapted (alpha, gamma), written out: T(1 - alpha X^i - alpha X^j - gamma X^(i+j))
+    X, T, one = lockstep_x(12), lockstep_T(12), Series.one(12)
+    for (u, w), boundary, alpha, gamma in (
+        ((0, 0), "vicious", one, -one),
+        ((1, 0), "osculating", X * 3 / (one + X * 2), -(X * 3) / (one * 2 + X)),
+        ((1, 1), "updown", X * 2 / (one + X), -X),
+    ):
         for i in range(4):
             for j in range(4):
-                assert (
-                    lockstep_refined(u, w, i, j, 12).series
-                    == lockstep_star(boundary, i, j, 12).series
-                )
+                want = T * (one - alpha * X**i - alpha * X**j - gamma * X ** (i + j))
+                assert lockstep_refined(u, w, i, j, 12).series == want
+                assert lockstep_star(boundary, i, j, 12).series == want
 
 
 def test_star_symmetry():
