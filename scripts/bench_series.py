@@ -34,7 +34,8 @@ against the forms it replaced: the binary square root and the height
 rational form (the campaign's claims), Newton on the ternary and
 lock-step quadratics, and ``hensel_factor_pair`` on the even d = 2
 polynomial built term by term in ``tests/test_dary.py``; ``dary_alpha_one_param_recurrence`` against
-one product per composition (``tests/test_dary.py``); ``level_rows``
+one product per composition (``tests/test_dary.py``), for odd and even
+d = 2 and for the four families the dary/alpha-agreement check runs; ``level_rows``
 against the ``label_spectra`` sums it is tested with; and
 ``levels.alpha_recurrence``, root and rate included, against the binary
 recurrence at w = (2, 1, 1, 1, 1), n_max 12, order 30, and the ternary
@@ -42,9 +43,12 @@ one at (v1, v2) = (1, 2), n_max 6, order 20, as first written
 (``tests/test_levels.py``).  The expansion-table rows time
 ``dary_alpha_general`` (even d = 2, bound 3, order 15) against the
 table loop it replaced, comparing every coordinate cut to the table's
-order, and ``rho_series`` at the levels ``verify_main_equation`` reads
-against the full-precision level sum (both references in
-``tests/test_dary.py``).  The ``closed_family_residual`` row times the
+order, and ``rho_series`` at the levels ``verify_main_equation`` reads,
+for the tables of even and odd d = 2 at bound 3 and order 15 that the
+props/main-equation-d2 check builds, against the full-precision level
+sum (both references in ``tests/test_dary.py``); each timed run starts
+from the root powers the algebra holds once its table is built, as in
+the check.  The ``closed_family_residual`` row times the
 binary/one-param-family check's work, the closed-family residual at
 levels -1..6 and order 18 for its three weight vectors, with no
 reference.  For every row that has one, ``fraction_us`` is the time of
@@ -318,6 +322,11 @@ def bench_recurrences(repeats: int) -> list[dict]:
                 lambda: dary_alpha_one_param_recurrence(fam, 10),
                 lambda: rf_pairs(ref_one_param_recurrence(fam, 10)),
                 max(1, repeats // 5), read=rf_pairs)
+    campaign_families = [DaryFamily(kind, d) for d in (1, 2) for kind in ("odd", "even")]
+    compare(rows, "one_param_recurrence", 10, "4 campaign families",
+            lambda: [dary_alpha_one_param_recurrence(fam, 10) for fam in campaign_families],
+            lambda: [rf_pairs(ref_one_param_recurrence(fam, 10)) for fam in campaign_families],
+            max(1, repeats // 5), read=lambda tables: [rf_pairs(t) for t in tables])
     kinds = [(Q(1), DaryFamily("even", 2).offsets)]
     spectra = label_spectra(kinds, 7, "max")
     compare(rows, "level_rows", 8, "even d=2, j <= 3",
@@ -383,6 +392,19 @@ def cut_entries(entries: dict, order: int) -> dict:
             for index, coords in cut.items()}
 
 
+def table_caches(table) -> tuple[dict, dict]:
+    """The root powers and monomials the table's algebra holds once the table is built."""
+    return dict(table.algebra._gen_power_cache), dict(table.algebra._monomials)
+
+
+def level_sums(level_sum, table, built, levels, order: int) -> list:
+    """``level_sum`` at every level, from the algebra's caches as ``built`` holds them,
+    so that each timed run builds the root powers the check builds after its table."""
+    alg = table.algebra
+    alg._gen_power_cache, alg._monomials = dict(built[0]), dict(built[1])
+    return [level_sum(table, j, order) for j in levels]
+
+
 def closed_family_check() -> list:
     """The binary/one-param-family check's residuals: levels -1..6 at order 18."""
     out = []
@@ -403,11 +425,14 @@ def bench_tables(repeats: int) -> list[dict]:
             lambda: dary_alpha_general(fam, bound, seeds, order),
             lambda: cut_entries(ref_alpha_general(fam, bound, seeds, order), order),
             max(1, repeats // 5), read=lambda table: cut_entries(table.entries, order))
-    table = dary_alpha_general(fam, bound, seeds, order)
-    levels = rho_levels(fam)
-    compare(rows, "rho_series", order, f"even d=2, levels {levels[0]}-{levels[-1]}",
-            lambda: [rho_series(table, j, order) for j in levels],
-            lambda: [ref_rho_series(table, j, order) for j in levels], repeats)
+    for fam in (DaryFamily("even", 2), DaryFamily("odd", 2)):
+        table = dary_alpha_general(fam, bound, main_equation_seeds(fam, bound, order), order)
+        levels = rho_levels(fam)
+        built = table_caches(table)
+        compare(rows, "rho_series", order,
+                f"{fam.kind} d={fam.d}, levels {levels[0]}-{levels[-1]}",
+                lambda: level_sums(rho_series, table, built, levels, order),
+                lambda: level_sums(ref_rho_series, table, built, levels, order), repeats)
     if not all(r.is_zero() for r in closed_family_check()):
         raise AssertionError("closed_family_residual is not zero")
     rows.append({"op": "closed_family_residual", "order": 18,

@@ -70,10 +70,14 @@ def binary_T(w: BinaryWeights, order: int) -> Series:
     return tree_root({1: w.linear, 2: w.quadratic}, order)
 
 
-def binary_X(w: BinaryWeights, order: int) -> Series:
+def binary_X(w: BinaryWeights, order: int, T: Series | None = None) -> Series:
     """Decay-rate series of the linearized level recurrence: the small root
-    of X = z*(r*(1+X^2) + s*X), r = v1 + (w1+w3)T and s = v2 + 2(w2+w3)T."""
-    return char_factor(_node_kinds(w), binary_T(w, order), order).elementary[0]
+    of X = z*(r*(1+X^2) + s*X), r = v1 + (w1+w3)T and s = v2 + 2(w2+w3)T.
+
+    A caller that holds T at ``order`` passes it in; otherwise it is solved here.
+    """
+    T = binary_T(w, order) if T is None else T
+    return char_factor(_node_kinds(w), T, order).elementary[0]
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +129,7 @@ def binary_alpha(w: BinaryWeights, mode: str, n_max: int, order: int) -> AlphaTa
     if w.w1 == 0 and w.w2 == 0 and w.w3 == 0:
         raise DegenerateWeights("need at least one binary node kind")
     T = binary_T(w, order)
-    X = binary_X(w, order)
+    X = binary_X(w, order, T)
     if mode == "recurrence":
         return AlphaTable(mode, tuple(alpha_recurrence(_node_kinds(w), X, T, n_max)))
     one = Series.one(order)
@@ -162,8 +166,8 @@ def t_of_x_identity(w: BinaryWeights, order: int) -> bool:
 
     whose power-series root is (t1 + sqrt(t1^2 + 4 t2 L)) / (2 t2).
     """
-    X = binary_X(w, order)
     T = binary_T(w, order)
+    X = binary_X(w, order, T)
     one = Series.one(order)
     x2 = X * X
     t1 = (
@@ -188,7 +192,7 @@ def t_of_x_identity(w: BinaryWeights, order: int) -> bool:
 
 def _closed_parts(w: BinaryWeights, order: int):
     T = binary_T(w, order)
-    X = binary_X(w, order)
+    X = binary_X(w, order, T)
     one = Series.one(order)
     shell = X * w.w1 + (one + X + X * X) * w.w2
     c_num = (one / T * w.v1 + (w.w1 + w.w2)) * (one - X * X) * (one - X**3)
@@ -406,7 +410,7 @@ def conjecture_check(
     for v1, v2 in samples:
         w = BinaryWeights.make(v1, v2, 1, 0, 1)
         T = binary_T(w, order)
-        X = binary_X(w, order)
+        X = binary_X(w, order, T)
         rec = alpha_recurrence(_node_kinds(w), X, T, n_max)
         one = Series.one(order)
         xp = _x_powers(X, max(4, 2 * n_max))
@@ -443,10 +447,11 @@ def height_T(v1, v2, order: int) -> Series:
     return tree_root({1: as_fraction(v1) + as_fraction(v2), 2: 1}, order)
 
 
-def height_X(v1, v2, order: int) -> Series:
-    """The small root of X = z(v1 + v2 X + T(1 + X))."""
+def height_X(v1, v2, order: int, T: Series | None = None) -> Series:
+    """The small root of X = z(v1 + v2 X + T(1 + X)); T as in ``binary_X``."""
     v1, v2 = as_fraction(v1), as_fraction(v2)
-    return char_factor(_height_kinds(v1, v2), height_T(v1, v2, order), order).elementary[0]
+    T = height_T(v1, v2, order) if T is None else T
+    return char_factor(_height_kinds(v1, v2), T, order).elementary[0]
 
 
 def height_Tj(v1, v2, lam: Series, j: int, order: int) -> Series:
@@ -462,7 +467,7 @@ def height_Tj(v1, v2, lam: Series, j: int, order: int) -> Series:
     v1, v2 = as_fraction(v1), as_fraction(v2)
     g = order + 2
     T = height_T(v1, v2, g)
-    X = height_X(v1, v2, g)
+    X = height_X(v1, v2, g, T)
     one = Series.one(g)
     lam_g = Series(lam.coeffs, g) if lam.order >= g else lam
     xp = _x_powers(X, j + 2)
@@ -483,7 +488,7 @@ def height_alpha(v1, v2, mode: str, n_max: int, order: int) -> AlphaTable:
     """Decay coefficients of the height recurrence (closed or recomputed)."""
     v1, v2 = as_fraction(v1), as_fraction(v2)
     T = height_T(v1, v2, order)
-    X = height_X(v1, v2, order)
+    X = height_X(v1, v2, order, T)
     if mode == "closed":  # alpha_n = (X / ((v1/T + 1)(1 - X)))^(n-1)
         ratio = X / ((Series.one(order) / T * v1 + 1) * (Series.one(order) - X))
         return AlphaTable(mode, tuple(_x_powers(ratio, n_max - 1)[:n_max]))
@@ -502,17 +507,18 @@ def ternary_T(v1, v2, order: int) -> Series:
     return tree_root({1: 2 * as_fraction(v1) + as_fraction(v2), 3: 1}, order)
 
 
-def ternary_X(v1, v2, order: int) -> Series:
-    """The small root of X = z(v1(1 + X^2) + v2 X + T^2(1 + X + X^2))."""
+def ternary_X(v1, v2, order: int, T: Series | None = None) -> Series:
+    """The small root of X = z(v1(1 + X^2) + v2 X + T^2(1 + X + X^2)); T as in ``binary_X``."""
     v1, v2 = as_fraction(v1), as_fraction(v2)
-    return char_factor(_ternary_kinds(v1, v2), ternary_T(v1, v2, order), order).elementary[0]
+    T = ternary_T(v1, v2, order) if T is None else T
+    return char_factor(_ternary_kinds(v1, v2), T, order).elementary[0]
 
 
 def ternary_alpha(v1, v2, n_max: int, order: int) -> AlphaTable:
     """Decay coefficients of the ternary level system (no closed form known)."""
     v1, v2 = as_fraction(v1), as_fraction(v2)
-    alphas = alpha_recurrence(_ternary_kinds(v1, v2), ternary_X(v1, v2, order),
-                              ternary_T(v1, v2, order), n_max)
+    T = ternary_T(v1, v2, order)
+    alphas = alpha_recurrence(_ternary_kinds(v1, v2), ternary_X(v1, v2, order, T), T, n_max)
     return AlphaTable("recurrence", tuple(alphas))
 
 
@@ -525,8 +531,9 @@ def ternary_level_residual(v1, v2, alphas: AlphaTable, j: int, order: int) -> Se
     least j*(n_max+1) - 1.
     """
     v1, v2 = as_fraction(v1), as_fraction(v2)
-    return level_residual(_ternary_kinds(v1, v2), alphas.values, ternary_X(v1, v2, order),
-                          ternary_T(v1, v2, order), j, order)
+    T = ternary_T(v1, v2, order)
+    return level_residual(_ternary_kinds(v1, v2), alphas.values, ternary_X(v1, v2, order, T),
+                          T, j, order)
 
 
 # ---------------------------------------------------------------------------

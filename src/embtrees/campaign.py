@@ -262,7 +262,7 @@ def _check_binary_residuals(order: int):
         resid = T - one - z * T * w.linear - z * T * T * w.quadratic
         if not resid.is_zero():
             return False, f"tree equation residual at {vec}"
-        if B.binary_X(w, order) != _binary_x_radical(w, order):
+        if B.binary_X(w, order, T) != _binary_x_radical(w, order):
             return False, f"characteristic root differs from its square-root form at {vec}"
     return True, ""
 
@@ -597,8 +597,14 @@ def _check_fixtures(order: int):
     return True, ""
 
 
-# Check id -> (claim, function); run_campaign reads it at call time.
+# Check id -> (claim, function); run_campaign reads it at call time.  The
+# longest checks come first, so that a pool starts them first, not last.
 _CHECKS: dict[str, tuple] = {
+    "props/main-equation-d2": ("multi-branch tables solve the exact level equation", _check_main_equation_d2),
+    "dary/alpha-agreement": ("single-branch closed form equals the graded recurrence", _check_dary_alpha),
+    "binary/alpha-closed-forms": ("decay coefficients match their closed forms", _check_binary_alpha),
+    "paths/meander-closed-form": ("meander closed forms equal the step dynamic program", _check_meanders),
+    "binary/one-param-family": ("closed family satisfies the level recurrence", _check_closed_family),
     "exact-arith/ring-laws": ("series ring laws on random rational inputs", _check_series_ring_laws),
     "exact-arith/div-sqrt-roundtrip": ("division and square-root round trips", _check_div_roundtrip),
     "exact-arith/marker-convolution": ("marker extraction respects products", _check_marker_convolution),
@@ -607,20 +613,15 @@ _CHECKS: dict[str, tuple] = {
     "kernel/small-factor": ("factorization reconstructs and h/e identity holds", _check_hensel),
     "binary/oracle": ("level rows equal structural enumeration", _check_binary_oracle),
     "binary/residuals": ("tree equation residual vanishes; X is its square-root form", _check_binary_residuals),
-    "binary/alpha-closed-forms": ("decay coefficients match their closed forms", _check_binary_alpha),
-    "binary/one-param-family": ("closed family satisfies the level recurrence", _check_closed_family),
     "binary/t-of-x": ("root series is recovered from the decay-rate form", _check_t_of_x),
     "binary/stabilization": ("row coefficients stabilize once the bound clears size", _check_monotone_limit),
     "binary/conjectured-form": ("conjectured polynomial form agrees with the recurrence", _check_conjecture),
     "height/plane-trees": ("height-bounded series match enumeration; X is its rational form", _check_height),
     "ternary/cross-check": ("ternary coefficients match the single-branch route", _check_ternary),
     "dary/one-param-identity": ("closed family identity in the function field", _check_dary_one_param),
-    "dary/alpha-agreement": ("single-branch closed form equals the graded recurrence", _check_dary_alpha),
     "dary/oracle": ("level rows equal structural enumeration", _check_dary_oracle),
     "dary/small-factor-valuation": ("small-factor coefficients vanish at z=0", _check_dary_small_factor),
     "props/main-equation-arity-3-and-2": ("expansion tables solve the exact level equation", _check_main_equation_small),
-    "props/main-equation-d2": ("multi-branch tables solve the exact level equation", _check_main_equation_d2),
-    "paths/meander-closed-form": ("meander closed forms equal the step dynamic program", _check_meanders),
     "paths/excursions": ("excursion extraction gives the classical families", _check_excursions),
     "paths/monotonicity": ("meander counts grow with the start level", _check_path_monotone),
     "walkers/lock-step": ("boundary families equal the gap dynamic program", _check_walkers_lockstep),
@@ -657,8 +658,12 @@ def _usable_cpus() -> int:
 
 
 def run_campaign(config: CampaignConfig) -> VerificationReport:
-    """Run the selected checks, in worker processes when more than one CPU is usable."""
-    check_ids = [check_id for check_id in sorted(_CHECKS)
+    """Run the selected checks, in worker processes when more than one CPU is usable.
+
+    Workers take the checks in ``_CHECKS`` order, longest first; the report
+    lists them in check-id order either way.
+    """
+    check_ids = [check_id for check_id in _CHECKS
                  if config.suites is None or any(check_id.startswith(s) for s in config.suites)]
     run = functools.partial(run_check, order=config.order)
     workers = min(_usable_cpus(), len(check_ids))
@@ -669,12 +674,14 @@ def run_campaign(config: CampaignConfig) -> VerificationReport:
         import multiprocessing
 
         if "fork" in multiprocessing.get_all_start_methods():
-            return VerificationReport(_run_in_workers(workers, run, check_ids))
-    return VerificationReport(tuple(map(run, check_ids)))
+            results = _run_in_workers(workers, run, check_ids)
+            return VerificationReport(tuple(sorted(results, key=lambda r: r.id)))
+    return VerificationReport(tuple(map(run, sorted(check_ids))))
 
 
 def _run_in_workers(workers: int, run, check_ids: list[str]) -> tuple[CheckResult, ...]:
-    """``run`` over ``check_ids`` in forked worker processes, in order; no worker outlives it.
+    """``run`` over ``check_ids`` in forked worker processes, started and returned in
+    that order; no worker outlives it.
 
     A worker that dies in a check raises ``BrokenProcessPool`` here, where
     a ``multiprocessing.Pool`` would wait for the lost result forever.

@@ -63,11 +63,6 @@ class DaryFamily:
         """Number of small characteristic branches: d (odd) or 2d-1 (even)."""
         return self.d if self.kind == "odd" else 2 * self.d - 1
 
-    @property
-    def boundary_depth(self) -> int:
-        """Rows -1..-depth are pinned to 1."""
-        return self.branch_count
-
 
 def dary_T(fam: DaryFamily, order: int) -> Series:
     """Root series of T = 1 + z T^arity."""
@@ -87,9 +82,10 @@ def dary_Tj_recurrence(fam: DaryFamily, j_max: int, order: int) -> dict[int, Ser
 # ---------------------------------------------------------------------------
 
 
-def dary_char_factor(fam: DaryFamily, order: int) -> SmallFactor:
-    """Small factor of 1 = z T^(arity-1) * sum over offsets of X^o."""
-    return char_factor([(Q(1), fam.offsets)], dary_T(fam, order), order)
+def dary_char_factor(fam: DaryFamily, order: int, T: Series | None = None) -> SmallFactor:
+    """Small factor of 1 = z T^(arity-1) * sum over offsets of X^o; T, if given, at ``order``."""
+    T = dary_T(fam, order) if T is None else T
+    return char_factor([(Q(1), fam.offsets)], T, order)
 
 
 def dary_rational_parametrization(
@@ -223,28 +219,43 @@ def dary_alpha_one_param_recurrence(
     The terms and the divisor are ``levels.alpha_terms``' table for the
     family's one kind.  The right-hand side uses the already-verified
     lower closed values and sums over one explicit common denominator,
-    so polynomial degrees stay linear in n; each multiset of parts makes
-    one product of its numerator with its X-polynomial.
+    so polynomial degrees stay linear in n.  Each multiset of parts
+    makes one product of numerators, on its memoised prefix, and one
+    with its X-polynomial; the terms are summed by their number of
+    parts, and each sum is multiplied once by that number's cofactor.
     """
     offsets = fam.offsets
     c_down = -min(offsets)
     alphas: list[RationalFunction] = [RationalFunction(_uni({0: Q(1)}))]
     first, pair, closed_num = _one_param_parts(fam, n_max)
     first_pows, pair_pows = _x_powers(first, n_max + 1), _x_powers(pair, n_max + 1)
+    products = {(g,): num for g, num in enumerate(closed_num, 1)}
 
     for n in range(2, n_max + 1):
         l_cap = min(n, len(offsets))
         # common denominator: first^l_cap * pair^n * X^(c_down n)
         divisor, numerators = alpha_terms([(Q(1), offsets)], n)
-        acc = MultiPoly.zero(("X",))
+        by_size: dict[int, MultiPoly] = {}
         for (key, _), poly in numerators.items():
-            num = first_pows[l_cap - len(key)] * pair_pows[len(key)]
-            for g in key:
-                num = num * closed_num[g - 1]
-            acc = acc + num * _uni(poly)
+            term = _part_product(products, closed_num, key) * _uni(poly)
+            by_size[len(key)] = term if len(key) not in by_size else by_size[len(key)] + term
+        acc = MultiPoly.zero(("X",))
+        for s, total in by_size.items():
+            acc = acc + first_pows[l_cap - s] * pair_pows[s] * total
         rhs = RationalFunction(acc, first_pows[l_cap] * pair_pows[n] * _uni_x(c_down * n))
         alphas.append(rhs / RationalFunction(_uni(divisor[fam.arity]), _uni_x(c_down * n)))
     return alphas
+
+
+def _part_product(products: dict[tuple[int, ...], MultiPoly], closed_num: list[MultiPoly],
+                  key: tuple[int, ...]) -> MultiPoly:
+    """The product of closed_num[g - 1] over the sorted parts g of ``key``, memoised in
+    ``products`` with its prefixes."""
+    got = products.get(key)
+    if got is None:
+        got = _part_product(products, closed_num, key[:-1]) * closed_num[key[-1] - 1]
+        products[key] = got
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +345,7 @@ def dary_alpha_general(
     work = order + 1
     T = dary_T(fam, work)
     zT = Series.z(work) * T ** (fam.arity - 1)
-    small = dary_char_factor(fam, work)
+    small = dary_char_factor(fam, work, T)
     alg = SplitAlgebra(small)
     table = MultiAlphaTable(fam, bound, alg)
     offsets = fam.offsets
@@ -405,16 +416,47 @@ def dary_alpha_general(
     return table
 
 
+def _horner_sum(entries: dict[tuple[int, ...], SAElement], powers: list[SAElement],
+                g: int) -> SAElement:
+    """The sum of alpha_n prod_(k >= g) powers[k]^(n_k) over ``entries``, {n: alpha_n}.
+
+    Horner's rule in powers[g]: the entries are grouped by n_g, and each
+    group's sum over the later generators is one coefficient of the
+    polynomial in powers[g].  At g = c one entry is left.
+    """
+    if g == len(powers):
+        (alpha,) = entries.values()
+        return alpha
+    groups: dict[int, dict] = {}
+    for index, alpha in entries.items():
+        groups.setdefault(index[g], {})[index] = alpha
+    top = max(groups)
+    acc = _horner_sum(groups[top], powers, g + 1)
+    for k in range(top - 1, -1, -1):
+        acc = acc * powers[g]
+        if k in groups:
+            acc = acc + _horner_sum(groups[k], powers, g + 1)
+    return acc
+
+
 def rho_series(table: MultiAlphaTable, j: int, order: int) -> Series:
-    """The symmetric level-j expansion sum as a plain series."""
+    """The symmetric level-j expansion sum rho_j = sum_n alpha_n X^(j n) as a plain series.
+
+    With Y_g = X_g^j, rho_j is a polynomial in Y_1..Y_c with the entries
+    as coefficients, evaluated by Horner's rule one generator at a time:
+    about one product per entry, and no root monomial per entry.  The
+    result is known to min(order, the entries' stored orders).
+    """
     if j < 0:
         raise ValueError("rho extraction needs a non-negative level")
     alg = table.algebra
-    acc = alg.zero()
-    for index, alpha in table.entries.items():
-        acc = acc + alpha.with_order(min(order, alpha.stored_order)) * alg.monomial(
-            tuple(j * k for k in index), order)
-    return acc.as_series(order)
+    powers = [_cut(alg.gen_power(g, j), order) for g in range(alg.c)]
+    entries = {index: _cut(alpha, order) for index, alpha in table.entries.items()}
+    return _horner_sum(entries, powers, 0).as_series(order)
+
+
+def _cut(x: SAElement, order: int) -> SAElement:
+    return x.with_order(order) if x.stored_order > order else x
 
 
 @dataclass(frozen=True)

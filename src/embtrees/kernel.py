@@ -10,7 +10,7 @@ Three layers live here:
   Hensel lifting splits it into the monic "small" factor (the factor
   that degenerates to X^c at z=0) and its unit cofactor, c = 1 included,
 * symmetric-function plumbing for the small factor: elementary to
-  complete homogeneous, and power sums.
+  complete homogeneous.
 
 The small branches themselves are never represented individually; only
 the coefficients of the small factor are first-class, which keeps every
@@ -169,22 +169,6 @@ class SmallFactor:
         for k, e in enumerate(self.elementary, start=1):
             acc = acc + (e if k % 2 == 0 else -e)
         return acc
-
-    def power_sums(self, m_max: int) -> list[Series]:
-        """p_0..p_m_max with p_m the sum of m-th powers of the roots."""
-        order = self.order
-        e = [Series.one(order)] + list(self.elementary)
-        p: list[Series] = [Series.constant(self.c, order)]
-        for m in range(1, m_max + 1):
-            acc = Series.zero(order)
-            for i in range(1, min(m - 1, self.c) + 1):
-                term = e[i] * p[m - i]
-                acc = acc + (term if i % 2 == 1 else -term)
-            if m <= self.c:
-                tail = e[m] * m
-                acc = acc + (tail if m % 2 == 1 else -tail)
-            p.append(acc)
-        return p
 
 
 def hensel_factor_pair(

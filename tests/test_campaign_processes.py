@@ -57,6 +57,27 @@ def test_pooled_and_in_process_runs_agree(cpus):
     assert sum(dict(row[4])["series.mul"] for row in pooled) > 0
 
 
+def test_the_pool_takes_the_longest_checks_first_and_reports_in_id_order(cpus, monkeypatch):
+    cpus(2)
+    handed = []
+    original = campaign._run_in_workers
+
+    def spy(workers, run, check_ids):
+        handed.append(list(check_ids))
+        return original(workers, run, check_ids)
+
+    monkeypatch.setattr(campaign, "_run_in_workers", spy)
+    for check_id, (claim, _) in list(campaign._CHECKS.items()):
+        monkeypatch.setitem(campaign._CHECKS, check_id, (claim, lambda order: (True, "")))
+    report = campaign.run_campaign(campaign.CampaignConfig())
+    assert handed == [list(campaign._CHECKS)]
+    assert handed[0][:5] == ["props/main-equation-d2", "dary/alpha-agreement",
+                             "binary/alpha-closed-forms", "paths/meander-closed-form",
+                             "binary/one-param-family"]
+    assert [r.id for r in report.results] == sorted(campaign._CHECKS)
+    assert_no_process_left()
+
+
 def test_pooled_checks_run_in_workers_that_are_gone_after(cpus, monkeypatch):
     cpus(2)
     report_pids(monkeypatch, "exact-arith")

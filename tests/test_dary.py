@@ -3,6 +3,8 @@ import itertools
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from embtrees import dary
 from embtrees.binary import BinaryWeights, binary_Tj_recurrence
@@ -178,7 +180,6 @@ def test_family_descriptors():
     assert ODD1.offsets == (-1, 0, 1) and ODD1.arity == 3
     assert EVEN2.offsets == (-3, -1, 1, 3) and EVEN2.arity == 4
     assert EVEN2.branch_count == 3 and ODD2.branch_count == 2
-    assert EVEN2.boundary_depth == 3
 
 
 def test_root_series_are_binomial_family():
@@ -200,7 +201,7 @@ class TestLevelRows:
 
     def test_boundary_rows_pinned(self):
         rows = dary_Tj_recurrence(EVEN2, 1, 5)
-        for j in range(-EVEN2.boundary_depth, 0):
+        for j in range(min(EVEN2.offsets), 0):
             assert rows[j] == Series.one(5)
 
     def test_even_arity_two_matches_binary_module(self):
@@ -363,9 +364,11 @@ class TestExpansionCoefficients:
                 assert keys[perm] == key
 
     def test_recurrence_makes_few_products_per_multiset(self, monkeypatch):
-        # a numerator of len(key) + 1 products and one product with the
-        # summed X-powers per multiset of parts; grouping by ordered
-        # compositions (154 of them, against 44 multisets) would need more
+        # per multiset of parts, one product onto its memoised prefix and
+        # one with its X-polynomial; per level, two cofactor products per
+        # number of parts, two for the denominator and two for the
+        # division.  Grouping by ordered compositions (154 of them,
+        # against 44 multisets) would need more
         calls = []
         original = MultiPoly.__mul__
 
@@ -376,11 +379,12 @@ class TestExpansionCoefficients:
         monkeypatch.setattr(MultiPoly, "__mul__", counting)
         dary_alpha_one_param_recurrence(EVEN2, 8)
         monkeypatch.undo()
-        per_multiset = sum(len(key) + 2 for n in range(2, 9)
-                           for key in {tuple(sorted(p)) for size in range(2, min(n, 4) + 1)
-                                       for p in _compositions(n, size)})
+        multisets = sum(len({tuple(sorted(p)) for size in range(2, min(n, 4) + 1)
+                             for p in _compositions(n, size)}) for n in range(2, 9))
+        sizes = sum(min(n, 4) - 1 for n in range(2, 9))
         setup = 8 + 1 + 2 * 9  # closed numerators, pair, powers
-        assert len(calls) <= setup + per_multiset + 4 * 7  # 4 per level: rhs and division
+        assert (multisets, sizes) == (44, 18)
+        assert len(calls) == setup + 2 * multisets + 2 * sizes + 4 * 7
 
     def test_first_is_seed(self):
         closed = dary_alpha_one_param_closed(ODD2, 3)
@@ -447,11 +451,25 @@ class TestExpansionCoefficients:
         with pytest.raises(InsufficientPrecision, match="entry"):
             dary_alpha_general(ODD2, 2, main_equation_seeds(ODD2, 2, 12), 12)
 
-    @pytest.mark.parametrize("fam,bound,order", [(ODD2, 3, 15), (EVEN2, 2, 12)], ids=str)
+    @pytest.mark.parametrize("fam,bound,order", [
+        (ODD1, 3, 15), (ODD2, 3, 15), (EVEN2, 2, 12), (EVEN2, 3, 15)], ids=str)
     def test_rho_equals_full_precision_level_sum(self, fam, bound, order):
+        # EVEN2 at bound 3 and order 15 is the props/main-equation-d2 table
         table = table_of(fam, bound, order)
-        for j in rho_levels(fam):
+        levels = rho_levels(fam)
+        assert levels[0] == 0
+        for j in levels:
             assert rho_series(table, j, order) == ref_rho_series(table, j, order), j
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([ODD1, EVEN1, ODD2, EVEN2]), st.integers(1, 4), st.integers(1, 3),
+           st.lists(st.integers(-3, 3), min_size=8, max_size=8), st.integers(0, 8))
+    def test_rho_equals_reference_on_random_tables(self, fam, valuation, bound, tail, j):
+        # equal seeds z^valuation (1 + ...), with the rest of the coefficients drawn
+        order = 10
+        seed = Series([0] * valuation + [1] + tail, order + 1 + valuation)
+        table = dary_alpha_general(fam, bound, [seed] * fam.branch_count, order)
+        assert rho_series(table, j, order) == ref_rho_series(table, j, order)
 
     def test_rho_is_symmetric_series(self):
         seeds = [Series.z(20) ** 2 for _ in range(2)]

@@ -203,12 +203,3 @@ def test_homogeneous_generating_identity():
         for power, coeff in total.coeffs[n].items():
             if power <= 20:
                 assert (n, power, coeff) == (0, 0, Q(1))
-
-
-def test_power_sums_match_newton_identities():
-    small = hensel_small_factor(parse_step_set("-2:1,-1:2,1:1,3:1"), 16)
-    p = small.power_sums(6)
-    e1, e2 = small.elementary
-    assert p[1].matches(e1)
-    assert p[2].matches(e1 * e1 - e2 * 2)
-    assert p[3].matches(e1**3 - e1 * e2 * 3)

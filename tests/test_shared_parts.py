@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embtrees import binary as B
-from embtrees import campaign
+from embtrees import campaign, kernel
 from embtrees import dary as D
 from embtrees import paths as P
 from embtrees import walkers as W
@@ -59,6 +59,24 @@ def test_every_check_in_process_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_checks_that_hold_the_root_series_pass_it_on(monkeypatch):
+    # kernel.tree_root calls over one in-process run of every check, each
+    # counted in the module that makes it: the decay rates X take T from
+    # the callers that built it, so a caller that stops passing T shows here
+    calls = []
+    original = kernel.tree_root
+
+    def counting(weights, order):
+        calls.append((tuple(sorted(weights.items())), order))
+        return original(weights, order)
+
+    for module in (B, D, W):
+        monkeypatch.setattr(module, "tree_root", counting)
+    for check_id in sorted(campaign._CHECKS):
+        assert campaign.run_check(check_id, 30).status != "fail", check_id
+    assert len(calls) == 87
 
 
 def test_lockstep_check_solves_once_per_weight_and_order():
