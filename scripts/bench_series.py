@@ -46,9 +46,9 @@ table loop it replaced, comparing every coordinate cut to the table's
 order, and ``rho_series`` at the levels ``verify_main_equation`` reads,
 for the tables of even and odd d = 2 at bound 3 and order 15 that the
 props/main-equation-d2 check builds, against the full-precision level
-sum (both references in ``tests/test_dary.py``); each timed run starts
-from the root powers the algebra holds once its table is built, as in
-the check.  The ``closed_family_residual`` row times the
+sum (both references in ``tests/test_dary.py``); each timed run reads
+a table built afresh outside the timed region, as the check reads its
+own.  The ``closed_family_residual`` row times the
 binary/one-param-family check's work, the closed-family residual at
 levels -1..6 and order 18 for its three weight vectors, with no
 reference.  For every row that has one, ``fraction_us`` is the time of
@@ -143,11 +143,13 @@ def inputs(order: int, kind: str, rng: random.Random) -> tuple[list[Q], list[Q]]
             [Q(1)] + [coeff() for _ in range(order - 1)])
 
 
-def timed_us(fn, repeats: int) -> float:
+def timed_us(fn, repeats: int, fresh=tuple) -> float:
+    """Median time of fn(*fresh()), fresh() run outside the timed region."""
     runs = []
     for _ in range(repeats):
+        args = fresh()
         started = time.perf_counter()
-        fn()
+        fn(*args)
         runs.append((time.perf_counter() - started) * 1e6)
     return statistics.median(runs)
 
@@ -181,17 +183,20 @@ def terms(result) -> dict:
 
 
 def compare(rows: list[dict], op: str, size, kind: str, core, ref, repeats: int,
-            read=None) -> None:
+            read=None, setup=None) -> None:
     """Time core() against ref() after checking that read(core()) == ref().
 
     Only core() is timed: reading its result back as Fractions is the
-    boundary cost, timed in rows of its own.
+    boundary cost, timed in rows of its own.  With ``setup``, core and ref
+    take its result as their argument, made afresh before every run and
+    outside the timed region.
     """
-    result = core()
-    if (result if read is None else read(result)) != ref():
+    fresh = tuple if setup is None else lambda: (setup(),)
+    result = core(*fresh())
+    if (result if read is None else read(result)) != ref(*fresh()):
         raise AssertionError(f"{op} at {size} ({kind}) disagrees")
-    core_us = timed_us(core, repeats)
-    ref_us = timed_us(ref, max(1, repeats // 10))
+    core_us = timed_us(core, repeats, fresh)
+    ref_us = timed_us(ref, max(1, repeats // 10), fresh)
     rows.append({"op": op, "order": size, "coeffs": kind,
                  "core_us": round(core_us, 1), "fraction_us": round(ref_us, 1),
                  "speedup": round(ref_us / core_us, 2)})
@@ -392,19 +397,6 @@ def cut_entries(entries: dict, order: int) -> dict:
             for index, coords in cut.items()}
 
 
-def table_caches(table) -> tuple[dict, dict]:
-    """The root powers and monomials the table's algebra holds once the table is built."""
-    return dict(table.algebra._gen_power_cache), dict(table.algebra._monomials)
-
-
-def level_sums(level_sum, table, built, levels, order: int) -> list:
-    """``level_sum`` at every level, from the algebra's caches as ``built`` holds them,
-    so that each timed run builds the root powers the check builds after its table."""
-    alg = table.algebra
-    alg._gen_power_cache, alg._monomials = dict(built[0]), dict(built[1])
-    return [level_sum(table, j, order) for j in levels]
-
-
 def closed_family_check() -> list:
     """The binary/one-param-family check's residuals: levels -1..6 at order 18."""
     out = []
@@ -426,13 +418,13 @@ def bench_tables(repeats: int) -> list[dict]:
             lambda: cut_entries(ref_alpha_general(fam, bound, seeds, order), order),
             max(1, repeats // 5), read=lambda table: cut_entries(table.entries, order))
     for fam in (DaryFamily("even", 2), DaryFamily("odd", 2)):
-        table = dary_alpha_general(fam, bound, main_equation_seeds(fam, bound, order), order)
-        levels = rho_levels(fam)
-        built = table_caches(table)
+        # a fresh table per run: the algebra caches the root powers a run builds
+        seeds, levels = main_equation_seeds(fam, bound, order), rho_levels(fam)
         compare(rows, "rho_series", order,
                 f"{fam.kind} d={fam.d}, levels {levels[0]}-{levels[-1]}",
-                lambda: level_sums(rho_series, table, built, levels, order),
-                lambda: level_sums(ref_rho_series, table, built, levels, order), repeats)
+                lambda table: [rho_series(table, j, order) for j in levels],
+                lambda table: [ref_rho_series(table, j, order) for j in levels], repeats,
+                setup=lambda: dary_alpha_general(fam, bound, seeds, order))
     if not all(r.is_zero() for r in closed_family_check()):
         raise AssertionError("closed_family_residual is not zero")
     rows.append({"op": "closed_family_residual", "order": 18,
