@@ -6,7 +6,9 @@ and 200 on fixed-seed inputs, once with ``embtrees.series.Series`` and
 once with the plain-Fraction reference kept in
 ``tests/test_series_core.py`` (schoolbook products, the division and
 square-root recurrences), and checks that both give the same
-coefficients.  It also times the Fraction boundary of the core: building
+coefficients.  The ``mul_tree`` rows time a product the package itself
+makes, the binary root T times T^2 at rational weights, at the same
+orders.  It also times the Fraction boundary of the core: building
 a series from Fractions and reading ``coeffs`` back.
 
 The same comparison covers the other integer cores, against the
@@ -171,6 +173,15 @@ def bench(repeats: int, seed: int) -> list[dict]:
                          "core_us": round(timed_us(lambda: Series(a), repeats), 1)})
             rows.append({"op": "to_fractions", "order": order, "coeffs": kind,
                          "core_us": round(timed_us(lambda: Series(a).coeffs, repeats), 1)})
+    # a product the package makes: the binary root T times T^2 at rational
+    # weights, whose coefficients grow with the index
+    w = BinaryWeights.make(Q(1, 2), Q(1, 3), Q(2, 3), Q(1, 5), Q(3, 7))
+    for order in ORDERS:
+        T = binary_T(w, order)
+        T2 = T * T
+        t, t2 = list(T.coeffs), list(T2.coeffs)
+        compare(rows, "mul_tree", order, "binary T*T^2", lambda: T * T2,
+                lambda: ref_mul(t, t2), repeats, read=coeff_list)
     return rows
 
 
@@ -223,10 +234,9 @@ def bench_layers(repeats: int, seed: int) -> list[dict]:
         pa, pb = MultiPoly(("X",), a), MultiPoly(("X",), b)
         compare(rows, "multipoly_mul_1var", degree, "int20", lambda: pa * pb,
                 lambda: ref_poly_mul(a, b), repeats, read=terms)
-    # three variables, on both sides of the cut between the packed product
-    # (box of exponents no larger than the number of term pairs) and the
-    # pair-by-pair one: random sparse terms with X up to 40 and the other
-    # two up to 4 (box 6,561 cells, 3,600 pairs); the shape of the d-ary
+    # three variables, with boxes of exponents from mostly empty to full:
+    # random sparse terms with X up to 40 and the other two up to 4 (box
+    # 6,561 cells, 3,600 pairs); the shape of the d-ary
     # one-parameter residuals, lam = Y on every term, 720 terms times 4
     # (box 52,038 cells, 2,880 pairs); and a full box with every exponent
     # up to 4 (729 cells, 15,625 pairs)

@@ -176,23 +176,21 @@ def _cmd_paths(args) -> int:
 
 
 def _cmd_walkers(args) -> int:
-    mode = args.mode.replace("-", "_")
+    # one validated model serves the closed form and the oracle alike
+    model = W.WalkerModel(
+        args.mode.replace("-", "_"), args.steps, args.boundary,
+        None if args.u is None else Fraction(args.u),
+        None if args.w is None else Fraction(args.w),
+    )
     if args.oracle:
-        model = W.WalkerModel(
-            mode, args.steps, args.boundary,
-            None if args.u is None else Fraction(args.u),
-            None if args.w is None else Fraction(args.w),
-        )
-        counts = W.walker_dp(model, args.i, args.j, args.order)
-        _emit_series(Series(counts), args)
+        _emit_series(Series(W.walker_dp(model, args.i, args.j, args.order)), args)
         return 0
-    if mode == "lock_step":
-        if args.boundary == "refined":
-            star = W.lockstep_refined(args.u, args.w, args.i, args.j, args.order)
-        else:
-            star = W.lockstep_star(args.boundary, args.i, args.j, args.order)
+    if model.mode == "random_turn":
+        star = W.randomturn_gf(model.steps, model.boundary, args.i, args.j, args.order)
+    elif model.boundary == "refined":
+        star = W.lockstep_refined(model.u, model.w, args.i, args.j, args.order)
     else:
-        star = W.randomturn_gf(args.steps, args.boundary, args.i, args.j, args.order)
+        star = W.lockstep_star(model.boundary, args.i, args.j, args.order)
     _emit_series(star.series, args)
     return 0
 

@@ -1,10 +1,10 @@
 """Work counts, always on.
 
 ``COUNTS`` maps an event to the number of times it has happened in this
-process: products in each ring, root solves, and the branch each integer
-product took.  The counted functions add to it in place.  ``run_check``
-reports the difference over one check in its result, so the counts of a
-check that ran in another process still come back.
+process: products in each ring and root solves.  The counted functions
+add to it in place.  ``run_check`` reports the difference over one check
+in its result, so the counts of a check that ran in another process
+still come back.
 """
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ COUNTS: dict[str, int] = dict.fromkeys((
     "marker.mul.narrow",         # ... of which one operand is at most 4 columns wide
     "multipoly.mul",             # MultiPoly x MultiPoly
     "splitting.mul",             # SAElement x SAElement
+    "kernel.tree_root",          # tree_root calls
     "kernel.newton",             # newton_solve calls
     "kernel.hensel",             # hensel_factor_pair calls
     "levels.label_spectra",      # label_spectra calls
-    "mul_ints.schoolbook",       # series._mul_ints products of cost <= _SCHOOLBOOK_MAX
-    "mul_ints.kronecker",        # ... and the packed ones above it
 ), 0)
 
 

@@ -106,6 +106,7 @@ def tree_root(weights: dict[int, Fraction | int], order: int) -> Series:
     Degree at most 2 takes the closed quadratic root; higher degrees go
     through ``newton_solve``.
     """
+    COUNTS["kernel.tree_root"] += 1
     degree = max((k for k, c in weights.items() if c), default=0)
     if degree > 2:
         z = Series.z(order)

@@ -19,7 +19,7 @@ Products flatten both operands into one integer polynomial each, mapping
 (z^n, m^p) to t^(n*S + p - lo) with S the product's marker span (the two
 widths added, less one), so no marker exponent carries into the next
 z-slice; the integer product is the series core's ``_mul_ints``, whose
-schoolbook/Kronecker switch serves this ring too.  Sums, scalars and
+schoolbook loop skips the zeros of the shorter operand.  Sums, scalars and
 inversion also run on the integers, and ``+``, ``-``, ``**`` come from
 ``ExactRing``.  ``coeffs`` still gives a tuple of dicts {marker
 exponent: Fraction}, built on first use and kept.

@@ -7,15 +7,13 @@ rationals; no gcd normalization is ever attempted.
 Representation.  A :class:`MultiPoly` holds one positive common
 denominator ``d`` and a dict from exponent vectors to nonzero integer
 numerators, normalised so that gcd(numerators, d) = 1; ``==`` and
-``hash`` are structural.  A product packs each operand into one integer
-polynomial by mixed-radix exponent packing: with lo_v the smaller
-exponent of variable v in each operand, the digit of v is e_v - lo_v and
-its radix is the sum of the two operands' exponent ranges plus one, so
-no digit of the product carries.  The series core's ``_mul_ints``
-multiplies the packed polynomials (schoolbook or Kronecker); sparse
-multivariate products, whose box of exponents has more cells than the
-operands have pairs of terms, are multiplied pair by pair on the packed
-exponents instead.  ``terms`` still gives the dict {exponent vector:
+``hash`` are structural.  A univariate product goes through the series
+core's ``_mul_ints`` on dense coefficient lists; a multivariate product
+packs each exponent vector into one integer in mixed radix (with lo_v
+the smaller exponent of variable v in each operand, the digit of v is
+e_v - lo_v and its radix is the sum of the two operands' exponent ranges
+plus one, so no digit of a product exponent carries) and multiplies the
+terms pair by pair.  ``terms`` still gives the dict {exponent vector:
 Fraction}, built on first use.  Both classes take ``+``, ``-``, ``**`` from
 ``ExactRing``.
 """
@@ -204,13 +202,13 @@ class MultiPoly(ExactRing):
 def _mul_packed(a: dict, b: dict) -> dict:
     """Product of nonzero integer polynomials {exponent vector: int}.
 
-    Each operand becomes one integer polynomial whose exponent is its
-    exponent vector in mixed radix: digit e_v - lo_v with lo_v the
-    operand's smallest exponent of variable v, and radix r_v the sum of
-    the two operands' exponent ranges of v plus one, so that the digits of
-    the product's exponents never carry.  When the product's box of
-    exponents holds more cells than there are pairs of terms, the packed
-    terms are multiplied pair by pair into a dict instead.
+    One variable: each operand becomes a dense coefficient list from its
+    smallest exponent, and ``_mul_ints`` multiplies the two.  More
+    variables: each exponent vector becomes one integer in mixed radix,
+    digit e_v - lo_v with lo_v the operand's smallest exponent of variable
+    v and radix r_v the sum of the two operands' exponent ranges of v plus
+    one, so that the digits of a sum of two packed exponents never carry;
+    the packed terms are multiplied pair by pair into a dict.
     """
     ea, eb = list(a), list(b)
     lo_a, hi_a = [min(col) for col in zip(*ea)], [max(col) for col in zip(*ea)]
@@ -238,28 +236,15 @@ def _mul_packed(a: dict, b: dict) -> dict:
         return {sum((x - l) * p for x, l, p in zip(e, low, places)): c
                 for e, c in terms.items()}
 
-    pa, pb = pack(a, lo_a), pack(b, lo_b)
-    if place > len(a) * len(b):
-        # the product's box has more digits than there are term products,
-        # so most of a dense packing would be zeros: multiply term by term
-        acc: dict[int, int] = {}
-        get = acc.get
-        for ia, ca in pa.items():
-            for ib, cb in pb.items():
-                k = ia + ib
-                acc[k] = get(k, 0) + ca * cb
-        items = acc.items()
-    else:
-        fa = [0] * (max(pa) + 1)
-        for k, c in pa.items():
-            fa[k] = c
-        fb = [0] * (max(pb) + 1)
-        for k, c in pb.items():
-            fb[k] = c
-        prod = _mul_ints(fa, fb, len(fa) + len(fb) - 1)
-        items = zip(compress(count(), prod), filter(None, prod))
+    acc: dict[int, int] = {}
+    get = acc.get
+    pb = pack(b, lo_b)
+    for ia, ca in pack(a, lo_a).items():
+        for ib, cb in pb.items():
+            k = ia + ib
+            acc[k] = get(k, 0) + ca * cb
     out = {}
-    for idx, c in items:
+    for idx, c in acc.items():
         if not c:
             continue
         exps = []

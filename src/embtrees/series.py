@@ -14,11 +14,9 @@ and ``==`` and ``hash`` are structural.
 
 All arithmetic runs on the integers:
 
-* products use Kronecker substitution: each operand is packed into one
-  big integer with a digit per coefficient, the two integers are
-  multiplied once, and the signed digits of the low half are unpacked
-  (Harvey, arXiv:0712.4046).  Products with few nonzero terms use the
-  schoolbook loop instead;
+* products run the schoolbook loop over the nonzero coefficients of the
+  shorter operand, after stripping both operands' leading and trailing
+  zeros;
 * division by a unit b(z) rescales z by b_0 so that the divisor has
   constant term 1 and an integer inverse, then runs the integer
   recurrence;
@@ -50,11 +48,6 @@ Q = Fraction
 
 _ZERO = Q(0)
 _ONE = Q(1)
-
-# Products whose schoolbook cost (nonzero terms of one operand times the
-# length of the other) is at most this many coefficient products skip
-# Kronecker packing; measured crossover on CPython 3.11.
-_SCHOOLBOOK_MAX = 48
 
 
 def as_fraction(value) -> Fraction:
@@ -410,13 +403,11 @@ def _mul_ints(a: tuple, b: tuple, n: int) -> list[int]:
     b = _trim(b[vb:vb + m])
     if len(a) > len(b):
         a, b = b, a
-    if (len(a) - a.count(0)) * len(b) <= _SCHOOLBOOK_MAX:
-        COUNTS["mul_ints.schoolbook"] += 1
-        body = _mul_schoolbook(a, b, m)
-    else:
-        COUNTS["mul_ints.kronecker"] += 1
-        body = _mul_kronecker(a, b, min(m, len(a) + len(b) - 1))
-    body += [0] * (m - len(body))
+    body = [0] * m
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b[: m - i]):
+                body[i + j] += ai * bj
     return [0] * (va + vb) + body if va + vb else body
 
 
@@ -426,44 +417,6 @@ def _trim(cs: tuple) -> tuple:
     while end > 1 and not cs[end - 1]:
         end -= 1
     return cs[:end] if end < len(cs) else cs
-
-
-def _mul_schoolbook(a, b, m: int) -> list[int]:
-    out = [0] * min(m, len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b[: m - i]):
-                out[i + j] += ai * bj
-    return out
-
-
-def _offset(width: int, n: int) -> int:
-    """The integer whose n digits of ``width`` bytes are each 2^(8*width - 1)."""
-    return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
-
-
-def _mul_kronecker(a, b, m: int) -> list[int]:
-    """The first m coefficients of a*b through one big-integer product.
-
-    Each coefficient becomes a digit of ``width`` bytes, wide enough that
-    every product coefficient fits as a signed digit.  Digits are packed
-    with an offset of half their range, so that they are non-negative and
-    their bytes can simply be joined; the unpacking adds the same offset.
-    """
-    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
-            + len(a).bit_length() + 1)
-    width = (bits + 7) >> 3
-    half = 1 << (8 * width - 1)
-    to_bytes, from_bytes = int.to_bytes, int.from_bytes
-    pa = from_bytes(b"".join([to_bytes(c + half, width, "little") for c in a]), "little")
-    pb = from_bytes(b"".join([to_bytes(c + half, width, "little") for c in b]), "little")
-    product = (pa - _offset(width, len(a))) * (pb - _offset(width, len(b)))
-    # the low m digits, as a signed number, plus the offset: each digit of
-    # the result is its coefficient plus half, in [0, 2*half)
-    size = width * m
-    low = (product + _offset(width, m)) & ((1 << (8 * size)) - 1)
-    buf = low.to_bytes(size, "little")
-    return [from_bytes(buf[i:i + width], "little") - half for i in range(0, size, width)]
 
 
 def _quotient_monic(a: tuple, c: tuple, n: int) -> list[int]:

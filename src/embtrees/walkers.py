@@ -64,6 +64,8 @@ class WalkerModel:
             raise ValueError("up-down walkers are a lock-step model")
         if self.mode == "lock_step" and self.steps != "dyck":
             raise ValueError("lock-step walkers use dyck steps")
+        if self.boundary == "refined" and self.mode != "lock_step":
+            raise ValueError("refined marks are a lock-step model")
         if self.boundary == "refined" and (self.u is None or self.w is None):
             raise ValueError("refined boundary needs both marks")
 

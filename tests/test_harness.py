@@ -308,6 +308,24 @@ def test_command_errors_exit_2_with_one_line(argv, fragment, capsys):
     assert len(captured.err.splitlines()) == 1 and fragment in captured.err
 
 
+# Walker models the closed form and the oracle both reject.
+WALKER_MODEL_ERRORS = [
+    (["walkers", "--steps", "motzkin"], "dyck steps"),
+    (["walkers", "--mode", "random-turn", "--boundary", "refined", "--u", "1/2", "--w", "1/3"],
+     "lock-step model"),
+]
+
+
+@pytest.mark.parametrize("argv,fragment", WALKER_MODEL_ERRORS)
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]])
+def test_invalid_walker_models_exit_2_on_both_paths(argv, fragment, oracle, capsys):
+    assert main(argv + ["--i", "1", "--j", "1", "--order", "6"] + oracle) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "error:" in captured.err and fragment in captured.err
+
+
 @pytest.mark.parametrize("command", [["verify", "--config"], ["oeis", "--match"]])
 def test_missing_file_exits_2_with_one_line(command, tmp_path, capsys):
     missing = tmp_path / "missing.toml"

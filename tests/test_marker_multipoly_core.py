@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from embtrees.errors import DivisionByNonUnit
 from embtrees.marker import MarkerSeries
-from embtrees import multipoly
 from embtrees.multipoly import MultiPoly, RationalFunction
 from embtrees.series import Series
 from embtrees.walkers import (
@@ -184,7 +183,7 @@ def test_marker_ring_operations_match_reference(a, b, q):
 @settings(max_examples=10, deadline=None)
 @given(st.integers(20, 30), st.data())
 def test_long_marker_products_match_reference(n, data):
-    # wide marker windows and long series go through the Kronecker kernel
+    # wide marker windows and long series
     a = data.draw(marker_lists(min_size=n, max_size=n))
     b = data.draw(marker_lists(min_size=n, max_size=n))
     assert list((MarkerSeries(a) * MarkerSeries(b)).coeffs) == ref_marker_mul(a, b)
@@ -250,28 +249,24 @@ def test_poly_products_match_reference(data, nv):
     assert (pa * pb) == (pb * pa) and hash(pa * pb) == hash(pb * pa)
 
 
-# A product is packed when its box of exponents has at most as many cells
-# as there are term pairs: the full cube (box 5^3 = 125 cells, 27 x 27
-# pairs), or two long diagonal polynomials (lam = Y on every term, as in
-# the d-ary one-parameter residuals; 79 x 5 x 5 cells, 90 x 90 pairs).
-# A long diagonal times a short one is multiplied pair by pair.
+# Products whose box of exponents is full and products whose box is
+# mostly empty: the full cube (box 5^3 = 125 cells, 27 x 27 pairs), or two
+# long diagonal polynomials (lam = Y on every term, as in the d-ary
+# one-parameter residuals; 79 x 5 x 5 cells, 90 x 90 pairs), each times
+# itself and times a short polynomial.
 CUBE = {e: Q(sum(e) - 2, 1 + e[0]) for e in itertools.product(range(3), repeat=3)}
 DIAGONAL = {(x, k, k): Q(x - k + 1, 3) for x in range(40) for k in range(3) if (x + k) % 4}
 
 
-@pytest.mark.parametrize("a,b,packed", [
-    (CUBE, CUBE, True),
-    (CUBE, {(2, 0, 1): Q(5), (0, 2, 2): Q(-1, 7)}, False),
-    (DIAGONAL, {(0, 0, 0): Q(1), (1, 1, 1): Q(-2), (0, 2, 2): Q(1, 2)}, False),
-    (DIAGONAL, DIAGONAL, True),
+@pytest.mark.parametrize("a,b", [
+    (CUBE, CUBE),
+    (CUBE, {(2, 0, 1): Q(5), (0, 2, 2): Q(-1, 7)}),
+    (DIAGONAL, {(0, 0, 0): Q(1), (1, 1, 1): Q(-2), (0, 2, 2): Q(1, 2)}),
+    (DIAGONAL, DIAGONAL),
 ])
-def test_poly_products_on_both_sides_of_the_box_cut(a, b, packed, monkeypatch):
-    calls = []
-    real = multipoly._mul_ints
-    monkeypatch.setattr(multipoly, "_mul_ints", lambda *args: calls.append(1) or real(*args))
+def test_poly_products_on_both_sides_of_the_box_cut(a, b):
     variables = ("X", "lam", "Y")
     assert (MultiPoly(variables, a) * MultiPoly(variables, b)).terms == ref_poly_mul(a, b)
-    assert bool(calls) == packed
 
 
 @settings(max_examples=40, deadline=None)

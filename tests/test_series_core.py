@@ -3,7 +3,7 @@
 The reference below is the textbook algorithm on lists of Fractions:
 schoolbook products, the division recurrence and the square-root
 recurrence.  The core must agree with it coefficient for coefficient,
-including long series above the Kronecker threshold.
+including long series and coefficients at byte edges.
 """
 
 import json
@@ -116,7 +116,7 @@ def test_long_products_match_reference(n, data):
 
 @pytest.mark.parametrize("bits", [1, 7, 8, 63, 64, 200])
 def test_kronecker_digit_edges(bits):
-    # coefficients at the edges of a packed digit, both signs
+    # coefficients at byte edges (2^bits - 1), both signs
     top = 2**bits - 1
     a = [top, -top, top, 0, -top, 1, -1, top] * 4
     b = [-top, -top, 1, top, 0, top, -1, -top] * 4
@@ -126,7 +126,7 @@ def test_kronecker_digit_edges(bits):
 @pytest.mark.parametrize("length", [3, 7, 15, 31, 63])
 def test_kronecker_largest_product_coefficients(length):
     # equal full-size coefficients make the last product coefficient reach
-    # length * top^2, the bound the digit width is sized for
+    # length * top^2, the largest a product of this length can reach
     for bits in range(1, 13):
         top = 2**bits - 1
         for sign in (1, -1):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embtrees import binary as B
-from embtrees import campaign, kernel
+from embtrees import campaign
 from embtrees import dary as D
 from embtrees import paths as P
 from embtrees import walkers as W
@@ -39,7 +39,11 @@ def test_campaign_rounds_repeat_the_same_work():
 def test_a_campaign_round_leaves_no_cyclic_garbage():
     # every object a round makes is freed by reference counting: nothing
     # waits for the cyclic collector, which would let memory grow between
-    # its runs
+    # its runs.  The first round in a process imports the pool's modules,
+    # and importing them leaves cycles of their own: import them first
+    import concurrent.futures  # noqa: F401
+    import multiprocessing  # noqa: F401
+
     gc.collect()
     gc.disable()
     try:
@@ -49,20 +53,10 @@ def test_a_campaign_round_leaves_no_cyclic_garbage():
         gc.enable()
 
 
-def test_every_check_in_process_leaves_no_cyclic_garbage(monkeypatch):
-    # what a worker runs: run_check on one check after another.  The
-    # kernel.tree_root calls are counted in the modules that make them: the
-    # decay rates X take T from the callers that built it, so a caller that
-    # stops passing T shows in the count
-    calls = []
-    original = kernel.tree_root
-
-    def counting(weights, order):
-        calls.append(order)
-        return original(weights, order)
-
-    for module in (B, D, W):
-        monkeypatch.setattr(module, "tree_root", counting)
+def test_every_check_in_process_leaves_no_cyclic_garbage():
+    # what a worker runs: run_check on one check after another.  The decay
+    # rates X take T from the callers that built it, so a caller that stops
+    # passing T shows in the kernel.tree_root count
     gc.collect()
     gc.disable()
     try:
@@ -71,7 +65,7 @@ def test_every_check_in_process_leaves_no_cyclic_garbage(monkeypatch):
         assert gc.collect() == 0
     finally:
         gc.enable()
-    assert len(calls) == 87
+    assert sum(dict(r.counts)["kernel.tree_root"] for r in results) == 87
 
 
 def test_lockstep_check_solves_once_per_weight_and_order():

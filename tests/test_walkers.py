@@ -233,6 +233,8 @@ def test_model_validation():
         WalkerModel("random_turn", "dyck", "updown")
     with pytest.raises(ValueError):
         WalkerModel("lock_step", "dyck", "refined")
+    with pytest.raises(ValueError):
+        WalkerModel("random_turn", "dyck", "refined", Q(1, 2), Q(1, 3))
     star = StarGF(1, 2, Series.one(3))
     assert (star.i, star.j) == (1, 2)
 
