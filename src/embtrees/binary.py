@@ -28,8 +28,10 @@ from .errors import (
     SizeTooLarge,
 )
 from .kernel import SeriesPoly, char_factor, newton_solve, tree_root
-from .levels import _x_powers, alpha_recurrence, label_spectra, level_residual, level_rows
+from .levels import (_x_powers, alpha_recurrence, label_spectra, level_equation, level_residual,
+                     level_rows)
 from .marker import MarkerSeries
+from .multipoly import MultiPoly
 from .series import Q, Series, as_fraction, rational_sqrt
 
 _ZERO = Q(0)
@@ -263,11 +265,12 @@ def _closed_family_parts(w: BinaryWeights, j_max: int, order: int):
 def closed_family_residual(w: BinaryWeights, j: int, order: int, *, parts=None) -> MarkerSeries:
     """Level-recurrence residual of the closed solution, cleared of denominators.
 
-    The closed T_i are rational in the free parameter; multiplying the
-    recurrence at level j by X^8 * prod_k cleared(1 - lam X^k)^2 (k from j
-    to j+3) turns the residual into a polynomial in the parameter with
-    series coefficients.  The returned marker series is identically zero
-    iff the closed family satisfies the recurrence at level j.
+    The closed T_i are rational in the free parameter, over the common
+    denominator x4d = X^4 * prod_k cleared(1 - lam X^k) (k from j to j+3);
+    ``levels.level_equation`` multiplies the recurrence at level j by x4d^2,
+    which turns the residual into a polynomial in the parameter with series
+    coefficients.  The returned marker series is identically zero iff the
+    closed family satisfies the recurrence at level j.
 
     It is computed at order + 2: the one step that loses precision is the
     division by X*shell, whose valuation is at most 2 (X has valuation 1,
@@ -277,7 +280,6 @@ def closed_family_residual(w: BinaryWeights, j: int, order: int, *, parts=None) 
     w.require_matched_weights()
     g = order + 2
     T, X, shell, c_num, xp = parts or _closed_family_parts(w, j, order)
-    z = Series.z(g)
     levels = [j, j + 1, j + 2, j + 3]
     m_of = {k: max(0, -k) for k in levels}
     cleared = {
@@ -299,24 +301,9 @@ def closed_family_residual(w: BinaryWeights, j: int, order: int, *, parts=None) 
             out = out * cleared[k]
         return out
 
-    x4d = d_hat * xp[4]
+    x4d = d_hat * xp[4]  # theta_i = T_i x4d
     theta = {i: (x4d - rho_cleared(i)) * T for i in (j - 1, j, j + 1)}
-    total = theta[j] * x4d - x4d * x4d
-    linear = MarkerSeries.zero(g)
-    if w.v1:
-        linear = linear + (theta[j - 1] + theta[j + 1]) * w.v1
-    if w.v2:
-        linear = linear + theta[j] * w.v2
-    total = total - linear * x4d * z
-    quad = MarkerSeries.zero(g)
-    if w.w1:
-        quad = quad + theta[j - 1] * theta[j + 1] * w.w1
-    if w.w2:
-        quad = quad + theta[j] * theta[j] * w.w2
-    if w.w3:
-        quad = quad + theta[j] * (theta[j - 1] + theta[j + 1]) * w.w3
-    total = total - quad * z
-    return total.truncate(order)
+    return level_equation(_node_kinds(w), theta, j, Series.z(g), x4d).truncate(order)
 
 
 def adapt_lambda(w: BinaryWeights, boundary_value: int, order: int) -> Series:
@@ -352,38 +339,19 @@ def adapt_lambda(w: BinaryWeights, boundary_value: int, order: int) -> Series:
 
 def conjecture_polynomials(n_max: int) -> list[dict[int, Fraction]]:
     """p_1..p_n_max as sparse univariate polynomials (degree -> coeff)."""
-
-    def mul(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        for da, ca in a.items():
-            for db, cb in b.items():
-                out[da + db] = out.get(da + db, _ZERO) + ca * cb
-        return {d: c for d, c in out.items() if c != 0}
-
-    def sub(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
-        out = dict(a)
-        for d, c in b.items():
-            out[d] = out.get(d, _ZERO) - c
-        return {d: c for d, c in out.items() if c != 0}
-
-    p: list[dict[int, Fraction]] = [
-        {0: Q(1)},
-        {0: Q(1)},
-        {4: Q(1), 3: Q(2), 1: Q(2), 0: Q(1)},
-    ]
+    ring = ("X",)
+    one = MultiPoly.const(ring, 1)
+    p = [one, one, MultiPoly(ring, {(4,): 1, (3,): 2, (1,): 2, (0,): 1})]
+    two_x2, four_x4 = MultiPoly.monomial(ring, (2,), 2), MultiPoly.monomial(ring, (4,), 4)
     while len(p) < n_max:
         k = len(p) + 1  # index of the polynomial being built (1-based)
         if k % 2 == 0:
             n = k // 2  # p_{2n} = p_{2n-1} - 2 X^2 p_{2n-2}
-            nxt = sub(p[2 * n - 2], mul({2: Q(2)}, p[2 * n - 3]))
+            p.append(p[2 * n - 2] - two_x2 * p[2 * n - 3])
         else:
-            n = (k - 1) // 2  # p_{2n+1} = p_{n+2) p_{n+1} - 4 X^4 p_n p_{n-1}
-            nxt = sub(
-                mul(p[n + 1], p[n]),
-                mul({4: Q(4)}, mul(p[n - 1], p[n - 2])),
-            )
-        p.append(nxt)
-    return p[:n_max]
+            n = (k - 1) // 2  # p_{2n+1} = p_{n+2} p_{n+1} - 4 X^4 p_n p_{n-1}
+            p.append(p[n + 1] * p[n] - four_x4 * (p[n - 1] * p[n - 2]))
+    return [{e: c for (e,), c in q.terms.items()} for q in p[:n_max]]
 
 
 @dataclass(frozen=True)

@@ -409,16 +409,8 @@ def _check_dary_small_factor(order: int):
     return True, ""
 
 
-def _check_main_equation_small(order: int):
-    for fam in (D.DaryFamily("odd", 1), D.DaryFamily("even", 1)):
-        report = D.verify_main_equation(fam, 3, 15)
-        if not report.ok:
-            return False, f"{fam.kind} d={fam.d}: {report.first_failure}"
-    return True, ""
-
-
-def _check_main_equation_d2(order: int):
-    for fam in (D.DaryFamily("odd", 2), D.DaryFamily("even", 2)):
+def _check_main_equation(order: int, d: int):
+    for fam in (D.DaryFamily("odd", d), D.DaryFamily("even", d)):
         report = D.verify_main_equation(fam, 3, 15)
         if not report.ok:
             return False, f"{fam.kind} d={fam.d}: {report.first_failure}"
@@ -513,8 +505,8 @@ def _check_walkers_refined(
 
 def _check_walkers_randomturn(order: int):
     n = min(order, 20)
-    # the osculating stars read T X^k up to k = (4 + 1) + (4 + 1)
-    parts = {steps: W._randomturn_parts(steps, n, 10) for steps in ("dyck", "motzkin")}
+    # the osculating stars are read one gap further out, up to gap 4 + 1
+    parts = {steps: W._randomturn_parts(steps, n, 5) for steps in ("dyck", "motzkin")}
     for steps in ("dyck", "motzkin"):
         for boundary in ("vicious", "osculating"):
             dp = W._randomturn_columns(steps, boundary, _STAR_CELLS, n)
@@ -538,8 +530,8 @@ def _check_walkers_randomturn(order: int):
 def _check_quarterplane(order: int, grid: int = 3, doubled_cells=((1, 2),)):
     n = min(order, 20)
     cells = [(i, j) for i in range(grid) for j in range(grid)]
-    k_max = max(i + j + 2 for i, j in cells + list(doubled_cells))
-    parts = {model: W._quarterplane_parts(model, n, k_max) for model in ("S1", "S2")}
+    m = max(max(cell) + 1 for cell in cells + list(doubled_cells))
+    parts = {model: W._quarterplane_parts(model, n, m) for model in ("S1", "S2")}
     closed = {(model, i, j): W.quarterplane_gf(model, i, j, n, parts=parts[model])
               for model in ("S1", "S2") for i, j in cells}
     for model in ("S1", "S2"):
@@ -552,8 +544,7 @@ def _check_quarterplane(order: int, grid: int = 3, doubled_cells=((1, 2),)):
                   for model in ("S1", "S2"))
         if list(s2.coeffs) != [c * 2**k for k, c in enumerate(s1.coeffs)]:
             return False, f"S2 != S1 at doubled variable at {(i, j)}"
-    k_max = 2 * grid
-    qp, rt = W._quarterplane_parts("S2", 12, k_max), W._randomturn_parts("dyck", 12, k_max)
+    qp, rt = W._quarterplane_parts("S2", 12, grid), W._randomturn_parts("dyck", 12, grid)
     for i, j in cells:
         if not W.quarterplane_gf("S2", i, j, 12, parts=qp).matches(
             W.randomturn_gf("dyck", "osculating", i, j, 12, parts=rt).series
@@ -564,7 +555,7 @@ def _check_quarterplane(order: int, grid: int = 3, doubled_cells=((1, 2),)):
 
 def _check_walker_symmetry(order: int):
     star = W._refined_parts(1, 1, W._lockstep_base(10), 3)
-    rt = W._randomturn_parts("motzkin", 10, 6)
+    rt = W._randomturn_parts("motzkin", 10, 3)
     for i in range(4):
         for j in range(4):
             if (W.lockstep_star("updown", i, j, 10, parts=star).series
@@ -600,7 +591,7 @@ def _check_fixtures(order: int):
 # Check id -> (claim, function); run_campaign reads it at call time.  The
 # longest checks come first, so that a pool starts them first, not last.
 _CHECKS: dict[str, tuple] = {
-    "props/main-equation-d2": ("multi-branch tables solve the exact level equation", _check_main_equation_d2),
+    "props/main-equation-d2": ("multi-branch tables solve the exact level equation", functools.partial(_check_main_equation, d=2)),
     "dary/alpha-agreement": ("single-branch closed form equals the graded recurrence", _check_dary_alpha),
     "binary/alpha-closed-forms": ("decay coefficients match their closed forms", _check_binary_alpha),
     "paths/meander-closed-form": ("meander closed forms equal the step dynamic program", _check_meanders),
@@ -621,7 +612,7 @@ _CHECKS: dict[str, tuple] = {
     "dary/one-param-identity": ("closed family identity in the function field", _check_dary_one_param),
     "dary/oracle": ("level rows equal structural enumeration", _check_dary_oracle),
     "dary/small-factor-valuation": ("small-factor coefficients vanish at z=0", _check_dary_small_factor),
-    "props/main-equation-arity-3-and-2": ("expansion tables solve the exact level equation", _check_main_equation_small),
+    "props/main-equation-arity-3-and-2": ("expansion tables solve the exact level equation", functools.partial(_check_main_equation, d=1)),
     "paths/excursions": ("excursion extraction gives the classical families", _check_excursions),
     "paths/monotonicity": ("meander counts grow with the start level", _check_path_monotone),
     "walkers/lock-step": ("boundary families equal the gap dynamic program", _check_walkers_lockstep),

@@ -22,7 +22,8 @@ from operator import mul
 from .errors import InsufficientPrecision, SizeTooLarge
 from .kernel import SmallFactor, char_factor, tree_root
 from .levels import _compositions  # noqa: F401  (imported from here by callers)
-from .levels import _terms_by_multiset, _x_powers, alpha_terms, label_spectra, level_rows
+from .levels import (_terms_by_multiset, _x_powers, alpha_terms, label_spectra, level_equation,
+                     level_rows)
 from .multipoly import MultiPoly, RationalFunction
 from .series import Q, Series
 from .splitting import SAElement, SplitAlgebra
@@ -474,6 +475,8 @@ def verify_main_equation(
 ) -> MainEquationReport:
     """Check the exact level equation for the truncated expansion table.
 
+    On the rows T_i = T(1 - rho_i), as T = 1 + z T^arity, the level equation
+    is the unit -T times rho_j - z T^(arity-1) (1 - prod_o (1 - rho_(j+o))).
     With seeds of valuation s the dropped tail has valuation above
     (bound+1)*s, so the residual must vanish through min(order,
     (bound+1)*s) - 1; seeds default to z^(order // (bound+1) + 1).
@@ -486,19 +489,11 @@ def verify_main_equation(
     c_down = -min(fam.offsets)
     if levels is None:
         levels = (c_down, c_down + 1)
-    max_off = max(fam.offsets)
     T = dary_T(fam, order)
-    zT = Series.z(order) * T ** (fam.arity - 1)
-    one = Series.one(order)
-    lo = min(levels) - c_down
-    hi = max(levels) + max_off
-    rho = {i: rho_series(table, i, order) for i in range(lo, hi + 1)}
+    rows = {i: T - T * rho_series(table, i, order)
+            for i in range(min(levels) - c_down, max(levels) + max(fam.offsets) + 1)}
     for j in levels:
-        prod = one
-        for o in fam.offsets:
-            prod = prod * (one - rho[j + o])
-        residual = rho[j] - zT * (one - prod)
-        val = residual.valuation()
+        val = level_equation([(Q(1), fam.offsets)], rows, j, Series.z(order)).valuation()
         if val is not None:
             return MainEquationReport(False, (j, val))
     return MainEquationReport(True, None)

@@ -4,7 +4,8 @@ A family is a list of node kinds, each a weight and the label offsets of
 the node's children: T_j = 1 + z * sum over kinds of w * prod over the
 offsets o of T_{j+o}.  The binary and d-ary families differ only in
 their kind lists and in the value pinned on the rows below level 0.
-``level_rows`` solves that system coefficientwise; ``label_spectra``
+``level_equation`` is the one written form of that system, on rows in any
+exact ring; ``level_rows`` solves it coefficientwise; ``label_spectra``
 counts the same trees by shape and extreme label, the oracle the rows
 are checked against.
 
@@ -174,8 +175,26 @@ def level_residual(kinds: Kinds, alphas, X: Series, T: Series, j: int, order: in
     xp = _x_powers(X, (j + up) * len(alphas))
     rows = {i: T - T * sum(a * xp[i * n] for n, a in enumerate(alphas, 1))
             for i in range(j - delta, j + up + 1)}
-    total = sum(reduce(mul, [rows[j + o] for o in offs]) * w for w, offs in kinds)
-    return rows[j] - 1 - Series.z(order) * total
+    return level_equation(kinds, rows, j, Series.z(order))
+
+
+def level_equation(kinds: Kinds, rows: dict, j: int, z, den=None):
+    """T_j - 1 - z sum_k w_k prod_(o in O_k) T_(j+o) on the rows {i: T_i}, in their ring.
+
+    The products of each arity are summed first.  Rows over a common
+    denominator, T_i = rows[i] / den, are multiplied through by den^A, A
+    the largest arity, so that the equation stays in the rows' ring.
+    """
+    by_arity: dict = {}
+    for w, offs in kinds:
+        term = reduce(mul, [rows[j + o] for o in offs]) * w
+        by_arity[len(offs)] = by_arity[len(offs)] + term if len(offs) in by_arity else term
+    if den is None:
+        return rows[j] - 1 - sum(by_arity.values()) * z
+    top = max(by_arity)
+    powers = [1] + _x_powers(den, top - 1, den)  # the scalar 1, then den .. den^top
+    total = sum(s * powers[top - a] for a, s in by_arity.items())
+    return rows[j] * powers[top - 1] - powers[top] - total * z
 
 
 def level_rows(kinds: Kinds, pin: int, j_max: int, order: int) -> dict[int, Series]:

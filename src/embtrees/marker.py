@@ -19,9 +19,10 @@ Products flatten both operands into one integer polynomial each, mapping
 (z^n, m^p) to t^(n*S + p - lo) with S the product's marker span (the two
 widths added, less one), so no marker exponent carries into the next
 z-slice; the integer product is the series core's ``_mul_ints``, whose
-schoolbook loop skips the zeros of the shorter operand.  Sums, scalars and
-inversion also run on the integers, and ``+``, ``-``, ``**`` come from
-``ExactRing``.  ``coeffs`` still gives a tuple of dicts {marker
+schoolbook loop skips the zeros of the shorter operand.  Sums and scalars
+also run on the integers, and ``+``, ``-``, ``**`` come from
+``ExactRing``.  A marker series is never inverted: a negative power
+raises ``ValueError``.  ``coeffs`` still gives a tuple of dicts {marker
 exponent: Fraction}, built on first use and kept.
 """
 
@@ -30,9 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .counts import COUNTS
-from .errors import DivisionByNonUnit
-from .series import (ExactRing, Series, _fit, _mul_ints, _trim, as_fraction, common_den,
-                     over_lcm, reduced)
+from .series import ExactRing, Series, _fit, _mul_ints, as_fraction, common_den, over_lcm, reduced
 
 
 class MarkerSeries(ExactRing):
@@ -276,56 +275,3 @@ class MarkerSeries(ExactRing):
         for k in range(w):
             nums[k::w] = _mul_ints(self._num[k:n * w:w], s._num, n)
         return MarkerSeries._normed(n, self._lo, w, nums, self._den * s._den)
-
-    def shift_up(self, k: int) -> MarkerSeries:
-        """Multiply by z^k, genuinely extending the order by k."""
-        if k < 0:
-            raise ValueError("shift_up needs k >= 0")
-        return MarkerSeries._raw(self._order + k, self._lo, self._width,
-                                 (0,) * (k * self._width) + self._num, self._den)
-
-    def inverse_unit(self) -> MarkerSeries:
-        """Inverse when the z^0 slice is a single invertible marker monomial.
-
-        With a = A/d and A_0 = c m^p0, the series b(z) = A(c z)/(c m^p0)
-        has integer slices B_i = A_i c^(i-1) m^-p0 and constant term 1, so
-        its inverse r has integer slices r_m = -sum B_i r_(m-i); then
-        [z^m] 1/a = d r_m / c^(m+1) * m^-p0.  Slice r_m spans the marker
-        window from m*off to m*(off + width - 1), off = lo - p0 <= 0.
-        """
-        w, lo, nums, n = self._width, self._lo, self._num, self._order
-        head = [k for k in range(w) if nums[k]]
-        if len(head) != 1:
-            raise DivisionByNonUnit("z^0 slice is not a marker monomial")
-        p0 = lo + head[0]
-        c = nums[head[0]]
-        off = lo - p0
-        scaled = []
-        power = 1
-        for i in range(1, n):
-            scaled.append(_trim([x * power for x in nums[i * w:(i + 1) * w]]))
-            power *= c
-        r = [[1]]
-        for m in range(1, n):
-            acc = [0] * (m * (w - 1) + 1)
-            for i in range(1, m + 1):
-                bi, prev = scaled[i - 1], r[m - i]
-                if not any(bi) or not any(prev):
-                    continue
-                # B_i * r_(m-i) starts at marker (m-i+1)*off, slice r_m at m*off
-                start = (i - 1) * -off
-                for k, x in enumerate(_mul_ints(bi, prev, len(bi) + len(prev) - 1)):
-                    acc[start + k] -= x
-            r.append(acc)
-        # row m starts at marker m*off - p0; the window starts at (n-1)*off - p0
-        width = (n - 1) * (w - 1) + 1
-        out = [0] * (n * width)
-        scale = self._den
-        for m in range(n - 1, -1, -1):
-            start = m * width + (n - 1 - m) * -off
-            out[start:start + len(r[m])] = [x * scale for x in r[m]]
-            scale *= c
-        return MarkerSeries._normed(n, (n - 1) * off - p0, width, out, c ** n)
-
-    _reciprocal = inverse_unit
-

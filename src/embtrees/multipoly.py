@@ -166,9 +166,6 @@ class MultiPoly(ExactRing):
 
     __rmul__ = __mul__
 
-    def _reciprocal(self) -> MultiPoly:
-        raise ValueError("polynomial powers must be non-negative integers")
-
     # -- evaluation -------------------------------------------------------
 
     def eval_series(self, assignments: dict[str, Series]) -> Series:

@@ -28,16 +28,14 @@ def _ratio(p: int, q: int) -> tuple[int, int]:
     return (-p, -q) if q < 0 else (p, q)
 
 
-def _parse_ratio(value) -> tuple[int, int]:
-    """(p, q), q > 0, of a "p" or "p/q" string, or of any rational Fraction accepts."""
-    if isinstance(value, str):
-        num, slash, den = value.partition("/")
-        try:
-            return _ratio(int(num), int(den) if slash else 1)
-        except ValueError:
-            pass
-    f = Q(value)
-    return f.numerator, f.denominator
+def _parse_ratio(text: str) -> tuple[int, int]:
+    """(p, q), q > 0, of a "p" or "p/q" string, or of any other string Fraction accepts."""
+    num, slash, den = text.partition("/")
+    try:
+        return _ratio(int(num), int(den) if slash else 1)
+    except ValueError:
+        f = Q(text)
+        return f.numerator, f.denominator
 
 
 def export_series(series: Series, fmt: str = "json") -> str:
@@ -58,7 +56,14 @@ def export_series(series: Series, fmt: str = "json") -> str:
 def import_series(text: str, fmt: str = "json") -> Series:
     if fmt == "json":
         data = json.loads(text)
-        return Series.from_ratios([_parse_ratio(c) for c in data["coeffs"]], data["order"])
+        if not isinstance(data, dict):
+            data = {}
+        order, coeffs = data.get("order"), data.get("coeffs")
+        if (type(order) is not int or not isinstance(coeffs, list)
+                or not all(isinstance(c, str) for c in coeffs)):
+            raise ValueError("a json series is an object with an integer order and a list of "
+                             "coefficient strings")
+        return Series.from_ratios([_parse_ratio(c) for c in coeffs], order)
     if fmt == "csv":
         rows = text.strip().splitlines()
         pairs = []
@@ -75,7 +80,7 @@ def cache_key(*parts) -> str:
 
 
 class SeriesCache:
-    """File-backed advisory cache; a miss returns None, never an error."""
+    """File-backed advisory cache; a miss, or an entry it cannot read, returns None, never an error."""
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
@@ -103,5 +108,5 @@ class SeriesCache:
             return None
         try:
             return import_series(path.read_text(), "json")
-        except (json.JSONDecodeError, KeyError, ValueError):
+        except (OSError, ValueError, ZeroDivisionError):
             return None

@@ -114,7 +114,7 @@ class ExactRing:
 
     A ring supplies ``_coerce`` (an operand as one of its elements, or
     None), ``_combine(rhs, op)`` for op in (add, sub) on its own layout,
-    and ``_reciprocal`` for negative powers.
+    and, if it divides, ``_reciprocal``; else negative powers raise ValueError.
     """
 
     __slots__ = ()
@@ -138,6 +138,9 @@ class ExactRing:
         if rhs is None:
             return NotImplemented
         return rhs._combine(self, sub)
+
+    def _reciprocal(self):
+        raise ValueError(f"{type(self).__name__} powers must be non-negative integers")
 
     def __pow__(self, k: int):
         """Square and multiply; a negative k powers the reciprocal."""
@@ -462,8 +465,3 @@ def _divide(a: Series, b: Series) -> Series:
     nums = [r[i] * powers[n - 1 - i] * b._den for i in range(n)]
     return Series._normed(nums, powers[n] * a._den)
 
-
-def geometric(ratio: Series) -> Series:
-    """1/(1 - ratio) for a ratio with zero constant term."""
-    one = Series.one(ratio.order)
-    return one / (one - ratio)

@@ -12,11 +12,12 @@ one-offset nodes its gap recurrence steps by, from ``kernel.char_factor``
 and ``kernel.tree_root``.
 Random-turn walkers move one at a time; the quarter-plane families count
 two-dimensional paths and coincide with random-turn osculating walkers
-for the six-step set.  Every closed form is checked against the gap
-dynamic program.  The pieces no cell changes are built once per family
-and passed to the per-cell functions through their ``parts`` argument:
-each product of T, an adapted coefficient and a power of X, up to the
-highest power the cells read, so that a cell is a sum of four of them.
+for the six-step set.  Every star is T(1 - alpha X^a - alpha X^b -
+gamma X^(a+b)) at gaps (a, b), in one form, ``_star``: lock-step models
+at their adapted (alpha, gamma), random-turn and quarter-plane stars at
+the vicious corner (1, -1), read one gap further out in the osculating
+and quarter-plane cells.  Each is checked against the gap dynamic program;
+its ``parts`` (T, T alpha X^k, T gamma X^k) are built once per family.
 
 The dynamic programs run on integers.  Gap states are indexed shell by
 shell, by their larger gap, and each step maps one integer vector to the
@@ -94,10 +95,6 @@ def lockstep_x(order: int) -> Series:
     return _lockstep_base(order)[0]
 
 
-def lockstep_T(order: int) -> Series:
-    return tree_root({1: 8}, order)
-
-
 def _lockstep_base(order: int) -> tuple[Series, Series]:
     """X and T: the pieces every cell and every pair of marks share."""
     return _unary_base({-1: 2, 0: 4, 1: 2}, order)
@@ -114,19 +111,28 @@ def _refined_adapted(u, w, X: Series) -> tuple[Series, Series]:
     return alpha, -(alpha * ratio_num / ratio_den)
 
 
-def _refined_parts(u, w, base, m: int):
-    """``parts`` of ``lockstep_refined`` for gaps up to m: T, and the terms
-    T alpha X^k (k <= m) and T gamma X^k (k <= 2m), so that a cell (i, j)
-    is T - A_i - A_j - G_(i+j)."""
+def _star_parts(base, alpha, gamma, m: int):
+    """The star's ``parts`` for gaps up to m, from base = (X, T): T, and the
+    terms T alpha X^k (k <= m) and T gamma X^k (k <= 2m)."""
     X, T = base
-    alpha, gamma = _refined_adapted(u, w, X)
     return T, _x_powers(X, m, T * alpha), _x_powers(X, 2 * m, T * gamma)
+
+
+def _star(parts, a: int, b: int) -> Series:
+    """The star T(1 - alpha X^a - alpha X^b - gamma X^(a+b)) at gaps (a, b)."""
+    T, A, G = parts
+    return T - A[a] - A[b] - G[a + b]
+
+
+def _refined_parts(u, w, base, m: int):
+    """``parts`` of ``lockstep_refined`` for gaps up to m, at the adapted (alpha, gamma)."""
+    return _star_parts(base, *_refined_adapted(u, w, base[0]), m)
 
 
 def lockstep_refined(u, w, i: int, j: int, order: int, *, parts=None) -> StarGF:
     """Refined star series with co-location mark u and shared-edge mark w."""
-    T, A, G = parts or _refined_parts(u, w, _lockstep_base(order), max(i, j))
-    return StarGF(i, j, T - A[i] - A[j] - G[i + j])
+    return StarGF(i, j, _star(parts or _refined_parts(u, w, _lockstep_base(order), max(i, j)),
+                              i, j))
 
 
 def lockstep_star(boundary: str, i: int, j: int, order: int, *, parts=None) -> StarGF:
@@ -153,24 +159,18 @@ def randomturn_x(steps: str, order: int) -> Series:
     return _randomturn_base(steps, order)[0]
 
 
-def _randomturn_parts(steps: str, order: int, k_max: int) -> list[Series]:
-    """``parts`` of ``randomturn_gf``: T X^k for k <= k_max, for one step set."""
-    X, T = _randomturn_base(steps, order)
-    return _x_powers(X, k_max, T)
+def _randomturn_parts(steps: str, order: int, m: int):
+    """``parts`` of ``randomturn_gf`` for gaps up to m: the star at the vicious corner (1, -1)."""
+    return _star_parts(_randomturn_base(steps, order), 1, -1, m)
 
 
 def randomturn_gf(steps: str, boundary: str, i: int, j: int, order: int, *, parts=None) -> StarGF:
-    """Vicious stars (1-X^i)(1-X^j) T; osculating stars shift both gaps by 1.
-
-    With P_k = T X^k from ``parts``, a vicious star is P_0 - P_i - P_j + P_(i+j).
-    """
-    if boundary == "osculating":
-        inner = randomturn_gf(steps, "vicious", i + 1, j + 1, order, parts=parts)
-        return StarGF(i, j, inner.series)
-    if boundary != "vicious":
+    """Vicious stars (1-X^i)(1-X^j) T; osculating stars are read one gap further out."""
+    if boundary not in ("vicious", "osculating"):
         raise ValueError("random-turn boundaries are vicious or osculating")
-    P = parts or _randomturn_parts(steps, order, i + j)
-    return StarGF(i, j, P[0] - P[i] - P[j] + P[i + j])
+    out = int(boundary == "osculating")
+    parts = parts or _randomturn_parts(steps, order, max(i, j) + out)
+    return StarGF(i, j, _star(parts, i + out, j + out))
 
 
 # ---------------------------------------------------------------------------
@@ -384,19 +384,18 @@ QUARTER_PLANE_STEPS = {
 }
 
 
-def _quarterplane_parts(model: str, order: int, k_max: int) -> list[Series]:
-    """``parts`` of ``quarterplane_gf``: T X^k for k <= k_max, with X = kz(1+X+X^2) and T = 1/(1 - 3kz)."""
+def _quarterplane_parts(model: str, order: int, m: int):
+    """``parts`` of ``quarterplane_gf`` for gaps up to m: the star at the vicious corner
+    (1, -1), with X = kz(1+X+X^2) and T = 1/(1 - 3kz)."""
     if model not in QUARTER_PLANE_STEPS:
         raise ValueError("model must be S1 or S2")
     k = 1 if model == "S1" else 2
-    X, T = _unary_base({-1: k, 0: k, 1: k}, order)
-    return _x_powers(X, k_max, T)
+    return _star_parts(_unary_base({-1: k, 0: k, 1: k}, order), 1, -1, m)
 
 
 def quarterplane_gf(model: str, i: int, j: int, order: int, *, parts=None) -> Series:
-    """(1 - X^(i+1))(1 - X^(j+1)) T, as P_0 - P_(i+1) - P_(j+1) + P_(i+j+2) with P_k = T X^k."""
-    P = parts or _quarterplane_parts(model, order, i + j + 2)
-    return P[0] - P[i + 1] - P[j + 1] + P[i + j + 2]
+    """(1 - X^(i+1))(1 - X^(j+1)) T: the vicious star read one gap further out."""
+    return _star(parts or _quarterplane_parts(model, order, max(i, j) + 1), i + 1, j + 1)
 
 
 def _quarterplane_columns(model: str, cells, order: int) -> dict[tuple[int, int], Series]:

@@ -241,6 +241,34 @@ def test_cache_entry_from_another_version_misses(tmp_path, capsys, monkeypatch):
     assert len(list(tmp_path.glob("*.json"))) == 2
 
 
+MALFORMED_SERIES = ['[1, 2]', '{"order": 5, "coeffs": 7}', '{"order": "x", "coeffs": ["1"]}',
+                    '{"order": 1, "coeffs": ["1/0"]}']
+
+
+@pytest.mark.parametrize("payload", MALFORMED_SERIES)
+def test_malformed_series_file_exits_2_with_one_line(payload, tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text(payload)
+    assert main(["oeis", "--match", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "error:" in captured.err
+
+
+@pytest.mark.parametrize("payload", MALFORMED_SERIES)
+def test_malformed_cache_entry_is_recomputed_and_replaced(payload, tmp_path, capsys):
+    argv = ["trees", "--w1", "1", "--order", "6", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    computed = capsys.readouterr().out
+    assert json.loads(computed)["coeffs"] == ["1", "1", "2", "5", "14", "42"]
+    (entry,) = tmp_path.glob("*.json")
+    written = entry.read_text()
+    entry.write_text(payload)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == computed
+    assert entry.read_text() == written
+
+
 def test_env_order_change_between_calls_is_honoured(capsys, monkeypatch):
     for order in (4, 5):
         monkeypatch.setenv("EMBTREES_ORDER", str(order))

@@ -17,7 +17,8 @@ from embtrees.binary import (
     ternary_X,
 )
 from embtrees.kernel import SeriesPoly, newton_solve, tree_root
-from embtrees.levels import _x_powers, alpha_recurrence, label_spectra, level_residual, level_rows
+from embtrees.levels import (_x_powers, alpha_recurrence, label_spectra, level_equation,
+                             level_residual, level_rows)
 from embtrees.series import Series
 
 N_MAX = 6
@@ -55,6 +56,38 @@ def test_level_rows_equal_label_spectra(kinds):
         assert list(rows_zero[j].coeffs) == [
             sum((c for m, c in spec.items() if m >= -j), Q(0)) for spec in lowest
         ]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(kind_strategy, min_size=1, max_size=3).map(close_under_negation),
+       st.sampled_from([0, 1]))
+def test_level_equation_vanishes_on_the_rows(kinds, pin):
+    # offsets reach 2, so the rows up to J_MAX + 2 hold every row level j reads
+    order = N_MAX + 1
+    rows = level_rows(kinds, pin, J_MAX + 2, order)
+    for j in range(J_MAX + 1):
+        assert level_equation(kinds, rows, j, Series.z(order)).is_zero()
+
+
+unit_series = st.tuples(
+    st.sampled_from([Q(1, 2), Q(1), Q(-3)]),
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=4, max_size=4),
+).map(lambda t: Series([t[0]] + t[1]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(kind_strategy, min_size=1, max_size=3).map(close_under_negation),
+       unit_series, st.data())
+def test_level_equation_clears_a_common_denominator(kinds, den, data):
+    # on rows D T_i over the denominator D, the equation is D^(largest arity) times its value on T_i
+    order = den.order
+    coeffs = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                      min_size=order, max_size=order)
+    rows = {i: Series(data.draw(coeffs)) for i in range(-2, 3)}
+    top = max(len(offs) for _, offs in kinds)
+    z = Series.z(order)
+    cleared = level_equation(kinds, {i: den * row for i, row in rows.items()}, 0, z, den)
+    assert cleared == den**top * level_equation(kinds, rows, 0, z)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from embtrees.errors import DivisionByNonUnit, NonUnitConstantTerm
 from embtrees.marker import MarkerSeries
-from embtrees.series import Series, geometric
+from embtrees.series import Series
 
 rationals = st.fractions(
     min_value=-6, max_value=6, max_denominator=5
@@ -31,14 +31,6 @@ def test_difference_of_squares():
 def test_self_subtraction_is_zero():
     s = Series([1, 4, 9, 16], 4)
     assert (s - s).is_zero()
-
-
-def test_geometric_telescopes():
-    g = geometric(Series.z(10))
-    one = Series.one(10)
-    z = Series.z(10)
-    assert (g * (one - z)).matches(one)
-    assert ints(g) == [1] * 10
 
 
 def test_div_geometric():
@@ -131,12 +123,6 @@ def test_marker_square_of_up_down():
     sq = base * base
     assert sq.coeffs[0] == {2: Q(1), 0: Q(2), -2: Q(1)}
     assert sq.extract(0)[0] == 2
-
-
-def test_marker_central_binomials():
-    walk = MarkerSeries([{}, {1: Q(1), -1: Q(1)}], 7)
-    free = (MarkerSeries.one(7) - walk).inverse_unit()
-    assert ints(free.extract(0)) == [1, 0, 2, 0, 6, 0, 20]
 
 
 @settings(max_examples=40, deadline=None)

@@ -101,12 +101,14 @@ def test_parts_hold_the_terms_to_the_highest_asked():
     assert T_ == T  # beta is alpha: one list serves both gaps
     assert A == [T * alpha * X**k for k in range(4)]
     assert G == [T * gamma * X**k for k in range(7)]
+    # random-turn and quarter-plane stars are the vicious corner (alpha, gamma) = (1, -1)
     one, z = Series.one(12), Series.z(12)
-    for P, total in ((W._randomturn_parts("motzkin", 12, 7), 9),
-                     (W._quarterplane_parts("S1", 12, 7), 3)):
-        X = P[1] / P[0]
-        assert P[0] == one / (one - z * total)
-        assert P == [P[0] * X**k for k in range(8)]
+    for (T, A, G), total in ((W._randomturn_parts("motzkin", 12, 3), 9),
+                             (W._quarterplane_parts("S1", 12, 3), 3)):
+        X = A[1] / A[0]
+        assert T == A[0] == one / (one - z * total)
+        assert A == [T * X**k for k in range(4)]
+        assert G == [-(T * X**k) for k in range(7)]
 
 
 @pytest.mark.parametrize("steps", ["dyck", "motzkin"])

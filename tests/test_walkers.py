@@ -14,7 +14,6 @@ from embtrees.walkers import (
     lockstep_dp_table,
     lockstep_refined,
     lockstep_star,
-    lockstep_T,
     lockstep_x,
     quarterplane_dp,
     quarterplane_gf,
@@ -43,7 +42,7 @@ def test_rate_equations():
 
 def test_general_family_with_zero_parameters_is_free():
     # the star form T(1 - alpha X^i - alpha X^j - gamma X^(i+j)) with alpha = gamma = 0
-    T, zero = lockstep_T(10), Series.zero(10)
+    T, zero = W._lockstep_base(10)[1], Series.zero(10)
     star = lockstep_refined(0, 0, 3, 1, 10, parts=(T, [zero] * 4, [zero] * 7))
     assert star.series == T
 
@@ -70,7 +69,7 @@ def test_vicious_vanishes_on_axes():
 def test_vicious_closed_form_is_product():
     X = lockstep_x(15)
     one = Series.one(15)
-    T = lockstep_T(15)
+    T = W._lockstep_base(15)[1]
     for i, j in ((1, 1), (2, 3)):
         got = lockstep_star("vicious", i, j, 15).series
         assert got.matches(T * (one - X**i) * (one - X**j))
@@ -139,7 +138,7 @@ def test_refined_closed_form_matches_dp_at_random_marks(u, w, cell, order):
 
 def test_refined_corners_reproduce_boundary_models():
     # each model's adapted (alpha, gamma), written out: T(1 - alpha X^i - alpha X^j - gamma X^(i+j))
-    X, T, one = lockstep_x(12), lockstep_T(12), Series.one(12)
+    X, T, one = lockstep_x(12), W._lockstep_base(12)[1], Series.one(12)
     for (u, w), boundary, alpha, gamma in (
         ((0, 0), "vicious", one, -one),
         ((1, 0), "osculating", X * 3 / (one + X * 2), -(X * 3) / (one * 2 + X)),
