@@ -53,8 +53,12 @@ a table built afresh outside the timed region, as the check reads its
 own.  The ``closed_family_residual`` row times the
 binary/one-param-family check's work, the closed-family residual at
 levels -1..6 and order 18 for its three weight vectors, with no
-reference.  For every row that has one, ``fraction_us`` is the time of
-its reference.  Results go to a JSON file:
+reference.  The ``cache_hit`` rows time a result-cache hit, the stored
+entry of the binary root T at rational weights read, checked and
+printed as json or csv (``SeriesCache.get`` and ``reformat``), at orders
+30 and 200, against the import-export round trip the hit once made
+(``import_series`` of the file, then ``export_series``).  For every row
+that has one, ``fraction_us`` is the time of its reference.  Results go to a JSON file:
 
     PYTHONPATH=src python scripts/bench_series.py --out BENCH_series.json
 
@@ -70,6 +74,7 @@ import platform
 import random
 import statistics
 import sys
+import tempfile
 import time
 from fractions import Fraction as Q
 from pathlib import Path
@@ -101,6 +106,7 @@ from embtrees.kernel import SeriesPoly, _char_poly, hensel_factor_pair, newton_s
 from embtrees.levels import alpha_recurrence, label_spectra, level_rows  # noqa: E402
 from embtrees.marker import MarkerSeries  # noqa: E402
 from embtrees.multipoly import MultiPoly  # noqa: E402
+from embtrees.serialize import SeriesCache, export_series, import_series, reformat  # noqa: E402
 from embtrees.series import Series  # noqa: E402
 from embtrees.steps import parse_step_set  # noqa: E402
 from embtrees.paths import _meander_parts, meander_dp, meander_gf  # noqa: E402
@@ -443,6 +449,22 @@ def bench_tables(repeats: int) -> list[dict]:
     return rows
 
 
+def bench_cache(repeats: int) -> list[dict]:
+    """A cache hit on the stored text against parsing the entry and exporting it again."""
+    rows: list[dict] = []
+    w = BinaryWeights.make(Q(1, 2), Q(1, 3), Q(2, 3), Q(1, 5), Q(3, 7))
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = SeriesCache(tmp)
+        for order in (30, 200):
+            key = f"binary-T-{order}"
+            path = cache.put(key, export_series(binary_T(w, order), "json"))
+            for fmt in ("json", "csv"):
+                compare(rows, "cache_hit", order, f"binary T, {fmt}",
+                        lambda: reformat(cache.get(key, order), fmt),
+                        lambda: export_series(import_series(path.read_text()), fmt), repeats)
+    return rows
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -451,7 +473,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=4)
     args = parser.parse_args()
     rows = (bench(args.repeats, args.seed) + bench_layers(args.repeats, args.seed)
-            + bench_recurrences(args.repeats) + bench_tables(args.repeats))
+            + bench_recurrences(args.repeats) + bench_tables(args.repeats)
+            + bench_cache(args.repeats))
     report = {
         "benchmark": "exact-ring microbenchmark (scripts/bench_series.py)",
         "python": platform.python_version(),

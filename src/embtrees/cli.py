@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import json
 import os
 import sys
@@ -27,7 +28,9 @@ from . import walkers as W
 from .campaign import CampaignConfig, available_suites, parse_config, run_campaign
 from .errors import EmbtreesError
 from .oeis import FIXTURES, format_b_file, oeis_fetch, oeis_match
-from .serialize import SeriesCache, cache_key, export_series, import_series, ratio_str
+from .serialize import (
+    SeriesCache, cache_key, export_series, import_series, ratio_str, reformat,
+)
 from .series import Series
 from .steps import parse_step_set
 
@@ -99,17 +102,42 @@ def _emit_series(series: Series, args) -> None:
     print(export_series(series, args.format))
 
 
-def _cached(args, key_parts, compute) -> Series:
+@functools.cache
+def _source_digest() -> str:
+    """sha256 of the package's sources, part of every cache key.
+
+    So an entry written by one version of the code is never served by
+    another.  Read on the first cached lookup, not at import.
+    """
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def _emit_cached(args, key_parts, compute) -> None:
+    """Print the series ``compute()`` makes, through the result cache with --cache-dir.
+
+    A hit prints the stored json text (rewritten as rows for csv) and builds
+    no series; a miss computes, stores the json text and prints it the same way.
+    """
     if not args.cache_dir:
-        return compute()
+        _emit_series(compute(), args)
+        return
     cache = SeriesCache(args.cache_dir)
-    key = cache_key(__version__, *key_parts, args.order)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    series = compute()
-    cache.put(key, series)
-    return series
+    key = cache_key(__version__, _source_digest(), *key_parts, args.order)
+    text = cache.get(key, args.order)
+    if text is None:
+        # a --cache-dir that cannot hold the entry fails before the work, not after
+        try:
+            cache.directory.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError):
+            raise ValueError(f"--cache-dir {args.cache_dir} is not a directory") from None
+        text = export_series(compute(), "json")
+        cache.put(key, text)
+    print(reformat(text, args.format))
 
 
 def _row(rows: dict[int, Series], level: int) -> Series:
@@ -120,37 +148,31 @@ def _row(rows: dict[int, Series], level: int) -> Series:
 
 def _cmd_trees(args) -> int:
     w = B.BinaryWeights.make(args.v1, args.v2, args.w1, args.w2, args.w3)
-    key = ("trees", args.v1, args.v2, args.w1, args.w2, args.w3,
-           args.level, args.boundary, args.method)
-    if args.level is None:
-        series = _cached(args, key, lambda: B.binary_T(w, args.order))
-    elif args.method == "closed":
-        def compute():
-            lam = B.adapt_lambda(w, 1 if args.boundary == "one" else 0, args.order + 6)
+    boundary = 1 if args.boundary == "one" else 0
+
+    def compute() -> Series:
+        if args.level is None:
+            return B.binary_T(w, args.order)
+        if args.method == "closed":
+            lam = B.adapt_lambda(w, boundary, args.order + 6)
             return B.binary_Tj_closed(w, lam, args.level, args.order)
-        series = _cached(args, key, compute)
-    else:
-        def compute():
-            rows = B.binary_Tj_recurrence(
-                w, 1 if args.boundary == "one" else 0, max(args.level, 0), args.order
-            )
-            return _row(rows, args.level)
-        series = _cached(args, key, compute)
-    _emit_series(series, args)
+        rows = B.binary_Tj_recurrence(w, boundary, max(args.level, 0), args.order)
+        return _row(rows, args.level)
+
+    _emit_cached(args, ("trees", args.v1, args.v2, args.w1, args.w2, args.w3,
+                        args.level, args.boundary, args.method), compute)
     return 0
 
 
 def _cmd_dary(args) -> int:
     fam = D.DaryFamily(args.kind, args.d)
-    key = ("dary", args.kind, args.d, args.level)
-    if args.level is None:
-        series = _cached(args, key, lambda: D.dary_T(fam, args.order))
-    else:
-        def compute():
-            rows = D.dary_Tj_recurrence(fam, max(args.level, 0), args.order)
-            return _row(rows, args.level)
-        series = _cached(args, key, compute)
-    _emit_series(series, args)
+
+    def compute() -> Series:
+        if args.level is None:
+            return D.dary_T(fam, args.order)
+        return _row(D.dary_Tj_recurrence(fam, max(args.level, 0), args.order), args.level)
+
+    _emit_cached(args, ("dary", args.kind, args.d, args.level), compute)
     return 0
 
 
@@ -166,12 +188,13 @@ def _cmd_paths(args) -> int:
                 rows[str(level)] = [ratio_str(p, q) for p, q in slice_series.ratios()]
         print(json.dumps({"order": args.order, "start": args.level, "rows": rows}))
         return 0
-    key = ("paths", args.steps, args.level, args.excursions)
-    if args.excursions:
-        series = _cached(args, key, lambda: P.excursion_gf(steps, args.level, args.order))
-    else:
-        series = _cached(args, key, lambda: P.meander_gf(steps, args.level, args.order).plain)
-    _emit_series(series, args)
+
+    def compute() -> Series:
+        if args.excursions:
+            return P.excursion_gf(steps, args.level, args.order)
+        return P.meander_gf(steps, args.level, args.order).plain
+
+    _emit_cached(args, ("paths", args.steps, args.level, args.excursions), compute)
     return 0
 
 

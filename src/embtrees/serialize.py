@@ -2,19 +2,25 @@
 
 Rationals are persisted as decimal integer-pair strings ("p" or "p/q"),
 never as floats, so every round trip is bit-exact.  The cache maps a
-canonical key hash to a JSON payload and may be deleted at any time.
+canonical key hash to the JSON text ``export_series`` writes, and a hit
+returns that text as it is, with no series built from it; an entry may be
+deleted at any time, and one not in the writer's form is a miss.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 
 from .series import Q, Series
+
+# the coefficient strings ratio_str writes: 0, or a nonzero integer over an
+# optional denominator of at least 2
+_WRITTEN_RATIO = re.compile(r"0|-?[1-9][0-9]*(?:/(?:[2-9]|[1-9][0-9]+))?")
 
 
 def ratio_str(p: int, q: int) -> str:
@@ -38,18 +44,34 @@ def _parse_ratio(text: str) -> tuple[int, int]:
         return f.numerator, f.denominator
 
 
+def _csv_rows(coeffs) -> str:
+    """The csv text of a series given by its "p" or "p/q" coefficient strings."""
+    rows = ["n,numerator,denominator\n"]
+    for n, c in enumerate(coeffs):
+        num, _, den = c.partition("/")
+        rows.append(f"{n},{num},{den or 1}\n")
+    return "".join(rows)
+
+
 def export_series(series: Series, fmt: str = "json") -> str:
+    if fmt not in ("json", "csv"):
+        raise ValueError(f"unknown format {fmt!r}")
+    coeffs = [ratio_str(p, q) for p, q in series.ratios()]
     if fmt == "json":
-        return json.dumps(
-            {"order": series.order,
-             "coeffs": [ratio_str(p, q) for p, q in series.ratios()]}
-        )
+        return json.dumps({"order": series.order, "coeffs": coeffs})
+    return _csv_rows(coeffs)
+
+
+def reformat(text: str, fmt: str) -> str:
+    """The series whose ``export_series`` json text is ``text``, in format ``fmt``.
+
+    The same characters ``export_series(series, fmt)`` gives, without the
+    series: json is ``text`` itself and csv rewrites its coefficient strings.
+    """
+    if fmt == "json":
+        return text
     if fmt == "csv":
-        buf = io.StringIO()
-        buf.write("n,numerator,denominator\n")
-        for n, (p, q) in enumerate(series.ratios()):
-            buf.write(f"{n},{p},{q}\n")
-        return buf.getvalue()
+        return _csv_rows(json.loads(text)["coeffs"])
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -74,13 +96,45 @@ def import_series(text: str, fmt: str = "json") -> Series:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def _is_written_entry(text: str, order: int) -> bool:
+    """Whether ``text`` is what ``export_series(s, "json")`` writes for an s of this order.
+
+    It must be an object with just the keys "order" and "coeffs", in that
+    order, holding ``order`` coefficient strings as ``ratio_str`` writes
+    them, spaced as ``json.dumps`` spaces them, so that a hit prints what
+    recomputing would.  Whether each p/q is in lowest terms is not checked.
+    """
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError):  # RecursionError: nested too deep to parse
+        return False
+    if type(data) is not dict or list(data) != ["order", "coeffs"]:
+        return False
+    coeffs = data["coeffs"]
+    if type(data["order"]) is not int or data["order"] != order or type(coeffs) is not list:
+        return False
+    try:
+        if len(coeffs) != order or not all(map(_WRITTEN_RATIO.fullmatch, coeffs)):
+            return False
+    except TypeError:  # a coefficient that is not a string
+        return False
+    return json.dumps(data) == text
+
+
 def cache_key(*parts) -> str:
     canonical = json.dumps([str(p) for p in parts])
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 class SeriesCache:
-    """File-backed advisory cache; a miss, or an entry it cannot read, returns None, never an error."""
+    """File-backed advisory cache of series texts, one file per key.
+
+    ``put`` stores the json text ``export_series`` wrote for a series, and
+    ``get`` returns that text unparsed.  ``get`` returns None, a miss and
+    never an error, for an absent or unreadable entry and for any entry not
+    in the writer's form for the order asked for, so a foreign, truncated
+    or hand-edited file is recomputed by the caller and replaced.
+    """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
@@ -88,25 +142,24 @@ class SeriesCache:
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
 
-    def put(self, key: str, series: Series) -> Path:
+    def put(self, key: str, text: str) -> Path:
         """Write to a temporary file and rename it, so no reader sees a torn entry."""
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self._path(key)
         fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=f".{key}.", suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                fh.write(export_series(series, "json"))
+                fh.write(text)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
             raise
         return path
 
-    def get(self, key: str) -> Series | None:
-        path = self._path(key)
-        if not path.exists():
-            return None
+    def get(self, key: str, order: int) -> str | None:
+        """The stored text of ``key`` if it is a written entry of this order, else None."""
         try:
-            return import_series(path.read_text(), "json")
-        except (OSError, ValueError, ZeroDivisionError):
+            text = self._path(key).read_text(encoding="ascii")
+        except (OSError, UnicodeDecodeError):
             return None
+        return text if _is_written_entry(text, order) else None

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embtrees.campaign import CampaignConfig, parse_config, run_campaign
-from embtrees import cli
+from embtrees import binary, cli
 from embtrees.cli import main
 from embtrees.errors import ConfigParse
 from embtrees.serialize import SeriesCache, cache_key, export_series, import_series
@@ -41,11 +41,11 @@ def test_export_csv_shape():
 def test_cache_roundtrip_and_miss(tmp_path):
     cache = SeriesCache(tmp_path)
     key = cache_key("paths", "-1:1,1:1", 0, 12)
-    assert cache.get(key) is None  # cold cache is a miss, not an error
+    assert cache.get(key, 5) is None  # cold cache is a miss, not an error
     series = Series([1, 1, 2, 3, 6], 5)
-    cache.put(key, series)
-    assert cache.get(key) == series
-    assert cache.get(cache_key("other")) is None
+    cache.put(key, export_series(series))
+    assert import_series(cache.get(key, 5)) == series
+    assert cache.get(cache_key("other"), 5) is None
 
 
 def test_cache_keys_are_canonical():
@@ -222,10 +222,10 @@ def test_campaign_results_come_in_check_id_order():
 def test_cache_put_leaves_only_the_entry(tmp_path):
     cache = SeriesCache(tmp_path)
     key = cache_key("trees", 1, 12)
-    cache.put(key, Series([1, 1, 2], 3))
-    cache.put(key, Series([1, 1, 2, 5], 4))  # overwrite in place
+    cache.put(key, export_series(Series([1, 1, 2], 3)))
+    cache.put(key, export_series(Series([1, 1, 2, 5], 4)))  # overwrite in place
     assert [p.name for p in tmp_path.iterdir()] == [f"{key}.json"]
-    assert cache.get(key) == Series([1, 1, 2, 5], 4)
+    assert import_series(cache.get(key, 4)) == Series([1, 1, 2, 5], 4)
 
 
 def test_cache_entry_from_another_version_misses(tmp_path, capsys, monkeypatch):
@@ -255,7 +255,17 @@ def test_malformed_series_file_exits_2_with_one_line(payload, tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1 and "error:" in captured.err
 
 
-@pytest.mark.parametrize("payload", MALFORMED_SERIES)
+# well-formed json series that are not what the cache writes for the query: too
+# few coefficients for the order, another order, a coefficient not in ratio form,
+# the right series spaced otherwise, and nesting too deep to parse
+MISSHAPEN_CACHE_ENTRIES = ['{"order": 6, "coeffs": ["1", "1", "2"]}',
+                           '{"order": 2, "coeffs": ["1", "1"]}',
+                           '{"order": 6, "coeffs": ["1", "1", "2", "5", "14", "0.5e2"]}',
+                           '{"order":6,"coeffs":["1","1","2","5","14","42"]}',
+                           pytest.param("[" * 100_000, id="nested-too-deep")]
+
+
+@pytest.mark.parametrize("payload", MALFORMED_SERIES + MISSHAPEN_CACHE_ENTRIES)
 def test_malformed_cache_entry_is_recomputed_and_replaced(payload, tmp_path, capsys):
     argv = ["trees", "--w1", "1", "--order", "6", "--cache-dir", str(tmp_path)]
     assert main(argv) == 0
@@ -267,6 +277,36 @@ def test_malformed_cache_entry_is_recomputed_and_replaced(payload, tmp_path, cap
     assert main(argv) == 0
     assert capsys.readouterr().out == computed
     assert entry.read_text() == written
+
+
+def test_cache_entry_from_another_source_digest_misses(tmp_path, capsys, monkeypatch):
+    argv = ["trees", "--w1", "1", "--order", "6", "--cache-dir", str(tmp_path)]
+    monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
+    main(argv)
+    capsys.readouterr()
+    (stale,) = tmp_path.glob("*.json")
+    stale.write_text(export_series(Series([7] * 6, 6), "json"))
+    monkeypatch.undo()
+    main(argv)
+    assert json.loads(capsys.readouterr().out)["coeffs"] == ["1", "1", "2", "5", "14", "42"]
+    assert len(list(tmp_path.glob("*.json"))) == 2
+
+
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_cache_dir_that_is_a_file_exits_2_before_computing(below, tmp_path, capsys,
+                                                           monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed a series that could not be stored")
+
+    monkeypatch.setattr(binary, "binary_T", refuse)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    cache_dir = taken / below if below else taken
+    assert main(["trees", "--w1", "1", "--cache-dir", str(cache_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "error:" in captured.err and f"--cache-dir {cache_dir}" in captured.err
 
 
 def test_env_order_change_between_calls_is_honoured(capsys, monkeypatch):

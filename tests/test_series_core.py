@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from embtrees.cli import main
 from embtrees.errors import DivisionByNonUnit
-from embtrees.serialize import SeriesCache, export_series, import_series
+from embtrees import serialize
+from embtrees.serialize import SeriesCache, export_series, import_series, reformat
 from embtrees.series import Series
 
 # -- the reference ----------------------------------------------------------
@@ -237,10 +238,37 @@ def test_cache_hit_is_bit_identical(fmt, tmp_path, capsys):
     assert any(c.denominator > 1 for c in import_series(computed, fmt).coeffs)
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_cache_hit_builds_no_series(fmt, tmp_path, capsys, monkeypatch):
+    argv = ["trees", "--w1", "1/2", "--w2", "1/3", "--order", "9",
+            "--format", fmt, "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    computed = capsys.readouterr().out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cache hit parsed its entry")
+
+    monkeypatch.setattr(serialize, "import_series", refuse)
+    monkeypatch.setattr("embtrees.cli.import_series", refuse)
+    monkeypatch.setattr(Series, "from_ratios", refuse)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == computed
+
+
+huge = st.builds(Q, st.integers(-(2**100), 2**100), st.integers(1, 2**100))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(coeff, huge), min_size=1, max_size=30))
+def test_csv_rewrite_of_the_json_text_is_the_csv_export(cs):
+    s = Series(cs)
+    assert reformat(export_series(s, "json"), "csv") == export_series(s, "csv")
+
+
 def test_cache_returns_negative_rational_series_unchanged(tmp_path):
     cache = SeriesCache(tmp_path)
     s = Series([Q(-7, 3), 0, Q(5, 12), -(2**70), Q(1, 2**61 - 1)])
-    cache.put("k", s)
-    hit = cache.get("k")
+    cache.put("k", export_series(s))
+    hit = import_series(cache.get("k", 5))
     assert hit == s and hit.coeffs == s.coeffs
     assert export_series(hit, "json") == export_series(s, "json")
