@@ -31,7 +31,8 @@ at stored order 28 and 31) against the per-pair reduction and ``invert_one_plus`
 (``tests/test_splitting.py``); ``hensel_factor_pair`` for the step set
 {-2, -1, 1, 3} at order 40 against the Fraction lift
 (``tests/test_kernel.py``); ``char_factor``, the one characteristic
-solver, for each family at orders 30 and 100, root series T included,
+solver, through ``family_base`` on each family's kind list at orders 30
+and 100, root series T included,
 against the forms it replaced: the binary square root and the height
 rational form (the campaign's claims), Newton on the ternary and
 lock-step quadratics, and ``hensel_factor_pair`` on the even d = 2
@@ -85,24 +86,25 @@ sys.path.insert(0, str(ROOT / "tests"))
 from embtrees.binary import (  # noqa: E402
     BinaryWeights,
     _closed_family_parts,
-    _node_kinds,
+    _height_kinds,
     _ternary_kinds,
-    binary_T,
-    binary_X,
     closed_family_residual,
-    height_X,
-    ternary_T,
-    ternary_X,
 )
 from embtrees.campaign import _binary_x_radical, _height_x_rational  # noqa: E402
 from embtrees.dary import (  # noqa: E402
     DaryFamily,
     dary_alpha_general,
     dary_alpha_one_param_recurrence,
-    dary_char_factor,
     rho_series,
 )
-from embtrees.kernel import SeriesPoly, _char_poly, hensel_factor_pair, newton_solve  # noqa: E402
+from embtrees.kernel import (  # noqa: E402
+    SeriesPoly,
+    _char_poly,
+    family_base,
+    hensel_factor_pair,
+    newton_solve,
+    tree_root,
+)
 from embtrees.levels import alpha_recurrence, label_spectra, level_rows  # noqa: E402
 from embtrees.marker import MarkerSeries  # noqa: E402
 from embtrees.multipoly import MultiPoly  # noqa: E402
@@ -127,7 +129,7 @@ from test_dary import (  # noqa: E402
     rho_levels,
 )
 from test_kernel import ref_hensel  # noqa: E402
-from test_levels import ref_binary_alpha, ref_ternary_alpha  # noqa: E402
+from test_levels import rate_and_root, ref_binary_alpha, ref_ternary_alpha  # noqa: E402
 from test_marker_multipoly_core import (  # noqa: E402
     ref_lockstep_table,
     ref_marker_mul,
@@ -183,7 +185,7 @@ def bench(repeats: int, seed: int) -> list[dict]:
     # weights, whose coefficients grow with the index
     w = BinaryWeights.make(Q(1, 2), Q(1, 3), Q(2, 3), Q(1, 5), Q(3, 7))
     for order in ORDERS:
-        T = binary_T(w, order)
+        T = tree_root(w.kinds, order)
         T2 = T * T
         t, t2 = list(T.coeffs), list(T2.coeffs)
         compare(rows, "mul_tree", order, "binary T*T^2", lambda: T * T2,
@@ -348,7 +350,7 @@ def bench_recurrences(repeats: int) -> list[dict]:
             lambda: [dary_alpha_one_param_recurrence(fam, 10) for fam in campaign_families],
             lambda: [rf_pairs(ref_one_param_recurrence(fam, 10)) for fam in campaign_families],
             max(1, repeats // 5), read=lambda tables: [rf_pairs(t) for t in tables])
-    kinds = [(Q(1), DaryFamily("even", 2).offsets)]
+    kinds = DaryFamily("even", 2).kinds
     spectra = label_spectra(kinds, 7, "max")
     compare(rows, "level_rows", 8, "even d=2, j <= 3",
             lambda: [list(r.coeffs) for j, r in sorted(level_rows(kinds, 1, 3, 8).items())
@@ -357,13 +359,15 @@ def bench_recurrences(repeats: int) -> list[dict]:
                      for j in range(4)], repeats)
     w = BinaryWeights.make(2, 1, 1, 1, 1)
     compare(rows, "alpha_recurrence", 30, "binary (2,1,1,1,1), n<=12",
-            lambda: alpha_recurrence(_node_kinds(w), binary_X(w, 30), binary_T(w, 30), 12),
+            lambda: alpha_recurrence(w.kinds, *rate_and_root(w.kinds, 30), 12),
             lambda: ref_binary_alpha(w, 12, 30), repeats)
     compare(rows, "alpha_recurrence", 20, "ternary (1,2), n<=6",
-            lambda: alpha_recurrence(_ternary_kinds(Q(1), Q(2)), ternary_X(1, 2, 20),
-                                     ternary_T(1, 2, 20), 6),
+            lambda: alpha_recurrence(TERNARY_1_2, *rate_and_root(TERNARY_1_2, 20), 6),
             lambda: ref_ternary_alpha(1, 2, 6, 20), repeats)
     return rows
+
+
+TERNARY_1_2 = _ternary_kinds(Q(1), Q(2))
 
 
 def quadratic_root(c0: Series, c1: Series, c2: Series) -> Series:
@@ -374,7 +378,7 @@ def quadratic_root(c0: Series, c1: Series, c2: Series) -> Series:
 def ternary_x_newton(order: int) -> Series:
     """The ternary root at (v1, v2) = (1, 2) as it was solved before ``char_factor``."""
     z, one = Series.z(order), Series.one(order)
-    t2 = ternary_T(1, 2, order) ** 2
+    t2 = tree_root(TERNARY_1_2, order) ** 2
     return quadratic_root(z * (t2 + 1), z * (t2 + 2) - one, z * (t2 + 1))
 
 
@@ -384,21 +388,25 @@ def lockstep_x_newton(order: int) -> Series:
 
 
 def bench_char_factor(repeats: int) -> list[dict]:
-    """``char_factor`` per family, through each family's public X, against the form it replaced."""
+    """``char_factor`` per family, through ``family_base`` on its kind list, against the form
+    it replaced."""
     rows: list[dict] = []
     w = BinaryWeights.make(2, 1, 1, 1, 1)
     even2 = DaryFamily("even", 2)
     for order in (30, 100):
-        compare(rows, "char_factor", order, "binary (2,1,1,1,1)", lambda: binary_X(w, order),
+        compare(rows, "char_factor", order, "binary (2,1,1,1,1)",
+                lambda: rate_and_root(w.kinds, order)[0],
                 lambda: _binary_x_radical(w, order), repeats)
-        compare(rows, "char_factor", order, "height (1,2)", lambda: height_X(1, 2, order),
+        compare(rows, "char_factor", order, "height (1,2)",
+                lambda: rate_and_root(_height_kinds(Q(1), Q(2)), order)[0],
                 lambda: _height_x_rational(1, 2, order), repeats)
-        compare(rows, "char_factor", order, "ternary (1,2)", lambda: ternary_X(1, 2, order),
+        compare(rows, "char_factor", order, "ternary (1,2)",
+                lambda: rate_and_root(TERNARY_1_2, order)[0],
                 lambda: ternary_x_newton(order), repeats)
         compare(rows, "char_factor", order, "lock-step X", lambda: lockstep_x(order),
                 lambda: lockstep_x_newton(order), repeats)
         compare(rows, "char_factor", order, "even d=2 (c=3)",
-                lambda: dary_char_factor(even2, order),
+                lambda: family_base(even2.kinds, order)[0],
                 lambda: hensel_factor_pair(*char_poly(even2, order))[0][:-1], repeats,
                 read=lambda sf: [e if k % 2 == 0 else -e
                                  for k, e in enumerate(sf.elementary, 1)][::-1])
@@ -457,7 +465,7 @@ def bench_cache(repeats: int) -> list[dict]:
         cache = SeriesCache(tmp)
         for order in (30, 200):
             key = f"binary-T-{order}"
-            path = cache.put(key, export_series(binary_T(w, order), "json"))
+            path = cache.put(key, export_series(tree_root(w.kinds, order), "json"))
             for fmt in ("json", "csv"):
                 compare(rows, "cache_hit", order, f"binary T, {fmt}",
                         lambda: reformat(cache.get(key, order), fmt),

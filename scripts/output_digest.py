@@ -9,7 +9,7 @@ compares the printed digests.  The digest covers:
 * ``meander_gf`` (plain and marked) and ``meander_dp`` (totals and
   table) for 5 step sets x 6 levels at order 25;
 * small factors: ``hensel_small_factor`` for those step sets and
-  ``dary_char_factor`` for five d-ary families;
+  ``family_base`` for five d-ary families' kind lists;
 * both single-branch d-ary alpha lists (closed and recurrence),
   ``one_param_residual`` and ``dary_rational_parametrization``;
 * the ``dary_alpha_general`` tables for the odd and even families with
@@ -34,8 +34,8 @@ A third line hashes the series expansion coefficients: ``binary_alpha``
 in each of its three modes (an invalid mode hashes as its error) at
 ``WEIGHTS`` and the campaign's weight vectors, n_max 12 and order 30;
 ``height_alpha`` in both modes at the campaign's and the tests' inputs;
-``ternary_alpha`` and ``ternary_level_residual`` at the campaign's and
-the tests' inputs.
+``alpha_recurrence`` and ``level_residual`` on the ternary kind list, at
+the campaign's and the tests' inputs.
 
 Run from a checkout:
 
@@ -58,7 +58,8 @@ from embtrees import dary as D
 from embtrees import paths as P
 from embtrees import walkers as W
 from embtrees.errors import EmbtreesError
-from embtrees.kernel import hensel_small_factor
+from embtrees.kernel import family_base, hensel_small_factor
+from embtrees.levels import alpha_recurrence, level_residual
 from embtrees.series import Series
 from embtrees.steps import StepSet
 
@@ -120,7 +121,7 @@ def paths_section():
 
 def factor_section():
     out = [hensel_small_factor(StepSet.make(pairs), 30).elementary for pairs in STEP_SETS]
-    out += [D.dary_char_factor(fam, 20).elementary for fam in FAMILIES]
+    out += [family_base(fam.kinds, 20)[0].elementary for fam in FAMILIES]
     return out
 
 
@@ -199,10 +200,15 @@ def series_alphas_section():
     out += [B.height_alpha(v1, v2, mode, n_max, order).values
             for v1, v2 in ((0, 0), (1, 0), (2, 3)) for n_max, order in ((8, 20), (10, 24))
             for mode in ("closed", "recurrence")]
-    out += [B.ternary_alpha(0, 0, 8, 30).values]
-    for v1, v2, n_max, alpha_order, order in ((1, 2, 6, 20, 12), (1, 0, 8, 24, 17)):
-        alphas = B.ternary_alpha(v1, v2, n_max, alpha_order)
-        out += [alphas.values, B.ternary_level_residual(v1, v2, alphas, 2, order)]
+    for v1, v2, n_max, alpha_order, order in ((0, 0, 8, 30, None), (1, 2, 6, 20, 12),
+                                              (1, 0, 8, 24, 17)):
+        kinds = B._ternary_kinds(Q(v1), Q(v2))
+        small, T = family_base(kinds, alpha_order)
+        X = small.elementary[0]
+        alphas = alpha_recurrence(kinds, X, T, n_max)
+        out.append(alphas)
+        if order is not None:
+            out.append(level_residual(kinds, alphas, X, T, 2, order))
     return out
 
 

@@ -5,8 +5,9 @@ Shows the bundled integer sequences next to their weight vectors, a few
 label-bounded level rows, meander/excursion counts and walker stars.
 """
 
-from embtrees.binary import BinaryWeights, binary_T, binary_Tj_recurrence
+from embtrees.binary import BinaryWeights, binary_Tj_recurrence
 from embtrees.dary import DaryFamily, dary_Tj_recurrence
+from embtrees.kernel import tree_root
 from embtrees.oeis import FIXTURE_WEIGHTS
 from embtrees.paths import excursion_gf, meander_gf
 from embtrees.steps import StepSet
@@ -20,7 +21,7 @@ def ints(series, n=10):
 def main() -> None:
     print("== named families (weights v1 v2 w1 w2 w3) ==")
     for seq_id, weights in sorted(FIXTURE_WEIGHTS.items()):
-        series = binary_T(BinaryWeights.make(*weights), 10)
+        series = tree_root(BinaryWeights.make(*weights).kinds, 10)
         print(f"{seq_id}  {weights}: {ints(series)}")
 
     print("\n== binary trees with labels bounded at j ==")

@@ -6,20 +6,13 @@ from .binary import (
     AlphaTable,
     BinaryWeights,
     adapt_lambda,
-    binary_T,
     binary_Tj_closed,
     binary_Tj_recurrence,
-    binary_X,
     binary_alpha,
     brute_force_embedded_binary,
     conjecture_check,
     height_plane_trees,
-    height_T,
     height_Tj,
-    height_X,
-    ternary_alpha,
-    ternary_T,
-    ternary_X,
     closed_family_residual,
 )
 from .dary import (
@@ -29,9 +22,7 @@ from .dary import (
     dary_alpha_general,
     dary_alpha_one_param_closed,
     dary_alpha_one_param_recurrence,
-    dary_char_factor,
     dary_rational_parametrization,
-    dary_T,
     dary_Tj_recurrence,
     one_param_solution,
     verify_main_equation,
@@ -42,9 +33,11 @@ from .kernel import (
     SmallFactor,
     char_factor,
     complete_homogeneous,
+    family_base,
     fuss_catalan,
     hensel_small_factor,
     newton_solve,
+    tree_root,
 )
 from .marker import MarkerSeries
 from .multipoly import MultiPoly, RationalFunction, rf_equal

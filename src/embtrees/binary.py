@@ -9,9 +9,9 @@ the level recurrence, by the one-parameter closed-form family, and by
 independent enumeration oracles.  The expansion coefficients of the
 binary, height and ternary families come from the one unit-divisor
 recurrence ``levels.alpha_recurrence``, given each family's kind list
-(``_node_kinds``, ``_height_kinds``, ``_ternary_kinds``); this module
-keeps their known closed forms.  Each family's decay rate X is the small
-root that ``kernel.char_factor`` finds from the same kind list.
+(``BinaryWeights.kinds``, ``_height_kinds``, ``_ternary_kinds``); this
+module keeps their known closed forms.  Each family's T and decay rate X
+come from the same kind list through ``kernel.family_base``.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .errors import (
     NoPowerSeriesBranch,
     SizeTooLarge,
 )
-from .kernel import SeriesPoly, char_factor, newton_solve, tree_root
-from .levels import (_x_powers, alpha_recurrence, label_spectra, level_equation, level_residual,
+from .kernel import SeriesPoly, family_base, newton_solve, tree_root
+from .levels import (Kinds, _x_powers, alpha_recurrence, label_spectra, level_equation,
                      level_rows)
 from .marker import MarkerSeries
 from .multipoly import MultiPoly
@@ -60,26 +60,18 @@ class BinaryWeights:
     def quadratic(self) -> Fraction:
         return self.w1 + self.w2 + 2 * self.w3
 
+    @property
+    def kinds(self) -> Kinds:
+        """The seven node kinds with their weights, zero weights left out."""
+        kinds = [(self.v1, (-1,)), (self.v1, (1,)), (self.v2, (0,)), (self.w1, (-1, 1)),
+                 (self.w2, (0, 0)), (self.w3, (0, -1)), (self.w3, (0, 1))]
+        return [(w, offs) for w, offs in kinds if w]
+
     def require_matched_weights(self) -> None:
         if self.w2 != self.w3:
             raise DegenerateWeights("closed form needs matching middle weights w2 = w3")
         if self.w1 == 0 and self.w2 == 0 and self.w3 == 0:
             raise DegenerateWeights("closed form excludes the all-zero binary weights")
-
-
-def binary_T(w: BinaryWeights, order: int) -> Series:
-    """Root series T = 1 + z*linear*T + z*quadratic*T^2."""
-    return tree_root({1: w.linear, 2: w.quadratic}, order)
-
-
-def binary_X(w: BinaryWeights, order: int, T: Series | None = None) -> Series:
-    """Decay-rate series of the linearized level recurrence: the small root
-    of X = z*(r*(1+X^2) + s*X), r = v1 + (w1+w3)T and s = v2 + 2(w2+w3)T.
-
-    A caller that holds T at ``order`` passes it in; otherwise it is solved here.
-    """
-    T = binary_T(w, order) if T is None else T
-    return char_factor(_node_kinds(w), T, order).elementary[0]
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +88,7 @@ def binary_Tj_recurrence(
     """
     if boundary not in (0, 1):
         raise ValueError("boundary must be 0 or 1")
-    return level_rows(_node_kinds(w), boundary, j_max, order)
+    return level_rows(w.kinds, boundary, j_max, order)
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +122,10 @@ def binary_alpha(w: BinaryWeights, mode: str, n_max: int, order: int) -> AlphaTa
     """
     if w.w1 == 0 and w.w2 == 0 and w.w3 == 0:
         raise DegenerateWeights("need at least one binary node kind")
-    T = binary_T(w, order)
-    X = binary_X(w, order, T)
+    small, T = family_base(w.kinds, order)
+    X = small.elementary[0]
     if mode == "recurrence":
-        return AlphaTable(mode, tuple(alpha_recurrence(_node_kinds(w), X, T, n_max)))
+        return AlphaTable(mode, tuple(alpha_recurrence(w.kinds, X, T, n_max)))
     one = Series.one(order)
     xp = _x_powers(X, 2 * n_max)
     # alpha_n = ratio^(n-1) head_n
@@ -168,8 +160,8 @@ def t_of_x_identity(w: BinaryWeights, order: int) -> bool:
 
     whose power-series root is (t1 + sqrt(t1^2 + 4 t2 L)) / (2 t2).
     """
-    T = binary_T(w, order)
-    X = binary_X(w, order, T)
+    small, T = family_base(w.kinds, order)
+    X = small.elementary[0]
     one = Series.one(order)
     x2 = X * X
     t1 = (
@@ -193,8 +185,8 @@ def t_of_x_identity(w: BinaryWeights, order: int) -> bool:
 
 
 def _closed_parts(w: BinaryWeights, order: int):
-    T = binary_T(w, order)
-    X = binary_X(w, order, T)
+    small, T = family_base(w.kinds, order)
+    X = small.elementary[0]
     one = Series.one(order)
     shell = X * w.w1 + (one + X + X * X) * w.w2
     c_num = (one / T * w.v1 + (w.w1 + w.w2)) * (one - X * X) * (one - X**3)
@@ -211,7 +203,7 @@ def binary_Tj_closed(w: BinaryWeights, lam: Series, j: int, order: int) -> Serie
     if j < -1:
         raise ValueError("level index below the boundary row")
     if lam.is_zero():
-        return binary_T(w, order)
+        return tree_root(w.kinds, order)
     if lam.order < order + 2:
         raise InsufficientPrecision("parameter series carries too little precision")
     g = min(order + 6, lam.order)
@@ -303,7 +295,7 @@ def closed_family_residual(w: BinaryWeights, j: int, order: int, *, parts=None) 
 
     x4d = d_hat * xp[4]  # theta_i = T_i x4d
     theta = {i: (x4d - rho_cleared(i)) * T for i in (j - 1, j, j + 1)}
-    return level_equation(_node_kinds(w), theta, j, Series.z(g), x4d).truncate(order)
+    return level_equation(w.kinds, theta, j, Series.z(g), x4d).truncate(order)
 
 
 def adapt_lambda(w: BinaryWeights, boundary_value: int, order: int) -> Series:
@@ -377,9 +369,9 @@ def conjecture_check(
     samples = tuple((as_fraction(a), as_fraction(b)) for a, b in v_samples)
     for v1, v2 in samples:
         w = BinaryWeights.make(v1, v2, 1, 0, 1)
-        T = binary_T(w, order)
-        X = binary_X(w, order, T)
-        rec = alpha_recurrence(_node_kinds(w), X, T, n_max)
+        small, T = family_base(w.kinds, order)
+        X = small.elementary[0]
+        rec = alpha_recurrence(w.kinds, X, T, n_max)
         one = Series.one(order)
         xp = _x_powers(X, max(4, 2 * n_max))
         # den_n = fac^(n-1) (1-X)^(2n-2) (1+X)^(2h) (1+X^2)^h, h = (n-1)//2,
@@ -410,18 +402,6 @@ def conjecture_check(
 # ---------------------------------------------------------------------------
 
 
-def height_T(v1, v2, order: int) -> Series:
-    """T = 1 + z(v1+v2)T + zT^2."""
-    return tree_root({1: as_fraction(v1) + as_fraction(v2), 2: 1}, order)
-
-
-def height_X(v1, v2, order: int, T: Series | None = None) -> Series:
-    """The small root of X = z(v1 + v2 X + T(1 + X)); T as in ``binary_X``."""
-    v1, v2 = as_fraction(v1), as_fraction(v2)
-    T = height_T(v1, v2, order) if T is None else T
-    return char_factor(_height_kinds(v1, v2), T, order).elementary[0]
-
-
 def height_Tj(v1, v2, lam: Series, j: int, order: int) -> Series:
     """Closed solution T(1 - (v1/T+1)(1-X) lam X^j / (1 - lam X^(j+1))).
 
@@ -434,8 +414,8 @@ def height_Tj(v1, v2, lam: Series, j: int, order: int) -> Series:
             f"parameter series carries {lam.order} coefficients, below the order {order}")
     v1, v2 = as_fraction(v1), as_fraction(v2)
     g = order + 2
-    T = height_T(v1, v2, g)
-    X = height_X(v1, v2, g, T)
+    small, T = family_base(_height_kinds(v1, v2), g)
+    X = small.elementary[0]
     one = Series.one(g)
     lam_g = Series(lam.coeffs, g) if lam.order >= g else lam
     xp = _x_powers(X, j + 2)
@@ -445,7 +425,7 @@ def height_Tj(v1, v2, lam: Series, j: int, order: int) -> Series:
 
 def height_plane_trees(j: int, order: int) -> Series:
     """Generating function of plane trees of height <= j (edges marked)."""
-    T = height_T(0, 0, order + 2)
+    T = tree_root(_height_kinds(0, 0), order + 2)
     X = T - Series.one(order + 2)
     xp = _x_powers(X, j + 2)
     one = Series.one(order + 2)
@@ -455,8 +435,8 @@ def height_plane_trees(j: int, order: int) -> Series:
 def height_alpha(v1, v2, mode: str, n_max: int, order: int) -> AlphaTable:
     """Decay coefficients of the height recurrence (closed or recomputed)."""
     v1, v2 = as_fraction(v1), as_fraction(v2)
-    T = height_T(v1, v2, order)
-    X = height_X(v1, v2, order, T)
+    small, T = family_base(_height_kinds(v1, v2), order)
+    X = small.elementary[0]
     if mode == "closed":  # alpha_n = (X / ((v1/T + 1)(1 - X)))^(n-1)
         ratio = X / ((Series.one(order) / T * v1 + 1) * (Series.one(order) - X))
         return AlphaTable(mode, tuple(_x_powers(ratio, n_max - 1)[:n_max]))
@@ -466,81 +446,18 @@ def height_alpha(v1, v2, mode: str, n_max: int, order: int) -> AlphaTable:
 
 
 # ---------------------------------------------------------------------------
-# Ternary family with unary couplings
-# ---------------------------------------------------------------------------
-
-
-def ternary_T(v1, v2, order: int) -> Series:
-    """T = 1 + z(2 v1 + v2) T + z T^3."""
-    return tree_root({1: 2 * as_fraction(v1) + as_fraction(v2), 3: 1}, order)
-
-
-def ternary_X(v1, v2, order: int, T: Series | None = None) -> Series:
-    """The small root of X = z(v1(1 + X^2) + v2 X + T^2(1 + X + X^2)); T as in ``binary_X``."""
-    v1, v2 = as_fraction(v1), as_fraction(v2)
-    T = ternary_T(v1, v2, order) if T is None else T
-    return char_factor(_ternary_kinds(v1, v2), T, order).elementary[0]
-
-
-def ternary_alpha(v1, v2, n_max: int, order: int) -> AlphaTable:
-    """Decay coefficients of the ternary level system (no closed form known)."""
-    v1, v2 = as_fraction(v1), as_fraction(v2)
-    T = ternary_T(v1, v2, order)
-    alphas = alpha_recurrence(_ternary_kinds(v1, v2), ternary_X(v1, v2, order, T), T, n_max)
-    return AlphaTable("recurrence", tuple(alphas))
-
-
-def ternary_level_residual(v1, v2, alphas: AlphaTable, j: int, order: int) -> Series:
-    """Residual of the ternary level system for the truncated expansion.
-
-    T_i is approximated by T(1 - sum_n alpha_n X^(i n)); the residual at
-    level j vanishes up to the order where the dropped tail (n beyond the
-    table, entering through level j-1) starts contributing, which is at
-    least j*(n_max+1) - 1.
-    """
-    v1, v2 = as_fraction(v1), as_fraction(v2)
-    T = ternary_T(v1, v2, order)
-    return level_residual(_ternary_kinds(v1, v2), alphas.values, ternary_X(v1, v2, order, T),
-                          T, j, order)
-
-
-# ---------------------------------------------------------------------------
 # Enumeration oracles
 # ---------------------------------------------------------------------------
 
-def _node_kinds(w: BinaryWeights) -> list[tuple[Fraction, tuple[int, ...]]]:
-    kinds = []
-    if w.v1:
-        kinds.append((w.v1, (-1,)))
-        kinds.append((w.v1, (1,)))
-    if w.v2:
-        kinds.append((w.v2, (0,)))
-    if w.w1:
-        kinds.append((w.w1, (-1, 1)))
-    if w.w2:
-        kinds.append((w.w2, (0, 0)))
-    if w.w3:
-        kinds.append((w.w3, (0, -1)))
-        kinds.append((w.w3, (0, 1)))
-    return kinds
-
-
-def _height_kinds(v1: Fraction, v2: Fraction) -> list[tuple[Fraction, tuple[int, ...]]]:
+def _height_kinds(v1: Fraction, v2: Fraction) -> Kinds:
     """T_j = 1 + z(v1 T_(j-1) + v2 T_j + T_(j-1) T_j)."""
     return [(w, offs) for w, offs in ((v1, (-1,)), (v2, (0,)), (Q(1), (-1, 0))) if w]
 
 
-def _ternary_kinds(v1: Fraction, v2: Fraction) -> list[tuple[Fraction, tuple[int, ...]]]:
+def _ternary_kinds(v1: Fraction, v2: Fraction) -> Kinds:
     """T_j = 1 + z(v1 (T_(j-1) + T_(j+1)) + v2 T_j + T_(j-1) T_j T_(j+1))."""
     return [(w, offs) for w, offs in ((v1, (-1,)), (v1, (1,)), (v2, (0,)), (Q(1), (-1, 0, 1)))
             if w]
-
-
-def _extreme_spectra(
-    w: BinaryWeights, n_max: int, mode: str
-) -> list[dict[int, Fraction]]:
-    """spectra[n][m]: weight of size-n trees whose extreme label is m; see ``label_spectra``."""
-    return label_spectra(_node_kinds(w), n_max, mode)
 
 
 def brute_force_embedded_binary(
@@ -558,7 +475,7 @@ def brute_force_embedded_binary(
         raise SizeTooLarge("structural enumeration is capped at size 10")
     if boundary not in (0, 1):
         raise ValueError("boundary must be 0 or 1")
-    spectra = spectra or _extreme_spectra(w, n_max, "max" if boundary else "min")
+    spectra = spectra or label_spectra(w.kinds, n_max, "max" if boundary else "min")
     return [
         sum((c for m, c in spec.items() if (m <= j if boundary else m >= -j)), _ZERO)
         for spec in spectra

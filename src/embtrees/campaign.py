@@ -37,11 +37,14 @@ from .errors import ConfigParse
 from .kernel import (
     SeriesPoly,
     complete_homogeneous,
+    family_base,
     fixed_point_solve,
     fuss_catalan,
     hensel_small_factor,
     newton_solve,
+    tree_root,
 )
+from .levels import alpha_recurrence, label_spectra, level_residual
 from .marker import MarkerSeries
 from .multipoly import MultiPoly, RationalFunction
 from .series import Q, Series
@@ -232,7 +235,7 @@ def _check_binary_oracle(order: int):
         w = B.BinaryWeights.make(*vec)
         for boundary in (1, 0):
             rows = B.binary_Tj_recurrence(w, boundary, 4, 9)
-            spectra = B._extreme_spectra(w, 8, "max" if boundary else "min")
+            spectra = label_spectra(w.kinds, 8, "max" if boundary else "min")
             for j in range(-1, 5):
                 oracle = B.brute_force_embedded_binary(w, j, 8, boundary, spectra=spectra)
                 got = list(rows[j].coeffs[:9])
@@ -242,10 +245,11 @@ def _check_binary_oracle(order: int):
 
 
 def _binary_x_radical(w: B.BinaryWeights, order: int) -> Series:
-    """The square-root form of the binary decay rate, with r and s as in ``binary_X``:
+    """The square-root form of the binary decay rate, the small root of
+    X = z(r(1 + X^2) + sX) with r = v1 + (w1+w3)T and s = v2 + 2(w2+w3)T:
     X = (1 - zs - sqrt((1 - zs)^2 - 4 z^2 r^2)) / (2 z r)."""
     g = order + 3
-    T = B.binary_T(w, g)
+    T = tree_root(w.kinds, g)
     one, z = Series.one(g), Series.z(g)
     r = T * (w.w1 + w.w3) + w.v1
     s = T * (2 * (w.w2 + w.w3)) + w.v2
@@ -256,13 +260,13 @@ def _binary_x_radical(w: B.BinaryWeights, order: int) -> Series:
 def _check_binary_residuals(order: int):
     for vec in _BINARY_VECTORS + ((1, 1, 1, 0, 0),):
         w = B.BinaryWeights.make(*vec)
-        T = B.binary_T(w, order)
+        small, T = family_base(w.kinds, order)
         z = Series.z(order)
         one = Series.one(order)
         resid = T - one - z * T * w.linear - z * T * T * w.quadratic
         if not resid.is_zero():
             return False, f"tree equation residual at {vec}"
-        if B.binary_X(w, order, T) != _binary_x_radical(w, order):
+        if small.elementary[0] != _binary_x_radical(w, order):
             return False, f"characteristic root differs from its square-root form at {vec}"
     return True, ""
 
@@ -306,7 +310,7 @@ def _check_t_of_x(order: int):
 def _check_monotone_limit(order: int):
     w = B.BinaryWeights.make(0, 0, 1, 0, 0)
     rows = B.binary_Tj_recurrence(w, 1, 12, 12)
-    T = B.binary_T(w, 12)
+    T = tree_root(w.kinds, 12)
     for n in range(12):
         for j in range(n, 13):
             if j in rows and rows[j][n] != T[n]:
@@ -323,7 +327,7 @@ def _check_conjecture(order: int):
 
 def _height_x_rational(v1, v2, order: int) -> Series:
     """The rational form of the height decay rate: X = z(v1 + T) / (1 - z(v2 + T))."""
-    T = B.height_T(v1, v2, order)
+    T = tree_root(B._height_kinds(v1, v2), order)
     z = Series.z(order)
     return z * (T + v1) / (Series.one(order) - z * (T + v2))
 
@@ -336,7 +340,8 @@ def _check_height(order: int):
         if list(gf.coeffs) != oracle:
             return False, f"height bound {j}"
     for v1, v2 in ((0, 0), (1, 0), (2, 3)):
-        if B.height_X(v1, v2, 20) != _height_x_rational(v1, v2, 20):
+        small, _ = family_base(B._height_kinds(v1, v2), 20)
+        if small.elementary[0] != _height_x_rational(v1, v2, 20):
             return False, f"couplings {(v1, v2)}: characteristic root differs from its rational form"
         clo = B.height_alpha(v1, v2, "closed", 8, 20)
         rec = B.height_alpha(v1, v2, "recurrence", 8, 20)
@@ -347,16 +352,20 @@ def _check_height(order: int):
 
 
 def _check_ternary(order: int):
-    table = B.ternary_alpha(0, 0, 8, order)
+    # with no unary couplings the ternary kind list is the odd d = 1 family's
+    kinds = B._ternary_kinds(Q(0), Q(0))
+    small, T = family_base(kinds, order)
+    branch = small.elementary[0]
+    table = alpha_recurrence(kinds, branch, T, 8)
     closed = D.dary_alpha_one_param_closed(D.DaryFamily("odd", 1), 8)
-    branch = D.dary_char_factor(D.DaryFamily("odd", 1), order).elementary[0]
     for n in range(1, 9):
         want = closed[n - 1].eval_series({"X": branch})
-        if not table.value(n).matches(want):
+        if not table[n - 1].matches(want):
             return False, f"index {n} disagrees with the single-branch form"
-    alphas = B.ternary_alpha(1, 2, 6, 20)
-    resid = B.ternary_level_residual(1, 2, alphas, 2, 12)
-    if not resid.is_zero():
+    kinds = B._ternary_kinds(Q(1), Q(2))
+    small, T = family_base(kinds, 20)
+    X = small.elementary[0]
+    if not level_residual(kinds, alpha_recurrence(kinds, X, T, 6), X, T, 2, 12).is_zero():
         return False, "level residual with unary couplings"
     return True, ""
 
@@ -391,7 +400,7 @@ def _check_dary_oracle(order: int):
     for fam, n_max in ((D.DaryFamily("odd", 1), 7), (D.DaryFamily("even", 1), 7),
                        (D.DaryFamily("odd", 2), 5), (D.DaryFamily("even", 2), 5)):
         rows = D.dary_Tj_recurrence(fam, 3, n_max + 1)
-        spectra = D._oracle_spectra(fam, n_max)
+        spectra = label_spectra(fam.kinds, n_max, "max")
         for j in range(0, 4):
             oracle = D.brute_force_dary(fam, j, n_max, spectra=spectra)
             if list(rows[j].coeffs[: n_max + 1]) != oracle:
@@ -401,7 +410,7 @@ def _check_dary_oracle(order: int):
 
 def _check_dary_small_factor(order: int):
     for fam in _DARY_FAMILIES:
-        small = D.dary_char_factor(fam, 12)
+        small, _ = family_base(fam.kinds, 12)
         for e in small.elementary:
             v = e.valuation()
             if v is None or v < 1:
@@ -573,7 +582,7 @@ def _check_fixtures(order: int):
 
     for seq_id, weights in O.FIXTURE_WEIGHTS.items():
         w = B.BinaryWeights.make(*weights)
-        series = B.binary_T(w, 14)
+        series = tree_root(w.kinds, 14)
         ints = O.series_integers(series)
         if ints != O.FIXTURES[seq_id][:14]:
             return False, f"{seq_id} prefix mismatch"

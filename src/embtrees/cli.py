@@ -27,6 +27,7 @@ from . import paths as P
 from . import walkers as W
 from .campaign import CampaignConfig, available_suites, parse_config, run_campaign
 from .errors import EmbtreesError
+from .kernel import tree_root
 from .oeis import FIXTURES, format_b_file, oeis_fetch, oeis_match
 from .serialize import (
     SeriesCache, cache_key, export_series, import_series, ratio_str, reformat,
@@ -152,7 +153,7 @@ def _cmd_trees(args) -> int:
 
     def compute() -> Series:
         if args.level is None:
-            return B.binary_T(w, args.order)
+            return tree_root(w.kinds, args.order)
         if args.method == "closed":
             lam = B.adapt_lambda(w, boundary, args.order + 6)
             return B.binary_Tj_closed(w, lam, args.level, args.order)
@@ -169,7 +170,7 @@ def _cmd_dary(args) -> int:
 
     def compute() -> Series:
         if args.level is None:
-            return D.dary_T(fam, args.order)
+            return tree_root(fam.kinds, args.order)
         return _row(D.dary_Tj_recurrence(fam, max(args.level, 0), args.order), args.level)
 
     _emit_cached(args, ("dary", args.kind, args.d, args.level), compute)

@@ -20,10 +20,9 @@ from functools import reduce
 from operator import mul
 
 from .errors import InsufficientPrecision, SizeTooLarge
-from .kernel import SmallFactor, char_factor, tree_root
-from .levels import _compositions  # noqa: F401  (imported from here by callers)
-from .levels import (_terms_by_multiset, _x_powers, alpha_terms, label_spectra, level_equation,
-                     level_rows)
+from .kernel import family_base, tree_root
+from .levels import (Kinds, _terms_by_multiset, _x_powers, alpha_terms, label_spectra,
+                     level_equation, level_rows)
 from .multipoly import MultiPoly, RationalFunction
 from .series import Q, Series
 from .splitting import SAElement, SplitAlgebra
@@ -60,14 +59,14 @@ class DaryFamily:
         )
 
     @property
+    def kinds(self) -> Kinds:
+        """The one node kind, of weight 1."""
+        return [(Q(1), self.offsets)]
+
+    @property
     def branch_count(self) -> int:
         """Number of small characteristic branches: d (odd) or 2d-1 (even)."""
         return self.d if self.kind == "odd" else 2 * self.d - 1
-
-
-def dary_T(fam: DaryFamily, order: int) -> Series:
-    """Root series of T = 1 + z T^arity."""
-    return tree_root({fam.arity: 1}, order)
 
 
 def dary_Tj_recurrence(fam: DaryFamily, j_max: int, order: int) -> dict[int, Series]:
@@ -75,18 +74,12 @@ def dary_Tj_recurrence(fam: DaryFamily, j_max: int, order: int) -> dict[int, Ser
 
     The boundary rows are pinned to 1; see ``levels.level_rows``.
     """
-    return level_rows([(Q(1), fam.offsets)], 1, j_max, order)
+    return level_rows(fam.kinds, 1, j_max, order)
 
 
 # ---------------------------------------------------------------------------
 # Characteristic factor and rational parametrization
 # ---------------------------------------------------------------------------
-
-
-def dary_char_factor(fam: DaryFamily, order: int, T: Series | None = None) -> SmallFactor:
-    """Small factor of 1 = z T^(arity-1) * sum over offsets of X^o; T, if given, at ``order``."""
-    T = dary_T(fam, order) if T is None else T
-    return char_factor([(Q(1), fam.offsets)], T, order)
 
 
 def dary_rational_parametrization(
@@ -235,7 +228,7 @@ def dary_alpha_one_param_recurrence(
     for n in range(2, n_max + 1):
         l_cap = min(n, len(offsets))
         # common denominator: first^l_cap * pair^n * X^(c_down n)
-        divisor, numerators = alpha_terms([(Q(1), offsets)], n)
+        divisor, numerators = alpha_terms(fam.kinds, n)
         by_size: dict[int, MultiPoly] = {}
         for (key, _), poly in numerators.items():
             term = _part_product(products, closed_num, key) * _uni(poly)
@@ -344,9 +337,8 @@ def dary_alpha_general(
     # precision is tracked, not padded for: every element keeps the stored
     # order it is known to, and an entry short of ``order`` raises below
     work = order + 1
-    T = dary_T(fam, work)
+    small, T = family_base(fam.kinds, work)
     zT = Series.z(work) * T ** (fam.arity - 1)
-    small = dary_char_factor(fam, work, T)
     alg = SplitAlgebra(small)
     table = MultiAlphaTable(fam, bound, alg)
     offsets = fam.offsets
@@ -489,11 +481,11 @@ def verify_main_equation(
     c_down = -min(fam.offsets)
     if levels is None:
         levels = (c_down, c_down + 1)
-    T = dary_T(fam, order)
+    T = tree_root(fam.kinds, order)
     rows = {i: T - T * rho_series(table, i, order)
             for i in range(min(levels) - c_down, max(levels) + max(fam.offsets) + 1)}
     for j in levels:
-        val = level_equation([(Q(1), fam.offsets)], rows, j, Series.z(order)).valuation()
+        val = level_equation(fam.kinds, rows, j, Series.z(order)).valuation()
         if val is not None:
             return MainEquationReport(False, (j, val))
     return MainEquationReport(True, None)
@@ -504,11 +496,6 @@ def verify_main_equation(
 # ---------------------------------------------------------------------------
 
 
-def _oracle_spectra(fam: DaryFamily, n_max: int) -> list[dict[int, Fraction]]:
-    """``spectra`` of ``brute_force_dary``: the same for every level."""
-    return label_spectra([(Q(1), fam.offsets)], n_max, "max")
-
-
 def brute_force_dary(fam: DaryFamily, j: int, n_max: int, *, spectra=None) -> list[Fraction]:
     """Label-bounded counts by structural enumeration over tree shapes.
 
@@ -517,7 +504,7 @@ def brute_force_dary(fam: DaryFamily, j: int, n_max: int, *, spectra=None) -> li
     """
     if n_max > 8:
         raise SizeTooLarge("d-ary structural enumeration is capped at size 8")
-    spectra = spectra or _oracle_spectra(fam, n_max)
+    spectra = spectra or label_spectra(fam.kinds, n_max, "max")
     return [
         sum((cnt for m, cnt in spec.items() if m <= j), _ZERO) for spec in spectra
     ]

@@ -8,7 +8,9 @@ Three layers live here:
 * ``char_factor``, the one solver of every characteristic equation, built
   from a kind list (lattice paths and walkers are kinds of one offset):
   Hensel lifting splits it into the monic "small" factor (the factor
-  that degenerates to X^c at z=0) and its unit cofactor, c = 1 included,
+  that degenerates to X^c at z=0) and its unit cofactor, c = 1 included;
+  ``tree_root`` solves the same kind list's tree equation for T, and
+  ``family_base`` returns the two, the start of every closed form,
 * symmetric-function plumbing for the small factor: elementary to
   complete homogeneous.
 
@@ -100,13 +102,17 @@ def newton_solve(equation: SeriesPoly, t0) -> Series:
     return current
 
 
-def tree_root(weights: dict[int, Fraction | int], order: int) -> Series:
-    """Series root of T = 1 + z * sum_k c_k T^k, given as {k: c_k} with k >= 1.
+def tree_root(kinds: Kinds, order: int) -> Series:
+    """Series root of T = 1 + z * sum_k c_k T^k, c_k the summed weight of a kind list's
+    kinds with k children (k >= 1).
 
     Degree at most 2 takes the closed quadratic root; higher degrees go
     through ``newton_solve``.
     """
     COUNTS["kernel.tree_root"] += 1
+    weights: dict[int, Fraction] = {}
+    for w, offs in kinds:
+        weights[len(offs)] = weights.get(len(offs), 0) + w
     degree = max((k for k, c in weights.items() if c), default=0)
     if degree > 2:
         z = Series.z(order)
@@ -268,6 +274,13 @@ def char_factor(kinds: Kinds, T: Series, order: int) -> SmallFactor:
     f, c = _char_poly(kinds, T, order)
     a, _ = hensel_factor_pair(f, c)
     return SmallFactor(c, tuple(-a[c - k] if k % 2 else a[c - k] for k in range(1, c + 1)))
+
+
+def family_base(kinds: Kinds, order: int) -> tuple[SmallFactor, Series]:
+    """The small factor and the tree root T of a kind list, mod z^order: the pair
+    every closed form starts from.  At c = 1 the decay rate X is ``elementary[0]``."""
+    T = tree_root(kinds, order)
+    return char_factor(kinds, T, order), T
 
 
 def hensel_small_factor(steps: StepSet, order: int) -> SmallFactor:

@@ -85,6 +85,8 @@ def import_series(text: str, fmt: str = "json") -> Series:
                 or not all(isinstance(c, str) for c in coeffs)):
             raise ValueError("a json series is an object with an integer order and a list of "
                              "coefficient strings")
+        if len(coeffs) != order:
+            raise ValueError(f"a json series of order {order} lists {len(coeffs)} coefficients")
         return Series.from_ratios([_parse_ratio(c) for c in coeffs], order)
     if fmt == "csv":
         rows = text.strip().splitlines()

@@ -8,8 +8,7 @@ The boundary families are the corners (u,w) = (0,0) never-touching,
 (1,0) touch-but-never-share, (1,1) touching with the legal shares free,
 and their closed forms are the refined form at those corners.  Each
 system's decay rate X and free series T are those of the kind list of
-one-offset nodes its gap recurrence steps by, from ``kernel.char_factor``
-and ``kernel.tree_root``.
+one-offset nodes its gap recurrence steps by, from ``kernel.family_base``.
 Random-turn walkers move one at a time; the quarter-plane families count
 two-dimensional paths and coincide with random-turn osculating walkers
 for the six-step set.  Every star is T(1 - alpha X^a - alpha X^b -
@@ -37,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .kernel import char_factor, tree_root
+from .kernel import family_base
 from .levels import _x_powers
 from .series import Q, Series, as_fraction, over_lcm
 
@@ -86,8 +85,8 @@ class StarGF:
 def _unary_base(weights: dict[int, int], order: int) -> tuple[Series, Series]:
     """X and T of the one-offset kind list {offset: weight}: X = z sum_o w_o X^(o+1)
     and the tree root T = 1/(1 - z sum_o w_o)."""
-    T = tree_root({1: sum(weights.values())}, order)
-    return char_factor([(w, (o,)) for o, w in weights.items()], T, order).elementary[0], T
+    small, T = family_base([(w, (o,)) for o, w in weights.items()], order)
+    return small.elementary[0], T
 
 
 def lockstep_x(order: int) -> Series:

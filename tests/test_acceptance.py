@@ -18,11 +18,10 @@ from embtrees import campaign
 from embtrees.binary import (
     BinaryWeights,
     adapt_lambda,
-    binary_T,
     binary_Tj_closed,
-    binary_X,
     conjecture_polynomials,
 )
+from embtrees.kernel import family_base
 from embtrees.oeis import series_integers
 from embtrees.series import Series
 from embtrees.walkers import quarterplane_gf
@@ -36,8 +35,8 @@ def _adapted_families():
     ):
         w = BinaryWeights.make(*weights)
         lam = adapt_lambda(w, boundary, order + 6)
-        T = binary_T(w, order)
-        X = binary_X(w, order)
+        small, T = family_base(w.kinds, order)
+        X = small.elementary[0]
         one = Series.one(order)
         xp = [one]
         for _ in range(14):

@@ -12,30 +12,22 @@ from embtrees.binary import (
     BinaryWeights,
     adapt_lambda,
     binary_alpha,
-    binary_T,
     binary_Tj_closed,
     binary_Tj_closed_symbolic,
     binary_Tj_recurrence,
-    binary_X,
     brute_force_embedded_binary,
     conjecture_check,
     conjecture_polynomials,
     height_alpha,
     height_plane_trees,
-    height_T,
     height_Tj,
-    height_X,
     plane_tree_height_counts,
     t_of_x_identity,
-    ternary_alpha,
-    ternary_level_residual,
-    ternary_T,
-    ternary_X,
     closed_family_residual,
-    _extreme_spectra,
-    _node_kinds,
+    _height_kinds,
+    _ternary_kinds,
 )
-from embtrees.dary import DaryFamily, dary_alpha_one_param_closed, dary_char_factor
+from embtrees.dary import DaryFamily, dary_alpha_one_param_closed
 from embtrees.errors import (
     DegenerateCharacteristic,
     DegenerateWeights,
@@ -43,7 +35,8 @@ from embtrees.errors import (
     InsufficientPrecision,
     SizeTooLarge,
 )
-from embtrees.levels import _NEG_INF
+from embtrees.kernel import family_base, tree_root
+from embtrees.levels import _NEG_INF, alpha_recurrence, label_spectra, level_residual
 from embtrees.series import Series
 
 W_BINARY = BinaryWeights.make(0, 0, 1, 0, 0)
@@ -57,11 +50,11 @@ def enumerate_embedded_binary(w, n):
     """Explicit tree-by-tree enumeration: (weight, max internal, min occupied).
 
     Exponential; guarded at size 7.  The tree-shape oracle of
-    ``_extreme_spectra`` is checked against it on small sizes.
+    ``label_spectra`` is checked against it on small sizes.
     """
     if n > 7:
         raise SizeTooLarge("explicit enumeration is capped at size 7")
-    kinds = _node_kinds(w)
+    kinds = w.kinds
 
     def gen(size: int):
         if size == 0:
@@ -85,22 +78,22 @@ def ints(series):
 
 class TestRootSeries:
     def test_catalan(self):
-        assert ints(binary_T(W_BINARY, 6)) == [1, 1, 2, 5, 14, 42]
+        assert ints(tree_root(W_BINARY.kinds, 6)) == [1, 1, 2, 5, 14, 42]
 
     def test_schroeder(self):
-        assert ints(binary_T(BinaryWeights.make(0, 1, 1, 0, 0), 6)) == [1, 2, 6, 22, 90, 394]
+        assert ints(tree_root(BinaryWeights.make(0, 1, 1, 0, 0).kinds, 6)) == [1, 2, 6, 22, 90, 394]
 
     def test_triple_weight(self):
-        assert ints(binary_T(W_PLANAR, 5)) == [1, 3, 18, 135, 1134]
+        assert ints(tree_root(W_PLANAR.kinds, 5)) == [1, 3, 18, 135, 1134]
 
     def test_linear_only_falls_back(self):
-        t = binary_T(BinaryWeights.make(1, 1, 0, 0, 0), 5)
+        t = tree_root(BinaryWeights.make(1, 1, 0, 0, 0).kinds, 5)
         assert ints(t) == [1, 3, 9, 27, 81]
 
     @pytest.mark.parametrize("vec", [(0, 0, 1, 0, 0), (1, 0, 1, 0, 0), (2, 1, 1, 1, 1)])
     def test_tree_equation_residual(self, vec):
         w = BinaryWeights.make(*vec)
-        T = binary_T(w, 25)
+        T = tree_root(w.kinds, 25)
         z = Series.z(25)
         one = Series.one(25)
         assert (T - one - z * T * w.linear - z * T * T * w.quadratic).is_zero()
@@ -110,20 +103,21 @@ class TestDecayRate:
     @pytest.mark.parametrize("vec", [(0, 0, 1, 0, 0), (0, 0, 0, 1, 1), (1, 0, 1, 0, 0)])
     def test_characteristic_residual(self, vec):
         w = BinaryWeights.make(*vec)
-        X, T = binary_X(w, 40), binary_T(w, 40)
+        small, T = family_base(w.kinds, 40)
+        X = small.elementary[0]
         z, one = Series.z(40), Series.one(40)
         r = T * (w.w1 + w.w3) + w.v1
         s = T * (2 * (w.w2 + w.w3)) + w.v2
         assert (X - z * (r * (one + X * X) + s * X)).is_zero()
 
     def test_non_negative_and_zero_constant(self, ):
-        X = binary_X(W_PLANAR, 20)
+        X = family_base(W_PLANAR.kinds, 20)[0].elementary[0]
         assert X[0] == 0
         assert all(c >= 0 for c in X.coeffs)
 
     def test_degenerate(self):
         with pytest.raises(DegenerateCharacteristic):
-            binary_X(BinaryWeights.make(0, 1, 0, 1, 0), 8)
+            family_base(BinaryWeights.make(0, 1, 0, 1, 0).kinds, 8)
 
 
 class TestLevelRecurrence:
@@ -142,7 +136,7 @@ class TestLevelRecurrence:
 
     def test_rows_stabilize_to_limit(self):
         rows = binary_Tj_recurrence(W_BINARY, 1, 12, 12)
-        T = binary_T(W_BINARY, 12)
+        T = tree_root(W_BINARY.kinds, 12)
         for n in range(12):
             for j in range(n, 13):
                 assert rows[j][n] == T[n]
@@ -158,7 +152,7 @@ class TestOracle:
 
     def test_spectra_agree_with_explicit_enumeration(self):
         for w in (W_MIXED, W_PLANAR):
-            spectra = _extreme_spectra(w, 5, "max")
+            spectra = label_spectra(w.kinds, 5, "max")
             for n in (3, 5):
                 agg = collections.defaultdict(lambda: Q(0))
                 for wt, mx, _ in enumerate_embedded_binary(w, n):
@@ -166,7 +160,7 @@ class TestOracle:
                 assert dict(agg) == spectra[n]
 
     def test_min_spectra_agree_with_explicit_enumeration(self):
-        spectra = _extreme_spectra(W_PLANAR, 5, "min")
+        spectra = label_spectra(W_PLANAR.kinds, 5, "min")
         for n in (2, 4):
             agg = collections.defaultdict(lambda: Q(0))
             for wt, _, mn in enumerate_embedded_binary(W_PLANAR, n):
@@ -216,8 +210,8 @@ class TestClosedFamily:
     def test_binary_level_ratio_exponents(self):
         # at the adapted parameter the family collapses to the ratio with
         # exponent pattern (j+2, j+7) over (j+4, j+5)
-        X = binary_X(W_BINARY, 46)
-        T = binary_T(W_BINARY, 40)
+        X = family_base(W_BINARY.kinds, 46)[0].elementary[0]
+        T = tree_root(W_BINARY.kinds, 40)
         lam = X**3
         one = Series.one(40)
         xp = [one]
@@ -229,8 +223,8 @@ class TestClosedFamily:
             assert got.matches(ref)
 
     def test_planar_level_ratio_exponents(self):
-        X = binary_X(W_PLANAR, 46)
-        T = binary_T(W_PLANAR, 40)
+        X = family_base(W_PLANAR.kinds, 46)[0].elementary[0]
+        T = tree_root(W_PLANAR.kinds, 40)
         lam = X
         one = Series.one(40)
         xp = [one]
@@ -242,7 +236,7 @@ class TestClosedFamily:
             assert got.matches(ref)
 
     def test_zero_parameter_gives_limit(self):
-        assert binary_Tj_closed(W_BINARY, Series.zero(1), 3, 12) == binary_T(W_BINARY, 12)
+        assert binary_Tj_closed(W_BINARY, Series.zero(1), 3, 12) == tree_root(W_BINARY.kinds, 12)
 
     def test_closed_equals_recurrence_rows(self):
         lam = adapt_lambda(W_MIXED, 1, 20)
@@ -291,7 +285,7 @@ class TestClosedFamily:
 
     def test_symbolic_parameter_matches_numeric(self):
         sym = binary_Tj_closed_symbolic(W_BINARY, 2, 16, lam_degree=8)
-        lam = binary_X(W_BINARY, 30) ** 3
+        lam = family_base(W_BINARY.kinds, 30)[0].elementary[0] ** 3
         numeric = binary_Tj_closed(W_BINARY, lam, 2, 14)
         acc = Series.zero(16)
         for k in range(9):
@@ -302,11 +296,11 @@ class TestClosedFamily:
 class TestAdaptation:
     def test_binary_parameter_is_cubed_rate(self):
         lam = adapt_lambda(W_BINARY, 1, 30)
-        assert lam.matches(binary_X(W_BINARY, 30) ** 3)
+        assert lam.matches(family_base(W_BINARY.kinds, 30)[0].elementary[0] ** 3)
 
     def test_planar_parameter_is_rate(self):
         lam = adapt_lambda(W_PLANAR, 0, 30)
-        assert lam.matches(binary_X(W_PLANAR, 30))
+        assert lam.matches(family_base(W_PLANAR.kinds, 30)[0].elementary[0])
 
     def test_boundary_constant_term(self):
         for w, b in ((W_BINARY, 1), (W_PLANAR, 0)):
@@ -352,8 +346,8 @@ class TestHeightFamily:
         ]
 
     def test_decay_rate_solves_its_equation(self):
-        T = height_T(1, 2, 20)
-        X = height_X(1, 2, 20)
+        small, T = family_base(_height_kinds(Q(1), Q(2)), 20)
+        X = small.elementary[0]
         z = Series.z(20)
         one = Series.one(20)
         assert (X * (one - z * (T + 2)) - z * (T + 1)).is_zero()
@@ -367,13 +361,13 @@ class TestHeightFamily:
 
     def test_closed_level_family(self):
         # with the rate itself as parameter the family gives the height GFs
-        X = height_X(0, 0, 26)
+        X = family_base(_height_kinds(Q(0), Q(0)), 26)[0].elementary[0]
         for j in (0, 1, 3):
             got = height_Tj(0, 0, X, j, 20)
             assert got.matches(height_plane_trees(j, 20))
 
     def test_short_parameter_is_refused(self):
-        X = height_X(0, 0, 26)
+        X = family_base(_height_kinds(Q(0), Q(0)), 26)[0].elementary[0]
         assert height_Tj(0, 0, X.truncate(20), 1, 20).matches(height_plane_trees(1, 20))
         with pytest.raises(InsufficientPrecision, match="19 coefficients, below the order 20"):
             height_Tj(0, 0, X.truncate(19), 1, 20)
@@ -381,24 +375,29 @@ class TestHeightFamily:
 
 class TestTernaryFamily:
     def test_root_and_rate(self):
-        assert ints(ternary_T(0, 0, 5)) == [1, 1, 3, 12, 55]
-        X = ternary_X(1, 1, 20)
-        T = ternary_T(1, 1, 20)
+        assert ints(tree_root(_ternary_kinds(Q(0), Q(0)), 5)) == [1, 1, 3, 12, 55]
+        small, T = family_base(_ternary_kinds(Q(1), Q(1)), 20)
+        X = small.elementary[0]
         z = Series.z(20)
         one = Series.one(20)
         t2 = T * T
         assert (z * (t2 + 1) * (one + X * X) - (one - z * (t2 + 1)) * X).is_zero()
 
     def test_reduces_to_single_branch_at_zero_couplings(self):
-        table = ternary_alpha(0, 0, 8, 30)
+        kinds = _ternary_kinds(Q(0), Q(0))
+        small, T = family_base(kinds, 30)
+        table = alpha_recurrence(kinds, small.elementary[0], T, 8)
         closed = dary_alpha_one_param_closed(DaryFamily("odd", 1), 8)
-        branch = dary_char_factor(DaryFamily("odd", 1), 30).elementary[0]
+        branch = family_base(DaryFamily("odd", 1).kinds, 30)[0].elementary[0]
         for n in range(1, 9):
-            assert table.value(n).matches(closed[n - 1].eval_series({"X": branch}))
+            assert table[n - 1].matches(closed[n - 1].eval_series({"X": branch}))
 
     def test_level_residual_with_couplings(self):
-        alphas = ternary_alpha(1, 0, 8, 24)
-        assert ternary_level_residual(1, 0, alphas, 2, 17).is_zero()
+        kinds = _ternary_kinds(Q(1), Q(0))
+        small, T = family_base(kinds, 24)
+        X = small.elementary[0]
+        alphas = alpha_recurrence(kinds, X, T, 8)
+        assert level_residual(kinds, alphas, X, T, 2, 17).is_zero()
 
 
 def test_t_of_x_identity_across_weights():

@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 
 from embtrees import campaign
 from embtrees import walkers as W
-from embtrees.binary import BinaryWeights, binary_X, height_X
+from embtrees.binary import BinaryWeights, _height_kinds
 from embtrees.errors import DegenerateCharacteristic, DegenerateStepSet
-from embtrees.kernel import SeriesPoly, char_factor, hensel_small_factor, newton_solve, tree_root
+from embtrees.kernel import (SeriesPoly, char_factor, family_base, hensel_small_factor,
+                             newton_solve, tree_root)
 from embtrees.paths import meander_gf
 from embtrees.series import Series
 from embtrees.steps import StepSet
@@ -32,14 +33,6 @@ def kind_lists(draw, lowest=-3):
     kinds = draw(st.lists(kind, min_size=1, max_size=4))
     w, offs = kinds[0]
     return [(w, (lowest,) + offs[1:])] + kinds[1:]
-
-
-def tree_T(kinds, order: int) -> Series:
-    """The root of T = 1 + z sum_k w_k T^|O_k|."""
-    arities: dict[int, Q] = {}
-    for w, offs in kinds:
-        arities[len(offs)] = arities.get(len(offs), 0) + w
-    return tree_root(arities, order)
 
 
 def char_poly(kinds, T: Series, order: int) -> list[Series]:
@@ -64,7 +57,7 @@ def factor_poly(sf) -> list[Series]:
 @settings(max_examples=60, deadline=None)
 @given(kind_lists(), st.integers(1, 20))
 def test_factor_times_cofactor_is_the_polynomial(kinds, order):
-    T = tree_T(kinds, order)
+    T = tree_root(kinds, order)
     f = char_poly(kinds, T, order)
     sf = char_factor(kinds, T, order)
     a = factor_poly(sf)
@@ -89,7 +82,7 @@ def test_factor_times_cofactor_is_the_polynomial(kinds, order):
 @settings(max_examples=60, deadline=None)
 @given(kind_lists(lowest=-1), st.integers(1, 20))
 def test_single_branch_root_is_newtons(kinds, order):
-    T = tree_T(kinds, order)
+    T = tree_root(kinds, order)
     sf = char_factor(kinds, T, order)
     assert sf.c == 1
     assert sf.elementary[0] == newton_solve(SeriesPoly.make(char_poly(kinds, T, order)), 0)
@@ -103,14 +96,15 @@ binary_weights = st.tuples(*[st.fractions(min_value=0, max_value=3, max_denomina
 @given(binary_weights, st.integers(1, 20))
 def test_binary_square_root_form(vec, order):
     w = BinaryWeights.make(*vec)
-    assert binary_X(w, order) == campaign._binary_x_radical(w, order)
+    assert family_base(w.kinds, order)[0].elementary[0] == campaign._binary_x_radical(w, order)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.fractions(min_value=0, max_value=3, max_denominator=5),
        st.fractions(min_value=0, max_value=3, max_denominator=5), st.integers(1, 20))
 def test_height_rational_form(v1, v2, order):
-    assert height_X(v1, v2, order) == campaign._height_x_rational(v1, v2, order)
+    small, _ = family_base(_height_kinds(v1, v2), order)
+    assert small.elementary[0] == campaign._height_x_rational(v1, v2, order)
 
 
 @pytest.mark.parametrize("kinds", [

@@ -10,7 +10,6 @@ from embtrees import dary
 from embtrees.binary import BinaryWeights, binary_Tj_recurrence
 from embtrees.dary import (
     DaryFamily,
-    _compositions,
     _multi_indices,
     _splits,
     _terms_by_multiset,
@@ -18,9 +17,7 @@ from embtrees.dary import (
     dary_alpha_general,
     dary_alpha_one_param_closed,
     dary_alpha_one_param_recurrence,
-    dary_char_factor,
     dary_rational_parametrization,
-    dary_T,
     dary_Tj_recurrence,
     one_param_solution,
     one_param_residual,
@@ -29,7 +26,8 @@ from embtrees.dary import (
     verify_one_param,
 )
 from embtrees.errors import InsufficientPrecision
-from embtrees.kernel import fuss_catalan, hensel_factor_pair
+from embtrees.kernel import family_base, fuss_catalan, hensel_factor_pair, tree_root
+from embtrees.levels import _compositions
 from embtrees.multipoly import MultiPoly, RationalFunction
 from embtrees.series import Series
 from embtrees.splitting import SAElement, SplitAlgebra
@@ -96,8 +94,9 @@ def ref_alpha_general(fam, bound, seeds, order):
     """
     c = fam.branch_count
     work = order + (-min(fam.offsets) + 1) * bound + 4
-    zT = Series.z(work) * dary_T(fam, work) ** (fam.arity - 1)
-    alg = SplitAlgebra(dary_char_factor(fam, work))
+    small, T = family_base(fam.kinds, work)
+    zT = Series.z(work) * T ** (fam.arity - 1)
+    alg = SplitAlgebra(small)
     offsets, c_down = fam.offsets, -min(fam.offsets)
     entries = {}
     for g in range(c):
@@ -168,7 +167,7 @@ def coordinates_agree(x, y):
 def char_poly(fam, order):
     """X^c - z T^(arity-1) sum_o X^(o+c), c the branch count, by powers of X."""
     c = fam.branch_count
-    zf = Series.z(order) * dary_T(fam, order) ** (fam.arity - 1)
+    zf = Series.z(order) * tree_root(fam.kinds, order) ** (fam.arity - 1)
     f = [Series.zero(order) for _ in range(2 * c + 1)]
     f[c] = Series.one(order)
     for o in fam.offsets:
@@ -183,9 +182,9 @@ def test_family_descriptors():
 
 
 def test_root_series_are_binomial_family():
-    assert [int(c) for c in dary_T(ODD1, 5).coeffs] == [1, 1, 3, 12, 55]
-    assert [int(c) for c in dary_T(EVEN1, 5).coeffs] == [1, 1, 2, 5, 14]
-    assert dary_T(EVEN2, 4)[2] == fuss_catalan(2, 4) == 4
+    assert [int(c) for c in tree_root(ODD1.kinds, 5).coeffs] == [1, 1, 3, 12, 55]
+    assert [int(c) for c in tree_root(EVEN1.kinds, 5).coeffs] == [1, 1, 2, 5, 14]
+    assert tree_root(EVEN2.kinds, 4)[2] == fuss_catalan(2, 4) == 4
 
 
 class TestLevelRows:
@@ -212,7 +211,7 @@ class TestLevelRows:
 
     def test_row_stabilizes(self):
         rows = dary_Tj_recurrence(ODD1, 8, 7)
-        assert rows[8].matches(dary_T(ODD1, 7))
+        assert rows[8].matches(tree_root(ODD1.kinds, 7))
 
 
 class TestCharacteristicFactor:
@@ -220,7 +219,7 @@ class TestCharacteristicFactor:
     def test_single_branch_solves_characteristic(self, fam):
         f, c = char_poly(fam, 40)
         assert c == 1
-        x1 = dary_char_factor(fam, 40).elementary[0]
+        x1 = family_base(fam.kinds, 40)[0].elementary[0]
         acc = Series.zero(40)
         for k, fk in enumerate(f):
             acc = acc + fk * x1**k
@@ -238,7 +237,7 @@ class TestCharacteristicFactor:
 
     @pytest.mark.parametrize("fam", [ODD1, ODD2, EVEN1, EVEN2, EVEN3], ids=str)
     def test_elementary_functions_vanish_at_origin(self, fam):
-        small = dary_char_factor(fam, 12)
+        small = family_base(fam.kinds, 12)[0]
         assert small.c == fam.branch_count
         for e in small.elementary:
             assert e.valuation() is not None and e.valuation() >= 1
@@ -261,8 +260,8 @@ class TestRationalParametrization:
     @pytest.mark.parametrize("fam", [ODD1, EVEN1], ids=str)
     def test_series_consistency_single_branch(self, fam):
         t_of_x, z_of_x = dary_rational_parametrization(fam)
-        branch = dary_char_factor(fam, 30).elementary[0]
-        assert t_of_x.eval_series({"X": branch}).matches(dary_T(fam, 30))
+        branch = family_base(fam.kinds, 30)[0].elementary[0]
+        assert t_of_x.eval_series({"X": branch}).matches(tree_root(fam.kinds, 30))
         assert z_of_x.eval_series({"X": branch}).matches(Series.z(30))
 
 
@@ -399,7 +398,7 @@ class TestExpansionCoefficients:
     def test_single_branch_table_reduces_to_closed(self):
         table = dary_alpha_general(ODD1, 6, [Series.one(30)], 24)
         closed = dary_alpha_one_param_closed(ODD1, 6)
-        branch = dary_char_factor(ODD1, 40).elementary[0]
+        branch = family_base(ODD1.kinds, 40)[0].elementary[0]
         for n in range(1, 7):
             got = table.entry((n,)).as_series(20)
             assert got.matches(closed[n - 1].eval_series({"X": branch}))
@@ -502,7 +501,7 @@ class TestMainEquation:
     def test_inverts_one_plus_a_root(self, fam):
         # a root has z-valuation 1/c, the smallest an element can have, so
         # Newton's precision doubles in units of z^(1/c)
-        alg = SplitAlgebra(dary_char_factor(fam, 12))
+        alg = SplitAlgebra(family_base(fam.kinds, 12)[0])
         for g in range(alg.c):
             u = alg.generator(g)
             y = alg.invert_one_plus(u)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embtrees.campaign import CampaignConfig, parse_config, run_campaign
-from embtrees import binary, cli
+from embtrees import cli
 from embtrees.cli import main
 from embtrees.errors import ConfigParse
 from embtrees.serialize import SeriesCache, cache_key, export_series, import_series
@@ -241,8 +241,11 @@ def test_cache_entry_from_another_version_misses(tmp_path, capsys, monkeypatch):
     assert len(list(tmp_path.glob("*.json"))) == 2
 
 
+CATALAN_9 = '"coeffs": ["1", "1", "2", "5", "14", "42", "132", "429", "1430"]'
+# the last two list 9 coefficients under an order that would pad or cut them
 MALFORMED_SERIES = ['[1, 2]', '{"order": 5, "coeffs": 7}', '{"order": "x", "coeffs": ["1"]}',
-                    '{"order": 1, "coeffs": ["1/0"]}']
+                    '{"order": 1, "coeffs": ["1/0"]}', '{"order": 12, %s}' % CATALAN_9,
+                    '{"order": 3, %s}' % CATALAN_9]
 
 
 @pytest.mark.parametrize("payload", MALFORMED_SERIES)
@@ -298,7 +301,7 @@ def test_cache_dir_that_is_a_file_exits_2_before_computing(below, tmp_path, caps
     def refuse(*args, **kwargs):
         raise AssertionError("computed a series that could not be stored")
 
-    monkeypatch.setattr(binary, "binary_T", refuse)
+    monkeypatch.setattr(cli, "tree_root", refuse)
     taken = tmp_path / "taken"
     taken.write_text("")
     cache_dir = taken / below if below else taken

@@ -4,19 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embtrees.binary import (
-    BinaryWeights,
-    _height_kinds,
-    _node_kinds,
-    _ternary_kinds,
-    binary_T,
-    binary_X,
-    height_T,
-    height_X,
-    ternary_T,
-    ternary_X,
-)
-from embtrees.kernel import SeriesPoly, newton_solve, tree_root
+from embtrees.binary import BinaryWeights, _height_kinds, _ternary_kinds
+from embtrees.kernel import SeriesPoly, family_base, newton_solve, tree_root
 from embtrees.levels import (_x_powers, alpha_recurrence, label_spectra, level_equation,
                              level_residual, level_rows)
 from embtrees.series import Series
@@ -95,9 +84,15 @@ def test_level_equation_clears_a_common_denominator(kinds, den, data):
 # ---------------------------------------------------------------------------
 
 
+def rate_and_root(kinds, order):
+    """X and T of a kind list with one small branch, from ``family_base``."""
+    small, T = family_base(kinds, order)
+    return small.elementary[0], T
+
+
 def ref_binary_alpha(w, n_max, order):
     """The binary recurrence as first written, divisor fac (1 - X^n)(1 - X^(n+2))."""
-    T, X = binary_T(w, order), binary_X(w, order)
+    X, T = rate_and_root(w.kinds, order)
     one = Series.one(order)
     xp = _x_powers(X, 2 * n_max + 3)
     fac = one / T * w.v1 + (w.w1 + w.w3)
@@ -120,7 +115,7 @@ def ref_binary_alpha(w, n_max, order):
 def ref_height_alpha(v1, v2, n_max, order):
     """The height recurrence as first written, divisor fac (1 - X^n)."""
     v1, v2 = Q(v1), Q(v2)
-    T, X = height_T(v1, v2, order), height_X(v1, v2, order)
+    X, T = rate_and_root(_height_kinds(v1, v2), order)
     one = Series.one(order)
     fac = one / T * v1 + 1
     xp = _x_powers(X, n_max + 2)
@@ -136,7 +131,7 @@ def ref_height_alpha(v1, v2, n_max, order):
 def ref_ternary_alpha(v1, v2, n_max, order):
     """The ternary recurrence as first written: pair block minus triple block."""
     v1, v2 = Q(v1), Q(v2)
-    T, X = ternary_T(v1, v2, order), ternary_X(v1, v2, order)
+    X, T = rate_and_root(_ternary_kinds(v1, v2), order)
     one = Series.one(order)
     fac = one / (T * T) * v1 + 1
     xp = _x_powers(X, 2 * n_max + 3)
@@ -166,21 +161,21 @@ def ref_ternary_alpha(v1, v2, n_max, order):
     ((0, 0, 1, 0, 1), 10), ((1, 0, 1, 0, 1), 10), ((1, 2, 1, 0, 1), 10)])
 def test_binary_recurrence_equals_reference(vec, n_max):
     w = BinaryWeights.make(*vec)
-    got = alpha_recurrence(_node_kinds(w), binary_X(w, 30), binary_T(w, 30), n_max)
+    got = alpha_recurrence(w.kinds, *rate_and_root(w.kinds, 30), n_max)
     assert got == ref_binary_alpha(w, n_max, 30)
 
 
 @pytest.mark.parametrize("v1,v2", [(0, 0), (1, 0), (2, 3)])
 def test_height_recurrence_equals_reference(v1, v2):
     kinds = _height_kinds(Q(v1), Q(v2))
-    got = alpha_recurrence(kinds, height_X(v1, v2, 20), height_T(v1, v2, 20), 8)
+    got = alpha_recurrence(kinds, *rate_and_root(kinds, 20), 8)
     assert got == ref_height_alpha(v1, v2, 8, 20)
 
 
 @pytest.mark.parametrize("v1,v2,n_max,order", [(0, 0, 8, 30), (1, 2, 6, 20)])
 def test_ternary_recurrence_equals_reference(v1, v2, n_max, order):
     kinds = _ternary_kinds(Q(v1), Q(v2))
-    got = alpha_recurrence(kinds, ternary_X(v1, v2, order), ternary_T(v1, v2, order), n_max)
+    got = alpha_recurrence(kinds, *rate_and_root(kinds, order), n_max)
     assert got == ref_ternary_alpha(v1, v2, n_max, order)
 
 
@@ -211,10 +206,7 @@ def test_level_residual_vanishes_for_random_kinds(kinds, deep):
     kinds = kinds + [deep]
     n_max, j = 5, 3
     bound = (j - 1) * (n_max + 1) + 1
-    weights: dict[int, Q] = {}
-    for w, offs in kinds:
-        weights[len(offs)] = weights.get(len(offs), Q(0)) + w
-    T = tree_root(weights, bound)
+    T = tree_root(kinds, bound)
     X = characteristic_root(kinds, T)
     alphas = alpha_recurrence(kinds, X, T, n_max)
     assert alphas[0] == Series.one(bound)
@@ -223,6 +215,7 @@ def test_level_residual_vanishes_for_random_kinds(kinds, deep):
 
 def test_level_residual_needs_non_negative_levels():
     kinds = _ternary_kinds(Q(1), Q(0))
-    alphas = alpha_recurrence(kinds, ternary_X(1, 0, 10), ternary_T(1, 0, 10), 3)
+    X, T = rate_and_root(kinds, 10)
+    alphas = alpha_recurrence(kinds, X, T, 3)
     with pytest.raises(ValueError):
-        level_residual(kinds, alphas, ternary_X(1, 0, 10), ternary_T(1, 0, 10), 0, 10)
+        level_residual(kinds, alphas, X, T, 0, 10)

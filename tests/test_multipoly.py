@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embtrees.dary import DaryFamily, dary_char_factor, dary_rational_parametrization, dary_T
+from embtrees.dary import DaryFamily, dary_rational_parametrization
+from embtrees.kernel import family_base
 from embtrees.errors import VariableMismatch
 from embtrees.multipoly import MultiPoly, RationalFunction, rf_equal
 from embtrees.series import Series
@@ -87,6 +88,7 @@ def test_ternary_parametrization_reproduces_root_series():
         MultiPoly(("X",), {(0,): 1, (2,): 1}),
     )
     assert t_of_x.equals(expected)
-    branch = dary_char_factor(fam, 30).elementary[0]
-    assert t_of_x.eval_series({"X": branch}).matches(dary_T(fam, 30))
+    small, T = family_base(fam.kinds, 30)
+    branch = small.elementary[0]
+    assert t_of_x.eval_series({"X": branch}).matches(T)
     assert z_of_x.eval_series({"X": branch}).matches(Series.z(30))

@@ -4,9 +4,10 @@ import urllib.request
 
 import pytest
 
-from embtrees.binary import BinaryWeights, binary_T
+from embtrees.binary import BinaryWeights
 from embtrees.cli import main
 from embtrees.errors import MalformedBFile, NetworkDisabled, NonIntegerCoefficients
+from embtrees.kernel import tree_root
 from embtrees.oeis import (
     FIXTURES,
     FIXTURE_WEIGHTS,
@@ -35,13 +36,13 @@ def test_bundle_covers_the_named_sequences():
 @pytest.mark.parametrize("seq_id", sorted(EXPECTED_IDS))
 def test_fixture_matches_computed_series(seq_id):
     weights = FIXTURE_WEIGHTS[seq_id]
-    series = binary_T(BinaryWeights.make(*weights), 14)
+    series = tree_root(BinaryWeights.make(*weights).kinds, 14)
     assert series_integers(series) == FIXTURES[seq_id]
     assert seq_id in oeis_match(series, min_terms=12)
 
 
 def test_catalan_matches_only_catalan():
-    series = binary_T(BinaryWeights.make(0, 0, 1, 0, 0), 12)
+    series = tree_root(BinaryWeights.make(0, 0, 1, 0, 0).kinds, 12)
     assert oeis_match(series) == ["A000108"]
 
 

@@ -1,4 +1,5 @@
-"""The package's exact outputs, pinned by the digests of scripts/output_digest.py.
+"""The package's exact outputs, pinned by the digests of scripts/output_digest.py,
+and the other scripts run as a reader runs them.
 
 A change that keeps every output bit-identical leaves all three lines as
 they are; a change that alters an output must say so by updating them.
@@ -9,7 +10,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          env=env, capture_output=True, text=True)
 
 DIGEST_LINES = [
     "d2a6d16489ce0f7c09e1a76b9972e0e70411ccce260df78e03f6a14a657b5adc",
@@ -19,7 +28,13 @@ DIGEST_LINES = [
 
 
 def test_output_digests_are_unchanged():
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    out = subprocess.run([sys.executable, str(ROOT / "scripts" / "output_digest.py")],
-                         env=env, capture_output=True, text=True, check=True).stdout
-    assert [" ".join(line.split()) for line in out.splitlines()] == DIGEST_LINES
+    done = run_script("output_digest.py")
+    assert done.returncode == 0, done.stderr
+    assert [" ".join(line.split()) for line in done.stdout.splitlines()] == DIGEST_LINES
+
+
+@pytest.mark.parametrize("argv", [["sequence_tour.py"], ["bench_series.py", "--help"]])
+def test_script_runs(argv):
+    # a script that imports a name the package no longer has fails here
+    done = run_script(*argv)
+    assert done.returncode == 0, done.stderr

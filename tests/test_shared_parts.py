@@ -19,6 +19,7 @@ from embtrees import campaign
 from embtrees import dary as D
 from embtrees import paths as P
 from embtrees import walkers as W
+from embtrees.levels import label_spectra
 from embtrees.series import Series
 from embtrees.steps import StepSet
 
@@ -55,8 +56,8 @@ def test_a_campaign_round_leaves_no_cyclic_garbage():
 
 def test_every_check_in_process_leaves_no_cyclic_garbage():
     # what a worker runs: run_check on one check after another.  The decay
-    # rates X take T from the callers that built it, so a caller that stops
-    # passing T shows in the kernel.tree_root count
+    # rates X come with T from one family_base call, so a caller that solves
+    # the same root again shows in the kernel.tree_root count
     gc.collect()
     gc.disable()
     try:
@@ -65,7 +66,7 @@ def test_every_check_in_process_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
-    assert sum(dict(r.counts)["kernel.tree_root"] for r in results) == 87
+    assert sum(dict(r.counts)["kernel.tree_root"] for r in results) == 85
 
 
 def test_lockstep_check_solves_once_per_weight_and_order():
@@ -145,7 +146,7 @@ weights = st.sampled_from([Q(0), Q(1, 2), Q(1), Q(2)])
 @given(weights, weights, weights, weights, weights, st.sampled_from([0, 1]))
 def test_binary_oracle_spectra_equal_default(v1, v2, w1, w2, w3, boundary):
     w = B.BinaryWeights.make(v1, v2, w1, w2, w3)
-    spectra = B._extreme_spectra(w, 6, "max" if boundary else "min")
+    spectra = label_spectra(w.kinds, 6, "max" if boundary else "min")
     for j in range(-1, 5):
         assert (B.brute_force_embedded_binary(w, j, 6, boundary, spectra=spectra)
                 == B.brute_force_embedded_binary(w, j, 6, boundary))
@@ -154,7 +155,7 @@ def test_binary_oracle_spectra_equal_default(v1, v2, w1, w2, w3, boundary):
 @pytest.mark.parametrize("kind,d", [("odd", 1), ("even", 1), ("odd", 2), ("even", 2)])
 def test_dary_oracle_spectra_equal_default(kind, d):
     fam = D.DaryFamily(kind, d)
-    spectra = D._oracle_spectra(fam, 5)
+    spectra = label_spectra(fam.kinds, 5, "max")
     for j in range(4):
         assert D.brute_force_dary(fam, j, 5, spectra=spectra) == D.brute_force_dary(fam, j, 5)
 

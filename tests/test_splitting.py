@@ -13,14 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embtrees.dary import DaryFamily, dary_char_factor
+from embtrees.dary import DaryFamily
+from embtrees.kernel import family_base
 from embtrees.series import Series
 from embtrees.splitting import SAElement, SplitAlgebra
 
 ORDER = 8
 FACTORS = {
-    2: dary_char_factor(DaryFamily("odd", 2), ORDER),
-    3: dary_char_factor(DaryFamily("even", 2), ORDER),
+    2: family_base(DaryFamily("odd", 2).kinds, ORDER)[0],
+    3: family_base(DaryFamily("even", 2).kinds, ORDER)[0],
 }
 ALGEBRAS = {c: SplitAlgebra(small) for c, small in FACTORS.items()}
 

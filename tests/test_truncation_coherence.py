@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from embtrees.binary import BinaryWeights, binary_Tj_closed, closed_family_residual, height_Tj
 from embtrees.dary import DaryFamily, dary_alpha_general, rho_series
 from embtrees.errors import InsufficientPrecision
+from embtrees.kernel import family_base
 from embtrees.paths import meander_gf
 from embtrees.series import Series
 from embtrees.steps import StepSet
@@ -79,6 +80,26 @@ def test_dary_table_reads_no_seed_coefficient_it_lacks(fam, bound, order, shift,
     longer = dary_alpha_general(fam, bound, [Series(s[:known + k]) for s in seeds], order)
     for index, entry in short.entries.items():
         assert cut_coordinates(entry, order) == cut_coordinates(longer.entries[index], order)
+
+
+@st.composite
+def kind_lists(draw):
+    """Kinds of 1-3 offsets in -2..2 with positive weights, the first with a downward offset."""
+    kind = st.tuples(st.fractions(min_value=Q(1, 5), max_value=3, max_denominator=5),
+                     st.lists(st.integers(-2, 2), min_size=1, max_size=3).map(tuple))
+    kinds = draw(st.lists(kind, min_size=1, max_size=3))
+    w, offs = kinds[0]
+    return [(w, (draw(st.integers(-2, -1)),) + offs[1:])] + kinds[1:]
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind_lists(), st.integers(1, 10), st.integers(1, 4))
+def test_family_base_is_truncation_coherent(kinds, order, k):
+    (small, T), (long_small, long_T) = family_base(kinds, order), family_base(kinds, order + k)
+    assert small.order == T.order == order
+    assert T == long_T.truncate(order)
+    assert small.c == long_small.c
+    assert small.elementary == tuple(e.truncate(order) for e in long_small.elementary)
 
 
 weights = st.sampled_from([Q(0), Q(1, 2), Q(1), Q(2), Q(3, 5)])
