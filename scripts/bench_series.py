@@ -36,9 +36,13 @@ and 100, root series T included,
 against the forms it replaced: the binary square root and the height
 rational form (the campaign's claims), Newton on the ternary and
 lock-step quadratics, and ``hensel_factor_pair`` on the even d = 2
-polynomial built term by term in ``tests/test_dary.py``; ``dary_alpha_one_param_recurrence`` against
-one product per composition (``tests/test_dary.py``), for odd and even
-d = 2 and for the four families the dary/alpha-agreement check runs; ``level_rows``
+polynomial built term by term in ``tests/test_dary.py``; ``levels.recomputed_alphas`` on
+the d-ary closed claims against one product per composition
+(``tests/test_dary.py``), for odd and even d = 2 and for the four
+families the dary/alpha-agreement check runs; the ``alpha_proof`` rows,
+the campaign's proofs of the binary claims at (0,0,1,0,0), (0,0,0,1,1)
+and (0,0,0,0,1) (n <= 12) and of the height claim at (0,0) (n <= 8),
+against the series comparison of the same claims that they replaced; ``level_rows``
 against the ``label_spectra`` sums it is tested with; and
 ``levels.alpha_recurrence``, root and rate included, against the binary
 recurrence at w = (2, 1, 1, 1, 1), n_max 12, order 30, and the ternary
@@ -84,17 +88,21 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
 
 from embtrees.binary import (  # noqa: E402
+    _CLOSED_PARTS,
     BinaryWeights,
     _closed_family_parts,
     _height_kinds,
+    _height_parts,
     _ternary_kinds,
+    binary_alpha,
     closed_family_residual,
+    height_alpha,
 )
-from embtrees.campaign import _binary_x_radical, _height_x_rational  # noqa: E402
+from embtrees.campaign import _binary_x_radical, _first_unproved, _height_x_rational  # noqa: E402
 from embtrees.dary import (  # noqa: E402
     DaryFamily,
+    _one_param_parts,
     dary_alpha_general,
-    dary_alpha_one_param_recurrence,
     rho_series,
 )
 from embtrees.kernel import (  # noqa: E402
@@ -105,7 +113,12 @@ from embtrees.kernel import (  # noqa: E402
     newton_solve,
     tree_root,
 )
-from embtrees.levels import alpha_recurrence, label_spectra, level_rows  # noqa: E402
+from embtrees.levels import (  # noqa: E402
+    alpha_recurrence,
+    label_spectra,
+    level_rows,
+    recomputed_alphas,
+)
 from embtrees.marker import MarkerSeries  # noqa: E402
 from embtrees.multipoly import MultiPoly  # noqa: E402
 from embtrees.serialize import SeriesCache, export_series, import_series, reformat  # noqa: E402
@@ -340,16 +353,20 @@ def bench_recurrences(repeats: int) -> list[dict]:
     compare(rows, "hensel_factor_pair", 40, "steps -2,-1,1,3",
             lambda: hensel_factor_pair(f, 2), lambda: ref_hensel(f, 2), repeats)
     rows += bench_char_factor(repeats)
+
+    def recomputed(fam):
+        return recomputed_alphas(fam.kinds, *_one_param_parts(fam, 10))
+
     for fam in (DaryFamily("odd", 2), DaryFamily("even", 2)):
         compare(rows, "one_param_recurrence", 10, f"{fam.kind} d={fam.d}",
-                lambda: dary_alpha_one_param_recurrence(fam, 10),
-                lambda: rf_pairs(ref_one_param_recurrence(fam, 10)),
+                lambda: recomputed(fam), lambda: rf_pairs(ref_one_param_recurrence(fam, 10)[1:]),
                 max(1, repeats // 5), read=rf_pairs)
     campaign_families = [DaryFamily(kind, d) for d in (1, 2) for kind in ("odd", "even")]
     compare(rows, "one_param_recurrence", 10, "4 campaign families",
-            lambda: [dary_alpha_one_param_recurrence(fam, 10) for fam in campaign_families],
-            lambda: [rf_pairs(ref_one_param_recurrence(fam, 10)) for fam in campaign_families],
+            lambda: [recomputed(fam) for fam in campaign_families],
+            lambda: [rf_pairs(ref_one_param_recurrence(fam, 10)[1:]) for fam in campaign_families],
             max(1, repeats // 5), read=lambda tables: [rf_pairs(t) for t in tables])
+    rows += bench_alpha_proofs(repeats)
     kinds = DaryFamily("even", 2).kinds
     spectra = label_spectra(kinds, 7, "max")
     compare(rows, "level_rows", 8, "even d=2, j <= 3",
@@ -368,6 +385,34 @@ def bench_recurrences(repeats: int) -> list[dict]:
 
 
 TERNARY_1_2 = _ternary_kinds(Q(1), Q(2))
+
+
+def first_series_mismatch(rec, clo):
+    """The first n at which two series tables differ, or None."""
+    return next((n for n, (a, b) in enumerate(zip(rec.values, clo.values), 1)
+                 if not a.matches(b)), None)
+
+
+def bench_alpha_proofs(repeats: int) -> list[dict]:
+    """The closed decay coefficients that the binary/alpha-closed-forms and
+    height/plane-trees checks prove in Q(X), against the series comparison
+    those checks made before (recurrence and closed table, each solving its
+    own root and rate, at the checks' orders)."""
+    rows: list[dict] = []
+    X = MultiPoly.var(("X",), "X")
+    for vec, mode in (((0, 0, 1, 0, 0), "matched_closed"), ((0, 0, 0, 1, 1), "matched_closed"),
+                      ((0, 0, 0, 0, 1), "w3_closed")):
+        w = BinaryWeights.make(*vec)
+        compare(rows, "alpha_proof", 12, f"binary ({','.join(map(str, vec))})",
+                lambda: _first_unproved(w.kinds, _CLOSED_PARTS[mode](w, X, None, 12)),
+                lambda: first_series_mismatch(binary_alpha(w, "recurrence", 12, 30),
+                                              binary_alpha(w, mode, 12, 30)), repeats)
+    kinds = _height_kinds(Q(0), Q(0))
+    compare(rows, "alpha_proof", 8, "height (0,0)",
+            lambda: _first_unproved(kinds, _height_parts(Q(0), X, None, 8)),
+            lambda: first_series_mismatch(height_alpha(0, 0, "closed", 8, 20),
+                                          height_alpha(0, 0, "recurrence", 8, 20)), repeats)
+    return rows
 
 
 def quadratic_root(c0: Series, c1: Series, c2: Series) -> Series:
@@ -399,7 +444,8 @@ def bench_char_factor(repeats: int) -> list[dict]:
                 lambda: _binary_x_radical(w, order), repeats)
         compare(rows, "char_factor", order, "height (1,2)",
                 lambda: rate_and_root(_height_kinds(Q(1), Q(2)), order)[0],
-                lambda: _height_x_rational(1, 2, order), repeats)
+                lambda: _height_x_rational(1, 2, tree_root(_height_kinds(Q(1), Q(2)), order)),
+                repeats)
         compare(rows, "char_factor", order, "ternary (1,2)",
                 lambda: rate_and_root(TERNARY_1_2, order)[0],
                 lambda: ternary_x_newton(order), repeats)

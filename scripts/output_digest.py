@@ -10,8 +10,9 @@ compares the printed digests.  The digest covers:
   table) for 5 step sets x 6 levels at order 25;
 * small factors: ``hensel_small_factor`` for those step sets and
   ``family_base`` for five d-ary families' kind lists;
-* both single-branch d-ary alpha lists (closed and recurrence),
-  ``one_param_residual`` and ``dary_rational_parametrization``;
+* both single-branch d-ary alpha lists (the closed claims, and the values
+  ``levels.recomputed_alphas`` recomputes from them), ``one_param_residual``
+  and ``dary_rational_parametrization``;
 * the ``dary_alpha_general`` tables for the odd and even families with
   d = 1, 2 (bound 3, order 15) and odd d = 3 (bound 2, order 12), in
   three sections: ``tables``, every entry in full (each coordinate
@@ -59,7 +60,8 @@ from embtrees import paths as P
 from embtrees import walkers as W
 from embtrees.errors import EmbtreesError
 from embtrees.kernel import family_base, hensel_small_factor
-from embtrees.levels import alpha_recurrence, level_residual
+from embtrees.levels import alpha_recurrence, level_residual, recomputed_alphas
+from embtrees.multipoly import MultiPoly, RationalFunction
 from embtrees.series import Series
 from embtrees.steps import StepSet
 
@@ -130,8 +132,9 @@ def alpha_section():
     for fam in FAMILIES:
         out += [D.dary_alpha_one_param_closed(fam, 10), D.one_param_residual(fam),
                 D.dary_rational_parametrization(fam)]
-        if fam.d < 3:
-            out.append(D.dary_alpha_one_param_recurrence(fam, 10))
+        if fam.d < 3:  # alpha_1 = 1, then the prover's recomputed alpha_2..alpha_10
+            one = RationalFunction(MultiPoly.const(("X",), 1))
+            out.append([one] + recomputed_alphas(fam.kinds, *D._one_param_parts(fam, 10)))
     return out
 
 

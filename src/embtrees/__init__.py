@@ -21,7 +21,6 @@ from .dary import (
     brute_force_dary,
     dary_alpha_general,
     dary_alpha_one_param_closed,
-    dary_alpha_one_param_recurrence,
     dary_rational_parametrization,
     dary_Tj_recurrence,
     one_param_solution,

@@ -9,16 +9,18 @@ the level recurrence, by the one-parameter closed-form family, and by
 independent enumeration oracles.  The expansion coefficients of the
 binary, height and ternary families come from the one unit-divisor
 recurrence ``levels.alpha_recurrence``, given each family's kind list
-(``BinaryWeights.kinds``, ``_height_kinds``, ``_ternary_kinds``); this
-module keeps their known closed forms.  Each family's T and decay rate X
-come from the same kind list through ``kernel.family_base``.
+(``BinaryWeights.kinds``, ``_height_kinds``, ``_ternary_kinds``); each
+family's T and decay rate X come from the same list through
+``kernel.family_base``.  The known closed forms are parts of alpha_n =
+num_n / (first pair^(n-1)) in X's ring: series, or polynomials where
+``levels.recomputed_alphas`` proves them at v1 = v2 = 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import truediv
 
 from .errors import (
     DegenerateWeights,
@@ -122,30 +124,56 @@ def binary_alpha(w: BinaryWeights, mode: str, n_max: int, order: int) -> AlphaTa
     """
     if w.w1 == 0 and w.w2 == 0 and w.w3 == 0:
         raise DegenerateWeights("need at least one binary node kind")
-    small, T = family_base(w.kinds, order)
+    return _alpha_table(w.kinds, mode, _CLOSED_PARTS.get(mode), (w,), n_max, order)
+
+
+def _alpha_table(kinds: Kinds, mode: str, parts, args, n_max: int, order: int) -> AlphaTable:
+    """The recurrence's table, or the closed one from ``parts(*args, X, T, n_max)``."""
+    small, T = family_base(kinds, order)
     X = small.elementary[0]
     if mode == "recurrence":
-        return AlphaTable(mode, tuple(alpha_recurrence(w.kinds, X, T, n_max)))
-    one = Series.one(order)
-    xp = _x_powers(X, 2 * n_max)
-    # alpha_n = ratio^(n-1) head_n
-    if mode == "matched_closed":
-        w.require_matched_weights()
-        fac = one / T * w.v1 + (w.w1 + w.w2)
-        shell = X * w.w1 + (one + X + xp[2]) * w.w2
-        ratio = shell * X / (fac * (one - X) ** 2 * (one + X + xp[2]) * (one + X))
-        heads = [(one - xp[n]) / (one - X) for n in range(1, n_max + 1)]
-    elif mode == "w3_closed":
-        if w.w1 != 0 or w.w2 != 0:
-            raise DegenerateWeights("this closed form needs w1 = w2 = 0")
-        if w.w3 == 0:
-            raise DegenerateWeights("this closed form needs w3 > 0")
-        fac = one / T * w.v1 + w.w3
-        ratio = X * w.w3 / (fac * (one - X) ** 2 * (one + X + xp[2]))
-        heads = [(one - xp[2 * n]) / ((one - X) * (one + X)) for n in range(1, n_max + 1)]
-    else:
+        return AlphaTable(mode, tuple(alpha_recurrence(kinds, X, T, n_max)))
+    if parts is None:
         raise ValueError(f"unknown mode {mode!r}")
-    return AlphaTable(mode, tuple(map(mul, _x_powers(ratio, n_max - 1), heads)))
+    first, pair, nums = parts(*args, X, T, n_max)
+    return AlphaTable(mode, tuple(map(truediv, nums, _x_powers(pair, n_max - 1, first))))
+
+
+def _fac(X, T, v1, rest):  # v1/T + rest, the one place the parts read T
+    return X**0 / T * v1 + rest if v1 else X**0 * rest
+
+
+def _matched_parts(w: BinaryWeights, X, T, n_max: int):
+    """alpha_n = (X shell)^(n-1) (1 - X^n) / ((1 - X) (fac (1-X)^2 (1+X+X^2) (1+X))^(n-1)),
+    shell = w1 X + w2 (1+X+X^2), fac = v1/T + w1 + w2; it needs w2 = w3."""
+    w.require_matched_weights()
+    one, xp = X**0, _x_powers(X, max(n_max, 2))
+    cyc = one + X + xp[2]
+    shells = _x_powers((X * w.w1 + cyc * w.w2) * X, n_max - 1)
+    nums = [(one - xp[n]) * s for n, s in zip(range(1, n_max + 1), shells)]
+    return one - X, _fac(X, T, w.v1, w.w1 + w.w2) * (one - X) ** 2 * cyc * (one + X), nums
+
+
+def _w3_parts(w: BinaryWeights, X, T, n_max: int):
+    """alpha_n = (w3 X)^(n-1) (1 - X^(2n)) / ((1 - X)(1 + X) (fac (1-X)^2 (1+X+X^2))^(n-1)),
+    fac = v1/T + w3; it needs w1 = w2 = 0 < w3."""
+    if w.w1 != 0 or w.w2 != 0:
+        raise DegenerateWeights("this closed form needs w1 = w2 = 0")
+    if w.w3 == 0:
+        raise DegenerateWeights("this closed form needs w3 > 0")
+    one, xp = X**0, _x_powers(X, 2 * n_max)
+    scales = _x_powers(X * w.w3, n_max - 1)
+    nums = [(one - xp[2 * n]) * s for n, s in zip(range(1, n_max + 1), scales)]
+    pair = _fac(X, T, w.v1, w.w3) * (one - X) ** 2 * (one + X + xp[2])
+    return (one - X) * (one + X), pair, nums
+
+
+def _height_parts(v1, X, T, n_max: int):
+    """alpha_n = X^(n-1) / ((v1/T + 1)(1 - X))^(n-1)."""
+    return X**0, _fac(X, T, v1, 1) * (X**0 - X), _x_powers(X, n_max - 1)[:n_max]
+
+
+_CLOSED_PARTS = {"matched_closed": _matched_parts, "w3_closed": _w3_parts}
 
 
 def t_of_x_identity(w: BinaryWeights, order: int) -> bool:
@@ -435,14 +463,8 @@ def height_plane_trees(j: int, order: int) -> Series:
 def height_alpha(v1, v2, mode: str, n_max: int, order: int) -> AlphaTable:
     """Decay coefficients of the height recurrence (closed or recomputed)."""
     v1, v2 = as_fraction(v1), as_fraction(v2)
-    small, T = family_base(_height_kinds(v1, v2), order)
-    X = small.elementary[0]
-    if mode == "closed":  # alpha_n = (X / ((v1/T + 1)(1 - X)))^(n-1)
-        ratio = X / ((Series.one(order) / T * v1 + 1) * (Series.one(order) - X))
-        return AlphaTable(mode, tuple(_x_powers(ratio, n_max - 1)[:n_max]))
-    if mode == "recurrence":
-        return AlphaTable(mode, tuple(alpha_recurrence(_height_kinds(v1, v2), X, T, n_max)))
-    raise ValueError(f"unknown mode {mode!r}")
+    parts = _height_parts if mode == "closed" else None
+    return _alpha_table(_height_kinds(v1, v2), mode, parts, (v1,), n_max, order)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,8 @@ from .kernel import (
     newton_solve,
     tree_root,
 )
-from .levels import alpha_recurrence, label_spectra, level_residual
+from .levels import (_x_powers, alpha_recurrence, label_spectra, level_residual,
+                     recomputed_alphas)
 from .marker import MarkerSeries
 from .multipoly import MultiPoly, RationalFunction
 from .series import Q, Series
@@ -271,21 +272,39 @@ def _check_binary_residuals(order: int):
     return True, ""
 
 
+def _first_unproved(kinds, parts) -> int | None:
+    """The first n whose claim alpha_n = num_n / (first pair^(n-1)) fails in Q(X), or None:
+    alpha_1 must be 1, and each later claim its value recomputed from those below."""
+    first, pair, nums = parts
+    dens = _x_powers(pair, len(nums) - 1, first)
+    return 1 if nums[0] != first else next(
+        (n for n, got in enumerate(recomputed_alphas(kinds, first, pair, nums), 2)
+         if not got.equals(RationalFunction(nums[n - 1], dens[n - 1]))), None)
+
+
+def _first_wrong_alpha(kinds, parts, n_max: int, base) -> int | None:
+    """The first n at which the claim of ``parts(X, T, n_max)`` fails, or None: proved in
+    Q(X), T unread, on kinds of one arity, where T^arity cancels; else num_n must equal
+    first pair^(n-1) times the recurrence's alpha_n in series, at ``base()`` = (factor, T)."""
+    if len({len(offs) for _, offs in kinds}) == 1:
+        return _first_unproved(kinds, parts(MultiPoly.var(("X",), "X"), None, n_max))
+    small, T = base()
+    X = small.elementary[0]
+    first, pair, nums = parts(X, T, n_max)
+    rows = zip(alpha_recurrence(kinds, X, T, n_max), nums, _x_powers(pair, n_max - 1, first))
+    return next((n for n, (a, num, den) in enumerate(rows, 1) if not num.matches(a * den)), None)
+
+
 def _check_binary_alpha(order: int):
-    for vec in ((0, 0, 1, 0, 0), (0, 0, 0, 1, 1), (1, 0, 1, 0, 0), (2, 1, 1, 1, 1)):
+    # proved at v1 = v2 = 0, where every kind is binary; elsewhere T is quadratic over Q(X)
+    for vec, mode in (((0, 0, 1, 0, 0), "matched_closed"), ((0, 0, 0, 1, 1), "matched_closed"),
+                      ((1, 0, 1, 0, 0), "matched_closed"), ((2, 1, 1, 1, 1), "matched_closed"),
+                      ((0, 0, 0, 0, 1), "w3_closed"), ((1, 0, 0, 0, 1), "w3_closed")):
         w = B.BinaryWeights.make(*vec)
-        rec = B.binary_alpha(w, "recurrence", 12, order)
-        clo = B.binary_alpha(w, "matched_closed", 12, order)
-        for n in range(1, 13):
-            if not rec.value(n).matches(clo.value(n)):
-                return False, f"weights {vec}, index {n}"
-    for vec in ((0, 0, 0, 0, 1), (1, 0, 0, 0, 1)):
-        w = B.BinaryWeights.make(*vec)
-        rec = B.binary_alpha(w, "recurrence", 12, order)
-        clo = B.binary_alpha(w, "w3_closed", 12, order)
-        for n in range(1, 13):
-            if not rec.value(n).matches(clo.value(n)):
-                return False, f"weights {vec}, index {n} (single-kind form)"
+        bad = _first_wrong_alpha(w.kinds, functools.partial(B._CLOSED_PARTS[mode], w), 12,
+                                 lambda: family_base(w.kinds, order))
+        if bad is not None:
+            return False, f"weights {vec}, index {bad} ({mode})"
     return True, ""
 
 
@@ -325,11 +344,10 @@ def _check_conjecture(order: int):
     return "conjecture-consistent", ""
 
 
-def _height_x_rational(v1, v2, order: int) -> Series:
+def _height_x_rational(v1, v2, T: Series) -> Series:
     """The rational form of the height decay rate: X = z(v1 + T) / (1 - z(v2 + T))."""
-    T = tree_root(B._height_kinds(v1, v2), order)
-    z = Series.z(order)
-    return z * (T + v1) / (Series.one(order) - z * (T + v2))
+    z = Series.z(T.order)
+    return z * (T + v1) / (Series.one(T.order) - z * (T + v2))
 
 
 def _check_height(order: int):
@@ -340,14 +358,14 @@ def _check_height(order: int):
         if list(gf.coeffs) != oracle:
             return False, f"height bound {j}"
     for v1, v2 in ((0, 0), (1, 0), (2, 3)):
-        small, _ = family_base(B._height_kinds(v1, v2), 20)
-        if small.elementary[0] != _height_x_rational(v1, v2, 20):
+        kinds = B._height_kinds(v1, v2)
+        base = family_base(kinds, 20)
+        if base[0].elementary[0] != _height_x_rational(v1, v2, base[1]):
             return False, f"couplings {(v1, v2)}: characteristic root differs from its rational form"
-        clo = B.height_alpha(v1, v2, "closed", 8, 20)
-        rec = B.height_alpha(v1, v2, "recurrence", 8, 20)
-        for n in range(1, 9):
-            if not clo.value(n).matches(rec.value(n)):
-                return False, f"couplings {(v1, v2)}, index {n}"
+        # proved at (0, 0), where the one kind is binary
+        bad = _first_wrong_alpha(kinds, functools.partial(B._height_parts, v1), 8, lambda: base)
+        if bad is not None:
+            return False, f"couplings {(v1, v2)}, index {bad}"
     return True, ""
 
 
@@ -388,11 +406,9 @@ def _check_dary_one_param(order: int):
 
 def _check_dary_alpha(order: int):
     for fam in _DARY_FAMILIES[:4]:
-        closed = D.dary_alpha_one_param_closed(fam, 10)
-        rec = D.dary_alpha_one_param_recurrence(fam, 10)
-        for n in range(2, 11):
-            if not closed[n - 1].equals(rec[n - 1]):
-                return False, f"{fam.kind} d={fam.d} index {n}"
+        bad = _first_unproved(fam.kinds, D._one_param_parts(fam, 10))
+        if bad is not None:
+            return False, f"{fam.kind} d={fam.d} index {bad}"
     return True, ""
 
 

@@ -28,6 +28,7 @@ from . import walkers as W
 from .campaign import CampaignConfig, available_suites, parse_config, run_campaign
 from .errors import EmbtreesError
 from .kernel import tree_root
+from .levels import _span
 from .oeis import FIXTURES, format_b_file, oeis_fetch, oeis_match
 from .serialize import (
     SeriesCache, cache_key, export_series, import_series, ratio_str, reformat,
@@ -154,11 +155,12 @@ def _cmd_trees(args) -> int:
     def compute() -> Series:
         if args.level is None:
             return tree_root(w.kinds, args.order)
+        # rows from (order - 1) * delta up (delta: deepest downward offset) are T below z^order
+        level = min(args.level, (args.order - 1) * _span(w.kinds)[0])
         if args.method == "closed":
             lam = B.adapt_lambda(w, boundary, args.order + 6)
-            return B.binary_Tj_closed(w, lam, args.level, args.order)
-        rows = B.binary_Tj_recurrence(w, boundary, max(args.level, 0), args.order)
-        return _row(rows, args.level)
+            return B.binary_Tj_closed(w, lam, level, args.order)
+        return _row(B.binary_Tj_recurrence(w, boundary, max(level, 0), args.order), level)
 
     _emit_cached(args, ("trees", args.v1, args.v2, args.w1, args.w2, args.w3,
                         args.level, args.boundary, args.method), compute)
@@ -171,7 +173,8 @@ def _cmd_dary(args) -> int:
     def compute() -> Series:
         if args.level is None:
             return tree_root(fam.kinds, args.order)
-        return _row(D.dary_Tj_recurrence(fam, max(args.level, 0), args.order), args.level)
+        level = min(args.level, (args.order - 1) * _span(fam.kinds)[0])  # as in _cmd_trees
+        return _row(D.dary_Tj_recurrence(fam, max(level, 0), args.order), level)
 
     _emit_cached(args, ("dary", args.kind, args.d, args.level), compute)
     return 0
@@ -206,15 +209,17 @@ def _cmd_walkers(args) -> int:
         None if args.u is None else Fraction(args.u),
         None if args.w is None else Fraction(args.w),
     )
+    # a gap of at least --order reads the same column as a gap of --order
+    i, j = min(args.i, args.order), min(args.j, args.order)
     if args.oracle:
-        _emit_series(Series(W.walker_dp(model, args.i, args.j, args.order)), args)
+        _emit_series(Series(W.walker_dp(model, i, j, args.order)), args)
         return 0
     if model.mode == "random_turn":
-        star = W.randomturn_gf(model.steps, model.boundary, args.i, args.j, args.order)
+        star = W.randomturn_gf(model.steps, model.boundary, i, j, args.order)
     elif model.boundary == "refined":
-        star = W.lockstep_refined(model.u, model.w, args.i, args.j, args.order)
+        star = W.lockstep_refined(model.u, model.w, i, j, args.order)
     else:
-        star = W.lockstep_star(model.boundary, args.i, args.j, args.order)
+        star = W.lockstep_star(model.boundary, i, j, args.order)
     _emit_series(star.series, args)
     return 0
 

@@ -7,8 +7,8 @@ boundary rows pinned to 1, by a rational one-parameter closed family
 (verified as an exact rational-function identity valid for every level
 at once), and by the multi-branch expansion-coefficient tables of the
 general solution, checked against the exact level equation.  The
-single-branch coefficients are recomputed from the term table of the
-one unit-divisor recurrence in ``levels``, over rational functions.
+closed single-branch coefficients are claims in the one shape of
+``levels.recomputed_alphas``, which proves them on the family's kind list.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from operator import mul
 
 from .errors import InsufficientPrecision, SizeTooLarge
 from .kernel import family_base, tree_root
-from .levels import (Kinds, _terms_by_multiset, _x_powers, alpha_terms, label_spectra,
-                     level_equation, level_rows)
+from .levels import Kinds, _terms_by_multiset, label_spectra, level_equation, level_rows
 from .multipoly import MultiPoly, RationalFunction
 from .series import Q, Series
 from .splitting import SAElement, SplitAlgebra
@@ -177,21 +176,16 @@ def verify_one_param(fam: DaryFamily) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _uni(terms: dict[int, Fraction]) -> MultiPoly:
-    return MultiPoly(("X",), {(k,): v for k, v in terms.items()})
-
-
-def _uni_x(k: int) -> MultiPoly:
-    return _uni({k: Q(1)})
-
-
 def _one_param_parts(fam: DaryFamily, n_max: int):
-    """first, pair and num_1..num_n_max with alpha_n = num_n / (first pair^(n-1))."""
-    one = _uni({0: Q(1)})
+    """first, pair and num_1..num_n_max with alpha_n = num_n / (first pair^(n-1)), the
+    claims that ``levels.recomputed_alphas`` proves on the family's kind list."""
+    def x(k: int) -> MultiPoly:
+        return MultiPoly.monomial(("X",), (k,))
+
     d = fam.d
     step, xpow, lead = (d, 1, d + 1) if fam.kind == "odd" else (2 * d - 1, 2, 2 * d + 1)
-    nums = [_uni_x(xpow * (n - 1)) * (one - _uni_x(n * step)) for n in range(1, n_max + 1)]
-    return one - _uni_x(step), (one - _uni_x(xpow)) * (one - _uni_x(lead)), nums
+    nums = [x(xpow * (n - 1)) * (x(0) - x(n * step)) for n in range(1, n_max + 1)]
+    return x(0) - x(step), (x(0) - x(xpow)) * (x(0) - x(lead)), nums
 
 
 def dary_alpha_one_param_closed(fam: DaryFamily, n_max: int) -> list[RationalFunction]:
@@ -203,53 +197,6 @@ def dary_alpha_one_param_closed(fam: DaryFamily, n_max: int) -> list[RationalFun
     """
     first, pair, nums = _one_param_parts(fam, n_max)
     return [RationalFunction(num, first * pair**n) for n, num in enumerate(nums)]
-
-
-def dary_alpha_one_param_recurrence(
-    fam: DaryFamily, n_max: int
-) -> list[RationalFunction]:
-    """Single-branch coefficients recomputed from the graded recurrence.
-
-    The terms and the divisor are ``levels.alpha_terms``' table for the
-    family's one kind.  The right-hand side uses the already-verified
-    lower closed values and sums over one explicit common denominator,
-    so polynomial degrees stay linear in n.  Each multiset of parts
-    makes one product of numerators, on its memoised prefix, and one
-    with its X-polynomial; the terms are summed by their number of
-    parts, and each sum is multiplied once by that number's cofactor.
-    """
-    offsets = fam.offsets
-    c_down = -min(offsets)
-    alphas: list[RationalFunction] = [RationalFunction(_uni({0: Q(1)}))]
-    first, pair, closed_num = _one_param_parts(fam, n_max)
-    first_pows, pair_pows = _x_powers(first, n_max + 1), _x_powers(pair, n_max + 1)
-    products = {(g,): num for g, num in enumerate(closed_num, 1)}
-
-    for n in range(2, n_max + 1):
-        l_cap = min(n, len(offsets))
-        # common denominator: first^l_cap * pair^n * X^(c_down n)
-        divisor, numerators = alpha_terms(fam.kinds, n)
-        by_size: dict[int, MultiPoly] = {}
-        for (key, _), poly in numerators.items():
-            term = _part_product(products, closed_num, key) * _uni(poly)
-            by_size[len(key)] = term if len(key) not in by_size else by_size[len(key)] + term
-        acc = MultiPoly.zero(("X",))
-        for s, total in by_size.items():
-            acc = acc + first_pows[l_cap - s] * pair_pows[s] * total
-        rhs = RationalFunction(acc, first_pows[l_cap] * pair_pows[n] * _uni_x(c_down * n))
-        alphas.append(rhs / RationalFunction(_uni(divisor[fam.arity]), _uni_x(c_down * n)))
-    return alphas
-
-
-def _part_product(products: dict[tuple[int, ...], MultiPoly], closed_num: list[MultiPoly],
-                  key: tuple[int, ...]) -> MultiPoly:
-    """The product of closed_num[g - 1] over the sorted parts g of ``key``, memoised in
-    ``products`` with its prefixes."""
-    got = products.get(key)
-    if got is None:
-        got = _part_product(products, closed_num, key[:-1]) * closed_num[key[-1] - 1]
-        products[key] = got
-    return got
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,18 @@ counts the same trees by shape and extreme label, the oracle the rows
 are checked against.
 
 The single-branch expansion T_j = T(1 - sum_n alpha_n X^(jn)) of the
-system has one coefficient recurrence, ``alpha_recurrence``.  With delta
-the deepest downward offset, and the characteristic equation substituted
-for T X^delta / z, its divisor is a unit:
+system has one coefficient recurrence, tabled by ``alpha_terms``.  With
+delta the deepest downward offset, and the characteristic equation
+substituted for T X^delta / z, its divisor is a unit:
 
     alpha_n sum_k w_k T^|O_k| sum_(o in O_k) (X^((delta+o)n) - X^(delta n+o))
       = sum_k w_k T^|O_k| sum_(S in O_k, |S| >= 2) (-1)^|S|
           sum_(compositions m of n over S) prod alpha_m X^(sum (o+delta)m).
+
+``alpha_recurrence`` solves it in series.  When every kind has one arity,
+T^arity cancels, and ``recomputed_alphas`` proves closed claims in Q(X):
+it recomputes each alpha_n from the claims below n, never from its own
+outputs, so degrees stay linear in n.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from functools import reduce
 from operator import mul
 
 from .counts import COUNTS
+from .multipoly import MultiPoly, RationalFunction
 from .series import Q, Series, over_lcm
 
 Kinds = list[tuple[Fraction, tuple[int, ...]]]
@@ -141,24 +147,59 @@ def alpha_recurrence(kinds: Kinds, X: Series, T: Series, n_max: int) -> list[Ser
     one = Series.one(order)
     alphas, products = [one], {(): one}
 
-    def product(key):  # built from its longest known prefix; no recursion, so no cycle
-        known = len(key)
-        while key[:known] not in products:
-            known -= 1
-        for end in range(known + 1, len(key) + 1):
-            products[key[:end]] = products[key[:end - 1]] * alphas[key[end - 1] - 1]
-        return products[key]
-
     def t_weighted(parts: dict[int, Series]) -> Series:  # sum of T^(a - low) parts[a]
         return sum(s * t_pows[a] if a > low else s for a, s in parts.items())
 
     for n in range(2, n_max + 1):
         divisor, numerators = alpha_terms(kinds, n)
         rhs: dict[int, Series] = {}
-        for (key, a), poly in numerators.items():  # alpha_1 = 1 enters no product
-            rhs[a] = rhs.get(a, 0) + _x_poly(xp, poly) * product(tuple(g for g in key if g > 1))
+        for (key, a), poly in numerators.items():
+            above_one = tuple(g for g in key if g > 1)  # alpha_1 = 1 enters no product
+            rhs[a] = rhs.get(a, 0) + _x_poly(xp, poly) * _memo_product(products, alphas, above_one)
         alphas.append(t_weighted(rhs) / t_weighted({a: _x_poly(xp, p) for a, p in divisor.items()}))
         products[(n,)] = alphas[-1]
+    return alphas
+
+
+def _memo_product(products: dict, factors: list, key: tuple[int, ...]):
+    """prod factors[g - 1] over the sorted parts g of ``key``, memoised with its prefixes."""
+    known = len(key)
+    while key[:known] not in products:
+        known -= 1
+    for end in range(known + 1, len(key) + 1):
+        products[key[:end]] = products[key[:end - 1]] * factors[key[end - 1] - 1]
+    return products[key]
+
+
+def recomputed_alphas(kinds: Kinds, first, pair, nums) -> list[RationalFunction]:
+    """alpha_2..alpha_N recomputed from the claims alpha_n = nums[n-1] / (first pair^(n-1)),
+    polynomials in X, on kinds of one arity (see the module docstring).  The terms are
+    summed by their number of parts s, each sum times first^(l-s) pair^s, over the
+    denominator first^l pair^n X^(delta n), l the most parts a term has."""
+    arities = {len(offs) for _, offs in kinds}
+    if len(arities) != 1:
+        raise ValueError(f"the closed-form recurrence needs one arity, not {sorted(arities)}")
+    (arity,) = arities
+    delta, _ = _span(kinds)
+
+    def poly(terms: dict[int, int]) -> MultiPoly:
+        return MultiPoly._normed(first.variables, {(e,): c for e, c in terms.items()}, 1)
+
+    first_pows, pair_pows = _x_powers(first, len(nums) + 1), _x_powers(pair, len(nums) + 1)
+    products = {(g,): num for g, num in enumerate(nums, 1)}
+    alphas = []
+    for n in range(2, len(nums) + 1):
+        most = min(n, arity)
+        divisor, numerators = alpha_terms(kinds, n)
+        by_size: dict[int, MultiPoly] = {}
+        for (key, _), terms in numerators.items():
+            term = _memo_product(products, nums, key) * poly(terms)
+            by_size[len(key)] = by_size[len(key)] + term if len(key) in by_size else term
+        acc = sum((first_pows[most - s] * pair_pows[s] * total for s, total in by_size.items()),
+                  MultiPoly.zero(first.variables))
+        x_delta = poly({delta * n: 1})
+        rhs = RationalFunction(acc, first_pows[most] * pair_pows[n] * x_delta)
+        alphas.append(rhs / RationalFunction(poly(divisor[arity]), x_delta))
     return alphas
 
 

@@ -207,22 +207,20 @@ def _mul_packed(a: dict, b: dict) -> dict:
     one, so that the digits of a sum of two packed exponents never carry;
     the packed terms are multiplied pair by pair into a dict.
     """
+    if len(next(iter(a))) == 1:
+        (la,), (ha,), (lb,), (hb,) = min(a), max(a), min(b), max(b)
+        fa, fb = [0] * (ha - la + 1), [0] * (hb - lb + 1)
+        for (e,), c in a.items():
+            fa[e - la] = c
+        for (e,), c in b.items():
+            fb[e - lb] = c
+        prod = _mul_ints(fa, fb, len(fa) + len(fb) - 1)
+        return {(la + lb + i,): c for i, c in zip(compress(count(), prod), filter(None, prod))}
     ea, eb = list(a), list(b)
     lo_a, hi_a = [min(col) for col in zip(*ea)], [max(col) for col in zip(*ea)]
     lo_b, hi_b = [min(col) for col in zip(*eb)], [max(col) for col in zip(*eb)]
     radices = [ha - la + hb - lb + 1 for la, ha, lb, hb in zip(lo_a, hi_a, lo_b, hi_b)]
     lo = [la + lb for la, lb in zip(lo_a, lo_b)]
-    if len(radices) == 1:
-        (la,), (lb,) = lo_a, lo_b
-        fa = [0] * (hi_a[0] - la + 1)
-        for (e,), c in a.items():
-            fa[e - la] = c
-        fb = [0] * (hi_b[0] - lb + 1)
-        for (e,), c in b.items():
-            fb[e - lb] = c
-        prod = _mul_ints(fa, fb, len(fa) + len(fb) - 1)
-        base = lo[0]
-        return {(base + i,): c for i, c in zip(compress(count(), prod), filter(None, prod))}
     places = []
     place = 1
     for r in radices:

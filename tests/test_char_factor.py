@@ -104,7 +104,8 @@ def test_binary_square_root_form(vec, order):
        st.fractions(min_value=0, max_value=3, max_denominator=5), st.integers(1, 20))
 def test_height_rational_form(v1, v2, order):
     small, _ = family_base(_height_kinds(v1, v2), order)
-    assert small.elementary[0] == campaign._height_x_rational(v1, v2, order)
+    T = tree_root(_height_kinds(v1, v2), order)
+    assert small.elementary[0] == campaign._height_x_rational(v1, v2, T)
 
 
 @pytest.mark.parametrize("kinds", [

@@ -16,7 +16,6 @@ from embtrees.dary import (
     brute_force_dary,
     dary_alpha_general,
     dary_alpha_one_param_closed,
-    dary_alpha_one_param_recurrence,
     dary_rational_parametrization,
     dary_Tj_recurrence,
     one_param_solution,
@@ -27,7 +26,7 @@ from embtrees.dary import (
 )
 from embtrees.errors import InsufficientPrecision
 from embtrees.kernel import family_base, fuss_catalan, hensel_factor_pair, tree_root
-from embtrees.levels import _compositions
+from embtrees.levels import _compositions, recomputed_alphas
 from embtrees.multipoly import MultiPoly, RationalFunction
 from embtrees.series import Series
 from embtrees.splitting import SAElement, SplitAlgebra
@@ -38,6 +37,13 @@ ODD3 = DaryFamily("odd", 3)
 EVEN1 = DaryFamily("even", 1)
 EVEN2 = DaryFamily("even", 2)
 EVEN3 = DaryFamily("even", 3)
+
+
+def one_param_recurrence(fam, n_max):
+    """alpha_1 = 1, then alpha_2..alpha_n_max recomputed by the levels prover from the
+    family's closed claims."""
+    one = RationalFunction(MultiPoly.const(("X",), 1))
+    return [one] + recomputed_alphas(fam.kinds, *dary._one_param_parts(fam, n_max))
 
 
 def _uni(terms):
@@ -337,13 +343,13 @@ class TestExpansionCoefficients:
     @pytest.mark.parametrize("fam", [ODD1, ODD2, EVEN1, EVEN2], ids=str)
     def test_closed_equals_recurrence(self, fam):
         closed = dary_alpha_one_param_closed(fam, 10)
-        rec = dary_alpha_one_param_recurrence(fam, 10)
+        rec = one_param_recurrence(fam, 10)
         for n in range(2, 11):
             assert closed[n - 1].equals(rec[n - 1])
 
     @pytest.mark.parametrize("fam", [ODD1, ODD2, ODD3, EVEN1, EVEN2, EVEN3], ids=str)
     def test_recurrence_matches_ungrouped_reference(self, fam):
-        got = dary_alpha_one_param_recurrence(fam, 8)
+        got = one_param_recurrence(fam, 8)
         ref = ref_one_param_recurrence(fam, 8)
         assert [(a.num, a.den) for a in got] == [(a.num, a.den) for a in ref]
 
@@ -376,7 +382,7 @@ class TestExpansionCoefficients:
             return original(x, y)
 
         monkeypatch.setattr(MultiPoly, "__mul__", counting)
-        dary_alpha_one_param_recurrence(EVEN2, 8)
+        one_param_recurrence(EVEN2, 8)
         monkeypatch.undo()
         multisets = sum(len({tuple(sorted(p)) for size in range(2, min(n, 4) + 1)
                              for p in _compositions(n, size)}) for n in range(2, 9))

@@ -415,3 +415,76 @@ def test_failed_verification_exits_1(capsys, monkeypatch):
                         (claim, lambda order: (False, "forced failure")))
     assert main(["verify", "--suite", "kernel/fuss-catalan"]) == 1
     assert "forced failure" in capsys.readouterr().out
+
+
+def guard_sizes(monkeypatch, limit=100):
+    """Make every level and gap loop refuse a size past ``limit``: a far value that
+    reached one unclamped would raise, never run."""
+    from embtrees import binary as B
+    from embtrees import dary as D
+    from embtrees import walkers as W
+
+    for module, name, size in ((B, "level_rows", lambda a: a[2]),
+                               (D, "level_rows", lambda a: a[2]),
+                               (B, "_x_powers", lambda a: a[1]),
+                               (W, "_gap_rows", lambda a: a[2][0]),
+                               (W, "_star_parts", lambda a: a[3])):
+        def guarded(*args, _original=getattr(module, name), _size=size, _name=name):
+            assert _size(args) <= limit, f"{_name} asked for {_size(args)}"
+            return _original(*args)
+        monkeypatch.setattr(module, name, guarded)
+
+
+FAR = "100000000"
+
+
+# (order - 1) * delta, delta the deepest downward offset: every row from there up is T
+@pytest.mark.parametrize("argv,near", [
+    (["trees", "--w1", "1", "--order", "8"], "7"),
+    (["trees", "--v1", "1", "--w2", "1", "--w3", "1", "--boundary", "zero", "--order", "8"], "7"),
+    (["trees", "--w2", "1", "--w3", "1", "--method", "closed", "--order", "8"], "7"),
+    (["dary", "--kind", "odd", "--d", "2", "--order", "6"], "10"),
+    (["dary", "--kind", "even", "--d", "2", "--order", "5"], "12"),
+])
+def test_far_level_prints_what_its_clamp_prints(argv, near, capsys, monkeypatch):
+    guard_sizes(monkeypatch)
+    outputs = []
+    for extra in (["--level", FAR], ["--level", near], []):  # the last prints T itself
+        assert main(argv + extra) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+# a gap of --order or more reads the same column as a gap of --order
+@pytest.mark.parametrize("argv,model,cell", [
+    (["walkers", "--j", "0", "--order", "6", "--oracle"], ("lock_step", "dyck", "vicious"),
+     ("--i", 0)),
+    (["walkers", "--boundary", "osculating", "--j", "2", "--order", "6"],
+     ("lock_step", "dyck", "osculating"), ("--i", 2)),
+    (["walkers", "--boundary", "refined", "--u", "1/2", "--w", "1/3", "--i", "1", "--order", "5",
+      "--oracle"], ("lock_step", "dyck", "refined", Q(1, 2), Q(1, 3)), ("--j", 1)),
+    (["walkers", "--mode", "random-turn", "--steps", "motzkin", "--boundary", "osculating",
+      "--i", "3", "--order", "6"], ("random_turn", "motzkin", "osculating"), ("--j", 3)),
+])
+def test_far_gap_prints_what_its_clamp_prints(argv, model, cell, capsys, monkeypatch):
+    from embtrees import walkers as W
+
+    flag, other = cell
+    order = int(argv[argv.index("--order") + 1])
+    # the oracle at the clamped gap, from the library, which clamps nothing
+    gaps = (order, other) if flag == "--i" else (other, order)
+    want = export_series(Series(W.walker_dp(W.WalkerModel(*model), *gaps, order)), "json")
+    guard_sizes(monkeypatch)
+    for value in (FAR, str(order)):
+        assert main(argv + [flag, value]) == 0
+        assert capsys.readouterr().out == want + "\n"
+
+
+def test_far_level_keeps_its_own_cache_entry(tmp_path, capsys, monkeypatch):
+    guard_sizes(monkeypatch)
+    argv = ["dary", "--kind", "odd", "--d", "1", "--order", "6", "--cache-dir", str(tmp_path)]
+    for value in (FAR, "5", FAR):
+        assert main(argv + ["--level", value]) == 0
+    first, near, hit = capsys.readouterr().out.splitlines()
+    assert first == near == hit
+    assert len(list(tmp_path.glob("*.json"))) == 2  # the user's level is in the key

@@ -4,10 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from embtrees import binary as B
+from embtrees import campaign
+from embtrees import dary as D
 from embtrees.binary import BinaryWeights, _height_kinds, _ternary_kinds
+from embtrees.dary import DaryFamily
 from embtrees.kernel import SeriesPoly, family_base, newton_solve, tree_root
 from embtrees.levels import (_x_powers, alpha_recurrence, label_spectra, level_equation,
-                             level_residual, level_rows)
+                             level_residual, level_rows, recomputed_alphas)
+from embtrees.multipoly import MultiPoly
 from embtrees.series import Series
 
 N_MAX = 6
@@ -219,3 +224,89 @@ def test_level_residual_needs_non_negative_levels():
     alphas = alpha_recurrence(kinds, X, T, 3)
     with pytest.raises(ValueError):
         level_residual(kinds, alphas, X, T, 0, 10)
+
+
+# ---------------------------------------------------------------------------
+# The closed-form prover
+# ---------------------------------------------------------------------------
+
+X_POLY = MultiPoly.var(("X",), "X")
+
+
+def dary_claims(kind, d):
+    fam = DaryFamily(kind, d)
+    return fam.kinds, D._one_param_parts(fam, 8)
+
+
+def binary_claims(vec, mode):
+    w = BinaryWeights.make(*vec)
+    return w.kinds, B._CLOSED_PARTS[mode](w, X_POLY, None, 8)
+
+
+# every family whose kinds have one arity, with its closed claims up to n = 8
+CLAIMS = {
+    **{f"{kind} d={d}": dary_claims(kind, d) for kind in ("odd", "even") for d in (1, 2)},
+    "matched (0,0,1,0,0)": binary_claims((0, 0, 1, 0, 0), "matched_closed"),
+    "matched (0,0,0,1,1)": binary_claims((0, 0, 0, 1, 1), "matched_closed"),
+    "w3 (0,0,0,0,1)": binary_claims((0, 0, 0, 0, 1), "w3_closed"),
+    "height (0,0)": (_height_kinds(Q(0), Q(0)), B._height_parts(Q(0), X_POLY, None, 8)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLAIMS))
+def test_closed_claims_are_proved(name):
+    kinds, parts = CLAIMS[name]
+    assert campaign._first_unproved(kinds, parts) is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(CLAIMS)), st.integers(1, 8),
+       st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(lambda q: q != 1))
+def test_a_scaled_numerator_is_reported_at_its_index(name, n, scale):
+    # the claims below n are right, so alpha_n recomputed from them is, and
+    # only the claim at n disagrees with it
+    kinds, (first, pair, nums) = CLAIMS[name]
+    wrong = nums[:n - 1] + [nums[n - 1] * scale] + nums[n:]
+    assert campaign._first_unproved(kinds, (first, pair, wrong)) == n
+
+
+def test_matched_form_at_unmatched_weights_fails_at_two():
+    # the matched form reads w1 and w2 only; the recurrence of w3 = 2 != w2 refutes it
+    parts = B._matched_parts(BinaryWeights.make(0, 0, 0, 1, 1), X_POLY, None, 12)
+    assert campaign._first_unproved(BinaryWeights.make(0, 0, 0, 1, 2).kinds, parts) == 2
+
+
+def test_prover_refuses_mixed_arities():
+    _, parts = CLAIMS["matched (0,0,1,0,0)"]
+    with pytest.raises(ValueError, match="one arity"):
+        recomputed_alphas(BinaryWeights.make(1, 0, 1, 0, 0).kinds, *parts)
+
+
+def scaled_at_three(parts_of, series_only=False):
+    """``parts_of`` with num_3 doubled: everywhere, or only where X is a series."""
+    def wrong(*args):
+        first, pair, nums = parts_of(*args)
+        if series_only and isinstance(args[-3], MultiPoly):
+            return first, pair, nums
+        return first, pair, nums[:2] + [nums[2] * 2] + nums[3:]
+    return wrong
+
+
+@pytest.mark.parametrize("series_only,binary,height", [
+    (False, "weights (0, 0, 1, 0, 0), index 3 (matched_closed)", "couplings (0, 0), index 3"),
+    (True, "weights (1, 0, 1, 0, 0), index 3 (matched_closed)", "couplings (1, 0), index 3"),
+])
+def test_a_wrong_claim_fails_the_campaign_checks(monkeypatch, series_only, binary, height):
+    # the proof at v1 = v2 = 0, and the series comparison elsewhere
+    monkeypatch.setitem(B._CLOSED_PARTS, "matched_closed",
+                        scaled_at_three(B._CLOSED_PARTS["matched_closed"], series_only))
+    monkeypatch.setattr(B, "_height_parts", scaled_at_three(B._height_parts, series_only))
+    results = [campaign.run_check(check_id, 30)
+               for check_id in ("binary/alpha-closed-forms", "height/plane-trees")]
+    assert [(r.status, r.detail) for r in results] == [("fail", binary), ("fail", height)]
+
+
+def test_a_wrong_dary_claim_fails_its_check(monkeypatch):
+    monkeypatch.setattr(D, "_one_param_parts", scaled_at_three(D._one_param_parts))
+    result = campaign.run_check("dary/alpha-agreement", 30)
+    assert (result.status, result.detail) == ("fail", "odd d=1 index 3")

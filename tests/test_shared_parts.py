@@ -66,7 +66,7 @@ def test_every_check_in_process_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
-    assert sum(dict(r.counts)["kernel.tree_root"] for r in results) == 85
+    assert sum(dict(r.counts)["kernel.tree_root"] for r in results) == 67
 
 
 def test_lockstep_check_solves_once_per_weight_and_order():
