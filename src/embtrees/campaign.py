@@ -33,7 +33,6 @@ from . import oeis as O
 from . import paths as P
 from . import walkers as W
 from .counts import COUNTS, since
-from .errors import ConfigParse
 from .kernel import (
     SeriesPoly,
     complete_homogeneous,
@@ -90,44 +89,16 @@ class VerificationReport:
 @dataclass(frozen=True)
 class CampaignConfig:
     suites: tuple[str, ...] | None = None  # None = all
-    order: int = 30
-
-
-def parse_config(text: str) -> CampaignConfig:
-    """Plain key=value configuration; '#' starts a comment."""
-    suites = None
-    order = 30
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigParse(f"expected key=value, got {raw!r}", line=lineno)
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key == "suites":
-            suites = tuple(s.strip() for s in value.split(",") if s.strip()) or None
-        elif key == "order":
-            try:
-                order = int(value)
-            except ValueError:
-                raise ConfigParse(f"order must be an integer, got {value!r}",
-                                  line=lineno, field=key) from None
-            if order < 1:
-                raise ConfigParse(f"order must be at least 1, got {order}",
-                                  line=lineno, field=key)
-        else:
-            raise ConfigParse(f"unknown key {key!r}", line=lineno, field=key)
-    return CampaignConfig(suites=suites, order=order)
 
 
 # ---------------------------------------------------------------------------
 # Check implementations.  Each returns (ok, detail) or a status string.
 # Keyword inputs let the acceptance criteria run a check at other sizes;
-# their defaults are the campaign's inputs.
+# their defaults are the sizes the campaign runs it at.
 # ---------------------------------------------------------------------------
 
 
-def _check_series_ring_laws(order: int):
+def _check_series_ring_laws():
     rng = random.Random(90125)
 
     def rand_series():
@@ -142,7 +113,7 @@ def _check_series_ring_laws(order: int):
     return True, ""
 
 
-def _check_div_roundtrip(order: int):
+def _check_div_roundtrip():
     rng = random.Random(5150)
     for trial in range(20):
         b = Series([Q(rng.randint(1, 9))] + [Q(rng.randint(-9, 9)) for _ in range(9)])
@@ -155,7 +126,7 @@ def _check_div_roundtrip(order: int):
     return True, ""
 
 
-def _check_marker_convolution(order: int):
+def _check_marker_convolution():
     rng = random.Random(2112)
     for trial in range(10):
         a = MarkerSeries(
@@ -173,7 +144,7 @@ def _check_marker_convolution(order: int):
     return True, ""
 
 
-def _check_rf_equal(order: int):
+def _check_rf_equal():
     x = MultiPoly.var(("X",), "X")
     one = MultiPoly.const(("X",), 1)
     a = RationalFunction(one - x**2, one - x)
@@ -189,7 +160,7 @@ def _check_rf_equal(order: int):
     return True, ""
 
 
-def _check_fuss_catalan(order: int):
+def _check_fuss_catalan(order: int = 30):
     for d in (2, 3, 4, 5):
         z = Series.z(order)
         one = Series.one(order)
@@ -204,7 +175,7 @@ def _check_fuss_catalan(order: int):
     return True, ""
 
 
-def _check_hensel(order: int):
+def _check_hensel(order: int = 30):
     for spec, c in [("-1:1,1:1", 1), ("-2:1,1:1", 2), ("-2:1,-1:2,1:1,3:1", 2), ("-3:1,2:1", 3)]:
         small = hensel_small_factor(parse_step_set(spec), order)
         if small.c != c:
@@ -231,7 +202,7 @@ def _check_hensel(order: int):
 _BINARY_VECTORS = ((0, 0, 1, 0, 0), (0, 0, 0, 1, 1), (0, 0, 0, 0, 1), (1, 0, 1, 0, 0))
 
 
-def _check_binary_oracle(order: int):
+def _check_binary_oracle():
     for vec in _BINARY_VECTORS:
         w = B.BinaryWeights.make(*vec)
         for boundary in (1, 0):
@@ -258,7 +229,7 @@ def _binary_x_radical(w: B.BinaryWeights, order: int) -> Series:
     return ((one - z * s - rad.sqrt()) / (z * r * 2)).truncate(order)
 
 
-def _check_binary_residuals(order: int):
+def _check_binary_residuals(order: int = 30):
     for vec in _BINARY_VECTORS + ((1, 1, 1, 0, 0),):
         w = B.BinaryWeights.make(*vec)
         small, T = family_base(w.kinds, order)
@@ -295,7 +266,7 @@ def _first_wrong_alpha(kinds, parts, n_max: int, base) -> int | None:
     return next((n for n, (a, num, den) in enumerate(rows, 1) if not num.matches(a * den)), None)
 
 
-def _check_binary_alpha(order: int):
+def _check_binary_alpha(order: int = 30):
     # proved at v1 = v2 = 0, where every kind is binary; elsewhere T is quadratic over Q(X)
     for vec, mode in (((0, 0, 1, 0, 0), "matched_closed"), ((0, 0, 0, 1, 1), "matched_closed"),
                       ((1, 0, 1, 0, 0), "matched_closed"), ((2, 1, 1, 1, 1), "matched_closed"),
@@ -308,17 +279,17 @@ def _check_binary_alpha(order: int):
     return True, ""
 
 
-def _check_closed_family(order: int):
+def _check_closed_family(order: int = 18):
     for vec in ((0, 0, 1, 0, 0), (0, 0, 0, 1, 1), (1, 0, 1, 0, 0)):
         w = B.BinaryWeights.make(*vec)
-        parts = B._closed_family_parts(w, 6, min(order, 18))
+        parts = B._closed_family_parts(w, 6, order)
         for j in range(-1, 7):
-            if not B.closed_family_residual(w, j, min(order, 18), parts=parts).is_zero():
+            if not B.closed_family_residual(w, j, order, parts=parts).is_zero():
                 return False, f"weights {vec}, level {j}"
     return True, ""
 
 
-def _check_t_of_x(order: int):
+def _check_t_of_x(order: int = 30):
     for vec in _BINARY_VECTORS + ((2, 1, 1, 1, 1),):
         w = B.BinaryWeights.make(*vec)
         if not B.t_of_x_identity(w, order):
@@ -326,7 +297,7 @@ def _check_t_of_x(order: int):
     return True, ""
 
 
-def _check_monotone_limit(order: int):
+def _check_monotone_limit():
     w = B.BinaryWeights.make(0, 0, 1, 0, 0)
     rows = B.binary_Tj_recurrence(w, 1, 12, 12)
     T = tree_root(w.kinds, 12)
@@ -337,7 +308,7 @@ def _check_monotone_limit(order: int):
     return True, ""
 
 
-def _check_conjecture(order: int):
+def _check_conjecture(order: int = 30):
     report = B.conjecture_check(10, order)
     if report.status != "conjecture-consistent":
         return False, f"disagreement: {report.agreements}"
@@ -350,7 +321,7 @@ def _height_x_rational(v1, v2, T: Series) -> Series:
     return z * (T + v1) / (Series.one(T.order) - z * (T + v2))
 
 
-def _check_height(order: int):
+def _check_height():
     counts = B.plane_tree_height_counts(8)
     for j in range(6):
         gf = B.height_plane_trees(j, 9)
@@ -369,7 +340,7 @@ def _check_height(order: int):
     return True, ""
 
 
-def _check_ternary(order: int):
+def _check_ternary(order: int = 30):
     # with no unary couplings the ternary kind list is the odd d = 1 family's
     kinds = B._ternary_kinds(Q(0), Q(0))
     small, T = family_base(kinds, order)
@@ -397,14 +368,14 @@ _DARY_FAMILIES = (
 )
 
 
-def _check_dary_one_param(order: int):
+def _check_dary_one_param():
     for fam in _DARY_FAMILIES:
         if not D.verify_one_param(fam):
             return False, f"{fam.kind} d={fam.d}"
     return True, ""
 
 
-def _check_dary_alpha(order: int):
+def _check_dary_alpha():
     for fam in _DARY_FAMILIES[:4]:
         bad = _first_unproved(fam.kinds, D._one_param_parts(fam, 10))
         if bad is not None:
@@ -412,7 +383,7 @@ def _check_dary_alpha(order: int):
     return True, ""
 
 
-def _check_dary_oracle(order: int):
+def _check_dary_oracle():
     for fam, n_max in ((D.DaryFamily("odd", 1), 7), (D.DaryFamily("even", 1), 7),
                        (D.DaryFamily("odd", 2), 5), (D.DaryFamily("even", 2), 5)):
         rows = D.dary_Tj_recurrence(fam, 3, n_max + 1)
@@ -424,7 +395,7 @@ def _check_dary_oracle(order: int):
     return True, ""
 
 
-def _check_dary_small_factor(order: int):
+def _check_dary_small_factor():
     for fam in _DARY_FAMILIES:
         small, _ = family_base(fam.kinds, 12)
         for e in small.elementary:
@@ -434,7 +405,7 @@ def _check_dary_small_factor(order: int):
     return True, ""
 
 
-def _check_main_equation(order: int, d: int):
+def _check_main_equation(d: int):
     for fam in (D.DaryFamily("odd", d), D.DaryFamily("even", d)):
         report = D.verify_main_equation(fam, 3, 15)
         if not report.ok:
@@ -443,18 +414,17 @@ def _check_main_equation(order: int, d: int):
 
 
 def _check_meanders(
-    order: int,
+    order: int = 25,
     step_sets=("-1:1,1:1", "-1:1,0:1,1:1", "-2:1,-1:2,1:1,3:1", "-1:2,1:3", "-3:1,2:1/2"),
-    max_order: int = 25,
 ):
     for spec in step_sets:
-        result = P.verify_meander_closed_form(parse_step_set(spec), 5, min(order, max_order))
+        result = P.verify_meander_closed_form(parse_step_set(spec), 5, order)
         if not result.ok:
             return False, f"{spec}: first mismatch {result.first_mismatch}"
     return True, ""
 
 
-def _check_excursions(order: int):
+def _check_excursions(order: int = 30):
     dyck = StepSet.make([(-1, 1), (1, 1)])
     motzkin = StepSet.make([(-1, 1), (0, 1), (1, 1)])
     cat = [fuss_catalan(k, 2) for k in range(order // 2 + 1)]
@@ -469,7 +439,7 @@ def _check_excursions(order: int):
     return True, ""
 
 
-def _check_path_monotone(order: int):
+def _check_path_monotone():
     dyck = StepSet.make([(-1, 1), (1, 1)])
     total = P.walks_total(dyck, 12)
     parts = P._meander_parts(dyck, 12, 12)
@@ -490,32 +460,28 @@ def _check_path_monotone(order: int):
 _STAR_CELLS = [(i, j) for i in range(5) for j in range(5)]
 
 
-def _check_walkers_lockstep(order: int):
-    n = min(order, 20)
-    base = W._lockstep_base(n)
+def _check_walkers_lockstep(order: int = 20):
+    base = W._lockstep_base(order)
     for boundary, (u, w) in W._CORNERS.items():
-        dp = W._lockstep_columns(u, w, _STAR_CELLS, n)
+        dp = W._lockstep_columns(u, w, _STAR_CELLS, order)
         parts = W._refined_parts(u, w, base, 4)
         for i, j in _STAR_CELLS:
             if boundary == "osculating" and (i, j) == (0, 0):
                 continue
-            if W.lockstep_star(boundary, i, j, n, parts=parts).series != dp[i, j]:
+            if W.lockstep_star(boundary, i, j, order, parts=parts).series != dp[i, j]:
                 return False, f"{boundary} at {(i, j)}"
     return True, ""
 
 
-def _check_walkers_refined(
-    order: int, marks=((Q(1, 2), Q(1, 3)), (Q(2), Q(1))), max_order: int = 16
-):
-    n = min(order, max_order)
-    base = W._lockstep_base(n)
+def _check_walkers_refined(order: int = 16, marks=((Q(1, 2), Q(1, 3)), (Q(2), Q(1)))):
+    base = W._lockstep_base(order)
     for u, w in marks:
-        dp = W._lockstep_columns(u, w, _STAR_CELLS, n)
+        dp = W._lockstep_columns(u, w, _STAR_CELLS, order)
         parts = W._refined_parts(u, w, base, 4)
         for i, j in _STAR_CELLS:
             if (i, j) == (0, 0):
                 continue
-            if W.lockstep_refined(u, w, i, j, n, parts=parts).series != dp[i, j]:
+            if W.lockstep_refined(u, w, i, j, order, parts=parts).series != dp[i, j]:
                 return False, f"marks {(str(u), str(w))} at {(i, j)}"
     # the boundary models' adapted (alpha, gamma), as the refined form gives them at its corners
     X = W.lockstep_x(12)
@@ -528,44 +494,43 @@ def _check_walkers_refined(
     return True, ""
 
 
-def _check_walkers_randomturn(order: int):
-    n = min(order, 20)
+def _check_walkers_randomturn(order: int = 20):
     # the osculating stars are read one gap further out, up to gap 4 + 1
-    parts = {steps: W._randomturn_parts(steps, n, 5) for steps in ("dyck", "motzkin")}
+    parts = {steps: W._randomturn_parts(steps, order, 5) for steps in ("dyck", "motzkin")}
     for steps in ("dyck", "motzkin"):
         for boundary in ("vicious", "osculating"):
-            dp = W._randomturn_columns(steps, boundary, _STAR_CELLS, n)
+            dp = W._randomturn_columns(steps, boundary, _STAR_CELLS, order)
             for i, j in _STAR_CELLS:
-                closed = W.randomturn_gf(steps, boundary, i, j, n, parts=parts[steps]).series
+                closed = W.randomturn_gf(steps, boundary, i, j, order, parts=parts[steps]).series
                 if closed != dp[i, j]:
                     return False, f"{steps} {boundary} at {(i, j)}"
-    z = Series.z(n)
-    one = Series.one(n)
-    rt = W.randomturn_gf("dyck", "osculating", 0, 0, n, parts=parts["dyck"]).series
+    z = Series.z(order)
+    one = Series.one(order)
+    rt = W.randomturn_gf("dyck", "osculating", 0, 0, order, parts=parts["dyck"]).series
     ref = (one - z * 2 - ((one + z * 2) * (one - z * 6)).sqrt()) / (z * z * 8)
     if not rt.matches(ref):
         return False, "dyck radical form"
-    rtm = W.randomturn_gf("motzkin", "osculating", 0, 0, n, parts=parts["motzkin"]).series
+    rtm = W.randomturn_gf("motzkin", "osculating", 0, 0, order, parts=parts["motzkin"]).series
     refm = (one - z * 5 - ((one - z) * (one - z * 9)).sqrt()) / (z * z * 8)
     if not rtm.matches(refm):
         return False, "motzkin radical form"
     return True, ""
 
 
-def _check_quarterplane(order: int, grid: int = 3, doubled_cells=((1, 2),)):
-    n = min(order, 20)
+def _check_quarterplane(order: int = 20, grid: int = 3, doubled_cells=((1, 2),)):
     cells = [(i, j) for i in range(grid) for j in range(grid)]
     m = max(max(cell) + 1 for cell in cells + list(doubled_cells))
-    parts = {model: W._quarterplane_parts(model, n, m) for model in ("S1", "S2")}
-    closed = {(model, i, j): W.quarterplane_gf(model, i, j, n, parts=parts[model])
+    parts = {model: W._quarterplane_parts(model, order, m) for model in ("S1", "S2")}
+    closed = {(model, i, j): W.quarterplane_gf(model, i, j, order, parts=parts[model])
               for model in ("S1", "S2") for i, j in cells}
     for model in ("S1", "S2"):
-        dp = W._quarterplane_columns(model, cells, n)
+        dp = W._quarterplane_columns(model, cells, order)
         for i, j in cells:
             if closed[model, i, j] != dp[i, j]:
                 return False, f"{model} at {(i, j)}"
     for i, j in doubled_cells:  # the grid's series, or the cell's own outside it
-        s1, s2 = (closed.get((model, i, j)) or W.quarterplane_gf(model, i, j, n, parts=parts[model])
+        s1, s2 = (closed.get((model, i, j))
+                  or W.quarterplane_gf(model, i, j, order, parts=parts[model])
                   for model in ("S1", "S2"))
         if list(s2.coeffs) != [c * 2**k for k, c in enumerate(s1.coeffs)]:
             return False, f"S2 != S1 at doubled variable at {(i, j)}"
@@ -578,7 +543,7 @@ def _check_quarterplane(order: int, grid: int = 3, doubled_cells=((1, 2),)):
     return True, ""
 
 
-def _check_walker_symmetry(order: int):
+def _check_walker_symmetry():
     star = W._refined_parts(1, 1, W._lockstep_base(10), 3)
     rt = W._randomturn_parts("motzkin", 10, 3)
     for i in range(4):
@@ -593,7 +558,7 @@ def _check_walker_symmetry(order: int):
     return True, ""
 
 
-def _check_fixtures(order: int):
+def _check_fixtures():
     from .serialize import export_series, import_series
 
     for seq_id, weights in O.FIXTURE_WEIGHTS.items():
@@ -653,13 +618,13 @@ def available_suites() -> list[str]:
     return sorted({check_id.split("/", 1)[0] for check_id in _CHECKS})
 
 
-def run_check(check_id: str, order: int, **inputs) -> CheckResult:
-    """Run one registered check; a crashed check is a failed check."""
+def run_check(check_id: str, **inputs) -> CheckResult:
+    """Run one registered check, at its own sizes but for ``inputs``; a crash is a fail."""
     claim, fn = _CHECKS[check_id]
     before = dict(COUNTS)
     started = time.perf_counter()
     try:
-        verdict, detail = fn(order, **inputs)
+        verdict, detail = fn(**inputs)
     except Exception as exc:
         verdict, detail = False, f"exception: {exc}"
     elapsed = int((time.perf_counter() - started) * 1000)
@@ -681,7 +646,6 @@ def run_campaign(config: CampaignConfig) -> VerificationReport:
     """
     check_ids = [check_id for check_id in _CHECKS
                  if config.suites is None or any(check_id.startswith(s) for s in config.suites)]
-    run = functools.partial(run_check, order=config.order)
     workers = min(_usable_cpus(), len(check_ids))
     # a fork copies only the calling thread, so a lock another thread holds
     # would stay held in the workers
@@ -690,9 +654,9 @@ def run_campaign(config: CampaignConfig) -> VerificationReport:
         import multiprocessing
 
         if "fork" in multiprocessing.get_all_start_methods():
-            results = _run_in_workers(workers, run, check_ids)
+            results = _run_in_workers(workers, run_check, check_ids)
             return VerificationReport(tuple(sorted(results, key=lambda r: r.id)))
-    return VerificationReport(tuple(map(run, sorted(check_ids))))
+    return VerificationReport(tuple(map(run_check, sorted(check_ids))))
 
 
 def _run_in_workers(workers: int, run, check_ids: list[str]) -> tuple[CheckResult, ...]:

@@ -25,7 +25,7 @@ from . import binary as B
 from . import dary as D
 from . import paths as P
 from . import walkers as W
-from .campaign import CampaignConfig, available_suites, parse_config, run_campaign
+from .campaign import CampaignConfig, available_suites, run_campaign
 from .errors import EmbtreesError
 from .kernel import tree_root
 from .levels import _span
@@ -100,10 +100,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _emit_series(series: Series, args) -> None:
-    print(export_series(series, args.format))
-
-
 @functools.cache
 def _source_digest() -> str:
     """sha256 of the package's sources, part of every cache key.
@@ -126,7 +122,7 @@ def _emit_cached(args, key_parts, compute) -> None:
     no series; a miss computes, stores the json text and prints it the same way.
     """
     if not args.cache_dir:
-        _emit_series(compute(), args)
+        print(export_series(compute(), args.format))
         return
     cache = SeriesCache(args.cache_dir)
     key = cache_key(__version__, _source_digest(), *key_parts, args.order)
@@ -182,21 +178,20 @@ def _cmd_dary(args) -> int:
 
 def _cmd_paths(args) -> int:
     steps = parse_step_set(args.steps)
+    # from (order - 1) * (deepest down-step) up, no walk below z^order reaches level -1:
+    # the meanders are the clamped level's, their endpoints shifted by the difference
+    level = min(args.level, (args.order - 1) * steps.max_down)
     if args.mark_endpoint:
-        gf = P.meander_gf(steps, args.level, args.order)
-        rows = {}
-        top = max((max(d) for d in gf.marked.coeffs if d), default=0)
-        for level in range(0, top + 1):
-            slice_series = gf.marked.extract(level)
-            if not slice_series.is_zero():
-                rows[str(level)] = [ratio_str(p, q) for p, q in slice_series.ratios()]
+        marked = P.meander_gf(steps, level, args.order).marked.shift_marker(args.level - level)
+        rows = {str(end): [ratio_str(p, q) for p, q in marked.extract(end).ratios()]
+                for end in sorted({end for d in marked.coeffs for end in d})}
         print(json.dumps({"order": args.order, "start": args.level, "rows": rows}))
         return 0
 
     def compute() -> Series:
         if args.excursions:
-            return P.excursion_gf(steps, args.level, args.order)
-        return P.meander_gf(steps, args.level, args.order).plain
+            return P.excursion_gf(steps, level, args.order)
+        return P.meander_gf(steps, level, args.order).plain
 
     _emit_cached(args, ("paths", args.steps, args.level, args.excursions), compute)
     return 0
@@ -211,30 +206,27 @@ def _cmd_walkers(args) -> int:
     )
     # a gap of at least --order reads the same column as a gap of --order
     i, j = min(args.i, args.order), min(args.j, args.order)
-    if args.oracle:
-        _emit_series(Series(W.walker_dp(model, i, j, args.order)), args)
-        return 0
-    if model.mode == "random_turn":
-        star = W.randomturn_gf(model.steps, model.boundary, i, j, args.order)
-    elif model.boundary == "refined":
-        star = W.lockstep_refined(model.u, model.w, i, j, args.order)
-    else:
-        star = W.lockstep_star(model.boundary, i, j, args.order)
-    _emit_series(star.series, args)
+
+    def compute() -> Series:
+        if args.oracle:
+            return Series(W.walker_dp(model, i, j, args.order))
+        if model.mode == "random_turn":
+            return W.randomturn_gf(model.steps, model.boundary, i, j, args.order).series
+        if model.boundary == "refined":
+            return W.lockstep_refined(model.u, model.w, i, j, args.order).series
+        return W.lockstep_star(model.boundary, i, j, args.order).series
+
+    _emit_cached(args, ("walkers", model.mode, model.steps, model.boundary, model.u, model.w,
+                        args.i, args.j, args.oracle), compute)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    if args.config:
-        config = parse_config(Path(args.config).read_text())
-    else:
-        config = CampaignConfig()
-    suites = config.suites
+    suites = None
     if args.suite:
         suites = tuple(s for chunk in args.suite for s in chunk.split(",") if s)
-    order = args.order if args.order is not None else config.order
     started = time.perf_counter()
-    report = run_campaign(CampaignConfig(suites=suites, order=order))
+    report = run_campaign(CampaignConfig(suites=suites))
     wall_ms = int((time.perf_counter() - started) * 1000)
     if not report.results:
         print(f"embtrees verify: error: no check matches suites {', '.join(suites)}",
@@ -328,8 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the verification campaign")
     p_verify.add_argument("--suite", action="append", default=None,
                           help=f"suite filter, may repeat; available: {', '.join(available_suites())}")
-    p_verify.add_argument("--order", type=_positive, default=None)
-    p_verify.add_argument("--config", default=None, help="key=value campaign file")
     p_verify.add_argument("--json", action="store_true",
                           help="one JSON object per check (id, status, ms, detail, counts), "
                           "then the totals")

@@ -49,15 +49,6 @@ class SizeTooLarge(EmbtreesError):
     """Brute-force enumeration requested beyond its guard size."""
 
 
-class ConfigParse(EmbtreesError):
-    """Malformed campaign configuration file."""
-
-    def __init__(self, message: str, line: int | None = None, field: str | None = None):
-        self.line = line
-        self.field = field
-        super().__init__(message)
-
-
 class NetworkDisabled(EmbtreesError):
     """Remote fetch attempted without the explicit network opt-in."""
 

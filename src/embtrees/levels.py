@@ -185,7 +185,7 @@ def recomputed_alphas(kinds: Kinds, first, pair, nums) -> list[RationalFunction]
     def poly(terms: dict[int, int]) -> MultiPoly:
         return MultiPoly._normed(first.variables, {(e,): c for e, c in terms.items()}, 1)
 
-    first_pows, pair_pows = _x_powers(first, len(nums) + 1), _x_powers(pair, len(nums) + 1)
+    first_pows, pair_pows = _x_powers(first, arity), _x_powers(pair, len(nums))
     products = {(g,): num for g, num in enumerate(nums, 1)}
     alphas = []
     for n in range(2, len(nums) + 1):

@@ -68,6 +68,8 @@ class WalkerModel:
             raise ValueError("refined marks are a lock-step model")
         if self.boundary == "refined" and (self.u is None or self.w is None):
             raise ValueError("refined boundary needs both marks")
+        if self.boundary != "refined" and (self.u is not None or self.w is not None):
+            raise ValueError("the marks u and w belong to the refined boundary alone")
 
 
 @dataclass(frozen=True)

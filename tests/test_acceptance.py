@@ -66,7 +66,7 @@ _STEP_SETS = ("-1:1,1:1", "-1:1,0:1,1:1", "-2:1,1:1", "-1:2,1:3",
 _GRID_5 = tuple(product(range(5), repeat=2))
 
 # (number, label, budget in seconds, [(check id, inputs)]); an input left
-# out takes the campaign's value.
+# out takes the size the campaign runs the check at.
 CRITERIA = [
     (1, "tree-equation coefficients are the binomial family to n=200", 10.0,
      [("kernel/fuss-catalan", {"order": 201})]),
@@ -84,7 +84,7 @@ CRITERIA = [
     (8, "expansion tables solve the exact level equation (d=2)", 60.0,
      [("props/main-equation-d2", {})]),
     (9, "meander closed forms equal the step DP; classical excursions", 60.0,
-     [("paths/meander-closed-form", {"order": 40, "step_sets": _STEP_SETS, "max_order": 40}),
+     [("paths/meander-closed-form", {"order": 40, "step_sets": _STEP_SETS}),
       ("paths/excursions", {"order": 40})]),
     # The osculating and refined closed forms are checked away from the
     # triple-point cell (0,0): the closed family extrapolates to an
@@ -92,8 +92,7 @@ CRITERIA = [
     # triple point).  The cell is pinned in test_walkers instead.
     (10, "walker star families equal the gap DP (i,j<=4, n<=20)", 120.0,
      [("walkers/lock-step", {"order": 20}),
-      ("walkers/refined", {"order": 20, "max_order": 20,
-                           "marks": ((Q(1, 2), Q(1, 3)), (Q(2), Q(5, 7)))})]),
+      ("walkers/refined", {"order": 20, "marks": ((Q(1, 2), Q(1, 3)), (Q(2), Q(5, 7)))})]),
     (11, "random-turn radical, quadrant families and their DPs", 60.0,
      [("walkers/random-turn", {"order": 20}),
       ("walkers/quarter-plane", {"order": 20, "grid": 5, "doubled_cells": _GRID_5})]),
@@ -112,7 +111,6 @@ def test_criterion(number, label, budget, checks):
     status = "FAIL"
     try:
         for check_id, inputs in checks:
-            inputs = {"order": campaign.CampaignConfig.order, **inputs}
             result = campaign.run_check(check_id, **inputs)
             assert result.status != "fail", f"{check_id}: {result.detail}"
         _EXPLICIT.get(number, lambda: None)()
@@ -140,6 +138,6 @@ def test_criterion_fails_with_its_check(row, forced, monkeypatch):
         claim, _ = campaign._CHECKS[check_id]
         verdict = (False, "forced failure") if check_id == forced else (True, "")
         monkeypatch.setitem(campaign._CHECKS, check_id,
-                            (claim, lambda order, verdict=verdict, **_: verdict))
+                            (claim, lambda verdict=verdict, **_: verdict))
     with pytest.raises(AssertionError, match=f"{forced}: forced failure"):
         test_criterion(*row)

@@ -32,7 +32,7 @@ def report_pids(monkeypatch, suite):
     for check_id, (claim, _) in list(campaign._CHECKS.items()):
         if check_id.startswith(suite + "/"):
             monkeypatch.setitem(campaign._CHECKS, check_id,
-                                (claim, lambda order: (True, str(os.getpid()))))
+                                (claim, lambda **_: (True, str(os.getpid()))))
 
 
 def assert_no_process_left(pids=()):
@@ -68,7 +68,7 @@ def test_the_pool_takes_the_longest_checks_first_and_reports_in_id_order(cpus, m
 
     monkeypatch.setattr(campaign, "_run_in_workers", spy)
     for check_id, (claim, _) in list(campaign._CHECKS.items()):
-        monkeypatch.setitem(campaign._CHECKS, check_id, (claim, lambda order: (True, "")))
+        monkeypatch.setitem(campaign._CHECKS, check_id, (claim, lambda **_: (True, "")))
     report = campaign.run_campaign(campaign.CampaignConfig())
     assert handed == [list(campaign._CHECKS)]
     assert handed[0][:5] == ["props/main-equation-d2", "dary/alpha-agreement",
@@ -116,7 +116,7 @@ def test_a_check_that_raises_in_a_worker_fails_and_leaves_no_process(cpus, monke
     cpus(2)
     claim, _ = campaign._CHECKS["kernel/fuss-catalan"]
 
-    def broken(order):
+    def broken(**_):
         raise RuntimeError("broken check")
 
     monkeypatch.setitem(campaign._CHECKS, "kernel/fuss-catalan", (claim, broken))
@@ -132,7 +132,7 @@ def test_a_result_that_cannot_come_back_raises_and_leaves_no_process(cpus, monke
     cpus(2)
     claim, _ = campaign._CHECKS["exact-arith/ring-laws"]
     monkeypatch.setitem(campaign._CHECKS, "exact-arith/ring-laws",
-                        (claim, lambda order: (True, lambda: None)))
+                        (claim, lambda **_: (True, lambda: None)))
     with pytest.raises(Exception, match="pickle"):
         campaign.run_campaign(campaign.CampaignConfig(suites=("exact-arith",)))
     assert_no_process_left()
@@ -143,7 +143,7 @@ def test_a_worker_that_dies_raises_and_leaves_no_process(cpus, monkeypatch):
     claim, _ = campaign._CHECKS["exact-arith/ring-laws"]
     tests = os.getpid()  # the check ends only a worker, never this process
 
-    def dies(order):
+    def dies(**_):
         return (True, "") if os.getpid() == tests else os._exit(1)
 
     monkeypatch.setitem(campaign._CHECKS, "exact-arith/ring-laws", (claim, dies))
@@ -182,7 +182,7 @@ def test_verify_json_prints_each_check_in_id_order_then_totals(cpus, capsys):
 def test_verify_json_keeps_the_failure_exit_code(capsys, monkeypatch):
     claim, _ = campaign._CHECKS["kernel/fuss-catalan"]
     monkeypatch.setitem(campaign._CHECKS, "kernel/fuss-catalan",
-                        (claim, lambda order: (False, "forced failure")))
+                        (claim, lambda **_: (False, "forced failure")))
     assert main(["verify", "--json", "--suite", "kernel"]) == 1
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert lines[0]["status"] == "fail" and lines[0]["detail"] == "forced failure"

@@ -387,7 +387,7 @@ class TestExpansionCoefficients:
         multisets = sum(len({tuple(sorted(p)) for size in range(2, min(n, 4) + 1)
                              for p in _compositions(n, size)}) for n in range(2, 9))
         sizes = sum(min(n, 4) - 1 for n in range(2, 9))
-        setup = 8 + 1 + 2 * 9  # closed numerators, pair, powers
+        setup = 8 + 1 + 4 + 8  # closed numerators, pair, first^k for k <= 4, pair^k for k <= 8
         assert (multisets, sizes) == (44, 18)
         assert len(calls) == setup + 2 * multisets + 2 * sizes + 4 * 7
 

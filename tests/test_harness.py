@@ -1,3 +1,4 @@
+import inspect
 import json
 from fractions import Fraction as Q
 
@@ -5,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embtrees.campaign import CampaignConfig, parse_config, run_campaign
+from embtrees.campaign import CampaignConfig, run_campaign
 from embtrees import cli
 from embtrees.cli import main
-from embtrees.errors import ConfigParse
 from embtrees.serialize import SeriesCache, cache_key, export_series, import_series
 from embtrees.series import Series
+from embtrees.steps import parse_step_set
 
 series_strategy = st.lists(
     st.fractions(min_value=-99, max_value=99, max_denominator=50),
@@ -53,43 +54,15 @@ def test_cache_keys_are_canonical():
     assert cache_key("a", 1) != cache_key("a", 2)
 
 
-def test_parse_config():
-    cfg = parse_config("# comment\nsuites = walkers, paths\norder=22\n")
-    assert cfg.suites == ("walkers", "paths")
-    assert cfg.order == 22
-    assert parse_config("").suites is None
-
-
-def test_parse_config_errors():
-    with pytest.raises(ConfigParse) as info:
-        parse_config("order twenty\n")
-    assert info.value.line == 1
-    with pytest.raises(ConfigParse) as info:
-        parse_config("order=twenty\n")
-    assert info.value.field == "order"
-    with pytest.raises(ConfigParse):
-        parse_config("colour=blue\n")
-    with pytest.raises(ConfigParse, match="unknown key 'jobs'"):
-        parse_config("jobs = 2\n")
-
-
-@pytest.mark.parametrize("key", ["order"])
-@pytest.mark.parametrize("value", ["0", "-3"])
-def test_parse_config_rejects_values_below_one(key, value):
-    with pytest.raises(ConfigParse) as info:
-        parse_config(f"{key} = {value}\n")
-    assert info.value.field == key and info.value.line == 1
-
-
 def test_campaign_suite_filter_runs_only_requested():
-    report = run_campaign(CampaignConfig(suites=("exact-arith",), order=20))
+    report = run_campaign(CampaignConfig(suites=("exact-arith",)))
     assert report.results
     assert all(r.id.startswith("exact-arith/") for r in report.results)
     assert report.ok
 
 
 def test_campaign_conjecture_status_policy():
-    report = run_campaign(CampaignConfig(suites=("binary/conjectured-form",), order=20))
+    report = run_campaign(CampaignConfig(suites=("binary/conjectured-form",)))
     statuses = {r.id: r.status for r in report.results}
     assert statuses == {"binary/conjectured-form": "conjecture-consistent"}
     assert report.ok  # conjecture-consistent does not fail the campaign
@@ -173,36 +146,6 @@ class TestCli:
         assert capsys.readouterr().out == first
 
 
-def test_cli_verify_with_config_file(tmp_path, capsys):
-    cfg = tmp_path / "campaign.cfg"
-    cfg.write_text("suites = exact-arith\norder = 18\n")
-    assert main(["verify", "--config", str(cfg)]) == 0
-    out = capsys.readouterr().out
-    assert "exact-arith/ring-laws" in out and "PASS" in out
-    # CLI flags override the file
-    assert main(["verify", "--config", str(cfg), "--suite", "kernel"]) == 0
-    out = capsys.readouterr().out
-    assert "kernel/fuss-catalan" in out and "exact-arith" not in out
-
-
-def test_cli_verify_config_below_one_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "campaign.cfg"
-    cfg.write_text("order = 0\n")
-    assert main(["verify", "--config", str(cfg)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert len(captured.err.splitlines()) == 1 and "order" in captured.err
-
-
-def test_cli_verify_config_with_jobs_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "campaign.cfg"
-    cfg.write_text("jobs = 2\n")
-    assert main(["verify", "--config", str(cfg)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert len(captured.err.splitlines()) == 1 and "unknown key 'jobs'" in captured.err
-
-
 def test_available_suites_are_the_check_prefixes():
     from embtrees import campaign
 
@@ -211,10 +154,18 @@ def test_available_suites_are_the_check_prefixes():
     assert {check_id.split("/", 1)[0] for check_id in campaign._CHECKS} == set(suites)
 
 
+def test_every_check_runs_with_no_inputs():
+    from embtrees import campaign
+
+    # the suite filter is the campaign's only setting: each check's sizes are its defaults
+    for check_id, (_, fn) in campaign._CHECKS.items():
+        inspect.signature(fn).bind()  # TypeError if an input has no default
+
+
 def test_campaign_results_come_in_check_id_order():
     from embtrees import campaign
 
-    report = run_campaign(CampaignConfig(suites=("kernel", "exact-arith"), order=12))
+    report = run_campaign(CampaignConfig(suites=("kernel", "exact-arith")))
     ids = [r.id for r in report.results]
     assert ids == sorted(c for c in campaign._CHECKS if c.startswith(("kernel/", "exact-arith/")))
 
@@ -295,21 +246,48 @@ def test_cache_entry_from_another_source_digest_misses(tmp_path, capsys, monkeyp
     assert len(list(tmp_path.glob("*.json"))) == 2
 
 
-@pytest.mark.parametrize("below", ["", "sub"])
-def test_cache_dir_that_is_a_file_exits_2_before_computing(below, tmp_path, capsys,
-                                                           monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("computed a series that could not be stored")
+WALKER_QUERY = ["walkers", "--boundary", "updown", "--i", "1", "--j", "2", "--order", "8"]
 
-    monkeypatch.setattr(cli, "tree_root", refuse)
+
+def refuse_series(monkeypatch):
+    """Make the trees and walkers commands raise if they build a series."""
+    from embtrees import walkers as W
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a series")
+
+    for module, name in ((cli, "tree_root"), (W, "lockstep_star"), (W, "walker_dp")):
+        monkeypatch.setattr(module, name, refuse)
+
+
+@pytest.mark.parametrize("argv", [["trees", "--w1", "1"], WALKER_QUERY],
+                         ids=["trees", "walkers"])
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_cache_dir_that_is_a_file_exits_2_before_computing(below, argv, tmp_path, capsys,
+                                                           monkeypatch):
+    refuse_series(monkeypatch)
     taken = tmp_path / "taken"
     taken.write_text("")
     cache_dir = taken / below if below else taken
-    assert main(["trees", "--w1", "1", "--cache-dir", str(cache_dir)]) == 2
+    assert main(argv + ["--cache-dir", str(cache_dir)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert "error:" in captured.err and f"--cache-dir {cache_dir}" in captured.err
+
+
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]])
+def test_repeated_walker_query_is_a_hit_that_builds_no_series(oracle, tmp_path, capsys,
+                                                               monkeypatch):
+    assert main(WALKER_QUERY + oracle) == 0
+    uncached = capsys.readouterr().out
+    argv = WALKER_QUERY + oracle + ["--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == uncached
+    assert len(list(tmp_path.glob("*.json"))) == 1
+    refuse_series(monkeypatch)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == uncached
 
 
 def test_env_order_change_between_calls_is_honoured(capsys, monkeypatch):
@@ -345,6 +323,8 @@ CLI_INPUT_ERRORS = [
     ({}, ["trees", "--w1", "1", "--order", "0"], "--order"),
     ({}, ["walkers", "--i", "-1"], "--i"),
     ({}, ["verify", "--jobs", "2"], "--jobs"),
+    ({}, ["verify", "--order", "5"], "--order"),
+    ({}, ["verify", "--config", "f"], "--config"),
 ]
 
 
@@ -384,6 +364,7 @@ WALKER_MODEL_ERRORS = [
     (["walkers", "--steps", "motzkin"], "dyck steps"),
     (["walkers", "--mode", "random-turn", "--boundary", "refined", "--u", "1/2", "--w", "1/3"],
      "lock-step model"),
+    (["walkers", "--boundary", "vicious", "--u", "5", "--w", "7"], "refined boundary alone"),
 ]
 
 
@@ -397,10 +378,9 @@ def test_invalid_walker_models_exit_2_on_both_paths(argv, fragment, oracle, caps
     assert "error:" in captured.err and fragment in captured.err
 
 
-@pytest.mark.parametrize("command", [["verify", "--config"], ["oeis", "--match"]])
-def test_missing_file_exits_2_with_one_line(command, tmp_path, capsys):
+def test_missing_file_exits_2_with_one_line(tmp_path, capsys):
     missing = tmp_path / "missing.toml"
-    assert main(command + [str(missing)]) == 2
+    assert main(["oeis", "--match", str(missing)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
@@ -412,7 +392,7 @@ def test_failed_verification_exits_1(capsys, monkeypatch):
 
     claim, _ = campaign._CHECKS["kernel/fuss-catalan"]
     monkeypatch.setitem(campaign._CHECKS, "kernel/fuss-catalan",
-                        (claim, lambda order: (False, "forced failure")))
+                        (claim, lambda **_: (False, "forced failure")))
     assert main(["verify", "--suite", "kernel/fuss-catalan"]) == 1
     assert "forced failure" in capsys.readouterr().out
 
@@ -422,10 +402,12 @@ def guard_sizes(monkeypatch, limit=100):
     reached one unclamped would raise, never run."""
     from embtrees import binary as B
     from embtrees import dary as D
+    from embtrees import paths as P
     from embtrees import walkers as W
 
     for module, name, size in ((B, "level_rows", lambda a: a[2]),
                                (D, "level_rows", lambda a: a[2]),
+                               (P, "_meander_parts", lambda a: a[2]),
                                (B, "_x_powers", lambda a: a[1]),
                                (W, "_gap_rows", lambda a: a[2][0]),
                                (W, "_star_parts", lambda a: a[3])):
@@ -453,6 +435,28 @@ def test_far_level_prints_what_its_clamp_prints(argv, near, capsys, monkeypatch)
         assert main(argv + extra) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("output", [[], ["--excursions"], ["--mark-endpoint"]])
+def test_far_meander_level_prints_what_an_unclamped_reference_prints(output, capsys,
+                                                                     monkeypatch):
+    from embtrees import paths as P
+
+    steps, order, near = "-2:1,-1:2,1:1,3:1", 6, 40  # the CLI clamps to (6 - 1) * 2
+    # the dynamic program from a level past the clamp, from the library, which clamps nothing
+    plain, marked = P._meander_dp_series(parse_step_set(steps), near, order)
+    guard_sizes(monkeypatch)
+    assert main(["paths", f"--steps={steps}", "--level", FAR, "--order", str(order)]
+                + output) == 0
+    out = capsys.readouterr().out
+    if output == ["--mark-endpoint"]:
+        shift = int(FAR) - near
+        ends = sorted({end for row in marked.coeffs for end in row})
+        assert json.loads(out) == {"order": order, "start": int(FAR), "rows": {
+            str(end + shift): [str(c) for c in marked.extract(end).coeffs] for end in ends}}
+    else:
+        want = marked.extract(near) if output else plain
+        assert out == export_series(want, "json") + "\n"
 
 
 # a gap of --order or more reads the same column as a gap of --order

@@ -301,12 +301,12 @@ def test_a_wrong_claim_fails_the_campaign_checks(monkeypatch, series_only, binar
     monkeypatch.setitem(B._CLOSED_PARTS, "matched_closed",
                         scaled_at_three(B._CLOSED_PARTS["matched_closed"], series_only))
     monkeypatch.setattr(B, "_height_parts", scaled_at_three(B._height_parts, series_only))
-    results = [campaign.run_check(check_id, 30)
+    results = [campaign.run_check(check_id)
                for check_id in ("binary/alpha-closed-forms", "height/plane-trees")]
     assert [(r.status, r.detail) for r in results] == [("fail", binary), ("fail", height)]
 
 
 def test_a_wrong_dary_claim_fails_its_check(monkeypatch):
     monkeypatch.setattr(D, "_one_param_parts", scaled_at_three(D._one_param_parts))
-    result = campaign.run_check("dary/alpha-agreement", 30)
+    result = campaign.run_check("dary/alpha-agreement")
     assert (result.status, result.detail) == ("fail", "odd d=1 index 3")

@@ -61,7 +61,7 @@ def test_every_check_in_process_leaves_no_cyclic_garbage():
     gc.collect()
     gc.disable()
     try:
-        results = [campaign.run_check(check_id, 30) for check_id in sorted(campaign._CHECKS)]
+        results = [campaign.run_check(check_id) for check_id in sorted(campaign._CHECKS)]
         assert "fail" not in {r.status for r in results}
         assert gc.collect() == 0
     finally:
@@ -71,7 +71,7 @@ def test_every_check_in_process_leaves_no_cyclic_garbage():
 
 def test_lockstep_check_solves_once_per_weight_and_order():
     # one order and one step weighting: one characteristic solve serves the three corners
-    result = campaign.run_check("walkers/lock-step", 20)
+    result = campaign.run_check("walkers/lock-step")
     assert result.status == "pass"
     assert dict(result.counts)["kernel.hensel"] == 1
 

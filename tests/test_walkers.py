@@ -311,7 +311,7 @@ def test_one_changed_dp_entry_fails_the_check(monkeypatch, check, detail):
 
         return index, changed()
 
-    assert campaign.run_check(check, 20).status == "pass"
+    assert campaign.run_check(check).status == "pass"
     monkeypatch.setattr(W, "_gap_rows", bumped)
-    result = campaign.run_check(check, 20)
+    result = campaign.run_check(check)
     assert (result.status, result.detail) == ("fail", detail)
