@@ -199,11 +199,8 @@ def _cmd_paths(args) -> int:
 
 def _cmd_walkers(args) -> int:
     # one validated model serves the closed form and the oracle alike
-    model = W.WalkerModel(
-        args.mode.replace("-", "_"), args.steps, args.boundary,
-        None if args.u is None else Fraction(args.u),
-        None if args.w is None else Fraction(args.w),
-    )
+    u, w = (None if mark is None else Fraction(mark) for mark in (args.u, args.w))
+    model = W.WalkerModel(args.mode.replace("-", "_"), args.steps, args.boundary, u, w)
     # a gap of at least --order reads the same column as a gap of --order
     i, j = min(args.i, args.order), min(args.j, args.order)
 
@@ -351,10 +348,6 @@ def main(argv: list[str] | None = None) -> int:
                 setattr(args, name, value.resolve())
     except argparse.ArgumentError as exc:
         parser.error(str(exc))
-    if args.command == "walkers" and args.boundary == "refined" and (
-        args.u is None or args.w is None
-    ):
-        parser.error("--boundary refined needs both --u and --w")
     try:
         return args.fn(args)
     except (EmbtreesError, ValueError, KeyError, ZeroDivisionError, OSError) as exc:

@@ -2,9 +2,9 @@
 
 Rationals are persisted as decimal integer-pair strings ("p" or "p/q"),
 never as floats, so every round trip is bit-exact.  The cache maps a
-canonical key hash to the JSON text ``export_series`` writes, and a hit
-returns that text as it is, with no series built from it; an entry may be
-deleted at any time, and one not in the writer's form is a miss.
+canonical key hash to the JSON text ``export_series`` writes; an entry
+may be deleted at any time.  A hit is matched, unparsed, against the
+writer's own grammar and returned as it is; any other entry is a miss.
 """
 
 from __future__ import annotations
@@ -21,6 +21,13 @@ from .series import Q, Series
 # the coefficient strings ratio_str writes: 0, or a nonzero integer over an
 # optional denominator of at least 2
 _WRITTEN_RATIO = re.compile(r"0|-?[1-9][0-9]*(?:/(?:[2-9]|[1-9][0-9]+))?")
+# the item and key separators of the json text export_series writes
+_SEPARATORS = (", ", ": ")
+_ITEM, _KEY = map(re.escape, _SEPARATORS)
+_COEFF = f'"(?:{_WRITTEN_RATIO.pattern})"'
+# that json text: the order (group 1), then its coefficients
+_WRITTEN_ENTRY = re.compile(rf'\{{"order"{_KEY}(0|[1-9][0-9]*){_ITEM}"coeffs"{_KEY}'
+                            rf'\[(?:{_COEFF}(?:{_ITEM}{_COEFF})*)?\]\}}')
 
 
 def ratio_str(p: int, q: int) -> str:
@@ -58,7 +65,7 @@ def export_series(series: Series, fmt: str = "json") -> str:
         raise ValueError(f"unknown format {fmt!r}")
     coeffs = [ratio_str(p, q) for p, q in series.ratios()]
     if fmt == "json":
-        return json.dumps({"order": series.order, "coeffs": coeffs})
+        return json.dumps({"order": series.order, "coeffs": coeffs}, separators=_SEPARATORS)
     return _csv_rows(coeffs)
 
 
@@ -101,26 +108,12 @@ def import_series(text: str, fmt: str = "json") -> Series:
 def _is_written_entry(text: str, order: int) -> bool:
     """Whether ``text`` is what ``export_series(s, "json")`` writes for an s of this order.
 
-    It must be an object with just the keys "order" and "coeffs", in that
-    order, holding ``order`` coefficient strings as ``ratio_str`` writes
-    them, spaced as ``json.dumps`` spaces them, so that a hit prints what
-    recomputing would.  Whether each p/q is in lowest terms is not checked.
+    One match of the writer's grammar, so that a hit prints what recomputing
+    would; a coefficient holds no quote, so the quotes count the coefficients.
+    Whether each p/q is in lowest terms is not checked.
     """
-    try:
-        data = json.loads(text)
-    except (ValueError, RecursionError):  # RecursionError: nested too deep to parse
-        return False
-    if type(data) is not dict or list(data) != ["order", "coeffs"]:
-        return False
-    coeffs = data["coeffs"]
-    if type(data["order"]) is not int or data["order"] != order or type(coeffs) is not list:
-        return False
-    try:
-        if len(coeffs) != order or not all(map(_WRITTEN_RATIO.fullmatch, coeffs)):
-            return False
-    except TypeError:  # a coefficient that is not a string
-        return False
-    return json.dumps(data) == text
+    match = _WRITTEN_ENTRY.fullmatch(text)
+    return match is not None and match[1] == str(order) and text.count('"') == 4 + 2 * order
 
 
 def cache_key(*parts) -> str:

@@ -67,7 +67,7 @@ class WalkerModel:
         if self.boundary == "refined" and self.mode != "lock_step":
             raise ValueError("refined marks are a lock-step model")
         if self.boundary == "refined" and (self.u is None or self.w is None):
-            raise ValueError("refined boundary needs both marks")
+            raise ValueError("the refined boundary needs both marks, --u and --w")
         if self.boundary != "refined" and (self.u is not None or self.w is not None):
             raise ValueError("the marks u and w belong to the refined boundary alone")
 
@@ -119,6 +119,13 @@ def _star_parts(base, alpha, gamma, m: int):
     return T, _x_powers(X, m, T * alpha), _x_powers(X, 2 * m, T * gamma)
 
 
+def _gaps(i: int, j: int) -> int:
+    """The larger of the gaps (i, j), which must both be non-negative."""
+    if min(i, j) < 0:
+        raise ValueError(f"walker gaps are non-negative, not ({i}, {j})")
+    return max(i, j)
+
+
 def _star(parts, a: int, b: int) -> Series:
     """The star T(1 - alpha X^a - alpha X^b - gamma X^(a+b)) at gaps (a, b)."""
     T, A, G = parts
@@ -132,8 +139,8 @@ def _refined_parts(u, w, base, m: int):
 
 def lockstep_refined(u, w, i: int, j: int, order: int, *, parts=None) -> StarGF:
     """Refined star series with co-location mark u and shared-edge mark w."""
-    return StarGF(i, j, _star(parts or _refined_parts(u, w, _lockstep_base(order), max(i, j)),
-                              i, j))
+    m = _gaps(i, j)
+    return StarGF(i, j, _star(parts or _refined_parts(u, w, _lockstep_base(order), m), i, j))
 
 
 def lockstep_star(boundary: str, i: int, j: int, order: int, *, parts=None) -> StarGF:
@@ -169,8 +176,8 @@ def randomturn_gf(steps: str, boundary: str, i: int, j: int, order: int, *, part
     """Vicious stars (1-X^i)(1-X^j) T; osculating stars are read one gap further out."""
     if boundary not in ("vicious", "osculating"):
         raise ValueError("random-turn boundaries are vicious or osculating")
-    out = int(boundary == "osculating")
-    parts = parts or _randomturn_parts(steps, order, max(i, j) + out)
+    m, out = _gaps(i, j), int(boundary == "osculating")
+    parts = parts or _randomturn_parts(steps, order, m + out)
     return StarGF(i, j, _star(parts, i + out, j + out))
 
 
@@ -328,6 +335,7 @@ def lockstep_dp(u, w, i: int, j: int, order: int) -> list[Fraction]:
     weight(configuration) = u^(number of (pair, time) co-locations,
     start included) * w^(number of shared edges).
     """
+    _gaps(i, j)
     if order < 1:
         return []
     return list(_lockstep_columns(u, w, [(i, j)], order)[i, j].coeffs)
@@ -361,6 +369,7 @@ def randomturn_dp(
     steps: str, boundary: str, i: int, j: int, order: int
 ) -> list[Fraction]:
     """Random-turn star counts: one walker moves per time step."""
+    _gaps(i, j)
     if order < 1:
         return []
     return list(_randomturn_columns(steps, boundary, [(i, j)], order)[i, j].coeffs)
@@ -396,7 +405,8 @@ def _quarterplane_parts(model: str, order: int, m: int):
 
 def quarterplane_gf(model: str, i: int, j: int, order: int, *, parts=None) -> Series:
     """(1 - X^(i+1))(1 - X^(j+1)) T: the vicious star read one gap further out."""
-    return _star(parts or _quarterplane_parts(model, order, max(i, j) + 1), i + 1, j + 1)
+    m = _gaps(i, j)
+    return _star(parts or _quarterplane_parts(model, order, m + 1), i + 1, j + 1)
 
 
 def _quarterplane_columns(model: str, cells, order: int) -> dict[tuple[int, int], Series]:
@@ -413,4 +423,5 @@ def _quarterplane_columns(model: str, cells, order: int) -> dict[tuple[int, int]
 
 def quarterplane_dp(model: str, i: int, j: int, order: int) -> list[Fraction]:
     """Direct 2-D walk count from (i, j) staying in the quarter plane, at least one term."""
+    _gaps(i, j)
     return list(_quarterplane_columns(model, [(i, j)], max(order, 1))[i, j].coeffs)

@@ -304,16 +304,6 @@ def test_verify_unknown_suite_is_an_error(capsys):
     assert len(captured.err.splitlines()) == 1 and "nosuch" in captured.err
 
 
-@pytest.mark.parametrize("marks", [[], ["--u", "1/2"], ["--w", "1/3"]])
-@pytest.mark.parametrize("oracle", [[], ["--oracle"]])
-def test_refined_walkers_need_both_marks(marks, oracle, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["walkers", "--boundary", "refined", "--i", "1", "--j", "1", "--order", "5"]
-             + marks + oracle)
-    assert exc.value.code == 2
-    assert "--u and --w" in capsys.readouterr().err
-
-
 # Invalid input, whether from a flag or an EMBTREES_* default, is an
 # argparse error: exit 2, nothing on stdout, the reason on the last line.
 CLI_INPUT_ERRORS = [
@@ -365,6 +355,9 @@ WALKER_MODEL_ERRORS = [
     (["walkers", "--mode", "random-turn", "--boundary", "refined", "--u", "1/2", "--w", "1/3"],
      "lock-step model"),
     (["walkers", "--boundary", "vicious", "--u", "5", "--w", "7"], "refined boundary alone"),
+    (["walkers", "--boundary", "refined"], "--u and --w"),
+    (["walkers", "--boundary", "refined", "--u", "1/2"], "--u and --w"),
+    (["walkers", "--boundary", "refined", "--w", "1/3"], "--u and --w"),
 ]
 
 

@@ -7,6 +7,7 @@ including long series and coefficients at byte edges.
 """
 
 import json
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -16,7 +17,9 @@ from hypothesis import strategies as st
 from embtrees.cli import main
 from embtrees.errors import DivisionByNonUnit
 from embtrees import serialize
-from embtrees.serialize import SeriesCache, export_series, import_series, reformat
+from embtrees.serialize import (
+    SeriesCache, export_series, import_series, ratio_str, reformat,
+)
 from embtrees.series import Series
 
 # -- the reference ----------------------------------------------------------
@@ -263,6 +266,80 @@ huge = st.builds(Q, st.integers(-(2**100), 2**100), st.integers(1, 2**100))
 def test_csv_rewrite_of_the_json_text_is_the_csv_export(cs):
     s = Series(cs)
     assert reformat(export_series(s, "json"), "csv") == export_series(s, "csv")
+
+
+# the entry check as it was before it became one match of the writer's grammar:
+# parse the text, check the types and the coefficient strings, and dump it again
+REFERENCE_RATIO = re.compile(r"0|-?[1-9][0-9]*(?:/(?:[2-9]|[1-9][0-9]+))?")
+
+
+def reference_is_written_entry(text: str, order: int) -> bool:
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError):  # RecursionError: nested too deep to parse
+        return False
+    if type(data) is not dict or list(data) != ["order", "coeffs"]:
+        return False
+    coeffs = data["coeffs"]
+    if type(data["order"]) is not int or data["order"] != order or type(coeffs) is not list:
+        return False
+    try:
+        if len(coeffs) != order or not all(map(REFERENCE_RATIO.fullmatch, coeffs)):
+            return False
+    except TypeError:  # a coefficient that is not a string
+        return False
+    return json.dumps(data) == text
+
+
+# coefficient strings, unreduced ones such as 2/4 among them
+written_ratio = st.one_of(st.integers(-(10**30), 10**30).map(str),
+                          st.builds(ratio_str, st.integers(-(10**30), 10**30).filter(bool),
+                                    st.integers(2, 10**6)))
+EDIT_CHARS = '0123456789-/", :[]{}\\eortu\n'
+
+
+@st.composite
+def one_edit(draw, text: str) -> str:
+    """``text`` with one character inserted, deleted or replaced."""
+    at = draw(st.integers(0, len(text)))
+    char = draw(st.sampled_from(EDIT_CHARS))
+    kind = draw(st.sampled_from(["insert", "delete", "replace"]))
+    if kind == "insert":
+        return text[:at] + char + text[at:]
+    return text[:at] + ("" if kind == "delete" else char) + text[at + 1:]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(written_ratio, max_size=12), st.data())
+def test_entry_check_agrees_with_the_parse_and_redump_reference(coeffs, data):
+    order = len(coeffs)
+    written = json.dumps({"order": order, "coeffs": coeffs})
+    assert serialize._is_written_entry(written, order)
+    miscounted = json.dumps({"order": order + 1, "coeffs": coeffs})
+    for text in (written, miscounted, data.draw(one_edit(written))):
+        for asked in (order - 1, order, order + 1):
+            assert serialize._is_written_entry(text, asked) == reference_is_written_entry(text, asked)
+
+
+@pytest.mark.parametrize("text,order,hit", [
+    ('{"order": 0, "coeffs": []}', 0, True),
+    ('{"order": 2, "coeffs": ["2/4", "-6/9"]}', 2, True),
+    ('{"order": 1, "coeffs": ["1/1"]}', 1, False),
+    ('{"order": 1, "coeffs": ["01"]}', 1, False),
+    ('{"order": 1, "coeffs": ["1/02"]}', 1, False),
+    ('{"order": 01, "coeffs": ["1"]}', 1, False),
+    ('{"order": 1, "coeffs": ["1"]}\n', 1, False),
+    ('{"order": 1, "coeffs": [ "1"]}', 1, False),
+    ('{"order": 1, "coeffs": ["\\u0031"]}', 1, False),
+    ('{"order": 1, "order": 1, "coeffs": ["1"]}', 1, False),
+    ('{"coeffs": ["1"], "order": 1}', 1, False),
+    ('{"order": true, "coeffs": ["1"]}', 1, False),
+    ('{"order": 1, "coeffs": [1]}', 1, False),
+    ('[' * 100_000, 0, False),
+])
+def test_entry_check_cases(text, order, hit):
+    assert serialize._is_written_entry(text, order) is hit
+    assert reference_is_written_entry(text, order) is hit
 
 
 def test_cache_returns_negative_rational_series_unchanged(tmp_path):

@@ -238,6 +238,28 @@ def test_model_validation():
     assert (star.i, star.j) == (1, 2)
 
 
+NEGATIVE_GAP_CALLS = [
+    lambda i, j: lockstep_star("vicious", i, j, 6),
+    lambda i, j: lockstep_refined(Q(1, 2), Q(1, 3), i, j, 6),
+    lambda i, j: randomturn_gf("dyck", "vicious", i, j, 6),
+    lambda i, j: randomturn_gf("motzkin", "osculating", i, j, 6),
+    lambda i, j: quarterplane_gf("S1", i, j, 6),
+    lambda i, j: lockstep_dp(1, 0, i, j, 6),
+    lambda i, j: lockstep_dp(1, 0, i, j, 0),
+    lambda i, j: randomturn_dp("dyck", "vicious", i, j, 6),
+    lambda i, j: quarterplane_dp("S2", i, j, 6),
+    lambda i, j: walker_dp(WalkerModel("lock_step", "dyck", "updown"), i, j, 6),
+]
+
+
+@pytest.mark.parametrize("call", NEGATIVE_GAP_CALLS)
+@pytest.mark.parametrize("gaps", [(-1, 2), (2, -1), (-2, -2)])
+def test_a_negative_gap_is_refused(call, gaps):
+    """Read from the end of a power list, a negative gap would give a wrong series."""
+    with pytest.raises(ValueError, match="non-negative"):
+        call(*gaps)
+
+
 # -- integer DP columns ------------------------------------------------------
 
 STAR_CELLS = [(i, j) for i in range(5) for j in range(5)]
