@@ -55,10 +55,10 @@ for the tables of even and odd d = 2 at bound 3 and order 15 that the
 props/main-equation-d2 check builds, against the full-precision level
 sum (both references in ``tests/test_dary.py``); each timed run reads
 a table built afresh outside the timed region, as the check reads its
-own.  The ``closed_family_residual`` row times the
-binary/one-param-family check's work, the closed-family residual at
-levels -1..6 and order 18 for its three weight vectors, with no
-reference.  The ``cache_hit`` rows time a result-cache hit, the stored
+own.  The ``level_identity`` row times the binary/one-param-family
+check's work, ``levels.level_identity`` on the closed family's rows for
+its three weight vectors, with no reference.  The ``cache_hit`` rows
+time a result-cache hit, the stored
 entry of the binary root T at rational weights read, checked and
 printed as json or csv (``SeriesCache.get`` and ``reformat``), at orders
 30 and 200, against the import-export round trip the hit once made
@@ -90,12 +90,11 @@ sys.path.insert(0, str(ROOT / "tests"))
 from embtrees.binary import (  # noqa: E402
     _CLOSED_PARTS,
     BinaryWeights,
-    _closed_family_parts,
     _height_kinds,
     _height_parts,
     _ternary_kinds,
     binary_alpha,
-    closed_family_residual,
+    closed_family_rows,
     height_alpha,
 )
 from embtrees.campaign import _binary_x_radical, _first_unproved, _height_x_rational  # noqa: E402
@@ -116,6 +115,7 @@ from embtrees.kernel import (  # noqa: E402
 from embtrees.levels import (  # noqa: E402
     alpha_recurrence,
     label_spectra,
+    level_identity,
     level_rows,
     recomputed_alphas,
 )
@@ -468,18 +468,17 @@ def cut_entries(entries: dict, order: int) -> dict:
 
 
 def closed_family_check() -> list:
-    """The binary/one-param-family check's residuals: levels -1..6 at order 18."""
+    """The binary/one-param-family check's proofs, one per weight vector."""
     out = []
     for vec in ((0, 0, 1, 0, 0), (0, 0, 0, 1, 1), (1, 0, 1, 0, 0)):
         w = BinaryWeights.make(*vec)
-        parts = _closed_family_parts(w, 6, 18)
-        out += [closed_family_residual(w, j, 18, parts=parts) for j in range(-1, 7)]
+        out.append(level_identity(w.kinds, *closed_family_rows(w)))
     return out
 
 
 def bench_tables(repeats: int) -> list[dict]:
     """The d-ary expansion table and its level sums, against the first-written
-    loops, and the closed-family residuals."""
+    loops, and the closed-family proofs."""
     rows: list[dict] = []
     fam, bound, order = DaryFamily("even", 2), 3, 15
     seeds = main_equation_seeds(fam, bound, order)
@@ -495,10 +494,10 @@ def bench_tables(repeats: int) -> list[dict]:
                 lambda table: [rho_series(table, j, order) for j in levels],
                 lambda table: [ref_rho_series(table, j, order) for j in levels], repeats,
                 setup=lambda: dary_alpha_general(fam, bound, seeds, order))
-    if not all(r.is_zero() for r in closed_family_check()):
-        raise AssertionError("closed_family_residual is not zero")
-    rows.append({"op": "closed_family_residual", "order": 18,
-                 "coeffs": "3 campaign weights, levels -1..6",
+    if not all(closed_family_check()):
+        raise AssertionError("the closed family's level identity does not hold")
+    rows.append({"op": "level_identity", "order": "-",
+                 "coeffs": "3 campaign weights, every level",
                  "core_us": round(timed_us(closed_family_check, repeats), 1)})
     return rows
 

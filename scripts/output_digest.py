@@ -4,15 +4,16 @@
 A change that claims bit-identical outputs runs this on both trees and
 compares the printed digests.  The digest covers:
 
-* ``closed_family_residual`` (6 weight vectors x 4 levels) and
-  ``binary_Tj_closed_symbolic`` for the same vectors and levels;
+* ``binary_Tj_closed_symbolic`` for 6 weight vectors x 4 levels (the
+  closed family's level equation is an identity, proved by
+  ``levels.level_identity``, so it has no residual to hash);
 * ``meander_gf`` (plain and marked) and ``meander_dp`` (totals and
   table) for 5 step sets x 6 levels at order 25;
 * small factors: ``hensel_small_factor`` for those step sets and
   ``family_base`` for five d-ary families' kind lists;
 * both single-branch d-ary alpha lists (the closed claims, and the values
-  ``levels.recomputed_alphas`` recomputes from them), ``one_param_residual``
-  and ``dary_rational_parametrization``;
+  ``levels.recomputed_alphas`` recomputes from them) and
+  ``dary_rational_parametrization``;
 * the ``dary_alpha_general`` tables for the odd and even families with
   d = 1, 2 (bound 3, order 15) and odd d = 3 (bound 2, order 12), in
   three sections: ``tables``, every entry in full (each coordinate
@@ -105,9 +106,7 @@ def binary_section():
     out = []
     for vec in WEIGHTS:
         w = B.BinaryWeights.make(*vec)
-        for j in range(4):
-            out.append(B.closed_family_residual(w, j, 12))
-            out.append(guarded(lambda: B.binary_Tj_closed_symbolic(w, j, 12, 3)))
+        out += [guarded(lambda: B.binary_Tj_closed_symbolic(w, j, 12, 3)) for j in range(4)]
     return out
 
 
@@ -130,8 +129,7 @@ def factor_section():
 def alpha_section():
     out = []
     for fam in FAMILIES:
-        out += [D.dary_alpha_one_param_closed(fam, 10), D.one_param_residual(fam),
-                D.dary_rational_parametrization(fam)]
+        out += [D.dary_alpha_one_param_closed(fam, 10), D.dary_rational_parametrization(fam)]
         if fam.d < 3:  # alpha_1 = 1, then the prover's recomputed alpha_2..alpha_10
             one = RationalFunction(MultiPoly.const(("X",), 1))
             out.append([one] + recomputed_alphas(fam.kinds, *D._one_param_parts(fam, 10)))

@@ -13,7 +13,6 @@ from .binary import (
     conjecture_check,
     height_plane_trees,
     height_Tj,
-    closed_family_residual,
 )
 from .dary import (
     DaryFamily,
@@ -25,7 +24,6 @@ from .dary import (
     dary_Tj_recurrence,
     one_param_solution,
     verify_main_equation,
-    verify_one_param,
 )
 from .kernel import (
     SeriesPoly,

@@ -5,7 +5,8 @@ Nodes come in seven kinds: three unary kinds placing the child at offset
 the two children at offsets (-1,+1) with weight w1, (0,0) with weight w2,
 and (0,-1) / (0,+1) with weight w3.  T_j is the generating function of
 trees whose labels respect a bound at level j; the module computes it by
-the level recurrence, by the one-parameter closed-form family, and by
+the level recurrence, by the one-parameter closed-form family (proved for
+every level and parameter by ``levels.level_identity``), and by
 independent enumeration oracles.  The expansion coefficients of the
 binary, height and ternary families come from the one unit-divisor
 recurrence ``levels.alpha_recurrence``, given each family's kind list
@@ -30,8 +31,7 @@ from .errors import (
     SizeTooLarge,
 )
 from .kernel import SeriesPoly, family_base, newton_solve, tree_root
-from .levels import (Kinds, _x_powers, alpha_recurrence, label_spectra, level_equation,
-                     level_rows)
+from .levels import IDENTITY_RING, Kinds, _x_powers, alpha_recurrence, label_spectra, level_rows
 from .marker import MarkerSeries
 from .multipoly import MultiPoly
 from .series import Q, Series, as_fraction, rational_sqrt
@@ -149,7 +149,7 @@ def _matched_parts(w: BinaryWeights, X, T, n_max: int):
     w.require_matched_weights()
     one, xp = X**0, _x_powers(X, max(n_max, 2))
     cyc = one + X + xp[2]
-    shells = _x_powers((X * w.w1 + cyc * w.w2) * X, n_max - 1)
+    shells = _x_powers(_closed_shell(w, X), n_max - 1)
     nums = [(one - xp[n]) * s for n, s in zip(range(1, n_max + 1), shells)]
     return one - X, _fac(X, T, w.v1, w.w1 + w.w2) * (one - X) ** 2 * cyc * (one + X), nums
 
@@ -189,17 +189,7 @@ def t_of_x_identity(w: BinaryWeights, order: int) -> bool:
     whose power-series root is (t1 + sqrt(t1^2 + 4 t2 L)) / (2 t2).
     """
     small, T = family_base(w.kinds, order)
-    X = small.elementary[0]
-    one = Series.one(order)
-    x2 = X * X
-    t1 = (
-        (one + x2) * w.w1
-        + X * (2 * w.w2)
-        + (one + X) ** 2 * w.w3
-        - (one - X) ** 2 * w.v1
-    )
-    t2 = (one - X + x2) * w.w1 + X * w.w2 + (one + x2) * w.w3
-    ell = (one + x2) * w.v1 + X * w.v2
+    t1, t2, ell = _t_relation(w, small.elementary[0])
     radicand = t1 * t1 + t2 * ell * 4
     c0 = rational_sqrt(radicand[0])
     root = (radicand / radicand[0]).sqrt() * c0
@@ -207,18 +197,34 @@ def t_of_x_identity(w: BinaryWeights, order: int) -> bool:
     return recovered.matches(T)
 
 
+def _t_relation(w: BinaryWeights, X):
+    """t1, t2 and L of T's relation over Q(X), in X's ring; see ``t_of_x_identity``."""
+    one, x2 = X**0, X * X
+    t1 = (one + x2) * w.w1 + X * (2 * w.w2) + (one + X) ** 2 * w.w3 - (one - X) ** 2 * w.v1
+    t2 = (one - X + x2) * w.w1 + X * w.w2 + (one + x2) * w.w3
+    return t1, t2, (one + x2) * w.v1 + X * w.v2
+
+
 # ---------------------------------------------------------------------------
 # One-parameter closed solution
 # ---------------------------------------------------------------------------
 
 
+def _closed_shell(w: BinaryWeights, X):
+    """X shell, shell = w1 X + w2 (1 + X + X^2), in X's ring."""
+    return (X * w.w1 + (X**0 + X + X * X) * w.w2) * X
+
+
+def _closed_factor(w: BinaryWeights, X, T):
+    """(v1 + (w1 + w2) T)(1 - X^2)(1 - X^3), T times the closed family's c_num, in X's ring."""
+    return (T * (w.w1 + w.w2) + w.v1) * (X**0 - X * X) * (X**0 - X**3)
+
+
 def _closed_parts(w: BinaryWeights, order: int):
+    """T, X, X shell and c_num = v1/T + w1 + w2 times (1 - X^2)(1 - X^3), as series."""
     small, T = family_base(w.kinds, order)
     X = small.elementary[0]
-    one = Series.one(order)
-    shell = X * w.w1 + (one + X + X * X) * w.w2
-    c_num = (one / T * w.v1 + (w.w1 + w.w2)) * (one - X * X) * (one - X**3)
-    return T, X, shell, c_num
+    return T, X, _closed_shell(w, X), _closed_factor(w, X, T) / T
 
 
 def binary_Tj_closed(w: BinaryWeights, lam: Series, j: int, order: int) -> Series:
@@ -235,12 +241,12 @@ def binary_Tj_closed(w: BinaryWeights, lam: Series, j: int, order: int) -> Serie
     if lam.order < order + 2:
         raise InsufficientPrecision("parameter series carries too little precision")
     g = min(order + 6, lam.order)
-    T, X, shell, c_num = _closed_parts(w, g)
+    T, X, xw, c_num = _closed_parts(w, g)
     one = Series.one(g)
     lam_g = lam.truncate(g)
     xp = _x_powers(X, j + 3)
     num = c_num * (lam_g * xp[j + 1])
-    den = (X * shell) * (one - lam_g * xp[j + 1]) * (one - lam_g * xp[j + 2])
+    den = xw * (one - lam_g * xp[j + 1]) * (one - lam_g * xp[j + 2])
     rho = num / den
     if rho.order < order:
         raise InsufficientPrecision("parameter series carries too little precision")
@@ -258,9 +264,8 @@ def binary_Tj_closed_symbolic(
     """
     w.require_matched_weights()
     g = order + 6
-    T, X, shell, c_num = _closed_parts(w, g)
+    T, X, xw, c_num = _closed_parts(w, g)
     one = Series.one(g)
-    xw = X * shell
     val = xw.valuation()
     if j + 1 < val:
         raise DivisionByNonUnit(
@@ -276,54 +281,25 @@ def binary_Tj_closed_symbolic(
     return out.truncate(order)
 
 
-def _closed_family_parts(w: BinaryWeights, j_max: int, order: int):
-    """``parts`` of ``closed_family_residual`` at levels up to j_max."""
-    T, X, shell, c_num = _closed_parts(w, order + 2)
-    return T, X, shell, c_num, _x_powers(X, max(j_max + 8, 8) + 2)
+def closed_family_rows(w: BinaryWeights):
+    """Rows j-1, j, j+1 of the closed family over one denominator, T's relation and
+    the denominator: ``levels.level_identity``'s inputs, in its ring (Y = X^j).
 
-
-def closed_family_residual(w: BinaryWeights, j: int, order: int, *, parts=None) -> MarkerSeries:
-    """Level-recurrence residual of the closed solution, cleared of denominators.
-
-    The closed T_i are rational in the free parameter, over the common
-    denominator x4d = X^4 * prod_k cleared(1 - lam X^k) (k from j to j+3);
-    ``levels.level_equation`` multiplies the recurrence at level j by x4d^2,
-    which turns the residual into a polynomial in the parameter with series
-    coefficients.  The returned marker series is identically zero iff the
-    closed family satisfies the recurrence at level j.
-
-    It is computed at order + 2: the one step that loses precision is the
-    division by X*shell, whose valuation is at most 2 (X has valuation 1,
-    shell = w1 X + w2 (1 + X + X^2) at most 1), and a shorter margin
-    raises when the result is cut to ``order``.
+    T_i = T - factor lam Y X^(i+1) / (X shell p_(i+1) p_(i+2)), p_k = 1 - lam Y X^k,
+    factor = T c_num; over den = X shell p_0 p_1 p_2 p_3 no row divides by T.
     """
     w.require_matched_weights()
-    g = order + 2
-    T, X, shell, c_num, xp = parts or _closed_family_parts(w, j, order)
-    levels = [j, j + 1, j + 2, j + 3]
-    m_of = {k: max(0, -k) for k in levels}
-    cleared = {
-        k: MarkerSeries.from_series(xp[m_of[k]])
-        - MarkerSeries.series_times_marker(xp[k + m_of[k]], 1)
-        for k in levels
-    }
-    d_hat = MarkerSeries.one(g)
-    for k in levels:
-        d_hat = d_hat * cleared[k]
-    xw = X * shell
+    X, lam, Y, T = (MultiPoly.var(IDENTITY_RING, v) for v in IDENTITY_RING)
+    p = [1 - lam * Y * X**k for k in range(4)]
+    den = _closed_shell(w, X) * p[0] * p[1] * p[2] * p[3]
+    factor = _closed_factor(w, X, T) * lam * Y
 
-    def rho_cleared(i: int) -> MarkerSeries:
-        others = [k for k in levels if k not in (i + 1, i + 2)]
-        exponent = 5 + i + m_of[i + 1] + m_of[i + 2]
-        base = c_num * xp[exponent] / xw
-        out = MarkerSeries.series_times_marker(base, 1)
-        for k in others:
-            out = out * cleared[k]
-        return out
+    def row(i: int) -> MultiPoly:  # T den - factor X^(i+1) times the two other p_k
+        a, b = (p[k] for k in range(4) if k not in (i + 1, i + 2))
+        return T * den - factor * X ** (i + 1) * a * b
 
-    x4d = d_hat * xp[4]  # theta_i = T_i x4d
-    theta = {i: (x4d - rho_cleared(i)) * T for i in (j - 1, j, j + 1)}
-    return level_equation(w.kinds, theta, j, Series.z(g), x4d).truncate(order)
+    t1, t2, ell = _t_relation(w, X)
+    return {i: row(i) for i in (-1, 0, 1)}, t2 * T * T - t1 * T - ell, den
 
 
 def adapt_lambda(w: BinaryWeights, boundary_value: int, order: int) -> Series:
@@ -337,9 +313,9 @@ def adapt_lambda(w: BinaryWeights, boundary_value: int, order: int) -> Series:
     if boundary_value not in (0, 1):
         raise ValueError("boundary value must be 0 or 1")
     g = order + 6
-    T, X, shell, c_num = _closed_parts(w, g)
+    T, X, xw, c_num = _closed_parts(w, g)
     one = Series.one(g)
-    s1 = (T - boundary_value) * shell * X
+    s1 = (T - boundary_value) * xw
     qa = s1 * X
     qb = -(s1 * (one + X)) - T * c_num
     qc = s1

@@ -43,8 +43,8 @@ from .kernel import (
     newton_solve,
     tree_root,
 )
-from .levels import (_x_powers, alpha_recurrence, label_spectra, level_residual,
-                     recomputed_alphas)
+from .levels import (_x_powers, alpha_recurrence, label_spectra, level_identity,
+                     level_residual, recomputed_alphas)
 from .marker import MarkerSeries
 from .multipoly import MultiPoly, RationalFunction
 from .series import Q, Series
@@ -279,13 +279,11 @@ def _check_binary_alpha(order: int = 30):
     return True, ""
 
 
-def _check_closed_family(order: int = 18):
+def _check_closed_family():
     for vec in ((0, 0, 1, 0, 0), (0, 0, 0, 1, 1), (1, 0, 1, 0, 0)):
         w = B.BinaryWeights.make(*vec)
-        parts = B._closed_family_parts(w, 6, order)
-        for j in range(-1, 7):
-            if not B.closed_family_residual(w, j, order, parts=parts).is_zero():
-                return False, f"weights {vec}, level {j}"
+        if not level_identity(w.kinds, *B.closed_family_rows(w)):
+            return False, f"weights {vec}"
     return True, ""
 
 
@@ -370,7 +368,7 @@ _DARY_FAMILIES = (
 
 def _check_dary_one_param():
     for fam in _DARY_FAMILIES:
-        if not D.verify_one_param(fam):
+        if not level_identity(fam.kinds, *D.one_param_rows(fam)):
             return False, f"{fam.kind} d={fam.d}"
     return True, ""
 
@@ -584,30 +582,30 @@ _CHECKS: dict[str, tuple] = {
     "props/main-equation-d2": ("multi-branch tables solve the exact level equation", functools.partial(_check_main_equation, d=2)),
     "dary/alpha-agreement": ("single-branch closed form equals the graded recurrence", _check_dary_alpha),
     "binary/alpha-closed-forms": ("decay coefficients match their closed forms", _check_binary_alpha),
+    "dary/one-param-identity": ("closed family identity in the function field", _check_dary_one_param),
     "paths/meander-closed-form": ("meander closed forms equal the step dynamic program", _check_meanders),
-    "binary/one-param-family": ("closed family satisfies the level recurrence", _check_closed_family),
+    "binary/conjectured-form": ("conjectured polynomial form agrees with the recurrence", _check_conjecture),
+    "walkers/random-turn": ("one-at-a-time families equal their dynamic program", _check_walkers_randomturn),
+    "binary/oracle": ("level rows equal structural enumeration", _check_binary_oracle),
+    "walkers/lock-step": ("boundary families equal the gap dynamic program", _check_walkers_lockstep),
+    "ternary/cross-check": ("ternary coefficients match the single-branch route", _check_ternary),
+    "binary/one-param-family": ("closed family identity in the function field", _check_closed_family),
     "exact-arith/ring-laws": ("series ring laws on random rational inputs", _check_series_ring_laws),
     "exact-arith/div-sqrt-roundtrip": ("division and square-root round trips", _check_div_roundtrip),
     "exact-arith/marker-convolution": ("marker extraction respects products", _check_marker_convolution),
     "exact-arith/rational-identity": ("cross-multiplication identity checking", _check_rf_equal),
     "kernel/fuss-catalan": ("tree equation coefficients are the binomial family", _check_fuss_catalan),
     "kernel/small-factor": ("factorization reconstructs and h/e identity holds", _check_hensel),
-    "binary/oracle": ("level rows equal structural enumeration", _check_binary_oracle),
     "binary/residuals": ("tree equation residual vanishes; X is its square-root form", _check_binary_residuals),
     "binary/t-of-x": ("root series is recovered from the decay-rate form", _check_t_of_x),
     "binary/stabilization": ("row coefficients stabilize once the bound clears size", _check_monotone_limit),
-    "binary/conjectured-form": ("conjectured polynomial form agrees with the recurrence", _check_conjecture),
     "height/plane-trees": ("height-bounded series match enumeration; X is its rational form", _check_height),
-    "ternary/cross-check": ("ternary coefficients match the single-branch route", _check_ternary),
-    "dary/one-param-identity": ("closed family identity in the function field", _check_dary_one_param),
     "dary/oracle": ("level rows equal structural enumeration", _check_dary_oracle),
     "dary/small-factor-valuation": ("small-factor coefficients vanish at z=0", _check_dary_small_factor),
     "props/main-equation-arity-3-and-2": ("expansion tables solve the exact level equation", functools.partial(_check_main_equation, d=1)),
     "paths/excursions": ("excursion extraction gives the classical families", _check_excursions),
     "paths/monotonicity": ("meander counts grow with the start level", _check_path_monotone),
-    "walkers/lock-step": ("boundary families equal the gap dynamic program", _check_walkers_lockstep),
     "walkers/refined": ("marked counts match; corners give the models' adapted coefficients", _check_walkers_refined),
-    "walkers/random-turn": ("one-at-a-time families equal their dynamic program", _check_walkers_randomturn),
     "walkers/quarter-plane": ("quadrant families equal the 2-D dynamic program", _check_quarterplane),
     "walkers/symmetry": ("star series are symmetric in the two gaps", _check_walker_symmetry),
     "harness/fixtures-and-roundtrip": ("bundled sequences match and serialization round-trips", _check_fixtures),

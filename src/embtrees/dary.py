@@ -4,8 +4,8 @@ Odd-arity nodes place their children at offsets -d..d; even-arity nodes
 at the odd offsets -(2d-1), ..., -1, 1, ..., 2d-1.  The label-bounded
 generating functions T_j are computed by the level recurrence with
 boundary rows pinned to 1, by a rational one-parameter closed family
-(verified as an exact rational-function identity valid for every level
-at once), and by the multi-branch expansion-coefficient tables of the
+(whose rows ``levels.level_identity`` proves for every level and
+parameter at once), and by the multi-branch expansion-coefficient tables of the
 general solution, checked against the exact level equation.  The
 closed single-branch coefficients are claims in the one shape of
 ``levels.recomputed_alphas``, which proves them on the family's kind list.
@@ -16,12 +16,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from operator import mul
 
 from .errors import InsufficientPrecision, SizeTooLarge
 from .kernel import family_base, tree_root
-from .levels import Kinds, _terms_by_multiset, label_spectra, level_equation, level_rows
+from .levels import (IDENTITY_RING, Kinds, _terms_by_multiset, label_spectra, level_equation,
+                     level_rows)
 from .multipoly import MultiPoly, RationalFunction
 from .series import Q, Series
 from .splitting import SAElement, SplitAlgebra
@@ -135,40 +134,24 @@ def one_param_solution(fam: DaryFamily) -> RationalFunction:
     return RationalFunction(num, den)
 
 
-def _at_level_offset(sol: RationalFunction, o: int) -> RationalFunction:
-    """sol with Y -> X^o Y, numerator and denominator times the X power clearing negative ones."""
-    # (ex, el, ey) -> (ex + o ey, el, ey) is one-to-one, so no terms merge
-    parts = [{(ex + o * ey, el, ey): c for (ex, el, ey), c in p.terms.items()}
-             for p in (sol.num, sol.den)]
-    clear = max(0, -min(e[0] for terms in parts for e in terms))
-    num, den = (MultiPoly(sol.variables, {(ex + clear, el, ey): c
-                                          for (ex, el, ey), c in terms.items()})
-                for terms in parts)
-    return RationalFunction(num, den)
-
-
-def one_param_residual(fam: DaryFamily) -> MultiPoly:
-    """Cleared residual of the level recurrence for the closed family.
-
-    With Y standing for X^j, T_j = T sol(Y), T = A/B and z T^(arity-1) =
-    (A-B)/A from ``dary_rational_parametrization``, the level recurrence
-    T_j = 1 + z prod over offsets of T_(j+o), times B, reads
-    A sol(Y) - B - (A-B) prod sol(X^o Y) = 0.  The numerator of its left
-    side is one polynomial in (X, lam, Y); it is identically zero iff the
-    closed family solves the recurrence for every level and parameter.
+def one_param_rows(fam: DaryFamily):
+    """Rows T sol(X^(o + delta) Y) of the closed family at each offset o and at 0, and
+    T's relation B T - A: ``levels.level_identity``'s inputs, in its ring, where Y
+    stands for X^(j - delta), delta the deepest downward offset, so no X power is negative.
     """
-    variables = ("X", "lam", "Y")
+    T = MultiPoly.var(IDENTITY_RING, "T")
+    sol, delta = one_param_solution(fam), -min(fam.offsets)
+
+    def lifted(p: MultiPoly, shift: int) -> MultiPoly:  # Y -> X^shift Y
+        return MultiPoly(IDENTITY_RING, {(ex + shift * ey, el, ey, 0): c
+                                         for (ex, el, ey), c in p.terms.items()})
+
+    rows = {o: RationalFunction(lifted(sol.num, o + delta) * T, lifted(sol.den, o + delta))
+            for o in {0, *fam.offsets}}
     t_of_x = dary_rational_parametrization(fam)[0]
-    big_a, big_b = (MultiPoly(variables, {(k, 0, 0): c for (k,), c in p.terms.items()})
+    big_a, big_b = (MultiPoly(IDENTITY_RING, {(k, 0, 0, 0): c for (k,), c in p.terms.items()})
                     for p in (t_of_x.num, t_of_x.den))
-    sol = one_param_solution(fam)
-    product = reduce(mul, (_at_level_offset(sol, o) for o in fam.offsets))
-    return (sol * big_a - big_b - product * (big_a - big_b)).num
-
-
-def verify_one_param(fam: DaryFamily) -> bool:
-    """Exact all-level, all-parameter identity check of the closed family."""
-    return one_param_residual(fam).is_zero()
+    return rows, big_b * T - big_a
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,10 @@ substituted for T X^delta / z, its divisor is a unit:
 T^arity cancels, and ``recomputed_alphas`` proves closed claims in Q(X):
 it recomputes each alpha_n from the claims below n, never from its own
 outputs, so degrees stay linear in n.
+
+A one-parameter family T_j = T(1 - rho_j) is proved for every level and
+parameter at once by ``level_identity``, on ``level_equation`` in
+Q(X, lam, Y)[T] with Y = X^j, given T's relation over Q(X).
 """
 
 from __future__ import annotations
@@ -236,6 +240,37 @@ def level_equation(kinds: Kinds, rows: dict, j: int, z, den=None):
     powers = [1] + _x_powers(den, top - 1, den)  # the scalar 1, then den .. den^top
     total = sum(s * powers[top - a] for a, s in by_arity.items())
     return rows[j] * powers[top - 1] - powers[top] - total * z
+
+
+IDENTITY_RING = ("X", "lam", "Y", "T")  # decay rate, parameter, Y = X^j, root
+
+
+def level_identity(kinds: Kinds, rows: dict, relation: MultiPoly, den=None) -> bool:
+    """True when the rows {o: T_(j+o)} solve the level equation at every level and parameter.
+
+    The rows (``level_equation``'s inputs at j = 0), ``den`` and T's relation
+    over Q(X) are in ``IDENTITY_RING``, where Y stands for X^j.  z is read off
+    the tree equation, z = (T - 1) / sum_k w_k T^|O_k|, and the equation's
+    numerator N is pseudo-reduced in T by the relation: lead^k N = q relation
+    + rest, so a zero rest makes N vanish at the root T, for every j and lam.
+    """
+    T = MultiPoly.var(IDENTITY_RING, "T")
+    z = RationalFunction(T - 1, sum(T ** len(offs) * w for w, offs in kinds))
+    rest = level_equation(kinds, rows, 0, z, den).num
+    m, lead = _lead_in_t(relation)
+    while not rest.is_zero():
+        deg, top = _lead_in_t(rest)
+        if deg < m:
+            return False
+        rest = rest * lead - top * T ** (deg - m) * relation
+    return True
+
+
+def _lead_in_t(p: MultiPoly) -> tuple[int, MultiPoly]:
+    """p's degree in T, the last variable, and the coefficient of that power."""
+    deg = max(e[-1] for e in p._num)
+    return deg, MultiPoly._normed(p.variables, {e[:-1] + (0,): c for e, c in p._num.items()
+                                                if e[-1] == deg}, p._den)
 
 
 def level_rows(kinds: Kinds, pin: int, j_max: int, order: int) -> dict[int, Series]:

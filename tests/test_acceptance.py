@@ -80,7 +80,7 @@ CRITERIA = [
     (6, "height-bounded plane trees match enumeration (n<=8, j<=5)", 10.0,
      [("height/plane-trees", {})]),
     (7, "one-parameter family identities in the function field", 30.0,
-     [("dary/one-param-identity", {})]),
+     [("dary/one-param-identity", {}), ("binary/one-param-family", {})]),
     (8, "expansion tables solve the exact level equation (d=2)", 60.0,
      [("props/main-equation-d2", {})]),
     (9, "meander closed forms equal the step DP; classical excursions", 60.0,

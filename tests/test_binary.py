@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from embtrees import binary
 from embtrees.binary import (
     BinaryWeights,
     adapt_lambda,
@@ -23,7 +24,7 @@ from embtrees.binary import (
     height_Tj,
     plane_tree_height_counts,
     t_of_x_identity,
-    closed_family_residual,
+    closed_family_rows,
     _height_kinds,
     _ternary_kinds,
 )
@@ -36,7 +37,8 @@ from embtrees.errors import (
     SizeTooLarge,
 )
 from embtrees.kernel import family_base, tree_root
-from embtrees.levels import _NEG_INF, alpha_recurrence, label_spectra, level_residual
+from embtrees.levels import (_NEG_INF, alpha_recurrence, label_spectra, level_identity,
+                             level_residual)
 from embtrees.series import Series
 
 W_BINARY = BinaryWeights.make(0, 0, 1, 0, 0)
@@ -248,10 +250,25 @@ class TestClosedFamily:
         "vec", [(0, 0, 1, 0, 0), (0, 0, 0, 1, 1), (1, 0, 1, 0, 0), (0, 0, 1, 1, 1)]
     )
     def test_level_recurrence_residual_all_parameters(self, vec):
-        # polynomial-in-parameter identity: zero for every level tested
+        # one identity in Q(X, lam, Y)[T], Y = X^j: every level and every parameter
         w = BinaryWeights.make(*vec)
-        for j in range(-1, 7):
-            assert closed_family_residual(w, j, 16).is_zero()
+        assert level_identity(w.kinds, *closed_family_rows(w))
+
+    @pytest.mark.parametrize("vec", [(0, 0, 1, 0, 0), (0, 0, 0, 1, 1), (1, 0, 1, 0, 0),
+                                     (2, 1, 1, 1, 1), (1, 1, 1, 0, 0), (0, 1, 2, 1, 1)])
+    def test_level_identity_rejects_a_wrong_claim(self, vec, monkeypatch):
+        w = BinaryWeights.make(*vec)
+        true_factor = binary._closed_factor
+        monkeypatch.setattr(binary, "_closed_factor", lambda *a: true_factor(*a) * Q(11, 10))
+        assert not level_identity(w.kinds, *closed_family_rows(w))
+
+    @settings(max_examples=30, deadline=None)
+    @given(*[st.sampled_from([Q(0), Q(1, 2), Q(1), Q(2), Q(3, 5)])] * 4)
+    def test_level_identity_over_random_matched_weights(self, v1, v2, w1, w23):
+        if w1 == w23 == 0:
+            w1 = Q(1)  # the closed family excludes the all-zero binary weights
+        w = BinaryWeights.make(v1, v2, w1, w23, w23)
+        assert level_identity(w.kinds, *closed_family_rows(w))
 
     @settings(max_examples=60, deadline=None)
     @given(*[st.sampled_from([Q(0), Q(1, 2), Q(1), Q(2), Q(3, 5)])] * 4, st.sampled_from([0, 1]))

@@ -18,15 +18,14 @@ from embtrees.dary import (
     dary_alpha_one_param_closed,
     dary_rational_parametrization,
     dary_Tj_recurrence,
+    one_param_rows,
     one_param_solution,
-    one_param_residual,
     rho_series,
     verify_main_equation,
-    verify_one_param,
 )
 from embtrees.errors import InsufficientPrecision
 from embtrees.kernel import family_base, fuss_catalan, hensel_factor_pair, tree_root
-from embtrees.levels import _compositions, recomputed_alphas
+from embtrees.levels import _compositions, level_identity, recomputed_alphas
 from embtrees.multipoly import MultiPoly, RationalFunction
 from embtrees.series import Series
 from embtrees.splitting import SAElement, SplitAlgebra
@@ -274,12 +273,11 @@ class TestRationalParametrization:
 class TestOneParamFamily:
     @pytest.mark.parametrize("fam", [ODD1, ODD2, EVEN1, EVEN2, EVEN3], ids=str)
     def test_exact_identity(self, fam):
-        assert verify_one_param(fam)
+        assert level_identity(fam.kinds, *one_param_rows(fam))
 
     def test_residual_reported_on_wrong_exponents(self):
         # sanity: a perturbed family must NOT satisfy the identity
-        good = one_param_residual(EVEN1)
-        assert good.is_zero()
+        assert level_identity(EVEN1.kinds, *one_param_rows(EVEN1))
         bad_fam = DaryFamily("even", 1)
         sol = one_param_solution(bad_fam)
         variables = ("X", "lam", "Y")
@@ -301,7 +299,7 @@ class TestOneParamFamily:
         for perturbed in (RationalFunction(sol.num * X, sol.den),
                           RationalFunction(sol.num, sol.den * shifted_pole)):
             monkeypatch.setattr(dary, "one_param_solution", lambda f, p=perturbed: p)
-            assert not verify_one_param(fam)
+            assert not level_identity(fam.kinds, *one_param_rows(fam))
 
     def test_even_one_matches_binary_ratio_pattern(self):
         sol = one_param_solution(EVEN1)

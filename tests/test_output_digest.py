@@ -21,7 +21,7 @@ def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
                           env=env, capture_output=True, text=True)
 
 DIGEST_LINES = [
-    "d2a6d16489ce0f7c09e1a76b9972e0e70411ccce260df78e03f6a14a657b5adc",
+    "00c07143ad0e8144638deca1210bc01bebc252cb5dd27e595a769de2caf49a89",
     "walkers 1f691b5e847ba2119fc4720236f3a94ae565660267a6691493ab351c7a405a69",
     "series-alphas 513c08823e5cc68661cca5e65e641bb92ec18828d6a0de023623aa7bdbc0583f",
 ]

@@ -11,7 +11,7 @@ from fractions import Fraction as Q
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from embtrees.binary import BinaryWeights, binary_Tj_closed, closed_family_residual, height_Tj
+from embtrees.binary import BinaryWeights, binary_Tj_closed, height_Tj
 from embtrees.dary import DaryFamily, dary_alpha_general, rho_series
 from embtrees.errors import InsufficientPrecision
 from embtrees.kernel import family_base
@@ -103,18 +103,6 @@ def test_family_base_is_truncation_coherent(kinds, order, k):
 
 
 weights = st.sampled_from([Q(0), Q(1, 2), Q(1), Q(2), Q(3, 5)])
-
-
-@settings(max_examples=25, deadline=None)
-@given(weights, weights, weights, weights, st.integers(-1, 4), st.integers(2, 12),
-       st.integers(1, 4))
-def test_closed_family_residual_is_truncation_coherent(v1, v2, w1, w23, j, order, k):
-    if w1 == w23 == 0:
-        w1 = Q(1)  # the closed family excludes the all-zero binary weights
-    w = BinaryWeights.make(v1, v2, w1, w23, w23)
-    short = closed_family_residual(w, j, order)
-    assert short.order == order
-    assert short == closed_family_residual(w, j, order + k).truncate(order)
 
 
 coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
