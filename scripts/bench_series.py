@@ -55,10 +55,11 @@ for the tables of even and odd d = 2 at bound 3 and order 15 that the
 props/main-equation-d2 check builds, against the full-precision level
 sum (both references in ``tests/test_dary.py``); each timed run reads
 a table built afresh outside the timed region, as the check reads its
-own.  The ``level_identity`` row times the binary/one-param-family
-check's work, ``levels.level_identity`` on the closed family's rows for
-its three weight vectors, with no reference.  The ``cache_hit`` rows
-time a result-cache hit, the stored
+own.  The ``level_identity`` rows time the binary/one-param-family and
+dary/one-param-identity checks' work, ``levels.level_identity`` on the
+closed family's rows for its three weight vectors and on
+``one_param_rows`` for the five d-ary families, with no reference.
+The ``cache_hit`` rows time a result-cache hit, the stored
 entry of the binary root T at rational weights read, checked and
 printed as json or csv (``SeriesCache.get`` and ``reformat``), at orders
 30 and 200, against the import-export round trip the hit once made
@@ -97,11 +98,17 @@ from embtrees.binary import (  # noqa: E402
     closed_family_rows,
     height_alpha,
 )
-from embtrees.campaign import _binary_x_radical, _first_unproved, _height_x_rational  # noqa: E402
+from embtrees.campaign import (  # noqa: E402
+    _DARY_FAMILIES,
+    _binary_x_radical,
+    _first_unproved,
+    _height_x_rational,
+)
 from embtrees.dary import (  # noqa: E402
     DaryFamily,
     _one_param_parts,
     dary_alpha_general,
+    one_param_rows,
     rho_series,
 )
 from embtrees.kernel import (  # noqa: E402
@@ -476,6 +483,11 @@ def closed_family_check() -> list:
     return out
 
 
+def one_param_check() -> list:
+    """The dary/one-param-identity check's proofs, one per family."""
+    return [level_identity(fam.kinds, *one_param_rows(fam)) for fam in _DARY_FAMILIES]
+
+
 def bench_tables(repeats: int) -> list[dict]:
     """The d-ary expansion table and its level sums, against the first-written
     loops, and the closed-family proofs."""
@@ -494,11 +506,12 @@ def bench_tables(repeats: int) -> list[dict]:
                 lambda table: [rho_series(table, j, order) for j in levels],
                 lambda table: [ref_rho_series(table, j, order) for j in levels], repeats,
                 setup=lambda: dary_alpha_general(fam, bound, seeds, order))
-    if not all(closed_family_check()):
-        raise AssertionError("the closed family's level identity does not hold")
-    rows.append({"op": "level_identity", "order": "-",
-                 "coeffs": "3 campaign weights, every level",
-                 "core_us": round(timed_us(closed_family_check, repeats), 1)})
+    for check, coeffs in ((closed_family_check, "3 campaign weights, every level"),
+                          (one_param_check, "5 d-ary families, every level")):
+        if not all(check()):
+            raise AssertionError(f"a level identity does not hold ({coeffs})")
+        rows.append({"op": "level_identity", "order": "-", "coeffs": coeffs,
+                     "core_us": round(timed_us(check, repeats), 1)})
     return rows
 
 

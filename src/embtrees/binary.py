@@ -282,24 +282,26 @@ def binary_Tj_closed_symbolic(
 
 
 def closed_family_rows(w: BinaryWeights):
-    """Rows j-1, j, j+1 of the closed family over one denominator, T's relation and
-    the denominator: ``levels.level_identity``'s inputs, in its ring (Y = X^j).
+    """Rows j-1, j, j+1 of the closed family and T's relation: ``levels.level_identity``'s
+    inputs, in its ring (Y = X^j).
 
     T_i = T - factor lam Y X^(i+1) / (X shell p_(i+1) p_(i+2)), p_k = 1 - lam Y X^k,
-    factor = T c_num; over den = X shell p_0 p_1 p_2 p_3 no row divides by T.
+    factor = T c_num, linear in T; over den = X shell p_0 p_1 p_2 p_3 no row divides by T.
     """
     w.require_matched_weights()
-    X, lam, Y, T = (MultiPoly.var(IDENTITY_RING, v) for v in IDENTITY_RING)
+    X, lam, Y = (MultiPoly.var(IDENTITY_RING, v) for v in IDENTITY_RING)
     p = [1 - lam * Y * X**k for k in range(4)]
     den = _closed_shell(w, X) * p[0] * p[1] * p[2] * p[3]
-    factor = _closed_factor(w, X, T) * lam * Y
+    at_zero = _closed_factor(w, X, 0) * lam * Y  # factor = at_zero + slope T
+    slope = _closed_factor(w, X, 1) * lam * Y - at_zero
 
-    def row(i: int) -> MultiPoly:  # T den - factor X^(i+1) times the two other p_k
+    def row(i: int):  # T den - factor X^(i+1) times the two other p_k, over den
         a, b = (p[k] for k in range(4) if k not in (i + 1, i + 2))
-        return T * den - factor * X ** (i + 1) * a * b
+        rest = X ** (i + 1) * a * b
+        return {0: -(at_zero * rest), 1: den - slope * rest}, den
 
     t1, t2, ell = _t_relation(w, X)
-    return {i: row(i) for i in (-1, 0, 1)}, t2 * T * T - t1 * T - ell, den
+    return {i: row(i) for i in (-1, 0, 1)}, [-ell, -t1, t2]
 
 
 def adapt_lambda(w: BinaryWeights, boundary_value: int, order: int) -> Series:
@@ -427,9 +429,9 @@ def height_Tj(v1, v2, lam: Series, j: int, order: int) -> Series:
     return (T * (one - rho)).truncate(order)
 
 
-def height_plane_trees(j: int, order: int) -> Series:
-    """Generating function of plane trees of height <= j (edges marked)."""
-    T = tree_root(_height_kinds(0, 0), order + 2)
+def height_plane_trees(j: int, order: int, *, T: Series | None = None) -> Series:
+    """Generating function of plane trees of height <= j (edges marked), from their root T."""
+    T = tree_root(_height_kinds(0, 0), order + 2) if T is None else T.truncate(order + 2)
     X = T - Series.one(order + 2)
     xp = _x_powers(X, j + 2)
     one = Series.one(order + 2)

@@ -44,7 +44,7 @@ from .kernel import (
     tree_root,
 )
 from .levels import (_x_powers, alpha_recurrence, label_spectra, level_identity,
-                     level_residual, recomputed_alphas)
+                     level_residual, recomputed_sums)
 from .marker import MarkerSeries
 from .multipoly import MultiPoly, RationalFunction
 from .series import Q, Series
@@ -245,12 +245,12 @@ def _check_binary_residuals(order: int = 30):
 
 def _first_unproved(kinds, parts) -> int | None:
     """The first n whose claim alpha_n = num_n / (first pair^(n-1)) fails in Q(X), or None:
-    alpha_1 must be 1, and each later claim its value recomputed from those below."""
+    alpha_1 must be 1, and acc_n = num_n first^(most-1) pair D_n (see ``recomputed_sums``)."""
     first, pair, nums = parts
-    dens = _x_powers(pair, len(nums) - 1, first)
+    scales = _x_powers(first, len(kinds[0][1]) - 1, pair)  # pair first^k
     return 1 if nums[0] != first else next(
-        (n for n, got in enumerate(recomputed_alphas(kinds, first, pair, nums), 2)
-         if not got.equals(RationalFunction(nums[n - 1], dens[n - 1]))), None)
+        (n for n, (most, acc, divisor) in enumerate(recomputed_sums(kinds, first, pair, nums), 2)
+         if acc != nums[n - 1] * scales[most - 1] * divisor), None)
 
 
 def _first_wrong_alpha(kinds, parts, n_max: int, base) -> int | None:
@@ -321,8 +321,9 @@ def _height_x_rational(v1, v2, T: Series) -> Series:
 
 def _check_height():
     counts = B.plane_tree_height_counts(8)
+    T = tree_root(B._height_kinds(0, 0), 11)
     for j in range(6):
-        gf = B.height_plane_trees(j, 9)
+        gf = B.height_plane_trees(j, 9, T=T)
         oracle = [sum(c for h, c in counts[n].items() if h <= j) for n in range(9)]
         if list(gf.coeffs) != oracle:
             return False, f"height bound {j}"
@@ -580,35 +581,35 @@ def _check_fixtures():
 # longest checks come first, so that a pool starts them first, not last.
 _CHECKS: dict[str, tuple] = {
     "props/main-equation-d2": ("multi-branch tables solve the exact level equation", functools.partial(_check_main_equation, d=2)),
-    "dary/alpha-agreement": ("single-branch closed form equals the graded recurrence", _check_dary_alpha),
     "binary/alpha-closed-forms": ("decay coefficients match their closed forms", _check_binary_alpha),
-    "dary/one-param-identity": ("closed family identity in the function field", _check_dary_one_param),
     "paths/meander-closed-form": ("meander closed forms equal the step dynamic program", _check_meanders),
+    "dary/alpha-agreement": ("single-branch closed form equals the graded recurrence", _check_dary_alpha),
     "binary/conjectured-form": ("conjectured polynomial form agrees with the recurrence", _check_conjecture),
-    "walkers/random-turn": ("one-at-a-time families equal their dynamic program", _check_walkers_randomturn),
     "binary/oracle": ("level rows equal structural enumeration", _check_binary_oracle),
+    "walkers/random-turn": ("one-at-a-time families equal their dynamic program", _check_walkers_randomturn),
     "walkers/lock-step": ("boundary families equal the gap dynamic program", _check_walkers_lockstep),
+    "dary/one-param-identity": ("closed family identity in the function field", _check_dary_one_param),
     "ternary/cross-check": ("ternary coefficients match the single-branch route", _check_ternary),
     "binary/one-param-family": ("closed family identity in the function field", _check_closed_family),
-    "exact-arith/ring-laws": ("series ring laws on random rational inputs", _check_series_ring_laws),
-    "exact-arith/div-sqrt-roundtrip": ("division and square-root round trips", _check_div_roundtrip),
-    "exact-arith/marker-convolution": ("marker extraction respects products", _check_marker_convolution),
-    "exact-arith/rational-identity": ("cross-multiplication identity checking", _check_rf_equal),
-    "kernel/fuss-catalan": ("tree equation coefficients are the binomial family", _check_fuss_catalan),
-    "kernel/small-factor": ("factorization reconstructs and h/e identity holds", _check_hensel),
-    "binary/residuals": ("tree equation residual vanishes; X is its square-root form", _check_binary_residuals),
-    "binary/t-of-x": ("root series is recovered from the decay-rate form", _check_t_of_x),
-    "binary/stabilization": ("row coefficients stabilize once the bound clears size", _check_monotone_limit),
+    "walkers/refined": ("marked counts match; corners give the models' adapted coefficients", _check_walkers_refined),
     "height/plane-trees": ("height-bounded series match enumeration; X is its rational form", _check_height),
+    "walkers/quarter-plane": ("quadrant families equal the 2-D dynamic program", _check_quarterplane),
+    "kernel/fuss-catalan": ("tree equation coefficients are the binomial family", _check_fuss_catalan),
+    "binary/residuals": ("tree equation residual vanishes; X is its square-root form", _check_binary_residuals),
+    "kernel/small-factor": ("factorization reconstructs and h/e identity holds", _check_hensel),
     "dary/oracle": ("level rows equal structural enumeration", _check_dary_oracle),
-    "dary/small-factor-valuation": ("small-factor coefficients vanish at z=0", _check_dary_small_factor),
+    "binary/t-of-x": ("root series is recovered from the decay-rate form", _check_t_of_x),
     "props/main-equation-arity-3-and-2": ("expansion tables solve the exact level equation", functools.partial(_check_main_equation, d=1)),
+    "exact-arith/ring-laws": ("series ring laws on random rational inputs", _check_series_ring_laws),
+    "dary/small-factor-valuation": ("small-factor coefficients vanish at z=0", _check_dary_small_factor),
+    "harness/fixtures-and-roundtrip": ("bundled sequences match and serialization round-trips", _check_fixtures),
+    "exact-arith/div-sqrt-roundtrip": ("division and square-root round trips", _check_div_roundtrip),
     "paths/excursions": ("excursion extraction gives the classical families", _check_excursions),
     "paths/monotonicity": ("meander counts grow with the start level", _check_path_monotone),
-    "walkers/refined": ("marked counts match; corners give the models' adapted coefficients", _check_walkers_refined),
-    "walkers/quarter-plane": ("quadrant families equal the 2-D dynamic program", _check_quarterplane),
+    "exact-arith/marker-convolution": ("marker extraction respects products", _check_marker_convolution),
     "walkers/symmetry": ("star series are symmetric in the two gaps", _check_walker_symmetry),
-    "harness/fixtures-and-roundtrip": ("bundled sequences match and serialization round-trips", _check_fixtures),
+    "binary/stabilization": ("row coefficients stabilize once the bound clears size", _check_monotone_limit),
+    "exact-arith/rational-identity": ("cross-multiplication identity checking", _check_rf_equal),
 }
 
 

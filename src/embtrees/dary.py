@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InsufficientPrecision, SizeTooLarge
-from .kernel import family_base, tree_root
+from .kernel import family_base
 from .levels import (IDENTITY_RING, Kinds, _terms_by_multiset, label_spectra, level_equation,
                      level_rows)
 from .multipoly import MultiPoly, RationalFunction
@@ -139,19 +139,18 @@ def one_param_rows(fam: DaryFamily):
     T's relation B T - A: ``levels.level_identity``'s inputs, in its ring, where Y
     stands for X^(j - delta), delta the deepest downward offset, so no X power is negative.
     """
-    T = MultiPoly.var(IDENTITY_RING, "T")
     sol, delta = one_param_solution(fam), -min(fam.offsets)
 
     def lifted(p: MultiPoly, shift: int) -> MultiPoly:  # Y -> X^shift Y
-        return MultiPoly(IDENTITY_RING, {(ex + shift * ey, el, ey, 0): c
+        return MultiPoly(IDENTITY_RING, {(ex + shift * ey, el, ey): c
                                          for (ex, el, ey), c in p.terms.items()})
 
-    rows = {o: RationalFunction(lifted(sol.num, o + delta) * T, lifted(sol.den, o + delta))
+    rows = {o: ({1: lifted(sol.num, o + delta)}, lifted(sol.den, o + delta))
             for o in {0, *fam.offsets}}
     t_of_x = dary_rational_parametrization(fam)[0]
-    big_a, big_b = (MultiPoly(IDENTITY_RING, {(k, 0, 0, 0): c for (k,), c in p.terms.items()})
+    big_a, big_b = (MultiPoly(IDENTITY_RING, {(k, 0, 0): c for (k,), c in p.terms.items()})
                     for p in (t_of_x.num, t_of_x.den))
-    return rows, big_b * T - big_a
+    return rows, [-big_a, big_b]
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +197,7 @@ class MultiAlphaTable:
     family: DaryFamily
     bound: int
     algebra: SplitAlgebra
+    root: Series  # the tree series T the table was built with
     entries: dict[tuple[int, ...], SAElement] = field(default_factory=dict)
 
     def entry(self, index: tuple[int, ...]) -> SAElement:
@@ -270,7 +270,7 @@ def dary_alpha_general(
     small, T = family_base(fam.kinds, work)
     zT = Series.z(work) * T ** (fam.arity - 1)
     alg = SplitAlgebra(small)
-    table = MultiAlphaTable(fam, bound, alg)
+    table = MultiAlphaTable(fam, bound, alg, T)
     offsets = fam.offsets
     c_down = -min(offsets)
     unit_vectors = []
@@ -411,7 +411,7 @@ def verify_main_equation(
     c_down = -min(fam.offsets)
     if levels is None:
         levels = (c_down, c_down + 1)
-    T = tree_root(fam.kinds, order)
+    T = table.root.truncate(order)
     rows = {i: T - T * rho_series(table, i, order)
             for i in range(min(levels) - c_down, max(levels) + max(fam.offsets) + 1)}
     for j in levels:

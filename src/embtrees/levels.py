@@ -19,13 +19,13 @@ substituted for T X^delta / z, its divisor is a unit:
           sum_(compositions m of n over S) prod alpha_m X^(sum (o+delta)m).
 
 ``alpha_recurrence`` solves it in series.  When every kind has one arity,
-T^arity cancels, and ``recomputed_alphas`` proves closed claims in Q(X):
-it recomputes each alpha_n from the claims below n, never from its own
-outputs, so degrees stay linear in n.
+T^arity cancels, and ``recomputed_sums`` recomputes each alpha_n in Q[X],
+as a cleared sum and its divisor, from the closed claims below n, never from
+its own outputs, so degrees stay linear in n; ``recomputed_alphas`` divides.
 
 A one-parameter family T_j = T(1 - rho_j) is proved for every level and
-parameter at once by ``level_identity``, on ``level_equation`` in
-Q(X, lam, Y)[T] with Y = X^j, given T's relation over Q(X).
+parameter at once by ``level_identity``: the level equation is a list of
+T-coefficients over Q[X, lam, Y], Y = X^j, pseudo-reduced by T's relation.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
+from math import prod
 from operator import mul
 
 from .counts import COUNTS
@@ -81,9 +82,10 @@ def _terms_by_multiset(offsets, max_size: int, splits):
     a term's lower coefficients depends on.
     """
     for size in range(2, max_size + 1):
+        keyed = [(tuple(sorted(parts)), parts) for parts in splits(size)]
         for combo in itertools.combinations(offsets, size):
-            for parts in splits(size):
-                yield tuple(sorted(parts)), combo, parts
+            for key, parts in keyed:
+                yield key, combo, parts
 
 
 def _x_powers(X, k_max: int, first=None) -> list:
@@ -119,7 +121,7 @@ def alpha_terms(kinds: Kinds, n: int):
             counts[(), delta * n + o] -= 1
         for key, combo, parts in _terms_by_multiset(
                 offs, min(n, len(offs)), lambda size: _compositions(n, size)):
-            counts[key, sum((o + delta) * m for o, m in zip(combo, parts))] += (-1) ** len(key)
+            counts[key, delta * n + sum(map(mul, combo, parts))] += (-1) ** len(key)
         for (key, e), c in counts.items():
             poly = (numerators.setdefault((key, len(offs)), {}) if key
                     else divisor.setdefault(len(offs), {}))
@@ -175,23 +177,22 @@ def _memo_product(products: dict, factors: list, key: tuple[int, ...]):
     return products[key]
 
 
-def recomputed_alphas(kinds: Kinds, first, pair, nums) -> list[RationalFunction]:
-    """alpha_2..alpha_N recomputed from the claims alpha_n = nums[n-1] / (first pair^(n-1)),
-    polynomials in X, on kinds of one arity (see the module docstring).  The terms are
-    summed by their number of parts s, each sum times first^(l-s) pair^s, over the
-    denominator first^l pair^n X^(delta n), l the most parts a term has."""
+def recomputed_sums(kinds: Kinds, first, pair, nums):
+    """(most, acc_n, D_n), n = 2..N, on kinds of one arity: from the claims alpha_n = nums[n-1]
+    / (first pair^(n-1)) in X, alpha_n = acc_n / (first^most pair^n D_n), D_n the divisor; acc_n
+    sums the terms with s parts times first^(most-s) pair^s, most the most parts a term has."""
     arities = {len(offs) for _, offs in kinds}
     if len(arities) != 1:
         raise ValueError(f"the closed-form recurrence needs one arity, not {sorted(arities)}")
     (arity,) = arities
-    delta, _ = _span(kinds)
 
     def poly(terms: dict[int, int]) -> MultiPoly:
         return MultiPoly._normed(first.variables, {(e,): c for e, c in terms.items()}, 1)
 
-    first_pows, pair_pows = _x_powers(first, arity), _x_powers(pair, len(nums))
+    first_pows, pair_pows = _x_powers(first, arity), _x_powers(pair, arity)
+    cofactors = {(most, s): first_pows[most - s] * pair_pows[s]
+                 for most in range(2, arity + 1) for s in range(2, most + 1)}
     products = {(g,): num for g, num in enumerate(nums, 1)}
-    alphas = []
     for n in range(2, len(nums) + 1):
         most = min(n, arity)
         divisor, numerators = alpha_terms(kinds, n)
@@ -199,12 +200,16 @@ def recomputed_alphas(kinds: Kinds, first, pair, nums) -> list[RationalFunction]
         for (key, _), terms in numerators.items():
             term = _memo_product(products, nums, key) * poly(terms)
             by_size[len(key)] = by_size[len(key)] + term if len(key) in by_size else term
-        acc = sum((first_pows[most - s] * pair_pows[s] * total for s, total in by_size.items()),
+        acc = sum((cofactors[most, s] * total for s, total in by_size.items()),
                   MultiPoly.zero(first.variables))
-        x_delta = poly({delta * n: 1})
-        rhs = RationalFunction(acc, first_pows[most] * pair_pows[n] * x_delta)
-        alphas.append(rhs / RationalFunction(poly(divisor[arity]), x_delta))
-    return alphas
+        yield most, acc, poly(divisor[arity])
+
+
+def recomputed_alphas(kinds: Kinds, first, pair, nums) -> list[RationalFunction]:
+    """alpha_2..alpha_N of ``recomputed_sums``, both sides times X^(delta n)."""
+    x = [MultiPoly.monomial(first.variables, (_span(kinds)[0] * n,)) for n in range(len(nums) + 1)]
+    return [RationalFunction(acc * x[n], first**most * pair**n * x[n] * divisor)
+            for n, (most, acc, divisor) in enumerate(recomputed_sums(kinds, first, pair, nums), 2)]
 
 
 def level_residual(kinds: Kinds, alphas, X: Series, T: Series, j: int, order: int) -> Series:
@@ -223,54 +228,66 @@ def level_residual(kinds: Kinds, alphas, X: Series, T: Series, j: int, order: in
     return level_equation(kinds, rows, j, Series.z(order))
 
 
-def level_equation(kinds: Kinds, rows: dict, j: int, z, den=None):
-    """T_j - 1 - z sum_k w_k prod_(o in O_k) T_(j+o) on the rows {i: T_i}, in their ring.
-
-    The products of each arity are summed first.  Rows over a common
-    denominator, T_i = rows[i] / den, are multiplied through by den^A, A
-    the largest arity, so that the equation stays in the rows' ring.
-    """
-    by_arity: dict = {}
-    for w, offs in kinds:
-        term = reduce(mul, [rows[j + o] for o in offs]) * w
-        by_arity[len(offs)] = by_arity[len(offs)] + term if len(offs) in by_arity else term
-    if den is None:
-        return rows[j] - 1 - sum(by_arity.values()) * z
-    top = max(by_arity)
-    powers = [1] + _x_powers(den, top - 1, den)  # the scalar 1, then den .. den^top
-    total = sum(s * powers[top - a] for a, s in by_arity.items())
-    return rows[j] * powers[top - 1] - powers[top] - total * z
+def level_equation(kinds: Kinds, rows: dict, j: int, z):
+    """T_j - 1 - z sum_k w_k prod_(o in O_k) T_(j+o) on the rows {i: T_i}, in their ring."""
+    return rows[j] - 1 - sum(reduce(mul, [rows[j + o] for o in offs]) * w for w, offs in kinds) * z
 
 
-IDENTITY_RING = ("X", "lam", "Y", "T")  # decay rate, parameter, Y = X^j, root
+IDENTITY_RING = ("X", "lam", "Y")  # decay rate, parameter, Y = X^j
 
 
-def level_identity(kinds: Kinds, rows: dict, relation: MultiPoly, den=None) -> bool:
+def level_identity(kinds: Kinds, rows: dict, relation: list) -> bool:
     """True when the rows {o: T_(j+o)} solve the level equation at every level and parameter.
 
-    The rows (``level_equation``'s inputs at j = 0), ``den`` and T's relation
-    over Q(X) are in ``IDENTITY_RING``, where Y stands for X^j.  z is read off
-    the tree equation, z = (T - 1) / sum_k w_k T^|O_k|, and the equation's
-    numerator N is pseudo-reduced in T by the relation: lead^k N = q relation
-    + rest, so a zero rest makes N vanish at the root T, for every j and lam.
+    Row o is ({t: c_t}, den), T_(j+o) = sum_t c_t T^t / den, and ``relation`` lists T's
+    relation over Q[X], lowest power first, all in ``IDENTITY_RING`` (Y stands for X^j).
+    With z = (T - 1) / sum_k w_k T^|O_k|, the equation times sum_k w_k T^|O_k| is kept as
+    T-coefficient lists, one per multiset of dens: no product carries T.  The power of T all
+    terms share (z T^m, m the smallest arity, if all rows have the factor T) and the
+    relation's are dropped, as T(0) = 1; each list is pseudo-reduced (lead^k N = q relation
+    + rest, one k for all) and the rests cleared over the dens, fewest first (B T - A gives
+    A T_j/T - B - (A - B) prod T_(j+o)/T): zero rests prove the equation at the root T.
     """
-    T = MultiPoly.var(IDENTITY_RING, "T")
-    z = RationalFunction(T - 1, sum(T ** len(offs) * w for w, offs in kinds))
-    rest = level_equation(kinds, rows, 0, z, den).num
-    m, lead = _lead_in_t(relation)
-    while not rest.is_zero():
-        deg, top = _lead_in_t(rest)
-        if deg < m:
-            return False
-        rest = rest * lead - top * T ** (deg - m) * relation
-    return True
+    groups: dict[frozenset, dict[int, MultiPoly]] = {}
+
+    def add(dens: list, coeffs: dict, shift: int, scale) -> None:  # scale T^shift coeffs
+        group = groups.setdefault(frozenset(Counter(dens).items()), {})
+        for t, c in coeffs.items():
+            group[t + shift] = group[t + shift] + c * scale if t + shift in group else c * scale
+
+    zero, one = MultiPoly.zero(IDENTITY_RING), MultiPoly.const(IDENTITY_RING, 1)
+    for w, offs in kinds:
+        dens = [rows[o][1] for o in offs]
+        product = reduce(_t_product, [rows[o][0] for o in offs])
+        add(dens, product, 1, -w)
+        add(dens, product, 0, w)
+        add([rows[0][1]], rows[0][0], len(offs), w)
+        add([], {0: one}, len(offs), -w)
+    low = min((t for g in groups.values() for t, c in g.items() if not c.is_zero()), default=0)
+    groups = {key: {t - low: c for t, c in g.items()} for key, g in groups.items()}
+    *below, lead = relation[next(i for i, r in enumerate(relation) if not r.is_zero()):]
+    for top in range(max(t for g in groups.values() for t in g), len(below) - 1, -1):
+        for g in groups.values():
+            high = g.pop(top, zero)
+            for t, c in g.items():
+                g[t] = c * lead
+            for t, r in enumerate(below, top - len(below)):
+                g[t] = g.get(t, zero) - high * r
+    rests, held = [zero] * len(below), Counter()
+    for key in sorted(groups, key=lambda key: sum(k for _, k in key)):
+        dens = Counter(dict(key))
+        up, fill = (prod(((held | dens) - part).elements(), start=1) for part in (held, dens))
+        rests = [r * up + groups[key].get(t, zero) * fill for t, r in enumerate(rests)]
+        held |= dens
+    return all(r.is_zero() for r in rests)
 
 
-def _lead_in_t(p: MultiPoly) -> tuple[int, MultiPoly]:
-    """p's degree in T, the last variable, and the coefficient of that power."""
-    deg = max(e[-1] for e in p._num)
-    return deg, MultiPoly._normed(p.variables, {e[:-1] + (0,): c for e, c in p._num.items()
-                                                if e[-1] == deg}, p._den)
+def _t_product(a: dict, b: dict) -> dict:
+    """The product of two polynomials in T given as {power: coefficient}."""
+    out: dict = {}
+    for (s, c), (t, d) in itertools.product(a.items(), b.items()):
+        out[s + t] = out[s + t] + c * d if s + t in out else c * d
+    return out
 
 
 def level_rows(kinds: Kinds, pin: int, j_max: int, order: int) -> dict[int, Series]:

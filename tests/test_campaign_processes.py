@@ -71,9 +71,9 @@ def test_the_pool_takes_the_longest_checks_first_and_reports_in_id_order(cpus, m
         monkeypatch.setitem(campaign._CHECKS, check_id, (claim, lambda **_: (True, "")))
     report = campaign.run_campaign(campaign.CampaignConfig())
     assert handed == [list(campaign._CHECKS)]
-    assert handed[0][:5] == ["props/main-equation-d2", "dary/alpha-agreement",
-                             "binary/alpha-closed-forms", "dary/one-param-identity",
-                             "paths/meander-closed-form"]
+    assert handed[0][:5] == ["props/main-equation-d2", "binary/alpha-closed-forms",
+                             "paths/meander-closed-form", "dary/alpha-agreement",
+                             "binary/conjectured-form"]
     assert [r.id for r in report.results] == sorted(campaign._CHECKS)
     assert_no_process_left()
 

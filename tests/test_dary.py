@@ -25,7 +25,7 @@ from embtrees.dary import (
 )
 from embtrees.errors import InsufficientPrecision
 from embtrees.kernel import family_base, fuss_catalan, hensel_factor_pair, tree_root
-from embtrees.levels import _compositions, level_identity, recomputed_alphas
+from embtrees.levels import _compositions, level_identity, recomputed_alphas, recomputed_sums
 from embtrees.multipoly import MultiPoly, RationalFunction
 from embtrees.series import Series
 from embtrees.splitting import SAElement, SplitAlgebra
@@ -368,10 +368,9 @@ class TestExpansionCoefficients:
 
     def test_recurrence_makes_few_products_per_multiset(self, monkeypatch):
         # per multiset of parts, one product onto its memoised prefix and
-        # one with its X-polynomial; per level, two cofactor products per
-        # number of parts, two for the denominator and two for the
-        # division.  Grouping by ordered compositions (154 of them,
-        # against 44 multisets) would need more
+        # one with its X-polynomial; per level, one cofactor product per
+        # number of parts, and no quotient.  Grouping by ordered
+        # compositions (154 of them, against 44 multisets) would need more
         calls = []
         original = MultiPoly.__mul__
 
@@ -380,14 +379,15 @@ class TestExpansionCoefficients:
             return original(x, y)
 
         monkeypatch.setattr(MultiPoly, "__mul__", counting)
-        one_param_recurrence(EVEN2, 8)
+        list(recomputed_sums(EVEN2.kinds, *dary._one_param_parts(EVEN2, 8)))
         monkeypatch.undo()
         multisets = sum(len({tuple(sorted(p)) for size in range(2, min(n, 4) + 1)
                              for p in _compositions(n, size)}) for n in range(2, 9))
         sizes = sum(min(n, 4) - 1 for n in range(2, 9))
-        setup = 8 + 1 + 4 + 8  # closed numerators, pair, first^k for k <= 4, pair^k for k <= 8
+        # closed numerators, pair, first^k and pair^k for k <= 4, first^(l-s) pair^s for s <= l <= 4
+        setup = 8 + 1 + 4 + 4 + 6
         assert (multisets, sizes) == (44, 18)
-        assert len(calls) == setup + 2 * multisets + 2 * sizes + 4 * 7
+        assert len(calls) == setup + 2 * multisets + sizes
 
     def test_first_is_seed(self):
         closed = dary_alpha_one_param_closed(ODD2, 3)

@@ -12,7 +12,7 @@ from embtrees.dary import DaryFamily
 from embtrees.kernel import SeriesPoly, family_base, newton_solve, tree_root
 from embtrees.levels import (_x_powers, alpha_recurrence, label_spectra, level_equation,
                              level_residual, level_rows, recomputed_alphas)
-from embtrees.multipoly import MultiPoly
+from embtrees.multipoly import MultiPoly, RationalFunction
 from embtrees.series import Series
 
 N_MAX = 6
@@ -61,27 +61,6 @@ def test_level_equation_vanishes_on_the_rows(kinds, pin):
     rows = level_rows(kinds, pin, J_MAX + 2, order)
     for j in range(J_MAX + 1):
         assert level_equation(kinds, rows, j, Series.z(order)).is_zero()
-
-
-unit_series = st.tuples(
-    st.sampled_from([Q(1, 2), Q(1), Q(-3)]),
-    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=4, max_size=4),
-).map(lambda t: Series([t[0]] + t[1]))
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(kind_strategy, min_size=1, max_size=3).map(close_under_negation),
-       unit_series, st.data())
-def test_level_equation_clears_a_common_denominator(kinds, den, data):
-    # on rows D T_i over the denominator D, the equation is D^(largest arity) times its value on T_i
-    order = den.order
-    coeffs = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
-                      min_size=order, max_size=order)
-    rows = {i: Series(data.draw(coeffs)) for i in range(-2, 3)}
-    top = max(len(offs) for _, offs in kinds)
-    z = Series.z(order)
-    cleared = level_equation(kinds, {i: den * row for i, row in rows.items()}, 0, z, den)
-    assert cleared == den**top * level_equation(kinds, rows, 0, z)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +212,16 @@ def test_level_residual_needs_non_negative_levels():
 X_POLY = MultiPoly.var(("X",), "X")
 
 
+def reference_first_unproved(kinds, parts) -> int | None:
+    """The prover as first written: each recomputed alpha_n, a rational function,
+    cross-multiplied with its claim."""
+    first, pair, nums = parts
+    dens = _x_powers(pair, len(nums) - 1, first)
+    return 1 if nums[0] != first else next(
+        (n for n, got in enumerate(recomputed_alphas(kinds, first, pair, nums), 2)
+         if not got.equals(RationalFunction(nums[n - 1], dens[n - 1]))), None)
+
+
 def dary_claims(kind, d):
     fam = DaryFamily(kind, d)
     return fam.kinds, D._one_param_parts(fam, 8)
@@ -257,6 +246,7 @@ CLAIMS = {
 def test_closed_claims_are_proved(name):
     kinds, parts = CLAIMS[name]
     assert campaign._first_unproved(kinds, parts) is None
+    assert reference_first_unproved(kinds, parts) is None
 
 
 @settings(max_examples=30, deadline=None)
@@ -268,6 +258,26 @@ def test_a_scaled_numerator_is_reported_at_its_index(name, n, scale):
     kinds, (first, pair, nums) = CLAIMS[name]
     wrong = nums[:n - 1] + [nums[n - 1] * scale] + nums[n:]
     assert campaign._first_unproved(kinds, (first, pair, wrong)) == n
+    assert reference_first_unproved(kinds, (first, pair, wrong)) == n
+
+
+def test_the_prover_builds_no_quotient(monkeypatch):
+    # the claims are compared on cleared numerators: no rational function is made
+    def refuse(*args):
+        raise AssertionError("a RationalFunction was built")
+
+    monkeypatch.setattr(RationalFunction, "__init__", refuse)
+    for kinds, (first, pair, nums) in CLAIMS.values():
+        assert campaign._first_unproved(kinds, (first, pair, nums)) is None
+        assert campaign._first_unproved(kinds, (first, pair, nums[:2] + [nums[2] * 2])) == 3
+
+
+@pytest.mark.parametrize("check_id,products", [
+    ("dary/alpha-agreement", 786), ("binary/alpha-closed-forms", 469),
+    ("dary/one-param-identity", 151), ("binary/one-param-family", 231)])
+def test_prover_checks_make_a_fixed_number_of_products(check_id, products):
+    result = campaign.run_check(check_id)
+    assert (result.status, dict(result.counts)["multipoly.mul"]) == ("pass", products)
 
 
 def test_matched_form_at_unmatched_weights_fails_at_two():
