@@ -236,7 +236,7 @@ def _splits(index: tuple[int, ...], parts: int):
 
 def _relative_order(x: SAElement) -> int:
     """The stored order below which a product with x reads its other factor."""
-    return x.stored_order - min((s.valuation() for s in x.coeffs.values()), default=0)
+    return x.stored_order - (x.valuation() or 0)
 
 
 def dary_alpha_general(

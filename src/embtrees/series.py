@@ -255,10 +255,7 @@ class Series(ExactRing):
 
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient, or None if zero mod z^N."""
-        for n, c in enumerate(self._num):
-            if c:
-                return n
-        return None
+        return _valuation(self._num)
 
     def truncate(self, order: int) -> Series:
         if order > len(self._num):
@@ -397,8 +394,7 @@ class Series(ExactRing):
 
 def _mul_ints(a: tuple, b: tuple, n: int) -> list[int]:
     """The first n coefficients of the product of integer polynomials a and b."""
-    va = next((i for i, c in enumerate(a) if c), None)
-    vb = next((i for i, c in enumerate(b) if c), None)
+    va, vb = _valuation(a), _valuation(b)
     if va is None or vb is None or va + vb >= n:
         return [0] * n
     m = n - va - vb
@@ -412,6 +408,12 @@ def _mul_ints(a: tuple, b: tuple, n: int) -> list[int]:
             for j, bj in enumerate(b[: m - i]):
                 body[i + j] += ai * bj
     return [0] * (va + vb) + body if va + vb else body
+
+
+def _valuation(cs) -> int | None:
+    """Index of the first nonzero integer of cs, or None; both scans run in C."""
+    first = next(filter(None, cs), None)
+    return None if first is None else cs.index(first)
 
 
 def _trim(cs: tuple) -> tuple:

@@ -9,23 +9,38 @@ polynomials obtained by synthetic division, so no individual root (which
 may live in a fractional-power extension) is ever materialized: any
 symmetric expression reduces to an honest power series.
 
-A product first sums the series products of its coordinate pairs per
-combined exponent.  Each exponent outside the basis is then reduced once,
-through its canonical coordinates (computed once per algebra and
-cached); a basis exponent needs no product at all.  Canonical monomials
-are built by the same two steps, from one relation and a lower monomial.
-Root powers are non-negative.
+Representation.  An element has the layout of ``Series``, ``MarkerSeries``
+and ``MultiPoly``: one tuple of integer numerators per basis exponent, all
+of one length, the stored order, over one positive common denominator
+``d``, normalised so that gcd(numerators, d) = 1 (the zero element has
+d = 1).  A vanishing coordinate is not kept.
+
+A product is one fused pass on the integers: the series core's
+``_mul_ints`` makes each coordinate pair's product, and the pair products
+are summed per combined exponent.  Each exponent outside the basis is then
+reduced once, through its canonical coordinates, kept per algebra as
+integer numerators over their own denominator (computed once, at the
+algebra's order, and cached); a basis exponent needs no product at all.
+A product whose two valuations add up to the stored order or more is
+zero there and is not made.  The reduced sums share one denominator, and
+one gcd normalises the result.  Canonical monomials are built by the same
+two steps, from one relation and a lower monomial.  Sums, negation,
+``with_order`` and products by a rational or a ``Series`` also run on the
+integers.  ``coeffs`` gives the coordinates as a dict {basis exponent:
+Series}, built afresh on each call.  Root powers are non-negative.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from operator import add, mul
+from itertools import chain
+from math import gcd, lcm
+from operator import add, mul, sub
 
 from .counts import COUNTS
 from .kernel import SmallFactor
-from .series import Series
+from .series import Series, _mul_ints, _valuation, common_den
 
 
 class SplitAlgebra:
@@ -37,18 +52,21 @@ class SplitAlgebra:
         if self.c >= 1 and self.e[-1].valuation() != 1:
             raise ValueError("bottom elementary symmetric function must have valuation 1")
         self._caps = tuple(self.c - 1 - g for g in range(self.c))
-        self._mono_cache: dict[tuple[int, ...], dict[tuple[int, ...], Series]] = {}
-        # the caches keep (coordinates, stored order), not elements: an
-        # element refers to its algebra, so keeping one would make a cycle
-        self._gen_power_cache: dict[tuple[int, int], tuple[dict, int]] = {}
-        self._monomials: dict[tuple[int, ...], tuple[int, tuple[dict, int]]] = {}
-        self._rules: list[dict[tuple[int, ...], Series]] = []
+        self._unit = (1,) + (0,) * (self.order - 1)
+        # exponent -> None for a basis exponent, else its canonical
+        # (coordinates, denominator) at the algebra's order
+        self._canon_cache: dict[tuple[int, ...], tuple[list, int] | None] = {}
+        # the caches keep integer layouts, not elements: an element refers
+        # to its algebra, so keeping one would make a cycle
+        self._gen_power_cache: dict[tuple[int, int], tuple[dict, int, int]] = {}
+        self._monomials: dict[tuple[int, ...], tuple[int, tuple[dict, int, int]]] = {}
+        self._rules: list[tuple[list, int]] = []
         self._build_rules()
 
     # -- relation tower -------------------------------------------------
 
     def _build_rules(self) -> None:
-        """Fill _rules[g]: canonical expansion of X_g^(caps[g]+1)."""
+        """Fill _rules[g]: canonical expansion of X_g^(caps[g]+1), as (coordinates, denominator)."""
         c = self.c
         one = Series.one(self.order)
         # q(T) for generator 0 is the small factor itself.
@@ -62,15 +80,13 @@ class SplitAlgebra:
                 q.append(self.from_series(e if j % 2 == 0 else -e))
         for g in range(c):
             m = len(q) - 1  # q is monic of degree m = c - g
-            rule: dict[tuple[int, ...], Series] = {}
+            rule = self.zero()
             for k in range(m):
-                for exps, s in q[k].coeffs.items():
-                    key = list(exps)
-                    key[g] += k
-                    key_t = tuple(key)
-                    cur = rule.get(key_t)
-                    rule[key_t] = (-s) if cur is None else cur - s
-            self._rules.append({k: v for k, v in rule.items() if not v.is_zero()})
+                shift = tuple(k if i == g else 0 for i in range(c))
+                rule = rule - SAElement._raw(self, {tuple(map(add, e, shift)): t
+                                                    for e, t in q[k]._num.items()},
+                                             q[k]._den, q[k].stored_order)
+            self._rules.append((_valued(rule._num), rule._den))
             if g == c - 1:
                 break
             # Synthetic division of q by (T - X_g) for the next generator.
@@ -86,59 +102,91 @@ class SplitAlgebra:
     def _is_basis(self, exps: tuple[int, ...]) -> bool:
         return all(e <= cap for e, cap in zip(exps, self._caps))
 
-    def _canon_monomial(self, exps: tuple[int, ...]) -> dict[tuple[int, ...], Series]:
-        """Canonical coordinates of a non-negative monomial."""
-        cached = self._mono_cache.get(exps)
-        if cached is not None:
-            return cached
+    def _canon(self, exps: tuple[int, ...]) -> tuple[list, int] | None:
+        """None for a basis exponent, else the canonical coordinates of its monomial.
+
+        The coordinates are (exponent, numerators, valuation) triples over
+        the returned denominator.
+        """
+        if exps in self._canon_cache:
+            return self._canon_cache[exps]
         over = next((g for g, cap in enumerate(self._caps) if exps[g] > cap), None)
-        if over is None:
-            result = {exps: Series.one(self.order)}
-        else:
+        result = None
+        if over is not None:
             # X_over^(cap+1) by its rule, times the canonical rest
             rest = list(exps)
             rest[over] -= self._caps[over] + 1
-            rest_canon = self._canon_monomial(tuple(rest))
-            result = self._reduce(_pair_products(self._rules[over].items(), rest_canon.items()))
-        self._mono_cache[exps] = result
+            rest_coords, rest_den = self._canon(tuple(rest)) or ([(tuple(rest), self._unit, 0)], 1)
+            rule_coords, rule_den = self._rules[over]
+            nums, den = self._product(rule_coords, rest_coords, rule_den * rest_den, self.order)
+            result = _valued(nums), den
+        self._canon_cache[exps] = result
         return result
 
-    def _reduce(self, terms: dict[tuple[int, ...], Series]) -> dict[tuple[int, ...], Series]:
-        """Canonical coordinates of sum(s * X^e): one reduction per exponent.
+    def _product(self, a: list, b: list, den: int, order: int) -> tuple[dict, int]:
+        """Canonical (numerators, denominator) of the product of coordinate triples a, b over den.
 
-        A basis exponent keeps its series, cut to the algebra's order as
-        the product with its canonical coordinate 1 would; any other is
-        multiplied into its canonical coordinates.
+        A pair whose valuations add up to ``order`` or more is skipped.
         """
-        out: dict[tuple[int, ...], Series] = {}
-        order = self.order
-        for e, s in terms.items():
-            if self._is_basis(e):
-                term = s if s.order <= order else s.truncate(order)
+        sums: dict[tuple[int, ...], list[int]] = {}
+        for ea, na, va in a:
+            for eb, nb, vb in b:
+                if va + vb >= order:
+                    continue
+                e = tuple(map(add, ea, eb))
+                term = _mul_ints(na, nb, order)
+                cur = sums.get(e)
+                sums[e] = term if cur is None else list(map(add, cur, term))
+        return self._reduce(sums, den, order)
+
+    def _reduce(self, sums: dict, den: int, order: int) -> tuple[dict, int]:
+        """Canonical (numerators, denominator) of sum(s X^e) / den, each s of length ``order``.
+
+        A basis exponent keeps its numerators; any other is multiplied into
+        its canonical coordinates, once, skipping a coordinate whose product
+        vanishes to ``order``.  Every sum is lifted over the lcm of those
+        coordinates' denominators, and one gcd normalises the result.
+        """
+        canon = {e: self._canon(e) for e in sums}
+        scale = lcm(1, *[got[1] for got in canon.values() if got is not None])
+        out: dict[tuple[int, ...], list[int]] = {}
+        for e, s in sums.items():
+            got = canon[e]
+            f = scale if got is None else scale // got[1]
+            if f != 1:
+                s = [x * f for x in s]
+            if got is None:
                 cur = out.get(e)
-                out[e] = term if cur is None else cur + term
+                out[e] = s if cur is None else list(map(add, cur, s))
                 continue
-            for em, sm in self._canon_monomial(e).items():
-                term = s * sm
+            v = _valuation(s)
+            if v is None:
+                continue
+            room = order - v
+            for em, nm, vm in got[0]:
+                if vm >= room:
+                    continue
+                term = _mul_ints(s, nm, order)
                 cur = out.get(em)
-                out[em] = term if cur is None else cur + term
-        return {k: v for k, v in out.items() if not v.is_zero()}
+                out[em] = term if cur is None else list(map(add, cur, term))
+        return _normed(out, den * scale)
 
     # -- element constructors ---------------------------------------------
 
     def zero(self) -> SAElement:
-        return SAElement(self, {})
+        return SAElement._raw(self, {}, 1, self.order)
 
     def one(self) -> SAElement:
         return self.from_series(Series.one(self.order))
 
     def from_series(self, s: Series) -> SAElement:
-        return SAElement(self, {(0,) * self.c: s})
+        nums = {(0,) * self.c: s._num} if not s.is_zero() else {}
+        return SAElement._raw(self, nums, s._den if nums else 1, s.order)
 
     def generator(self, g: int) -> SAElement:
-        exps = [0] * self.c
-        exps[g] = 1
-        return SAElement(self, dict(self._canon_monomial(tuple(exps))))
+        exps = tuple(int(i == g) for i in range(self.c))
+        coords, den = self._canon(exps) or ([(exps, self._unit, 0)], 1)
+        return SAElement._raw(self, {e: t for e, t, _ in coords}, den, self.order)
 
     def gen_power(self, g: int, k: int) -> SAElement:
         """X_g^k for k >= 0."""
@@ -154,7 +202,7 @@ class SplitAlgebra:
             result = self.generator(g)
         else:
             result = self.gen_power(g, k - 1) * self.generator(g)
-        self._gen_power_cache[key] = result.coeffs, result.stored_order
+        self._gen_power_cache[key] = result._layout()
         return result
 
     def monomial(self, exps, order: int | None = None) -> SAElement:
@@ -174,7 +222,7 @@ class SplitAlgebra:
                        for f in (self.gen_power(g, k) for g, k in enumerate(key) if k)]
             acc = reduce(mul, factors) if factors else self.one()
             acc = acc.with_order(min(order, acc.stored_order))
-            self._monomials[key] = order, (acc.coeffs, acc.stored_order)
+            self._monomials[key] = order, acc._layout()
             return acc
         acc = SAElement._raw(self, *cached)
         return acc if built == order else acc.with_order(min(order, acc.stored_order))
@@ -208,93 +256,131 @@ class SplitAlgebra:
         return y
 
 
+def _valued(nums: dict) -> list:
+    """(exponent, numerators, valuation) triples of nonzero numerator tuples."""
+    return [(e, t, _valuation(t)) for e, t in nums.items()]
+
+
+def _normed(sums: dict, den: int) -> tuple[dict, int]:
+    """Drop vanishing coordinates and reduce by one gcd with the positive denominator."""
+    nums = {e: s for e, s in sums.items() if any(s)}
+    if not nums:
+        return {}, 1
+    if den != 1:
+        g = gcd(den, *chain.from_iterable(nums.values()))
+        if g != 1:
+            return {e: tuple([x // g for x in s]) for e, s in nums.items()}, den // g
+    return {e: tuple(s) for e, s in nums.items()}, den
+
+
 class SAElement:
-    """Canonical coordinates: basis monomial -> nonzero series.
+    """Canonical coordinates: basis monomial -> integer numerators, over one denominator.
 
     ``stored_order`` is the order to which the element is known, kept
-    when every coordinate vanishes; each coordinate is cut to it.  By
-    default it is the least order among the given coordinates, zero
-    ones included.
+    when every coordinate vanishes; each coordinate holds that many
+    numerators.  Built from a dict {exponent: Series}, it is by default
+    the least order among the given coordinates, zero ones included.
     """
 
-    __slots__ = ("alg", "coeffs", "stored_order")
+    __slots__ = ("alg", "_num", "_den", "stored_order")
 
     def __init__(self, alg: SplitAlgebra, coeffs: dict, order: int | None = None):
         if order is None:
             order = min((s.order for s in coeffs.values()), default=alg.order)
-        if not all(map(alg._is_basis, coeffs)):
-            coeffs = alg._reduce(coeffs)
+        if any(s.order < order for s in coeffs.values()):
+            raise ValueError("cannot extend precision by truncation")
+        basis = all(map(alg._is_basis, coeffs))
+        if not basis:
             order = min(order, alg.order)
-        clean = {}
-        for e, s in coeffs.items():
-            if s.order != order:
-                s = s.truncate(order)
-            if not s.is_zero():
-                clean[e] = s
+        den = lcm(1, *[s._den for s in coeffs.values()])
+        sums = {e: [x * (den // s._den) for x in s._num[:order]] for e, s in coeffs.items()}
         self.alg = alg
-        self.coeffs = clean
+        self._num, self._den = _normed(sums, den) if basis else alg._reduce(sums, den, order)
         self.stored_order = order
 
     @classmethod
-    def _raw(cls, alg: SplitAlgebra, coeffs: dict, order: int) -> SAElement:
-        """Wrap canonical coordinates already cut to the stored order ``order``."""
+    def _raw(cls, alg: SplitAlgebra, nums: dict, den: int, order: int) -> SAElement:
+        """Wrap canonical numerators, already normalised and of length ``order``."""
         el = object.__new__(cls)
-        el.alg, el.coeffs, el.stored_order = alg, coeffs, order
+        el.alg, el._num, el._den, el.stored_order = alg, nums, den, order
         return el
 
+    def _layout(self) -> tuple[dict, int, int]:
+        return self._num, self._den, self.stored_order
+
+    @property
+    def coeffs(self) -> dict[tuple[int, ...], Series]:
+        """The coordinates as a dict {basis exponent: Series}, built afresh."""
+        return {e: Series._normed(t, self._den) for e, t in self._num.items()}
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
+
+    def valuation(self) -> int | None:
+        """The least z-valuation among the coordinates, or None for zero."""
+        return min(map(_valuation, self._num.values()), default=None)
 
     def with_order(self, order: int) -> SAElement:
         """Every coordinate truncated, or zero-padded, to the stored order ``order``."""
-        return SAElement(self.alg, {e: c.with_order(order) for e, c in self.coeffs.items()},
-                         order)
+        if order < 1 and self._num:
+            raise ValueError("series needs at least one coefficient")
+        pad = order - self.stored_order
+        if pad >= 0:
+            tail = (0,) * pad
+            return SAElement._raw(self.alg, {e: t + tail for e, t in self._num.items()},
+                                  self._den, order)
+        nums, den = _normed({e: t[:order] for e, t in self._num.items()}, self._den)
+        return SAElement._raw(self.alg, nums, den, order)
+
+    def _combine(self, other: SAElement, op) -> SAElement:
+        """self op other for op in (add, sub), over the lcm of the two denominators."""
+        order = min(self.stored_order, other.stored_order)
+        den, fa, fb = common_den(self._den, other._den)
+        out = {e: t[:order] if fa == 1 else [x * fa for x in t[:order]]
+               for e, t in self._num.items()}
+        zeros = (0,) * order
+        for e, t in other._num.items():
+            t = t[:order] if fb == 1 else [x * fb for x in t[:order]]
+            out[e] = list(map(op, out.get(e, zeros), t))
+        return SAElement._raw(self.alg, *_normed(out, den), order)
 
     def __add__(self, other: SAElement) -> SAElement:
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            cur = out.get(e)
-            out[e] = c if cur is None else cur + c
-        return SAElement(self.alg, out, min(self.stored_order, other.stored_order))
-
-    def __neg__(self) -> SAElement:
-        return SAElement(self.alg, {e: -c for e, c in self.coeffs.items()}, self.stored_order)
+        return self._combine(other, add)
 
     def __sub__(self, other: SAElement) -> SAElement:
-        return self + (-other)
+        return self._combine(other, sub)
+
+    def __neg__(self) -> SAElement:
+        return SAElement._raw(self.alg, {e: tuple([-x for x in t]) for e, t in self._num.items()},
+                              self._den, self.stored_order)
 
     def __mul__(self, other) -> SAElement:
-        if isinstance(other, (int, Fraction, Series)):
-            order = (min(self.stored_order, other.order) if isinstance(other, Series)
-                     else self.stored_order)
-            return SAElement(self.alg, {e: c * other for e, c in self.coeffs.items()}, order)
-        COUNTS["splitting.mul"] += 1
         alg = self.alg
+        if isinstance(other, (int, Fraction)):
+            p, q = other.numerator, other.denominator
+            sums = {e: [x * p for x in t] for e, t in self._num.items()} if p else {}
+            return SAElement._raw(alg, *_normed(sums, self._den * q), self.stored_order)
+        if isinstance(other, Series):
+            order = min(self.stored_order, other.order)
+            sums = {e: _mul_ints(t, other._num, order) for e, t in self._num.items()}
+            return SAElement._raw(alg, *_normed(sums, self._den * other._den), order)
+        if not isinstance(other, SAElement):
+            return NotImplemented
+        COUNTS["splitting.mul"] += 1
         order = min(self.stored_order, other.stored_order, alg.order)
-        return SAElement(alg, alg._reduce(_pair_products(self.coeffs.items(),
-                                                         other.coeffs.items())), order)
+        nums, den = alg._product(_valued(self._num), _valued(other._num),
+                                 self._den * other._den, order)
+        return SAElement._raw(alg, nums, den, order)
 
     __rmul__ = __mul__
 
     def as_series(self, order: int | None = None) -> Series:
         """Extract a symmetric element, one with only the unit coordinate, as a plain series."""
         unit = (0,) * self.alg.c
-        for e in self.coeffs:
+        for e in self._num:
             if e != unit:
                 raise ArithmeticError(f"element is not symmetric: coordinate {e}")
-        result = self.coeffs.get(unit)
-        if result is None:
-            result = Series.zero(self.stored_order)
+        nums = self._num.get(unit)
+        result = (Series.zero(self.stored_order) if nums is None
+                  else Series._normed(nums, self._den))
         return result if order is None else result.truncate(order)
-
-
-def _pair_products(a, b) -> dict[tuple[int, ...], Series]:
-    """sum(ca * cb * X^(ea + eb)) over (exponent, series) items, one sum per exponent."""
-    out: dict[tuple[int, ...], Series] = {}
-    for ea, ca in a:
-        for eb, cb in b:
-            e = tuple(map(add, ea, eb))
-            term = ca * cb
-            cur = out.get(e)
-            out[e] = term if cur is None else cur + term
-    return out

@@ -496,8 +496,9 @@ class TestMainEquation:
         report = verify_main_equation(ODD3, 3, 15)
         assert report.ok, report
 
-    @pytest.mark.parametrize("fam", [ODD1, ODD2, ODD3, EVEN1, EVEN2], ids=str)
+    @pytest.mark.parametrize("fam", [ODD1, ODD2, ODD3, EVEN1, EVEN2, EVEN3], ids=str)
     def test_bound_two(self, fam):
+        # even d = 3 has five branches, an algebra of 120 coordinates
         report = verify_main_equation(fam, 2, 12)
         assert report.ok, report
 

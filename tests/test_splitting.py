@@ -1,4 +1,7 @@
-"""Split-algebra products against the per-pair reduction they replace.
+"""Split-algebra products against the per-pair reduction they replace, and
+every other element operation against the same operation on the element's
+Series coordinates, on the integer layout (one numerator tuple per basis
+exponent over one denominator).
 
 ``ref_mul`` is the product as it was first written: every pair of
 coordinates makes its own series product, which is then reduced through
@@ -8,6 +11,7 @@ monomials the same way, from the algebra's relation tower alone.
 """
 
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +20,7 @@ from hypothesis import strategies as st
 from embtrees.dary import DaryFamily
 from embtrees.kernel import family_base
 from embtrees.series import Series
+from embtrees import splitting
 from embtrees.splitting import SAElement, SplitAlgebra
 
 ORDER = 8
@@ -33,6 +38,17 @@ def basis(alg):
     return out
 
 
+def series_view(coords, den):
+    """(exponent, numerators, valuation) triples over den as {exponent: Series}."""
+    return {e: Series._normed(t, den) for e, t, _ in coords}
+
+
+def canon_view(alg, exps):
+    """The algebra's cached canonical coordinates of a monomial, as Series."""
+    got = alg._canon(exps)
+    return {exps: Series.one(alg.order)} if got is None else series_view(*got)
+
+
 def ref_canon(alg, exps, cache):
     got = cache.get(exps)
     if got is not None:
@@ -44,7 +60,7 @@ def ref_canon(alg, exps, cache):
         rest = list(exps)
         rest[over] -= alg._caps[over] + 1
         result = {}
-        for e1, s1 in alg._rules[over].items():
+        for e1, s1 in series_view(*alg._rules[over]).items():
             for e2, s2 in ref_canon(alg, tuple(rest), cache).items():
                 prod = s1 * s2
                 combined = tuple(x + y for x, y in zip(e1, e2))
@@ -102,6 +118,40 @@ def same(x, y):
     return x.coeffs == y.coeffs and x.stored_order == y.stored_order
 
 
+@st.composite
+def mixed_elements(draw, c):
+    """An element at a drawn stored order, from coordinates of unequal orders.
+
+    Denominators mix 1, small primes and a 61-bit prime.  A coordinate may
+    be zero, or vanish only below the stored order; the element may have
+    no coordinate at all.  Stored orders reach two past the algebra's.
+    """
+    alg = ALGEBRAS[c]
+    order = draw(st.integers(1, ORDER + 2))
+    coeffs = {}
+    for e in draw(st.lists(st.sampled_from(basis(alg)), max_size=4, unique=True)):
+        size = draw(st.integers(order, order + 3))
+        kind = draw(st.sampled_from(["dense", "dense", "zero", "high"]))
+        head = [0] * order if kind == "high" else []
+        tail = [] if kind == "zero" else draw(st.lists(rationals, min_size=size, max_size=size))
+        coeffs[e] = Series((head + tail)[:size] or [0], size)
+    return SAElement(alg, coeffs, order)
+
+
+def agrees(x, coords, order):
+    """x holds the nonzero Series coordinates ``coords`` at stored order ``order``,
+    on a normalised integer layout."""
+    nums = list(x._num.values())
+    assert all(len(t) == order and any(t) for t in nums)
+    assert x._den > 0 and gcd(x._den, *[v for t in nums for v in t]) == 1
+    return (x.coeffs == {e: s for e, s in coords.items() if not s.is_zero()}
+            and x.stored_order == order)
+
+
+def coords_at(x, order):
+    return {e: s.with_order(order) for e, s in x.coeffs.items()}
+
+
 @pytest.mark.parametrize("c", [2, 3])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -112,11 +162,59 @@ def test_product_matches_per_pair_reference(c, data):
 
 
 @pytest.mark.parametrize("c", [2, 3])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sums_match_series_coordinates(c, data):
+    a, b = data.draw(mixed_elements(c)), data.draw(mixed_elements(c))
+    n = min(a.stored_order, b.stored_order)
+    ca, cb, zero = coords_at(a, n), coords_at(b, n), Series.zero(n)
+    keys = set(ca) | set(cb)
+    assert agrees(a + b, {e: ca.get(e, zero) + cb.get(e, zero) for e in keys}, n)
+    assert agrees(a - b, {e: ca.get(e, zero) - cb.get(e, zero) for e in keys}, n)
+    assert agrees(-a, {e: -s for e, s in a.coeffs.items()}, a.stored_order)
+
+
+@pytest.mark.parametrize("c", [2, 3])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_scalar_products_match_series_coordinates(c, data):
+    a = data.draw(mixed_elements(c))
+    s = Series(data.draw(st.lists(rationals, min_size=1, max_size=ORDER + 3)))
+    for q in (data.draw(rationals), data.draw(st.integers(-5, 5))):
+        for got in (a * q, q * a):
+            assert agrees(got, {e: x * q for e, x in a.coeffs.items()}, a.stored_order)
+    n = min(a.stored_order, s.order)
+    for got in (a * s, s * a):
+        assert agrees(got, {e: x.truncate(n) * s.truncate(n) for e, x in a.coeffs.items()}, n)
+
+
+@pytest.mark.parametrize("c", [2, 3])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_with_order_cuts_and_pads_every_coordinate(c, data):
+    a = data.draw(mixed_elements(c))
+    k = data.draw(st.integers(1, ORDER + 4))
+    assert agrees(a.with_order(k), coords_at(a, k), k)
+    assert a.valuation() == min((s.valuation() for s in a.coeffs.values()), default=None)
+
+
+@pytest.mark.parametrize("c", [2, 3])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_coordinates_off_the_basis_are_reduced(c, data):
+    alg = ALGEBRAS[c]
+    exps = data.draw(st.tuples(*[st.integers(0, 3)] * c))
+    s = Series(data.draw(st.lists(rationals, min_size=ORDER, max_size=ORDER)))
+    want = {e: s * x for e, x in ref_canon(alg, exps, {}).items()}
+    assert agrees(SAElement(alg, {exps: s}), want, ORDER)
+
+
+@pytest.mark.parametrize("c", [2, 3])
 def test_canonical_monomials_match_reference(c):
     alg = ALGEBRAS[c]
     cache = {}
     for exps in [(3, 0, 0)[:c], (1, 2, 1)[:c], (2,) * c, (0, 3, 2)[:c]]:
-        assert alg._canon_monomial(exps) == ref_canon(alg, exps, cache)
+        assert canon_view(alg, exps) == ref_canon(alg, exps, cache)
 
 
 @pytest.mark.parametrize("c", [2, 3])
@@ -158,18 +256,18 @@ def test_zero_elements_keep_their_order():
 
 def test_basis_exponents_take_no_product(monkeypatch):
     # a series times an element lands on basis exponents only, so the
-    # product makes one series product per coordinate and no reduction
+    # product makes one coordinate product per coordinate and no reduction
     alg = ALGEBRAS[3]
     a = alg.from_series(Series([0, 1, Q(1, 2)], ORDER))
     b = SAElement(alg, {e: Series([1, Q(k + 1, 3)], ORDER) for k, e in enumerate(basis(alg))})
     calls = []
-    original = Series.__mul__
+    original = splitting._mul_ints
 
-    def counting(x, y):
+    def counting(x, y, n):
         calls.append(1)
-        return original(x, y)
+        return original(x, y, n)
 
-    monkeypatch.setattr(Series, "__mul__", counting)
+    monkeypatch.setattr(splitting, "_mul_ints", counting)
     product = a * b
     monkeypatch.undo()
     assert len(calls) == len(b.coeffs)
