@@ -40,9 +40,11 @@ polynomial built term by term in ``tests/test_dary.py``; ``levels.recomputed_alp
 the d-ary closed claims against one product per composition
 (``tests/test_dary.py``), for odd and even d = 2 and for the four
 families the dary/alpha-agreement check runs; the ``alpha_proof`` rows,
-the campaign's proofs of the binary claims at (0,0,1,0,0), (0,0,0,1,1)
-and (0,0,0,0,1) (n <= 12) and of the height claim at (0,0) (n <= 8),
-against the series comparison of the same claims that they replaced; ``level_rows``
+the campaign's proofs of the binary claims at its six weight vectors
+(n <= 12) and of the height claims at its three couplings (n <= 8),
+against the series comparison of the same claims that they replaced, and
+the ``t_relation`` row, binary/t-of-x against the series root of the
+displayed relation (``tests/test_binary.py``); ``level_rows``
 against the ``label_spectra`` sums it is tested with; and
 ``levels.alpha_recurrence``, root and rate included, against the binary
 recurrence at w = (2, 1, 1, 1, 1), n_max 12, order 30, and the ternary
@@ -74,6 +76,7 @@ Each figure is the median of ``--repeats`` timed runs, in microseconds.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import platform
@@ -101,6 +104,7 @@ from embtrees.binary import (  # noqa: E402
 from embtrees.campaign import (  # noqa: E402
     _DARY_FAMILIES,
     _binary_x_radical,
+    _check_t_of_x,
     _first_unproved,
     _height_x_rational,
 )
@@ -149,7 +153,14 @@ from test_dary import (  # noqa: E402
     rho_levels,
 )
 from test_kernel import ref_hensel  # noqa: E402
-from test_levels import rate_and_root, ref_binary_alpha, ref_ternary_alpha  # noqa: E402
+from test_binary import ref_t_of_x_identity  # noqa: E402
+from test_levels import (  # noqa: E402
+    rate_and_root,
+    ref_binary_alpha,
+    ref_ternary_alpha,
+    reference_first_wrong_alpha,
+    series_parts,
+)
 from test_marker_multipoly_core import (  # noqa: E402
     ref_lockstep_table,
     ref_marker_mul,
@@ -402,23 +413,47 @@ def first_series_mismatch(rec, clo):
 
 def bench_alpha_proofs(repeats: int) -> list[dict]:
     """The closed decay coefficients that the binary/alpha-closed-forms and
-    height/plane-trees checks prove in Q(X), against the series comparison
-    those checks made before (recurrence and closed table, each solving its
-    own root and rate, at the checks' orders)."""
+    height/plane-trees checks prove in Q(X)[T], against the series comparisons
+    they replaced, at the checks' orders: on one arity, the recurrence and
+    closed tables, each solving its own root and rate; on mixed arities, the
+    two tables on one ``family_base`` (``reference_first_wrong_alpha``).  The
+    ``t_relation`` row times the binary/t-of-x check against the series root
+    of the displayed relation it replaced, for the check's five vectors."""
     rows: list[dict] = []
     X = MultiPoly.var(("X",), "X")
     for vec, mode in (((0, 0, 1, 0, 0), "matched_closed"), ((0, 0, 0, 1, 1), "matched_closed"),
                       ((0, 0, 0, 0, 1), "w3_closed")):
         w = BinaryWeights.make(*vec)
         compare(rows, "alpha_proof", 12, f"binary ({','.join(map(str, vec))})",
-                lambda: _first_unproved(w.kinds, _CLOSED_PARTS[mode](w, X, None, 12)),
+                lambda: _first_unproved(w.kinds, _CLOSED_PARTS[mode](w, X, 12)),
                 lambda: first_series_mismatch(binary_alpha(w, "recurrence", 12, 30),
                                               binary_alpha(w, mode, 12, 30)), repeats)
+    for vec, mode in (((1, 0, 1, 0, 0), "matched_closed"), ((2, 1, 1, 1, 1), "matched_closed"),
+                      ((1, 0, 0, 0, 1), "w3_closed")):
+        w = BinaryWeights.make(*vec)
+        compare(rows, "alpha_proof", 12, f"binary ({','.join(map(str, vec))})",
+                lambda: _first_unproved(w.kinds, _CLOSED_PARTS[mode](w, X, 12)),
+                lambda: reference_first_wrong_alpha(
+                    w.kinds, series_parts(functools.partial(_CLOSED_PARTS[mode], w)), 12,
+                    lambda: family_base(w.kinds, 30)), repeats)
     kinds = _height_kinds(Q(0), Q(0))
     compare(rows, "alpha_proof", 8, "height (0,0)",
-            lambda: _first_unproved(kinds, _height_parts(Q(0), X, None, 8)),
+            lambda: _first_unproved(kinds, _height_parts(Q(0), X, 8)),
             lambda: first_series_mismatch(height_alpha(0, 0, "closed", 8, 20),
                                           height_alpha(0, 0, "recurrence", 8, 20)), repeats)
+    for v1, v2 in ((1, 0), (2, 3)):
+        kinds = _height_kinds(Q(v1), Q(v2))
+        compare(rows, "alpha_proof", 8, f"height ({v1},{v2})",
+                lambda: _first_unproved(kinds, _height_parts(Q(v1), X, 8)),
+                lambda: reference_first_wrong_alpha(
+                    kinds, series_parts(functools.partial(_height_parts, Q(v1))), 8,
+                    lambda: family_base(kinds, 20)), repeats)
+    vectors = [BinaryWeights.make(*vec) for vec in ((0, 0, 1, 0, 0), (0, 0, 0, 1, 1),
+                                                    (0, 0, 0, 0, 1), (1, 0, 1, 0, 0),
+                                                    (2, 1, 1, 1, 1))]
+    compare(rows, "t_relation", "-", "5 binary weights", _check_t_of_x,
+            lambda: all(ref_t_of_x_identity(w, 30) for w in vectors), repeats,
+            read=lambda verdict: verdict == (True, ""))
     return rows
 
 
@@ -479,13 +514,13 @@ def closed_family_check() -> list:
     out = []
     for vec in ((0, 0, 1, 0, 0), (0, 0, 0, 1, 1), (1, 0, 1, 0, 0)):
         w = BinaryWeights.make(*vec)
-        out.append(level_identity(w.kinds, *closed_family_rows(w)))
+        out.append(level_identity(w.kinds, closed_family_rows(w)))
     return out
 
 
 def one_param_check() -> list:
     """The dary/one-param-identity check's proofs, one per family."""
-    return [level_identity(fam.kinds, *one_param_rows(fam)) for fam in _DARY_FAMILIES]
+    return [level_identity(fam.kinds, one_param_rows(fam)) for fam in _DARY_FAMILIES]
 
 
 def bench_tables(repeats: int) -> list[dict]:

@@ -13,8 +13,8 @@ recurrence ``levels.alpha_recurrence``, given each family's kind list
 (``BinaryWeights.kinds``, ``_height_kinds``, ``_ternary_kinds``); each
 family's T and decay rate X come from the same list through
 ``kernel.family_base``.  The known closed forms are parts of alpha_n =
-num_n / (first pair^(n-1)) in X's ring: series, or polynomials where
-``levels.recomputed_alphas`` proves them at v1 = v2 = 0.
+num_n / (first pair^(n-1)) in X's ring (as pair T where pair reads 1/T):
+series, or polynomials, proved in Q(X)[T] on ``levels.t_relation``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .kernel import SeriesPoly, family_base, newton_solve, tree_root
 from .levels import IDENTITY_RING, Kinds, _x_powers, alpha_recurrence, label_spectra, level_rows
 from .marker import MarkerSeries
 from .multipoly import MultiPoly
-from .series import Q, Series, as_fraction, rational_sqrt
+from .series import Q, Series, as_fraction
 
 _ZERO = Q(0)
 
@@ -128,22 +128,24 @@ def binary_alpha(w: BinaryWeights, mode: str, n_max: int, order: int) -> AlphaTa
 
 
 def _alpha_table(kinds: Kinds, mode: str, parts, args, n_max: int, order: int) -> AlphaTable:
-    """The recurrence's table, or the closed one from ``parts(*args, X, T, n_max)``."""
+    """The recurrence's table, or the closed one from ``parts(*args, X, n_max)``."""
     small, T = family_base(kinds, order)
     X = small.elementary[0]
     if mode == "recurrence":
         return AlphaTable(mode, tuple(alpha_recurrence(kinds, X, T, n_max)))
     if parts is None:
         raise ValueError(f"unknown mode {mode!r}")
-    first, pair, nums = parts(*args, X, T, n_max)
+    first, pair, nums = parts(*args, X, n_max)
+    pair = pair[0] / T + pair[1] if isinstance(pair, list) else pair  # from pair T's coefficients
     return AlphaTable(mode, tuple(map(truediv, nums, _x_powers(pair, n_max - 1, first))))
 
 
-def _fac(X, T, v1, rest):  # v1/T + rest, the one place the parts read T
-    return X**0 / T * v1 + rest if v1 else X**0 * rest
+def _pair(v1, rest, poly):
+    """pair = (v1/T + rest) poly: poly rest, or pair T's coefficients [v1 poly, rest poly]."""
+    return [poly * v1, poly * rest] if v1 else poly * rest
 
 
-def _matched_parts(w: BinaryWeights, X, T, n_max: int):
+def _matched_parts(w: BinaryWeights, X, n_max: int):
     """alpha_n = (X shell)^(n-1) (1 - X^n) / ((1 - X) (fac (1-X)^2 (1+X+X^2) (1+X))^(n-1)),
     shell = w1 X + w2 (1+X+X^2), fac = v1/T + w1 + w2; it needs w2 = w3."""
     w.require_matched_weights()
@@ -151,10 +153,10 @@ def _matched_parts(w: BinaryWeights, X, T, n_max: int):
     cyc = one + X + xp[2]
     shells = _x_powers(_closed_shell(w, X), n_max - 1)
     nums = [(one - xp[n]) * s for n, s in zip(range(1, n_max + 1), shells)]
-    return one - X, _fac(X, T, w.v1, w.w1 + w.w2) * (one - X) ** 2 * cyc * (one + X), nums
+    return one - X, _pair(w.v1, w.w1 + w.w2, (one - X) ** 2 * cyc * (one + X)), nums
 
 
-def _w3_parts(w: BinaryWeights, X, T, n_max: int):
+def _w3_parts(w: BinaryWeights, X, n_max: int):
     """alpha_n = (w3 X)^(n-1) (1 - X^(2n)) / ((1 - X)(1 + X) (fac (1-X)^2 (1+X+X^2))^(n-1)),
     fac = v1/T + w3; it needs w1 = w2 = 0 < w3."""
     if w.w1 != 0 or w.w2 != 0:
@@ -164,41 +166,22 @@ def _w3_parts(w: BinaryWeights, X, T, n_max: int):
     one, xp = X**0, _x_powers(X, 2 * n_max)
     scales = _x_powers(X * w.w3, n_max - 1)
     nums = [(one - xp[2 * n]) * s for n, s in zip(range(1, n_max + 1), scales)]
-    pair = _fac(X, T, w.v1, w.w3) * (one - X) ** 2 * (one + X + xp[2])
-    return (one - X) * (one + X), pair, nums
+    return (one - X) * (one + X), _pair(w.v1, w.w3, (one - X) ** 2 * (one + X + xp[2])), nums
 
 
-def _height_parts(v1, X, T, n_max: int):
+def _height_parts(v1, X, n_max: int):
     """alpha_n = X^(n-1) / ((v1/T + 1)(1 - X))^(n-1)."""
-    return X**0, _fac(X, T, v1, 1) * (X**0 - X), _x_powers(X, n_max - 1)[:n_max]
+    return X**0, _pair(v1, 1, X**0 - X), _x_powers(X, n_max - 1)[:n_max]
 
 
 _CLOSED_PARTS = {"matched_closed": _matched_parts, "w3_closed": _w3_parts}
 
 
-def t_of_x_identity(w: BinaryWeights, order: int) -> bool:
-    """Check that T is recovered from X alone.
-
-    Eliminating z between the tree equation and the characteristic
-    equation leaves t2 T^2 - t1 T - L = 0 with
-
-        t1 = w1(1+X^2) + 2 w2 X + w3(1+X)^2 - v1(1-X)^2,
-        t2 = w1(1-X+X^2) + w2 X + w3(1+X^2),
-        L  = v1(1+X^2) + v2 X,
-
-    whose power-series root is (t1 + sqrt(t1^2 + 4 t2 L)) / (2 t2).
-    """
-    small, T = family_base(w.kinds, order)
-    t1, t2, ell = _t_relation(w, small.elementary[0])
-    radicand = t1 * t1 + t2 * ell * 4
-    c0 = rational_sqrt(radicand[0])
-    root = (radicand / radicand[0]).sqrt() * c0
-    recovered = (t1 + root) / (t2 * 2)
-    return recovered.matches(T)
-
-
 def _t_relation(w: BinaryWeights, X):
-    """t1, t2 and L of T's relation over Q(X), in X's ring; see ``t_of_x_identity``."""
+    """t1, t2 and L of T's relation t2 T^2 - t1 T - L = 0 over Q(X) as displayed, in X's ring,
+    which binary/t-of-x proves is -1 times ``levels.t_relation`` of the kinds (over T if L = 0):
+    t1 = w1(1+X^2) + 2 w2 X + w3(1+X)^2 - v1(1-X)^2, t2 = w1(1-X+X^2) + w2 X + w3(1+X^2),
+    L = v1(1+X^2) + v2 X."""
     one, x2 = X**0, X * X
     t1 = (one + x2) * w.w1 + X * (2 * w.w2) + (one + X) ** 2 * w.w3 - (one - X) ** 2 * w.v1
     t2 = (one - X + x2) * w.w1 + X * w.w2 + (one + x2) * w.w3
@@ -282,8 +265,8 @@ def binary_Tj_closed_symbolic(
 
 
 def closed_family_rows(w: BinaryWeights):
-    """Rows j-1, j, j+1 of the closed family and T's relation: ``levels.level_identity``'s
-    inputs, in its ring (Y = X^j).
+    """Rows j-1, j, j+1 of the closed family: ``levels.level_identity``'s input, in its ring
+    (Y = X^j).
 
     T_i = T - factor lam Y X^(i+1) / (X shell p_(i+1) p_(i+2)), p_k = 1 - lam Y X^k,
     factor = T c_num, linear in T; over den = X shell p_0 p_1 p_2 p_3 no row divides by T.
@@ -300,8 +283,7 @@ def closed_family_rows(w: BinaryWeights):
         rest = X ** (i + 1) * a * b
         return {0: -(at_zero * rest), 1: den - slope * rest}, den
 
-    t1, t2, ell = _t_relation(w, X)
-    return {i: row(i) for i in (-1, 0, 1)}, [-ell, -t1, t2]
+    return {i: row(i) for i in (-1, 0, 1)}
 
 
 def adapt_lambda(w: BinaryWeights, boundary_value: int, order: int) -> Series:

@@ -43,8 +43,8 @@ from .kernel import (
     newton_solve,
     tree_root,
 )
-from .levels import (_x_powers, alpha_recurrence, label_spectra, level_identity,
-                     level_residual, recomputed_sums)
+from .levels import (_t_product, _t_sum, alpha_recurrence, label_spectra, level_identity,
+                     level_residual, pseudo_rests, recomputed_sums, t_relation)
 from .marker import MarkerSeries
 from .multipoly import MultiPoly, RationalFunction
 from .series import Q, Series
@@ -175,24 +175,24 @@ def _check_fuss_catalan(order: int = 30):
     return True, ""
 
 
-def _check_hensel(order: int = 30):
+def _check_hensel():
     for spec, c in [("-1:1,1:1", 1), ("-2:1,1:1", 2), ("-2:1,-1:2,1:1,3:1", 2), ("-3:1,2:1", 3)]:
-        small = hensel_small_factor(parse_step_set(spec), order)
+        small = hensel_small_factor(parse_step_set(spec), 30)
         if small.c != c:
             return False, f"{spec}: wrong factor degree"
         for e in small.elementary:
             if e[0] != 0:
                 return False, f"{spec}: factor does not reduce to X^c at z=0"
         h = complete_homogeneous(small, 8)
-        ident = MarkerSeries.zero(order)
+        ident = MarkerSeries.zero(30)
         for f, hf in enumerate(h):
             ident = ident + MarkerSeries.series_times_marker(hf, f)
-        prod = MarkerSeries.one(order)
+        prod = MarkerSeries.one(30)
         for k in range(1, small.c + 1):
             e = small.elementary[k - 1]
             prod = prod + MarkerSeries.series_times_marker(e if k % 2 == 0 else -e, k)
         total = ident * prod
-        for n in range(order):
+        for n in range(30):
             for p, coeff in total.coeffs[n].items():
                 if p <= 8 and not (n == 0 and p == 0 and coeff == 1):
                     return False, f"{spec}: h/e identity fails at z^{n} t^{p}"
@@ -200,6 +200,7 @@ def _check_hensel(order: int = 30):
 
 
 _BINARY_VECTORS = ((0, 0, 1, 0, 0), (0, 0, 0, 1, 1), (0, 0, 0, 0, 1), (1, 0, 1, 0, 0))
+_X = MultiPoly.var(("X",), "X")  # the decay rate, in the ring the closed claims are proved in
 
 
 def _check_binary_oracle():
@@ -229,51 +230,42 @@ def _binary_x_radical(w: B.BinaryWeights, order: int) -> Series:
     return ((one - z * s - rad.sqrt()) / (z * r * 2)).truncate(order)
 
 
-def _check_binary_residuals(order: int = 30):
+def _check_binary_residuals():
     for vec in _BINARY_VECTORS + ((1, 1, 1, 0, 0),):
         w = B.BinaryWeights.make(*vec)
-        small, T = family_base(w.kinds, order)
-        z = Series.z(order)
-        one = Series.one(order)
+        small, T = family_base(w.kinds, 30)
+        z, one = Series.z(30), Series.one(30)
         resid = T - one - z * T * w.linear - z * T * T * w.quadratic
         if not resid.is_zero():
             return False, f"tree equation residual at {vec}"
-        if small.elementary[0] != _binary_x_radical(w, order):
+        if small.elementary[0] != _binary_x_radical(w, 30):
             return False, f"characteristic root differs from its square-root form at {vec}"
     return True, ""
 
 
 def _first_unproved(kinds, parts) -> int | None:
-    """The first n whose claim alpha_n = num_n / (first pair^(n-1)) fails in Q(X), or None:
-    alpha_1 must be 1, and acc_n = num_n first^(most-1) pair D_n (see ``recomputed_sums``)."""
+    """The first n whose claim alpha_n = num_n / (first pair^(n-1)) is not proved in Q(X)[T],
+    or None: alpha_1 must be 1, and num_n scale D_n - acc_n (see ``recomputed_sums``) must
+    pseudo-reduce to 0 by T's relation ``t_relation``."""
     first, pair, nums = parts
-    scales = _x_powers(first, len(kinds[0][1]) - 1, pair)  # pair first^k
-    return 1 if nums[0] != first else next(
-        (n for n, (most, acc, divisor) in enumerate(recomputed_sums(kinds, first, pair, nums), 2)
-         if acc != nums[n - 1] * scales[most - 1] * divisor), None)
+    if nums[0] != first:
+        return 1
+    relation = t_relation(kinds)
+    for n, (scale, acc, divisor) in enumerate(recomputed_sums(kinds, first, pair, nums), 2):
+        claim = _t_product({t: nums[n - 1] * c for t, c in scale.items()}, divisor)
+        (rest,) = pseudo_rests([_t_sum([claim, {t: -c for t, c in acc.items()}])], relation)
+        if any(not c.is_zero() for c in rest.values()):
+            return n
+    return None
 
 
-def _first_wrong_alpha(kinds, parts, n_max: int, base) -> int | None:
-    """The first n at which the claim of ``parts(X, T, n_max)`` fails, or None: proved in
-    Q(X), T unread, on kinds of one arity, where T^arity cancels; else num_n must equal
-    first pair^(n-1) times the recurrence's alpha_n in series, at ``base()`` = (factor, T)."""
-    if len({len(offs) for _, offs in kinds}) == 1:
-        return _first_unproved(kinds, parts(MultiPoly.var(("X",), "X"), None, n_max))
-    small, T = base()
-    X = small.elementary[0]
-    first, pair, nums = parts(X, T, n_max)
-    rows = zip(alpha_recurrence(kinds, X, T, n_max), nums, _x_powers(pair, n_max - 1, first))
-    return next((n for n, (a, num, den) in enumerate(rows, 1) if not num.matches(a * den)), None)
-
-
-def _check_binary_alpha(order: int = 30):
-    # proved at v1 = v2 = 0, where every kind is binary; elsewhere T is quadratic over Q(X)
+def _check_binary_alpha():
+    # proved in Q(X)[T] on T's relation, v1 != 0 included
     for vec, mode in (((0, 0, 1, 0, 0), "matched_closed"), ((0, 0, 0, 1, 1), "matched_closed"),
                       ((1, 0, 1, 0, 0), "matched_closed"), ((2, 1, 1, 1, 1), "matched_closed"),
                       ((0, 0, 0, 0, 1), "w3_closed"), ((1, 0, 0, 0, 1), "w3_closed")):
         w = B.BinaryWeights.make(*vec)
-        bad = _first_wrong_alpha(w.kinds, functools.partial(B._CLOSED_PARTS[mode], w), 12,
-                                 lambda: family_base(w.kinds, order))
+        bad = _first_unproved(w.kinds, B._CLOSED_PARTS[mode](w, _X, 12))
         if bad is not None:
             return False, f"weights {vec}, index {bad} ({mode})"
     return True, ""
@@ -282,15 +274,17 @@ def _check_binary_alpha(order: int = 30):
 def _check_closed_family():
     for vec in ((0, 0, 1, 0, 0), (0, 0, 0, 1, 1), (1, 0, 1, 0, 0)):
         w = B.BinaryWeights.make(*vec)
-        if not level_identity(w.kinds, *B.closed_family_rows(w)):
+        if not level_identity(w.kinds, B.closed_family_rows(w)):
             return False, f"weights {vec}"
     return True, ""
 
 
-def _check_t_of_x(order: int = 30):
+def _check_t_of_x():
+    # T's relation read off the kinds is -1 times the displayed t2 T^2 - t1 T - L, over T if L = 0
     for vec in _BINARY_VECTORS + ((2, 1, 1, 1, 1),):
         w = B.BinaryWeights.make(*vec)
-        if not B.t_of_x_identity(w, order):
+        t1, t2, ell = B._t_relation(w, _X)
+        if [-c for c in t_relation(w.kinds)] != [-ell, -t1, t2][1 if ell.is_zero() else 0:]:
             return False, f"weights {vec}"
     return True, ""
 
@@ -329,20 +323,20 @@ def _check_height():
             return False, f"height bound {j}"
     for v1, v2 in ((0, 0), (1, 0), (2, 3)):
         kinds = B._height_kinds(v1, v2)
-        base = family_base(kinds, 20)
-        if base[0].elementary[0] != _height_x_rational(v1, v2, base[1]):
+        small, T = family_base(kinds, 20)
+        if small.elementary[0] != _height_x_rational(v1, v2, T):
             return False, f"couplings {(v1, v2)}: characteristic root differs from its rational form"
-        # proved at (0, 0), where the one kind is binary
-        bad = _first_wrong_alpha(kinds, functools.partial(B._height_parts, v1), 8, lambda: base)
+        # the closed alphas, proved in Q(X)[T] as the binary ones are
+        bad = _first_unproved(kinds, B._height_parts(v1, _X, 8))
         if bad is not None:
             return False, f"couplings {(v1, v2)}, index {bad}"
     return True, ""
 
 
-def _check_ternary(order: int = 30):
+def _check_ternary():
     # with no unary couplings the ternary kind list is the odd d = 1 family's
     kinds = B._ternary_kinds(Q(0), Q(0))
-    small, T = family_base(kinds, order)
+    small, T = family_base(kinds, 30)
     branch = small.elementary[0]
     table = alpha_recurrence(kinds, branch, T, 8)
     closed = D.dary_alpha_one_param_closed(D.DaryFamily("odd", 1), 8)
@@ -369,7 +363,7 @@ _DARY_FAMILIES = (
 
 def _check_dary_one_param():
     for fam in _DARY_FAMILIES:
-        if not level_identity(fam.kinds, *D.one_param_rows(fam)):
+        if not level_identity(fam.kinds, D.one_param_rows(fam)):
             return False, f"{fam.kind} d={fam.d}"
     return True, ""
 
@@ -459,15 +453,15 @@ def _check_path_monotone():
 _STAR_CELLS = [(i, j) for i in range(5) for j in range(5)]
 
 
-def _check_walkers_lockstep(order: int = 20):
-    base = W._lockstep_base(order)
+def _check_walkers_lockstep():
+    base = W._lockstep_base(20)
     for boundary, (u, w) in W._CORNERS.items():
-        dp = W._lockstep_columns(u, w, _STAR_CELLS, order)
+        dp = W._lockstep_columns(u, w, _STAR_CELLS, 20)
         parts = W._refined_parts(u, w, base, 4)
         for i, j in _STAR_CELLS:
             if boundary == "osculating" and (i, j) == (0, 0):
                 continue
-            if W.lockstep_star(boundary, i, j, order, parts=parts).series != dp[i, j]:
+            if W.lockstep_star(boundary, i, j, 20, parts=parts).series != dp[i, j]:
                 return False, f"{boundary} at {(i, j)}"
     return True, ""
 
@@ -493,43 +487,42 @@ def _check_walkers_refined(order: int = 16, marks=((Q(1, 2), Q(1, 3)), (Q(2), Q(
     return True, ""
 
 
-def _check_walkers_randomturn(order: int = 20):
+def _check_walkers_randomturn():
     # the osculating stars are read one gap further out, up to gap 4 + 1
-    parts = {steps: W._randomturn_parts(steps, order, 5) for steps in ("dyck", "motzkin")}
+    parts = {steps: W._randomturn_parts(steps, 20, 5) for steps in ("dyck", "motzkin")}
     for steps in ("dyck", "motzkin"):
         for boundary in ("vicious", "osculating"):
-            dp = W._randomturn_columns(steps, boundary, _STAR_CELLS, order)
+            dp = W._randomturn_columns(steps, boundary, _STAR_CELLS, 20)
             for i, j in _STAR_CELLS:
-                closed = W.randomturn_gf(steps, boundary, i, j, order, parts=parts[steps]).series
+                closed = W.randomturn_gf(steps, boundary, i, j, 20, parts=parts[steps]).series
                 if closed != dp[i, j]:
                     return False, f"{steps} {boundary} at {(i, j)}"
-    z = Series.z(order)
-    one = Series.one(order)
-    rt = W.randomturn_gf("dyck", "osculating", 0, 0, order, parts=parts["dyck"]).series
+    z, one = Series.z(20), Series.one(20)
+    rt = W.randomturn_gf("dyck", "osculating", 0, 0, 20, parts=parts["dyck"]).series
     ref = (one - z * 2 - ((one + z * 2) * (one - z * 6)).sqrt()) / (z * z * 8)
     if not rt.matches(ref):
         return False, "dyck radical form"
-    rtm = W.randomturn_gf("motzkin", "osculating", 0, 0, order, parts=parts["motzkin"]).series
+    rtm = W.randomturn_gf("motzkin", "osculating", 0, 0, 20, parts=parts["motzkin"]).series
     refm = (one - z * 5 - ((one - z) * (one - z * 9)).sqrt()) / (z * z * 8)
     if not rtm.matches(refm):
         return False, "motzkin radical form"
     return True, ""
 
 
-def _check_quarterplane(order: int = 20, grid: int = 3, doubled_cells=((1, 2),)):
+def _check_quarterplane(grid: int = 3, doubled_cells=((1, 2),)):
     cells = [(i, j) for i in range(grid) for j in range(grid)]
     m = max(max(cell) + 1 for cell in cells + list(doubled_cells))
-    parts = {model: W._quarterplane_parts(model, order, m) for model in ("S1", "S2")}
-    closed = {(model, i, j): W.quarterplane_gf(model, i, j, order, parts=parts[model])
+    parts = {model: W._quarterplane_parts(model, 20, m) for model in ("S1", "S2")}
+    closed = {(model, i, j): W.quarterplane_gf(model, i, j, 20, parts=parts[model])
               for model in ("S1", "S2") for i, j in cells}
     for model in ("S1", "S2"):
-        dp = W._quarterplane_columns(model, cells, order)
+        dp = W._quarterplane_columns(model, cells, 20)
         for i, j in cells:
             if closed[model, i, j] != dp[i, j]:
                 return False, f"{model} at {(i, j)}"
     for i, j in doubled_cells:  # the grid's series, or the cell's own outside it
         s1, s2 = (closed.get((model, i, j))
-                  or W.quarterplane_gf(model, i, j, order, parts=parts[model])
+                  or W.quarterplane_gf(model, i, j, 20, parts=parts[model])
                   for model in ("S1", "S2"))
         if list(s2.coeffs) != [c * 2**k for k, c in enumerate(s1.coeffs)]:
             return False, f"S2 != S1 at doubled variable at {(i, j)}"

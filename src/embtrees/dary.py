@@ -7,8 +7,8 @@ boundary rows pinned to 1, by a rational one-parameter closed family
 (whose rows ``levels.level_identity`` proves for every level and
 parameter at once), and by the multi-branch expansion-coefficient tables of the
 general solution, checked against the exact level equation.  The
-closed single-branch coefficients are claims in the one shape of
-``levels.recomputed_alphas``, which proves them on the family's kind list.
+closed single-branch coefficients are claims in the one shape that
+``levels.recomputed_sums`` recomputes on the family's kind list.
 """
 
 from __future__ import annotations
@@ -135,8 +135,8 @@ def one_param_solution(fam: DaryFamily) -> RationalFunction:
 
 
 def one_param_rows(fam: DaryFamily):
-    """Rows T sol(X^(o + delta) Y) of the closed family at each offset o and at 0, and
-    T's relation B T - A: ``levels.level_identity``'s inputs, in its ring, where Y
+    """Rows T sol(X^(o + delta) Y) of the closed family at each offset o and at 0:
+    ``levels.level_identity``'s input, in its ring, where Y
     stands for X^(j - delta), delta the deepest downward offset, so no X power is negative.
     """
     sol, delta = one_param_solution(fam), -min(fam.offsets)
@@ -145,12 +145,8 @@ def one_param_rows(fam: DaryFamily):
         return MultiPoly(IDENTITY_RING, {(ex + shift * ey, el, ey): c
                                          for (ex, el, ey), c in p.terms.items()})
 
-    rows = {o: ({1: lifted(sol.num, o + delta)}, lifted(sol.den, o + delta))
+    return {o: ({1: lifted(sol.num, o + delta)}, lifted(sol.den, o + delta))
             for o in {0, *fam.offsets}}
-    t_of_x = dary_rational_parametrization(fam)[0]
-    big_a, big_b = (MultiPoly(IDENTITY_RING, {(k, 0, 0): c for (k,), c in p.terms.items()})
-                    for p in (t_of_x.num, t_of_x.den))
-    return rows, [-big_a, big_b]
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +156,7 @@ def one_param_rows(fam: DaryFamily):
 
 def _one_param_parts(fam: DaryFamily, n_max: int):
     """first, pair and num_1..num_n_max with alpha_n = num_n / (first pair^(n-1)), the
-    claims that ``levels.recomputed_alphas`` proves on the family's kind list."""
+    claims that ``levels.recomputed_sums`` recomputes on the family's kind list."""
     def x(k: int) -> MultiPoly:
         return MultiPoly.monomial(("X",), (k,))
 

@@ -18,10 +18,11 @@ substituted for T X^delta / z, its divisor is a unit:
       = sum_k w_k T^|O_k| sum_(S in O_k, |S| >= 2) (-1)^|S|
           sum_(compositions m of n over S) prod alpha_m X^(sum (o+delta)m).
 
-``alpha_recurrence`` solves it in series.  When every kind has one arity,
-T^arity cancels, and ``recomputed_sums`` recomputes each alpha_n in Q[X],
-as a cleared sum and its divisor, from the closed claims below n, never from
-its own outputs, so degrees stay linear in n; ``recomputed_alphas`` divides.
+``alpha_recurrence`` solves it in series.  ``recomputed_sums`` recomputes
+each alpha_n in Q(X)[T], as a cleared sum and its divisor, from the closed
+claims below n, never from its own outputs, so degrees stay linear in n;
+``pseudo_rests`` reduces them by ``t_relation``, T's relation over Q(X).
+On kinds of one arity, T^arity cancels and ``recomputed_alphas`` divides.
 
 A one-parameter family T_j = T(1 - rho_j) is proved for every level and
 parameter at once by ``level_identity``: the level equation is a list of
@@ -177,39 +178,81 @@ def _memo_product(products: dict, factors: list, key: tuple[int, ...]):
     return products[key]
 
 
+def t_relation(kinds: Kinds, variables=("X",)) -> list[MultiPoly]:
+    """T's relation over Q[X], lowest power of T first, in the ring ``variables`` (X first): z
+    eliminated between T = 1 + z sum_k w_k T^|O_k| and the characteristic equation, X^delta
+    sum_k w_k T^|O_k| - (T - 1) sum_k w_k T^(|O_k|-1) sum_(o in O_k) X^(o+delta), its shared
+    power of T dropped (T(0) = 1).  It is read off the exponents, with no product."""
+    delta, _ = _span(kinds)
+    low = min(len(offs) for _, offs in kinds)
+    coeffs = [Counter() for _ in range(max(len(offs) for _, offs in kinds) - low + 2)]
+    for w, offs in kinds:
+        coeffs[len(offs) - low + 1][delta] += w
+        for o in offs:
+            coeffs[len(offs) - low + 1][o + delta] -= w
+            coeffs[len(offs) - low][o + delta] += w
+    pad = (0,) * (len(variables) - 1)
+    return [MultiPoly(variables, {(e,) + pad: c for e, c in cs.items()}) for cs in coeffs]
+
+
 def recomputed_sums(kinds: Kinds, first, pair, nums):
-    """(most, acc_n, D_n), n = 2..N, on kinds of one arity: from the claims alpha_n = nums[n-1]
-    / (first pair^(n-1)) in X, alpha_n = acc_n / (first^most pair^n D_n), D_n the divisor; acc_n
-    sums the terms with s parts times first^(most-s) pair^s, most the most parts a term has."""
+    """(scale, acc_n, D_n), n = 2..N, in T {power: polynomial in X}, from the claims alpha_n =
+    nums[n-1] / (first pair^(n-1)) = num_n T^(n-1) / (first P^(n-1)), P = pair T given as its
+    coefficients where pair reads 1/T.  D_n is the divisor over T^low, low the smallest arity,
+    acc_n the terms with s parts over T^low times first^(most-s) P^s T^(most-s), most the most
+    parts a term has, and scale first^(most-1) P T^(most-1): the claim holds where acc_n =
+    num_n scale D_n at T."""
     arities = {len(offs) for _, offs in kinds}
-    if len(arities) != 1:
-        raise ValueError(f"the closed-form recurrence needs one arity, not {sorted(arities)}")
-    (arity,) = arities
+    low, high = min(arities), max(arities)
 
     def poly(terms: dict[int, int]) -> MultiPoly:
         return MultiPoly._normed(first.variables, {(e,): c for e, c in terms.items()}, 1)
 
-    first_pows, pair_pows = _x_powers(first, arity), _x_powers(pair, arity)
-    cofactors = {(most, s): first_pows[most - s] * pair_pows[s]
-                 for most in range(2, arity + 1) for s in range(2, most + 1)}
+    first_pows, pair_pows = _x_powers(first, high), [{0: first**0}]
+    pair_t = dict(enumerate(pair)) if isinstance(pair, list) else {1: pair}
+    for _ in range(high):
+        pair_pows.append(_t_product(pair_pows[-1], pair_t))
+    cofactors = {(most, s): {t + most - s: first_pows[most - s] * c for t, c in p.items()}
+                 for most in range(2, high + 1) for s, p in enumerate(pair_pows[1:most + 1], 1)}
     products = {(g,): num for g, num in enumerate(nums, 1)}
     for n in range(2, len(nums) + 1):
-        most = min(n, arity)
+        most = min(n, high)
         divisor, numerators = alpha_terms(kinds, n)
-        by_size: dict[int, MultiPoly] = {}
-        for (key, _), terms in numerators.items():
+        by_size: dict[int, list] = {}
+        for (key, a), terms in numerators.items():
             term = _memo_product(products, nums, key) * poly(terms)
-            by_size[len(key)] = by_size[len(key)] + term if len(key) in by_size else term
-        acc = sum((cofactors[most, s] * total for s, total in by_size.items()),
-                  MultiPoly.zero(first.variables))
-        yield most, acc, poly(divisor[arity])
+            by_size.setdefault(len(key), []).append({a - low: term})
+        acc = _t_sum(_t_product(cofactors[most, s], _t_sum(group)) for s, group in by_size.items())
+        yield cofactors[most, 1], acc, {a - low: poly(terms) for a, terms in divisor.items()}
 
 
 def recomputed_alphas(kinds: Kinds, first, pair, nums) -> list[RationalFunction]:
-    """alpha_2..alpha_N of ``recomputed_sums``, both sides times X^(delta n)."""
+    """alpha_2..alpha_N of ``recomputed_sums``, on kinds of one arity, both sides times X^(delta n)
+    (D_n and acc_n then hold one power of T each)."""
+    arities = {len(offs) for _, offs in kinds}
+    if len(arities) != 1:
+        raise ValueError(f"the closed-form quotient needs one arity, not {sorted(arities)}")
     x = [MultiPoly.monomial(first.variables, (_span(kinds)[0] * n,)) for n in range(len(nums) + 1)]
-    return [RationalFunction(acc * x[n], first**most * pair**n * x[n] * divisor)
-            for n, (most, acc, divisor) in enumerate(recomputed_sums(kinds, first, pair, nums), 2)]
+    return [RationalFunction(acc[min(n, *arities)] * x[n],
+                             first**min(n, *arities) * pair**n * x[n] * divisor[0])
+            for n, (_, acc, divisor) in enumerate(recomputed_sums(kinds, first, pair, nums), 2)]
+
+
+def pseudo_rests(polys: list[dict], relation: list) -> list[dict]:
+    """The rests of polynomials in T {power: c} by ``relation`` (lowest power first): with the
+    power of T they all share dropped (T(0) = 1), lead^k N = q relation + rest, one k for all."""
+    low = min((t for p in polys for t, c in p.items() if not c.is_zero()), default=0)
+    polys = [{t - low: c for t, c in p.items() if not c.is_zero()} for p in polys]
+    *below, lead = relation
+    zero = MultiPoly.zero(lead.variables)
+    for power in range(max((t for p in polys for t in p), default=0), len(below) - 1, -1):
+        for p in polys:
+            high = p.pop(power, zero)
+            for t, c in p.items():
+                p[t] = c * lead
+            for t, r in enumerate(below, power - len(below)):
+                p[t] = p.get(t, zero) - high * r
+    return polys
 
 
 def level_residual(kinds: Kinds, alphas, X: Series, T: Series, j: int, order: int) -> Series:
@@ -236,24 +279,21 @@ def level_equation(kinds: Kinds, rows: dict, j: int, z):
 IDENTITY_RING = ("X", "lam", "Y")  # decay rate, parameter, Y = X^j
 
 
-def level_identity(kinds: Kinds, rows: dict, relation: list) -> bool:
+def level_identity(kinds: Kinds, rows: dict) -> bool:
     """True when the rows {o: T_(j+o)} solve the level equation at every level and parameter.
 
-    Row o is ({t: c_t}, den), T_(j+o) = sum_t c_t T^t / den, and ``relation`` lists T's
-    relation over Q[X], lowest power first, all in ``IDENTITY_RING`` (Y stands for X^j).
-    With z = (T - 1) / sum_k w_k T^|O_k|, the equation times sum_k w_k T^|O_k| is kept as
-    T-coefficient lists, one per multiset of dens: no product carries T.  The power of T all
-    terms share (z T^m, m the smallest arity, if all rows have the factor T) and the
-    relation's are dropped, as T(0) = 1; each list is pseudo-reduced (lead^k N = q relation
-    + rest, one k for all) and the rests cleared over the dens, fewest first (B T - A gives
-    A T_j/T - B - (A - B) prod T_(j+o)/T): zero rests prove the equation at the root T.
+    Row o is ({t: c_t}, den), T_(j+o) = sum_t c_t T^t / den, in ``IDENTITY_RING`` (Y stands
+    for X^j).  With z = (T - 1) / sum_k w_k T^|O_k|, the equation times sum_k w_k T^|O_k| is
+    kept as T-coefficient lists, one per multiset of dens: no product carries T.  The lists
+    are pseudo-reduced by T's relation (``pseudo_rests``, one k for all) and the rests
+    cleared over the dens, fewest first (B T - A gives A T_j/T - B - (A - B) prod T_(j+o)/T):
+    zero rests prove the equation at the root T.
     """
     groups: dict[frozenset, dict[int, MultiPoly]] = {}
 
     def add(dens: list, coeffs: dict, shift: int, scale) -> None:  # scale T^shift coeffs
         group = groups.setdefault(frozenset(Counter(dens).items()), {})
-        for t, c in coeffs.items():
-            group[t + shift] = group[t + shift] + c * scale if t + shift in group else c * scale
+        group.update(_t_sum([group, {t + shift: c * scale for t, c in coeffs.items()}]))
 
     zero, one = MultiPoly.zero(IDENTITY_RING), MultiPoly.const(IDENTITY_RING, 1)
     for w, offs in kinds:
@@ -263,17 +303,9 @@ def level_identity(kinds: Kinds, rows: dict, relation: list) -> bool:
         add(dens, product, 0, w)
         add([rows[0][1]], rows[0][0], len(offs), w)
         add([], {0: one}, len(offs), -w)
-    low = min((t for g in groups.values() for t, c in g.items() if not c.is_zero()), default=0)
-    groups = {key: {t - low: c for t, c in g.items()} for key, g in groups.items()}
-    *below, lead = relation[next(i for i, r in enumerate(relation) if not r.is_zero()):]
-    for top in range(max(t for g in groups.values() for t in g), len(below) - 1, -1):
-        for g in groups.values():
-            high = g.pop(top, zero)
-            for t, c in g.items():
-                g[t] = c * lead
-            for t, r in enumerate(below, top - len(below)):
-                g[t] = g.get(t, zero) - high * r
-    rests, held = [zero] * len(below), Counter()
+    relation = t_relation(kinds, IDENTITY_RING)
+    groups = dict(zip(groups, pseudo_rests(list(groups.values()), relation)))
+    rests, held = [zero] * (len(relation) - 1), Counter()
     for key in sorted(groups, key=lambda key: sum(k for _, k in key)):
         dens = Counter(dict(key))
         up, fill = (prod(((held | dens) - part).elements(), start=1) for part in (held, dens))
@@ -284,9 +316,15 @@ def level_identity(kinds: Kinds, rows: dict, relation: list) -> bool:
 
 def _t_product(a: dict, b: dict) -> dict:
     """The product of two polynomials in T given as {power: coefficient}."""
+    return _t_sum({s + t: c * d} for (s, c), (t, d) in itertools.product(a.items(), b.items()))
+
+
+def _t_sum(polys) -> dict:
+    """The sum of polynomials in T given as {power: coefficient}."""
     out: dict = {}
-    for (s, c), (t, d) in itertools.product(a.items(), b.items()):
-        out[s + t] = out[s + t] + c * d if s + t in out else c * d
+    for p in polys:
+        for t, c in p.items():
+            out[t] = out[t] + c if t in out else c
     return out
 
 

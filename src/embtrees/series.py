@@ -38,7 +38,7 @@ rings share.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from operator import add, mul, sub
 
 from .counts import COUNTS
@@ -59,16 +59,6 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, str):
         return Q(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
-
-
-def rational_sqrt(q: Fraction) -> Fraction:
-    """Exact square root of a perfect-square rational; raises otherwise."""
-    if q < 0:
-        raise NonUnitConstantTerm(f"{q} is negative, no rational square root")
-    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-    if rn * rn != q.numerator or rd * rd != q.denominator:
-        raise NonUnitConstantTerm(f"{q} is not the square of a rational")
-    return Q(rn, rd)
 
 
 def _fit(terms: list, order: int | None, fill) -> list:

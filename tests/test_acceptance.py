@@ -74,7 +74,7 @@ CRITERIA = [
     (3, "level rows equal structural enumeration (four weight vectors)", 60.0,
      [("binary/oracle", {})]),
     (4, "closed decay coefficients equal the recurrence to n=12", 10.0,
-     [("binary/alpha-closed-forms", {"order": 30})]),
+     [("binary/alpha-closed-forms", {})]),
     (5, "conjectured polynomial form: initial values and n<=10 agreement", 30.0,
      [("binary/conjectured-form", {"order": 40})]),
     (6, "height-bounded plane trees match enumeration (n<=8, j<=5)", 10.0,
@@ -91,11 +91,11 @@ CRITERIA = [
     # alternating non-counting series there (no legal move exists from a
     # triple point).  The cell is pinned in test_walkers instead.
     (10, "walker star families equal the gap DP (i,j<=4, n<=20)", 120.0,
-     [("walkers/lock-step", {"order": 20}),
+     [("walkers/lock-step", {}),
       ("walkers/refined", {"order": 20, "marks": ((Q(1, 2), Q(1, 3)), (Q(2), Q(5, 7)))})]),
     (11, "random-turn radical, quadrant families and their DPs", 60.0,
-     [("walkers/random-turn", {"order": 20}),
-      ("walkers/quarter-plane", {"order": 20, "grid": 5, "doubled_cells": _GRID_5})]),
+     [("walkers/random-turn", {}),
+      ("walkers/quarter-plane", {"grid": 5, "doubled_cells": _GRID_5})]),
     (12, "bundled sequence prefixes match the computed series, offline", 10.0,
      [("harness/fixtures-and-roundtrip", {})]),
 ]

@@ -2,13 +2,14 @@ import collections
 import itertools
 from fractions import Fraction as Q
 from functools import reduce
+from math import isqrt
 from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embtrees import binary
+from embtrees import binary, campaign
 from embtrees.binary import (
     BinaryWeights,
     adapt_lambda,
@@ -23,7 +24,6 @@ from embtrees.binary import (
     height_plane_trees,
     height_Tj,
     plane_tree_height_counts,
-    t_of_x_identity,
     closed_family_rows,
     _height_kinds,
     _ternary_kinds,
@@ -38,7 +38,8 @@ from embtrees.errors import (
 )
 from embtrees.kernel import family_base, tree_root
 from embtrees.levels import (_NEG_INF, alpha_recurrence, label_spectra, level_identity,
-                             level_residual)
+                             level_residual, t_relation)
+from embtrees.multipoly import MultiPoly
 from embtrees.series import Series
 
 W_BINARY = BinaryWeights.make(0, 0, 1, 0, 0)
@@ -252,7 +253,7 @@ class TestClosedFamily:
     def test_level_recurrence_residual_all_parameters(self, vec):
         # one identity in Q(X, lam, Y)[T], Y = X^j: every level and every parameter
         w = BinaryWeights.make(*vec)
-        assert level_identity(w.kinds, *closed_family_rows(w))
+        assert level_identity(w.kinds, closed_family_rows(w))
 
     @pytest.mark.parametrize("vec", [(0, 0, 1, 0, 0), (0, 0, 0, 1, 1), (1, 0, 1, 0, 0),
                                      (2, 1, 1, 1, 1), (1, 1, 1, 0, 0), (0, 1, 2, 1, 1)])
@@ -260,7 +261,7 @@ class TestClosedFamily:
         w = BinaryWeights.make(*vec)
         true_factor = binary._closed_factor
         monkeypatch.setattr(binary, "_closed_factor", lambda *a: true_factor(*a) * Q(11, 10))
-        assert not level_identity(w.kinds, *closed_family_rows(w))
+        assert not level_identity(w.kinds, closed_family_rows(w))
 
     @settings(max_examples=30, deadline=None)
     @given(*[st.sampled_from([Q(0), Q(1, 2), Q(1), Q(2), Q(3, 5)])] * 4)
@@ -268,7 +269,7 @@ class TestClosedFamily:
         if w1 == w23 == 0:
             w1 = Q(1)  # the closed family excludes the all-zero binary weights
         w = BinaryWeights.make(v1, v2, w1, w23, w23)
-        assert level_identity(w.kinds, *closed_family_rows(w))
+        assert level_identity(w.kinds, closed_family_rows(w))
 
     @settings(max_examples=60, deadline=None)
     @given(*[st.sampled_from([Q(0), Q(1, 2), Q(1), Q(2), Q(3, 5)])] * 4, st.sampled_from([0, 1]))
@@ -417,9 +418,74 @@ class TestTernaryFamily:
         assert level_residual(kinds, alphas, X, T, 2, 17).is_zero()
 
 
-def test_t_of_x_identity_across_weights():
-    for vec in ((0, 0, 1, 0, 0), (0, 0, 0, 1, 1), (1, 0, 1, 0, 0), (2, 1, 1, 1, 1)):
-        assert t_of_x_identity(BinaryWeights.make(*vec), 40)
+def displayed_relation(w):
+    """The paper's t2 T^2 - t1 T - L, coefficients lowest power of T first."""
+    t1, t2, ell = binary._t_relation(w, MultiPoly.var(("X",), "X"))
+    return [-ell, -t1, t2]
+
+
+def ref_t_of_x_identity(w, order: int) -> bool:
+    """T's relation checked in series, as first written: its power-series root
+    (t1 + sqrt(t1^2 + 4 t2 L)) / (2 t2), at the series X, is T."""
+    small, T = family_base(w.kinds, order)
+    t1, t2, ell = binary._t_relation(w, small.elementary[0])
+    radicand = t1 * t1 + t2 * ell * 4
+    c0 = radicand[0]  # (w1 + w3 + v1)^2
+    root = (radicand / c0).sqrt() * Q(isqrt(c0.numerator), isqrt(c0.denominator))
+    return ((t1 + root) / (t2 * 2)).matches(T)
+
+
+@pytest.mark.parametrize("vec", [(0, 0, 1, 0, 0), (0, 0, 0, 1, 1), (0, 0, 0, 0, 1),
+                                 (1, 0, 1, 0, 0), (2, 1, 1, 1, 1)])
+def test_the_displayed_relation_has_the_series_root(vec):
+    assert ref_t_of_x_identity(BinaryWeights.make(*vec), 30)
+
+
+def proportional(a: list, b: list) -> bool:
+    """True when polynomials in T (lowest power first) differ by a factor in Q(X) and a power
+    of T: then, as T(0) = 1, they have the root T together."""
+    a, b = (p[next(i for i, c in enumerate(p) if not c.is_zero()):] for p in (a, b))
+    return len(a) == len(b) and all(x * b[0] == y * a[0] for x, y in zip(a[1:], b[1:]))
+
+
+@pytest.mark.parametrize("vec", [(0, 0, 1, 0, 0), (0, 0, 0, 1, 1), (1, 0, 1, 0, 0),
+                                 (2, 1, 1, 1, 1)])
+def test_t_of_x_relation_is_proportional_to_the_kinds(vec):
+    w = BinaryWeights.make(*vec)
+    assert proportional(displayed_relation(w), t_relation(w.kinds))
+
+
+@settings(max_examples=30, deadline=None)
+@given(*[st.sampled_from([Q(0), Q(1, 2), Q(1), Q(3, 5)])] * 5)
+def test_t_of_x_relation_over_random_weights(v1, v2, w1, w2, w3):
+    if w1 == w2 == w3 == 0:
+        w1 = Q(1)  # T's relation needs a binary kind
+    w = BinaryWeights.make(v1, v2, w1, w2, w3)
+    assert proportional(displayed_relation(w), t_relation(w.kinds))
+
+
+@pytest.mark.parametrize("vec", [(0, 0, 1, 0, 0), (1, 0, 1, 0, 0), (2, 1, 1, 1, 1)])
+def test_a_perturbed_t1_is_not_proportional(vec):
+    w = BinaryWeights.make(*vec)
+    ell, t1, t2 = displayed_relation(w)
+    perturbed = [ell, t1 - MultiPoly.var(("X",), "X"), t2]
+    assert not proportional(perturbed, t_relation(w.kinds))
+
+
+@pytest.mark.parametrize("perturb,weights", [
+    (lambda t1, X: t1 * Q(11, 10), (0, 0, 1, 0, 0)),
+    (lambda t1, X: t1 + X * X * (X - 1), (0, 0, 1, 0, 0)),
+])
+def test_a_perturbed_t1_fails_the_campaign_check(monkeypatch, perturb, weights):
+    true_relation = binary._t_relation
+
+    def perturbed(w, X):
+        t1, t2, ell = true_relation(w, X)
+        return perturb(t1, X), t2, ell
+
+    monkeypatch.setattr(binary, "_t_relation", perturbed)
+    result = campaign.run_check("binary/t-of-x")
+    assert (result.status, result.detail) == ("fail", f"weights {weights}")
 
 
 def test_enumeration_guards():

@@ -273,11 +273,11 @@ class TestRationalParametrization:
 class TestOneParamFamily:
     @pytest.mark.parametrize("fam", [ODD1, ODD2, EVEN1, EVEN2, EVEN3], ids=str)
     def test_exact_identity(self, fam):
-        assert level_identity(fam.kinds, *one_param_rows(fam))
+        assert level_identity(fam.kinds, one_param_rows(fam))
 
     def test_residual_reported_on_wrong_exponents(self):
         # sanity: a perturbed family must NOT satisfy the identity
-        assert level_identity(EVEN1.kinds, *one_param_rows(EVEN1))
+        assert level_identity(EVEN1.kinds, one_param_rows(EVEN1))
         bad_fam = DaryFamily("even", 1)
         sol = one_param_solution(bad_fam)
         variables = ("X", "lam", "Y")
@@ -299,7 +299,7 @@ class TestOneParamFamily:
         for perturbed in (RationalFunction(sol.num * X, sol.den),
                           RationalFunction(sol.num, sol.den * shifted_pole)):
             monkeypatch.setattr(dary, "one_param_solution", lambda f, p=perturbed: p)
-            assert not level_identity(fam.kinds, *one_param_rows(fam))
+            assert not level_identity(fam.kinds, one_param_rows(fam))
 
     def test_even_one_matches_binary_ratio_pattern(self):
         sol = one_param_solution(EVEN1)
@@ -384,8 +384,9 @@ class TestExpansionCoefficients:
         multisets = sum(len({tuple(sorted(p)) for size in range(2, min(n, 4) + 1)
                              for p in _compositions(n, size)}) for n in range(2, 9))
         sizes = sum(min(n, 4) - 1 for n in range(2, 9))
-        # closed numerators, pair, first^k and pair^k for k <= 4, first^(l-s) pair^s for s <= l <= 4
-        setup = 8 + 1 + 4 + 4 + 6
+        # closed numerators, pair, first^k and pair^k for k <= 4, and the cofactors
+        # first^(l-s) pair^s for 1 <= s <= l, 2 <= l <= 4 (s = 1 scales the claim)
+        setup = 8 + 1 + 4 + 4 + 9
         assert (multisets, sizes) == (44, 18)
         assert len(calls) == setup + 2 * multisets + sizes
 

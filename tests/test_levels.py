@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction as Q
 
 import pytest
@@ -11,7 +12,7 @@ from embtrees.binary import BinaryWeights, _height_kinds, _ternary_kinds
 from embtrees.dary import DaryFamily
 from embtrees.kernel import SeriesPoly, family_base, newton_solve, tree_root
 from embtrees.levels import (_x_powers, alpha_recurrence, label_spectra, level_equation,
-                             level_residual, level_rows, recomputed_alphas)
+                             level_residual, level_rows, recomputed_alphas, t_relation)
 from embtrees.multipoly import MultiPoly, RationalFunction
 from embtrees.series import Series
 
@@ -213,8 +214,8 @@ X_POLY = MultiPoly.var(("X",), "X")
 
 
 def reference_first_unproved(kinds, parts) -> int | None:
-    """The prover as first written: each recomputed alpha_n, a rational function,
-    cross-multiplied with its claim."""
+    """The prover as first written, for kinds of one arity: each recomputed alpha_n, a
+    rational function, cross-multiplied with its claim."""
     first, pair, nums = parts
     dens = _x_powers(pair, len(nums) - 1, first)
     return 1 if nums[0] != first else next(
@@ -222,31 +223,81 @@ def reference_first_unproved(kinds, parts) -> int | None:
          if not got.equals(RationalFunction(nums[n - 1], dens[n - 1]))), None)
 
 
+def reference_first_wrong_alpha(kinds, parts, n_max: int, base) -> int | None:
+    """The series comparison the mixed-arity claims were checked by before their proof:
+    num_n must equal first pair^(n-1) times the recurrence's alpha_n in series, at
+    ``base()`` = (factor, T)."""
+    small, T = base()
+    X = small.elementary[0]
+    first, pair, nums = parts(X, T, n_max)
+    rows = zip(alpha_recurrence(kinds, X, T, n_max), nums, _x_powers(pair, n_max - 1, first))
+    return next((n for n, (a, num, den) in enumerate(rows, 1) if not num.matches(a * den)), None)
+
+
+def series_parts(parts_of, scale_at=None, scale=1):
+    """``parts_of(X, n_max)`` in the old (X, T, n_max) form, pair as a series in X and T,
+    with num_n times ``scale`` at n = ``scale_at``."""
+    def parts(X, T, n_max):
+        first, pair, nums = parts_of(X, n_max)
+        if isinstance(pair, list):  # the coefficients of pair T
+            pair = pair[0] / T + pair[1]
+        return first, pair, scaled(nums, scale_at, scale)
+    return parts
+
+
+def scaled(nums, n, scale):
+    """nums with num_n times ``scale``; unchanged for n None."""
+    return nums if n is None else nums[:n - 1] + [nums[n - 1] * scale] + nums[n:]
+
+
 def dary_claims(kind, d):
     fam = DaryFamily(kind, d)
-    return fam.kinds, D._one_param_parts(fam, 8)
+    return fam.kinds, lambda X, n_max: D._one_param_parts(fam, n_max)
 
 
 def binary_claims(vec, mode):
     w = BinaryWeights.make(*vec)
-    return w.kinds, B._CLOSED_PARTS[mode](w, X_POLY, None, 8)
+    return w.kinds, functools.partial(B._CLOSED_PARTS[mode], w)
 
 
-# every family whose kinds have one arity, with its closed claims up to n = 8
+def height_claims(v1, v2):
+    return _height_kinds(Q(v1), Q(v2)), functools.partial(B._height_parts, Q(v1))
+
+
+# every family with closed claims, as (kinds, parts_of(X, n_max)), checked up to n = 8
 CLAIMS = {
     **{f"{kind} d={d}": dary_claims(kind, d) for kind in ("odd", "even") for d in (1, 2)},
     "matched (0,0,1,0,0)": binary_claims((0, 0, 1, 0, 0), "matched_closed"),
     "matched (0,0,0,1,1)": binary_claims((0, 0, 0, 1, 1), "matched_closed"),
+    "matched (1,0,1,0,0)": binary_claims((1, 0, 1, 0, 0), "matched_closed"),
+    "matched (2,1,1,1,1)": binary_claims((2, 1, 1, 1, 1), "matched_closed"),
     "w3 (0,0,0,0,1)": binary_claims((0, 0, 0, 0, 1), "w3_closed"),
-    "height (0,0)": (_height_kinds(Q(0), Q(0)), B._height_parts(Q(0), X_POLY, None, 8)),
+    "w3 (1,0,0,0,1)": binary_claims((1, 0, 0, 0, 1), "w3_closed"),
+    "height (0,0)": height_claims(0, 0),
+    "height (1,0)": height_claims(1, 0),
+    "height (2,3)": height_claims(2, 3),
 }
+
+
+def one_arity(kinds) -> bool:
+    return len({len(offs) for _, offs in kinds}) == 1
+
+
+def reference(name, scale_at=None, scale=1) -> int | None:
+    """The claims' first failure by the rational-function prover on one arity, else in series."""
+    kinds, parts_of = CLAIMS[name]
+    if one_arity(kinds):
+        first, pair, nums = parts_of(X_POLY, 8)
+        return reference_first_unproved(kinds, (first, pair, scaled(nums, scale_at, scale)))
+    return reference_first_wrong_alpha(kinds, series_parts(parts_of, scale_at, scale), 8,
+                                       lambda: family_base(kinds, 30))
 
 
 @pytest.mark.parametrize("name", sorted(CLAIMS))
 def test_closed_claims_are_proved(name):
-    kinds, parts = CLAIMS[name]
-    assert campaign._first_unproved(kinds, parts) is None
-    assert reference_first_unproved(kinds, parts) is None
+    kinds, parts_of = CLAIMS[name]
+    assert campaign._first_unproved(kinds, parts_of(X_POLY, 8)) is None
+    assert reference(name) is None
 
 
 @settings(max_examples=30, deadline=None)
@@ -255,10 +306,26 @@ def test_closed_claims_are_proved(name):
 def test_a_scaled_numerator_is_reported_at_its_index(name, n, scale):
     # the claims below n are right, so alpha_n recomputed from them is, and
     # only the claim at n disagrees with it
-    kinds, (first, pair, nums) = CLAIMS[name]
-    wrong = nums[:n - 1] + [nums[n - 1] * scale] + nums[n:]
-    assert campaign._first_unproved(kinds, (first, pair, wrong)) == n
-    assert reference_first_unproved(kinds, (first, pair, wrong)) == n
+    kinds, parts_of = CLAIMS[name]
+    first, pair, nums = parts_of(X_POLY, 8)
+    assert campaign._first_unproved(kinds, (first, pair, scaled(nums, n, scale))) == n
+    assert reference(name, n, scale) == n
+
+
+weight = st.sampled_from([Q(1, 2), Q(1), Q(2), Q(3, 5)])
+
+
+@settings(max_examples=20, deadline=None)
+@given(weight, weight, st.sampled_from([Q(0), Q(1), Q(2, 3)]), weight,
+       st.sampled_from(["matched_closed", "w3_closed"]), st.integers(2, 6))
+def test_mixed_arity_claims_over_random_weights(v1, v2, w1, w23, mode, n):
+    # unary kinds with both couplings nonzero: T is quadratic over Q(X)
+    w = (BinaryWeights.make(v1, v2, w1, w23, w23) if mode == "matched_closed"
+         else BinaryWeights.make(v1, v2, 0, 0, w23))
+    first, pair, nums = B._CLOSED_PARTS[mode](w, X_POLY, 6)
+    assert isinstance(pair, list) and not one_arity(w.kinds)
+    assert campaign._first_unproved(w.kinds, (first, pair, nums)) is None
+    assert campaign._first_unproved(w.kinds, (first, pair, scaled(nums, n, Q(11, 10)))) == n
 
 
 def test_the_prover_builds_no_quotient(monkeypatch):
@@ -267,14 +334,41 @@ def test_the_prover_builds_no_quotient(monkeypatch):
         raise AssertionError("a RationalFunction was built")
 
     monkeypatch.setattr(RationalFunction, "__init__", refuse)
-    for kinds, (first, pair, nums) in CLAIMS.values():
+    for kinds, parts_of in CLAIMS.values():
+        first, pair, nums = parts_of(X_POLY, 8)
         assert campaign._first_unproved(kinds, (first, pair, nums)) is None
-        assert campaign._first_unproved(kinds, (first, pair, nums[:2] + [nums[2] * 2])) == 3
+        assert campaign._first_unproved(kinds, (first, pair, scaled(nums, 3, 2))) == 3
+
+
+# the d = 2 families have several small branches, none of them a series
+@pytest.mark.parametrize("name", sorted(name for name in CLAIMS if not name.endswith("d=2")))
+def test_the_relation_vanishes_at_the_series_root(name):
+    # an independent reading of R: evaluated at the series X and T of ``family_base``
+    kinds, _ = CLAIMS[name]
+    X, T = rate_and_root(kinds, 20)
+    total = Series.zero(20)
+    for t, c in enumerate(t_relation(kinds)):
+        total = total + c.eval_series({"X": X}) * T**t
+    assert total.is_zero()
+
+
+def test_the_relation_is_read_off_the_kinds(monkeypatch):
+    # R has T-degree (largest arity) - (smallest arity) + 1, a nonzero constant term, and
+    # is built without a polynomial product
+    calls = []
+    original = MultiPoly.__mul__
+    monkeypatch.setattr(MultiPoly, "__mul__", lambda x, y: calls.append(1) or original(x, y))
+    for kinds, _ in CLAIMS.values():
+        arities = {len(offs) for _, offs in kinds}
+        relation = t_relation(kinds)
+        assert len(relation) == max(arities) - min(arities) + 2
+        assert not relation[0].is_zero() and not relation[-1].is_zero()
+    assert calls == []
 
 
 @pytest.mark.parametrize("check_id,products", [
-    ("dary/alpha-agreement", 786), ("binary/alpha-closed-forms", 469),
-    ("dary/one-param-identity", 151), ("binary/one-param-family", 231)])
+    ("dary/alpha-agreement", 786), ("binary/alpha-closed-forms", 1151),
+    ("dary/one-param-identity", 76), ("binary/one-param-family", 210)])
 def test_prover_checks_make_a_fixed_number_of_products(check_id, products):
     result = campaign.run_check(check_id)
     assert (result.status, dict(result.counts)["multipoly.mul"]) == ("pass", products)
@@ -282,35 +376,35 @@ def test_prover_checks_make_a_fixed_number_of_products(check_id, products):
 
 def test_matched_form_at_unmatched_weights_fails_at_two():
     # the matched form reads w1 and w2 only; the recurrence of w3 = 2 != w2 refutes it
-    parts = B._matched_parts(BinaryWeights.make(0, 0, 0, 1, 1), X_POLY, None, 12)
+    parts = B._matched_parts(BinaryWeights.make(0, 0, 0, 1, 1), X_POLY, 12)
     assert campaign._first_unproved(BinaryWeights.make(0, 0, 0, 1, 2).kinds, parts) == 2
 
 
 def test_prover_refuses_mixed_arities():
-    _, parts = CLAIMS["matched (0,0,1,0,0)"]
+    _, parts_of = CLAIMS["matched (0,0,1,0,0)"]
     with pytest.raises(ValueError, match="one arity"):
-        recomputed_alphas(BinaryWeights.make(1, 0, 1, 0, 0).kinds, *parts)
+        recomputed_alphas(BinaryWeights.make(1, 0, 1, 0, 0).kinds, *parts_of(X_POLY, 8))
 
 
-def scaled_at_three(parts_of, series_only=False):
-    """``parts_of`` with num_3 doubled: everywhere, or only where X is a series."""
+def scaled_at_three(parts_of, mixed_only=False):
+    """``parts_of`` with num_3 doubled: everywhere, or only where pair reads 1/T."""
     def wrong(*args):
         first, pair, nums = parts_of(*args)
-        if series_only and isinstance(args[-3], MultiPoly):
+        if mixed_only and not isinstance(pair, list):
             return first, pair, nums
-        return first, pair, nums[:2] + [nums[2] * 2] + nums[3:]
+        return first, pair, scaled(nums, 3, 2)
     return wrong
 
 
-@pytest.mark.parametrize("series_only,binary,height", [
+@pytest.mark.parametrize("mixed_only,binary,height", [
     (False, "weights (0, 0, 1, 0, 0), index 3 (matched_closed)", "couplings (0, 0), index 3"),
     (True, "weights (1, 0, 1, 0, 0), index 3 (matched_closed)", "couplings (1, 0), index 3"),
 ])
-def test_a_wrong_claim_fails_the_campaign_checks(monkeypatch, series_only, binary, height):
-    # the proof at v1 = v2 = 0, and the series comparison elsewhere
+def test_a_wrong_claim_fails_the_campaign_checks(monkeypatch, mixed_only, binary, height):
+    # the proof on one arity, and where v1 != 0 makes T quadratic over Q(X)
     monkeypatch.setitem(B._CLOSED_PARTS, "matched_closed",
-                        scaled_at_three(B._CLOSED_PARTS["matched_closed"], series_only))
-    monkeypatch.setattr(B, "_height_parts", scaled_at_three(B._height_parts, series_only))
+                        scaled_at_three(B._CLOSED_PARTS["matched_closed"], mixed_only))
+    monkeypatch.setattr(B, "_height_parts", scaled_at_three(B._height_parts, mixed_only))
     results = [campaign.run_check(check_id)
                for check_id in ("binary/alpha-closed-forms", "height/plane-trees")]
     assert [(r.status, r.detail) for r in results] == [("fail", binary), ("fail", height)]
