@@ -4,16 +4,16 @@
 A change that claims bit-identical outputs runs this on both trees and
 compares the printed digests.  The digest covers:
 
-* ``binary_Tj_closed_symbolic`` for 6 weight vectors x 4 levels (the
-  closed family's level equation is an identity, proved by
-  ``levels.level_identity``, so it has no residual to hash);
+* the CLI's ``trees --method closed`` path, ``binary_Tj_closed`` at the
+  parameter ``adapt_lambda`` gives (order 18), for 6 weight vectors x
+  both boundaries x levels -1..3 at order 12 (a refused input hashes as
+  its error);
 * ``meander_gf`` (plain and marked) and ``meander_dp`` (totals and
   table) for 5 step sets x 6 levels at order 25;
 * small factors: ``hensel_small_factor`` for those step sets and
   ``family_base`` for five d-ary families' kind lists;
-* both single-branch d-ary alpha lists (the closed claims, and the values
-  ``levels.recomputed_alphas`` recomputes from them) and
-  ``dary_rational_parametrization``;
+* the single-branch d-ary alpha claims (``dary._one_param_parts``), and
+  the values ``levels.recomputed_alphas`` recomputes from them;
 * the ``dary_alpha_general`` tables for the odd and even families with
   d = 1, 2 (bound 3, order 15) and odd d = 3 (bound 2, order 12), in
   three sections: ``tables``, every entry in full (each coordinate
@@ -32,12 +32,11 @@ boundaries on the same cells; ``quarterplane_gf`` for S1 and S2 with
 i, j <= 2.  It has a line of its own so that the first line compares
 with trees older than that section.
 
-A third line hashes the series expansion coefficients: ``binary_alpha``
-in each of its three modes (an invalid mode hashes as its error) at
-``WEIGHTS`` and the campaign's weight vectors, n_max 12 and order 30;
-``height_alpha`` in both modes at the campaign's and the tests' inputs;
-``alpha_recurrence`` and ``level_residual`` on the ternary kind list, at
-the campaign's and the tests' inputs.
+A third line hashes the series expansion coefficients of
+``levels.alpha_recurrence``: on the binary kind lists of ``WEIGHTS`` and
+the campaign's weight vectors, n_max 12 and order 30; on the height kind
+lists at the campaign's and the tests' inputs; and on the ternary kind
+list, with ``level_residual``, at the campaign's and the tests' inputs.
 
 Run from a checkout:
 
@@ -106,7 +105,8 @@ def binary_section():
     out = []
     for vec in WEIGHTS:
         w = B.BinaryWeights.make(*vec)
-        out += [guarded(lambda: B.binary_Tj_closed_symbolic(w, j, 12, 3)) for j in range(4)]
+        out += [guarded(lambda: B.binary_Tj_closed(w, B.adapt_lambda(w, b, 18), j, 12))
+                for b in (0, 1) for j in range(-1, 4)]
     return out
 
 
@@ -129,7 +129,7 @@ def factor_section():
 def alpha_section():
     out = []
     for fam in FAMILIES:
-        out += [D.dary_alpha_one_param_closed(fam, 10), D.dary_rational_parametrization(fam)]
+        out.append(D._one_param_parts(fam, 10))
         if fam.d < 3:  # alpha_1 = 1, then the prover's recomputed alpha_2..alpha_10
             one = RationalFunction(MultiPoly.const(("X",), 1))
             out.append([one] + recomputed_alphas(fam.kinds, *D._one_param_parts(fam, 10)))
@@ -194,13 +194,16 @@ def walkers_section():
     return out
 
 
+def recurrence(kinds, n_max: int, order: int) -> list:
+    small, T = family_base(kinds, order)
+    return alpha_recurrence(kinds, small.elementary[0], T, n_max)
+
+
 def series_alphas_section():
     vectors = WEIGHTS + ((0, 0, 0, 0, 1), (1, 0, 0, 0, 1))
-    out = [guarded(lambda: B.binary_alpha(B.BinaryWeights.make(*vec), mode, 12, 30).values)
-           for vec in vectors for mode in ("recurrence", "matched_closed", "w3_closed")]
-    out += [B.height_alpha(v1, v2, mode, n_max, order).values
-            for v1, v2 in ((0, 0), (1, 0), (2, 3)) for n_max, order in ((8, 20), (10, 24))
-            for mode in ("closed", "recurrence")]
+    out = [recurrence(B.BinaryWeights.make(*vec).kinds, 12, 30) for vec in vectors]
+    out += [recurrence(B._height_kinds(Q(v1), Q(v2)), n_max, order)
+            for v1, v2 in ((0, 0), (1, 0), (2, 3)) for n_max, order in ((8, 20), (10, 24))]
     for v1, v2, n_max, alpha_order, order in ((0, 0, 8, 30, None), (1, 2, 6, 20, 12),
                                               (1, 0, 8, 24, 17)):
         kinds = B._ternary_kinds(Q(v1), Q(v2))

@@ -3,24 +3,19 @@ lattice-path meanders/excursions and non-crossing walker systems,
 with every closed form tied to an independent enumeration oracle."""
 
 from .binary import (
-    AlphaTable,
     BinaryWeights,
     adapt_lambda,
     binary_Tj_closed,
     binary_Tj_recurrence,
-    binary_alpha,
     brute_force_embedded_binary,
     conjecture_check,
     height_plane_trees,
-    height_Tj,
 )
 from .dary import (
     DaryFamily,
     MultiAlphaTable,
     brute_force_dary,
     dary_alpha_general,
-    dary_alpha_one_param_closed,
-    dary_rational_parametrization,
     dary_Tj_recurrence,
     one_param_solution,
     verify_main_equation,

@@ -7,32 +7,29 @@ and (0,-1) / (0,+1) with weight w3.  T_j is the generating function of
 trees whose labels respect a bound at level j; the module computes it by
 the level recurrence, by the one-parameter closed-form family (proved for
 every level and parameter by ``levels.level_identity``), and by
-independent enumeration oracles.  The expansion coefficients of the
-binary, height and ternary families come from the one unit-divisor
-recurrence ``levels.alpha_recurrence``, given each family's kind list
-(``BinaryWeights.kinds``, ``_height_kinds``, ``_ternary_kinds``); each
-family's T and decay rate X come from the same list through
-``kernel.family_base``.  The known closed forms are parts of alpha_n =
-num_n / (first pair^(n-1)) in X's ring (as pair T where pair reads 1/T):
-series, or polynomials, proved in Q(X)[T] on ``levels.t_relation``.
+independent enumeration oracles.  The binary, height and ternary families
+are kind lists (``BinaryWeights.kinds``, ``_height_kinds``,
+``_ternary_kinds``): each one's T and decay rate X come from
+``kernel.family_base``, and its expansion coefficients from the one
+unit-divisor recurrence ``levels.alpha_recurrence``.  The known closed
+coefficients are claims alpha_n = num_n / (first pair^(n-1)), given by
+their parts in X's ring (pair as pair T's coefficients where it reads
+1/T), which the campaign proves in Q(X)[T] on ``levels.t_relation``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import truediv
 
 from .errors import (
     DegenerateWeights,
-    DivisionByNonUnit,
     InsufficientPrecision,
     NoPowerSeriesBranch,
     SizeTooLarge,
 )
 from .kernel import SeriesPoly, family_base, newton_solve, tree_root
 from .levels import IDENTITY_RING, Kinds, _x_powers, alpha_recurrence, label_spectra, level_rows
-from .marker import MarkerSeries
 from .multipoly import MultiPoly
 from .series import Q, Series, as_fraction
 
@@ -94,50 +91,8 @@ def binary_Tj_recurrence(
 
 
 # ---------------------------------------------------------------------------
-# Expansion coefficients (the one-point decay coefficients)
+# Closed decay coefficients, the claims the alpha prover reads
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AlphaTable:
-    """Decay coefficients alpha_1..alpha_n_max as z-series.
-
-    The first coefficient is normalized to 1; by homogeneity the general
-    table is recovered by scaling entry n with a1^n.
-    """
-
-    mode: str
-    values: tuple[Series, ...]
-
-    def value(self, n: int, a1: Series | None = None) -> Series:
-        base = self.values[n - 1]
-        if a1 is None:
-            return base
-        return base * a1**n
-
-
-def binary_alpha(w: BinaryWeights, mode: str, n_max: int, order: int) -> AlphaTable:
-    """Decay coefficients by recurrence or by the known closed forms.
-
-    Modes: "recurrence" (any weights with v1+w1+w3 > 0 and some w nonzero),
-    "matched_closed" (requires w2 = w3), "w3_closed" (requires w1 = w2 = 0).
-    """
-    if w.w1 == 0 and w.w2 == 0 and w.w3 == 0:
-        raise DegenerateWeights("need at least one binary node kind")
-    return _alpha_table(w.kinds, mode, _CLOSED_PARTS.get(mode), (w,), n_max, order)
-
-
-def _alpha_table(kinds: Kinds, mode: str, parts, args, n_max: int, order: int) -> AlphaTable:
-    """The recurrence's table, or the closed one from ``parts(*args, X, n_max)``."""
-    small, T = family_base(kinds, order)
-    X = small.elementary[0]
-    if mode == "recurrence":
-        return AlphaTable(mode, tuple(alpha_recurrence(kinds, X, T, n_max)))
-    if parts is None:
-        raise ValueError(f"unknown mode {mode!r}")
-    first, pair, nums = parts(*args, X, n_max)
-    pair = pair[0] / T + pair[1] if isinstance(pair, list) else pair  # from pair T's coefficients
-    return AlphaTable(mode, tuple(map(truediv, nums, _x_powers(pair, n_max - 1, first))))
 
 
 def _pair(v1, rest, poly):
@@ -234,34 +189,6 @@ def binary_Tj_closed(w: BinaryWeights, lam: Series, j: int, order: int) -> Serie
     if rho.order < order:
         raise InsufficientPrecision("parameter series carries too little precision")
     return (T.truncate(rho.order) * (Series.one(rho.order) - rho)).truncate(order)
-
-
-def binary_Tj_closed_symbolic(
-    w: BinaryWeights, j: int, order: int, lam_degree: int
-) -> MarkerSeries:
-    """Closed-form level solution with the free parameter kept as a marker.
-
-    Returns the series in z with polynomial marker data of degree at most
-    lam_degree.  Only defined when every marker-graded slice is a genuine
-    power series, which needs (j+1) at least the valuation of X*shell.
-    """
-    w.require_matched_weights()
-    g = order + 6
-    T, X, xw, c_num = _closed_parts(w, g)
-    one = Series.one(g)
-    val = xw.valuation()
-    if j + 1 < val:
-        raise DivisionByNonUnit(
-            "marker-graded slices are not power series at this level; "
-            "use a numeric parameter instead"
-        )
-    xp = _x_powers(X, (lam_degree + 1) * (j + 2) + 2)
-    rho = MarkerSeries.zero(g)
-    for m in range(lam_degree):
-        piece = c_num * xp[(m + 1) * (j + 1)] * (one - xp[m + 1]) / ((one - X) * xw)
-        rho = rho + MarkerSeries.series_times_marker(piece, m + 1)
-    out = (MarkerSeries.one(g) - rho) * T
-    return out.truncate(order)
 
 
 def closed_family_rows(w: BinaryWeights):
@@ -390,27 +317,6 @@ def conjecture_check(
 # ---------------------------------------------------------------------------
 
 
-def height_Tj(v1, v2, lam: Series, j: int, order: int) -> Series:
-    """Closed solution T(1 - (v1/T+1)(1-X) lam X^j / (1 - lam X^(j+1))).
-
-    The parameter must carry at least ``order`` coefficients.
-    """
-    if j < 0:
-        raise ValueError("height levels start at 0")
-    if lam.order < order:
-        raise InsufficientPrecision(
-            f"parameter series carries {lam.order} coefficients, below the order {order}")
-    v1, v2 = as_fraction(v1), as_fraction(v2)
-    g = order + 2
-    small, T = family_base(_height_kinds(v1, v2), g)
-    X = small.elementary[0]
-    one = Series.one(g)
-    lam_g = Series(lam.coeffs, g) if lam.order >= g else lam
-    xp = _x_powers(X, j + 2)
-    rho = (one / T * v1 + 1) * (one - X) * lam_g * xp[j] / (one - lam_g * xp[j + 1])
-    return (T * (one - rho)).truncate(order)
-
-
 def height_plane_trees(j: int, order: int, *, T: Series | None = None) -> Series:
     """Generating function of plane trees of height <= j (edges marked), from their root T."""
     T = tree_root(_height_kinds(0, 0), order + 2) if T is None else T.truncate(order + 2)
@@ -418,13 +324,6 @@ def height_plane_trees(j: int, order: int, *, T: Series | None = None) -> Series
     xp = _x_powers(X, j + 2)
     one = Series.one(order + 2)
     return (T * (one - xp[j + 1]) / (one - xp[j + 2])).truncate(order)
-
-
-def height_alpha(v1, v2, mode: str, n_max: int, order: int) -> AlphaTable:
-    """Decay coefficients of the height recurrence (closed or recomputed)."""
-    v1, v2 = as_fraction(v1), as_fraction(v2)
-    parts = _height_parts if mode == "closed" else None
-    return _alpha_table(_height_kinds(v1, v2), mode, parts, (v1,), n_max, order)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ boundary rows pinned to 1, by a rational one-parameter closed family
 parameter at once), and by the multi-branch expansion-coefficient tables of the
 general solution, checked against the exact level equation.  The
 closed single-branch coefficients are claims in the one shape that
-``levels.recomputed_sums`` recomputes on the family's kind list.
+``levels.recomputed_sums`` recomputes on the family's kind list.  Both
+proofs read T's relation over Q(X) off the kind list
+(``levels.t_relation``).
 """
 
 from __future__ import annotations
@@ -76,37 +78,8 @@ def dary_Tj_recurrence(fam: DaryFamily, j_max: int, order: int) -> dict[int, Ser
 
 
 # ---------------------------------------------------------------------------
-# Characteristic factor and rational parametrization
+# One-parameter closed family
 # ---------------------------------------------------------------------------
-
-
-def dary_rational_parametrization(
-    fam: DaryFamily,
-) -> tuple[RationalFunction, RationalFunction]:
-    """Exact rational forms T(X) and z(X) satisfying both defining equations.
-
-    Eliminating z between T = 1 + z T^arity and the characteristic
-    equation gives, with q = arity - 1 and c the branch count:
-
-        odd:  z T^q = X^d (1-X) / (1-X^(2d+1)),
-        even: z T^q = X^(2d-1) (1-X^2) / (1-X^(4d)),
-
-    and in both cases T = A/(A - N) where z T^q = N/A.
-    """
-    X = MultiPoly.var(("X",), "X")
-    one = MultiPoly.const(("X",), 1)
-    d = fam.d
-    if fam.kind == "odd":
-        big_a = one - X ** (2 * d + 1)
-        num = X**d * (one - X)
-    else:
-        big_a = one - X ** (4 * d)
-        num = X ** (2 * d - 1) * (one - X**2)
-    big_b = big_a - num
-    t_of_x = RationalFunction(big_a, big_b)
-    q = fam.arity - 1
-    z_of_x = RationalFunction(num * big_b**q, big_a ** (q + 1))
-    return t_of_x, z_of_x
 
 
 def one_param_solution(fam: DaryFamily) -> RationalFunction:
@@ -150,13 +123,18 @@ def one_param_rows(fam: DaryFamily):
 
 
 # ---------------------------------------------------------------------------
-# One-branch expansion coefficients as rational functions
+# One-branch expansion coefficients
 # ---------------------------------------------------------------------------
 
 
 def _one_param_parts(fam: DaryFamily, n_max: int):
     """first, pair and num_1..num_n_max with alpha_n = num_n / (first pair^(n-1)), the
-    claims that ``levels.recomputed_sums`` recomputes on the family's kind list."""
+    claims that ``levels.recomputed_sums`` recomputes on the family's kind list:
+
+    odd:  alpha_n = X^(n-1) (1-X^(n d)) / ((1-X^d)(1-X)^(n-1)(1-X^(d+1))^(n-1))
+    even: alpha_n = X^(2(n-1)) (1-X^(n(2d-1)))
+                    / ((1-X^(2d-1))(1-X^2)^(n-1)(1-X^(2d+1))^(n-1))
+    """
     def x(k: int) -> MultiPoly:
         return MultiPoly.monomial(("X",), (k,))
 
@@ -164,17 +142,6 @@ def _one_param_parts(fam: DaryFamily, n_max: int):
     step, xpow, lead = (d, 1, d + 1) if fam.kind == "odd" else (2 * d - 1, 2, 2 * d + 1)
     nums = [x(xpow * (n - 1)) * (x(0) - x(n * step)) for n in range(1, n_max + 1)]
     return x(0) - x(step), (x(0) - x(xpow)) * (x(0) - x(lead)), nums
-
-
-def dary_alpha_one_param_closed(fam: DaryFamily, n_max: int) -> list[RationalFunction]:
-    """Closed single-branch coefficients alpha_1..alpha_n_max (alpha_1 = 1).
-
-    odd:  alpha_n = X^(n-1) (1-X^(n d)) / ((1-X^d)(1-X)^(n-1)(1-X^(d+1))^(n-1))
-    even: alpha_n = X^(2(n-1)) (1-X^(n(2d-1)))
-                    / ((1-X^(2d-1))(1-X^2)^(n-1)(1-X^(2d+1))^(n-1))
-    """
-    first, pair, nums = _one_param_parts(fam, n_max)
-    return [RationalFunction(num, first * pair**n) for n, num in enumerate(nums)]
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +162,6 @@ class MultiAlphaTable:
     algebra: SplitAlgebra
     root: Series  # the tree series T the table was built with
     entries: dict[tuple[int, ...], SAElement] = field(default_factory=dict)
-
-    def entry(self, index: tuple[int, ...]) -> SAElement:
-        return self.entries[index]
 
 
 def _multi_indices(c: int, bound: int):

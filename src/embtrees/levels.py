@@ -22,7 +22,8 @@ substituted for T X^delta / z, its divisor is a unit:
 each alpha_n in Q(X)[T], as a cleared sum and its divisor, from the closed
 claims below n, never from its own outputs, so degrees stay linear in n;
 ``pseudo_rests`` reduces them by ``t_relation``, T's relation over Q(X).
-On kinds of one arity, T^arity cancels and ``recomputed_alphas`` divides.
+On kinds of one arity, T^arity cancels and ``recomputed_alphas`` divides: the
+quotient form that the tests compare the prover with.
 
 A one-parameter family T_j = T(1 - rho_j) is proved for every level and
 parameter at once by ``level_identity``: the level equation is a list of

@@ -13,22 +13,18 @@ from embtrees import binary, campaign
 from embtrees.binary import (
     BinaryWeights,
     adapt_lambda,
-    binary_alpha,
     binary_Tj_closed,
-    binary_Tj_closed_symbolic,
     binary_Tj_recurrence,
     brute_force_embedded_binary,
     conjecture_check,
     conjecture_polynomials,
-    height_alpha,
     height_plane_trees,
-    height_Tj,
     plane_tree_height_counts,
     closed_family_rows,
     _height_kinds,
     _ternary_kinds,
 )
-from embtrees.dary import DaryFamily, dary_alpha_one_param_closed
+from embtrees.dary import DaryFamily, _one_param_parts
 from embtrees.errors import (
     DegenerateCharacteristic,
     DegenerateWeights,
@@ -44,6 +40,7 @@ from embtrees.series import Series
 
 W_BINARY = BinaryWeights.make(0, 0, 1, 0, 0)
 W_PLANAR = BinaryWeights.make(0, 0, 0, 1, 1)
+X_POLY = MultiPoly.var(("X",), "X")
 W_SINGLE = BinaryWeights.make(0, 0, 0, 0, 1)
 W_MIXED = BinaryWeights.make(1, 0, 1, 0, 0)
 ORACLE_VECTORS = (W_BINARY, W_PLANAR, W_SINGLE, W_MIXED)
@@ -171,42 +168,21 @@ class TestOracle:
             assert dict(agg) == spectra[n]
 
 
-class TestAlphaTables:
-    @pytest.mark.parametrize(
-        "vec",
-        [(0, 0, 1, 0, 0), (0, 0, 0, 1, 1), (1, 0, 1, 0, 0), (0, 0, 1, 1, 1), (2, 1, 1, 1, 1)],
-    )
-    def test_matched_closed_equals_recurrence(self, vec):
-        w = BinaryWeights.make(*vec)
-        rec = binary_alpha(w, "recurrence", 12, 30)
-        clo = binary_alpha(w, "matched_closed", 12, 30)
-        for n in range(1, 13):
-            assert rec.value(n).matches(clo.value(n))
-
-    @pytest.mark.parametrize("vec", [(0, 0, 0, 0, 1), (1, 0, 0, 0, 1), (2, 1, 0, 0, 2)])
-    def test_single_kind_closed_equals_recurrence(self, vec):
-        w = BinaryWeights.make(*vec)
-        rec = binary_alpha(w, "recurrence", 12, 30)
-        clo = binary_alpha(w, "w3_closed", 12, 30)
-        for n in range(1, 13):
-            assert rec.value(n).matches(clo.value(n))
-
+class TestClosedAlphaParts:
+    # the claims themselves are proved by tests/test_levels.py::CLAIMS and the campaign
     def test_first_entry_is_normalized(self):
-        clo = binary_alpha(W_BINARY, "matched_closed", 3, 10)
-        assert clo.value(1) == Series.one(10)
-
-    def test_homogeneity_scaling(self):
-        rec = binary_alpha(W_BINARY, "recurrence", 4, 12)
-        a1 = Series([0, 2, 1], 12)
-        assert rec.value(3, a1).matches(rec.value(3) * a1**3)
+        first, _, nums = binary._matched_parts(W_BINARY, X_POLY, 3)
+        assert nums[0] == first  # alpha_1 = 1
 
     def test_degenerate_weights_rejected(self):
-        with pytest.raises(DegenerateWeights):
-            binary_alpha(BinaryWeights.make(1, 1, 0, 0, 0), "recurrence", 3, 8)
-        with pytest.raises(DegenerateWeights):
-            binary_alpha(W_BINARY, "w3_closed", 3, 8)
-        with pytest.raises(DegenerateWeights):
-            binary_alpha(BinaryWeights.make(0, 0, 1, 1, 0), "matched_closed", 3, 8)
+        with pytest.raises(DegenerateWeights, match="all-zero binary weights"):
+            binary._matched_parts(BinaryWeights.make(1, 1, 0, 0, 0), X_POLY, 3)
+        with pytest.raises(DegenerateWeights, match="w1 = w2 = 0"):
+            binary._w3_parts(W_BINARY, X_POLY, 3)
+        with pytest.raises(DegenerateWeights, match="w3 > 0"):
+            binary._w3_parts(BinaryWeights.make(1, 1, 0, 0, 0), X_POLY, 3)
+        with pytest.raises(DegenerateWeights, match="w2 = w3"):
+            binary._matched_parts(BinaryWeights.make(0, 0, 1, 1, 0), X_POLY, 3)
 
 
 class TestClosedFamily:
@@ -301,15 +277,6 @@ class TestClosedFamily:
         assert out == ""
         assert err == "embtrees trees: error: parameter series carries too little precision\n"
 
-    def test_symbolic_parameter_matches_numeric(self):
-        sym = binary_Tj_closed_symbolic(W_BINARY, 2, 16, lam_degree=8)
-        lam = family_base(W_BINARY.kinds, 30)[0].elementary[0] ** 3
-        numeric = binary_Tj_closed(W_BINARY, lam, 2, 14)
-        acc = Series.zero(16)
-        for k in range(9):
-            acc = acc + sym.extract(k).truncate(16) * lam.truncate(16) ** k
-        assert acc.truncate(13).matches(numeric)
-
 
 class TestAdaptation:
     def test_binary_parameter_is_cubed_rate(self):
@@ -371,24 +338,10 @@ class TestHeightFamily:
         assert (X * (one - z * (T + 2)) - z * (T + 1)).is_zero()
 
     @pytest.mark.parametrize("pair", [(0, 0), (1, 0), (2, 3)])
-    def test_alpha_closed_matches_recurrence(self, pair):
-        clo = height_alpha(*pair, "closed", 10, 24)
-        rec = height_alpha(*pair, "recurrence", 10, 24)
-        for n in range(1, 11):
-            assert clo.value(n).matches(rec.value(n))
-
-    def test_closed_level_family(self):
-        # with the rate itself as parameter the family gives the height GFs
-        X = family_base(_height_kinds(Q(0), Q(0)), 26)[0].elementary[0]
-        for j in (0, 1, 3):
-            got = height_Tj(0, 0, X, j, 20)
-            assert got.matches(height_plane_trees(j, 20))
-
-    def test_short_parameter_is_refused(self):
-        X = family_base(_height_kinds(Q(0), Q(0)), 26)[0].elementary[0]
-        assert height_Tj(0, 0, X.truncate(20), 1, 20).matches(height_plane_trees(1, 20))
-        with pytest.raises(InsufficientPrecision, match="19 coefficients, below the order 20"):
-            height_Tj(0, 0, X.truncate(19), 1, 20)
+    def test_alpha_closed_is_proved_to_ten(self, pair):
+        v1, v2 = map(Q, pair)
+        parts = binary._height_parts(v1, X_POLY, 10)
+        assert campaign._first_unproved(_height_kinds(v1, v2), parts) is None
 
 
 class TestTernaryFamily:
@@ -405,10 +358,12 @@ class TestTernaryFamily:
         kinds = _ternary_kinds(Q(0), Q(0))
         small, T = family_base(kinds, 30)
         table = alpha_recurrence(kinds, small.elementary[0], T, 8)
-        closed = dary_alpha_one_param_closed(DaryFamily("odd", 1), 8)
-        branch = family_base(DaryFamily("odd", 1).kinds, 30)[0].elementary[0]
+        first, pair, nums = _one_param_parts(DaryFamily("odd", 1), 8)
+        branch = {"X": family_base(DaryFamily("odd", 1).kinds, 30)[0].elementary[0]}
+        first, pair = first.eval_series(branch), pair.eval_series(branch)
         for n in range(1, 9):
-            assert table[n - 1].matches(closed[n - 1].eval_series({"X": branch}))
+            closed = nums[n - 1].eval_series(branch) / (first * pair ** (n - 1))
+            assert table[n - 1].matches(closed)
 
     def test_level_residual_with_couplings(self):
         kinds = _ternary_kinds(Q(1), Q(0))
@@ -420,7 +375,7 @@ class TestTernaryFamily:
 
 def displayed_relation(w):
     """The paper's t2 T^2 - t1 T - L, coefficients lowest power of T first."""
-    t1, t2, ell = binary._t_relation(w, MultiPoly.var(("X",), "X"))
+    t1, t2, ell = binary._t_relation(w, X_POLY)
     return [-ell, -t1, t2]
 
 
@@ -468,7 +423,7 @@ def test_t_of_x_relation_over_random_weights(v1, v2, w1, w2, w3):
 def test_a_perturbed_t1_is_not_proportional(vec):
     w = BinaryWeights.make(*vec)
     ell, t1, t2 = displayed_relation(w)
-    perturbed = [ell, t1 - MultiPoly.var(("X",), "X"), t2]
+    perturbed = [ell, t1 - X_POLY, t2]
     assert not proportional(perturbed, t_relation(w.kinds))
 
 

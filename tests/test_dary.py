@@ -15,8 +15,6 @@ from embtrees.dary import (
     _terms_by_multiset,
     brute_force_dary,
     dary_alpha_general,
-    dary_alpha_one_param_closed,
-    dary_rational_parametrization,
     dary_Tj_recurrence,
     one_param_rows,
     one_param_solution,
@@ -248,28 +246,6 @@ class TestCharacteristicFactor:
             assert e.valuation() is not None and e.valuation() >= 1
 
 
-class TestRationalParametrization:
-    def test_ternary_closed_form(self):
-        t_of_x, _ = dary_rational_parametrization(ODD1)
-        expected = RationalFunction(
-            MultiPoly(("X",), {(0,): 1, (1,): 1, (2,): 1}),
-            MultiPoly(("X",), {(0,): 1, (2,): 1}),
-        )
-        assert t_of_x.equals(expected)
-
-    @pytest.mark.parametrize("fam", [ODD1, ODD2, EVEN1, EVEN2, EVEN3], ids=str)
-    def test_defining_equation_identity(self, fam):
-        t_of_x, z_of_x = dary_rational_parametrization(fam)
-        assert (t_of_x - 1 - z_of_x * t_of_x**fam.arity).num.is_zero()
-
-    @pytest.mark.parametrize("fam", [ODD1, EVEN1], ids=str)
-    def test_series_consistency_single_branch(self, fam):
-        t_of_x, z_of_x = dary_rational_parametrization(fam)
-        branch = family_base(fam.kinds, 30)[0].elementary[0]
-        assert t_of_x.eval_series({"X": branch}).matches(tree_root(fam.kinds, 30))
-        assert z_of_x.eval_series({"X": branch}).matches(Series.z(30))
-
-
 class TestOneParamFamily:
     @pytest.mark.parametrize("fam", [ODD1, ODD2, EVEN1, EVEN2, EVEN3], ids=str)
     def test_exact_identity(self, fam):
@@ -338,13 +314,6 @@ class TestOneParamFamily:
 
 
 class TestExpansionCoefficients:
-    @pytest.mark.parametrize("fam", [ODD1, ODD2, EVEN1, EVEN2], ids=str)
-    def test_closed_equals_recurrence(self, fam):
-        closed = dary_alpha_one_param_closed(fam, 10)
-        rec = one_param_recurrence(fam, 10)
-        for n in range(2, 11):
-            assert closed[n - 1].equals(rec[n - 1])
-
     @pytest.mark.parametrize("fam", [ODD1, ODD2, ODD3, EVEN1, EVEN2, EVEN3], ids=str)
     def test_recurrence_matches_ungrouped_reference(self, fam):
         got = one_param_recurrence(fam, 8)
@@ -391,22 +360,23 @@ class TestExpansionCoefficients:
         assert len(calls) == setup + 2 * multisets + sizes
 
     def test_first_is_seed(self):
-        closed = dary_alpha_one_param_closed(ODD2, 3)
-        assert closed[0].equals(RationalFunction(MultiPoly.const(("X",), 1)))
+        first, _, nums = dary._one_param_parts(ODD2, 3)
+        assert nums[0] == first  # alpha_1 = 1
 
     def test_general_table_keeps_seeds(self):
         seeds = [Series([0, 0, 1], 18), Series([0, 0, 2], 18)]
         table = dary_alpha_general(ODD2, 2, seeds, 14)
-        assert table.entry((1, 0)).as_series(14).matches(seeds[0])
-        assert table.entry((0, 1)).as_series(14).matches(seeds[1])
+        assert table.entries[(1, 0)].as_series(14).matches(seeds[0])
+        assert table.entries[(0, 1)].as_series(14).matches(seeds[1])
 
     def test_single_branch_table_reduces_to_closed(self):
         table = dary_alpha_general(ODD1, 6, [Series.one(30)], 24)
-        closed = dary_alpha_one_param_closed(ODD1, 6)
-        branch = family_base(ODD1.kinds, 40)[0].elementary[0]
+        first, pair, nums = dary._one_param_parts(ODD1, 6)
+        branch = {"X": family_base(ODD1.kinds, 40)[0].elementary[0]}
+        first, pair = first.eval_series(branch), pair.eval_series(branch)
         for n in range(1, 7):
-            got = table.entry((n,)).as_series(20)
-            assert got.matches(closed[n - 1].eval_series({"X": branch}))
+            got = table.entries[(n,)].as_series(20)
+            assert got.matches(nums[n - 1].eval_series(branch) / (first * pair ** (n - 1)))
 
     @pytest.mark.parametrize("fam,bound,order", [
         (ODD1, 3, 15), (EVEN1, 3, 15), (ODD2, 3, 15), (EVEN2, 2, 12)], ids=str)

@@ -271,8 +271,10 @@ CLAIMS = {
     "matched (0,0,0,1,1)": binary_claims((0, 0, 0, 1, 1), "matched_closed"),
     "matched (1,0,1,0,0)": binary_claims((1, 0, 1, 0, 0), "matched_closed"),
     "matched (2,1,1,1,1)": binary_claims((2, 1, 1, 1, 1), "matched_closed"),
+    "matched (0,0,1,1,1)": binary_claims((0, 0, 1, 1, 1), "matched_closed"),
     "w3 (0,0,0,0,1)": binary_claims((0, 0, 0, 0, 1), "w3_closed"),
     "w3 (1,0,0,0,1)": binary_claims((1, 0, 0, 0, 1), "w3_closed"),
+    "w3 (2,1,0,0,2)": binary_claims((2, 1, 0, 0, 2), "w3_closed"),
     "height (0,0)": height_claims(0, 0),
     "height (1,0)": height_claims(1, 0),
     "height (2,3)": height_claims(2, 3),
@@ -350,6 +352,19 @@ def test_the_relation_vanishes_at_the_series_root(name):
     for t, c in enumerate(t_relation(kinds)):
         total = total + c.eval_series({"X": X}) * T**t
     assert total.is_zero()
+
+
+@pytest.mark.parametrize("fam", campaign._DARY_FAMILIES, ids=str)
+def test_the_relation_gives_the_displayed_d_ary_parametrization(fam):
+    # z eliminated by hand: T = A/(A - N) where z T^(arity-1) = N/A, with
+    # odd A = 1 - X^(2d+1), N = X^d (1 - X); even A = 1 - X^(4d), N = X^(2d-1) (1 - X^2)
+    one, d = X_POLY**0, fam.d
+    if fam.kind == "odd":
+        big_a, num = one - X_POLY ** (2 * d + 1), X_POLY**d * (one - X_POLY)
+    else:
+        big_a, num = one - X_POLY ** (4 * d), X_POLY ** (2 * d - 1) * (one - X_POLY**2)
+    r0, r1 = t_relation(fam.kinds)
+    assert RationalFunction(-r0, r1).equals(RationalFunction(big_a, big_a - num))
 
 
 def test_the_relation_is_read_off_the_kinds(monkeypatch):

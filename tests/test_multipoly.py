@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embtrees.dary import DaryFamily, dary_rational_parametrization
+from embtrees.dary import DaryFamily
 from embtrees.kernel import family_base
 from embtrees.errors import VariableMismatch
 from embtrees.multipoly import MultiPoly, RationalFunction, rf_equal
@@ -79,16 +79,18 @@ def test_eval_series_unit_division():
 
 
 def test_ternary_parametrization_reproduces_root_series():
-    # eliminating z from the arity-3 pair gives T(X) = (1+X+X^2)/(1+X^2);
-    # composed with the small characteristic branch it must rebuild T(z).
-    fam = DaryFamily("odd", 1)
-    t_of_x, z_of_x = dary_rational_parametrization(fam)
+    # eliminating z from the arity-3 pair gives T(X) = A/(A - N), z T^2 = N/A with
+    # A = 1 - X^3, N = X(1 - X), so T = (1+X+X^2)/(1+X^2); composed with the small
+    # characteristic branch they must rebuild T(z) and z.
+    big_a, num = ONE - X**3, X * (ONE - X)
+    t_of_x = RationalFunction(big_a, big_a - num)
+    z_of_x = RationalFunction(num * (big_a - num) ** 2, big_a**3)
     expected = RationalFunction(
         MultiPoly(("X",), {(0,): 1, (1,): 1, (2,): 1}),
         MultiPoly(("X",), {(0,): 1, (2,): 1}),
     )
     assert t_of_x.equals(expected)
-    small, T = family_base(fam.kinds, 30)
+    small, T = family_base(DaryFamily("odd", 1).kinds, 30)
     branch = small.elementary[0]
     assert t_of_x.eval_series({"X": branch}).matches(T)
     assert z_of_x.eval_series({"X": branch}).matches(Series.z(30))

@@ -3,6 +3,10 @@ and the other scripts run as a reader runs them.
 
 A change that keeps every output bit-identical leaves all three lines as
 they are; a change that alters an output must say so by updating them.
+The ``binary`` section of the first line hashes the closed binary family
+through the CLI's ``trees --method closed`` path, and the third line
+hashes ``levels.alpha_recurrence``, the one series form of the expansion
+coefficients.
 """
 
 import os
@@ -21,9 +25,9 @@ def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
                           env=env, capture_output=True, text=True)
 
 DIGEST_LINES = [
-    "00c07143ad0e8144638deca1210bc01bebc252cb5dd27e595a769de2caf49a89",
+    "1b0c0888518d8a32091cda6485de2dc6897df8b25209cf2a20914e801327a416",
     "walkers 1f691b5e847ba2119fc4720236f3a94ae565660267a6691493ab351c7a405a69",
-    "series-alphas 513c08823e5cc68661cca5e65e641bb92ec18828d6a0de023623aa7bdbc0583f",
+    "series-alphas 29ffd77905ff20c1bc62c2ab504da89926e7e0bc39518c666ef8fd1ecfd643fb",
 ]
 
 

@@ -66,7 +66,7 @@ def test_every_check_in_process_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
-    assert sum(dict(r.counts)["kernel.tree_root"] for r in results) == 47
+    assert sum(dict(r.counts)["kernel.tree_root"] for r in results) == 46
 
 
 @pytest.mark.parametrize("check_id", ["binary/one-param-family", "dary/one-param-identity"])

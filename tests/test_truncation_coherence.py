@@ -11,7 +11,7 @@ from fractions import Fraction as Q
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from embtrees.binary import BinaryWeights, binary_Tj_closed, height_Tj
+from embtrees.binary import BinaryWeights, binary_Tj_closed
 from embtrees.dary import DaryFamily, dary_alpha_general, rho_series
 from embtrees.errors import InsufficientPrecision
 from embtrees.kernel import family_base
@@ -145,31 +145,6 @@ def test_closed_level_family_reads_no_parameter_coefficient_it_lacks(v1, v2, w1,
         assert shift < 2
         return
     assert short == binary_Tj_closed(w, Series(lam[:known + k]), j, order)
-
-
-@settings(max_examples=25, deadline=None)
-@given(weights, weights, st.integers(0, 4), st.integers(1, 12), st.integers(1, 4),
-       st.lists(coeffs, min_size=1, max_size=4))
-def test_height_level_family_is_truncation_coherent(v1, v2, j, order, k, lam):
-    lam = Series(lam, order + k)
-    short = height_Tj(v1, v2, lam, j, order)
-    assert short.order == order
-    assert short == height_Tj(v1, v2, lam, j, order + k).truncate(order)
-
-
-@settings(max_examples=25, deadline=None)
-@given(weights, weights, st.integers(0, 4), st.integers(1, 12), st.integers(-3, 3),
-       st.integers(1, 4), st.data())
-def test_height_level_family_reads_no_parameter_coefficient_it_lacks(v1, v2, j, order, shift, k,
-                                                                     data):
-    known = max(order + shift, 1)
-    lam = data.draw(st.lists(coeffs, min_size=known + k, max_size=known + k))
-    try:
-        short = height_Tj(v1, v2, Series(lam[:known]), j, order)
-    except InsufficientPrecision:
-        assert known < order
-        return
-    assert short == height_Tj(v1, v2, Series(lam[:known + k]), j, order)
 
 
 @st.composite
