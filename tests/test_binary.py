@@ -168,8 +168,38 @@ class TestOracle:
             assert dict(agg) == spectra[n]
 
 
-class TestClosedAlphaParts:
-    # the claims themselves are proved by tests/test_levels.py::CLAIMS and the campaign
+def closed_and_recurrence(kinds, parts, n_max, order):
+    """alpha_1..alpha_n_max from the closed ``parts(X, n_max)`` at the series root, and the
+    recurrence's alphas at the same root."""
+    small, T = family_base(kinds, order)
+    X = small.elementary[0]
+    first, pair, nums = parts(X, n_max)
+    pair = pair[0] / T + pair[1] if isinstance(pair, list) else pair  # from pair T's coefficients
+    closed = [num / (first * pair**n) for n, num in enumerate(nums)]
+    return closed, alpha_recurrence(kinds, X, T, n_max)
+
+
+class TestAlphaTables:
+    # the claims themselves are proved by tests/test_levels.py::CLAIMS and the campaign;
+    # these compare them with the recurrence in series, independently of that prover
+    @pytest.mark.parametrize(
+        "vec",
+        [(0, 0, 1, 0, 0), (0, 0, 0, 1, 1), (1, 0, 1, 0, 0), (0, 0, 1, 1, 1), (2, 1, 1, 1, 1)],
+    )
+    def test_matched_closed_equals_recurrence(self, vec):
+        w = BinaryWeights.make(*vec)
+        clo, rec = closed_and_recurrence(w.kinds, lambda X, n: binary._matched_parts(w, X, n),
+                                         12, 30)
+        for n in range(1, 13):
+            assert rec[n - 1].matches(clo[n - 1])
+
+    @pytest.mark.parametrize("vec", [(0, 0, 0, 0, 1), (1, 0, 0, 0, 1), (2, 1, 0, 0, 2)])
+    def test_single_kind_closed_equals_recurrence(self, vec):
+        w = BinaryWeights.make(*vec)
+        clo, rec = closed_and_recurrence(w.kinds, lambda X, n: binary._w3_parts(w, X, n), 12, 30)
+        for n in range(1, 13):
+            assert rec[n - 1].matches(clo[n - 1])
+
     def test_first_entry_is_normalized(self):
         first, _, nums = binary._matched_parts(W_BINARY, X_POLY, 3)
         assert nums[0] == first  # alpha_1 = 1
@@ -336,6 +366,14 @@ class TestHeightFamily:
         z = Series.z(20)
         one = Series.one(20)
         assert (X * (one - z * (T + 2)) - z * (T + 1)).is_zero()
+
+    @pytest.mark.parametrize("pair", [(0, 0), (1, 0), (2, 3)])
+    def test_alpha_closed_matches_recurrence(self, pair):
+        v1, v2 = map(Q, pair)
+        clo, rec = closed_and_recurrence(_height_kinds(v1, v2),
+                                         lambda X, n: binary._height_parts(v1, X, n), 10, 24)
+        for n in range(1, 11):
+            assert clo[n - 1].matches(rec[n - 1])
 
     @pytest.mark.parametrize("pair", [(0, 0), (1, 0), (2, 3)])
     def test_alpha_closed_is_proved_to_ten(self, pair):

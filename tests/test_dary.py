@@ -23,7 +23,8 @@ from embtrees.dary import (
 )
 from embtrees.errors import InsufficientPrecision
 from embtrees.kernel import family_base, fuss_catalan, hensel_factor_pair, tree_root
-from embtrees.levels import _compositions, level_identity, recomputed_alphas, recomputed_sums
+from embtrees.levels import (_compositions, level_identity, recomputed_alphas, recomputed_sums,
+                             t_relation)
 from embtrees.multipoly import MultiPoly, RationalFunction
 from embtrees.series import Series
 from embtrees.splitting import SAElement, SplitAlgebra
@@ -41,6 +42,27 @@ def one_param_recurrence(fam, n_max):
     family's closed claims."""
     one = RationalFunction(MultiPoly.const(("X",), 1))
     return [one] + recomputed_alphas(fam.kinds, *dary._one_param_parts(fam, n_max))
+
+
+def closed_alphas(fam, n_max):
+    """alpha_1..alpha_n_max = num_n / (first pair^(n-1)) from the family's closed claims."""
+    first, pair, nums = dary._one_param_parts(fam, n_max)
+    return [RationalFunction(num, first * pair**n) for n, num in enumerate(nums)]
+
+
+def displayed_parametrization(fam):
+    """The paper's T(X) and z(X): eliminating z between T = 1 + z T^arity and the
+    characteristic equation gives z T^(arity-1) = N/A and T = A/(A - N), with
+    odd A = 1 - X^(2d+1), N = X^d (1 - X); even A = 1 - X^(4d), N = X^(2d-1) (1 - X^2)."""
+    X, d = MultiPoly.var(("X",), "X"), fam.d
+    one = X**0
+    if fam.kind == "odd":
+        big_a, num = one - X ** (2 * d + 1), X**d * (one - X)
+    else:
+        big_a, num = one - X ** (4 * d), X ** (2 * d - 1) * (one - X**2)
+    big_b = big_a - num
+    return RationalFunction(big_a, big_b), RationalFunction(num * big_b ** (fam.arity - 1),
+                                                            big_a**fam.arity)
 
 
 def _uni(terms):
@@ -246,6 +268,33 @@ class TestCharacteristicFactor:
             assert e.valuation() is not None and e.valuation() >= 1
 
 
+class TestRationalParametrization:
+    def test_ternary_closed_form(self):
+        t_of_x, _ = displayed_parametrization(ODD1)
+        expected = RationalFunction(
+            MultiPoly(("X",), {(0,): 1, (1,): 1, (2,): 1}),
+            MultiPoly(("X",), {(0,): 1, (2,): 1}),
+        )
+        assert t_of_x.equals(expected)
+
+    @pytest.mark.parametrize("fam", [ODD1, ODD2, EVEN1, EVEN2, EVEN3], ids=str)
+    def test_defining_equation_identity(self, fam):
+        t_of_x, z_of_x = displayed_parametrization(fam)
+        assert (t_of_x - 1 - z_of_x * t_of_x**fam.arity).num.is_zero()
+
+    @pytest.mark.parametrize("fam", [ODD1, EVEN1], ids=str)
+    def test_series_consistency_single_branch(self, fam):
+        t_of_x, z_of_x = displayed_parametrization(fam)
+        branch = family_base(fam.kinds, 30)[0].elementary[0]
+        assert t_of_x.eval_series({"X": branch}).matches(tree_root(fam.kinds, 30))
+        assert z_of_x.eval_series({"X": branch}).matches(Series.z(30))
+
+    @pytest.mark.parametrize("fam", [ODD1, ODD2, EVEN1, EVEN2, EVEN3], ids=str)
+    def test_the_relation_gives_the_displayed_d_ary_parametrization(self, fam):
+        r0, r1 = t_relation(fam.kinds)
+        assert RationalFunction(-r0, r1).equals(displayed_parametrization(fam)[0])
+
+
 class TestOneParamFamily:
     @pytest.mark.parametrize("fam", [ODD1, ODD2, EVEN1, EVEN2, EVEN3], ids=str)
     def test_exact_identity(self, fam):
@@ -314,6 +363,13 @@ class TestOneParamFamily:
 
 
 class TestExpansionCoefficients:
+    @pytest.mark.parametrize("fam", [ODD1, ODD2, EVEN1, EVEN2], ids=str)
+    def test_closed_equals_recurrence(self, fam):
+        closed = closed_alphas(fam, 10)
+        rec = one_param_recurrence(fam, 10)
+        for n in range(2, 11):
+            assert closed[n - 1].equals(rec[n - 1])
+
     @pytest.mark.parametrize("fam", [ODD1, ODD2, ODD3, EVEN1, EVEN2, EVEN3], ids=str)
     def test_recurrence_matches_ungrouped_reference(self, fam):
         got = one_param_recurrence(fam, 8)

@@ -354,19 +354,6 @@ def test_the_relation_vanishes_at_the_series_root(name):
     assert total.is_zero()
 
 
-@pytest.mark.parametrize("fam", campaign._DARY_FAMILIES, ids=str)
-def test_the_relation_gives_the_displayed_d_ary_parametrization(fam):
-    # z eliminated by hand: T = A/(A - N) where z T^(arity-1) = N/A, with
-    # odd A = 1 - X^(2d+1), N = X^d (1 - X); even A = 1 - X^(4d), N = X^(2d-1) (1 - X^2)
-    one, d = X_POLY**0, fam.d
-    if fam.kind == "odd":
-        big_a, num = one - X_POLY ** (2 * d + 1), X_POLY**d * (one - X_POLY)
-    else:
-        big_a, num = one - X_POLY ** (4 * d), X_POLY ** (2 * d - 1) * (one - X_POLY**2)
-    r0, r1 = t_relation(fam.kinds)
-    assert RationalFunction(-r0, r1).equals(RationalFunction(big_a, big_a - num))
-
-
 def test_the_relation_is_read_off_the_kinds(monkeypatch):
     # R has T-degree (largest arity) - (smallest arity) + 1, a nonzero constant term, and
     # is built without a polynomial product
