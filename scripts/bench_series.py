@@ -12,8 +12,9 @@ orders.  It also times the Fraction boundary of the core: building
 a series from Fractions and reading ``coeffs`` back.
 
 The same comparison covers the other integer cores, against the
-references in ``tests/test_marker_multipoly_core.py``: marker-series
-products (orders 10, 20 and 40), univariate and three-variable
+references in ``tests/test_marker_multipoly_core.py``: products of a
+marker series and a z-series, the product the meanders make (orders 10,
+20 and 40), univariate and three-variable
 ``MultiPoly`` products, and the three walker dynamic programs (lock-step
 and random-turn tables, quarter-plane counts) at orders 10 and 20, each
 including its Fraction boundary.  Two rows time the walker checks' DP
@@ -259,12 +260,13 @@ def bench_layers(repeats: int, seed: int) -> list[dict]:
         return Q(rng.randint(-50, 50), rng.randint(1, 12))
 
     for order in (10, 20, 40):
-        # marker exponents -4..4 in every slice, as in the parameter families
-        a, b = ([{p: rational() for p in range(-4, 5)} for _ in range(order)]
-                for _ in range(2))
-        ma, mb = MarkerSeries(a), MarkerSeries(b)
-        compare(rows, "marker_mul", order, "rational", lambda: ma * mb,
-                lambda: ref_marker_mul(a, b), repeats, read=coeff_list)
+        # marker exponents -4..4 in every slice, times a z-series: the series
+        # case of the reference, each slice of b at marker exponent 0
+        a = [{p: rational() for p in range(-4, 5)} for _ in range(order)]
+        cs = [rational() for _ in range(order)]
+        ma, s = MarkerSeries(a), Series(cs)
+        compare(rows, "marker_mul", order, "rational", lambda: ma * s,
+                lambda: ref_marker_mul(a, [{0: c} for c in cs]), repeats, read=coeff_list)
     for degree in (30, 100):
         a, b = ({(k,): Q(rng.randint(-2**20, 2**20)) for k in range(degree + 1)}
                 for _ in range(2))

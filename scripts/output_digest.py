@@ -10,8 +10,8 @@ compares the printed digests.  The digest covers:
   its error);
 * ``meander_gf`` (plain and marked) and ``meander_dp`` (totals and
   table) for 5 step sets x 6 levels at order 25;
-* small factors: ``hensel_small_factor`` for those step sets and
-  ``family_base`` for five d-ary families' kind lists;
+* small factors: ``family_base`` for those step sets' kind lists and
+  for five d-ary families' kind lists;
 * the single-branch d-ary alpha claims (``dary._one_param_parts``), and
   the values ``levels.recomputed_alphas`` recomputes from them;
 * the ``dary_alpha_general`` tables for the odd and even families with
@@ -59,7 +59,7 @@ from embtrees import dary as D
 from embtrees import paths as P
 from embtrees import walkers as W
 from embtrees.errors import EmbtreesError
-from embtrees.kernel import family_base, hensel_small_factor
+from embtrees.kernel import family_base
 from embtrees.levels import alpha_recurrence, level_residual, recomputed_alphas
 from embtrees.multipoly import MultiPoly, RationalFunction
 from embtrees.series import Series
@@ -121,7 +121,7 @@ def paths_section():
 
 
 def factor_section():
-    out = [hensel_small_factor(StepSet.make(pairs), 30).elementary for pairs in STEP_SETS]
+    out = [family_base(StepSet.make(pairs).kinds, 30)[0].elementary for pairs in STEP_SETS]
     out += [family_base(fam.kinds, 20)[0].elementary for fam in FAMILIES]
     return out
 
@@ -165,7 +165,7 @@ def table_at_order_section():
 
 
 def rho_section():
-    # the levels verify_main_equation reads at its default levels
+    # the levels verify_main_equation reads
     return [D.rho_series(table, j, order) for fam, order, table in built_tables()
             for j in range(0, -min(fam.offsets) + 1 + max(fam.offsets) + 1)]
 

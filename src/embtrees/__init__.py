@@ -27,14 +27,13 @@ from .kernel import (
     complete_homogeneous,
     family_base,
     fuss_catalan,
-    hensel_small_factor,
     newton_solve,
     tree_root,
 )
 from .marker import MarkerSeries
 from .multipoly import MultiPoly, RationalFunction, rf_equal
 from .oeis import OeisRecord, oeis_fetch, oeis_match
-from .paths import MeanderGF, excursion_gf, meander_dp, meander_gf, verify_meander_closed_form, walks_total
+from .paths import MeanderGF, excursion_gf, meander_dp, meander_gf, verify_meander_closed_form
 from .series import Q, Series
 from .splitting import SplitAlgebra
 from .steps import StepSet, parse_step_set

@@ -165,6 +165,17 @@ def _closed_parts(w: BinaryWeights, order: int):
     return T, X, _closed_shell(w, X), _closed_factor(w, X, T) / T
 
 
+def _closed_row(parts, lam: Series, j: int, order: int) -> Series:
+    """Row j of the closed family mod z^order, from ``_closed_parts`` and lam at one order."""
+    T, X, xw, c_num = parts
+    one = Series.one(T.order)
+    xp = _x_powers(X, j + 3)
+    rho = c_num * (lam * xp[j + 1]) / (xw * (one - lam * xp[j + 1]) * (one - lam * xp[j + 2]))
+    if rho.order < order:
+        raise InsufficientPrecision("parameter series carries too little precision")
+    return (T.truncate(rho.order) * (Series.one(rho.order) - rho)).truncate(order)
+
+
 def binary_Tj_closed(w: BinaryWeights, lam: Series, j: int, order: int) -> Series:
     """Closed-form level solution with free parameter lam, j >= -1.
 
@@ -179,16 +190,7 @@ def binary_Tj_closed(w: BinaryWeights, lam: Series, j: int, order: int) -> Serie
     if lam.order < order + 2:
         raise InsufficientPrecision("parameter series carries too little precision")
     g = min(order + 6, lam.order)
-    T, X, xw, c_num = _closed_parts(w, g)
-    one = Series.one(g)
-    lam_g = lam.truncate(g)
-    xp = _x_powers(X, j + 3)
-    num = c_num * (lam_g * xp[j + 1])
-    den = xw * (one - lam_g * xp[j + 1]) * (one - lam_g * xp[j + 2])
-    rho = num / den
-    if rho.order < order:
-        raise InsufficientPrecision("parameter series carries too little precision")
-    return (T.truncate(rho.order) * (Series.one(rho.order) - rho)).truncate(order)
+    return _closed_row(_closed_parts(w, g), lam.truncate(g), j, order)
 
 
 def closed_family_rows(w: BinaryWeights):
@@ -214,29 +216,26 @@ def closed_family_rows(w: BinaryWeights):
 
 
 def adapt_lambda(w: BinaryWeights, boundary_value: int, order: int) -> Series:
-    """Free parameter making the boundary row equal 0 or 1.
+    """Free parameter making the boundary row equal 0 or 1, mod z^(order + 6).
 
     The boundary condition is quadratic in the parameter; the power-series
     branch is the one vanishing at z=0, found by Newton iteration and then
-    verified by substituting back into the closed solution.
+    verified on the closed solution's boundary row mod z^order, from the same base.
     """
     w.require_matched_weights()
     if boundary_value not in (0, 1):
         raise ValueError("boundary value must be 0 or 1")
     g = order + 6
-    T, X, xw, c_num = _closed_parts(w, g)
+    parts = T, X, xw, c_num = _closed_parts(w, g)
     one = Series.one(g)
     s1 = (T - boundary_value) * xw
     qa = s1 * X
     qb = -(s1 * (one + X)) - T * c_num
     qc = s1
     lam = newton_solve(SeriesPoly.make([qc, qb, qa]), 0)
-    check = binary_Tj_closed(w, lam, -1, order)
-    if not check.matches(Series.constant(boundary_value, order)):
-        raise NoPowerSeriesBranch(
-            "no parameter branch reproduces the requested boundary row"
-        )
-    return lam.truncate(order)
+    if _closed_row(parts, lam, -1, order) != Series.constant(boundary_value, order):
+        raise NoPowerSeriesBranch("no parameter branch reproduces the requested boundary row")
+    return lam
 
 
 # ---------------------------------------------------------------------------

@@ -180,7 +180,7 @@ def _cmd_paths(args) -> int:
     steps = parse_step_set(args.steps)
     # from (order - 1) * (deepest down-step) up, no walk below z^order reaches level -1:
     # the meanders are the clamped level's, their endpoints shifted by the difference
-    level = min(args.level, (args.order - 1) * steps.max_down)
+    level = min(args.level, (args.order - 1) * _span(steps.kinds)[0])  # as in _cmd_trees
     if args.mark_endpoint:
         marked = P.meander_gf(steps, level, args.order).marked.shift_marker(args.level - level)
         rows = {str(end): [ratio_str(p, q) for p, q in marked.extract(end).ratios()]

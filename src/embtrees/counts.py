@@ -12,8 +12,6 @@ from __future__ import annotations
 COUNTS: dict[str, int] = dict.fromkeys((
     "series.mul",                # Series x Series; not the coordinate products of
                                  # splitting.mul, which run on the integers
-    "marker.mul",                # MarkerSeries x MarkerSeries, on the full marker grid
-    "marker.mul.narrow",         # ... of which one operand is at most 4 columns wide
     "multipoly.mul",             # MultiPoly x MultiPoly
     "splitting.mul",             # SAElement x SAElement
     "kernel.tree_root",          # tree_root calls

@@ -348,14 +348,10 @@ class MainEquationReport:
     first_failure: tuple[int, int] | None  # (level, z-order)
 
 
-def verify_main_equation(
-    fam: DaryFamily,
-    bound: int,
-    order: int,
-    seeds: list[Series] | None = None,
-    levels: tuple[int, ...] | None = None,
-) -> MainEquationReport:
-    """Check the exact level equation for the truncated expansion table.
+def verify_main_equation(fam: DaryFamily, bound: int, order: int,
+                         seeds: list[Series] | None = None) -> MainEquationReport:
+    """Check the exact level equation of the truncated expansion table at levels c, c + 1,
+    c = -min(offsets), the first two whose rows all come from the table.
 
     On the rows T_i = T(1 - rho_i), as T = 1 + z T^arity, the level equation
     is the unit -T times rho_j - z T^(arity-1) (1 - prod_o (1 - rho_(j+o))).
@@ -369,12 +365,9 @@ def verify_main_equation(
         seeds = [Series.z(order + 1) ** s_val for _ in range(c)]
     table = dary_alpha_general(fam, bound, seeds, order)
     c_down = -min(fam.offsets)
-    if levels is None:
-        levels = (c_down, c_down + 1)
     T = table.root.truncate(order)
-    rows = {i: T - T * rho_series(table, i, order)
-            for i in range(min(levels) - c_down, max(levels) + max(fam.offsets) + 1)}
-    for j in levels:
+    rows = {i: T - T * rho_series(table, i, order) for i in range(c_down + max(fam.offsets) + 2)}
+    for j in (c_down, c_down + 1):
         val = level_equation(fam.kinds, rows, j, Series.z(order)).valuation()
         if val is not None:
             return MainEquationReport(False, (j, val))

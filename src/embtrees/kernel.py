@@ -6,11 +6,12 @@ Three layers live here:
   equations (plus a plain fixed-point iterator kept as a low-order
   cross-check),
 * ``char_factor``, the one solver of every characteristic equation, built
-  from a kind list (lattice paths and walkers are kinds of one offset):
-  Hensel lifting splits it into the monic "small" factor (the factor
-  that degenerates to X^c at z=0) and its unit cofactor, c = 1 included;
-  ``tree_root`` solves the same kind list's tree equation for T, and
-  ``family_base`` returns the two, the start of every closed form,
+  from a kind list: Hensel lifting splits it into the monic "small"
+  factor (the factor that degenerates to X^c at z=0) and its unit
+  cofactor, c = 1 included; ``tree_root`` solves the same kind list's
+  tree equation for T, and ``family_base`` returns the two, the start of
+  every closed form; paths and walkers enter as one-offset kind lists
+  (``StepSet.kinds``), whose T is the free-walk series 1/(1 - z P(1)),
 * symmetric-function plumbing for the small factor: elementary to
   complete homogeneous.
 
@@ -31,7 +32,6 @@ from .counts import COUNTS
 from .errors import DegenerateCharacteristic, NoRootAtOrigin, SingularRoot
 from .levels import Kinds, _span
 from .series import Q, Series
-from .steps import StepSet
 
 
 @dataclass(frozen=True)
@@ -131,10 +131,10 @@ def tree_root(kinds: Kinds, order: int) -> Series:
     return (num / (z * (2 * c2))).truncate(order)
 
 
-def fixed_point_solve(step, t0, order: int, sweeps: int | None = None) -> Series:
-    """Iterate ``t <- step(t)`` from the constant t0; low-order cross-check."""
+def fixed_point_solve(step, t0, order: int) -> Series:
+    """Iterate ``t <- step(t)`` order + 1 times from the constant t0; low-order cross-check."""
     t = Series.constant(t0, order)
-    for _ in range(sweeps if sweeps is not None else order + 1):
+    for _ in range(order + 1):
         t = step(t).truncate(order)
     return t
 
@@ -281,12 +281,6 @@ def family_base(kinds: Kinds, order: int) -> tuple[SmallFactor, Series]:
     every closed form starts from.  At c = 1 the decay rate X is ``elementary[0]``."""
     T = tree_root(kinds, order)
     return char_factor(kinds, T, order), T
-
-
-def hensel_small_factor(steps: StepSet, order: int) -> SmallFactor:
-    """Small factor of X^c (1 - z P(X)), mod z^order: each step a one-offset kind."""
-    steps.require_two_sided()
-    return char_factor([(w, (b,)) for b, w in steps.steps], Series.one(order), order)
 
 
 def complete_homogeneous(sf: SmallFactor, f_max: int) -> list[Series]:

@@ -15,22 +15,19 @@ first and last columns hold a nonzero numerator; the zero series has
 width 0) and gcd(numerators, d) = 1, so ``==`` and ``hash`` are
 structural.
 
-Products flatten both operands into one integer polynomial each, mapping
-(z^n, m^p) to t^(n*S + p - lo) with S the product's marker span (the two
-widths added, less one), so no marker exponent carries into the next
-z-slice; the integer product is the series core's ``_mul_ints``, whose
-schoolbook loop skips the zeros of the shorter operand.  Sums and scalars
-also run on the integers, and ``+``, ``-``, ``**`` come from
-``ExactRing``.  A marker series is never inverted: a negative power
-raises ``ValueError``.  ``coeffs`` still gives a tuple of dicts {marker
-exponent: Fraction}, built on first use and kept.
+A marker series is a module over ``Series``: it multiplies by a rational
+and by a z-series, one series product per marker column on the series
+core's ``_mul_ints``, but never by another marker series (that product
+raises ``TypeError``, and so does a positive power).  Sums and scalars
+also run on the integers, and ``+`` and ``-`` come from ``ExactRing``.
+``coeffs`` still gives a tuple of dicts {marker exponent: Fraction},
+built on first use and kept.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .counts import COUNTS
 from .series import ExactRing, Series, _fit, _mul_ints, as_fraction, common_den, over_lcm, reduced
 
 
@@ -106,26 +103,11 @@ class MarkerSeries(ExactRing):
         return cls([{}], order)
 
     @classmethod
-    def one(cls, order: int) -> MarkerSeries:
-        return cls.marker_power(0, order)
-
-    @classmethod
     def from_series(cls, s: Series) -> MarkerSeries:
-        return cls.series_times_marker(s, 0)
-
-    @classmethod
-    def marker_power(cls, power: int, order: int) -> MarkerSeries:
-        """The monomial m^power as a z-constant."""
-        if order < 1:
-            raise ValueError("marker series needs positive order")
-        return cls._raw(order, power, 1, (1,) + (0,) * (order - 1), 1)
-
-    @classmethod
-    def series_times_marker(cls, s: Series, power: int) -> MarkerSeries:
-        """s(z) * m^power."""
+        """s(z) on marker exponent 0; ``shift_marker`` moves it."""
         if not any(s._num):
             return cls._raw(len(s._num), 0, 0, (), 1)
-        return cls._raw(len(s._num), power, 1, s._num, s._den)
+        return cls._raw(len(s._num), 0, 1, s._num, s._den)
 
     # -- accessors ------------------------------------------------------
 
@@ -241,6 +223,7 @@ class MarkerSeries(ExactRing):
                                  tuple([-c for c in self._num]), self._den)
 
     def __mul__(self, other) -> MarkerSeries:
+        """The product with a rational, or with a z-series column by column."""
         if isinstance(other, (int, Fraction)):
             q = as_fraction(other)
             if q == 0:
@@ -248,30 +231,13 @@ class MarkerSeries(ExactRing):
             return MarkerSeries._normed(self._order, self._lo, self._width,
                                         [c * q.numerator for c in self._num],
                                         self._den * q.denominator)
-        if isinstance(other, Series):
-            return self._times_series(other)
-        rhs = self._coerce(other)
-        if rhs is None:
+        if not isinstance(other, Series):
             return NotImplemented
-        n = min(self._order, rhs._order)
-        if self._width == 0 or rhs._width == 0:
-            return MarkerSeries._raw(n, 0, 0, (), 1)
-        COUNTS["marker.mul"] += 1
-        if min(self._width, rhs._width) <= 4:
-            COUNTS["marker.mul.narrow"] += 1
-        span = self._width + rhs._width - 1
-        nums = _mul_ints(self._grid(self._lo, span, n), rhs._grid(rhs._lo, span, n),
-                         n * span)
-        return MarkerSeries._normed(n, self._lo + rhs._lo, span, nums,
-                                    self._den * rhs._den)
-
-    __rmul__ = __mul__
-
-    def _times_series(self, s: Series) -> MarkerSeries:
-        """The product with a z-series: one series product per marker column."""
-        n = min(self._order, len(s._num))
+        n = min(self._order, len(other._num))
         w = self._width
         nums = [0] * (n * w)
         for k in range(w):
-            nums[k::w] = _mul_ints(self._num[k:n * w:w], s._num, n)
-        return MarkerSeries._normed(n, self._lo, w, nums, self._den * s._den)
+            nums[k::w] = _mul_ints(self._num[k:n * w:w], other._num, n)
+        return MarkerSeries._normed(n, self._lo, w, nums, self._den * other._den)
+
+    __rmul__ = __mul__

@@ -1,11 +1,12 @@
 """Meanders and excursions for one-dimensional weighted step sets.
 
-The closed forms come from the small factor of the step polynomial: the
-level-j meander series is the free-walk series times the partial sum of
-complete homogeneous symmetric functions of the small branches, weighted
-by the product of (1 - branch).  The endpoint-marked refinement divides
-each branch by the marker and swaps the free-walk prefactor for its
-marked version.  Only the complete homogeneous sum depends on the level,
+A path is a degenerate embedded tree: ``family_base`` on the step set's
+kind list gives the small factor of the step polynomial and T, the
+free-walk series.  The level-j meander series is T times the partial sum
+of complete homogeneous symmetric functions of the small branches,
+weighted by the product of (1 - branch).  The endpoint-marked refinement
+divides each branch by the marker and swaps the free-walk prefactor for
+its marked version.  Only the complete homogeneous sum depends on the level,
 so each prefactor times each h_f is built once per step set and a level
 sums those terms.  A direct dynamic-programming count over (steps,
 level), built on integers, serves as the independent oracle.
@@ -17,16 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .kernel import complete_homogeneous, hensel_small_factor
+from .kernel import complete_homogeneous, family_base
 from .marker import MarkerSeries
 from .series import Series, _mul_ints, over_lcm
 from .steps import StepSet
-
-
-def walks_total(steps: StepSet, order: int) -> Series:
-    """Free walks from level 0 ending anywhere: 1/(1 - z P(1))."""
-    one = Series.one(order)
-    return one / (one - Series.z(order) * steps.total_weight())
 
 
 @dataclass(frozen=True)
@@ -79,13 +74,14 @@ def _meander_parts(steps: StepSet, order: int, j_max: int):
     the sums over f <= j of the terms P h_f and (M h_f) v^-f; the parts
     are those sums, plain and marked, for j = 0..j_max.
     """
-    small = hensel_small_factor(steps, order)
+    steps.require_two_sided()
+    small, T = family_base(steps.kinds, order)  # T: the free walks, 1/(1 - z P(1))
     # marked version: every branch is divided by the marker, so the factor
     # product becomes sum (-1)^k e_k v^-k (and h_f gains marker exponent -f).
     free = _marked_free_walks(steps, order)
     marked = sum(((free * (e if k % 2 == 0 else -e)).shift_marker(-k)
                   for k, e in enumerate(small.elementary, start=1)), free)
-    plain = walks_total(steps, order) * small.at_one()
+    plain = T * small.at_one()
     h = complete_homogeneous(small, j_max)
     return (list(accumulate(plain * hf for hf in h)),
             list(accumulate((marked * hf).shift_marker(-f) for f, hf in enumerate(h))))
@@ -93,7 +89,6 @@ def _meander_parts(steps: StepSet, order: int, j_max: int):
 
 def meander_gf(steps: StepSet, level: int, order: int, *, parts=None) -> MeanderGF:
     """Meanders starting at the given level, plain and endpoint-marked."""
-    steps.require_two_sided()
     if level < 0:
         raise ValueError("meanders start at a non-negative level")
     plain, marked = parts or _meander_parts(steps, order, level)

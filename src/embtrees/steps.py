@@ -1,4 +1,5 @@
-"""Weighted step sets for one-dimensional lattice paths."""
+"""Weighted step sets for one-dimensional lattice paths, which enter the
+tree machinery as kind lists of one-child nodes (``StepSet.kinds``)."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateStepSet
-from .series import Q, as_fraction
+from .series import as_fraction
 
 
 @dataclass(frozen=True)
@@ -44,9 +45,10 @@ class StepSet:
                 "step set needs at least one negative and one positive jump"
             )
 
-    def total_weight(self) -> Fraction:
-        """P(1)."""
-        return sum((w for _, w in self.steps), Q(0))
+    @property
+    def kinds(self) -> list[tuple[Fraction, tuple[int]]]:
+        """The kind list [(w_b, (b,))]: each step one node with one child at offset b."""
+        return [(w, (b,)) for b, w in self.steps]
 
 
 def parse_step_set(text: str) -> StepSet:

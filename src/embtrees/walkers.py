@@ -39,6 +39,7 @@ from operator import mul
 from .kernel import family_base
 from .levels import _x_powers
 from .series import Q, Series, as_fraction, over_lcm
+from .steps import StepSet
 
 _ONE = Q(1)
 # each boundary model's corner (u, w) of the refined marks
@@ -85,9 +86,9 @@ class StarGF:
 
 
 def _unary_base(weights: dict[int, int], order: int) -> tuple[Series, Series]:
-    """X and T of the one-offset kind list {offset: weight}: X = z sum_o w_o X^(o+1)
-    and the tree root T = 1/(1 - z sum_o w_o)."""
-    small, T = family_base([(w, (o,)) for o, w in weights.items()], order)
+    """X and T of the step set {offset: weight}, entered as its kind list: X = z sum_o w_o
+    X^(o+1) and the tree root T = 1/(1 - z sum_o w_o)."""
+    small, T = family_base(StepSet.make(weights.items()).kinds, order)
     return small.elementary[0], T
 
 

@@ -17,9 +17,8 @@ from embtrees import campaign
 from embtrees import walkers as W
 from embtrees.binary import BinaryWeights, _height_kinds
 from embtrees.errors import DegenerateCharacteristic, DegenerateStepSet
-from embtrees.kernel import (SeriesPoly, char_factor, family_base, hensel_small_factor,
-                             newton_solve, tree_root)
-from embtrees.paths import meander_gf
+from embtrees.kernel import SeriesPoly, char_factor, family_base, newton_solve, tree_root
+from embtrees.paths import _meander_parts, meander_gf
 from embtrees.series import Series
 from embtrees.steps import StepSet
 
@@ -121,7 +120,7 @@ def test_no_downward_offset_is_degenerate(kinds):
 @pytest.mark.parametrize("steps", [[(1, 1), (2, 1)], [(-2, 1), (-1, 3)]])
 def test_one_sided_step_set_is_degenerate(steps):
     with pytest.raises(DegenerateStepSet):
-        hensel_small_factor(StepSet.make(steps), 5)
+        _meander_parts(StepSet.make(steps), 5, 0)
     with pytest.raises(DegenerateStepSet):
         meander_gf(StepSet.make(steps), 0, 5)
 

@@ -4,18 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embtrees.errors import DegenerateStepSet, NoRootAtOrigin, SingularRoot
+from embtrees.errors import DegenerateCharacteristic, NoRootAtOrigin, SingularRoot
 from embtrees.kernel import (
     SeriesPoly,
     _char_poly,
     complete_homogeneous,
+    family_base,
     fixed_point_solve,
     fuss_catalan,
     hensel_factor_pair,
-    hensel_small_factor,
     newton_solve,
 )
-from embtrees.marker import MarkerSeries
 from embtrees.series import Series
 from embtrees.steps import StepSet, parse_step_set
 
@@ -79,7 +78,7 @@ def test_fuss_catalan_values():
 
 
 def test_dyck_small_branch():
-    small = hensel_small_factor(StepSet.make([(-1, 1), (1, 1)]), 9)
+    small = family_base(StepSet.make([(-1, 1), (1, 1)]).kinds, 9)[0]
     x1 = small.elementary[0]
     assert [int(c) for c in x1.coeffs] == [0, 1, 0, 1, 0, 2, 0, 5, 0]
     one = Series.one(10)
@@ -92,13 +91,13 @@ def test_dyck_small_branch():
 
 
 def test_motzkin_small_branch():
-    small = hensel_small_factor(StepSet.make([(-1, 1), (0, 1), (1, 1)]), 6)
+    small = family_base(StepSet.make([(-1, 1), (0, 1), (1, 1)]).kinds, 6)[0]
     assert [int(c) for c in small.elementary[0].coeffs] == [0, 1, 1, 2, 4, 9]
 
 
 def step_poly(steps: StepSet, order: int) -> list[Series]:
     """X^c (1 - z P(X)) by powers of X: each step a kind of one offset."""
-    return _char_poly([(w, (b,)) for b, w in steps.steps], Series.one(order), order)[0]
+    return _char_poly(steps.kinds, Series.one(order), order)[0]
 
 
 def test_two_branch_factor_reconstructs():
@@ -110,7 +109,7 @@ def test_two_branch_factor_reconstructs():
         for j, bj in enumerate(b):
             prod[i + j] = prod[i + j] + ai * bj
     assert all((prod[k] - f[k]).is_zero() for k in range(len(f)))
-    small = hensel_small_factor(steps, 30)
+    small, _ = family_base(steps.kinds, 30)
     assert all(e[0] == 0 for e in small.elementary)
 
 
@@ -174,12 +173,13 @@ def test_hensel_rejects_polynomial_not_reducing_to_x_power(bad):
 
 
 def test_degenerate_step_set():
-    with pytest.raises(DegenerateStepSet):
-        hensel_small_factor(StepSet.make([(1, 1), (2, 1)]), 5)
+    # a step set with no down-step is a kind list with no downward offset
+    with pytest.raises(DegenerateCharacteristic, match="no downward offset"):
+        family_base(StepSet.make([(1, 1), (2, 1)]).kinds, 5)
 
 
 def test_complete_homogeneous_single_branch():
-    small = hensel_small_factor(StepSet.make([(-1, 1), (1, 1)]), 10)
+    small = family_base(StepSet.make([(-1, 1), (1, 1)]).kinds, 10)[0]
     h = complete_homogeneous(small, 4)
     x1 = small.elementary[0]
     for f in range(5):
@@ -188,18 +188,12 @@ def test_complete_homogeneous_single_branch():
 
 
 def test_homogeneous_generating_identity():
-    # sum_f h_f t^f times prod (1 - X_l t) telescopes to 1
-    small = hensel_small_factor(StepSet.make([(-2, 1), (2, 1)]), 20)
+    # sum_f h_f t^f times prod (1 - X_l t) telescopes to 1: at t^p, p >= 1,
+    # sum_k (-1)^k e_k h_(p-k) vanishes
+    small, _ = family_base(StepSet.make([(-2, 1), (2, 1)]).kinds, 20)
     h = complete_homogeneous(small, 20)
-    lhs = MarkerSeries.zero(20)
-    for f, hf in enumerate(h):
-        lhs = lhs + MarkerSeries.series_times_marker(hf, f)
-    prod = MarkerSeries.one(20)
-    for k in range(1, small.c + 1):
-        e = small.elementary[k - 1]
-        prod = prod + MarkerSeries.series_times_marker(e if k % 2 == 0 else -e, k)
-    total = lhs * prod
-    for n in range(20):
-        for power, coeff in total.coeffs[n].items():
-            if power <= 20:
-                assert (n, power, coeff) == (0, 0, Q(1))
+    assert h[0] == Series.one(20)
+    es = (Series.one(20),) + small.elementary
+    for p in range(1, 21):
+        terms = [es[k] * h[p - k] * (-1) ** k for k in range(min(p, small.c) + 1)]
+        assert sum(terms, Series.zero(20)).is_zero()

@@ -155,7 +155,8 @@ def poly_terms(nv, max_exp=6, max_size=8):
 @given(marker_lists(), marker_lists(), small)
 def test_marker_ring_operations_match_reference(a, b, q):
     ma, mb = MarkerSeries(a), MarkerSeries(b)
-    assert list((ma * mb).coeffs) == ref_marker_mul(a, b)
+    with pytest.raises(TypeError):  # a module over Series: no product of two marker series
+        ma * mb
     assert list((ma + mb).coeffs) == ref_marker_combine(a, b, 1)
     assert list((ma - mb).coeffs) == ref_marker_combine(a, b, -1)
     assert list((-ma).coeffs) == [{p: -c for p, c in d.items()} for d in a]
@@ -169,22 +170,22 @@ def test_marker_ring_operations_match_reference(a, b, q):
 @settings(max_examples=10, deadline=None)
 @given(st.integers(20, 30), st.data())
 def test_long_marker_products_match_reference(n, data):
-    # wide marker windows and long series
+    # wide marker windows and long series, times a z-series: the series case of the reference
     a = data.draw(marker_lists(min_size=n, max_size=n))
-    b = data.draw(marker_lists(min_size=n, max_size=n))
-    assert list((MarkerSeries(a) * MarkerSeries(b)).coeffs) == ref_marker_mul(a, b)
+    cs = data.draw(st.lists(coeff, min_size=n, max_size=n))
+    lifted = [clean({0: c}) for c in cs]
+    assert list((MarkerSeries(a) * Series(cs)).coeffs) == ref_marker_mul(a, lifted)
 
 
 @settings(max_examples=60, deadline=None)
 @given(marker_lists(), st.lists(coeff, min_size=1, max_size=9), st.integers(-4, 4))
 def test_marker_series_bridges(a, cs, power):
     s = Series(cs)
-    lifted = MarkerSeries.series_times_marker(s, power)
+    lifted = MarkerSeries.from_series(s).shift_marker(power)
     assert list(lifted.coeffs) == [clean({power: c}) for c in cs]
     assert list(MarkerSeries.from_series(s).coeffs) == [clean({0: c}) for c in cs]
     assert list((MarkerSeries(a) * s).coeffs) == ref_marker_mul(a, [clean({0: c}) for c in cs])
-    # a z-series multiplies column by column; the grid product gives the same canonical grid
-    assert MarkerSeries(a) * s == s * MarkerSeries(a) == MarkerSeries(a) * MarkerSeries.from_series(s)
+    assert MarkerSeries(a) * s == s * MarkerSeries(a)
     assert list(MarkerSeries(a).shift_marker(power).coeffs) == [
         {p + power: c for p, c in d.items()} for d in a
     ]
@@ -192,7 +193,7 @@ def test_marker_series_bridges(a, cs, power):
 
 def test_marker_order_one_and_equality():
     a = MarkerSeries([{-2: Q(1, 2), 3: Q(-4, 6)}])
-    assert a.order == 1 and (a * a).coeffs == ({-4: Q(1, 4), 1: Q(-2, 3), 6: Q(4, 9)},)
+    assert a.order == 1 and (a * Series([2])).coeffs == ({-2: Q(1), 3: Q(-4, 3)},)
     # equal series built differently compare and hash alike
     b = MarkerSeries([{-2: Q(2, 4), 3: Q(-2, 3)}, {5: Q(1)}]).truncate(1)
     assert a == b and hash(a) == hash(b)
@@ -341,10 +342,9 @@ def test_powers_on_every_ring(a, p0, c0, k):
                 x ** k
         assert s ** k * s ** -k == Series.one(len(a))
     else:
-        one = [{0: Q(1)}] + [{}] * (len(a) - 1)
-        assert list((ma ** k).coeffs) == ref_powers(ref_marker_mul, one, a, k)
-        # a series is a marker series on marker exponent 0
-        assert MarkerSeries.from_series(s ** k) == MarkerSeries.from_series(s) ** k
+        if k:  # a marker series is a module over Series, with no positive powers
+            with pytest.raises(TypeError):
+                ma ** k
         assert (poly ** k).terms == ref_powers(ref_poly_mul, {(0,): Q(1)}, terms, k)
     got = RationalFunction(poly, MultiPoly.var(("X",), "X") + 2) ** k
     for x in POINTS:

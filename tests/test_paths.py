@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embtrees import paths
+from embtrees.kernel import tree_root
 from embtrees.marker import MarkerSeries
 from embtrees.paths import (
     MeanderCheck,
@@ -13,7 +14,6 @@ from embtrees.paths import (
     meander_dp,
     meander_gf,
     verify_meander_closed_form,
-    walks_total,
 )
 from embtrees.series import Series
 from embtrees.steps import StepSet, parse_step_set
@@ -36,7 +36,13 @@ def test_parse_step_set():
         parse_step_set("1;2")
 
 
+def walks_total(steps: StepSet, order: int) -> Series:
+    """Free walks from level 0 ending anywhere: the tree root of the step set's kind list."""
+    return tree_root(steps.kinds, order)
+
+
 def test_walks_total():
+    assert DYCK.kinds == [(1, (-1,)), (1, (1,))]
     assert ints(walks_total(DYCK, 5)) == [1, 2, 4, 8, 16]
     assert ints(walks_total(MOTZKIN, 5)) == [1, 3, 9, 27, 81]
     weighted = StepSet.make([(-1, 2), (1, 3)])

@@ -15,10 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embtrees import binary as B
-from embtrees import campaign
+from embtrees import campaign, cli
 from embtrees import dary as D
 from embtrees import paths as P
 from embtrees import walkers as W
+from embtrees.counts import COUNTS, since
 from embtrees.levels import label_spectra
 from embtrees.series import Series
 from embtrees.steps import StepSet
@@ -66,16 +67,29 @@ def test_every_check_in_process_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
-    assert sum(dict(r.counts)["kernel.tree_root"] for r in results) == 46
+    # 13 of them are the step sets' unary roots: the free walks, through family_base
+    assert sum(dict(r.counts)["kernel.tree_root"] for r in results) == 59
 
 
 @pytest.mark.parametrize("check_id", ["binary/one-param-family", "dary/one-param-identity"])
 def test_one_param_identities_solve_no_root_and_make_no_marker_product(check_id):
-    # each family's claim is proved in Q(X, lam, Y)[T]: no series T, X or lam is built
+    # each family's claim is proved in Q(X, lam, Y)[T]: no series T, X or lam is built,
+    # so no series product is made, nor a marker series from one
     result = campaign.run_check(check_id)
     assert result.status == "pass"
     counts = dict(result.counts)
-    assert (counts["kernel.tree_root"], counts["kernel.hensel"], counts["marker.mul"]) == (0, 0, 0)
+    assert (counts["kernel.tree_root"], counts["kernel.hensel"], counts["series.mul"]) == (0, 0, 0)
+
+
+def test_closed_binary_cli_path_solves_two_roots(capsys):
+    # adapt_lambda checks its branch on the base it solved it from; the row at --order
+    # builds the second base
+    before = dict(COUNTS)
+    argv = ["trees", "--w1", "1", "--level", "2", "--method", "closed", "--order", "12"]
+    assert cli.main(argv) == 0
+    counts = dict(since(before))
+    assert (counts["kernel.tree_root"], counts["kernel.hensel"]) == (2, 2)
+    assert capsys.readouterr().out.startswith('{"order": 12, "coeffs": ["1", "1", "2", "5", "13"')
 
 
 def test_lockstep_check_solves_once_per_weight_and_order():
